@@ -377,10 +377,9 @@ def _pair_and_polish(minors, u, v, zroots, wroots, target_radius):
     minor_grads = [_partials(m) for m in minors]
     found = {}
     for zp, wp in pre:
-        polished = newton.polish(zp, wp)
-        if polished is None:
-            continue
-        z2, w2 = polished
+        # a singular Jacobian of the random pair (u, v) says nothing about
+        # the candidate: keep it unpolished and let the checks below decide
+        z2, w2 = newton.polish(zp, wp) or (zp, wp)
         resid = 0.0
         for m, sc in zip(minors, scales):
             resid = max(resid, abs(m.eval_pair(z2.pair(), w2.pair())) / sc)

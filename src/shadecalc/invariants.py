@@ -14,8 +14,6 @@ the total.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,13 +45,6 @@ TOLERANCES = {
     "root_residual": 1e-12,
     "system_residual": 1e-8,
 }
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("SHADECALC_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -537,16 +528,7 @@ def family_sweep(family: str, grid, seed=0, eps=None, d=None, K=None) -> SweepRe
     else:
         raise PreconditionError(f"unknown family {family!r}")
 
-    workers = _threads()
-    items = list(enumerate(grid))
-    results = [None] * len(items)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            for idx, out in zip(range(len(items)), ex.map(_guarded(sample), items)):
-                results[idx] = out
-    else:
-        for idx, item in enumerate(items):
-            results[idx] = _guarded(sample)(item)
+    results = list(map(_guarded(sample), enumerate(grid)))
     values = [r[0] for r in results]
     singular = [r[1] for r in results]
     errors = [r[2] for r in results]

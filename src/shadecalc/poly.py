@@ -1,18 +1,21 @@
 """Exact polynomial arithmetic over Q(i).
 
-Low-level kernels work on little-endian coefficient lists whose entries
-are Gaussian integers represented as plain ``(a, b)`` int tuples; this is
-where resultants, gcds and Sturm chains spend their time.  The public
-classes (UPoly, BinaryForm, BivarPoly) wrap those kernels with
-GaussianRational coefficients.
+The public classes (UPoly, BinaryForm, BivarPoly) store GaussianRational
+coefficients.  Every exact kernel behind them runs on one representation:
+little-endian lists of Gaussian integers as plain ``(a, b)`` int tuples.
+Gcds, exact division, resultants and Sturm chains all work there.
 
-Coefficients stay exact through every elimination step.  Denominators are
-cleared once on entry; pseudo-remainder sequences strip content to keep
-sizes near-primitive.  Resultants of polynomial-entry Sylvester matrices
-go through integer evaluation, fraction-free (Bareiss) determinants over
-Z[i] and Newton interpolation; degrees here stay below ~80.  Sturm chains
-use an even pseudo-remainder multiplier so every scale factor is positive
-and sign variations survive.
+Rationals meet the kernels in one place, `_clear_denominators`, which
+scales a coefficient table by its least common denominator.  Callers
+that need the exact value back rescale once at the end.  Pseudo-remainder
+sequences strip content to keep sizes near-primitive.  Exact division is
+integer long division: by Gauss's lemma over the UFD Z[i][z], a quotient
+by a primitive divisor has Gaussian-integer coefficients, so an inexact
+step means the division is inexact.  Resultants of polynomial-entry
+Sylvester matrices go through integer evaluation, fraction-free (Bareiss)
+determinants over Z[i] and Newton interpolation, all in integers; degrees
+here stay below ~80.  Sturm chains use an even pseudo-remainder multiplier
+so every scale factor is positive and sign variations survive.
 """
 
 from __future__ import annotations
@@ -27,10 +30,8 @@ __all__ = [
     "BinaryForm",
     "BivarPoly",
     "resultant",
-    "saturate_factor",
     "real_roots_sturm",
     "sturm_chain",
-    "sturm_count",
     "isolate_real_roots",
 ]
 
@@ -210,22 +211,31 @@ def zx_gcd(f, g):
     return zx_primitive(f)
 
 
-def _g2q(c):
-    return (QQ(c[0]), QQ(c[1]))
-
-
 def zx_divexact(f, g):
-    """f / g asserting zero remainder (runs over exact rationals since
-    quotient coefficients may transiently leave Z[i])."""
-    q, r = qq_divmod([_g2q(c) for c in f], [_g2q(c) for c in g])
-    if any(c[0] or c[1] for c in r):
+    """f / g in Z[i][z], asserting exactness.
+
+    Long division with an exact Gaussian division at each step.  When the
+    quotient lies in Z[i][z], every partial quotient is one of its
+    coefficients, so an inexact step or a nonzero remainder raises
+    ArithmeticError: g does not divide f with an integral quotient.
+    """
+    f = zx_strip(list(f))
+    g = zx_strip(g)
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    dg = len(g) - 1
+    lc = g[-1]
+    q = [GZERO] * max(0, len(f) - dg)
+    while len(f) > dg:
+        k = len(f) - 1 - dg
+        c = gdivexact(f[-1], lc)
+        q[k] = c
+        for j in range(dg):
+            f[k + j] = gsub(f[k + j], gmul(c, g[j]))
+        f = zx_strip(f[:-1])
+    if f:
         raise ArithmeticError("inexact polynomial division")
-    out = []
-    for re, im in q:
-        if re.denominator != 1 or im.denominator != 1:
-            raise ArithmeticError("inexact polynomial division")
-        out.append((re.numerator, im.numerator))
-    return zx_strip(out)
+    return zx_strip(q)
 
 
 def zx_sqf_list(f):
@@ -256,49 +266,27 @@ def zx_sqf_list(f):
     return out
 
 
-# qq_* helpers: coefficients as (Fraction, Fraction) pairs
+def _strip_int_content(f):
+    """f divided by the largest rational integer dividing every coefficient."""
+    n = math.gcd(*glist_gcd(f))
+    if n > 1:
+        f = [(a // n, b // n) for a, b in f]
+    return f
 
 
-def _qsub(x, y):
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _qmul(x, y):
-    a, b = x
-    c, d = y
-    return (a * c - b * d, a * d + b * c)
-
-
-def _qdiv(x, y):
-    a, b = x
-    c, d = y
-    n = c * c + d * d
-    return ((a * c + b * d) / n, (b * c - a * d) / n)
-
-
-def qq_strip(f):
-    n = len(f)
-    while n and not (f[n - 1][0] or f[n - 1][1]):
-        n -= 1
-    return f[:n]
-
-
-def qq_divmod(f, g):
-    f = qq_strip(list(f))
-    g = qq_strip(list(g))
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [(QQ(0), QQ(0))] * max(0, len(f) - len(g) + 1)
-    r = list(f)
-    dg = len(g) - 1
-    while r and len(r) - 1 >= dg:
-        k = len(r) - 1 - dg
-        c = _qdiv(r[-1], g[-1])
-        q[k] = c
-        for j in range(dg + 1):
-            r[j + k] = _qsub(r[j + k], _qmul(c, g[j]))
-        r = qq_strip(r[:-1])
-    return q, r
+def _clear_denominators(rows):
+    """(den, gint rows): den is the least common denominator of every
+    GaussianRational in `rows` (a sequence of coefficient sequences), and
+    each gint is den times its coefficient."""
+    den = 1
+    for r in rows:
+        for c in r:
+            den = math.lcm(den, c.re.denominator, c.im.denominator)
+    return den, [
+        [(c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
+         for c in r]
+        for r in rows
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +312,8 @@ class UPoly:
 
     def to_zx(self):
         """Primitive Z[i] coefficient list (self up to a positive rational)."""
-        if not self.coeffs:
-            return []
-        den = 1
-        for c in self.coeffs:
-            den = den * c.re.denominator // math.gcd(den, c.re.denominator)
-            den = den * c.im.denominator // math.gcd(den, c.im.denominator)
-        f = [(int(c.re * den), int(c.im * den)) for c in self.coeffs]
-        g = glist_gcd(f)
-        n = math.gcd(abs(g[0]), abs(g[1]))
-        if n > 1:
-            f = [(a // n, b // n) for a, b in f]
-        return f
+        _, (f,) = _clear_denominators([self.coeffs])
+        return _strip_int_content(f)
 
     @property
     def degree(self):
@@ -396,12 +374,6 @@ class UPoly:
 
     def conjugate(self):
         return UPoly([c.conjugate() for c in self.coeffs])
-
-    def monic(self):
-        if not self.coeffs:
-            return self
-        lc = self.coeffs[-1]
-        return UPoly([c / lc for c in self.coeffs])
 
     def gcd(self, other):
         return UPoly.from_zx(zx_gcd(self.to_zx(), other.to_zx()))
@@ -514,11 +486,6 @@ def sturm_var_at(chain, x):
     return _sign_variations(
         [_eval_sign_at_rational(f, x.numerator, x.denominator) for f in chain]
     )
-
-
-def sturm_count(chain, a, b):
-    """Number of distinct real roots in (a, b]."""
-    return sturm_var_at(chain, QQ(a)) - sturm_var_at(chain, QQ(b))
 
 
 def cauchy_root_bound(coeffs):
@@ -862,21 +829,6 @@ class BivarPoly:
         rows = [[self.rows[j][k] for j in range(self.m + 1)] for k in range(self.n + 1)]
         return BivarPoly(self.n, self.m, rows)
 
-    def conjugate_swap(self):
-        """Coefficient conjugation composed with the variable swap; sends
-        solutions (z, w) to (conj w, conj z)."""
-        rows = [
-            [self.rows[j][k].conjugate() for j in range(self.m + 1)] for k in range(self.n + 1)
-        ]
-        return BivarPoly(self.n, self.m, rows)
-
-    def w_coeff_forms(self):
-        """Coefficients of u^(n-k) v^k as BinaryForms in (s, t)."""
-        return [
-            BinaryForm(self.m, [self.rows[j][k] for j in range(self.m + 1)])
-            for k in range(self.n + 1)
-        ]
-
     def __repr__(self):
         return f"BivarPoly(m={self.m}, n={self.n})"
 
@@ -885,20 +837,13 @@ class BivarPoly:
 
 
 def _to_columns(p: BivarPoly):
-    """Affine view as w-columns: cols[k] = zx poly in z, denominators
-    cleared across the whole polynomial."""
-    den = 1
-    for r in p.rows:
-        for c in r:
-            den = den * c.re.denominator // math.gcd(den, c.re.denominator)
-            den = den * c.im.denominator // math.gcd(den, c.im.denominator)
-    cols = []
-    for k in range(p.n + 1):
-        col = [(int(p.rows[j][k].re * den), int(p.rows[j][k].im * den)) for j in range(p.m + 1)]
-        cols.append(zx_strip(col))
+    """Affine view as w-columns: (den, cols) with cols[k] the zx poly in z
+    of den times the w^k coefficient, den clearing the whole polynomial."""
+    den, rows = _clear_denominators(p.rows)
+    cols = [zx_strip([r[k] for r in rows]) for k in range(p.n + 1)]
     while cols and not cols[-1]:
         cols.pop()
-    return cols
+    return den, cols
 
 
 def _cols_poly_content(cols):
@@ -946,8 +891,8 @@ def bivar_gcd(p: BivarPoly, q: BivarPoly) -> BivarPoly:
         return q
     if q.is_zero():
         return p
-    pc = _to_columns(p)
-    qc = _to_columns(q)
+    _, pc = _to_columns(p)
+    _, qc = _to_columns(q)
     p_updef = p.n + 1 - len(pc)
     q_updef = q.n + 1 - len(qc)
     p_sdef = p.m - max(len(col) - 1 for col in pc if col)
@@ -986,94 +931,45 @@ def bivar_gcd(p: BivarPoly, q: BivarPoly) -> BivarPoly:
 def bivar_divexact(p: BivarPoly, d: BivarPoly) -> BivarPoly:
     """p / d asserting exactness; declared bidegrees subtract.
 
-    Long division in w over Q(i)[z]: when d divides p, every leading
-    quotient step divides exactly, so a remainder at any step means the
-    division is inexact.
+    Denominators are cleared and the Gaussian content of d is divided
+    out, so by Gauss's lemma an exact quotient has Z[i] coefficients.
+    Long division in w then divides column by column with zx_divexact,
+    and the quotient is rescaled once at the end.  An inexact step or a
+    nonzero remainder raises ArithmeticError.
     """
     if d.is_zero():
         raise PolynomialError("division by the zero polynomial")
     m, n = p.m - d.m, p.n - d.n
     if m < 0 or n < 0:
         raise ArithmeticError("inexact bivariate division")
-
-    def cols_qq(poly):
-        return [
-            [(poly.rows[j][k].re, poly.rows[j][k].im) for j in range(poly.m + 1)]
-            for k in range(poly.n + 1)
-        ]
-
-    def strip_cols(cs):
-        cs = [qq_strip(c) for c in cs]
-        while cs and not cs[-1]:
-            cs.pop()
-        return cs
-
-    fp = strip_cols(cols_qq(p))
-    fd = strip_cols(cols_qq(d))
+    pden, fp = _to_columns(p)
+    dden, fd = _to_columns(d)
     if not fp:
         return BivarPoly.zero(m, n)
-    if not fd:
-        raise PolynomialError("division by the zero polynomial")
     nq = len(fp) - len(fd)
     if nq < 0:
         raise ArithmeticError("inexact bivariate division")
-    B = fd[-1]
+    cont = glist_gcd([c for col in fd for c in col])
+    fd = [[gdivexact(c, cont) for c in col] for col in fd]
+    lead = fd[-1]
     qcols = [None] * (nq + 1)
-    rem = [list(c) for c in fp]
+    rem = list(fp)
     for k in range(nq, -1, -1):
-        top = rem[k + len(fd) - 1]
-        qk, rr = qq_divmod(top, B)
-        if any(c[0] or c[1] for c in rr):
-            raise ArithmeticError("inexact bivariate division")
+        qk = zx_divexact(rem[k + len(fd) - 1], lead)
         qcols[k] = qk
-        for j in range(len(fd)):
-            prod_col = _qq_mul_poly(qk, fd[j])
-            tgt = rem[k + j]
-            for idx, val in enumerate(prod_col):
-                while len(tgt) <= idx:
-                    tgt.append((QQ(0), QQ(0)))
-                tgt[idx] = _qsub(tgt[idx], val)
+        for j in range(len(fd) - 1):
+            rem[k + j] = zx_sub(rem[k + j], zx_mul(qk, fd[j]))
         rem[k + len(fd) - 1] = []
-    if any(qq_strip(c) for c in rem):
+    if any(rem):
         raise ArithmeticError("inexact bivariate division")
-    table = []
-    gm = max((len(qq_strip(c)) - 1 for c in qcols if qq_strip(c)), default=0)
-    table = [[GaussianRational(0)] * (len(qcols)) for _ in range(gm + 1)]
+    # p / d = (pden p) / (dden d / cont) * dden / (pden cont)
+    scale = GaussianRational(dden) / (GaussianRational(*cont) * pden)
+    gm = max((len(col) - 1 for col in qcols if col), default=0)
+    table = [[GaussianRational(0)] * len(qcols) for _ in range(gm + 1)]
     for k, col in enumerate(qcols):
-        for j, c in enumerate(qq_strip(col)):
-            table[j][k] = GaussianRational(c[0], c[1])
+        for j, c in enumerate(col):
+            table[j][k] = GaussianRational(*c) * scale
     return BivarPoly.from_affine(m, n, table)
-
-
-def _qq_mul_poly(a, b):
-    if not a or not b:
-        return []
-    out = [(QQ(0), QQ(0))] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not (x[0] or x[1]):
-            continue
-        for j, y in enumerate(b):
-            if y[0] or y[1]:
-                out[i + j] = (out[i + j][0] + _qmul(x, y)[0], out[i + j][1] + _qmul(x, y)[1])
-    return out
-
-
-def saturate_factor(p: BivarPoly, factor: BivarPoly):
-    """Divide `factor` out of p as often as it exactly divides.
-
-    Returns (quotient, multiplicity); multiplicity 0 hands back p itself.
-    """
-    if factor.is_zero():
-        raise PolynomialError("saturation by the zero polynomial")
-    k = 0
-    while not p.is_zero():
-        try:
-            q = bivar_divexact(p, factor)
-        except ArithmeticError:
-            break
-        p = q
-        k += 1
-    return p, k
 
 
 # ---------------------------------------------------------------------------
@@ -1129,26 +1025,28 @@ def _sylvester_det(acoeffs, bcoeffs, na, nb):
 
 
 def _interp_newton(xs, ys):
-    """Interpolating coefficients (little-endian (Fraction, Fraction))
-    through integer nodes xs with gint values ys."""
+    """Little-endian gint coefficients of the polynomial through integer
+    nodes xs with gint values ys.
+
+    The values come from a Z[i] polynomial, whose divided differences at
+    integer nodes are Gaussian integers, so every division is exact; an
+    inexact one raises ArithmeticError.
+    """
     n = len(xs)
-    dd = [(QQ(y[0]), QQ(y[1])) for y in ys]
+    dd = list(ys)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            denom = xs[i] - xs[i - j]
-            dd[i] = (
-                (dd[i][0] - dd[i - 1][0]) / denom,
-                (dd[i][1] - dd[i - 1][1]) / denom,
-            )
-    coeffs = [(QQ(0), QQ(0))] * n
+            dd[i] = gdivexact(gsub(dd[i], dd[i - 1]), (xs[i] - xs[i - j], 0))
+    coeffs = [GZERO] * n
     for i in range(n - 1, -1, -1):
-        new = [(QQ(0), QQ(0))] * n
+        # coeffs <- coeffs * (x - xs[i]) + dd[i]
+        new = [GZERO] * n
         new[0] = dd[i]
         for j in range(n - 1):
             cj = coeffs[j]
-            if cj[0] or cj[1]:
-                new[j + 1] = (new[j + 1][0] + cj[0], new[j + 1][1] + cj[1])
-                new[j] = (new[j][0] - xs[i] * cj[0], new[j][1] - xs[i] * cj[1])
+            if cj != GZERO:
+                new[j + 1] = gadd(new[j + 1], cj)
+                new[j] = gsub(new[j], gmul(cj, (xs[i], 0)))
         coeffs = new
     return coeffs
 
@@ -1169,14 +1067,8 @@ def bivar_resultant_w(p: BivarPoly, q: BivarPoly, strip_content=False) -> Binary
     if na == 0 or nb == 0:
         raise PolynomialError("positive degree in the eliminated variable required")
     D = p.m * q.n + q.m * p.n
-    den = 1
-    for poly in (p, q):
-        for r in poly.rows:
-            for c in r:
-                den = den * c.re.denominator // math.gcd(den, c.re.denominator)
-                den = den * c.im.denominator // math.gcd(den, c.im.denominator)
-    pa = [[(int(c.re * den), int(c.im * den)) for c in r] for r in p.rows]
-    qa = [[(int(c.re * den), int(c.im * den)) for c in r] for r in q.rows]
+    den, rows = _clear_denominators(p.rows + q.rows)
+    pa, qa = rows[: p.m + 1], rows[p.m + 1 :]
 
     def w_coeffs_at(rows, m, n, zeta):
         # u^(n-k) v^k coefficient forms evaluated at (s, t) = (1, zeta),
@@ -1198,22 +1090,12 @@ def bivar_resultant_w(p: BivarPoly, q: BivarPoly, strip_content=False) -> Binary
         xs.append(zeta)
         zeta = -zeta + (1 if zeta <= 0 else 0)
     coeffs = _interp_newton(xs, ys)
-    gs = [GaussianRational(a, b) for a, b in coeffs[: D + 1]]
-    gs += [GaussianRational(0)] * (D + 1 - len(gs))
-    f = BinaryForm(D, gs)
-    # interpolation at integer nodes of integer determinants: the scale
-    # factor den^(size) is rational, so coefficients may carry a common
-    # denominator; rescale by the cleared denominator to restore the
-    # honest Sylvester value of the scaled inputs, or strip to primitive
     if strip_content:
-        core = f.chart_t().to_zx()
-        if not core:
-            return BinaryForm.zero(D)
-        return BinaryForm.from_upoly(UPoly.from_zx(core), D)
-    if den != 1:
-        scale = QQ(1, den ** (na + nb))
-        f = BinaryForm(D, [c * scale for c in f.coeffs])
-    return f
+        coeffs = _strip_int_content(coeffs)
+        return BinaryForm(D, [GaussianRational(a, b) for a, b in coeffs])
+    # the determinants are of the inputs scaled by den, one row each
+    scale = QQ(1, den ** (na + nb))
+    return BinaryForm(D, [GaussianRational(a * scale, b * scale) for a, b in coeffs])
 
 
 def resultant(f: BivarPoly, g: BivarPoly, eliminate: str = "w") -> UPoly:

@@ -1,13 +1,17 @@
 """Exit-code contract and byte determinism of the command line."""
 
+import hashlib
 import io
 import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from shadecalc.cli import main
 
-DATA = Path(__file__).resolve().parents[1] / "src" / "shadecalc" / "data"
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "src" / "shadecalc" / "data"
 
 
 def run(argv, capsys):
@@ -37,6 +41,12 @@ class TestExitCodes:
 
     def test_singular_curve_exit_3(self, capsys):
         code, _ = run(["invariants", "--curve", str(DATA / "k0_minus.json")], capsys)
+        assert code == 3
+
+    def test_singular_curve_exit_3_at_singular_combo_seed(self, capsys):
+        code, _ = run(
+            ["invariants", "--curve", str(DATA / "k0_plus.json"), "--seed", "21"], capsys
+        )
         assert code == 3
 
     def test_missing_file_exit_1(self, capsys):
@@ -74,6 +84,53 @@ class TestDeterminism:
         c1, out1 = run(argv, capsys)
         c2, out2 = run(argv, capsys)
         assert c1 == c2 == 0 and out1 == out2
+
+
+class TestGoldenBytes:
+    """Canonical report bytes pinned by sha256, so a kernel rewrite that
+    changes any number, ordering or formatting is caught.  Curve paths
+    are relative to the repository root because the report echoes them."""
+
+    CASES = [
+        pytest.param(
+            ["invariants", "--curve", "src/shadecalc/data/unknot.json", "--seed", "0"],
+            "7adf8903b4b59ab8996a546ab30af5c3ed2df638c1f07d054cfbf59dbd1e6f4d",
+            id="unknot",
+        ),
+        pytest.param(
+            ["invariants", "--curve", "src/shadecalc/data/lp_line.json", "--seed", "0"],
+            "0f6498a9a95695b65ff6188df3c1d71df9ca831735217caeb360f2c528b60322",
+            id="lp_line",
+        ),
+        pytest.param(
+            ["invariants", "--curve", "src/shadecalc/data/hopf_pair.json", "--seed", "0"],
+            "6a7695833532b51550b6f3539279bbd765fdfe65c03e5d8e8711f74000edf5af",
+            id="hopf_pair",
+        ),
+        pytest.param(
+            ["invariants", "--curve", "src/shadecalc/data/kae_half_minus.json", "--seed", "0"],
+            "cd2baa1397b60f64c67d51acef792073cf85ad9d10aeede7e0360e7ad87138da",
+            id="kae_half_minus",
+        ),
+        pytest.param(
+            ["sweep", "--family", "kae", "--epsilon", "-1", "--grid=-1:1:1/4", "--seed", "0"],
+            "afbf89a8deb69403821f30d9f7e671af528cae2f01bb6b13b0585e15ed57d5f7",
+            id="sweep_kae",
+        ),
+        pytest.param(
+            ["sweep", "--family", "range", "--d", "3", "--K", "10000", "--grid=-1:1:1/2",
+             "--seed", "0"],
+            "6e30c454ba625cef1d6993b70f8377c1bd9077b10cfaaa50fd820f2aaa9b172c",
+            id="sweep_range",
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv,digest", CASES)
+    def test_report_digest(self, argv, digest, capsys, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out).hexdigest() == digest
 
 
 class TestCommands:

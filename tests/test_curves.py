@@ -112,6 +112,13 @@ class TestSelfDoublePoints:
         zs = sorted(p.affine().imag for p in sdp.params)
         assert abs(zs[0] + 1) < 1e-9 and abs(zs[1] - 1) < 1e-9
 
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("seed", [21, 27, 48])
+    def test_node_found_when_combo_jacobian_singular(self, eps, seed):
+        # at these seeds the random combination pair has a singular
+        # Jacobian at the node; the node must still be found
+        assert len(self_double_points(kae_curve(0, eps), seed)) == 1
+
     def test_smooth_members(self):
         for eps in (1, -1):
             assert self_double_points(kae_curve(QQ(1, 2), eps)) == []

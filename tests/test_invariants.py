@@ -247,16 +247,6 @@ def _generic_lines():
     return CurveModel("P3", [l1, l2])
 
 
-class TestThreadCap:
-    def test_sweep_matches_across_thread_counts(self, monkeypatch):
-        grid = [QQ(n, 4) for n in range(-4, 5)]
-        monkeypatch.setenv("SHADECALC_THREADS", "1")
-        seq = family_sweep("kae", grid, seed=4, eps=-1)
-        monkeypatch.setenv("SHADECALC_THREADS", "4")
-        par = family_sweep("kae", grid, seed=4, eps=-1)
-        assert seq.describe() == par.describe()
-
-
 class TestGaussOracle:
     def test_hopf_classical(self):
         # C1 the ccw unit circle in the xy plane, C2 through its middle:

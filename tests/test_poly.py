@@ -14,7 +14,6 @@ from shadecalc.poly import (
     isolate_real_roots,
     real_roots_sturm,
     resultant,
-    saturate_factor,
     sturm_chain,
     sturm_var_at,
 )
@@ -73,7 +72,6 @@ class TestResultant:
                 continue
             r = resultant(f, g, "w")
             z0 = QQ(rng.randint(-4, 4), rng.randint(1, 3))
-            fc = [complex(f.eval_affine(complex(z0), 0j)), 0]  # placeholder
             fw = [complex(sum(complex(f.rows[j][k]) * complex(z0) ** j for j in range(m1 + 1))) for k in range(n1 + 1)]
             gw = [complex(sum(complex(g.rows[j][k]) * complex(z0) ** j for j in range(m2 + 1))) for k in range(n2 + 1)]
             if abs(fw[-1]) < 1e-9 or abs(gw[-1]) < 1e-9:
@@ -91,26 +89,27 @@ class TestResultant:
 
 
 class TestSaturate:
+    """Saturation is repeated exact division by a common factor."""
+
     def test_square_factor(self):
-        # (z - w)^2 (z + w) / (z - w) -> exactly two divisions
-        f = bp(3, 3, {(3, 0): -1, (2, 1): 1, (1, 2): 1, (0, 3): -1})
-        # build it honestly: (z-w)^2 (z+w) = z^3 + ... compute via products
+        # (z - w)^2 (z + w) divides by (z - w) exactly twice
         zmw = bp(1, 1, {(1, 0): 1, (0, 1): -1})
         zpw = bp(1, 1, {(1, 0): 1, (0, 1): 1})
-        prod = _mul(_mul(zmw, zmw), zpw)
-        q, k = saturate_factor(prod, zmw)
-        assert k == 2
-        assert _same_up_to_scalar(q, zpw)
+        once = bivar_divexact(_mul(_mul(zmw, zmw), zpw), zmw)
+        twice = bivar_divexact(once, zmw)
+        assert (twice.m, twice.n, twice.rows) == (zpw.m, zpw.n, zpw.rows)
+        with pytest.raises(ArithmeticError):
+            bivar_divexact(twice, zmw)
 
     def test_k_zero(self):
         zmw = bp(1, 1, {(1, 0): 1, (0, 1): -1})
         zpw = bp(1, 1, {(1, 0): 1, (0, 1): 1})
-        q, k = saturate_factor(zpw, zmw)
-        assert k == 0 and q is zpw
+        with pytest.raises(ArithmeticError):
+            bivar_divexact(zpw, zmw)
 
     def test_zero_factor_rejected(self):
         with pytest.raises(ValueError):
-            saturate_factor(DIAG, bp(1, 1, {}))
+            bivar_divexact(DIAG, bp(1, 1, {}))
 
     def test_kae_chord_minors_share_one_diagonal(self):
         # the degree-3 knot at a = 1/2: each chord minor is divisible by
@@ -123,8 +122,10 @@ class TestSaturate:
         for mnr in minors:
             if mnr.is_zero():
                 continue
-            q, k = saturate_factor(mnr, diag)
-            assert k == 1
+            q = bivar_divexact(mnr, diag)
+            assert _mul(q, diag).rows == mnr.rows
+            with pytest.raises(ArithmeticError):
+                bivar_divexact(q, diag)
             assert q.eval_affine(G(0), G(1)) or q.eval_affine(G(2), G(QQ(1, 7)))
 
 
