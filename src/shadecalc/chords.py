@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 from .curves import ParamPoint
 from .errors import GenericityError
-from .poly import BinaryForm, BivarPoly, bivar_divexact, bivar_gcd, bivar_resultant_w
+from .poly import GZERO, BinaryForm, BivarPoly, bivar_divexact, bivar_gcd, bivar_resultant_w, gmul
 from .roots import UncertifiedRootsError, complex_roots
-from .scalars import GaussianRational
 
 __all__ = ["PairSolution", "SystemResult", "solve_minor_system",
            "collinearity_system", "coincidence_system"]
@@ -79,27 +79,20 @@ def _proj_forms(forms):
 
 
 def collinearity_system(center_coords, xforms, yforms):
-    """The four 3x3 minors of [c | x(z) | y(w)] as BivarPoly values.
+    """The four 3x3 minors of [c | x(z) | y(w)] as BivarPoly values,
+    expanded along the center column:
+    det[c|x|y]_(a,b,d) = c_a P_bd - c_b P_ad + c_d P_ab with P the 2x2
+    minors of [x | y] (the coincidence system).
 
-    center_coords: four GaussianRational; xforms/yforms: four BinaryForms.
+    center_coords: four exact scalars; xforms/yforms: four BinaryForms.
     """
-    x = _proj_forms(xforms)
-    y = _proj_forms(yforms)
-    c = [v if isinstance(v, GaussianRational) else GaussianRational(v) for v in center_coords]
-    minors = []
-    for rows in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-        a, b, d = rows
-        # det [[c_a, x_a, y_a], [c_b, x_b, y_b], [c_d, x_d, y_d]]
-        m = (
-            BivarPoly.from_form_product(x[b], y[d]).scale(c[a])
-            - BivarPoly.from_form_product(x[d], y[b]).scale(c[a])
-            - BivarPoly.from_form_product(x[a], y[d]).scale(c[b])
-            + BivarPoly.from_form_product(x[d], y[a]).scale(c[b])
-            + BivarPoly.from_form_product(x[a], y[b]).scale(c[d])
-            - BivarPoly.from_form_product(x[b], y[a]).scale(c[d])
-        )
-        minors.append(m)
-    return minors
+    c = center_coords
+    P = dict(zip(combinations(range(4), 2),
+                 coincidence_system(_proj_forms(xforms), _proj_forms(yforms))))
+    return [
+        BivarPoly.combination([(c[a], P[b, d]), (-c[b], P[a, d]), (c[d], P[a, b])])
+        for a, b, d in combinations(range(4), 3)
+    ]
 
 
 def coincidence_system(xforms, yforms):
@@ -124,26 +117,21 @@ def _diagonal_poly():
 
 
 def _is_scalar_multiple(p: BivarPoly, q: BivarPoly) -> bool:
+    """p = lambda q for a nonzero lambda, by cross-multiplying the integer
+    tables against the first nonzero pair."""
     if (p.m, p.n) != (q.m, q.n):
         return False
-    ratio = None
-    for rp, rq in zip(p.rows, q.rows):
-        for a, b in zip(rp, rq):
-            if not a and not b:
-                continue
-            if not a or not b:
-                return False
-            r = a / b
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return False
-    return ratio is not None
+    pairs = [(a, b) for rp, rq in zip(p.num, q.num) for a, b in zip(rp, rq)
+             if a != GZERO or b != GZERO]
+    if not pairs or GZERO in pairs[0]:
+        return False
+    a0, b0 = pairs[0]
+    return all(gmul(a, b0) == gmul(b, a0) for a, b in pairs)
 
 
 def _scale_bound(p: BivarPoly) -> float:
     """Upper bound for |p| on normalized parameter pairs (max modulus 1)."""
-    return sum(abs(complex(c)) for r in p.rows for c in r) or 1.0
+    return sum(abs(complex(a / p.den, b / p.den)) for r in p.num for a, b in r) or 1.0
 
 
 def _saturate_all(minors):
@@ -190,17 +178,22 @@ def _binary_form_roots(form: BinaryForm, target_radius=ROOT_RADIUS):
 
 def _partials(p: BivarPoly):
     """(d/ds, d/dt, d/du, d/dv) as BivarPoly values."""
-    m, n = p.m, p.n
-    zero = GaussianRational(0)
-    ds = [[p.rows[j][k] * (m - j) for k in range(n + 1)] for j in range(m)] or [[zero] * (n + 1)]
-    dt = [[p.rows[j][k] * j for k in range(n + 1)] for j in range(1, m + 1)] or [[zero] * (n + 1)]
-    du = [[p.rows[j][k] * (n - k) for k in range(n)] for j in range(m + 1)]
-    dv = [[p.rows[j][k] * k for k in range(1, n + 1)] for j in range(m + 1)]
+    m, n, T = p.m, p.n, p.num
+
+    def part(mm, nn, rows):
+        return BivarPoly._from_ints(mm, nn, p.den, rows)
+
+    zero_row = [[GZERO] * (n + 1)]
+    zero_col = [[GZERO]] * (m + 1)
+    ds = [[(a * (m - j), b * (m - j)) for a, b in T[j]] for j in range(m)]
+    dt = [[(a * j, b * j) for a, b in T[j]] for j in range(1, m + 1)]
+    du = [[(a * (n - k), b * (n - k)) for k, (a, b) in enumerate(r[:n])] for r in T]
+    dv = [[(a * k, b * k) for k, (a, b) in enumerate(r) if k] for r in T]
     return (
-        BivarPoly(max(m - 1, 0), n, ds),
-        BivarPoly(max(m - 1, 0), n, dt),
-        BivarPoly(m, max(n - 1, 0), [r or [zero] for r in du] if n else [[zero] for _ in range(m + 1)]),
-        BivarPoly(m, max(n - 1, 0), [r or [zero] for r in dv] if n else [[zero] for _ in range(m + 1)]),
+        part(max(m - 1, 0), n, ds or zero_row),
+        part(max(m - 1, 0), n, dt or zero_row),
+        part(m, max(n - 1, 0), du if n else zero_col),
+        part(m, max(n - 1, 0), dv if n else zero_col),
     )
 
 
@@ -271,13 +264,8 @@ def _random_combo(minors, rng):
         cs = [rng.randint(-9, 9) for _ in minors]
         if not any(cs):
             continue
-        acc = None
-        for c, m in zip(cs, minors):
-            if c == 0:
-                continue
-            term = m.scale(GaussianRational(c))
-            acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero():
+        acc = BivarPoly.combination([(c, m) for c, m in zip(cs, minors) if c])
+        if not acc.is_zero():
             return acc
 
 

@@ -100,17 +100,11 @@ def cmd_invariants(args, out):
         "tol": args.tol,
     }
     tol = min(max(args.tol, 1e-14), 1e-6)
-    if model.is_real():
-        rep = encomplexed_writhe(
-            model, seed=args.seed, centers=args.centers, forced_center=center, tol=tol
-        )
-    else:
-        rep = shade_number_empty_real(model, seed=args.seed, centers=args.centers, tol=tol)
+    invariant = encomplexed_writhe if model.is_real() else shade_number_empty_real
+    rep = invariant(model, seed=args.seed, centers=args.centers, forced_center=center, tol=tol)
     payload = rep.describe()
     if args.svg:
-        data = select_center(model, seed=args.seed, mode=rep.mode,
-                             forced_center=center)
-        Path(args.svg).write_text(render_diagram_svg(model, data))
+        Path(args.svg).write_text(render_diagram_svg(model, rep.projection))
         payload["svg"] = args.svg
     out.write(emit_report(ReportEnvelope("invariants", flags, payload), args.fmt))
     return EXIT_OK

@@ -24,7 +24,6 @@ __all__ = [
     "SelfIntersection",
     "ParamPoint",
     "real_locus_sample",
-    "chart_tangent",
     "kae_curve",
     "unknot_curve",
     "trefoil_curve",
@@ -135,26 +134,6 @@ class CurveComponent:
         vals = [f.eval(s, t) for f in forms]
         return ProjPoint(vals, "P3" if self.nvars == 4 else "P4")
 
-    def eval_complex(self, s, t, conj=False):
-        forms = self.conj_coords if conj else self.coords
-        return [f.eval(complex(s), complex(t)) for f in forms]
-
-    def tangent_complex(self, param, conj=False):
-        """(point coords, derivative coords) along the chart with the
-        larger parameter coordinate; both complex vectors."""
-        s, t = _param_pair(param)
-        s, t = complex(s), complex(t)
-        forms = self.conj_coords if conj else self.coords
-        if abs(t) <= abs(s):
-            z = t / s
-            vals = [f.chart_t()(z) for f in forms]
-            der = [f.chart_t().derivative()(z) for f in forms]
-        else:
-            z = s / t
-            vals = [f.chart_s()(z) for f in forms]
-            der = [f.chart_s().derivative()(z) for f in forms]
-        return vals, der
-
 
 def _param_pair(param):
     if isinstance(param, ParamPoint):
@@ -164,31 +143,6 @@ def _param_pair(param):
     if isinstance(param, tuple):
         return param
     return GaussianRational(1) if not isinstance(param, complex) else 1.0 + 0j, param
-
-
-def chart_tangent(component: CurveComponent, param, chart: int, conj=False):
-    """Tangent of the dehomogenized image curve in projective chart
-    `chart`; raises on non-immersive parameters.
-
-    Returns (affine point, tangent vector) with the chart coordinate
-    removed; derivative of (x_j / x_k) via the quotient rule.
-    """
-    vals, der = component.tangent_complex(param, conj)
-    xk, dxk = vals[chart], der[chart]
-    if abs(xk) == 0:
-        raise ZeroDivisionError(f"point not in chart {chart}")
-    pt, tv = [], []
-    for j in range(len(vals)):
-        if j == chart:
-            continue
-        pt.append(vals[j] / xk)
-        tv.append((der[j] * xk - vals[j] * dxk) / (xk * xk))
-    scale = max(abs(v) for v in pt) + 1.0
-    if max(abs(v) for v in tv) < 1e-9 * scale:
-        raise PreconditionError(
-            f"non-immersive parameter on component {component.label or '?'}"
-        )
-    return pt, tv
 
 
 class CurveModel:
@@ -286,10 +240,6 @@ def real_locus_sample(curve: CurveModel, n: int, component=0):
 # ---------------------------------------------------------------------------
 
 
-def _F(degree, coeffs):
-    return BinaryForm(degree, [GaussianRational(c) if not isinstance(c, GaussianRational) else c for c in coeffs])
-
-
 def kae_curve(a, eps) -> CurveModel:
     """The degree-3 knot family in P3:
     [s^3, s t^2 + eps s^3, t^3 + eps s^2 t, a t s^2]."""
@@ -298,10 +248,10 @@ def kae_curve(a, eps) -> CurveModel:
     if eps not in (1, -1):
         raise PreconditionError("eps must be +1 or -1")
     coords = [
-        _F(3, [1, 0, 0, 0]),
-        _F(3, [eps, 0, 1, 0]),
-        _F(3, [0, eps, 0, 1]),
-        _F(3, [0, a, 0, 0]),
+        BinaryForm(3, [1, 0, 0, 0]),
+        BinaryForm(3, [eps, 0, 1, 0]),
+        BinaryForm(3, [0, eps, 0, 1]),
+        BinaryForm(3, [0, a, 0, 0]),
     ]
     return CurveModel(
         "P3",
@@ -314,11 +264,11 @@ def unknot_curve() -> CurveModel:
     """The plane section x3 = x4 = 0 of the unit quadric:
     [s^2+t^2, 2 s t, s^2-t^2, 0, 0]."""
     coords = [
-        _F(2, [1, 0, 1]),
-        _F(2, [0, 2, 0]),
-        _F(2, [1, 0, -1]),
-        _F(2, [0, 0, 0]),
-        _F(2, [0, 0, 0]),
+        BinaryForm(2, [1, 0, 1]),
+        BinaryForm(2, [0, 2, 0]),
+        BinaryForm(2, [1, 0, -1]),
+        BinaryForm(2, [0, 0, 0]),
+        BinaryForm(2, [0, 0, 0]),
     ]
     return CurveModel(
         QuadricSpec(QQ(1)), [CurveComponent(coords, label="unknot")], {"family": "unknot"}
@@ -330,15 +280,15 @@ def trefoil_curve() -> CurveModel:
     z^2 = w^3 intersected with the sphere), degree 6."""
     coords = [
         # (s^2+t^2)^3
-        _F(6, [1, 0, 3, 0, 3, 0, 1]),
+        BinaryForm(6, [1, 0, 3, 0, 3, 0, 1]),
         # -2 s t (3 (s^2+t^2)^2 - 16 s^2 t^2) = -6 s^5 t + 20 s^3 t^3 - 6 s t^5
-        _F(6, [0, -6, 0, 20, 0, -6, 0]),
+        BinaryForm(6, [0, -6, 0, 20, 0, -6, 0]),
         # -(s^2-t^2)((s^2+t^2)^2 - 16 s^2 t^2) = -(s^2-t^2)(s^4 - 14 s^2 t^2 + t^4)
-        _F(6, [-1, 0, 15, 0, -15, 0, 1]),
+        BinaryForm(6, [-1, 0, 15, 0, -15, 0, 1]),
         # -(s^2+t^2)((s^2+t^2)^2 - 8 s^2 t^2) = -(s^2+t^2)(s^4 - 6 s^2 t^2 + t^4)
-        _F(6, [-1, 0, 5, 0, 5, 0, -1]),
+        BinaryForm(6, [-1, 0, 5, 0, 5, 0, -1]),
         # 4 s t (s^2+t^2)(s^2-t^2) = 4 s t (s^4 - t^4)
-        _F(6, [0, 4, 0, 0, 0, -4, 0]),
+        BinaryForm(6, [0, 4, 0, 0, 0, -4, 0]),
     ]
     return CurveModel(
         QuadricSpec(QQ(2)), [CurveComponent(coords, label="trefoil")], {"family": "trefoil"}
@@ -349,10 +299,10 @@ def lp_line_curve() -> CurveModel:
     """The real-point-free line [u, i u, v, i v] in P3."""
     i = GaussianRational(0, 1)
     coords = [
-        _F(1, [1, 0]),
-        _F(1, [i, GaussianRational(0)]),
-        _F(1, [0, 1]),
-        _F(1, [GaussianRational(0), i]),
+        BinaryForm(1, [1, 0]),
+        BinaryForm(1, [i, GaussianRational(0)]),
+        BinaryForm(1, [0, 1]),
+        BinaryForm(1, [GaussianRational(0), i]),
     ]
     return CurveModel("P3", [CurveComponent(coords, label="lp-line")], {"family": "lp_line"})
 
@@ -361,18 +311,18 @@ def hopf_pair_curve() -> CurveModel:
     """Two Clifford-orthogonal great circles on the unit quadric; their
     real loci form a Hopf link."""
     c1 = [
-        _F(2, [1, 0, 1]),
-        _F(2, [0, 2, 0]),
-        _F(2, [1, 0, -1]),
-        _F(2, [0, 0, 0]),
-        _F(2, [0, 0, 0]),
+        BinaryForm(2, [1, 0, 1]),
+        BinaryForm(2, [0, 2, 0]),
+        BinaryForm(2, [1, 0, -1]),
+        BinaryForm(2, [0, 0, 0]),
+        BinaryForm(2, [0, 0, 0]),
     ]
     c2 = [
-        _F(2, [1, 0, 1]),
-        _F(2, [0, 0, 0]),
-        _F(2, [0, 0, 0]),
-        _F(2, [0, 2, 0]),
-        _F(2, [1, 0, -1]),
+        BinaryForm(2, [1, 0, 1]),
+        BinaryForm(2, [0, 0, 0]),
+        BinaryForm(2, [0, 0, 0]),
+        BinaryForm(2, [0, 2, 0]),
+        BinaryForm(2, [1, 0, -1]),
     ]
     return CurveModel(
         QuadricSpec(QQ(1)),
@@ -388,11 +338,11 @@ def split_circles_curve() -> CurveModel:
     comps = []
     for sgn, name in ((1, "north"), (-1, "south")):
         coords = [
-            _F(2, [1, 0, 1]),
-            _F(2, [0, 2 * rho, 0]),
-            _F(2, [rho, 0, -rho]),
-            _F(2, [sgn * h, 0, sgn * h]),
-            _F(2, [0, 0, 0]),
+            BinaryForm(2, [1, 0, 1]),
+            BinaryForm(2, [0, 2 * rho, 0]),
+            BinaryForm(2, [rho, 0, -rho]),
+            BinaryForm(2, [sgn * h, 0, sgn * h]),
+            BinaryForm(2, [0, 0, 0]),
         ]
         comps.append(CurveComponent(coords, label=f"circle-{name}"))
     return CurveModel(QuadricSpec(QQ(1)), comps, {"family": "split_circles"})

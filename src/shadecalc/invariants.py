@@ -14,7 +14,7 @@ the total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +24,7 @@ from .curves import CurveModel
 from .diagram import ProjectionData, branch_frame_sign, select_center
 from .errors import GenericityError, InstabilityError, PreconditionError
 from .poly import UPoly, real_roots_sturm
-from .scalars import GaussianRational, QQ
+from .scalars import QQ
 
 __all__ = [
     "InvariantReport",
@@ -60,6 +60,8 @@ class InvariantReport:
     ambient: object
     mode: str
     complex_pairs: int = 0
+    # the reported projection, kept for rendering; never serialized
+    projection: ProjectionData | None = field(default=None, repr=False, compare=False)
 
     def describe(self):
         return {
@@ -243,10 +245,12 @@ def encomplexed_writhe(curve: CurveModel, seed=0, centers=1, forced_center=None,
         ambient=_ambient_tag(curve),
         mode="diagram",
         complex_pairs=data.complex_pairs,
+        projection=data,
     )
 
 
-def shade_number_empty_real(curve: CurveModel, seed=0, centers=1, tol=1e-12) -> InvariantReport:
+def shade_number_empty_real(curve: CurveModel, seed=0, centers=1, forced_center=None,
+                            tol=1e-12) -> InvariantReport:
     """sh(W) = half the signed count of shade points, for curves whose
     components all have empty real locus."""
     curve.require_valid()
@@ -263,7 +267,8 @@ def shade_number_empty_real(curve: CurveModel, seed=0, centers=1, tol=1e-12) -> 
             )
     runs = []
     for k in range(max(1, centers)):
-        runs.append(select_center(curve, seed=seed + 1000003 * k, mode="shade", tol=tol))
+        runs.append(select_center(curve, seed=seed + 1000003 * k, mode="shade",
+                                  forced_center=forced_center if k == 0 else None, tol=tol))
     values = []
     for data in runs:
         sh = QQ(sum(c.writhe for c in data.crossings if c.kind == "solitary"), 2)
@@ -292,6 +297,7 @@ def shade_number_empty_real(curve: CurveModel, seed=0, centers=1, tol=1e-12) -> 
         ambient=_ambient_tag(curve),
         mode="shade",
         complex_pairs=data.complex_pairs,
+        projection=data,
     )
 
 
@@ -315,19 +321,20 @@ def _range_polys(d: int, t, K):
     t = QQ(t)
     if K <= 0:
         raise PreconditionError("K must be positive")
-    A = UPoly([GaussianRational(K)])
+    A = UPoly([K])
     for j in range(1, d + 1):
-        A = A * UPoly([GaussianRational(-j), GaussianRational(1)])
-    A = UPoly([A.coeffs[0] - GaussianRational(1)] + list(A.coeffs[1:]))
-    B = UPoly([GaussianRational(K)])
+        A = A * UPoly([-j, 1])
+    B = UPoly([K])
     for j in range(1, d + 1):
-        B = B * UPoly([GaussianRational(-(t + QQ(j, d * d + 1))), GaussianRational(1)])
-    B = UPoly([B.coeffs[0] - GaussianRational(1)] + list(B.coeffs[1:]))
-    return A, B
+        B = B * UPoly([-(t + QQ(j, d * d + 1)), 1])
+    one = UPoly([1])
+    return A - one, B - one
 
 
 def _upoly_mirror(p: UPoly) -> UPoly:
-    return UPoly([c * ((-1) ** j) for j, c in enumerate(p.coeffs)])
+    """p(-u)."""
+    num = [(-a, -b) if j % 2 else (a, b) for j, (a, b) in enumerate(p.num)]
+    return UPoly._from_ints(p.den, num)
 
 
 def _ures_is_zero(f: UPoly, g: UPoly) -> bool:

@@ -1,21 +1,24 @@
-"""Exact polynomial arithmetic over Q(i).
+"""Exact polynomial arithmetic over Q(i) on one number type.
 
-The public classes (UPoly, BinaryForm, BivarPoly) store GaussianRational
-coefficients.  Every exact kernel behind them runs on one representation:
-little-endian lists of Gaussian integers as plain ``(a, b)`` int tuples.
-Gcds, exact division, resultants and Sturm chains all work there.
+UPoly, BinaryForm and BivarPoly store one positive denominator `den` over
+a table `num` of Gaussian integers, plain ``(a, b)`` int tuples for
+a + b*i, in lowest terms: gcd(den, every a and b) == 1 and the zero
+polynomial has den = 1, so equal values are equal objects.  Arithmetic is
+integer arithmetic plus one lcm and one reduction per operation, and the
+exact kernels (gcds, exact division, resultants, Sturm chains) read the
+integer tables.  `coeffs` / `rows` are exact GaussianRational views.
+Float evaluation converts one coefficient at a time, complex(a / den,
+b / den), which rounds exactly like the GaussianRational value.
 
-Rationals meet the kernels in one place, `_clear_denominators`, which
-scales a coefficient table by its least common denominator.  Callers
-that need the exact value back rescale once at the end.  Pseudo-remainder
-sequences strip content to keep sizes near-primitive.  Exact division is
-integer long division: by Gauss's lemma over the UFD Z[i][z], a quotient
-by a primitive divisor has Gaussian-integer coefficients, so an inexact
-step means the division is inexact.  Resultants of polynomial-entry
-Sylvester matrices go through integer evaluation, fraction-free (Bareiss)
-determinants over Z[i] and Newton interpolation, all in integers; degrees
-here stay below ~80.  Sturm chains use an even pseudo-remainder multiplier
-so every scale factor is positive and sign variations survive.
+Pseudo-remainder sequences strip content to keep sizes near-primitive.
+Exact division is integer long division: by Gauss's lemma over the UFD
+Z[i][z], a quotient by a primitive divisor has Gaussian-integer
+coefficients, so an inexact step means the division is inexact.
+Resultants of polynomial-entry Sylvester matrices go through integer
+evaluation, fraction-free (Bareiss) determinants over Z[i] and Newton
+interpolation, all in integers; degrees here stay below ~80.  Sturm
+chains use an even pseudo-remainder multiplier so every scale factor is
+positive and sign variations survive.
 """
 
 from __future__ import annotations
@@ -164,15 +167,11 @@ def zx_diff(f):
     return zx_strip([gmul(c, (j, 0)) for j, c in enumerate(f)][1:])
 
 
-def zx_content(f):
-    return glist_gcd(f)
-
-
 def zx_primitive(f):
     f = zx_strip(f)
     if not f:
         return f
-    g = zx_content(f)
+    g = glist_gcd(f)
     if g == GONE or gnorm(g) == 1:
         return f
     return [gdivexact(c, g) for c in f]
@@ -274,19 +273,68 @@ def _strip_int_content(f):
     return f
 
 
-def _clear_denominators(rows):
-    """(den, gint rows): den is the least common denominator of every
-    GaussianRational in `rows` (a sequence of coefficient sequences), and
-    each gint is den times its coefficient."""
-    den = 1
+# ---------------------------------------------------------------------------
+# the one representation: Gaussian integers over a common denominator
+# ---------------------------------------------------------------------------
+
+
+def _scalar(c):
+    """(den, gint) with c = gint / den for an exact scalar c."""
+    re, im = (c.re, c.im) if isinstance(c, GaussianRational) else (Fraction(c), Fraction(0))
+    den = math.lcm(re.denominator, im.denominator)
+    return den, (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
+
+
+def _ints_of(rows):
+    """(den, gint rows) for rows of exact scalars: den is their least
+    common denominator and each gint is den times its scalar."""
+    rows = [[_scalar(c) for c in r] for r in rows]
+    den = math.lcm(1, *(d for r in rows for d, _ in r))
+    return den, [[(a * (den // d), b * (den // d)) for d, (a, b) in r] for r in rows]
+
+
+def _lowest_terms(den, rows):
+    """(den, rows) divided by gcd(den, every integer part), so den > 0 is
+    minimal and the zero polynomial gets den = 1."""
+    g = den
     for r in rows:
-        for c in r:
-            den = math.lcm(den, c.re.denominator, c.im.denominator)
-    return den, [
-        [(c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
-         for c in r]
-        for r in rows
-    ]
+        for a, b in r:
+            g = math.gcd(g, a, b)
+            if g == 1:
+                return den, rows
+    return den // g, [[(a // g, b // g) for a, b in r] for r in rows]
+
+
+def _lift(num, k):
+    """Integer table `num` multiplied by the rational integer k."""
+    return num if k == 1 else [(a * k, b * k) for a, b in num]
+
+
+def _exact(den, c):
+    return GaussianRational(Fraction(c[0], den), Fraction(c[1], den))
+
+
+class _IntTable:
+    """Base of the polynomial classes: their slots are a shape (none, the
+    degree, or the bidegree), then `den` and the integer table `num`."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _from_ints(cls, *shape_den_num):
+        """From the shape and an integer table over den, any terms."""
+        p = cls.__new__(cls)
+        p._init(*shape_den_num)
+        return p
+
+    def _key(self):
+        return tuple(getattr(self, a) for a in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 # ---------------------------------------------------------------------------
@@ -294,69 +342,62 @@ def _clear_denominators(rows):
 # ---------------------------------------------------------------------------
 
 
-class UPoly:
-    """Dense univariate polynomial with GaussianRational coefficients,
-    little-endian, trailing zeros stripped."""
+class UPoly(_IntTable):
+    """Dense univariate polynomial over Q(i), little-endian: Gaussian
+    integers `num` (trailing zeros stripped) over one denominator `den`,
+    in lowest terms.  `coeffs` is the exact GaussianRational view."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("den", "num")
 
     def __init__(self, coeffs):
-        cs = [c if isinstance(c, GaussianRational) else GaussianRational(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den, (num,) = _ints_of([coeffs])
+        self._init(den, num)
+
+    def _init(self, den, num):
+        den, (num,) = _lowest_terms(den, [zx_strip(list(num))])
+        self.den, self.num = den, tuple(num)
 
     @classmethod
     def from_zx(cls, f):
-        return cls([GaussianRational(QQ(a), QQ(b)) for a, b in f])
+        return cls._from_ints(1, f)
 
     def to_zx(self):
         """Primitive Z[i] coefficient list (self up to a positive rational)."""
-        _, (f,) = _clear_denominators([self.coeffs])
-        return _strip_int_content(f)
+        return _strip_int_content(list(self.num))
+
+    @property
+    def coeffs(self):
+        return tuple(_exact(self.den, c) for c in self.num)
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, UPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+        return bool(self.num)
 
     def __add__(self, other):
-        a, b = list(self.coeffs), list(other.coeffs)
-        if len(a) < len(b):
-            a, b = b, a
-        for i, c in enumerate(b):
-            a[i] = a[i] + c
-        return UPoly(a)
+        den = math.lcm(self.den, other.den)
+        return UPoly._from_ints(
+            den, zx_add(_lift(self.num, den // self.den), _lift(other.num, den // other.den))
+        )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return UPoly([-c for c in self.coeffs])
+        return UPoly._from_ints(self.den, zx_neg(self.num))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            return UPoly([c * other for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
-            return UPoly([])
-        out = [GaussianRational(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UPoly(out)
+            d, g = _scalar(other)
+            return UPoly._from_ints(self.den * d, [gmul(c, g) for c in self.num])
+        return UPoly._from_ints(self.den * other.den, zx_mul(self.num, other.num))
 
     __rmul__ = __mul__
 
     def derivative(self):
-        return UPoly([c * j for j, c in enumerate(self.coeffs)][1:])
+        return UPoly._from_ints(self.den, zx_diff(self.num))
 
     def __call__(self, z):
         if isinstance(z, (GaussianRational, int, Fraction)):
@@ -365,15 +406,16 @@ class UPoly:
                 acc = acc * z + c
             return acc
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * complex(z) + complex(c)
+        den = self.den
+        for a, b in reversed(self.num):
+            acc = acc * complex(z) + complex(a / den, b / den)
         return acc
 
     def is_real(self):
-        return all(c.is_real for c in self.coeffs)
+        return all(b == 0 for _, b in self.num)
 
     def conjugate(self):
-        return UPoly([c.conjugate() for c in self.coeffs])
+        return UPoly._from_ints(self.den, [(a, -b) for a, b in self.num])
 
     def gcd(self, other):
         return UPoly.from_zx(zx_gcd(self.to_zx(), other.to_zx()))
@@ -381,9 +423,7 @@ class UPoly:
     def squarefree_part(self):
         f = self.to_zx()
         g = zx_gcd(f, zx_diff(f))
-        if len(g) <= 1:
-            return UPoly.from_zx(f)
-        return UPoly.from_zx(zx_divexact(f, g))
+        return UPoly.from_zx(zx_divexact(f, g) if len(g) > 1 else f)
 
     def real_int_coeffs(self):
         """Integer coefficient list (self up to a positive rational);
@@ -554,64 +594,65 @@ def real_roots_sturm(p: UPoly, interval=None, width=QQ(1, 2**40)):
 # ---------------------------------------------------------------------------
 
 
-class BinaryForm:
-    """Homogeneous form of declared degree d; coeffs[k] multiplies
-    s^(d-k) t^k.  The zero form keeps its declared degree."""
+class BinaryForm(_IntTable):
+    """Homogeneous form of declared degree d over Q(i): Gaussian integers
+    `num` over one denominator `den`, in lowest terms, where num[k] / den
+    multiplies s^(d-k) t^k.  The zero form keeps its declared degree.
+    `coeffs` is the exact GaussianRational view."""
 
-    __slots__ = ("degree", "coeffs")
+    __slots__ = ("degree", "den", "num")
 
     def __init__(self, degree, coeffs):
         if degree < 0:
             raise PolynomialError("degree must be nonnegative")
-        cs = [c if isinstance(c, GaussianRational) else GaussianRational(c) for c in coeffs]
-        if len(cs) != degree + 1:
+        den, (num,) = _ints_of([coeffs])
+        if len(num) != degree + 1:
             raise PolynomialError(
-                f"form of degree {degree} needs {degree + 1} coefficients, got {len(cs)}"
+                f"form of degree {degree} needs {degree + 1} coefficients, got {len(num)}"
             )
-        self.degree = degree
-        self.coeffs = tuple(cs)
+        self._init(degree, den, num)
+
+    def _init(self, degree, den, num):
+        den, (num,) = _lowest_terms(den, [num])
+        self.degree, self.den, self.num = degree, den, tuple(num)
 
     @classmethod
     def zero(cls, degree):
-        return cls(degree, [GaussianRational(0)] * (degree + 1))
+        return cls._from_ints(degree, 1, [GZERO] * (degree + 1))
 
-    @classmethod
-    def from_upoly(cls, p: UPoly, degree):
-        if p.degree > degree:
-            raise PolynomialError("declared degree below actual degree")
-        cs = list(p.coeffs) + [GaussianRational(0)] * (degree - p.degree)
-        return cls(degree, cs)
+    @property
+    def coeffs(self):
+        return tuple(_exact(self.den, c) for c in self.num)
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return all(c == GZERO for c in self.num)
 
     def is_real(self):
-        return all(c.is_real for c in self.coeffs)
+        return all(b == 0 for _, b in self.num)
 
     def conjugate(self):
-        return BinaryForm(self.degree, [c.conjugate() for c in self.coeffs])
+        return BinaryForm._from_ints(self.degree, self.den, [(a, -b) for a, b in self.num])
 
     def __add__(self, other):
         if self.degree != other.degree:
             raise PolynomialError("degree mismatch in form addition")
-        return BinaryForm(self.degree, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        den = math.lcm(self.den, other.den)
+        f, g = _lift(self.num, den // self.den), _lift(other.num, den // other.den)
+        return BinaryForm._from_ints(self.degree, den, [gadd(a, b) for a, b in zip(f, g)])
 
     def __sub__(self, other):
-        if self.degree != other.degree:
-            raise PolynomialError("degree mismatch in form subtraction")
-        return BinaryForm(self.degree, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + (-other)
 
     def __neg__(self):
-        return BinaryForm(self.degree, [-a for a in self.coeffs])
+        return BinaryForm._from_ints(self.degree, self.den, zx_neg(self.num))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            return BinaryForm(self.degree, [c * other for c in self.coeffs])
-        out = [GaussianRational(0)] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return BinaryForm(self.degree + other.degree, out)
+            d, g = _scalar(other)
+            return BinaryForm._from_ints(self.degree, self.den * d, [gmul(c, g) for c in self.num])
+        return BinaryForm._from_ints(
+            self.degree + other.degree, self.den * other.den, zx_mul(self.num, other.num)
+        )
 
     __rmul__ = __mul__
 
@@ -624,58 +665,45 @@ class BinaryForm:
             spows = [1.0 + 0j]
             for _ in range(self.degree):
                 spows.append(spows[-1] * sv)
-            for k, c in enumerate(self.coeffs):
-                if c:
-                    acc += complex(c) * spows[self.degree - k] * tp
+            den = self.den
+            for k, (a, b) in enumerate(self.num):
+                if a or b:
+                    acc += complex(a / den, b / den) * spows[self.degree - k] * tp
                 tp *= tv
             return acc
         sg = s if isinstance(s, GaussianRational) else GaussianRational(s)
         tg = t if isinstance(t, GaussianRational) else GaussianRational(t)
         if not sg and not tg:
             raise PolynomialError("(0, 0) is not a point of the parameter line")
-        acc = GaussianRational(0)
-        tp = GaussianRational(1)
-        spows = [GaussianRational(1)]
-        for _ in range(self.degree):
-            spows.append(spows[-1] * sg)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                acc = acc + c * spows[self.degree - k] * tp
+        # homogeneous Horner: acc = sum over i <= k of c_i s^(k-i) t^i
+        acc, tp = GaussianRational(0), GaussianRational(1)
+        for c in self.coeffs:
+            acc = acc * sg + c * tp
             tp = tp * tg
         return acc
 
     def d_ds(self):
         if self.degree == 0:
             return BinaryForm.zero(0)
-        return BinaryForm(
-            self.degree - 1,
-            [self.coeffs[k] * (self.degree - k) for k in range(self.degree)],
+        d = self.degree
+        return BinaryForm._from_ints(
+            d - 1, self.den, [(a * (d - k), b * (d - k)) for k, (a, b) in enumerate(self.num[:d])]
         )
 
     def d_dt(self):
         if self.degree == 0:
             return BinaryForm.zero(0)
-        return BinaryForm(
-            self.degree - 1, [self.coeffs[k] * k for k in range(1, self.degree + 1)]
+        return BinaryForm._from_ints(
+            self.degree - 1, self.den, [(a * k, b * k) for k, (a, b) in enumerate(self.num)][1:]
         )
 
     def chart_t(self) -> UPoly:
         """f(1, t) as a polynomial in t."""
-        return UPoly(list(self.coeffs))
+        return UPoly._from_ints(self.den, self.num)
 
     def chart_s(self) -> UPoly:
         """f(s, 1) as a polynomial in s."""
-        return UPoly(list(reversed(self.coeffs)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BinaryForm)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.degree, self.coeffs))
+        return UPoly._from_ints(self.den, self.num[::-1])
 
     def __repr__(self):
         return f"BinaryForm({self.degree}, {[str(c) for c in self.coeffs]})"
@@ -691,27 +719,23 @@ def form_gcd(forms):
     t_pow = None
     cores = []
     for f in forms:
-        cs = list(f.coeffs)
+        cs = f.num
         lead = 0
-        while not cs[lead]:
+        while cs[lead] == GZERO:
             lead += 1
         trail = 0
-        while not cs[len(cs) - 1 - trail]:
+        while cs[len(cs) - 1 - trail] == GZERO:
             trail += 1
         t_pow = lead if t_pow is None else min(t_pow, lead)
         s_pow = trail if s_pow is None else min(s_pow, trail)
-        cores.append(UPoly(cs[lead : len(cs) - trail]))
-    g = cores[0].to_zx()
+        cores.append(_strip_int_content(list(cs[lead : len(cs) - trail])))
+    g = cores[0]
     for c in cores[1:]:
-        g = zx_gcd(g, c.to_zx())
+        g = zx_gcd(g, c)
         if len(g) == 1:
             break
-    core = UPoly.from_zx(g)
-    d = core.degree + s_pow + t_pow
-    coeffs = [GaussianRational(0)] * (d + 1)
-    for j, c in enumerate(core.coeffs):
-        coeffs[t_pow + j] = c
-    return BinaryForm(d, coeffs)
+    d = len(g) - 1 + s_pow + t_pow
+    return BinaryForm._from_ints(d, 1, [GZERO] * t_pow + list(g) + [GZERO] * s_pow)
 
 
 # ---------------------------------------------------------------------------
@@ -720,92 +744,69 @@ def form_gcd(forms):
 # ---------------------------------------------------------------------------
 
 
-class BivarPoly:
-    """Coefficient matrix c[j][k] of s^(m-j) t^j u^(n-k) v^k for declared
-    bidegree (m, n)."""
+class BivarPoly(_IntTable):
+    """Bihomogeneous polynomial of declared bidegree (m, n) over Q(i):
+    Gaussian integers num[j][k] over one denominator `den`, in lowest
+    terms, where num[j][k] / den multiplies s^(m-j) t^j u^(n-k) v^k.
+    `rows` is the exact GaussianRational view."""
 
-    __slots__ = ("m", "n", "rows")
+    __slots__ = ("m", "n", "den", "num")
 
     def __init__(self, m, n, rows):
         if len(rows) != m + 1 or any(len(r) != n + 1 for r in rows):
             raise PolynomialError("coefficient matrix shape mismatch")
-        self.m = m
-        self.n = n
-        self.rows = tuple(
-            tuple(c if isinstance(c, GaussianRational) else GaussianRational(c) for c in r)
-            for r in rows
-        )
+        den, num = _ints_of(rows)
+        self._init(m, n, den, num)
+
+    def _init(self, m, n, den, num):
+        den, num = _lowest_terms(den, num)
+        self.m, self.n, self.den = m, n, den
+        self.num = tuple(tuple(r) for r in num)
 
     @classmethod
     def zero(cls, m, n):
-        z = GaussianRational(0)
-        return cls(m, n, [[z] * (n + 1) for _ in range(m + 1)])
+        return cls._from_ints(m, n, 1, [[GZERO] * (n + 1) for _ in range(m + 1)])
 
     @classmethod
     def from_form_product(cls, f: BinaryForm, g: BinaryForm):
         """f(s,t) * g(u,v)."""
-        rows = [[fc * gc for gc in g.coeffs] for fc in f.coeffs]
-        return cls(f.degree, g.degree, rows)
+        rows = [[gmul(a, b) for b in g.num] for a in f.num]
+        return cls._from_ints(f.degree, g.degree, f.den * g.den, rows)
 
     @classmethod
-    def from_affine(cls, m, n, table):
-        """Declared bidegree (m, n) from a (possibly smaller) dense affine
-        coefficient table table[j][k] of z^j w^k."""
-        z = GaussianRational(0)
-        rows = [[z] * (n + 1) for _ in range(m + 1)]
-        for j, row in enumerate(table):
-            for k, c in enumerate(row):
-                if j > m or k > n:
-                    if c:
-                        raise PolynomialError("affine table exceeds declared bidegree")
-                    continue
-                rows[j][k] = c if isinstance(c, GaussianRational) else GaussianRational(c)
-        return cls(m, n, rows)
+    def combination(cls, terms):
+        """Sum of c * p over (c, p) pairs of exact scalars c and
+        polynomials p of one bidegree, on one common denominator."""
+        terms = [(_scalar(c), p) for c, p in terms]
+        m, n = terms[0][1].m, terms[0][1].n
+        if any((p.m, p.n) != (m, n) for _, p in terms):
+            raise PolynomialError("bidegree mismatch")
+        den = math.lcm(*(d * p.den for (d, _), p in terms))
+        rows = [[GZERO] * (n + 1) for _ in range(m + 1)]
+        for (d, (a, b)), p in terms:
+            k = den // (d * p.den)
+            g = (a * k, b * k)
+            for out, r in zip(rows, p.num):
+                for i, c in enumerate(r):
+                    if c != GZERO:
+                        out[i] = gadd(out[i], gmul(g, c))
+        return cls._from_ints(m, n, den, rows)
+
+    @property
+    def rows(self):
+        return tuple(tuple(_exact(self.den, c) for c in r) for r in self.num)
 
     def is_zero(self):
-        return not any(any(r) for r in self.rows)
+        return all(c == GZERO for r in self.num for c in r)
 
     def is_real(self):
-        return all(c.is_real for r in self.rows for c in r)
+        return all(b == 0 for r in self.num for _, b in r)
 
     def __add__(self, other):
-        if (self.m, self.n) != (other.m, other.n):
-            raise PolynomialError("bidegree mismatch")
-        return BivarPoly(
-            self.m,
-            self.n,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
+        return BivarPoly.combination([(1, self), (1, other)])
 
     def __sub__(self, other):
-        if (self.m, self.n) != (other.m, other.n):
-            raise PolynomialError("bidegree mismatch")
-        return BivarPoly(
-            self.m,
-            self.n,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def scale(self, c):
-        return BivarPoly(self.m, self.n, [[a * c for a in r] for r in self.rows])
-
-    def eval_affine(self, z, w):
-        """Value at ((1, z), (1, w)); exact scalars or complex."""
-        if isinstance(z, complex) or isinstance(w, complex):
-            acc = 0j
-            for j in range(self.m, -1, -1):
-                racc = 0j
-                for k in range(self.n, -1, -1):
-                    racc = racc * w + complex(self.rows[j][k])
-                acc = acc * z + racc
-            return acc
-        acc = GaussianRational(0)
-        for j in range(self.m, -1, -1):
-            racc = GaussianRational(0)
-            for k in range(self.n, -1, -1):
-                racc = racc * w + self.rows[j][k]
-            acc = acc * z + racc
-        return acc
+        return BivarPoly.combination([(1, self), (-1, other)])
 
     def eval_pair(self, st, uv):
         """Complex value at projective parameters st = (s, t), uv = (u, v)."""
@@ -816,18 +817,18 @@ class BivarPoly:
         tpow = [t**e for e in range(self.m + 1)]
         upow = [u**e for e in range(self.n + 1)]
         vpow = [v**e for e in range(self.n + 1)]
+        den = self.den
         for j in range(self.m + 1):
             stj = spow[self.m - j] * tpow[j]
-            row = self.rows[j]
+            row = self.num[j]
             for k in range(self.n + 1):
-                c = row[k]
-                if c:
-                    acc += complex(c) * stj * upow[self.n - k] * vpow[k]
+                a, b = row[k]
+                if a or b:
+                    acc += complex(a / den, b / den) * stj * upow[self.n - k] * vpow[k]
         return acc
 
     def swap_vars(self):
-        rows = [[self.rows[j][k] for j in range(self.m + 1)] for k in range(self.n + 1)]
-        return BivarPoly(self.n, self.m, rows)
+        return BivarPoly._from_ints(self.n, self.m, self.den, list(zip(*self.num)))
 
     def __repr__(self):
         return f"BivarPoly(m={self.m}, n={self.n})"
@@ -837,13 +838,24 @@ class BivarPoly:
 
 
 def _to_columns(p: BivarPoly):
-    """Affine view as w-columns: (den, cols) with cols[k] the zx poly in z
-    of den times the w^k coefficient, den clearing the whole polynomial."""
-    den, rows = _clear_denominators(p.rows)
-    cols = [zx_strip([r[k] for r in rows]) for k in range(p.n + 1)]
+    """Affine view as w-columns: cols[k] is the zx poly in z of p.den
+    times the w^k coefficient."""
+    cols = [zx_strip([r[k] for r in p.num]) for k in range(p.n + 1)]
     while cols and not cols[-1]:
         cols.pop()
-    return den, cols
+    return cols
+
+
+def _from_columns(m, n, den, cols):
+    """The BivarPoly of declared bidegree (m, n) whose w^k coefficient is
+    cols[k] / den; the inverse of _to_columns."""
+    if len(cols) > n + 1 or any(len(col) > m + 1 for col in cols):
+        raise PolynomialError("affine table exceeds declared bidegree")
+    rows = [[GZERO] * (n + 1) for _ in range(m + 1)]
+    for k, col in enumerate(cols):
+        for j, c in enumerate(col):
+            rows[j][k] = c
+    return BivarPoly._from_ints(m, n, den, rows)
 
 
 def _cols_poly_content(cols):
@@ -891,8 +903,7 @@ def bivar_gcd(p: BivarPoly, q: BivarPoly) -> BivarPoly:
         return q
     if q.is_zero():
         return p
-    _, pc = _to_columns(p)
-    _, qc = _to_columns(q)
+    pc, qc = _to_columns(p), _to_columns(q)
     p_updef = p.n + 1 - len(pc)
     q_updef = q.n + 1 - len(qc)
     p_sdef = p.m - max(len(col) - 1 for col in pc if col)
@@ -917,21 +928,15 @@ def bivar_gcd(p: BivarPoly, q: BivarPoly) -> BivarPoly:
         f = [zx_divexact(col, cf) if col else [] for col in f]
     if len(gcont) > 1:
         f = [zx_strip(zx_mul(col, gcont)) if col else [] for col in f]
-    gm = max(len(col) - 1 for col in f if col)
-    gn = len(f) - 1
-    m_decl = gm + min(p_sdef, q_sdef)
-    n_decl = gn + min(p_updef, q_updef)
-    table = [[GaussianRational(0)] * (gn + 1) for _ in range(gm + 1)]
-    for k, col in enumerate(f):
-        for j, c in enumerate(col):
-            table[j][k] = GaussianRational(c[0], c[1])
-    return BivarPoly.from_affine(m_decl, n_decl, table)
+    m_decl = max(len(col) - 1 for col in f if col) + min(p_sdef, q_sdef)
+    n_decl = len(f) - 1 + min(p_updef, q_updef)
+    return _from_columns(m_decl, n_decl, 1, f)
 
 
 def bivar_divexact(p: BivarPoly, d: BivarPoly) -> BivarPoly:
     """p / d asserting exactness; declared bidegrees subtract.
 
-    Denominators are cleared and the Gaussian content of d is divided
+    Works on the integer tables with the Gaussian content of d's divided
     out, so by Gauss's lemma an exact quotient has Z[i] coefficients.
     Long division in w then divides column by column with zx_divexact,
     and the quotient is rescaled once at the end.  An inexact step or a
@@ -942,8 +947,7 @@ def bivar_divexact(p: BivarPoly, d: BivarPoly) -> BivarPoly:
     m, n = p.m - d.m, p.n - d.n
     if m < 0 or n < 0:
         raise ArithmeticError("inexact bivariate division")
-    pden, fp = _to_columns(p)
-    dden, fd = _to_columns(d)
+    fp, fd = _to_columns(p), _to_columns(d)
     if not fp:
         return BivarPoly.zero(m, n)
     nq = len(fp) - len(fd)
@@ -962,14 +966,10 @@ def bivar_divexact(p: BivarPoly, d: BivarPoly) -> BivarPoly:
         rem[k + len(fd) - 1] = []
     if any(rem):
         raise ArithmeticError("inexact bivariate division")
-    # p / d = (pden p) / (dden d / cont) * dden / (pden cont)
-    scale = GaussianRational(dden) / (GaussianRational(*cont) * pden)
-    gm = max((len(col) - 1 for col in qcols if col), default=0)
-    table = [[GaussianRational(0)] * len(qcols) for _ in range(gm + 1)]
-    for k, col in enumerate(qcols):
-        for j, c in enumerate(col):
-            table[j][k] = GaussianRational(*c) * scale
-    return BivarPoly.from_affine(m, n, table)
+    # p / d = q d.den / (p.den cont), and 1 / cont = conj(cont) / |cont|^2
+    scale = (cont[0] * d.den, -cont[1] * d.den)
+    qcols = [[gmul(c, scale) for c in col] for col in qcols]
+    return _from_columns(m, n, p.den * gnorm(cont), qcols)
 
 
 # ---------------------------------------------------------------------------
@@ -1067,8 +1067,9 @@ def bivar_resultant_w(p: BivarPoly, q: BivarPoly, strip_content=False) -> Binary
     if na == 0 or nb == 0:
         raise PolynomialError("positive degree in the eliminated variable required")
     D = p.m * q.n + q.m * p.n
-    den, rows = _clear_denominators(p.rows + q.rows)
-    pa, qa = rows[: p.m + 1], rows[p.m + 1 :]
+    den = math.lcm(p.den, q.den)
+    pa = [_lift(r, den // p.den) for r in p.num]
+    qa = [_lift(r, den // q.den) for r in q.num]
 
     def w_coeffs_at(rows, m, n, zeta):
         # u^(n-k) v^k coefficient forms evaluated at (s, t) = (1, zeta),
@@ -1091,11 +1092,9 @@ def bivar_resultant_w(p: BivarPoly, q: BivarPoly, strip_content=False) -> Binary
         zeta = -zeta + (1 if zeta <= 0 else 0)
     coeffs = _interp_newton(xs, ys)
     if strip_content:
-        coeffs = _strip_int_content(coeffs)
-        return BinaryForm(D, [GaussianRational(a, b) for a, b in coeffs])
+        return BinaryForm._from_ints(D, 1, _strip_int_content(coeffs))
     # the determinants are of the inputs scaled by den, one row each
-    scale = QQ(1, den ** (na + nb))
-    return BinaryForm(D, [GaussianRational(a * scale, b * scale) for a, b in coeffs])
+    return BinaryForm._from_ints(D, den ** (na + nb), coeffs)
 
 
 def resultant(f: BivarPoly, g: BivarPoly, eliminate: str = "w") -> UPoly:

@@ -27,7 +27,6 @@ __all__ = [
     "ProjPoint",
     "QuadricSpec",
     "DegenerateFrameError",
-    "collinearity_minors",
     "orientation_sign",
     "pi_project",
     "quadric_residual",
@@ -180,26 +179,6 @@ def _det3(m):
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
-
-
-def collinearity_minors(p: ProjPoint, x: ProjPoint, y: ProjPoint):
-    """The four 3x3 minors of the 4x3 matrix [p | x | y]; all vanish iff
-    the points are collinear or two of them coincide.
-
-    Exact values on exact input, complex otherwise.
-    """
-    if p.dim != 3 or x.dim != 3 or y.dim != 3:
-        raise ValueError("collinearity minors live in P3")
-    exact = p.is_exact() and x.is_exact() and y.is_exact()
-    if exact:
-        cols = [p.coords, x.coords, y.coords]
-    else:
-        cols = [p.as_complex(), x.as_complex(), y.as_complex()]
-    out = []
-    for rows in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-        m = [[cols[c][r] for c in range(3)] for r in rows]
-        out.append(_det3(m))
-    return out
 
 
 def orientation_sign(vectors, chart_parity_sign=1, threshold=CERT_MARGIN):

@@ -103,7 +103,6 @@ def _newton_polish(zx, z0, prec, passes):
         cs = _mp_coeffs(zx, prec)
         dcs = [cs[j] * j for j in range(1, n + 1)]
         z = mp.mpc(z0)
-        step = mp.inf
         for _ in range(passes):
             f = cs[-1]
             for c in reversed(cs[:-1]):
@@ -115,10 +114,6 @@ def _newton_polish(zx, z0, prec, passes):
                 break
             delta = f / fp
             z = z - delta
-            step = abs(delta)
-            if step < mp.mpf(10) ** (-(prec // 4)):
-                # converged well below target; one more residual pass below
-                pass
         f = cs[-1]
         for c in reversed(cs[:-1]):
             f = f * z + c

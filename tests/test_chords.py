@@ -1,8 +1,11 @@
 """Chord-system resolution: completeness counts, classification
 structure, conjugation closure, and the golden trefoil layout."""
 
+import itertools
 import math
+import random
 
+import numpy as np
 import pytest
 
 from shadecalc.chords import coincidence_system, collinearity_system, solve_minor_system
@@ -14,6 +17,26 @@ from shadecalc.scalars import GaussianRational as G, QQ
 def lp_minors(center):
     comp = lp_line_curve().components[0]
     return collinearity_system(center, comp.coords, comp.conj_coords)
+
+
+class TestMinorSystems:
+    def test_collinearity_minors_are_determinants(self):
+        """Each exact minor, evaluated in floats, is the 3x3 determinant of
+        [c | x(z) | y(w)] on its rows, for a real and a non-real pair."""
+        rng = random.Random(4)
+        c = [G(1), G(QQ(1, 3)), G(QQ(-2, 5)), G(2)]
+        for comp, conj in ((kae_curve(QQ(1, 2), -1).components[0], False),
+                           (lp_line_curve().components[0], True)):
+            yforms = comp.conj_coords if conj else comp.coords
+            minors = collinearity_system(c, comp.coords, yforms)
+            for _ in range(5):
+                z = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), 1 + 0j)
+                w = (1 + 0j, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+                x = [f.eval(*z) for f in comp.coords]
+                y = [f.eval(*w) for f in yforms]
+                for rows, m in zip(itertools.combinations(range(4), 3), minors):
+                    det = np.linalg.det([[complex(c[r]), x[r], y[r]] for r in rows])
+                    assert abs(m.eval_pair(z, w) - det) < 1e-12 * (1 + abs(det))
 
 
 class TestShadeSystems:

@@ -3,11 +3,13 @@
 import hashlib
 import io
 import json
+import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
+from shadecalc import cli, invariants
 from shadecalc.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -132,6 +134,45 @@ class TestGoldenBytes:
         assert code == 0
         assert hashlib.sha256(out).hexdigest() == digest
 
+    SVG_CASES = [
+        pytest.param(
+            "unknot",
+            "f57ab84bbaeb3022d323add9768d0577a60d8a272565dd38fb129c5d89fd91b2",
+            "307a0ed02059fbfc522ffcaeffddce5592b779b591da41fd803042f2532150e9",
+            id="unknot",
+        ),
+        pytest.param(
+            "hopf_pair",
+            "4853962345d6d01af6a016f17aa6601fcde8dc1f2e1c96424f152f24e549d280",
+            "d56a2ff7bc18f0fa71a02b9bc03b9f9191e12eea2a3917f6eadcb67bde5678e4",
+            id="hopf_pair",
+        ),
+        pytest.param(
+            "lp_line",
+            "d1527d431d8289211d6a4809ccfd250ad68c8600208d6536c3cc1b61627aea23",
+            "a1f1c1782d0e7ce04558652eef343a6fb54397ce77a0d0ab2d08a446e1c94c18",
+            id="lp_line",
+        ),
+    ]
+
+    @pytest.mark.parametrize("name,report_digest,svg_digest", SVG_CASES)
+    def test_svg_digest(self, name, report_digest, svg_digest, tmp_path, capsys, monkeypatch):
+        # the report echoes both paths, so run from a directory that mirrors
+        # the repository layout and write the SVG next to it
+        data = tmp_path / "src" / "shadecalc" / "data"
+        data.mkdir(parents=True)
+        shutil.copy(DATA / f"{name}.json", data)
+        monkeypatch.chdir(tmp_path)
+        code, out = run(
+            ["invariants", "--curve", f"src/shadecalc/data/{name}.json", "--seed", "0",
+             "--svg", "diagram.svg"],
+            capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(out).hexdigest() == report_digest
+        svg = (tmp_path / "diagram.svg").read_bytes()
+        assert hashlib.sha256(svg).hexdigest() == svg_digest
+
 
 class TestCommands:
     def test_sweep_kae_payload(self, capsys):
@@ -172,3 +213,62 @@ class TestCommands:
         )
         assert code == 0
         assert svg.exists()
+
+
+class TestInvariantsSvg:
+    """--svg draws the projection that the report describes."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        projections, rendered = [], []
+        select_center, render = invariants.select_center, cli.render_diagram_svg
+
+        def select_spy(*args, **kwargs):
+            data = select_center(*args, **kwargs)
+            projections.append((kwargs, data))
+            return data
+
+        def render_spy(model, data):
+            rendered.append(data)
+            return render(model, data)
+
+        monkeypatch.setattr(invariants, "select_center", select_spy)
+        monkeypatch.setattr(cli, "select_center", select_spy)
+        monkeypatch.setattr(cli, "render_diagram_svg", render_spy)
+        return projections, rendered
+
+    def test_one_projection_per_center(self, tmp_path, capsys, monkeypatch):
+        projections, rendered = self.spy(monkeypatch)
+        code, _ = run(
+            ["invariants", "--curve", str(DATA / "hopf_pair.json"), "--seed", "0",
+             "--centers", "2", "--svg", str(tmp_path / "d.svg")],
+            capsys,
+        )
+        assert code == 0
+        assert len(projections) == 2
+        assert len(rendered) == 1 and rendered[0] is projections[0][1]
+
+    def test_tol_reaches_svg_projection(self, tmp_path, capsys, monkeypatch):
+        projections, rendered = self.spy(monkeypatch)
+        code, _ = run(
+            ["invariants", "--curve", str(DATA / "unknot.json"), "--tol", "1e-9",
+             "--svg", str(tmp_path / "d.svg")],
+            capsys,
+        )
+        assert code == 0
+        assert [kwargs["tol"] for kwargs, _ in projections] == [1e-9]
+        assert rendered[0] is projections[0][1]
+
+    def test_shade_mode_uses_file_center(self, tmp_path, capsys):
+        point = ["1", "1/3", "-2/5", "2"]
+        obj = json.loads((DATA / "lp_line.json").read_text())
+        obj["center"] = {"point": point}
+        curve = tmp_path / "lp_line_center.json"
+        curve.write_text(json.dumps(obj))
+        code, out = run(
+            ["invariants", "--curve", str(curve), "--svg", str(tmp_path / "d.svg")], capsys
+        )
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["mode"] == "shade"
+        assert result["center"]["point"] == point

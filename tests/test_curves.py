@@ -3,14 +3,15 @@ import pytest
 from shadecalc.curves import (
     CurveComponent,
     CurveModel,
-    chart_tangent,
+    ParamPoint,
     kae_curve,
     lp_line_curve,
     real_locus_sample,
     trefoil_curve,
     unknot_curve,
 )
-from shadecalc.errors import PreconditionError
+from shadecalc.diagram import oriented_real_tangent
+from shadecalc.errors import GenericityError, PreconditionError
 from shadecalc.invariants import find_real_points, self_double_points
 from shadecalc.poly import BinaryForm
 from shadecalc.projective import ProjPoint, QuadricSpec, quadric_residual
@@ -66,18 +67,12 @@ class TestEvaluation:
 
 
 class TestTangent:
+    """The immersion check of the live tangent, diagram.oriented_real_tangent."""
+
     def test_unknot_direction_at_zero(self):
-        _, tv = chart_tangent(unknot_curve().components[0], (G(1), G(0)), 0)
+        _, tv = oriented_real_tangent(unknot_curve().components[0], ParamPoint(1, 0), 0)
         assert abs(tv[0] - 2) < 1e-12
         assert all(abs(v) < 1e-12 for v in tv[1:])
-
-    def test_line_constant_direction(self):
-        comp = lp_line_curve().components[0]
-        _, t1 = chart_tangent(comp, (G(1), G(QQ(1, 3))), 0)
-        _, t2 = chart_tangent(comp, (G(1), G(QQ(3, 2))), 0)
-        n1 = [v / t1[1] for v in t1]
-        n2 = [v / t2[1] for v in t2]
-        assert max(abs(a - b) for a, b in zip(n1, n2)) < 1e-12
 
     def test_cusp_rejected(self):
         cusp = CurveComponent(
@@ -89,8 +84,8 @@ class TestTangent:
             ],
             "cusp",
         )
-        with pytest.raises(PreconditionError):
-            chart_tangent(cusp, (G(1), G(0)), 0)
+        with pytest.raises(GenericityError, match="not immersed"):
+            oriented_real_tangent(cusp, ParamPoint(1, 0), 0)
 
 
 class TestSelfDoublePoints:

@@ -126,7 +126,7 @@ class TestSaturate:
             assert _mul(q, diag).rows == mnr.rows
             with pytest.raises(ArithmeticError):
                 bivar_divexact(q, diag)
-            assert q.eval_affine(G(0), G(1)) or q.eval_affine(G(2), G(QQ(1, 7)))
+            assert not q.is_zero()
 
 
 def _mul(a, b):

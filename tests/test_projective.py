@@ -9,7 +9,6 @@ from shadecalc.projective import (
     ProjPoint,
     QuadricSpec,
     chart_parity,
-    collinearity_minors,
     complex_frame_sign,
     orientation_sign,
     pi_project,
@@ -18,43 +17,6 @@ from shadecalc.projective import (
     stereographic_inverse,
 )
 from shadecalc.scalars import GaussianRational as G, QuadExt, QQ
-
-
-class TestCollinearity:
-    def test_dependent_triple(self):
-        p = ProjPoint([0, 0, 0, 1])
-        x = ProjPoint([1, 0, 0, 0])
-        y = ProjPoint([1, 0, 0, 1])  # y = x + p
-        assert all(not m for m in collinearity_minors(p, x, y))
-
-    def test_conjugate_pair_minor(self):
-        p = ProjPoint([0, 0, 0, 1])
-        x = ProjPoint([1, G(0, 1), 0, 0])
-        y = ProjPoint([1, G(0, -1), 0, 0])
-        minors = collinearity_minors(p, x, y)
-        assert minors[1] == G(0, -2)  # rows {0,1,3}: -2i by hand
-        assert any(minors)
-
-    def test_trefoil_solitary_point_on_shade(self):
-        # center [0,1,0,0] with the projected branch points [i,1,0,0]
-        p = ProjPoint([0, 1, 0, 0])
-        x = ProjPoint([G(0, 1), 1, 0, 0])
-        assert all(not m for m in collinearity_minors(p, x, x.conjugate()))
-
-    def test_scaling_invariance(self):
-        rng = random.Random(5)
-        p = ProjPoint([0, 0, 0, 1])
-        x = ProjPoint([1, G(0, 1), 2, 0])
-        y = x.conjugate()
-        base = [complex(m) for m in collinearity_minors(p, x, y)]
-        zero = all(abs(m) < 1e-12 for m in base)
-        for _ in range(10):
-            lp = G(rng.randint(1, 9), rng.randint(-9, 9))
-            lx = G(rng.randint(1, 9), rng.randint(-9, 9))
-            ps = ProjPoint([c * lp for c in p.coords])
-            xs = ProjPoint([c * lx for c in x.coords])
-            minors = collinearity_minors(ps, xs, y)
-            assert all(abs(complex(m)) < 1e-12 for m in minors) == zero
 
 
 class TestOrientation:
