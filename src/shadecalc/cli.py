@@ -92,6 +92,8 @@ def _parse_grid(spec: str):
 
 
 def cmd_invariants(args, out):
+    if args.centers < 1:
+        raise CurveFileError("--centers must be >= 1")
     model, center = _load(args.curve)
     flags = {
         "curve": args.curve,
@@ -118,7 +120,11 @@ def cmd_sweep(args, out):
     else:
         if not args.d or args.d < 1:
             raise CurveFileError("range sweep needs --d >= 1")
-        extra = {"d": args.d, "K": QQ(args.K) if args.K else None}
+        try:
+            K = QQ(args.K) if args.K else None
+        except (ValueError, ZeroDivisionError) as e:
+            raise CurveFileError(f"bad --K value: {e}") from e
+        extra = {"d": args.d, "K": K}
     grid = _parse_grid(args.grid)
     rep = family_sweep(args.family, grid, seed=args.seed, **extra)
     flags = {"family": args.family, "grid": args.grid, "seed": args.seed}

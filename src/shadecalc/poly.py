@@ -11,6 +11,9 @@ Float evaluation converts one coefficient at a time, complex(a / den,
 b / den), which rounds exactly like the GaussianRational value.
 
 Pseudo-remainder sequences strip content to keep sizes near-primitive.
+Content is a Gaussian gcd taken in C-level integer gcds: math.gcd of all
+parts gives the rational-integer content, and a Gaussian Euclid runs only
+modulo the gcd of the norms of what is left, on small numbers.
 Exact division is integer long division: by Gauss's lemma over the UFD
 Z[i][z], a quotient by a primitive divisor has Gaussian-integer
 coefficients, so an inexact step means the division is inexact.
@@ -109,15 +112,46 @@ def ggcd(x, y):
     return x
 
 
+def _int_content(values):
+    """gcd of every real and imaginary part (0 when all values are 0)."""
+    n = 0
+    for a, b in values:
+        n = math.gcd(n, a, b)
+        if n == 1:
+            break
+    return n
+
+
 def glist_gcd(values):
-    g = GZERO
-    for v in values:
-        if v == GZERO:
-            continue
-        g = v if g == GZERO else ggcd(g, v)
+    """Gaussian gcd of a sequence of Gaussian integers, up to a unit.
+
+    The rational-integer content n comes first.  The Gaussian part g of
+    the values divided by n divides each w * conj(w), hence the gcd N of
+    their norms: N == 1 means g is a unit, and otherwise the Euclid runs
+    from (N, 0) on the values reduced modulo N, which is small unless the
+    values share a large Gaussian factor.  Values are only read, never
+    copied.
+    """
+    n = _int_content(values)
+    if n == 0:
+        return GZERO
+    norms = 0
+    for a, b in values:
+        if norms:
+            m = n * norms
+            a, b = (a % m) // n, (b % m) // n
+        elif n > 1:
+            a, b = a // n, b // n
+        norms = math.gcd(norms, a * a + b * b)
+        if norms == 1:
+            return (n, 0)
+    g = (norms, 0)
+    m = n * norms
+    for a, b in values:
+        g = ggcd(g, ((a % m) // n, (b % m) // n))
         if gnorm(g) == 1:
             break
-    return g
+    return (n * g[0], n * g[1])
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +301,7 @@ def zx_sqf_list(f):
 
 def _strip_int_content(f):
     """f divided by the largest rational integer dividing every coefficient."""
-    n = math.gcd(*glist_gcd(f))
+    n = _int_content(f)
     if n > 1:
         f = [(a // n, b // n) for a, b in f]
     return f

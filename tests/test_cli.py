@@ -63,6 +63,24 @@ class TestExitCodes:
         code, _ = run(["sweep", "--family", "kae", "--epsilon", "1", "--grid=1:0:1"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("centers", ["0", "-2"])
+    def test_centers_below_one_exit_1(self, centers, capsys):
+        code, out = run(
+            ["invariants", "--curve", str(DATA / "unknot.json"), "--centers", centers], capsys
+        )
+        assert code == 1
+        assert out == b""
+        assert "error: --centers must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("K", ["abc", "1/0"])
+    def test_bad_K_exit_1(self, K, capsys):
+        code, out = run(
+            ["sweep", "--family", "range", "--d", "2", "--K", K, "--grid=0:1:1/2"], capsys
+        )
+        assert code == 1
+        assert out == b""
+        assert "error: bad --K value" in capsys.readouterr().err
+
     def test_lp_line_shade_branch(self, capsys):
         code, out = run(
             ["invariants", "--curve", str(DATA / "lp_line.json"), "--seed", "3"], capsys

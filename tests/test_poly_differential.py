@@ -2,7 +2,8 @@
 classes against sympy.
 
 Hypothesis draws small polynomials; sympy over QQ_I is the oracle for
-sums, products, divisibility, quotients and resultants.  Float
+sums, products, divisibility, quotients, resultants, gcds and squarefree
+decompositions, and sympy's ZZ_I gcd for Gaussian content.  Float
 evaluation is checked bit for bit against the per-coefficient
 GaussianRational formula, and the stored (den, num) pair against its
 canonical form.
@@ -22,8 +23,14 @@ from shadecalc.poly import (
     UPoly,
     bivar_divexact,
     bivar_resultant_w,
+    gdivexact,
+    gmul,
+    gnorm,
+    glist_gcd,
     zx_divexact,
+    zx_gcd,
     zx_mul,
+    zx_sqf_list,
     zx_strip,
 )
 from shadecalc.scalars import GaussianRational as G
@@ -41,6 +48,21 @@ wide_fractions = st.builds(
 ) | small_fractions
 wide_gaussians = st.builds(G, wide_fractions, wide_fractions)
 points = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+# 60- to 70-digit parts, times a planted content n (1+i)^a (2+i)^b: with
+# a = b = 0 the norms are almost always coprime (the early exit), and
+# a or b > 0 plants a Gaussian factor only the Euclid modulo their gcd finds
+wide_ints = st.integers(10**60, 10**70) | st.integers(-(10**70), -(10**60))
+wide_gints = st.tuples(wide_ints, wide_ints)
+
+
+@st.composite
+def planted_contents(draw):
+    c = (draw(st.sampled_from([1, 1, 2, 3, 10**6 + 3])), 0)
+    for factor in [(1, 1)] * draw(st.integers(0, 3)) + [(2, 1)] * draw(st.integers(0, 2)):
+        c = gmul(c, factor)
+    return c
 
 
 def bivars_of(m, n, scalars=gaussians):
@@ -104,6 +126,13 @@ def poly_to_bivar(poly, m, n):
     for (j, k), c in poly.terms():
         rows[j][k] = _gr(c)
     return BivarPoly(m, n, rows)
+
+
+def poly_coeffs_zx(poly):
+    """A Z[i] multiple of a univariate QQ_I Poly, as a little-endian list."""
+    cs = poly_coeffs(poly)
+    den = math.lcm(1, *(x.denominator for c in cs for x in (c.re, c.im)))
+    return zx_strip([(int(c.re * den), int(c.im * den)) for c in cs])
 
 
 def poly_coeffs(poly):
@@ -180,6 +209,94 @@ class TestResultant:
         parts = [x for c in stripped.coeffs for x in (c.re, c.im)]
         assert all(x.denominator == 1 for x in parts)
         assert stripped.is_zero() or math.gcd(*(x.numerator for x in parts)) == 1
+
+
+def _zz_i_gcd(values):
+    g = sympy.ZZ_I(0)
+    for a, b in values:
+        g = sympy.ZZ_I.gcd(g, sympy.ZZ_I(a, b))
+    return (int(g.x), int(g.y))
+
+
+def _is_unit(c):
+    return gnorm(c) == 1
+
+
+def _associates(x, y):
+    return x == y == (0, 0) or (gnorm(x) == gnorm(y) != 0 and _is_unit(gdivexact(x, y)))
+
+
+def _proportional(f, g):
+    """f and g are Q(i) multiples of each other."""
+    P, Q = zx_to_poly(f), zx_to_poly(g)
+    return P.degree() == Q.degree() and P.monic() == Q.monic()
+
+
+class TestGlistGcd:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(wide_gints | st.just((0, 0)), min_size=1, max_size=6), planted_contents())
+    def test_matches_sympy_gaussian_gcd(self, values, c):
+        values = [gmul(v, c) for v in values]
+        g = glist_gcd(values)
+        assert _associates(g, _zz_i_gcd(values))
+        if any(v != (0, 0) for v in values):
+            # the planted content divides g, and dividing by g leaves none
+            gdivexact(g, c)
+            assert _is_unit(_zz_i_gcd([gdivexact(v, g) for v in values]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(gints, min_size=1, max_size=6))
+    def test_small_values(self, values):
+        assert _associates(glist_gcd(values), _zz_i_gcd(values))
+
+
+@st.composite
+def planted_zx(draw, max_degree=2):
+    """A Z[i] polynomial with 60-digit coefficients and a planted content."""
+    f = draw(st.lists(wide_gints, min_size=1, max_size=max_degree + 1))
+    c = draw(planted_contents())
+    return [gmul(v, c) for v in f]
+
+
+class TestZxGcd:
+    @settings(max_examples=40, deadline=None)
+    @given(planted_zx(), planted_zx(), st.lists(gints, min_size=1, max_size=3))
+    def test_matches_sympy_gcd(self, a, b, h):
+        h = zx_strip(h)
+        assume(h)
+        f, g = zx_mul(a, h), zx_mul(b, h)
+        got = zx_gcd(f, g)
+        assert _proportional(got, poly_coeffs_zx(sympy.gcd(zx_to_poly(f), zx_to_poly(g))))
+        # primitive over Z[i], so it divides both with an integral quotient
+        assert _is_unit(_zz_i_gcd(got))
+        zx_divexact(f, got)
+        zx_divexact(g, got)
+
+
+class TestZxSqfList:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        planted_zx(max_degree=1),
+        st.lists(gints, min_size=2, max_size=3),
+        st.lists(gints, min_size=2, max_size=2),
+        planted_contents(),
+    )
+    def test_matches_sympy_sqf_list(self, a, b, c, k):
+        b, c = zx_strip(b), zx_strip(c)
+        f = [gmul(v, k) for v in zx_mul(a, zx_mul(zx_mul(b, b), zx_mul(c, zx_mul(c, c))))]
+        f = zx_strip(f)
+        assume(len(f) > 1)
+        got = zx_sqf_list(f)
+        prod = [(1, 0)]
+        for g, i in got:
+            assert _is_unit(_zz_i_gcd(g))
+            for _ in range(i):
+                prod = zx_mul(prod, g)
+        assert _proportional(prod, f)
+        _, want = sympy.sqf_list(zx_to_poly(f))
+        assert sorted(i for _, i in got) == sorted(i for _, i in want)
+        want = {i: poly_coeffs_zx(w) for w, i in want}
+        assert all(_proportional(g, want[i]) for g, i in got)
 
 
 def _canonical(p):
