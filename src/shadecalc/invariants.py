@@ -358,6 +358,58 @@ def _certified_real_roots(p: UPoly, expect: int, what: str):
     return ivs
 
 
+@dataclass(frozen=True)
+class _RangeIsolation:
+    """The range family at fixed (d, K), isolated once.  B_t(u) = B_0(u - t),
+    so phi_k(t) = phi_k(0) + t and Q_t'(phi_k(t)) = Q_0'(phi_k(0)): every
+    member is read off the roots of A and B_0."""
+
+    d: int
+    K: Fraction
+    theta: list  # (float theta_j, P'(theta_j)) per root of A
+    phi0: list  # (exact midpoint of phi_k(0), Q_0'(phi_k(0))) per root of B_0
+    walls: list  # sorted closed intervals holding the d^2 collision times
+
+
+def _range_isolation(d, K, b_name) -> _RangeIsolation:
+    A, B0 = _range_polys(d, 0, K)
+    th_iv = _certified_real_roots(A, d, "P(u,1) = 1")
+    ph_iv = _certified_real_roots(B0, d, f"{b_name}(u,1) = 1")
+    dA = A.derivative()
+    dB0 = B0.derivative()
+    theta = [(x, complex(dA(complex(x)))) for x in (float((a0 + a1) / 2) for a0, a1 in th_iv)]
+    phi0 = [(m, complex(dB0(complex(float(m))))) for m in ((b0 + b1) / 2 for b0, b1 in ph_iv)]
+    walls = sorted((-a1 - b1, -a0 - b0) for a0, a1 in th_iv for b0, b1 in ph_iv)
+    return _RangeIsolation(d, QQ(K), theta, phi0, walls)
+
+
+def _range_shade_at(iso: _RangeIsolation, t):
+    t = QQ(t)
+    phis = [float(m + t) for m, _ in iso.phi0]
+    cvec = [0j, 0j, 0j, 1 + 0j]
+    signs = []
+    for theta, dP in iso.theta:
+        for phi, (_, dQ) in zip(phis, iso.phi0):
+            if abs(theta + phi) < 1e-12:
+                raise PreconditionError("shade point degenerated onto the real locus")
+            x = [1 + 0j, complex(theta), complex(phi), -1j * (theta + phi)]
+            dx = [0j, -1j * dQ, dP, -dQ - 1j * dP]
+            signs.append(branch_frame_sign(x, dx, cvec, 3))
+    return {
+        "d": iso.d,
+        "t": t,
+        "K": iso.K,
+        "sh": QQ(sum(signs), 2),
+        "signs": signs,
+        "theta": [x for x, _ in iso.theta],
+        "phi": phis,
+    }
+
+
+def _in_wall(walls, t) -> bool:
+    return any(lo <= t <= hi for lo, hi in walls)
+
+
 def range_family_shade(d: int, t, K=None):
     """Shade number of the degree-d range-family member W_t through the
     shade centered at [0,0,0,1]: the d x d grid of shade points
@@ -369,51 +421,34 @@ def range_family_shade(d: int, t, K=None):
     """
     if K is None:
         K = QQ(10) ** (2 + d)
-    A, B = _range_polys(d, QQ(t), QQ(K))
-    if _ures_is_zero(A, _upoly_mirror(B)):
+    if range_family_is_singular(d, t, K):
         raise PreconditionError(f"t = {t} is singular: the member acquires a real point")
-    th_iv = _certified_real_roots(A, d, "P(u,1) = 1")
-    ph_iv = _certified_real_roots(B, d, "Q_t(u,1) = 1")
-    dA = A.derivative()
-    dB = B.derivative()
-    cvec = [0j, 0j, 0j, 1 + 0j]
-    signs = []
-    for a0, a1 in th_iv:
-        theta = float((a0 + a1) / 2)
-        for b0, b1 in ph_iv:
-            phi = float((b0 + b1) / 2)
-            if abs(theta + phi) < 1e-12:
-                raise PreconditionError("shade point degenerated onto the real locus")
-            dP = complex(dA(complex(theta)))
-            dQ = complex(dB(complex(phi)))
-            x = [1 + 0j, complex(theta), complex(phi), -1j * (theta + phi)]
-            dx = [0j, -1j * dQ, dP, -dQ - 1j * dP]
-            signs.append(branch_frame_sign(x, dx, cvec, 3))
-    sh = QQ(sum(signs), 2)
-    return {
-        "d": d,
-        "t": QQ(t),
-        "K": QQ(K),
-        "sh": sh,
-        "signs": signs,
-        "theta": [float((a + b) / 2) for a, b in th_iv],
-        "phi": [float((a + b) / 2) for a, b in ph_iv],
-    }
+    return _range_shade_at(_range_isolation(d, K, "Q_t"), t)
 
 
 def range_collision_times(d, K):
     """Certified intervals for the d^2 parameter values t where W_t
     acquires a real point: phi_k(t) = phi_k(0) + t, so the collisions sit
-    at t = -theta_j - phi_k(0)."""
-    A, B0 = _range_polys(d, 0, QQ(K))
-    th = _certified_real_roots(A, d, "P(u,1) = 1")
-    ph = _certified_real_roots(B0, d, "Q_0(u,1) = 1")
-    out = []
-    for a0, a1 in th:
-        for b0, b1 in ph:
-            out.append((-a1 - b1, -a0 - b0))
-    out.sort()
-    return out
+    at t = -theta_j - phi_k(0).  Sorted closed intervals
+    [-a1 - b1, -a0 - b0] from the isolating intervals of theta_j and
+    phi_k(0): the one isolation that range sweeps shift by t."""
+    return _range_isolation(d, K, "Q_0").walls
+
+
+def _check_wall_ledger(walls, a, b, delta):
+    """Each wall moves sh by +-1 (shade numbers of real-point-free members
+    are Vassiliev invariants of degree 1).  So between two samples outside
+    every wall interval, with n walls between them, |delta| <= n and
+    delta = n (mod 2)."""
+    a, b = min(a, b), max(a, b)
+    if _in_wall(walls, a) or _in_wall(walls, b):
+        return
+    n = sum(1 for lo, hi in walls if a < lo and hi < b)
+    if abs(delta) > n or (delta - n) % 2:
+        raise InstabilityError(
+            f"sh moved by {_frac_str(delta)} between t = {_frac_str(a)} and "
+            f"t = {_frac_str(b)} across {n} certified wall(s)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +535,17 @@ def gauss_linking_oracle(poly_a, poly_b):
 
 def family_sweep(family: str, grid, seed=0, eps=None, d=None, K=None) -> SweepReport:
     """Per-sample invariant over a parameter grid: Cw for the knot family,
-    sh for the range family; singular samples flagged, never interpolated."""
+    sh for the range family; singular samples flagged, never interpolated.
+
+    A range sweep isolates A and B_0 once per (d, K) and shifts the B_0
+    intervals by t.  The exact gcd test runs only inside a certified wall,
+    since outside every wall W_t has no real point; the walls crossed
+    between regular neighbours must account for the change of sh, else
+    InstabilityError.  A failed isolation (K too small) is every sample's
+    error."""
     grid = [QQ(g) for g in grid]
     params = {}
+    walls = None
     if family == "kae":
         if eps not in (1, -1):
             raise PreconditionError("kae sweep needs eps = +1 or -1")
@@ -524,13 +567,19 @@ def family_sweep(family: str, grid, seed=0, eps=None, d=None, K=None) -> SweepRe
         if K is None:
             K = QQ(10) ** (2 + d)
         params = {"d": d, "K": _frac_str(QQ(K))}
+        try:
+            iso = _range_isolation(d, K, "Q_t")
+            walls = iso.walls
+        except PreconditionError as e:
+            iso, failure = None, e
 
         def sample(idx_a):
             idx, t = idx_a
-            if range_family_is_singular(d, t, K):
+            if (iso is None or _in_wall(walls, t)) and range_family_is_singular(d, t, K):
                 return (None, True, "singular member (real point)")
-            res = range_family_shade(d, t, K)
-            return (res["sh"], False, None)
+            if iso is None:
+                raise failure
+            return (_range_shade_at(iso, t)["sh"], False, None)
 
     else:
         raise PreconditionError(f"unknown family {family!r}")
@@ -544,6 +593,8 @@ def family_sweep(family: str, grid, seed=0, eps=None, d=None, K=None) -> SweepRe
     for g, v, s in zip(grid, values, singular):
         if s or v is None:
             continue
+        if prev is not None and walls is not None:
+            _check_wall_ledger(walls, prev[0], g, v - prev[1])
         if prev is not None and v != prev[1]:
             jumps.append((prev[0], g, v - prev[1]))
         prev = (g, v)

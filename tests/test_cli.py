@@ -81,6 +81,24 @@ class TestExitCodes:
         assert out == b""
         assert "error: bad --K value" in capsys.readouterr().err
 
+    def test_wall_ledger_violation_exit_3(self, capsys, monkeypatch):
+        # a sign flip at t = 3 moves sh with no certified wall in (2, 4)
+        shade_at = invariants._range_shade_at
+
+        def flipped(iso, t):
+            res = shade_at(iso, t)
+            if t == 3:
+                res["sh"] = -res["sh"]
+            return res
+
+        monkeypatch.setattr(invariants, "_range_shade_at", flipped)
+        code, out = run(
+            ["sweep", "--family", "range", "--d", "1", "--K", "1000", "--grid=-5:5:1"], capsys
+        )
+        assert code == 3
+        assert out == b""
+        assert "certified wall" in capsys.readouterr().err
+
     def test_lp_line_shade_branch(self, capsys):
         code, out = run(
             ["invariants", "--curve", str(DATA / "lp_line.json"), "--seed", "3"], capsys
@@ -142,6 +160,25 @@ class TestGoldenBytes:
              "--seed", "0"],
             "6e30c454ba625cef1d6993b70f8377c1bd9077b10cfaaa50fd820f2aaa9b172c",
             id="sweep_range",
+        ),
+        # K too small: every sample reports the failed isolation of P or
+        # of Q_t, and the sweep still exits 0
+        pytest.param(
+            ["sweep", "--family", "range", "--d", "3", "--K", "1", "--grid=-1:1:1"],
+            "97ad94a2b561f1fdd4b7d278409b6f7b8cee71aca5c2dcb5f52f58d32e0869c2",
+            id="sweep_range_small_K_P",
+        ),
+        pytest.param(
+            ["sweep", "--family", "range", "--d", "3", "--K", "10", "--grid=-1:1:1"],
+            "95f10d383c346b6820afb318aa77ff9595e2ece282b6134a04e71d5800bd3b47",
+            id="sweep_range_small_K_Q",
+        ),
+        # the middle sample -751/500 is exactly the d = 1 wall
+        pytest.param(
+            ["sweep", "--family", "range", "--d", "1", "--K", "1000",
+             "--grid=-1503/1000:-1501/1000:1/1000"],
+            "3457df731065fc4a65a56aceef6c293dde669a823defac8d90b5e21a81fd1787",
+            id="sweep_range_exact_wall",
         ),
     ]
 

@@ -1,10 +1,12 @@
 """Invariant-level values, sweeps, linking and the independent oracles."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
+from shadecalc import invariants
 from shadecalc.curves import (
     CurveComponent,
     CurveModel,
@@ -16,7 +18,7 @@ from shadecalc.curves import (
     unknot_curve,
 )
 from shadecalc.diagram import SOLITARY_SIGN
-from shadecalc.errors import PreconditionError
+from shadecalc.errors import InstabilityError, PreconditionError
 from shadecalc.invariants import (
     encomplexed_writhe,
     family_sweep,
@@ -27,7 +29,7 @@ from shadecalc.invariants import (
     range_family_shade,
     shade_number_empty_real,
 )
-from shadecalc.poly import BinaryForm
+from shadecalc.poly import BinaryForm, real_roots_sturm
 from shadecalc.projective import ProjPoint, QuadricSpec, stereographic
 from shadecalc.scalars import QQ
 
@@ -185,6 +187,136 @@ def _realify(vec):
     for z in vec:
         out.extend([z.real, z.imag])
     return out
+
+
+def _grid(lo, hi, step):
+    out, t = [], QQ(lo)
+    while t <= hi:
+        out.append(t)
+        t += QQ(step)
+    return out
+
+
+def _benchmark_grid(seed):
+    # the benchmark's range_sweep grid: [-10, 10] step 1/10, offset by a
+    # seeded delta in [0, 1/10)
+    delta = QQ(random.Random(seed).randrange(1000), 10000)
+    return _grid(-10 + delta, 10 + delta, QQ(1, 10))
+
+
+def _per_sample_sweep(d, K, grid):
+    """The range sweep sample by sample, with no wall list: the exact gcd
+    test on every sample, then a full range_family_shade call."""
+    values, singular, errors = [], [], []
+    for t in grid:
+        v, s, e = None, False, None
+        try:
+            if range_family_is_singular(d, t, K):
+                s, e = True, "singular member (real point)"
+            else:
+                v = range_family_shade(d, t, K)["sh"]
+        except PreconditionError as exc:
+            e = f"PreconditionError: {exc}"
+        values.append(v)
+        singular.append(s)
+        errors.append(e)
+    regular = [(t, v) for t, v in zip(grid, values) if v is not None]
+    jumps = [(a, b, w - v) for (a, v), (b, w) in zip(regular, regular[1:]) if w != v]
+    return values, singular, errors, jumps
+
+
+RANGE_SWEEPS = [
+    pytest.param(1, QQ(1000), _grid(QQ(-1503, 1000), QQ(-1501, 1000), QQ(1, 1000)),
+                 id="d1_exact_wall"),
+    pytest.param(2, QQ(1000), _grid(-10, 10, QQ(1, 2)), id="d2"),
+    pytest.param(3, QQ(10**4), _grid(-10, 10, QQ(1, 2)), id="d3_41"),
+    pytest.param(3, QQ(1), _grid(-1, 1, 1), id="small_K_P"),
+    pytest.param(3, QQ(10), _grid(-3, 3, QQ(1, 4)), id="small_K_Q"),
+]
+
+
+class TestRangeSweepOneIsolation:
+    """Range sweeps isolate A and B_0 once per (d, K) and run the exact gcd
+    test only inside a certified wall interval."""
+
+    @pytest.mark.parametrize("d,K,grid", RANGE_SWEEPS)
+    def test_matches_per_sample_sweep(self, d, K, grid):
+        rep = family_sweep("range", grid, d=d, K=K)
+        assert (rep.values, rep.singular, rep.errors, rep.jumps) == _per_sample_sweep(d, K, grid)
+
+    def test_wall_interval_alone_is_not_singular(self):
+        # the gcd test decides inside a wall: t = -751/500 +- 2^-100 lie in
+        # the certified interval, yet W_t has no real point there
+        (lo, hi), = range_collision_times(1, QQ(1000))
+        grid = [QQ(-751, 500) + e * QQ(1, 2**100) for e in (-1, 0, 1)]
+        assert all(lo <= t <= hi for t in grid)
+        rep = family_sweep("range", grid, d=1, K=QQ(1000))
+        assert rep.singular == [False, True, False]
+        assert rep.values == [None, None, None]
+        assert all("degenerated onto the real locus" in rep.errors[i] for i in (0, 2))
+
+    @pytest.mark.parametrize("d,t", [(1, QQ(-5)), (2, QQ(-7, 4)), (3, QQ(-2)), (3, QQ(6))])
+    def test_shifted_intervals_match_direct_isolation(self, d, t):
+        # B_t(u) = B_0(u - t): the shifted B_0 midpoints give the same floats
+        # as isolating B_t itself
+        K = QQ(10) ** (2 + d)
+        _, B = invariants._range_polys(d, t, K)
+        direct = real_roots_sturm(B, width=QQ(1, 2**90))
+        assert range_family_shade(d, t, K)["phi"] == [float((b0 + b1) / 2) for b0, b1 in direct]
+
+    @pytest.mark.parametrize("d,K,grid", [
+        pytest.param(3, QQ(10**4), _grid(-10, 10, QQ(1, 10)), id="d3_201"),
+        pytest.param(3, QQ(10**4), _grid(-1, 1, 1), id="d3_3"),
+        pytest.param(1, QQ(1000), _grid(QQ(-1503, 1000), QQ(-1501, 1000), QQ(1, 1000)),
+                     id="d1_exact_wall"),
+    ])
+    def test_work_counts(self, d, K, grid, monkeypatch):
+        walls = range_collision_times(d, K)
+        in_wall = sum(any(lo <= t <= hi for lo, hi in walls) for t in grid)
+        calls = {"real_roots_sturm": 0, "_ures_is_zero": 0}
+
+        def counted(name):
+            fn = getattr(invariants, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(invariants, name, counted(name))
+        family_sweep("range", grid, d=d, K=K)
+        assert calls == {"real_roots_sturm": 2, "_ures_is_zero": in_wall}
+
+    @pytest.mark.parametrize("d,K,grid", [
+        pytest.param(2, QQ(1000), _grid(-10, 10, QQ(1, 10)), id="criterion4_d2"),
+        pytest.param(3, QQ(10**4), _grid(-10, 10, QQ(1, 10)), id="criterion4_d3"),
+    ] + [
+        pytest.param(3, QQ(10**4), _benchmark_grid(seed), id=f"range_sweep_seed{seed}")
+        for seed in range(41, 51)
+    ])
+    def test_wall_ledger_silent(self, d, K, grid):
+        rep = family_sweep("range", grid, d=d, K=K)
+        assert rep.jumps and not any(rep.errors)
+
+    @pytest.mark.parametrize("grid,flip", [
+        pytest.param(_grid(-5, 5, 1), QQ(3), id="delta_without_wall"),
+        pytest.param(_grid(-2, -1, 1), QQ(-1), id="parity_across_one_wall"),
+    ])
+    def test_one_sample_sign_flip_trips_wall_ledger(self, grid, flip, monkeypatch):
+        # d = 1, K = 10^3 has its one wall at t = -751/500
+        shade_at = invariants._range_shade_at
+
+        def flipped(iso, t):
+            res = shade_at(iso, t)
+            if t == flip:
+                res["sh"] = -res["sh"]
+            return res
+
+        monkeypatch.setattr(invariants, "_range_shade_at", flipped)
+        with pytest.raises(InstabilityError, match="certified wall"):
+            family_sweep("range", grid, d=1, K=QQ(1000))
 
 
 class TestLinking:
