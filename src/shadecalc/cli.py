@@ -9,6 +9,7 @@ input, seed and flags.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -94,6 +95,8 @@ def _parse_grid(spec: str):
 def cmd_invariants(args, out):
     if args.centers < 1:
         raise CurveFileError("--centers must be >= 1")
+    if not (0 < args.tol < math.inf):
+        raise CurveFileError("--tol must be a positive finite number")
     model, center = _load(args.curve)
     flags = {
         "curve": args.curve,

@@ -5,8 +5,8 @@ a table `num` of Gaussian integers, plain ``(a, b)`` int tuples for
 a + b*i, in lowest terms: gcd(den, every a and b) == 1 and the zero
 polynomial has den = 1, so equal values are equal objects.  Arithmetic is
 integer arithmetic plus one lcm and one reduction per operation, and the
-exact kernels (gcds, exact division, resultants, Sturm chains) read the
-integer tables.  `coeffs` / `rows` are exact GaussianRational views.
+exact kernels (gcds, exact division, resultants) read the integer
+tables.  `coeffs` / `rows` are exact GaussianRational views.
 Float evaluation converts one coefficient at a time, complex(a / den,
 b / den), which rounds exactly like the GaussianRational value.
 
@@ -19,9 +19,7 @@ Z[i][z], a quotient by a primitive divisor has Gaussian-integer
 coefficients, so an inexact step means the division is inexact.
 Resultants of polynomial-entry Sylvester matrices go through integer
 evaluation, fraction-free (Bareiss) determinants over Z[i] and Newton
-interpolation, all in integers; degrees here stay below ~80.  Sturm
-chains use an even pseudo-remainder multiplier so every scale factor is
-positive and sign variations survive.
+interpolation, all in integers; degrees here stay below ~80.
 """
 
 from __future__ import annotations
@@ -37,8 +35,6 @@ __all__ = [
     "BivarPoly",
     "resultant",
     "real_roots_sturm",
-    "sturm_chain",
-    "isolate_real_roots",
 ]
 
 
@@ -470,157 +466,31 @@ class UPoly(_IntTable):
         return f"UPoly({[str(c) for c in self.coeffs]})"
 
 
-# ---------------------------------------------------------------------------
-# Sturm machinery (real integer coefficient lists, little-endian)
-# ---------------------------------------------------------------------------
+def real_roots_sturm(p: UPoly, width=QQ(1, 2**40)):
+    """Sorted disjoint closed rational intervals, one per distinct real
+    root of a real polynomial, each of width `width` around the exact
+    center of a certified real disk from roots.complex_roots (the disk's
+    own [c - r, c + r] when two roots lie closer than `width`).
 
+    There is no Sturm chain behind it: the benchmark ledger wraps this
+    function by name, which waits for the next benchmark change.
+    """
+    from .roots import complex_roots  # roots imports this module
 
-def _ix_strip(f):
-    n = len(f)
-    while n and f[n - 1] == 0:
-        n -= 1
-    return f[:n]
-
-
-def _ix_content_strip(f):
-    g = 0
-    for c in f:
-        g = math.gcd(g, c)
-        if g == 1:
-            return f
-    if g <= 1:
-        return f
-    return [c // g for c in f]
-
-
-def _ix_prem_pos(f, g):
-    """Pseudo-remainder of f by g scaled only by positive constants
-    (multiplier lc(g)^2 per step), so Sturm sign patterns survive."""
-    dg = len(g) - 1
-    lc = g[-1]
-    lc2 = lc * lc
-    f = list(f)
-    while f and len(f) - 1 >= dg:
-        df = len(f) - 1
-        top = f[-1]
-        f = [c * lc2 for c in f]
-        shift = df - dg
-        q = top * lc
-        for j in range(dg + 1):
-            f[shift + j] -= q * g[j]
-        f = _ix_strip(f[:df])
-        f = _ix_content_strip(f)
-    return f
-
-
-def sturm_chain(coeffs):
-    """Sturm chain of a real integer polynomial; remainders are stripped
-    of positive content only."""
-    f = _ix_content_strip(_ix_strip(list(coeffs)))
-    if not f:
-        return []
-    fp = _ix_strip([c * j for j, c in enumerate(f)][1:])
-    chain = [f]
-    if fp:
-        chain.append(_ix_content_strip(fp))
-    while len(chain) >= 2 and chain[-1]:
-        r = _ix_prem_pos(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-    return chain
-
-
-def _eval_sign_at_rational(f, num, den):
-    """Sign of f(num/den), integer f, den > 0."""
-    deg = len(f) - 1
-    acc = 0
-    npow = 1
-    for j, c in enumerate(f):
-        if c:
-            acc += c * npow * den ** (deg - j)
-        npow *= num
-    return (acc > 0) - (acc < 0)
-
-
-def _sign_variations(signs):
-    v = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            v += 1
-        prev = s
-    return v
-
-
-def sturm_var_at(chain, x):
-    x = QQ(x)
-    return _sign_variations(
-        [_eval_sign_at_rational(f, x.numerator, x.denominator) for f in chain]
-    )
-
-
-def cauchy_root_bound(coeffs):
-    """Rational B with every real root in [-B, B]."""
-    f = _ix_strip(list(coeffs))
-    if len(f) <= 1:
-        return QQ(1)
-    lc = abs(f[-1])
-    m = max(abs(c) for c in f[:-1])
-    return QQ(m, lc) + 1
-
-
-def isolate_real_roots(coeffs, lo=None, hi=None, width=QQ(1, 2**40)):
-    """Sturm isolation of the distinct real roots of an integer polynomial
-    on [lo, hi]: disjoint rational intervals (a, b], one root each,
-    refined below `width`.  The caller passes a squarefree polynomial when
-    exact counts at multiple roots matter."""
-    f = _ix_content_strip(_ix_strip(list(coeffs)))
-    if len(f) <= 1:
-        return []
-    chain = sturm_chain(f)
-    bound = cauchy_root_bound(f)
-    a = QQ(lo) if lo is not None else -bound
-    b = QQ(hi) if hi is not None else bound
-    if a >= b:
-        return []
-    step = width if width < QQ(1, 64) else QQ(1, 64)
-    while _eval_sign_at_rational(f, a.numerator, a.denominator) == 0:
-        a -= step
-    while _eval_sign_at_rational(f, b.numerator, b.denominator) == 0:
-        b += step
-    out = []
-    stack = [(a, b, sturm_var_at(chain, a), sturm_var_at(chain, b))]
-    while stack:
-        a, b, va, vb = stack.pop()
-        n = va - vb
-        if n <= 0:
-            continue
-        if n == 1 and (b - a) <= width:
-            out.append((a, b))
-            continue
-        mid = (a + b) / 2
-        while _eval_sign_at_rational(f, mid.numerator, mid.denominator) == 0:
-            mid = mid + (b - a) / 1048583
-        vm = sturm_var_at(chain, mid)
-        stack.append((a, mid, va, vm))
-        stack.append((mid, b, vm, vb))
-    out.sort()
-    return out
-
-
-def real_roots_sturm(p: UPoly, interval=None, width=QQ(1, 2**40)):
-    """Isolating intervals for the distinct real roots of a real
-    polynomial on `interval` (whole line when None); squarefree part is
-    taken internally, counts are exact."""
     if not p:
         raise PolynomialError("zero polynomial has no isolated roots")
-    sf = p.squarefree_part()
-    coeffs = sf.real_int_coeffs()
-    lo, hi = (None, None) if interval is None else interval
-    return isolate_real_roots(coeffs, lo, hi, width)
+    if not p.is_real():
+        raise PolynomialError("polynomial has non-real coefficients")
+    h = width / 2
+    disks = [
+        (Fraction(r.re, 1 << r.prec), Fraction(r.rad, 1 << r.prec))
+        for r in complex_roots(p, h)
+        if r.real
+    ]
+    wide = [(c - h, c + h) for c, _ in disks]
+    if all(a[1] < b[0] for a, b in zip(wide, wide[1:])):
+        return wide
+    return [(c - r, c + r) for c, r in disks]
 
 
 # ---------------------------------------------------------------------------

@@ -1,34 +1,44 @@
 """Certified complex root finding for exact-coefficient polynomials.
 
-Approximations come from numpy (fallback mpmath at higher precision);
-certification is a Newton-residual disk bound: for a squarefree f of
-degree n and any point z, the disk around z of radius n*|f(z)/f'(z)|
-contains at least one root.  With one such disk per approximate root and
-all disks pairwise disjoint, each disk contains exactly one root.
-Multiplicities are exact, read off Yun's squarefree decomposition.
+Approximations come from numpy (fallback mpmath at higher precision).
+Newton's method then runs in fixed point on the Z[i] coefficient table:
+a point is a Gaussian integer X standing for X / 2^P, Horner runs on
+Python integers with one shift per step, and every center is a dyadic
+Gaussian rational.
 
-Residuals and Newton steps are evaluated in mpmath at enough working
-precision for the coefficient sizes that come out of big resultants, with
-a generous slack factor folded into every certified radius.
+The certificate is exact.  At the center c = X / 2^P of a squarefree f of
+degree n, f(c) 2^(nP) and f'(c) 2^((n-1)P) are Gaussian integers, and the
+disk around c of radius n|f(c)/f'(c)| contains a root of f (Henrici).  The
+stored radius is an integer upper bound on that radius, on the same 2^-P
+grid, times SLACK.  With one disk per approximate root and all disks
+pairwise disjoint, decided in integers, each disk contains exactly one
+root.  Multiplicities are exact, read off Yun's squarefree decomposition.
+
+For a real f, realness follows from conjugate symmetry, not from a
+tolerance.  A disk that meets the real axis is moved to its real center
+and its radius recomputed there.  That disk, disjoint from all the
+others, holds exactly one root, and the root's conjugate lies in the same
+disk, so the root is real.  A disk that misses the axis holds a non-real
+root.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
-from .poly import UPoly, cauchy_root_bound, sturm_chain, sturm_var_at, zx_sqf_list
+from .poly import GZERO, UPoly, gadd, gmul, gnorm, zx_sqf_list
 from .scalars import QQ
 
 __all__ = ["CertifiedRoot", "UncertifiedRootsError", "complex_roots"]
 
-REAL_SNAP_TOL = 1e-9
 DEFAULT_TARGET_RADIUS = 1e-12
-SLACK = 4.0
-MANDATORY_PASSES = 3
+SLACK = 4
+NEWTON_PASSES = 8
 
 
 class UncertifiedRootsError(RuntimeError):
@@ -44,28 +54,47 @@ class UncertifiedRootsError(RuntimeError):
 class CertifiedRoot:
     """A disk certified to contain exactly `multiplicity` roots (counted
     with multiplicity) of the source polynomial, disjoint from the disks
-    of all sibling roots."""
+    of all sibling roots.
 
-    center: complex
-    radius: float
+    The disk is exact: center (re + im i) / 2^prec and radius rad / 2^prec.
+    `center` and `radius` are float views; the float radius is rounded up
+    so that the float disk covers the exact one."""
+
+    re: int
+    im: int
+    rad: int
+    prec: int
     multiplicity: int
     real: bool = False
 
-    def contains(self, z: complex, slack=1.0) -> bool:
-        return abs(z - self.center) <= self.radius * slack
+    @property
+    def center(self) -> complex:
+        one = 1 << self.prec
+        return complex(self.re / one, self.im / one)
+
+    @property
+    def radius(self) -> float:
+        one = 1 << self.prec
+        c = self.center
+        q = (
+            Fraction(self.rad, one)
+            + abs(Fraction(c.real) - Fraction(self.re, one))
+            + abs(Fraction(c.imag) - Fraction(self.im, one))
+        )
+        r = float(q)
+        return r if r >= q else math.nextafter(r, math.inf)
 
     def overlaps(self, other: "CertifiedRoot") -> bool:
-        return abs(self.center - other.center) <= self.radius + other.radius
+        a, b = (self, other) if self.prec >= other.prec else (other, self)
+        k = a.prec - b.prec
+        dx, dy = a.re - (b.re << k), a.im - (b.im << k)
+        s = a.rad + (b.rad << k)
+        return dx * dx + dy * dy <= s * s
 
 
 def _coeff_prec(zx) -> int:
     bits = max(max(abs(a), abs(b)).bit_length() for a, b in zx)
     return max(80, bits + 120)
-
-
-def _mp_coeffs(zx, prec):
-    with mp.workprec(prec):
-        return [mp.mpc(a, b) for a, b in zx]
 
 
 def _np_initial_roots(zx):
@@ -84,54 +113,68 @@ def _np_initial_roots(zx):
 
 
 def _mp_initial_roots(zx, prec):
+    import mpmath as mp  # only this fallback needs it; importing it slows every start
+
     with mp.workprec(prec):
-        cs = _mp_coeffs(zx, prec)
+        cs = [mp.mpc(a, b) for a, b in reversed(zx)]
         try:
-            rts = mp.polyroots(list(reversed(cs)), maxsteps=200, extraprec=prec)
+            rts = mp.polyroots(cs, maxsteps=200, extraprec=prec)
         except mp.libmp.libhyper.NoConvergence:
-            rts = mp.polyroots(
-                list(reversed(cs)), maxsteps=500, extraprec=2 * prec, error=False
-            )
+            rts = mp.polyroots(cs, maxsteps=500, extraprec=2 * prec, error=False)
         return [complex(r) for r in rts]
 
 
-def _newton_polish(zx, z0, prec, passes):
-    """Newton iterations with exact coefficients at mpmath precision;
-    returns (z, |f(z)/f'(z)| bound, |f(z)| residual)."""
-    n = len(zx) - 1
-    with mp.workprec(prec):
-        cs = _mp_coeffs(zx, prec)
-        dcs = [cs[j] * j for j in range(1, n + 1)]
-        z = mp.mpc(z0)
-        for _ in range(passes):
-            f = cs[-1]
-            for c in reversed(cs[:-1]):
-                f = f * z + c
-            fp = dcs[-1]
-            for c in reversed(dcs[:-1]):
-                fp = fp * z + c
-            if fp == 0:
-                break
-            delta = f / fp
-            z = z - delta
-        f = cs[-1]
-        for c in reversed(cs[:-1]):
-            f = f * z + c
-        fp = dcs[-1]
-        for c in reversed(dcs[:-1]):
-            fp = fp * z + c
-        if fp == 0:
-            return complex(z), float("inf"), abs(complex(f))
-        bound = float(n * abs(f / fp))
-        return complex(z), bound, float(abs(f))
+def _fixed(v: float, prec) -> int:
+    """floor(v 2^prec) for a float v."""
+    num, den = v.as_integer_ratio()
+    return (num << prec) // den
 
 
-def _real_root_count(zx):
-    """Exact number of distinct real roots of a real squarefree zx."""
-    coeffs = [a for a, b in zx]
-    chain = sturm_chain(coeffs)
-    b = cauchy_root_bound(coeffs)
-    return sturm_var_at(chain, -b) - sturm_var_at(chain, b)
+def _newton(shifted, x, y, prec, passes):
+    """Newton iterates in fixed point from (x + y i) / 2^prec, until a step
+    rounds to zero or after `passes` steps.
+
+    `shifted` is the coefficient table times 2^prec; Horner keeps f and f'
+    scaled by 2^prec and truncates each product back to the grid, and each
+    step is rounded to the nearest grid point, so a root on the grid is a
+    fixed point."""
+    for _ in range(passes):
+        pr, pi = shifted[-1]
+        dr = di = 0
+        for a, b in reversed(shifted[:-1]):
+            dr, di = ((dr * x - di * y) >> prec) + pr, ((dr * y + di * x) >> prec) + pi
+            pr, pi = ((pr * x - pi * y) >> prec) + a, ((pr * y + pi * x) >> prec) + b
+        nd = dr * dr + di * di
+        if nd == 0:
+            break
+        sx = (((pr * dr + pi * di) << (prec + 1)) + nd) // (2 * nd)
+        sy = (((pi * dr - pr * di) << (prec + 1)) + nd) // (2 * nd)
+        if sx == 0 and sy == 0:
+            break
+        x, y = x - sx, y - sy
+    return x, y
+
+
+def _radius(fac, x, y, prec):
+    """Least integer R with R / 2^prec >= SLACK * n|f(c)/f'(c)| at the exact
+    center c = (x + y i) / 2^prec, or None when f'(c) = 0.
+
+    Exact Horner on X = x + y i: g ends as f(c) 2^(n prec) and q as
+    f'(c) 2^((n-1) prec), so the radius in grid units is SLACK n |g| / |q|."""
+    X = (x, y)
+    g, q = fac[-1], GZERO
+    shift = 0
+    for a, b in reversed(fac[:-1]):
+        shift += prec
+        q = gadd(gmul(q, X), g)
+        g = gadd(gmul(g, X), (a << shift, b << shift))
+    nq = gnorm(q)
+    if nq == 0:
+        return None
+    k = SLACK * (len(fac) - 1)
+    t = -(-k * k * gnorm(g) // nq)
+    r = math.isqrt(t)
+    return r if r * r == t else r + 1
 
 
 def complex_roots(p: UPoly, target_radius=DEFAULT_TARGET_RADIUS, max_rounds=8):
@@ -169,48 +212,47 @@ def _certified_factor_roots(fac, mult, target_radius, max_rounds):
     if approx is None or len(approx) != n:
         approx = _mp_initial_roots(fac, prec)
     is_real_poly = all(b == 0 for a, b in fac)
-    n_real = _real_root_count(fac) if is_real_poly else 0
-    polished = []
+    disks = []
     for round_no in range(max_rounds):
-        passes = MANDATORY_PASSES + 2 * round_no
-        polished = []
-        ok = True
-        for z0 in approx:
-            z, bound, _resid = _newton_polish(fac, z0, prec, passes)
-            if not (bound < float("inf")) or cmath.isnan(bound):
-                ok = False
-                break
-            polished.append((z, bound * SLACK))
-        if ok and _pairwise_disjoint(polished) and all(r <= target_radius for _, r in polished):
-            out = _finalize(polished, fac, mult, is_real_poly, n_real)
-            if out is not None:
-                return out
-        prec = int(prec * 1.6) + 60
-        approx = _mp_initial_roots(fac, prec)
+        if round_no:
+            prec = int(prec * 1.6) + 60
+            approx = _mp_initial_roots(fac, prec)
+        disks = _disks(fac, approx, prec, NEWTON_PASSES + 2 * round_no, is_real_poly)
+        limit = Fraction(target_radius) * (1 << prec)
+        if disks and all(r <= limit for _, _, r in disks) and _pairwise_disjoint(disks):
+            return [CertifiedRoot(x, y, r, prec, mult, is_real_poly and y == 0) for x, y, r in disks]
+    one = 1 << prec
     raise UncertifiedRootsError(
         f"could not certify {n} disjoint root disks at target radius {target_radius}",
-        clusters=[z for z, _ in polished],
+        clusters=[complex(x / one, y / one) for x, y, _ in disks or ()],
     )
 
 
-def _pairwise_disjoint(polished):
-    for i, (zi, ri) in enumerate(polished):
-        for zj, rj in polished[i + 1 :]:
-            if abs(zi - zj) <= ri + rj:
+def _disks(fac, approx, prec, passes, is_real_poly):
+    """(x, y, R) per approximate root: the Newton center (x + y i) / 2^prec
+    and its certified radius R / 2^prec; for a real factor a disk that
+    meets the real axis moves to its real center.  None when an
+    approximation is not finite or f' vanishes at a center."""
+    shifted = [(a << prec, b << prec) for a, b in fac]
+    out = []
+    for z in approx:
+        if not cmath.isfinite(z):
+            return None
+        x, y = _newton(shifted, _fixed(z.real, prec), _fixed(z.imag, prec), prec, passes)
+        r = _radius(fac, x, y, prec)
+        if r is not None and is_real_poly and y and y * y <= r * r:
+            y = 0
+            r = _radius(fac, x, y, prec)
+        if r is None:
+            return None
+        out.append((x, y, r))
+    return out
+
+
+def _pairwise_disjoint(disks):
+    for i, (xi, yi, ri) in enumerate(disks):
+        for xj, yj, rj in disks[i + 1 :]:
+            dx, dy, s = xi - xj, yi - yj, ri + rj
+            if dx * dx + dy * dy <= s * s:
                 return False
     return True
-
-
-def _finalize(polished, fac, mult, is_real_poly, n_real):
-    out = []
-    if is_real_poly:
-        flagged = [(z, r, abs(z.imag) <= max(r, REAL_SNAP_TOL)) for z, r in polished]
-        if sum(1 for _, _, f in flagged if f) != n_real:
-            return None
-        for z, r, f in flagged:
-            c = complex(z.real, 0.0) if f else z
-            out.append(CertifiedRoot(c, max(r, abs(z.imag) if f else r), mult, real=f))
-    else:
-        for z, r in polished:
-            out.append(CertifiedRoot(z, r, mult, real=False))
-    return out

@@ -72,6 +72,17 @@ class TestExitCodes:
         assert out == b""
         assert "error: --centers must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_bad_tol_exit_1(self, tol, capsys):
+        # a NaN or infinite tol would make the report invalid JSON, and a
+        # clamped one would make it misstate the tolerance used
+        code, out = run(
+            ["invariants", "--curve", str(DATA / "unknot.json"), f"--tol={tol}"], capsys
+        )
+        assert code == 1
+        assert out == b""
+        assert "error: --tol must be a positive finite number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("K", ["abc", "1/0"])
     def test_bad_K_exit_1(self, K, capsys):
         code, out = run(

@@ -11,11 +11,7 @@ from shadecalc.poly import (
     UPoly,
     bivar_gcd,
     bivar_divexact,
-    isolate_real_roots,
-    real_roots_sturm,
     resultant,
-    sturm_chain,
-    sturm_var_at,
 )
 from shadecalc.scalars import GaussianRational as G, QQ
 
@@ -168,44 +164,6 @@ class TestGcd:
         g = bivar_gcd(a, b)
         assert _same_up_to_scalar(g, b)
         assert _same_up_to_scalar(bivar_divexact(a, g), zpw)
-
-
-class TestSturm:
-    def test_perturbed_cubic(self):
-        # K(u-1)(u-2)(u-3) - 1 with K = 1000: three roots within 0.01 of 1, 2, 3
-        K = 1000
-        p = UPoly([-6 * K - 1, 11 * K, -6 * K, K])
-        ivs = real_roots_sturm(p, (QQ(0), QQ(4)), width=QQ(1, 2**30))
-        assert len(ivs) == 3
-        for (a, b), target in zip(ivs, (1, 2, 3)):
-            mid = float((a + b) / 2)
-            assert abs(mid - target) < 0.01
-
-    def test_no_real_roots(self):
-        assert real_roots_sturm(UPoly([1, 0, 1]), (QQ(-10), QQ(10))) == []
-
-    def test_cubic_three_roots(self):
-        ivs = real_roots_sturm(UPoly([0, -1, 0, 1]), (QQ(-2), QQ(2)), width=QQ(1, 2**30))
-        mids = [float((a + b) / 2) for a, b in ivs]
-        assert len(ivs) == 3
-        assert all(abs(m - t) < 1e-6 for m, t in zip(mids, (-1, 0, 1)))
-
-    def test_count_matches_variation_difference(self):
-        rng = random.Random(99)
-        for _ in range(40):
-            coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(2, 7))]
-            if not any(coeffs[1:]):
-                continue
-            p = UPoly(coeffs)
-            if not p or p.degree < 1:
-                continue
-            sf = p.squarefree_part()
-            ints = sf.real_int_coeffs()
-            chain = sturm_chain(ints)
-            lo, hi = QQ(-100), QQ(100)
-            n_var = sturm_var_at(chain, lo) - sturm_var_at(chain, hi)
-            ivs = isolate_real_roots(ints, lo, hi)
-            assert len(ivs) == n_var
 
 
 class TestBinaryForm:

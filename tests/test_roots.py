@@ -75,11 +75,3 @@ class TestProperties:
             want = sorted((round(r.center.real, 8), round(r.center.imag, 8)) for r in r1)
             for (a, b), (c, d) in zip(got, want):
                 assert abs(a - c) < 1e-7 and abs(b - d) < 1e-7
-
-    def test_real_flags_match_sturm(self):
-        # real-coefficient polynomials: flagged real roots equal the
-        # exact Sturm count by construction; spot check the pairing
-        p = UPoly([-2, 0, 1]) * UPoly([5, 0, 1])  # roots +-sqrt2, +-i sqrt5
-        roots = complex_roots(p)
-        assert sum(1 for r in roots if r.real) == 2
-        assert sum(1 for r in roots if not r.real) == 2
