@@ -28,15 +28,15 @@ pipeline is:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .curves import ParamPoint
+from .curves import ParamPoint, p3_forms
 from .errors import GenericityError
 from .poly import GZERO, BinaryForm, BivarPoly, bivar_divexact, bivar_gcd, bivar_resultant_w, gmul
 from .roots import UncertifiedRootsError, complex_roots
 
-__all__ = ["PairSolution", "SystemResult", "solve_minor_system",
+__all__ = ["PairSolution", "SystemResult", "solve_minor_system", "canonical_unordered",
            "collinearity_system", "coincidence_system"]
 
 ACCEPT_TOL = 1e-8
@@ -47,18 +47,22 @@ COMBO_RETRIES = 6
 
 @dataclass
 class PairSolution:
+    """A chord solution.  Its identity is the pair of certified root
+    indices (zi, wi) it was polished from; `conjugate` says, from the same
+    certificate, that w is the complex conjugate of z."""
+
     z: ParamPoint
     w: ParamPoint
-    residual: float  # max relative residual over all saturated minors
     jac_margin: float  # scaled 2x2 Jacobian determinant at the solution
+    conjugate: bool = False
 
-    def key(self):
-        return (
-            round(self.z.s.real, 9), round(self.z.s.imag, 9),
-            round(self.z.t.real, 9), round(self.z.t.imag, 9),
-            round(self.w.s.real, 9), round(self.w.s.imag, 9),
-            round(self.w.t.real, 9), round(self.w.t.imag, 9),
-        )
+    @property
+    def zi(self) -> int:
+        return self.z.root
+
+    @property
+    def wi(self) -> int:
+        return self.w.root
 
 
 @dataclass
@@ -66,16 +70,7 @@ class SystemResult:
     solutions: list
     saturated_degree: tuple  # total bidegree removed by saturation
     diagonal_only: bool  # saturation removed exactly the diagonal (or nothing)
-    count_checked: bool
     min_jac_margin: float
-
-
-def _proj_forms(forms):
-    """P3 image forms: identity on 4-tuples, drop x0 on 5-tuples (the
-    double cover composed with the parameterization)."""
-    if len(forms) == 4:
-        return tuple(forms)
-    return tuple(forms[1:])
 
 
 def collinearity_system(center_coords, xforms, yforms):
@@ -84,11 +79,12 @@ def collinearity_system(center_coords, xforms, yforms):
     det[c|x|y]_(a,b,d) = c_a P_bd - c_b P_ad + c_d P_ab with P the 2x2
     minors of [x | y] (the coincidence system).
 
-    center_coords: four exact scalars; xforms/yforms: four BinaryForms.
+    center_coords: four exact scalars; xforms/yforms: four BinaryForms,
+    or five for sphere curves (x0 is dropped).
     """
     c = center_coords
     P = dict(zip(combinations(range(4), 2),
-                 coincidence_system(_proj_forms(xforms), _proj_forms(yforms))))
+                 coincidence_system(p3_forms(xforms), p3_forms(yforms))))
     return [
         BivarPoly.combination([(c[a], P[b, d]), (-c[b], P[a, d]), (c[d], P[a, b])])
         for a, b, d in combinations(range(4), 3)
@@ -160,20 +156,37 @@ def _saturate_all(minors):
 
 
 def _binary_form_roots(form: BinaryForm, target_radius=ROOT_RADIUS):
-    """Certified parameter points of P1 where the form vanishes; the
-    degree deficit of the affine chart is the multiplicity at (0, 1)."""
+    """Certified parameter points of P1 where the form vanishes, each
+    tagged with its index in complex_roots' order; the degree deficit of
+    the affine chart is the multiplicity at (0, 1), which comes last.
+
+    Also returns the conjugation map on the indices for a real form (None
+    otherwise): root j is the conjugate of root i when disk j is the one
+    disk that meets the mirror image of disk i."""
     if form.is_zero():
         raise GenericityError("root extraction from the zero form")
     p = form.chart_t()
+    real = form.is_real()
+    roots = complex_roots(p, target_radius) if p.degree >= 1 else []
     pts = []
-    if p.degree >= 1:
-        for r in complex_roots(p, target_radius):
-            scale = max(1.0, abs(r.center)) ** 2
-            pts.append(ParamPoint(1.0, r.center, r.radius / scale, r.multiplicity, r.real))
+    for k, r in enumerate(roots):
+        scale = max(1.0, abs(r.center)) ** 2
+        pts.append(ParamPoint(1.0, r.center, r.radius / scale, r.multiplicity, r.real, k))
     inf_mult = form.degree - p.degree if p else form.degree
     if inf_mult > 0:
-        pts.append(ParamPoint.infinity(mult=inf_mult))
-    return pts
+        pts.append(ParamPoint(0.0, 1.0, 0.0, inf_mult, real, len(roots)))
+    if not real:
+        return pts, None
+    conj = []
+    for r in roots:
+        mirror = replace(r, im=-r.im)
+        hits = [j for j, o in enumerate(roots) if o.overlaps(mirror)]
+        if len(hits) != 1:
+            raise UncertifiedRootsError(
+                f"mirrored root disk meets {len(hits)} disks", clusters=[r]
+            )
+        conj.append(hits[0])
+    return pts, conj + [len(roots)] * (inf_mult > 0)
 
 
 def _partials(p: BivarPoly):
@@ -235,8 +248,8 @@ class _NewtonSystem:
                 ws = ws - dw * wt
             if abs(dz) + abs(dw) < 1e-14:
                 break
-        zp2 = ParamPoint(zs, zt, max(zp.radius, abs(dz)), zp.mult, None)
-        wp2 = ParamPoint(ws, wt, max(wp.radius, abs(dw)), wp.mult, None)
+        zp2 = ParamPoint(zs, zt, max(zp.radius, abs(dz)), zp.mult, zp.real, zp.root)
+        wp2 = ParamPoint(ws, wt, max(wp.radius, abs(dw)), wp.mult, wp.real, wp.root)
         return zp2, wp2
 
 
@@ -282,6 +295,9 @@ def solve_minor_system(
     w_mode: "swap" reuses the z-roots for w (same-component systems,
     where the minors are antisymmetric), "conj" uses their conjugates
     (component-against-conjugate systems), "solve" eliminates again.
+    A solution is flagged `conjugate` by root index: in conj mode when
+    zi = wi, in swap mode on a real resultant when wi is the conjugate
+    root of zi, and never in solve mode (two different components).
 
     `expected` is the Bezout-style solution count; it is enforced only
     when saturation removed nothing beyond the z = w diagonal.
@@ -292,7 +308,7 @@ def solve_minor_system(
     if not nonconst:
         # constants only: a nonzero constant forbids all solutions
         if any(not m.is_zero() for m in live):
-            return SystemResult([], removed, diagonal_only, True, float("inf"))
+            return SystemResult([], removed, diagonal_only, float("inf"))
         raise GenericityError(f"{context}: saturated system vanished entirely")
     if len(nonconst) == 1:
         raise GenericityError(f"{context}: solution set is positive-dimensional")
@@ -311,28 +327,31 @@ def solve_minor_system(
                 Rw = bivar_resultant_w(u.swap_vars(), v.swap_vars(), strip_content=True)
                 if Rw.is_zero():
                     continue
-            zroots = _binary_form_roots(Rz, target_radius)
+            # conj[zi] is the index of z's conjugate among the w roots
+            zroots, conj = _binary_form_roots(Rz, target_radius)
             if w_mode == "swap":
-                wroots = list(zroots)
+                wroots = zroots
             elif w_mode == "conj":
                 wroots = [p.conjugate() for p in zroots]
+                conj = range(len(zroots))
             else:
-                wroots = _binary_form_roots(Rw, target_radius)
+                wroots, _ = _binary_form_roots(Rw, target_radius)
+                conj = None
             sols = _pair_and_polish(nonconst, u, v, zroots, wroots, target_radius)
+            if conj is not None:
+                for s in sols:
+                    s.conjugate = conj[s.zi] == s.wi
             result = SystemResult(
                 sols,
                 removed,
                 diagonal_only,
-                False,
                 min((s.jac_margin for s in sols), default=float("inf")),
             )
-            if expected is not None and diagonal_only:
-                result.count_checked = True
-                if len(sols) != expected:
-                    raise GenericityError(
-                        f"{context}: found {len(sols)} solutions, expected {expected} "
-                        f"(non-generic configuration or uncertified pairing)"
-                    )
+            if expected is not None and diagonal_only and len(sols) != expected:
+                raise GenericityError(
+                    f"{context}: found {len(sols)} solutions, expected {expected} "
+                    f"(non-generic configuration or uncertified pairing)"
+                )
             if result.min_jac_margin < JAC_MARGIN:
                 raise GenericityError(
                     f"{context}: chord Jacobian margin {result.min_jac_margin:.2e} "
@@ -348,7 +367,23 @@ def solve_minor_system(
     )
 
 
+def canonical_unordered(solutions):
+    """Collapse the swap symmetry (z, w) ~ (w, z) of a swap-mode system to
+    the solutions with zi <= wi; every (zi, wi) must come with (wi, zi)."""
+    ids = {(s.zi, s.wi) for s in solutions}
+    singles = sum((s.wi, s.zi) not in ids for s in solutions)
+    if singles:
+        raise GenericityError(f"{singles} chord solutions missing their swapped partner")
+    return [s for s in solutions if s.zi <= s.wi]
+
+
 def _pair_and_polish(minors, u, v, zroots, wroots, target_radius):
+    """Solutions from the root pairs on which u and v nearly vanish,
+    polished against (u, v) and kept when every minor vanishes there.
+    Each (zi, wi) yields at most one solution, so two candidates that
+    polish onto one point show in the caller's count check.  The
+    benchmark ledger wraps this function by name with these six
+    positional arguments; `target_radius` is unused."""
     scales = [_scale_bound(m) for m in minors]
     uscale, vscale = _scale_bound(u), _scale_bound(v)
     pre = []
@@ -363,7 +398,7 @@ def _pair_and_polish(minors, u, v, zroots, wroots, target_radius):
             pre.append((zp, wp))
     newton = _NewtonSystem(u, v)
     minor_grads = [_partials(m) for m in minors]
-    found = {}
+    sols = []
     for zp, wp in pre:
         # a singular Jacobian of the random pair (u, v) says nothing about
         # the candidate: keep it unpolished and let the checks below decide
@@ -376,9 +411,5 @@ def _pair_and_polish(minors, u, v, zroots, wroots, target_radius):
         # keep the point only if it stayed near the certified root disks
         if z2.dist(zp) > 1e-5 or w2.dist(wp) > 1e-5:
             continue
-        margin = _system_margin(minor_grads, scales, z2, w2)
-        sol = PairSolution(z2, w2, resid, margin)
-        key = sol.key()
-        if key not in found or found[key].residual > resid:
-            found[key] = sol
-    return list(found.values())
+        sols.append(PairSolution(z2, w2, _system_margin(minor_grads, scales, z2, w2)))
+    return sols

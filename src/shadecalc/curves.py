@@ -37,33 +37,31 @@ class ParamPoint:
     """A point of the parameter line P1, kept as a normalized (s, t)
     pair: real pairs stay real, the larger coordinate is scaled to 1.
     `radius` is the certification radius in the chart of the smaller
-    coordinate; `mult` the root multiplicity where one applies."""
+    coordinate; `mult` the root multiplicity where one applies.  A point
+    found as a certified root carries that root's index in `root` and
+    its certified realness in `real`; nothing re-derives either from
+    the floats."""
 
-    __slots__ = ("s", "t", "radius", "mult", "real")
+    __slots__ = ("s", "t", "radius", "mult", "real", "root")
 
-    def __init__(self, s, t, radius=0.0, mult=1, real=None):
+    def __init__(self, s, t, radius=0.0, mult=1, real=False, root=None):
         s, t = complex(s), complex(t)
         if abs(s) >= abs(t):
             s, t = 1.0 + 0j, t / s
         else:
             s, t = s / t, 1.0 + 0j
-        if real is None:
-            real = abs(s.imag) < 1e-12 and abs(t.imag) < 1e-12
         self.s, self.t = s, t
         self.radius = float(radius)
         self.mult = int(mult)
         self.real = bool(real)
-
-    @classmethod
-    def infinity(cls, radius=0.0, mult=1):
-        return cls(0.0, 1.0, radius, mult, real=True)
+        self.root = root
 
     def pair(self):
         return (self.s, self.t)
 
     def conjugate(self):
         return ParamPoint(
-            self.s.conjugate(), self.t.conjugate(), self.radius, self.mult, self.real
+            self.s.conjugate(), self.t.conjugate(), self.radius, self.mult, self.real, self.root
         )
 
     def affine(self):
@@ -205,9 +203,17 @@ class CurveModel:
 
 
 def describe_ambient(ambient):
+    """The ambient as it appears in curve files and reports."""
     if isinstance(ambient, QuadricSpec):
         return {"Q3": {"c": str(ambient.c)}}
     return "P3"
+
+
+def p3_forms(forms):
+    """The P3 image forms of a component's coordinate forms: all four in
+    P3, and x1..x4 (the double cover composed with the parameterization)
+    for the five forms of a sphere curve."""
+    return tuple(forms) if len(forms) == 4 else tuple(forms[1:])
 
 
 def quadric_identity_residual(comp: CurveComponent, q: QuadricSpec) -> BinaryForm:

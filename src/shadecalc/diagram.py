@@ -32,8 +32,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .chords import collinearity_system, solve_minor_system
-from .curves import CurveComponent, CurveModel, ParamPoint
+from .chords import canonical_unordered, collinearity_system, solve_minor_system
+from .curves import CurveComponent, CurveModel, ParamPoint, p3_forms
 from .errors import GenericityError, PreconditionError
 from .poly import form_gcd
 from .projective import (
@@ -258,16 +258,6 @@ def center_from_lift(lift: ProjPoint, q: QuadricSpec) -> ProjectionCenter:
 # ---------------------------------------------------------------------------
 
 
-def p3_forms(comp: CurveComponent):
-    """The component's P3 coordinate forms (composing with the double
-    cover for sphere curves)."""
-    return comp.coords if comp.nvars == 4 else comp.coords[1:]
-
-
-def p3_conj_forms(comp: CurveComponent):
-    return comp.conj_coords if comp.nvars == 4 else comp.conj_coords[1:]
-
-
 def _center_off_component(center: ProjPoint, forms) -> bool:
     """Exact check that the projected curve never passes through the
     center: the 2x2 minors of [c | psi(z)] must have constant gcd."""
@@ -326,8 +316,8 @@ def oriented_real_tangent(comp: CurveComponent, param: ParamPoint, chart: int, f
 def real_crossing_writhe(comp_i, comp_j, zp, wp, center: ProjPoint, forms_i=None, forms_j=None):
     """P3 recipe: sign of (v, u, w) with v, w the endpoint tangents and u
     the chord direction from the evaluation endpoint to the other one."""
-    forms_i = forms_i or p3_forms(comp_i)
-    forms_j = forms_j or p3_forms(comp_j)
+    forms_i = forms_i or p3_forms(comp_i.coords)
+    forms_j = forms_j or p3_forms(comp_j.coords)
     a_pt = ProjPoint([f.eval(zp.s, zp.t) for f in forms_i])
     b_pt = ProjPoint([f.eval(wp.s, wp.t) for f in forms_j])
     av = a_pt.normalized().as_complex()
@@ -409,7 +399,7 @@ def solitary_writhe(comp, zp: ParamPoint, center: ProjectionCenter, forms=None):
     pair: sign of (u, w, f, i f) against the complex orientation of CH,
     with (u, w, v) a positive RP3 frame and v induced by the half plane
     holding the branch point."""
-    forms = forms or p3_forms(comp)
+    forms = forms or p3_forms(comp.coords)
     x = [complex(f.eval(zp.s, zp.t)) for f in forms]
     dx = _param_derivative(forms, zp)
     cvec = center.point.normalized().as_complex()
@@ -424,10 +414,8 @@ def branch_frame_sign(x, dx, cvec, m):
     if abs(cvec[m]) < 1e-9:
         raise GenericityError("projection center lies on the chosen hyperplane")
     # projection to H along the center: N = x - (x_m / c_m) c
-    lam = x[m] / cvec[m]
-    N = [x[j] - lam * cvec[j] for j in range(4)]
-    dlam = dx[m] / cvec[m]
-    dN = [dx[j] - dlam * cvec[j] for j in range(4)]
+    N = _project_to_h(x, cvec, m)
+    dN = _project_to_h(dx, cvec, m)
     s_pt = ProjPoint(N)
     if not s_pt.is_real(REALNESS_TOL):
         raise GenericityError("solitary image point failed the realness test")
@@ -487,33 +475,6 @@ def _expected_same(d):
     return (d - 1) * (d - 2)
 
 
-def _canonical_unordered(solutions):
-    """Collapse the swap symmetry (z, w) ~ (w, z) of same-component
-    systems; every unordered pair must appear in both orders."""
-    seen = {}
-    singles = []
-    for s in solutions:
-        kz, kw = s.z.pair(), s.w.pair()
-        key = tuple(sorted([(round(kz[0].real, 8), round(kz[0].imag, 8),
-                            round(kz[1].real, 8), round(kz[1].imag, 8)),
-                           (round(kw[0].real, 8), round(kw[0].imag, 8),
-                            round(kw[1].real, 8), round(kw[1].imag, 8))]))
-        if key in seen:
-            seen[key].append(s)
-        else:
-            seen[key] = [s]
-    out = []
-    for key, group in seen.items():
-        if len(group) == 1 and not group[0].z.same(group[0].w):
-            singles.append(group[0])
-        out.append(group[0])
-    if singles:
-        raise GenericityError(
-            f"{len(singles)} chord solutions missing their swapped partner"
-        )
-    return out
-
-
 def _classify_pairs(solutions, same_component):
     """(real pairs, solitary pairs, complex pair count); raises on
     ambiguous mixed classifications."""
@@ -522,7 +483,7 @@ def _classify_pairs(solutions, same_component):
         zr, wr = s.z.real, s.w.real
         if zr and wr:
             real_pairs.append(s)
-        elif not zr and not wr and s.z.is_conjugate_of(s.w):
+        elif not zr and not wr and s.conjugate:
             solitary.append(s)
         elif not zr and not wr:
             complex_count += 1
@@ -553,7 +514,7 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
     cvec = center.point.normalized().as_complex()
 
     for i, comp in enumerate(comps):
-        if not _center_off_component(center.point, p3_forms(comp)):
+        if not _center_off_component(center.point, p3_forms(comp.coords)):
             raise GenericityError(f"center lies on the projected component {i}")
     cert.center_off_curve = True
 
@@ -563,7 +524,7 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
     if mode == "diagram":
         for i, comp in enumerate(comps):
             minors = collinearity_system(
-                center.point.normalized().coords, p3_forms(comp), p3_forms(comp)
+                center.point.normalized().coords, comp.coords, comp.coords
             )
             res = solve_minor_system(
                 minors, seed=seed + 101 * i, w_mode="swap",
@@ -571,11 +532,11 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
                 target_radius=tol,
             )
             min_jac = min(min_jac, res.min_jac_margin)
-            raw.append((i, i, _canonical_unordered(res.solutions), True))
+            raw.append((i, i, canonical_unordered(res.solutions), True))
         for i in range(len(comps)):
             for j in range(i + 1, len(comps)):
                 minors = collinearity_system(
-                    center.point.normalized().coords, p3_forms(comps[i]), p3_forms(comps[j])
+                    center.point.normalized().coords, comps[i].coords, comps[j].coords
                 )
                 res = solve_minor_system(
                     minors, seed=seed + 101 * i + 31 * j, w_mode="solve",
@@ -587,7 +548,7 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
     else:
         for i, comp in enumerate(comps):
             minors = collinearity_system(
-                center.point.normalized().coords, p3_forms(comp), p3_conj_forms(comp)
+                center.point.normalized().coords, comp.coords, comp.conj_coords
             )
             res = solve_minor_system(
                 minors, seed=seed + 101 * i, w_mode="conj",
@@ -607,7 +568,7 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
     for i, j, sols, same in raw:
         if mode == "shade":
             for s in sols:
-                if s.z.is_conjugate_of(s.w):
+                if s.conjugate:
                     entries.append(("solitary", i, j, s.z, s.w, True))
                 else:
                     complex_pairs += 1
@@ -643,7 +604,7 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
         images = []
         ok = True
         for kind, i, j, zp, wp, same in entries:
-            forms = p3_forms(comps[i])
+            forms = p3_forms(comps[i].coords)
             x = [complex(f.eval(zp.s, zp.t)) for f in forms]
             svec = _project_to_h(x, cvec, m)
             spt = ProjPoint(svec)
@@ -706,15 +667,7 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
                 radius=max(zp.radius, wp.radius),
             )
         )
-    crossings.sort(
-        key=lambda c: (
-            c.kind,
-            c.comp_i,
-            c.comp_j,
-            round(c.z.affine().real if abs(c.z.s) > 1e-300 else 1e9, 8),
-            round(c.z.affine().imag if abs(c.z.s) > 1e-300 else 0.0, 8),
-        )
-    )
+    crossings.sort(key=lambda c: (c.kind, c.comp_i, c.comp_j, c.z.root))
     return ProjectionData(center, cert, crossings, complex_pairs, mode)
 
 
@@ -800,7 +753,7 @@ def render_diagram_svg(curve: CurveModel, data: ProjectionData, samples=720) -> 
     for comp in curve.components:
         if not comp.is_real():
             continue
-        forms = p3_forms(comp)
+        forms = p3_forms(comp.coords)
         run = []
         runs = []
         for kk in range(samples + 1):

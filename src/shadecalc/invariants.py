@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chords import coincidence_system, solve_minor_system
-from .curves import CurveModel
+from .chords import canonical_unordered, coincidence_system, solve_minor_system
+from .curves import CurveModel, SelfIntersection, describe_ambient
 from .diagram import ProjectionData, branch_frame_sign, select_center
 from .errors import GenericityError, InstabilityError, PreconditionError
 from .poly import UPoly, real_roots_sturm
@@ -126,8 +126,6 @@ def self_double_points(curve: CurveModel, seed=0):
     """
     if curve._sdp_cache is not None:
         return curve._sdp_cache
-    from .curves import SelfIntersection
-
     out = []
     comps = curve.components
     for i in range(len(comps)):
@@ -137,22 +135,11 @@ def self_double_points(curve: CurveModel, seed=0):
             res = solve_minor_system(
                 minors, seed=seed + 7 * i + j, w_mode=mode, context=f"selfint[{i},{j}]"
             )
-            sols = res.solutions
-            seen = set()
+            sols = canonical_unordered(res.solutions) if i == j else res.solutions
             for s in sols:
-                if i == j:
-                    key = tuple(
-                        sorted([
-                            (round(s.z.s.real, 8), round(s.z.s.imag, 8), round(s.z.t.real, 8), round(s.z.t.imag, 8)),
-                            (round(s.w.s.real, 8), round(s.w.s.imag, 8), round(s.w.t.real, 8), round(s.w.t.imag, 8)),
-                        ])
-                    )
-                    if key in seen:
-                        continue
-                    seen.add(key)
                 if s.z.real and s.w.real:
                     kind = "real-real"
-                elif s.z.is_conjugate_of(s.w):
+                elif s.conjugate:
                     kind = "complex-conjugate"
                 else:
                     kind = "complex"
@@ -175,7 +162,7 @@ def find_real_points(curve: CurveModel, component: int, seed=0):
     res = solve_minor_system(
         minors, seed=seed, w_mode="conj", context=f"realpts[{component}]"
     )
-    return [s.z for s in res.solutions if s.z.is_conjugate_of(s.w)]
+    return [s.z for s in res.solutions if s.conjugate]
 
 
 def _require_smooth(curve: CurveModel, seed=0):
@@ -242,7 +229,7 @@ def encomplexed_writhe(curve: CurveModel, seed=0, centers=1, forced_center=None,
         certificate=data.certificate.describe(),
         seed=seed,
         centers_checked=len(runs),
-        ambient=_ambient_tag(curve),
+        ambient=describe_ambient(curve.ambient),
         mode="diagram",
         complex_pairs=data.complex_pairs,
         projection=data,
@@ -294,18 +281,11 @@ def shade_number_empty_real(curve: CurveModel, seed=0, centers=1, forced_center=
         certificate=data.certificate.describe(),
         seed=seed,
         centers_checked=len(runs),
-        ambient=_ambient_tag(curve),
+        ambient=describe_ambient(curve.ambient),
         mode="shade",
         complex_pairs=data.complex_pairs,
         projection=data,
     )
-
-
-def _ambient_tag(curve: CurveModel):
-    q = curve.quadric()
-    if q is None:
-        return "P3"
-    return {"Q3": {"c": str(q.c)}}
 
 
 # ---------------------------------------------------------------------------

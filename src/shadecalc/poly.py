@@ -450,18 +450,6 @@ class UPoly(_IntTable):
     def gcd(self, other):
         return UPoly.from_zx(zx_gcd(self.to_zx(), other.to_zx()))
 
-    def squarefree_part(self):
-        f = self.to_zx()
-        g = zx_gcd(f, zx_diff(f))
-        return UPoly.from_zx(zx_divexact(f, g) if len(g) > 1 else f)
-
-    def real_int_coeffs(self):
-        """Integer coefficient list (self up to a positive rational);
-        requires real coefficients."""
-        if not self.is_real():
-            raise PolynomialError("polynomial has non-real coefficients")
-        return [a for a, _ in self.to_zx()]
-
     def __repr__(self):
         return f"UPoly({[str(c) for c in self.coeffs]})"
 

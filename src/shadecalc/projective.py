@@ -268,15 +268,6 @@ def best_chart(*points, exclude=()):
     return best, best_val
 
 
-def dehomogenize(point: ProjPoint, k: int):
-    """Affine coordinates (complex) in chart k, indices ordered with k removed."""
-    cs = point.as_complex()
-    d = cs[k]
-    if abs(d) == 0:
-        raise ZeroDivisionError(f"point not in chart {k}")
-    return [cs[j] / d for j in range(len(cs)) if j != k]
-
-
 def pi_project(x: ProjPoint) -> ProjPoint:
     """The double cover CQ3 -> CP3: project from [1,0,0,0,0] and drop x0.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .curves import BUILTIN_FAMILIES, CurveComponent, CurveModel
+from .curves import BUILTIN_FAMILIES, CurveComponent, CurveModel, describe_ambient
 from .diagram import ProjectionCenter, center_from_lift
 from .errors import CurveFileError, PreconditionError
 from .poly import BinaryForm
@@ -201,7 +201,7 @@ def model_to_json(model: CurveModel, center=None):
     """Canonical JSON object for a curve model (inverse of the parser on
     explicit-component files)."""
     obj = {
-        "ambient": "P3" if model.quadric() is None else {"Q3": {"c": str(model.quadric().c)}},
+        "ambient": describe_ambient(model.ambient),
         "components": [
             {
                 "label": comp.label,

@@ -54,7 +54,8 @@ class UncertifiedRootsError(RuntimeError):
 class CertifiedRoot:
     """A disk certified to contain exactly `multiplicity` roots (counted
     with multiplicity) of the source polynomial, disjoint from the disks
-    of all sibling roots.
+    of all sibling roots.  `real` means a certified real root of a real
+    source polynomial; every root of a non-real one has real = False.
 
     The disk is exact: center (re + im i) / 2^prec and radius rad / 2^prec.
     `center` and `radius` are float views; the float radius is rounded up
@@ -189,12 +190,12 @@ def complex_roots(p: UPoly, target_radius=DEFAULT_TARGET_RADIUS, max_rounds=8):
     zx = p.to_zx()
     if len(zx) <= 1:
         return []
-    factors = zx_sqf_list(zx)
+    real_poly = p.is_real()
     roots: list[CertifiedRoot] = []
-    for fac, mult in factors:
+    for fac, mult in zx_sqf_list(zx):
         if len(fac) <= 1:
             continue
-        roots.extend(_certified_factor_roots(fac, mult, target_radius, max_rounds))
+        roots.extend(_certified_factor_roots(fac, mult, real_poly, target_radius, max_rounds))
     roots.sort(key=lambda r: (r.center.real, r.center.imag))
     for i, a in enumerate(roots):
         for b in roots[i + 1 :]:
@@ -205,7 +206,7 @@ def complex_roots(p: UPoly, target_radius=DEFAULT_TARGET_RADIUS, max_rounds=8):
     return roots
 
 
-def _certified_factor_roots(fac, mult, target_radius, max_rounds):
+def _certified_factor_roots(fac, mult, real_poly, target_radius, max_rounds):
     n = len(fac) - 1
     prec = _coeff_prec(fac)
     approx = _np_initial_roots(fac)
@@ -220,7 +221,7 @@ def _certified_factor_roots(fac, mult, target_radius, max_rounds):
         disks = _disks(fac, approx, prec, NEWTON_PASSES + 2 * round_no, is_real_poly)
         limit = Fraction(target_radius) * (1 << prec)
         if disks and all(r <= limit for _, _, r in disks) and _pairwise_disjoint(disks):
-            return [CertifiedRoot(x, y, r, prec, mult, is_real_poly and y == 0) for x, y, r in disks]
+            return [CertifiedRoot(x, y, r, prec, mult, real_poly and y == 0) for x, y, r in disks]
     one = 1 << prec
     raise UncertifiedRootsError(
         f"could not certify {n} disjoint root disks at target radius {target_radius}",

@@ -6,6 +6,7 @@ and that uninstall() puts every original binding back."""
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -56,3 +57,17 @@ def test_wrapped_names_resolve_and_are_restored(monkeypatch):
     after = _bindings(list(mods.values()) + classes)
     assert after.keys() == before.keys()
     assert [k for k, v in before.items() if after[k] is not v] == []
+
+
+def test_pair_and_polish_keeps_the_ledger_call_shape(monkeypatch):
+    # the ledger counts chord pairings through a wrapper that passes six
+    # positional arguments; dropping one (target_radius is unused) would
+    # break only a traced benchmark run
+    ledger = _load_ledger(monkeypatch)
+    chords = importlib.import_module("shadecalc.chords")
+    wrapper = ledger.Ledger()._counted_pairing(chords._pair_and_polish)
+    passed = list(inspect.signature(wrapper, follow_wrapped=False).parameters)
+    params = inspect.signature(chords._pair_and_polish).parameters
+    assert len(passed) == 6
+    assert list(params) == passed
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())

@@ -8,9 +8,17 @@ import random
 import numpy as np
 import pytest
 
-from shadecalc.chords import coincidence_system, collinearity_system, solve_minor_system
+from shadecalc import chords
+from shadecalc.chords import (
+    _binary_form_roots,
+    canonical_unordered,
+    coincidence_system,
+    collinearity_system,
+    solve_minor_system,
+)
 from shadecalc.curves import kae_curve, lp_line_curve, trefoil_curve, unknot_curve
 from shadecalc.errors import GenericityError
+from shadecalc.poly import BinaryForm
 from shadecalc.scalars import GaussianRational as G, QQ
 
 
@@ -96,6 +104,58 @@ class TestSameComponentSystems:
                 s.z.conjugate().same(t.z) and s.w.conjugate().same(t.w) for t in sols
             )
             assert found, "solution set not closed under conjugation"
+
+
+class TestRootIdentity:
+    def test_conjugate_map_of_a_real_form(self):
+        # s (s^2 + t^2)(t - 2 s): -i, i and 2 in complex_roots' order, then
+        # the point at infinity
+        pts, conj = _binary_form_roots(BinaryForm(4, [-2, 1, -2, 1, 0]))
+        assert [p.root for p in pts] == [0, 1, 2, 3]
+        assert [p.real for p in pts] == [False, False, True, True]
+        assert conj == [1, 0, 2, 3]
+        assert pts[3].s == 0
+
+    def test_non_real_form_has_no_conjugate_map(self):
+        # (t - i s)(t - s): the root 1 of a non-real form is not flagged real
+        pts, conj = _binary_form_roots(BinaryForm(2, [G(0, 1), G(-1, -1), G(1)]))
+        assert conj is None
+        assert [p.root for p in pts] == [0, 1]
+        assert not any(p.real for p in pts)
+
+    @pytest.mark.parametrize("eps,real", [(1, False), (-1, True)])
+    def test_kae_chord_identity(self, eps, real, monkeypatch):
+        # the one chord through the center, in both orders: a solitary
+        # pair for eps = +1, a real-real pair for eps = -1
+        calls = []
+        pair_and_polish = chords._pair_and_polish
+
+        def spy(*args):
+            out = pair_and_polish(*args)
+            calls.append((args[3], out))
+            return out
+
+        monkeypatch.setattr(chords, "_pair_and_polish", spy)
+        comp = kae_curve(QQ(1, 2), eps).components[0]
+        c = [G(1), G(QQ(2, 7)), G(QQ(-3, 5)), G(QQ(1, 2))]
+        res = solve_minor_system(
+            collinearity_system(c, comp.coords, comp.coords),
+            seed=6, w_mode="swap", expected=2, context="kae",
+        )
+        zroots, sols = calls[-1]
+        assert sols == res.solutions
+        a, b = sols
+        assert (a.zi, a.wi) == (b.wi, b.zi) and a.zi < a.wi
+        for s in sols:
+            assert (s.z.root, s.w.root) == (s.zi, s.wi)
+            assert s.conjugate is not real
+            # polished points keep their root's certified flag
+            assert s.z.real is s.w.real is zroots[s.zi].real is real
+            if s.conjugate:
+                assert abs(zroots[s.zi].affine() - zroots[s.wi].affine().conjugate()) < 1e-9
+        assert canonical_unordered(sols) == [a]
+        with pytest.raises(GenericityError, match="missing their swapped partner"):
+            canonical_unordered([b])
 
 
 @pytest.fixture(scope="module")

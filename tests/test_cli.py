@@ -161,6 +161,25 @@ class TestGoldenBytes:
             "cd2baa1397b60f64c67d51acef792073cf85ad9d10aeede7e0360e7ad87138da",
             id="kae_half_minus",
         ),
+        # the longest crossing sort, over four centers
+        pytest.param(
+            ["invariants", "--curve", "src/shadecalc/data/trefoil.json", "--seed", "1",
+             "--centers", "4"],
+            "cb0dab006a07f2d6913629213bb92f2470c4fa5116e2491add1315c0b2db4c93",
+            id="trefoil_centers4",
+        ),
+        # solitary pairs of a swap-mode system
+        pytest.param(
+            ["invariants", "--curve", "src/shadecalc/data/kae_half_minus.json", "--seed", "1"],
+            "7dbb498791df6de561141ba6ad79d15dd657feb63502ef80a09bb37d1782e99a",
+            id="kae_half_minus_seed1",
+        ),
+        # shade points of a conj-mode system
+        pytest.param(
+            ["invariants", "--curve", "src/shadecalc/data/lp_line.json", "--seed", "1"],
+            "b017b58f960fc7e74b98e65e65261a6ea19cd83184e4e55ff2a8e2b44af4235f",
+            id="lp_line_seed1",
+        ),
         pytest.param(
             ["sweep", "--family", "kae", "--epsilon", "-1", "--grid=-1:1:1/4", "--seed", "0"],
             "afbf89a8deb69403821f30d9f7e671af528cae2f01bb6b13b0585e15ed57d5f7",
@@ -199,6 +218,18 @@ class TestGoldenBytes:
         code, out = run(argv, capsys)
         assert code == 0
         assert hashlib.sha256(out).hexdigest() == digest
+
+    @pytest.mark.parametrize("name,kind", [("k0_plus", "complex-conjugate"),
+                                           ("k0_minus", "real-real")])
+    def test_double_point_kind(self, name, kind, capsys):
+        # the kind comes from the certified conjugate map and realness flags
+        code, out = run(["invariants", "--curve", str(DATA / f"{name}.json")], capsys)
+        assert code == 3
+        assert out == b""
+        assert capsys.readouterr().err == (
+            f"precondition violation: curve has 1 double point(s) ({kind}); "
+            "invariants need a smooth embedding\n"
+        )
 
     SVG_CASES = [
         pytest.param(

@@ -50,9 +50,10 @@ class TestSelectCenter:
         # conic itself as the center
         u = unknot_curve()
         comp = u.components[0]
-        from shadecalc.diagram import p3_forms, ProjectionCenter
+        from shadecalc.curves import p3_forms
+        from shadecalc.diagram import ProjectionCenter
 
-        pt = ProjPoint([f.eval(G(1), G(2)) for f in p3_forms(comp)])
+        pt = ProjPoint([f.eval(G(1), G(2)) for f in p3_forms(comp.coords)])
         bad = ProjectionCenter(pt, hyperplane=0)
         with pytest.raises(GenericityError):
             project_curve(u, bad, seed=1)

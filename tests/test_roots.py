@@ -34,6 +34,22 @@ class TestExamples:
         assert roots[0].multiplicity == 3
         assert abs(roots[0].center - 1) < 1e-9
 
+    def test_real_flag_follows_the_input_polynomial(self):
+        # real means a certified real root of a real polynomial, whatever
+        # squarefree factor the root falls in
+        u1, ui = UPoly([-1, 1]), UPoly([G(0, -1), 1])
+        cases = [
+            (u1 * ui, [(1j, 1, False), (1, 1, False)]),
+            (u1 * u1 * ui, [(1j, 1, False), (1, 2, False)]),
+            (u1 * u1 * UPoly([1, 0, 1]), [(-1j, 1, False), (1j, 1, False), (1, 2, True)]),
+        ]
+        for p, want in cases:
+            roots = complex_roots(p)
+            assert len(roots) == len(want)
+            for r, (z, mult, real) in zip(roots, want):
+                assert abs(r.center - z) < 1e-12
+                assert (r.multiplicity, r.real) == (mult, real)
+
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
             complex_roots(UPoly([]))
