@@ -74,12 +74,6 @@ class ParamPoint:
         """Projective chordal distance |s1 t2 - s2 t1| on normalized pairs."""
         return abs(self.s * other.t - other.s * self.t)
 
-    def same(self, other: "ParamPoint", tol=1e-9) -> bool:
-        return self.dist(other) <= max(tol, 4 * (self.radius + other.radius))
-
-    def is_conjugate_of(self, other: "ParamPoint", tol=1e-9) -> bool:
-        return self.dist(other.conjugate()) <= max(tol, 4 * (self.radius + other.radius))
-
     def __repr__(self):
         return f"ParamPoint({self.s:.6g}, {self.t:.6g}, r={self.radius:.1e})"
 

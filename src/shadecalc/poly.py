@@ -10,7 +10,10 @@ tables.  `coeffs` / `rows` are exact GaussianRational views.
 Float evaluation converts one coefficient at a time, complex(a / den,
 b / den), which rounds exactly like the GaussianRational value.
 
-Pseudo-remainder sequences strip content to keep sizes near-primitive.
+Univariate gcds are modular (Brown 1971, zx_gcd), each proven by exact
+division and normalized to a leading coefficient with re > 0, im >= 0.
+The bivariate gcd's pseudo-remainder sequence in w strips content to
+keep sizes near-primitive.
 Content is a Gaussian gcd taken in C-level integer gcds: math.gcd of all
 parts gives the rational-integer content, and a Gaussian Euclid runs only
 modulo the gcd of the norms of what is left, on small numbers.
@@ -24,6 +27,7 @@ interpolation, all in integers; degrees here stay below ~80.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -78,6 +82,11 @@ def gdivexact(x, y):
     """x / y in Z[i], asserting exactness."""
     a, b = x
     c, d = y
+    if b == 0 and d == 0 and c:
+        q, rem = divmod(a, c)
+        if rem:
+            raise ArithmeticError("inexact gaussian integer division")
+        return (q, 0)
     n = c * c + d * d
     if n == 0:
         raise ZeroDivisionError("gaussian integer division by zero")
@@ -207,37 +216,125 @@ def zx_primitive(f):
     return [gdivexact(c, g) for c in f]
 
 
-def zx_prem(f, g):
-    """Pseudo-remainder of f by g (one lc(g) multiplier per step)."""
-    dg = len(g) - 1
-    if dg < 0:
-        raise ZeroDivisionError("pseudo-remainder by zero polynomial")
-    lc = g[-1]
-    f = list(f)
-    while f and len(f) - 1 >= dg:
-        df = len(f) - 1
-        top = f[-1]
-        f = [gmul(c, lc) for c in f]
-        shift = df - dg
-        for j in range(dg + 1):
-            f[shift + j] = gsub(f[shift + j], gmul(top, g[j]))
-        f = zx_strip(f[:df])
+def _unit_normal(f):
+    """f times the unit that makes its leading coefficient re > 0, im >= 0."""
+    while f and not (f[-1][0] > 0 and f[-1][1] >= 0):
+        f = [(-b, a) for a, b in f]  # times i
     return f
 
 
+def _divides(h, f):
+    try:
+        zx_divexact(f, h)
+    except ArithmeticError:
+        return False
+    return True
+
+
+def _is_prime(n):
+    """Strong probable-prime test of an odd n > 37 to the first twelve
+    prime bases, which no composite below 3 * 10^23 passes."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << j, n) != n - 1 for j in range(s)):
+            return False
+    return True
+
+
+# (p, r): primes p = 1 (mod 4) below 2^62, descending, with r * r = -1 (mod p);
+# extended on first use by _modular_prime, so importing costs nothing
+_PRIMES = []
+
+
+def _modular_prime(k):
+    """The k-th entry of the gcd's fixed prime list."""
+    while len(_PRIMES) <= k:
+        p = _PRIMES[-1][0] - 4 if _PRIMES else (1 << 62) - 3
+        while not _is_prime(p):
+            p -= 4
+        c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+        _PRIMES.append((p, pow(c, (p - 1) // 4, p)))
+    return _PRIMES[k]
+
+
+def _fp_monic_gcd(a, b, p):
+    """Monic gcd over F_p of little-endian int lists, b nonzero."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        db = len(b) - 1
+        a = list(a)
+        while len(a) > db:
+            q = a.pop()
+            if q:
+                k = len(a) - db
+                a[k:] = [(x - q * y) % p for x, y in zip(a[k:], b)]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
 def zx_gcd(f, g):
-    """Primitive-PRS gcd over Z[i]; result primitive, unique up to units."""
+    """Primitive gcd over Z[i] with lc re > 0, im >= 0 (a real input gives
+    a real gcd with positive lc): Brown's modular algorithm (JACM 1971).
+
+    Modulo a prime p = 1 (mod 4) with r * r = -1, Z[i] / (p) is F_p x F_p
+    through i -> +-r (a real input needs one image).  The monic image
+    gcds, times the image of gamma = gcd(lc f, lc g), give the real and
+    imaginary parts mod p of gamma / lc(G) * G for the true gcd G.  Primes
+    where a leading coefficient vanishes are skipped.  No image has lower
+    degree than G: degree 0 proves f, g coprime, a higher degree marks an
+    unlucky prime, and a lower one restarts the Chinese remaindering.
+    After each prime the primitive part h of the symmetric lift is
+    returned once h divides f and g exactly: then h divides G and is no
+    smaller, a proof rather than a guess.
+    """
     f, g = zx_primitive(list(f)), zx_primitive(list(g))
-    if not f:
-        return g
-    if not g:
-        return f
     if len(f) < len(g):
         f, g = g, f
-    while g:
-        r = zx_prem(f, g)
-        f, g = g, zx_primitive(r)
-    return zx_primitive(f)
+    if not g or _divides(g, f):  # a constant g is a unit and divides f
+        return _unit_normal(g or f)
+    gamma = ggcd(f[-1], g[-1])  # divides both lcs, so vanishes only with them
+    real = all(b == 0 for _, b in f) and all(b == 0 for _, b in g)
+    best, modulus, residues = len(g), 1, None  # best starts above any degree
+    for k in itertools.count():
+        p, r = _modular_prime(k)
+        images = []
+        for s in (r,) if real else (r, p - r):
+            fp, gp = [(a + b * s) % p for a, b in f], [(a + b * s) % p for a, b in g]
+            if not (fp[-1] and gp[-1]):
+                break
+            c = (gamma[0] + gamma[1] * s) % p
+            images.append([c * x % p for x in _fp_monic_gcd(fp, gp, p)])
+        else:
+            degrees = {len(h) - 1 for h in images}
+            if 0 in degrees:
+                return [GONE]
+            e = max(degrees)
+            if len(degrees) > 1 or e > best:
+                continue  # an unlucky prime
+            if e < best:
+                best, modulus, residues = e, 1, [GZERO] * (e + 1)
+            if real:
+                mod_p = [(x, 0) for x in images[0]]
+            else:
+                i2, i2r = pow(2, -1, p), pow(2 * r, -1, p)
+                mod_p = [((x + y) * i2 % p, (x - y) * i2r % p) for x, y in zip(*images)]
+            w = pow(modulus, -1, p)  # Garner's step from modulus to modulus * p
+            residues = [
+                (a + modulus * ((x - a) * w % p), b + modulus * ((y - b) * w % p))
+                for (a, b), (x, y) in zip(residues, mod_p, strict=True)
+            ]
+            modulus *= p
+            lift = [tuple(x - modulus if 2 * x > modulus else x for x in c) for c in residues]
+            h = zx_primitive(lift)  # of the symmetric lift
+            if _divides(h, g) and _divides(h, f):
+                return _unit_normal(h)
 
 
 def zx_divexact(f, g):

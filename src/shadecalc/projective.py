@@ -46,10 +46,6 @@ class DegenerateFrameError(GenericityError):
     center reselection upstream."""
 
 
-def _is_exact(v):
-    return isinstance(v, (GaussianRational, int, Fraction))
-
-
 def _to_value(v):
     if isinstance(v, (GaussianRational, QuadExt, complex, float)):
         return v
@@ -171,14 +167,6 @@ class QuadricSpec:
     @property
     def radius(self) -> float:
         return math.sqrt(float(self.c))
-
-
-def _det3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
 
 
 def orientation_sign(vectors, chart_parity_sign=1, threshold=CERT_MARGIN):

@@ -182,8 +182,8 @@ def complex_roots(p: UPoly, target_radius=DEFAULT_TARGET_RADIUS, max_rounds=8):
     """All complex roots of p with certified disks and exact multiplicities,
     sorted by (Re, Im) of the centers.
 
-    Raises UncertifiedRootsError if pairwise-disjoint certified disks are
-    not reached after refinement.
+    Overlapping disks of two coprime factors are certified again at a quarter
+    of the larger radius, up to max_rounds times; then UncertifiedRootsError.
     """
     if not p:
         raise ValueError("cannot root-solve the zero polynomial")
@@ -191,19 +191,18 @@ def complex_roots(p: UPoly, target_radius=DEFAULT_TARGET_RADIUS, max_rounds=8):
     if len(zx) <= 1:
         return []
     real_poly = p.is_real()
-    roots: list[CertifiedRoot] = []
-    for fac, mult in zx_sqf_list(zx):
-        if len(fac) <= 1:
-            continue
-        roots.extend(_certified_factor_roots(fac, mult, real_poly, target_radius, max_rounds))
-    roots.sort(key=lambda r: (r.center.real, r.center.imag))
-    for i, a in enumerate(roots):
-        for b in roots[i + 1 :]:
-            if a.overlaps(b):
-                raise UncertifiedRootsError(
-                    "root disks of coprime factors overlap", clusters=[a, b]
-                )
-    return roots
+    factors = [fm for fm in zx_sqf_list(zx) if len(fm[0]) > 1]
+    found = [_certified_factor_roots(*fm, real_poly, target_radius, max_rounds) for fm in factors]
+    for _ in range(max_rounds + 1):
+        clash = next(((i, j, a, b) for i in range(len(found)) for j in range(i + 1, len(found))
+                      for a in found[i] for b in found[j] if a.overlaps(b)), None)
+        if clash is None:
+            return sorted(sum(found, []), key=lambda r: (r.center.real, r.center.imag))
+        i, j, a, b = clash
+        target = max(Fraction(a.rad, 1 << a.prec), Fraction(b.rad, 1 << b.prec)) / 4
+        for k in (i, j):
+            found[k] = _certified_factor_roots(*factors[k], real_poly, target, max_rounds)
+    raise UncertifiedRootsError("root disks of coprime factors overlap", clusters=[a, b])
 
 
 def _certified_factor_roots(fac, mult, real_poly, target_radius, max_rounds):

@@ -15,6 +15,16 @@ def bp(m, n, entries):
     return BivarPoly(m, n, rows)
 
 
+def same_param(p, q, tol=1e-9):
+    """Parameter points p, q agree to within tol or their certified radii."""
+    return p.dist(q) <= max(tol, 4 * (p.radius + q.radius))
+
+
+def conjugate_params(p, q, tol=1e-9):
+    """p is the complex conjugate of q, by same_param."""
+    return same_param(p, q.conjugate(), tol)
+
+
 def resultant_root_product_check(cases=200, seed=20240809, rel=1e-8):
     """Resultant values against the brute-force root-product formula
     lc_f^(deg g) lc_g^(deg f) prod (beta_j - alpha_i) at random rational

@@ -10,6 +10,7 @@ canonical form.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
+from shadecalc import poly
 from shadecalc.poly import (
     BinaryForm,
     BivarPoly,
@@ -232,6 +234,26 @@ def _proportional(f, g):
     return P.degree() == Q.degree() and P.monic() == Q.monic()
 
 
+class TestGdivexact:
+    @settings(max_examples=60, deadline=None)
+    @given(wide_gints | gints, wide_gints | gints, st.booleans())
+    def test_round_trip_and_errors(self, x, y, real):
+        if real:
+            x, y = (x[0], 0), (y[0], 0)
+        assume(y != (0, 0))
+        xy = gmul(x, y)
+        assert gdivexact(xy, y) == x
+        if gnorm(y) > 1:
+            # x y + 1 is a multiple of y only when y is a unit
+            with pytest.raises(ArithmeticError):
+                gdivexact((xy[0] + 1, xy[1]), y)
+
+    @pytest.mark.parametrize("x", [(5, 0), (0, 0), (5, 1)])
+    def test_zero_divisor(self, x):
+        with pytest.raises(ZeroDivisionError):
+            gdivexact(x, (0, 0))
+
+
 class TestGlistGcd:
     @settings(max_examples=80, deadline=None)
     @given(st.lists(wide_gints | st.just((0, 0)), min_size=1, max_size=6), planted_contents())
@@ -271,6 +293,75 @@ class TestZxGcd:
         assert _is_unit(_zz_i_gcd(got))
         zx_divexact(f, got)
         zx_divexact(g, got)
+
+    @pytest.mark.parametrize("k, c", [(0, 1), (1, 2**80 + 7)])
+    def test_unlucky_prime(self, k, c):
+        # modulo the k-th prime the gcd of (x - c)(x - 2) and (x - c)(x - 2 - p)
+        # has degree 2; at k = 1 the first prime alone cannot lift c, so the
+        # unlucky image arrives after a lucky one and must be skipped
+        p, _ = poly._modular_prime(k)
+        f = zx_mul([(-c, 0), (1, 0)], [(-2, 0), (1, 0)])
+        g = zx_mul([(-c, 0), (1, 0)], [(-2 - p, 0), (1, 0)])
+        assert len(poly._fp_monic_gcd([a % p for a, _ in f], [a % p for a, _ in g], p)) == 3
+        assert zx_gcd(f, g) == [(-c, 0), (1, 0)]
+
+    def test_leading_coefficient_vanishing_under_one_image(self):
+        # lc h = r - i vanishes under i -> r modulo the first prime only; that
+        # image of h is a constant, so not skipping the prime would prove
+        # f and g coprime
+        p, r = poly._modular_prime(0)
+        h = [(1, 0), (r, -1)]
+        f, g = zx_mul(h, [(-1, 0), (1, 0)]), zx_mul(h, [(0, 2), (1, 0)])
+        (a, b) = h[-1]
+        assert (a + b * r) % p == 0 != (a - b * r) % p
+        assert zx_gcd(f, g) == [gmul(c, (0, 1)) for c in h]
+
+    def test_real_input_gives_real_gcd_with_positive_lc(self):
+        x1, x2 = [(-1, 0), (1, 0)], [(-2, 0), (1, 0)]
+        f, g = zx_mul([(-3, 0)], zx_mul(x1, x2)), zx_mul([(-7, 0)], zx_mul(x1, [(5, 0), (1, 0)]))
+        assert zx_gcd(f, g) == x1
+        assert zx_gcd(zx_mul([(-1, 0)], x2), []) == x2
+
+    @pytest.mark.parametrize("unit", [(1, 0), (0, 1), (-1, 0), (0, -1)])
+    def test_unit_normalization(self, unit):
+        # an lc with re > 0 and im >= 0, whichever unit the inputs carry
+        h = [gmul(c, unit) for c in [(2, 1), (3, -4), (1, 2)]]
+        for f, g in [
+            (zx_mul(h, [(1, 1), (0, 1)]), zx_mul(h, [(3, 0), (1, 0)])),
+            (zx_mul(h, [(1, 1), (0, 1)]), h),
+            ([], h),
+        ]:
+            got = zx_gcd(f, g)
+            assert _proportional(got, h) and got[-1][0] > 0 and got[-1][1] >= 0
+
+    @pytest.mark.parametrize("gaussian", [False, True])
+    def test_degree_50_planted_factor(self, gaussian):
+        # two degree-50 polynomials with ~150-bit coefficients sharing
+        # a * b^2 of degree 24; sympy's Gaussian squarefree split of this
+        # size takes tens of seconds, so it checks the real case only
+        rng = random.Random(2024)
+
+        def rand(d, bits):
+            def part():
+                return rng.getrandbits(bits) - (1 << bits - 1)
+            return [(part(), part() if gaussian else 0) for _ in range(d)] + [(part() | 1, 0)]
+
+        a, b = rand(8, 20), rand(8, 20)
+        planted = zx_mul(a, zx_mul(b, b))
+        u = rand(26, 90)
+        f, g = zx_mul(planted, u), zx_mul(planted, rand(26, 90))
+        assert max(abs(x).bit_length() for c in f for x in c) >= 145
+        got = zx_gcd(f, g)
+        assert len(got) == 25 and _proportional(got, planted)
+        zx_divexact(planted, got)
+        sqf = sorted(zx_sqf_list(f), key=lambda t: t[1])
+        assert [(len(q) - 1, i) for q, i in sqf] == [(34, 1), (8, 2)]
+        if gaussian:
+            assert _proportional(sqf[0][0], zx_mul(a, u)) and _proportional(sqf[1][0], b)
+        else:
+            want = sympy.sqf_list(sympy.Poly([x for x, _ in reversed(f)], Z, domain=sympy.ZZ))[1]
+            want = {i: [(int(x), 0) for x in reversed(w.all_coeffs())] for w, i in want}
+            assert all(_proportional(q, want[i]) for q, i in sqf)
 
 
 class TestZxSqfList:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
@@ -184,6 +184,9 @@ class TestCertifierAlone:
         st.lists(st.complex_numbers(max_magnitude=0.3, allow_nan=False), min_size=12, max_size=12),
         st.integers(1, 40),
     )
+    # x^2 (x - 1) seeded with 0.25 and 1.25: the first disks of the coprime
+    # factors x and x - 1 have radius 1 and overlap, so both must be refined
+    @example(UPoly([0, 0, -1, 1]), [0.25 + 0j] + [0j] * 11, 1)
     def test_perturbed_approximants(self, p, noise, shrink):
         # approximants off the true roots of each squarefree factor by up to
         # 0.3 / shrink, in any direction
