@@ -14,11 +14,16 @@ pipeline is:
 2. eliminate: take two random small-integer combinations u, v of the
    saturated minors and compute the homogeneous resultants R_z (and R_w
    where the system has no usable symmetry);
-3. extract: certified roots of R_z / R_w give candidate parameter pairs
+3. extract: certified roots of R_z / R_w give parameter points
    (all honest solutions appear since V(system) lies in V(u, v));
-4. polish + filter: 2x2 Newton against the two best minors, then accept
-   only pairs on which every saturated minor is at relative residual
-   below ACCEPT_TOL; junk from V(u, v) fails by many orders of magnitude;
+4. filter + polish + accept: one matrix product per combination,
+   Z C_u W^T and Z C_v W^T with Z, W the power matrices of the z and w
+   roots and C the complex coefficient tables, evaluates u and v on every
+   root pair at once; pairs where both are below FILTER_TOL relative to
+   their scale are candidates.  Each is polished by 2x2 Newton against
+   (u, v) and accepted only when every saturated minor is at relative
+   residual below ACCEPT_TOL (junk from V(u, v) fails by many orders of
+   magnitude) and the polished point stayed near its root disks;
 5. count check: when saturation removed nothing beyond the expected
    diagonal, the number of solutions must match the Bezout-style count
    supplied by the caller, else the configuration is declared
@@ -31,6 +36,8 @@ import random
 from dataclasses import dataclass, replace
 from itertools import combinations
 
+import numpy as np
+
 from .curves import ParamPoint, p3_forms
 from .errors import GenericityError
 from .poly import GZERO, BinaryForm, BivarPoly, bivar_divexact, bivar_gcd, bivar_resultant_w, gmul
@@ -40,6 +47,7 @@ __all__ = ["PairSolution", "SystemResult", "solve_minor_system", "canonical_unor
            "collinearity_system", "coincidence_system"]
 
 ACCEPT_TOL = 1e-8
+FILTER_TOL = 1e-5  # candidate filter: |u|, |v| relative to their scale bounds
 JAC_MARGIN = 1e-6
 ROOT_RADIUS = 1e-12
 COMBO_RETRIES = 6
@@ -127,7 +135,7 @@ def _is_scalar_multiple(p: BivarPoly, q: BivarPoly) -> bool:
 
 def _scale_bound(p: BivarPoly) -> float:
     """Upper bound for |p| on normalized parameter pairs (max modulus 1)."""
-    return sum(abs(complex(a / p.den, b / p.den)) for r in p.num for a, b in r) or 1.0
+    return sum(abs(c) for row in p.complex_terms for _, c in row) or 1.0
 
 
 def _saturate_all(minors):
@@ -257,8 +265,6 @@ def _system_margin(minor_grads, scales, zp: ParamPoint, wp: ParamPoint):
     """Transversality margin of the full minor system at a solution: the
     smallest singular value of the stacked, scale-normalized Jacobian in
     the local parameter charts."""
-    import numpy as np
-
     z_chart_t = abs(zp.t) <= abs(zp.s)
     w_chart_t = abs(wp.t) <= abs(wp.s)
     zpair, wpair = zp.pair(), wp.pair()
@@ -377,6 +383,34 @@ def canonical_unordered(solutions):
     return [s for s in solutions if s.zi <= s.wi]
 
 
+def _power_matrix(points, deg):
+    """Row i holds s_i^(deg-j) t_i^j for j = 0..deg, (s_i, t_i) the
+    normalized pair of points[i]."""
+    st = np.array([p.pair() for p in points], dtype=complex).reshape(-1, 2)
+    e = np.arange(deg + 1)
+    return st[:, :1] ** (deg - e) * st[:, 1:] ** e
+
+
+def _coeff_matrix(p: BivarPoly):
+    """p's complex coefficient table as a dense (m+1, n+1) array."""
+    C = np.zeros((p.m + 1, p.n + 1), dtype=complex)
+    for j, row in enumerate(p.complex_terms):
+        for k, c in row:
+            C[j, k] = c
+    return C
+
+
+def _candidates(u, v, zroots, wroots):
+    """Index pairs (zi, wi), in row order, of the root pairs on which u
+    and v are both within FILTER_TOL of zero relative to their scale."""
+    Z = _power_matrix(zroots, u.m)
+    W = _power_matrix(wroots, u.n).T
+    near = np.ones((len(zroots), len(wroots)), dtype=bool)
+    for p in (u, v):
+        near &= np.abs(Z @ _coeff_matrix(p) @ W) <= FILTER_TOL * _scale_bound(p)
+    return [tuple(ij) for ij in np.argwhere(near).tolist()]
+
+
 def _pair_and_polish(minors, u, v, zroots, wroots, target_radius):
     """Solutions from the root pairs on which u and v nearly vanish,
     polished against (u, v) and kept when every minor vanishes there.
@@ -385,27 +419,18 @@ def _pair_and_polish(minors, u, v, zroots, wroots, target_radius):
     benchmark ledger wraps this function by name with these six
     positional arguments; `target_radius` is unused."""
     scales = [_scale_bound(m) for m in minors]
-    uscale, vscale = _scale_bound(u), _scale_bound(v)
-    pre = []
-    for zp in zroots:
-        for wp in wroots:
-            zu = zp.pair()
-            wu = wp.pair()
-            if abs(u.eval_pair(zu, wu)) > 1e-5 * uscale:
-                continue
-            if abs(v.eval_pair(zu, wu)) > 1e-5 * vscale:
-                continue
-            pre.append((zp, wp))
     newton = _NewtonSystem(u, v)
     minor_grads = [_partials(m) for m in minors]
     sols = []
-    for zp, wp in pre:
+    for zi, wi in _candidates(u, v, zroots, wroots):
+        zp, wp = zroots[zi], wroots[wi]
         # a singular Jacobian of the random pair (u, v) says nothing about
         # the candidate: keep it unpolished and let the checks below decide
         z2, w2 = newton.polish(zp, wp) or (zp, wp)
+        zpair, wpair = z2.pair(), w2.pair()
         resid = 0.0
         for m, sc in zip(minors, scales):
-            resid = max(resid, abs(m.eval_pair(z2.pair(), w2.pair())) / sc)
+            resid = max(resid, abs(m.eval_pair(zpair, wpair)) / sc)
         if resid > ACCEPT_TOL:
             continue
         # keep the point only if it stayed near the certified root disks

@@ -160,6 +160,49 @@ class TestRootIdentity:
             canonical_unordered([b])
 
 
+def _scalar_candidates(u, v, zroots, wroots):
+    """The candidate filter one pair at a time, by eval_pair."""
+    out = []
+    for zi, zp in enumerate(zroots):
+        for wi, wp in enumerate(wroots):
+            zu, wu = zp.pair(), wp.pair()
+            if abs(u.eval_pair(zu, wu)) > chords.FILTER_TOL * chords._scale_bound(u):
+                continue
+            if abs(v.eval_pair(zu, wu)) > chords.FILTER_TOL * chords._scale_bound(v):
+                continue
+            out.append((zi, wi))
+    return out
+
+
+class TestCandidateFilter:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("system", ["smoothness", "projection"])
+    def test_matrix_filter_matches_scalar_loop(self, system, seed, monkeypatch):
+        # the trefoil's self-intersection system and its chord system for
+        # one center: the matrix products keep exactly the root pairs that
+        # a scalar evaluation of u and v on each pair keeps
+        calls = []
+        pair_and_polish = chords._pair_and_polish
+
+        def spy(*args):
+            calls.append(args)
+            return pair_and_polish(*args)
+
+        monkeypatch.setattr(chords, "_pair_and_polish", spy)
+        comp = trefoil_curve().components[0]
+        if system == "smoothness":
+            minors = coincidence_system(comp.coords, comp.coords)
+        else:
+            c = [G(1), G(QQ(2, 7)), G(QQ(-3, 5)), G(QQ(1, 2))]
+            minors = collinearity_system(c, comp.coords, comp.coords)
+        solve_minor_system(minors, seed=seed, w_mode="swap", context=system)
+        assert calls
+        for _, u, v, zroots, wroots, _ in calls:
+            got = chords._candidates(u, v, zroots, wroots)
+            assert got == _scalar_candidates(u, v, zroots, wroots)
+            assert got
+
+
 @pytest.fixture(scope="module")
 def solutions():
     comp = trefoil_curve().components[0]

@@ -166,6 +166,26 @@ class TestGcd:
         assert _same_up_to_scalar(bivar_divexact(a, g), zpw)
 
 
+class TestComplexTable:
+    def test_cached_table_stays_out_of_equality(self):
+        # the float table is built on first evaluation and kept on the
+        # instance; equality and hash must not see whether it was built
+        a = bp(2, 1, {(0, 0): QQ(1, 3), (1, 1): G(2, -5), (2, 0): -7})
+        b = bp(2, 1, {(0, 0): QQ(1, 3), (1, 1): G(2, -5), (2, 0): -7})
+        assert a == b and hash(a) == hash(b)
+        want = a.eval_pair((1, 0.5j), (0.25, 1))
+        assert a == b and hash(a) == hash(b) and b == a
+        assert {a: 1}[b] == 1
+        assert b.eval_pair((1, 0.5j), (0.25, 1)) == want
+        assert a.complex_terms is a.complex_terms
+        assert a.complex_terms == b.complex_terms
+        assert a != bp(2, 1, {(0, 0): QQ(1, 3), (2, 0): -7})
+
+    def test_table_holds_the_nonzero_coefficients(self):
+        p = bp(1, 1, {(0, 0): QQ(1, 3), (1, 1): G(QQ(-2, 7), 1)})
+        assert p.complex_terms == (((0, 1 / 3),), ((1, complex(-2 / 7, 1)),))
+
+
 class TestBinaryForm:
     def test_eval_examples(self):
         f = BinaryForm(2, [1, 0, 1])  # s^2 + t^2
