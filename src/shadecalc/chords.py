@@ -9,8 +9,11 @@ we want plus divisorial junk (the diagonal for same-component systems,
 deck-transform components for antipodally symmetric sphere curves).  The
 pipeline is:
 
-1. saturate: divide every minor by the gcd of all of them, repeatedly,
-   so positive-dimensional components drop out;
+1. saturate: divide the Plücker forms P_ab = x_a(z) y_b(w) - x_b(z) y_a(w)
+   by their gcd until it is constant, once per curve, component pair and
+   coordinate set (`secants`).  A center's collinearity minors are linear
+   combinations of the saturated forms, so no center runs a gcd, and a
+   factor that only the center brings stays and ends in GenericityError;
 2. eliminate: take two random small-integer combinations u, v of the
    saturated minors and compute the homogeneous resultants R_z (and R_w
    where the system has no usable symmetry);
@@ -24,7 +27,7 @@ pipeline is:
    (u, v) and accepted only when every saturated minor is at relative
    residual below ACCEPT_TOL (junk from V(u, v) fails by many orders of
    magnitude) and the polished point stayed near its root disks;
-5. count check: when saturation removed nothing beyond the expected
+5. count check: when saturation removed nothing beyond the z = w
    diagonal, the number of solutions must match the Bezout-style count
    supplied by the caller, else the configuration is declared
    non-generic.
@@ -43,8 +46,8 @@ from .errors import GenericityError
 from .poly import GZERO, BinaryForm, BivarPoly, bivar_divexact, bivar_gcd, bivar_resultant_w, gmul
 from .roots import UncertifiedRootsError, complex_roots
 
-__all__ = ["PairSolution", "SystemResult", "solve_minor_system", "canonical_unordered",
-           "collinearity_system", "coincidence_system"]
+__all__ = ["PairSolution", "SaturatedSystem", "SystemResult", "solve_minor_system",
+           "canonical_unordered", "collinearity_system", "coincidence_system", "secants"]
 
 ACCEPT_TOL = 1e-8
 FILTER_TOL = 1e-5  # candidate filter: |u|, |v| relative to their scale bounds
@@ -73,26 +76,31 @@ class PairSolution:
         return self.w.root
 
 
+@dataclass(frozen=True)
+class SaturatedSystem:
+    minors: tuple  # in input order; a zero minor stays in place
+    removed: tuple  # total bidegree removed by saturation
+    diagonal_only: bool  # saturation removed exactly the diagonal (or nothing)
+
+
 @dataclass
 class SystemResult:
     solutions: list
-    saturated_degree: tuple  # total bidegree removed by saturation
-    diagonal_only: bool  # saturation removed exactly the diagonal (or nothing)
     min_jac_margin: float
 
 
-def collinearity_system(center_coords, xforms, yforms):
+def collinearity_system(center_coords, plucker):
     """The four 3x3 minors of [c | x(z) | y(w)] as BivarPoly values,
     expanded along the center column:
-    det[c|x|y]_(a,b,d) = c_a P_bd - c_b P_ad + c_d P_ab with P the 2x2
-    minors of [x | y] (the coincidence system).
+    det[c|x|y]_(a,b,d) = c_a P_bd - c_b P_ad + c_d P_ab with P the six
+    Plücker forms of [x | y] over four coordinates (the coincidence
+    system).  Raw forms give the determinants themselves; saturated forms
+    give them divided by the forms' common factor.
 
-    center_coords: four exact scalars; xforms/yforms: four BinaryForms,
-    or five for sphere curves (x0 is dropped).
+    center_coords: four exact scalars.
     """
     c = center_coords
-    P = dict(zip(combinations(range(4), 2),
-                 coincidence_system(p3_forms(xforms), p3_forms(yforms))))
+    P = dict(zip(combinations(range(4), 2), plucker, strict=True))
     return [
         BivarPoly.combination([(c[a], P[b, d]), (-c[b], P[a, d]), (c[d], P[a, b])])
         for a, b, d in combinations(range(4), 3)
@@ -102,22 +110,11 @@ def collinearity_system(center_coords, xforms, yforms):
 def coincidence_system(xforms, yforms):
     """All 2x2 minors of [x(z) | y(w)]: vanish together iff the two image
     points coincide projectively."""
-    n = len(xforms)
-    if len(yforms) != n:
+    if len(yforms) != len(xforms):
         raise ValueError("coordinate counts differ")
-    minors = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            minors.append(
-                BivarPoly.from_form_product(xforms[a], yforms[b])
-                - BivarPoly.from_form_product(xforms[b], yforms[a])
-            )
-    return minors
-
-
-def _diagonal_poly():
-    """s v - t u, the z = w locus."""
-    return BivarPoly(1, 1, [[0, 1], [-1, 0]])
+    product = BivarPoly.from_form_product
+    return [product(xforms[a], yforms[b]) - product(xforms[b], yforms[a])
+            for a, b in combinations(range(len(xforms)), 2)]
 
 
 def _is_scalar_multiple(p: BivarPoly, q: BivarPoly) -> bool:
@@ -138,16 +135,16 @@ def _scale_bound(p: BivarPoly) -> float:
     return sum(abs(c) for row in p.complex_terms for _, c in row) or 1.0
 
 
-def _saturate_all(minors):
-    """Divide the common gcd out of all minors until it is constant.
-    Returns (saturated minors, removed bidegree, diagonal_only)."""
-    live = [m for m in minors if not m.is_zero()]
-    if not live:
-        raise GenericityError("all minors vanish identically (degenerate configuration)")
+def _saturate_all(minors) -> SaturatedSystem:
+    """Divide the common gcd out of all minors until it is constant."""
+    minors = list(minors)
     removed_m = removed_n = 0
     diagonal_only = True
-    diag = _diagonal_poly()
+    diag = BivarPoly(1, 1, [[0, 1], [-1, 0]])  # s v - t u, the z = w locus
     while True:
+        live = [m for m in minors if not m.is_zero()]
+        if not live:
+            raise GenericityError("all minors vanish identically (degenerate configuration)")
         g = live[0]
         for m in live[1:]:
             g = bivar_gcd(g, m)
@@ -159,8 +156,25 @@ def _saturate_all(minors):
             diagonal_only = False
         removed_m += g.m
         removed_n += g.n
-        live = [bivar_divexact(m, g) for m in live]
-    return live, (removed_m, removed_n), diagonal_only
+        minors = [bivar_divexact(m, g) for m in minors]
+    return SaturatedSystem(tuple(minors), (removed_m, removed_n), diagonal_only)
+
+
+def secants(curve, i, j, *, p3):
+    """The saturated Plücker forms of components i and j of the curve
+    (j = "conj": component i against its own conjugate), over all
+    coordinates or, with p3, over the P3 image coordinates.  Built once
+    per curve and shared by the smoothness check, the real-point search
+    and every projection center."""
+    comps = curve.components
+    key = (i, j, p3 and comps[i].nvars == 5)  # a P3 curve is its own image
+    if key not in curve._secants:
+        x = comps[i].coords
+        y = comps[i].conj_coords if j == "conj" else comps[j].coords
+        if p3:
+            x, y = p3_forms(x), p3_forms(y)
+        curve._secants[key] = _saturate_all(coincidence_system(x, y))
+    return curve._secants[key]
 
 
 def _binary_form_roots(form: BinaryForm, target_radius=ROOT_RADIUS):
@@ -289,14 +303,16 @@ def _random_combo(minors, rng):
 
 
 def solve_minor_system(
-    minors,
+    system: SaturatedSystem,
     seed=0,
     w_mode="solve",
     expected=None,
     target_radius=ROOT_RADIUS,
     context="",
 ):
-    """Certified solution pairs of a minor system.
+    """Certified solution pairs of a saturated minor system.  A common
+    factor left in the minors ends in GenericityError (one nonconstant
+    minor, resultants that vanish in every retry, or a zero margin).
 
     w_mode: "swap" reuses the z-roots for w (same-component systems,
     where the minors are antisymmetric), "conj" uses their conjugates
@@ -309,13 +325,13 @@ def solve_minor_system(
     when saturation removed nothing beyond the z = w diagonal.
     """
     rng = random.Random(seed ^ 0x5EED)
-    live, removed, diagonal_only = _saturate_all(minors)
+    live = [m for m in system.minors if not m.is_zero()]
+    if not live:
+        raise GenericityError(f"{context}: every minor vanishes identically (degenerate center)")
     nonconst = [m for m in live if m.m + m.n > 0]
     if not nonconst:
         # constants only: a nonzero constant forbids all solutions
-        if any(not m.is_zero() for m in live):
-            return SystemResult([], removed, diagonal_only, float("inf"))
-        raise GenericityError(f"{context}: saturated system vanished entirely")
+        return SystemResult([], float("inf"))
     if len(nonconst) == 1:
         raise GenericityError(f"{context}: solution set is positive-dimensional")
 
@@ -347,13 +363,8 @@ def solve_minor_system(
             if conj is not None:
                 for s in sols:
                     s.conjugate = conj[s.zi] == s.wi
-            result = SystemResult(
-                sols,
-                removed,
-                diagonal_only,
-                min((s.jac_margin for s in sols), default=float("inf")),
-            )
-            if expected is not None and diagonal_only and len(sols) != expected:
+            result = SystemResult(sols, min((s.jac_margin for s in sols), default=float("inf")))
+            if expected is not None and system.diagonal_only and len(sols) != expected:
                 raise GenericityError(
                     f"{context}: found {len(sols)} solutions, expected {expected} "
                     f"(non-generic configuration or uncertified pairing)"

@@ -155,6 +155,7 @@ class CurveModel:
                     f"component {c.label or '?'} has {c.nvars} coordinates, ambient wants {nv}"
                 )
         self._sdp_cache = None
+        self._secants = {}  # chords.secants records
 
     def is_real(self):
         return all(c.is_real() for c in self.components)

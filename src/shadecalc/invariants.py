@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chords import canonical_unordered, coincidence_system, solve_minor_system
+from .chords import canonical_unordered, secants, solve_minor_system
 from .curves import CurveModel, SelfIntersection, describe_ambient
 from .diagram import ProjectionData, branch_frame_sign, select_center
 from .errors import GenericityError, InstabilityError, PreconditionError
@@ -130,10 +130,10 @@ def self_double_points(curve: CurveModel, seed=0):
     comps = curve.components
     for i in range(len(comps)):
         for j in range(i, len(comps)):
-            minors = coincidence_system(comps[i].coords, comps[j].coords)
             mode = "swap" if i == j else "solve"
             res = solve_minor_system(
-                minors, seed=seed + 7 * i + j, w_mode=mode, context=f"selfint[{i},{j}]"
+                secants(curve, i, j, p3=False), seed=seed + 7 * i + j, w_mode=mode,
+                context=f"selfint[{i},{j}]",
             )
             sols = canonical_unordered(res.solutions) if i == j else res.solutions
             for s in sols:
@@ -158,9 +158,9 @@ def find_real_points(curve: CurveModel, component: int, seed=0):
             f"component {comp.label or component} has real coefficients; "
             "use the real locus instead"
         )
-    minors = coincidence_system(comp.coords, comp.conj_coords)
     res = solve_minor_system(
-        minors, seed=seed, w_mode="conj", context=f"realpts[{component}]"
+        secants(curve, component, "conj", p3=False), seed=seed, w_mode="conj",
+        context=f"realpts[{component}]",
     )
     return [s.z for s in res.solutions if s.conjugate]
 

@@ -4,6 +4,8 @@ structure, conjugation closure, and the golden trefoil layout."""
 import itertools
 import math
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,19 +16,30 @@ from shadecalc.chords import (
     canonical_unordered,
     coincidence_system,
     collinearity_system,
+    secants,
     solve_minor_system,
 )
-from shadecalc.curves import kae_curve, lp_line_curve, trefoil_curve, unknot_curve
+from shadecalc.curves import kae_curve, lp_line_curve, p3_forms, trefoil_curve, unknot_curve
+from shadecalc.diagram import _chord_systems
 from shadecalc.errors import GenericityError
+from shadecalc.invariants import encomplexed_writhe
 from shadecalc.poly import BinaryForm
+from shadecalc.reportio import parse_curve_file
 from shadecalc.scalars import GaussianRational as G, QQ
 
 from helpers import conjugate_params, same_param
 
 
+def center_system(curve, center, j=0):
+    """The saturated chord system of component 0 against component j (or,
+    for j = "conj", its conjugate) through the center, as a projection
+    builds it."""
+    sec = secants(curve, 0, j, p3=True)
+    return replace(sec, minors=collinearity_system(center, sec.minors))
+
+
 def lp_minors(center):
-    comp = lp_line_curve().components[0]
-    return collinearity_system(center, comp.coords, comp.conj_coords)
+    return center_system(lp_line_curve(), center, "conj")
 
 
 class TestMinorSystems:
@@ -38,7 +51,7 @@ class TestMinorSystems:
         for comp, conj in ((kae_curve(QQ(1, 2), -1).components[0], False),
                            (lp_line_curve().components[0], True)):
             yforms = comp.conj_coords if conj else comp.coords
-            minors = collinearity_system(c, comp.coords, yforms)
+            minors = collinearity_system(c, coincidence_system(comp.coords, yforms))
             for _ in range(5):
                 z = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), 1 + 0j)
                 w = (1 + 0j, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
@@ -74,30 +87,29 @@ class TestShadeSystems:
 
 class TestSameComponentSystems:
     def test_unknot_no_chords_after_saturation(self):
-        comp = unknot_curve().components[0]
-        minors = collinearity_system([G(0), G(0), G(0), G(1)], comp.coords, comp.coords)
-        res = solve_minor_system(minors, seed=3, w_mode="swap", expected=0, context="unknot")
+        curve = unknot_curve()
+        system = center_system(curve, [G(0), G(0), G(0), G(1)])
+        res = solve_minor_system(system, seed=3, w_mode="swap", expected=0, context="unknot")
         assert res.solutions == []
-        assert not res.diagonal_only  # the deck transform came out too
-        assert res.saturated_degree == (2, 2)
+        sec = secants(curve, 0, 0, p3=True)
+        assert not sec.diagonal_only  # the deck transform came out too
+        assert sec.removed == (2, 2)
 
     def test_kae_node_count_genus_formula(self):
         # degree 3: (d-1)(d-2) = 2 ordered chord solutions through a
         # generic center; degree 2: none
-        comp = kae_curve(QQ(1, 2), -1).components[0]
+        curve = kae_curve(QQ(1, 2), -1)
         c = [G(1), G(QQ(2, 7)), G(QQ(-3, 5)), G(QQ(1, 2))]
         res = solve_minor_system(
-            collinearity_system(c, comp.coords, comp.coords),
-            seed=6, w_mode="swap", expected=2, context="kae",
+            center_system(curve, c), seed=6, w_mode="swap", expected=2, context="kae",
         )
         assert len(res.solutions) == 2
-        assert res.diagonal_only
+        assert secants(curve, 0, 0, p3=True).diagonal_only
 
     def test_conjugation_closure(self):
-        comp = kae_curve(QQ(1, 2), 1).components[0]
         c = [G(1), G(QQ(2, 7)), G(QQ(-3, 5)), G(QQ(1, 2))]
         res = solve_minor_system(
-            collinearity_system(c, comp.coords, comp.coords),
+            center_system(kae_curve(QQ(1, 2), 1), c),
             seed=6, w_mode="swap", expected=2, context="kae",
         )
         sols = res.solutions
@@ -138,10 +150,9 @@ class TestRootIdentity:
             return out
 
         monkeypatch.setattr(chords, "_pair_and_polish", spy)
-        comp = kae_curve(QQ(1, 2), eps).components[0]
         c = [G(1), G(QQ(2, 7)), G(QQ(-3, 5)), G(QQ(1, 2))]
         res = solve_minor_system(
-            collinearity_system(c, comp.coords, comp.coords),
+            center_system(kae_curve(QQ(1, 2), eps), c),
             seed=6, w_mode="swap", expected=2, context="kae",
         )
         zroots, sols = calls[-1]
@@ -189,12 +200,11 @@ class TestCandidateFilter:
             return pair_and_polish(*args)
 
         monkeypatch.setattr(chords, "_pair_and_polish", spy)
-        comp = trefoil_curve().components[0]
+        curve = trefoil_curve()
         if system == "smoothness":
-            minors = coincidence_system(comp.coords, comp.coords)
+            minors = secants(curve, 0, 0, p3=False)
         else:
-            c = [G(1), G(QQ(2, 7)), G(QQ(-3, 5)), G(QQ(1, 2))]
-            minors = collinearity_system(c, comp.coords, comp.coords)
+            minors = center_system(curve, [G(1), G(QQ(2, 7)), G(QQ(-3, 5)), G(QQ(1, 2))])
         solve_minor_system(minors, seed=seed, w_mode="swap", context=system)
         assert calls
         for _, u, v, zroots, wroots, _ in calls:
@@ -205,8 +215,7 @@ class TestCandidateFilter:
 
 @pytest.fixture(scope="module")
 def solutions():
-    comp = trefoil_curve().components[0]
-    minors = collinearity_system([G(0), G(1), G(0), G(0)], comp.coords, comp.coords)
+    minors = center_system(trefoil_curve(), [G(0), G(1), G(0), G(0)])
     res = solve_minor_system(minors, seed=7, w_mode="swap", expected=20, context="trefoil")
     return res.solutions
 
@@ -268,11 +277,84 @@ def _angle(p):
 class TestSelfIntersectionSystems:
     def test_k0_nodes(self):
         for eps, want_real in ((-1, True), (1, False)):
-            comp = kae_curve(0, eps).components[0]
             res = solve_minor_system(
-                coincidence_system(comp.coords, comp.coords),
+                secants(kae_curve(0, eps), 0, 0, p3=False),
                 seed=4, w_mode="swap", context="k0",
             )
             assert len(res.solutions) == 2  # ordered
             for s in res.solutions:
                 assert (s.z.real and s.w.real) == want_real
+
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "shadecalc" / "data"
+FIXTURES = sorted(DATA.glob("*.json"))
+
+
+def _same_system(a, b):
+    """Minor by minor: both zero or one a nonzero multiple of the other."""
+    return len(a) == len(b) and all(
+        p.is_zero() and q.is_zero() or chords._is_scalar_multiple(p, q) for p, q in zip(a, b)
+    )
+
+
+class TestSecants:
+    """One saturation per curve, component pair and coordinate set."""
+
+    @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+    def test_per_center_saturation_agrees(self, path):
+        # the route it replaced: saturate the raw collinearity minors of
+        # every center; it must remove the same factor as saturating the
+        # Plücker forms once and leave the same minors up to a scalar
+        curve, _ = parse_curve_file(path.read_bytes())
+        comps = curve.components
+        mode = "diagram" if curve.is_real() else "shade"
+        rng = random.Random(path.stem)
+        for _ in range(3):
+            # no zero coordinate: x3 = 0 on the k0 cubics, and a center in
+            # their plane is the degenerate case the routes must not share
+            # (TestSelectCenter in test_diagram.py)
+            c = [G(QQ(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)))
+                 for _ in range(4)]
+            for i, j, w_mode, *_ in _chord_systems(comps, mode):
+                y = comps[i].conj_coords if w_mode == "conj" else comps[j].coords
+                raw = coincidence_system(p3_forms(comps[i].coords), p3_forms(y))
+                old = chords._saturate_all(collinearity_system(c, raw))
+                sec = secants(curve, i, "conj" if w_mode == "conj" else j, p3=True)
+                assert _same_system(old.minors, collinearity_system(c, sec.minors))
+                assert (old.removed, old.diagonal_only) == (sec.removed, sec.diagonal_only)
+
+    @pytest.fixture
+    def saturations(self, monkeypatch):
+        """Runs encomplexed_writhe and returns the size of every system
+        _saturate_all saw."""
+        saturate_all = chords._saturate_all
+        calls = []
+
+        def spy(minors):
+            calls.append(len(minors))
+            return saturate_all(minors)
+
+        def run(curve, centers):
+            calls.clear()
+            encomplexed_writhe(curve, seed=1, centers=centers)
+            return list(calls)
+
+        monkeypatch.setattr(chords, "_saturate_all", spy)
+        return run
+
+    def test_centers_share_the_saturation(self, saturations):
+        # the trefoil's smoothness check saturates its ten forms, every
+        # center shares the saturation of the six x1..x4 forms
+        one = saturations(trefoil_curve(), 1)
+        four = saturations(trefoil_curve(), 4)
+        assert one == four == [10, 6]
+
+    def test_p3_smoothness_and_projection_share_one(self, saturations):
+        assert saturations(kae_curve(QQ(1, 2), -1), 2) == [6]
+
+    def test_cached_on_the_model(self):
+        curve = kae_curve(QQ(1, 2), -1)
+        assert secants(curve, 0, 0, p3=True) is secants(curve, 0, 0, p3=False)
+        tr = trefoil_curve()
+        assert secants(tr, 0, 0, p3=True) is not secants(tr, 0, 0, p3=False)
+        assert len(secants(tr, 0, 0, p3=False).minors) == 10

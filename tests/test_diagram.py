@@ -13,6 +13,7 @@ from shadecalc.curves import (
     unknot_curve,
 )
 from shadecalc.diagram import (
+    ProjectionCenter,
     branch_frame_sign,
     center_from_lift,
     project_curve,
@@ -53,12 +54,23 @@ class TestSelectCenter:
         u = unknot_curve()
         comp = u.components[0]
         from shadecalc.curves import p3_forms
-        from shadecalc.diagram import ProjectionCenter
 
         pt = ProjPoint([f.eval(G(1), G(2)) for f in p3_forms(comp.coords)])
         bad = ProjectionCenter(pt, hyperplane=0)
         with pytest.raises(GenericityError):
             project_curve(u, bad, seed=1)
+
+    def test_center_in_the_plane_of_a_plane_curve_rejected(self):
+        # every chord of a plane cubic meets a center in its plane: the
+        # one nonzero collinearity minor is a common factor that only this
+        # center brings, and it must end in GenericityError, not in a
+        # projection without crossings
+        coords = [BinaryForm(3, [1, 0, -1, 0]), BinaryForm(3, [0, 1, 1, -1]),
+                  BinaryForm(3, [1, 0, 0, 1]), BinaryForm(3, [0, 0, 0, 0])]
+        curve = CurveModel("P3", [CurveComponent(coords)])
+        pt = ProjPoint([G(1), G(QQ(2, 7)), G(QQ(-3, 5)), G(0)])
+        with pytest.raises(GenericityError, match="positive-dimensional"):
+            project_curve(curve, ProjectionCenter(pt, hyperplane=0), seed=0)
 
     def test_certificate_flags_all_true(self):
         d = select_center(trefoil_curve(), seed=1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shadecalc.curves import kae_curve
-from shadecalc.chords import collinearity_system
+from shadecalc.chords import coincidence_system, collinearity_system, secants
 from shadecalc.poly import (
     BinaryForm,
     BivarPoly,
@@ -110,19 +110,24 @@ class TestSaturate:
     def test_kae_chord_minors_share_one_diagonal(self):
         # the degree-3 knot at a = 1/2: each chord minor is divisible by
         # the diagonal exactly once, and the quotient survives at a
-        # probe point off the diagonal
-        comp = kae_curve(QQ(1, 2), -1).components[0]
+        # probe point off the diagonal; the minors over the saturated
+        # Plücker forms are those quotients up to one scalar
+        curve = kae_curve(QQ(1, 2), -1)
+        comp = curve.components[0]
         center = [G(1), G(QQ(1, 3)), G(QQ(-2, 5)), G(2)]
-        minors = collinearity_system(center, comp.coords, comp.coords)
+        minors = collinearity_system(center, coincidence_system(comp.coords, comp.coords))
+        saturated = collinearity_system(center, secants(curve, 0, 0, p3=True).minors)
         diag = bp(1, 1, {(0, 1): 1, (1, 0): -1})
-        for mnr in minors:
+        for mnr, sat in zip(minors, saturated):
             if mnr.is_zero():
+                assert sat.is_zero()
                 continue
             q = bivar_divexact(mnr, diag)
             assert _mul(q, diag).rows == mnr.rows
             with pytest.raises(ArithmeticError):
                 bivar_divexact(q, diag)
             assert not q.is_zero()
+            assert _same_up_to_scalar(q, sat)
 
 
 def _mul(a, b):
