@@ -1,5 +1,5 @@
-"""Rational curve models: validation, evaluation, tangents, conjugate
-parameterizations, self-intersection detection and real-locus sampling.
+"""Rational curve models: validation, exact and float evaluation,
+conjugate parameterizations and the built-in families.
 
 A curve component is a tuple of 4 or 5 binary forms of one degree; the
 model also records its ambient space (P3, or a quadric for sphere
@@ -10,12 +10,11 @@ real-point-free line, and a couple of linking fixtures.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .poly import BinaryForm, form_gcd
-from .projective import ProjPoint, QuadricSpec
+from .projective import QuadricSpec
 from .scalars import GaussianRational, QQ
 
 __all__ = [
@@ -23,7 +22,7 @@ __all__ = [
     "CurveModel",
     "SelfIntersection",
     "ParamPoint",
-    "real_locus_sample",
+    "eval_forms",
     "kae_curve",
     "unknot_curve",
     "trefoil_curve",
@@ -80,9 +79,9 @@ class ParamPoint:
 
 @dataclass(frozen=True)
 class SelfIntersection:
-    kind: str  # "real-real" | "complex-conjugate"
+    kind: str  # "real-real" | "complex-conjugate" | "complex"
     params: tuple  # (ParamPoint, ParamPoint)
-    image: ProjPoint
+    image: list  # complex vector of the image point
     components: tuple  # (i, j)
 
 
@@ -118,23 +117,11 @@ class CurveComponent:
     def base_point_free(self) -> bool:
         return form_gcd(list(self.coords)).degree == 0
 
-    def eval_point(self, param, conj=False) -> ProjPoint:
-        """Image point at a parameter: a ParamPoint, an (s, t) pair, a
-        chart value t (s = 1), or the string "inf" for (0, 1)."""
-        s, t = _param_pair(param)
-        forms = self.conj_coords if conj else self.coords
-        vals = [f.eval(s, t) for f in forms]
-        return ProjPoint(vals, "P3" if self.nvars == 4 else "P4")
 
-
-def _param_pair(param):
-    if isinstance(param, ParamPoint):
-        return param.s, param.t
-    if param == "inf":
-        return GaussianRational(0), GaussianRational(1)
-    if isinstance(param, tuple):
-        return param
-    return GaussianRational(1) if not isinstance(param, complex) else 1.0 + 0j, param
+def eval_forms(forms, s, t):
+    """Values of the forms at a float parameter (s, t), as a complex
+    vector."""
+    return [complex(f.eval(s, t)) for f in forms]
 
 
 class CurveModel:
@@ -219,21 +206,6 @@ def quadric_identity_residual(comp: CurveComponent, q: QuadricSpec) -> BinaryFor
     for f in comp.coords[1:]:
         acc = acc + f * f
     return acc
-
-
-def real_locus_sample(curve: CurveModel, n: int, component=0):
-    """n points at equally spaced angles on the real parameter circle of a
-    real-coefficient component ((s, t) = (cos a, sin a), a in [0, pi))."""
-    comp = curve.components[component]
-    if not comp.is_real():
-        raise PreconditionError(
-            f"component {comp.label or component} has no real locus (non-real coefficients)"
-        )
-    pts = []
-    for k in range(n):
-        a = math.pi * k / n
-        pts.append(comp.eval_point((complex(math.cos(a)), complex(math.sin(a)))))
-    return pts
 
 
 # ---------------------------------------------------------------------------

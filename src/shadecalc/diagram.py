@@ -31,22 +31,25 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import combinations
 
 from .chords import canonical_unordered, collinearity_system, secants, solve_minor_system
-from .curves import CurveComponent, CurveModel, ParamPoint, p3_forms
+from .curves import CurveComponent, CurveModel, ParamPoint, eval_forms, p3_forms
 from .errors import GenericityError, PreconditionError
 from .poly import form_gcd
 from .projective import (
-    REALNESS_TOL,
     DegenerateFrameError,
-    LineParam,
     ProjPoint,
     QuadricSpec,
     chart_parity,
     complex_frame_sign,
+    is_real_vector,
+    line_tau,
+    normalize,
     orientation_sign,
     pi_project,
+    pole_frame,
     quadric_residual,
     stereographic,
 )
@@ -85,6 +88,16 @@ class ProjectionCenter:
     lift1: ProjPoint | None = None
     seed: int = 0
     attempt: int = 0
+
+    @cached_property
+    def cvec(self):
+        """The center as a normalized complex vector, for the float recipes."""
+        return self.point.normalized().as_complex()
+
+    @cached_property
+    def pole(self):
+        """Stereographic frame of lift0 (Q3 centers)."""
+        return pole_frame(self.lift0)
 
     def describe(self):
         d = {
@@ -136,7 +149,7 @@ class Crossing:
     comp_j: int
     z: ParamPoint
     w: ParamPoint
-    image: ProjPoint  # diagram point in H
+    image: list  # diagram point in H, a normalized complex vector
     writhe: int = 0
     same_component: bool = True
     radius: float = 0.0
@@ -148,7 +161,7 @@ class Crossing:
             "same_component": self.same_component,
             "z": _fmt_param(self.z),
             "w": _fmt_param(self.w),
-            "image": [_fmt_c(c) for c in self.image.normalized().as_complex()],
+            "image": [_fmt_c(c) for c in normalize(self.image)],
             "writhe": self.writhe,
         }
 
@@ -241,9 +254,7 @@ def draw_center(curve: CurveModel, rng) -> ProjectionCenter:
 def center_from_lift(lift: ProjPoint, q: QuadricSpec) -> ProjectionCenter:
     """Projection data from an explicit quadric lift (exact rational or
     quadratic-surd coordinates, e.g. the trefoil's sqrt(2) center)."""
-    res = quadric_residual(lift, q)
-    off = abs(res) > 1e-9 if isinstance(res, complex) else bool(res)
-    if off:
+    if quadric_residual(lift, q):
         raise PreconditionError("explicit center lift is not on the quadric")
     center = pi_project(lift)
     if not center.is_exact():
@@ -289,7 +300,7 @@ def oriented_real_tangent(comp: CurveComponent, param: ParamPoint, chart: int, f
     if forms is None:
         forms = comp.coords
     s, t = param.s.real, param.t.real
-    vals = [complex(f.eval(complex(s), complex(t))) for f in forms]
+    vals = eval_forms(forms, complex(s), complex(t))
     vel = [
         complex((f.d_dt().eval(complex(s), complex(t)) * s - f.d_ds().eval(complex(s), complex(t)) * t))
         for f in forms
@@ -319,10 +330,8 @@ def real_crossing_writhe(comp_i, comp_j, zp, wp, center: ProjPoint, forms_i=None
     the chord direction from the evaluation endpoint to the other one."""
     forms_i = forms_i or p3_forms(comp_i.coords)
     forms_j = forms_j or p3_forms(comp_j.coords)
-    a_pt = ProjPoint([f.eval(zp.s, zp.t) for f in forms_i])
-    b_pt = ProjPoint([f.eval(wp.s, wp.t) for f in forms_j])
-    av = a_pt.normalized().as_complex()
-    bv = b_pt.normalized().as_complex()
+    av = normalize(eval_forms(forms_i, zp.s, zp.t))
+    bv = normalize(eval_forms(forms_j, wp.s, wp.t))
     best_k, best = None, -1.0
     for k in range(4):
         val = min(abs(av[k]), abs(bv[k]))
@@ -336,15 +345,13 @@ def real_crossing_writhe(comp_i, comp_j, zp, wp, center: ProjPoint, forms_i=None
     return P3_REAL_SIGN * sign
 
 
-def sphere_real_pair_sign(comp_i, comp_j, zp, wp, center: ProjectionCenter, q: QuadricSpec):
+def sphere_real_pair_sign(comp_i, comp_j, zp, wp, center: ProjectionCenter):
     """Q3 recipe via stereographic projection from lift0 with the antipode
     lift1 at the origin; evaluated at both endpoints, which must agree."""
     x_aff, X = oriented_real_tangent(comp_i, zp, 0)
     y_aff, Y = oriented_real_tangent(comp_j, wp, 0)
-    pv = [float(c) for c in center.lift0.normalized().real_vector()]
-    pv = [pv[i] / pv[0] for i in range(1, 5)]
-    r = math.sqrt(sum(c * c for c in pv))
-    ph = [c / r for c in pv]
+    frame = center.pole
+    r, ph = frame.r, frame.ph
     # plane of the great circle through the lifts and x
     xdot = sum(x_aff[i] * ph[i] for i in range(4))
     e2 = [x_aff[i] - xdot * ph[i] for i in range(4)]
@@ -381,8 +388,8 @@ def sphere_real_pair_sign(comp_i, comp_j, zp, wp, center: ProjectionCenter, q: Q
     u_y = circle_dir(alpha_y)
     if alpha_x < alpha_y:
         u_y = [-c for c in u_y]
-    _, dst_x = stereographic(_aff_point(x_aff), center.lift0, q)
-    _, dst_y = stereographic(_aff_point(y_aff), center.lift0, q)
+    _, dst_x = stereographic(x_aff, frame)
+    _, dst_y = stereographic(y_aff, frame)
     sX, sY = dst_x(X), dst_y(Y)
     s_at_x = orientation_sign([dst_x(u_x), [eps * c for c in sY], sX])
     s_at_y = orientation_sign([dst_y(u_y), [eps * c for c in sX], sY])
@@ -391,20 +398,13 @@ def sphere_real_pair_sign(comp_i, comp_j, zp, wp, center: ProjectionCenter, q: Q
     return SPHERE_PAIR_SIGN * s_at_x
 
 
-def _aff_point(vec4):
-    return ProjPoint([1.0 + 0j] + [complex(v) for v in vec4], "P4")
-
-
-def solitary_writhe(comp, zp: ParamPoint, center: ProjectionCenter, forms=None):
+def solitary_writhe(comp, zp: ParamPoint, center: ProjectionCenter, x):
     """Solitary recipe at the real image point s of the conjugate branch
     pair: sign of (u, w, f, i f) against the complex orientation of CH,
     with (u, w, v) a positive RP3 frame and v induced by the half plane
-    holding the branch point."""
-    forms = forms or p3_forms(comp.coords)
-    x = [complex(f.eval(zp.s, zp.t)) for f in forms]
-    dx = _param_derivative(forms, zp)
-    cvec = center.point.normalized().as_complex()
-    return branch_frame_sign(x, dx, cvec, center.hyperplane)
+    holding the branch point.  x is the branch point's value."""
+    dx = _param_derivative(p3_forms(comp.coords), zp)
+    return branch_frame_sign(x, dx, center.cvec, center.hyperplane)
 
 
 def branch_frame_sign(x, dx, cvec, m):
@@ -417,10 +417,10 @@ def branch_frame_sign(x, dx, cvec, m):
     # projection to H along the center: N = x - (x_m / c_m) c
     N = _project_to_h(x, cvec, m)
     dN = _project_to_h(dx, cvec, m)
-    s_pt = ProjPoint(N)
-    if not s_pt.is_real(REALNESS_TOL):
+    nN = normalize(N)
+    if not is_real_vector(nN):
         raise GenericityError("solitary image point failed the realness test")
-    sv = s_pt.real_vector()
+    sv = [c.real for c in nN]
     # chart for the sign evaluation: s must be visible (the center may sit
     # at the chart's infinity; the line keeps a well-defined direction)
     k, margin = None, -1.0
@@ -432,12 +432,13 @@ def branch_frame_sign(x, dx, cvec, m):
             margin, k = sn[j], j
     if margin < 1e-9:
         raise GenericityError("no usable affine chart for the solitary sign")
-    line = LineParam(ProjPoint(cvec), ProjPoint(sv), chart=k)
-    tau = line.tau_of(ProjPoint(x))
+    tau = line_tau(cvec, sv, x)
     if abs(tau.imag) < 1e-9 * (1 + abs(tau)):
         raise GenericityError("solitary branch parameter is real (tangency)")
-    v = line.real_direction()
-    v = [c.real for c in v]
+    # tangent of the real line at s in the chart, in the direction of
+    # increasing tau: d/dtau (s_j + tau c_j) / (s_k + tau c_k) at tau = 0
+    v = [((cvec[j] * sv[k] - sv[j] * cvec[k]) / (sv[k] * sv[k])).real
+         for j in range(4) if j != k]
     if tau.imag < 0:
         v = [-c for c in v]
     # chart coordinate slots (chart coords = indices != k in order)
@@ -489,26 +490,6 @@ def _chord_systems(comps, mode):
                     f"chords[{i},{j}]") for i, j in combinations(range(len(comps)), 2)]
 
 
-def _classify_pairs(solutions, same_component):
-    """(real pairs, solitary pairs, complex pair count); raises on
-    ambiguous mixed classifications."""
-    real_pairs, solitary, complex_count = [], [], 0
-    for s in solutions:
-        zr, wr = s.z.real, s.w.real
-        if zr and wr:
-            real_pairs.append(s)
-        elif not zr and not wr and s.conjugate:
-            solitary.append(s)
-        elif not zr and not wr:
-            complex_count += 1
-        else:
-            raise GenericityError(
-                "chord solution mixes a real and a non-real preimage "
-                "(triple point or uncertified classification)"
-            )
-    return real_pairs, solitary, complex_count
-
-
 def _project_to_h(xvec, cvec, m):
     lam = xvec[m] / cvec[m]
     return [xvec[j] - lam * cvec[j] for j in range(4)]
@@ -525,7 +506,7 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
         mode = "diagram" if curve.is_real() else "shade"
     cert = GenericityCertificate()
     margins = cert.margins
-    cvec = center.point.normalized().as_complex()
+    cvec = center.cvec
 
     for i, comp in enumerate(comps):
         if not _center_off_component(center.point, p3_forms(comp.coords)):
@@ -549,33 +530,29 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
     margins["chord_jacobian"] = min_jac if min_jac < float("inf") else 1.0
     cert.all_chords_simple = True
 
-    # classify
+    # classify: real-real (diagram mode only), solitary (conjugate
+    # preimages) or a non-contributing complex pair
     entries = []  # (kind, i, j, z, w, same)
     tangent_margin = float("inf")
     for i, j, sols, same in raw:
-        if mode == "shade":
-            for s in sols:
-                if s.conjugate:
-                    entries.append(("solitary", i, j, s.z, s.w, True))
-                else:
-                    complex_pairs += 1
-            continue
-        if same:
-            real_pairs, solitary, cc = _classify_pairs(sols, True)
-            complex_pairs += cc // 2
-            for s in sols:
+        n_complex = 0
+        for s in sols:
+            if mode == "shade" or not (s.z.real or s.w.real):
+                kind = "solitary" if s.conjugate else None
+            elif s.z.real and s.w.real:
+                kind = "real-real"
+            else:
+                raise GenericityError(
+                    "chord solution mixes a real and a non-real preimage "
+                    "(triple point or uncertified classification)"
+                )
+            if kind is None:
+                n_complex += 1
+            else:
+                entries.append((kind, i, j, s.z, s.w, same))
+            if same and mode == "diagram":
                 tangent_margin = min(tangent_margin, s.z.dist(s.w))
-            for s in real_pairs:
-                entries.append(("real-real", i, j, s.z, s.w, True))
-            for s in solitary:
-                entries.append(("solitary", i, j, s.z, s.w, True))
-        else:
-            real_pairs, solitary, cc = _classify_pairs(sols, False)
-            complex_pairs += cc
-            for s in real_pairs:
-                entries.append(("real-real", i, j, s.z, s.w, False))
-            for s in solitary:
-                entries.append(("solitary", i, j, s.z, s.w, False))
+        complex_pairs += n_complex // 2 if same and mode == "diagram" else n_complex
     margins["tangent_chord"] = tangent_margin if tangent_margin < float("inf") else 1.0
     cert.no_tangent_chords = margins["tangent_chord"] >= 1e-6
     if not cert.no_tangent_chords:
@@ -586,20 +563,11 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
         [m for m in range(4) if abs(cvec[m]) > 1e-9],
         key=lambda m: -abs(cvec[m]),
     )
+    xs = [eval_forms(p3_forms(comps[i].coords), zp.s, zp.t) for _, i, _, zp, _, _ in entries]
     chosen = None
     for m in hyperplane_order:
-        images = []
-        ok = True
-        for kind, i, j, zp, wp, same in entries:
-            forms = p3_forms(comps[i].coords)
-            x = [complex(f.eval(zp.s, zp.t)) for f in forms]
-            svec = _project_to_h(x, cvec, m)
-            spt = ProjPoint(svec)
-            if kind == "solitary" and not spt.is_real(REALNESS_TOL):
-                ok = False
-                break
-            images.append(spt.normalized().as_complex())
-        if not ok:
+        images = [normalize(_project_to_h(x, cvec, m)) for x in xs]
+        if any(e[0] == "solitary" and not is_real_vector(v) for e, v in zip(entries, images)):
             continue
         if images:
             seam = min(
@@ -639,18 +607,17 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
 
     # writhes
     crossings = []
-    for (kind, i, j, zp, wp, same), img in zip(entries, images):
-        image_pt = ProjPoint(img)
+    for (kind, i, j, zp, wp, same), x, img in zip(entries, xs, images):
         if kind == "real-real":
             if q is not None:
-                wr = sphere_real_pair_sign(comps[i], comps[j], zp, wp, center, q)
+                wr = sphere_real_pair_sign(comps[i], comps[j], zp, wp, center)
             else:
                 wr = real_crossing_writhe(comps[i], comps[j], zp, wp, center.point)
         else:
-            wr = solitary_writhe(comps[i], zp, center)
+            wr = solitary_writhe(comps[i], zp, center, x)
         crossings.append(
             Crossing(
-                kind, i, j, zp, wp, image_pt, wr, same,
+                kind, i, j, zp, wp, img, wr, same,
                 radius=max(zp.radius, wp.radius),
             )
         )
@@ -711,7 +678,7 @@ def render_diagram_svg(curve: CurveModel, data: ProjectionData, samples=720) -> 
     """Projected real locus as polylines in the H chart, real crossings
     marked with their signs, solitary points as dots; deterministic."""
     m = data.center.hyperplane
-    cvec = data.center.point.normalized().as_complex()
+    cvec = data.center.cvec
     idx = [j for j in range(4) if j != m]
 
     # fixed generic rotations of the H coordinates: one affine chart must
@@ -724,8 +691,7 @@ def render_diagram_svg(curve: CurveModel, data: ProjectionData, samples=720) -> 
         v = [h[j].real for j in idx]
         return [sum(rot[r][o] * v[o] for o in range(3)) for r in range(3)]
 
-    probe_pts = [[complex(c) for c in cr.image.normalized().as_complex()]
-                 for cr in data.crossings]
+    probe_pts = [normalize(cr.image) for cr in data.crossings]
     rot = rotations[0]
     for cand in rotations:
         vis = [h_coords(p, cand) for p in probe_pts]
@@ -746,8 +712,7 @@ def render_diagram_svg(curve: CurveModel, data: ProjectionData, samples=720) -> 
         for kk in range(samples + 1):
             a = math.pi * kk / samples
             s, t = math.cos(a), math.sin(a)
-            x = [complex(f.eval(complex(s), complex(t))) for f in forms]
-            vals = h_coords(x, rot)
+            vals = h_coords(eval_forms(forms, complex(s), complex(t)), rot)
             scale = max(map(abs, vals)) or 1.0
             den = vals[kh]
             if abs(den) < 1e-7 * scale:

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chords import canonical_unordered, secants, solve_minor_system
-from .curves import CurveModel, SelfIntersection, describe_ambient
+from .curves import CurveModel, SelfIntersection, describe_ambient, eval_forms
 from .diagram import ProjectionData, branch_frame_sign, select_center
 from .errors import GenericityError, InstabilityError, PreconditionError
 from .poly import UPoly, real_roots_sturm
@@ -143,7 +143,7 @@ def self_double_points(curve: CurveModel, seed=0):
                     kind = "complex-conjugate"
                 else:
                     kind = "complex"
-                img = comps[i].eval_point(s.z)
+                img = eval_forms(comps[i].coords, s.z.s, s.z.t)
                 out.append(SelfIntersection(kind, (s.z, s.w), img, (i, j)))
     curve._sdp_cache = out
     return out

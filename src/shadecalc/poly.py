@@ -38,7 +38,6 @@ __all__ = [
     "UPoly",
     "BinaryForm",
     "BivarPoly",
-    "resultant",
     "real_roots_sturm",
 ]
 
@@ -1100,21 +1099,3 @@ def bivar_resultant_w(p: BivarPoly, q: BivarPoly, strip_content=False) -> Binary
         return BinaryForm._from_ints(D, 1, _strip_int_content(coeffs))
     # the determinants are of the inputs scaled by den, one row each
     return BinaryForm._from_ints(D, den ** (na + nb), coeffs)
-
-
-def resultant(f: BivarPoly, g: BivarPoly, eliminate: str = "w") -> UPoly:
-    """Sylvester resultant of bivariate polynomials, eliminating the named
-    variable ("w" = second pair, "z" = first); univariate in the survivor.
-
-    Vanishes at z0 iff f(z0, .), g(z0, .) share a root or both leading
-    coefficients vanish at z0.
-    """
-    if f.is_zero() or g.is_zero():
-        raise PolynomialError("resultant of the zero polynomial")
-    if eliminate == "z":
-        f, g = f.swap_vars(), g.swap_vars()
-    elif eliminate != "w":
-        raise PolynomialError(f"unknown variable tag {eliminate!r}")
-    if f.n == 0 or g.n == 0:
-        raise PolynomialError("positive degree in the eliminated variable required")
-    return bivar_resultant_w(f, g).chart_t()

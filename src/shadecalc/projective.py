@@ -1,5 +1,12 @@
-"""Projective points, collinearity minors, orientation signs, the quadric
-double cover and stereographic projection.
+"""Exact projective points, float point vectors, orientation signs, the
+quadric double cover and stereographic projection.
+
+`ProjPoint` holds exact homogeneous coordinates only: Gaussian rationals,
+or QuadExt surds for quadric lifts such as the trefoil's sqrt(2) center.
+A float point (a curve value at a certified root, a crossing image, a
+center read in floats) is a plain list of complex numbers; `normalize`,
+`is_real_vector` and `line_tau` act on those lists, and `pole_frame`
+reads a quadric pole into floats once for `stereographic`.
 
 Sign conventions (fixed once, used by every writhe recipe):
 
@@ -30,11 +37,14 @@ __all__ = [
     "orientation_sign",
     "pi_project",
     "quadric_residual",
+    "PoleFrame",
+    "pole_frame",
     "stereographic",
     "stereographic_inverse",
-    "LineParam",
     "chart_parity",
-    "best_chart",
+    "normalize",
+    "is_real_vector",
+    "line_tau",
 ]
 
 CERT_MARGIN = 1e-6
@@ -47,7 +57,7 @@ class DegenerateFrameError(GenericityError):
 
 
 def _to_value(v):
-    if isinstance(v, (GaussianRational, QuadExt, complex, float)):
+    if isinstance(v, (GaussianRational, QuadExt)):
         return v
     if isinstance(v, (int, Fraction)):
         return GaussianRational(v)
@@ -55,7 +65,8 @@ def _to_value(v):
 
 
 class ProjPoint:
-    """Point of P3 or P4 with exact or approximate homogeneous coordinates."""
+    """Point of P3 or P4 with exact homogeneous coordinates: Gaussian
+    rationals, or QuadExt surds for quadric lifts."""
 
     __slots__ = ("coords", "ambient")
 
@@ -63,94 +74,33 @@ class ProjPoint:
         coords = tuple(_to_value(c) for c in coords)
         if len(coords) not in (4, 5):
             raise ValueError("projective points here live in P3 or P4")
-        if not any(self._nonzero(c) for c in coords):
+        if not any(coords):
             raise ValueError("all homogeneous coordinates are zero")
         self.coords = coords
         self.ambient = ambient or ("P3" if len(coords) == 4 else "P4")
-
-    @staticmethod
-    def _nonzero(c):
-        if isinstance(c, (GaussianRational, QuadExt)):
-            return bool(c)
-        return abs(complex(c)) > 0
 
     @property
     def dim(self):
         return len(self.coords) - 1
 
     def is_exact(self):
+        """True when every coordinate is a Gaussian rational (no surd)."""
         return all(isinstance(c, GaussianRational) for c in self.coords)
 
     def as_complex(self):
         return [complex(c) for c in self.coords]
 
     def normalized(self):
-        """Scale so the largest-modulus coordinate is 1 (idempotent)."""
-        if self.is_exact():
-            k = max(range(len(self.coords)), key=lambda i: self.coords[i].abs2())
-            d = self.coords[k]
-            return ProjPoint([c / d for c in self.coords], self.ambient)
-        cs = self.as_complex()
-        k = max(range(len(cs)), key=lambda i: abs(cs[i]))
-        d = cs[k]
-        return ProjPoint([c / d for c in cs], self.ambient)
-
-    def conjugate(self):
-        if self.is_exact():
-            return ProjPoint([c.conjugate() for c in self.coords], self.ambient)
-        return ProjPoint([complex(c).conjugate() for c in self.coords], self.ambient)
-
-    def is_real(self, tol=REALNESS_TOL):
-        """Realness through the pairwise-product test: some scaling makes
-        all coordinates real iff every x_i * conj(x_j) is real."""
-        if self.is_exact():
-            n = len(self.coords)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if not (self.coords[i] * self.coords[j].conjugate()).is_real:
-                        return False
-            return True
-        cs = self.normalized().as_complex()
-        scale = max(abs(c) for c in cs)
-        n = len(cs)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs((cs[i] * cs[j].conjugate()).imag) > tol * scale * scale:
-                    return False
-        return True
-
-    def real_vector(self, tol=REALNESS_TOL):
-        """Real coordinate list of a real point (phase removed)."""
-        if self.is_exact():
-            if not self.is_real():
-                raise ValueError("point is not real")
-            k = max(range(len(self.coords)), key=lambda i: self.coords[i].abs2())
-            d = self.coords[k]
-            return [(c / d).re for c in self.coords]
-        cs = self.normalized().as_complex()
-        if not self.is_real(tol):
-            raise ValueError("point is not real within tolerance")
-        return [c.real for c in cs]
-
-    def same_point(self, other, tol=1e-9):
-        """Projective equality within tolerance (exact when both exact)."""
-        if self.is_exact() and other.is_exact():
-            a, b = self.coords, other.coords
-            for i in range(len(a)):
-                for j in range(len(a)):
-                    if a[i] * b[j] != a[j] * b[i]:
-                        return False
-            return True
-        a = self.normalized().as_complex()
-        b = other.normalized().as_complex()
-        n = len(a)
-        err = max(
-            abs(a[i] * b[j] - a[j] * b[i]) for i in range(n) for j in range(n)
-        )
-        return err <= tol
+        """Scale so the largest-modulus coordinate is 1 (Gaussian
+        coordinates only; idempotent)."""
+        if not self.is_exact():
+            raise TypeError("normalized needs Gaussian rational coordinates")
+        k = max(range(len(self.coords)), key=lambda i: self.coords[i].abs2())
+        d = self.coords[k]
+        return ProjPoint([c / d for c in self.coords], self.ambient)
 
     def __repr__(self):
-        return f"ProjPoint({[str(c) if not isinstance(c, complex) else c for c in self.coords]})"
+        return f"ProjPoint({[str(c) for c in self.coords]})"
 
 
 @dataclass(frozen=True)
@@ -242,18 +192,60 @@ def chart_parity(k: int) -> int:
     return -1 if k % 2 else 1
 
 
-def best_chart(*points, exclude=()):
-    """Chart index maximizing the smallest |coordinate| over the given
-    (normalized) points; charts in `exclude` are skipped."""
-    pts = [p.normalized().as_complex() for p in points]
-    best, best_val = None, -1.0
-    for k in range(len(pts[0])):
-        if k in exclude:
-            continue
-        val = min(abs(p[k]) for p in pts)
-        if val > best_val:
-            best, best_val = k, val
-    return best, best_val
+# ---------------------------------------------------------------------------
+# float points as complex vectors
+# ---------------------------------------------------------------------------
+
+
+def normalize(v):
+    """Scale a complex vector so its largest-modulus entry is 1."""
+    k = max(range(len(v)), key=lambda i: abs(v[i]))
+    d = v[k]
+    return [c / d for c in v]
+
+
+def is_real_vector(v):
+    """Pairwise-product realness test on a normalized vector: some scaling
+    makes every entry real iff every v_i * conj(v_j) is real."""
+    scale = max(abs(c) for c in v)
+    n = len(v)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs((v[i] * v[j].conjugate()).imag) > REALNESS_TOL * scale * scale:
+                return False
+    return True
+
+
+def line_tau(c, s, x):
+    """Parameter of the point x on the line tau -> s + tau c through the
+    base point s and the center c (complex vectors, kept as the caller's
+    representatives): tau = 0 at s, tau = infinity at c.
+
+    Real tau sweeps the real line (minus c); the two half planes of the
+    complexified line are tagged by the sign of Im tau.  The homogeneous
+    relation alpha s + beta c = x is solved at the largest coordinate k of
+    x and the row j that maximizes the 2x2 determinant.
+    """
+    a, b = normalize(c), normalize(s)
+    n = len(a)
+    if max(abs(a[i] * b[j] - a[j] * b[i]) for i in range(n) for j in range(n)) <= 1e-9:
+        raise GenericityError("center and base point coincide")
+    xv = normalize(x)
+    k = max(range(n), key=lambda i: abs(xv[i]))
+    j = max((j for j in range(n) if j != k), key=lambda j: abs(s[k] * c[j] - s[j] * c[k]))
+    det = s[k] * c[j] - s[j] * c[k]
+    if abs(det) < 1e-13:
+        raise GenericityError("point collinearity system is degenerate")
+    alpha = (xv[k] * c[j] - xv[j] * c[k]) / det
+    beta = (s[k] * xv[j] - s[j] * xv[k]) / det
+    if abs(alpha) < 1e-13 * abs(beta):
+        return complex(float("inf"), 0)
+    return beta / alpha
+
+
+# ---------------------------------------------------------------------------
+# the quadric double cover
+# ---------------------------------------------------------------------------
 
 
 def pi_project(x: ProjPoint) -> ProjPoint:
@@ -266,7 +258,7 @@ def pi_project(x: ProjPoint) -> ProjPoint:
     if x.dim != 4:
         raise ValueError("pi_project expects a point of P4")
     rest = list(x.coords[1:])
-    if not any(ProjPoint._nonzero(c) for c in rest):
+    if not any(rest):
         raise ValueError("cannot project the center [1,0,0,0,0]")
     if any(isinstance(c, QuadExt) for c in rest):
         reduced = rationalize_quadext(rest)
@@ -296,26 +288,21 @@ def rationalize_quadext(coords):
 
 
 def quadric_residual(x: ProjPoint, q: QuadricSpec):
-    """-c x0^2 + x1^2 + ... + x4^2 at the normalized representative."""
+    """-c x0^2 + x1^2 + ... + x4^2, exactly: at the normalized
+    representative for Gaussian coordinates, and unnormalized in
+    Q(sqrt n) for surd coordinates (the zero test is scale free)."""
     if x.dim != 4:
         raise ValueError("quadric residual expects a point of P4")
-    xn = x.normalized()
-    if xn.is_exact():
+    if x.is_exact():
+        xs = x.normalized().coords
         c = GaussianRational(q.c)
-        acc = -(c * xn.coords[0] * xn.coords[0])
-        for v in xn.coords[1:]:
-            acc = acc + v * v
-        return acc
-    if all(isinstance(v, QuadExt) for v in x.coords):
+    else:
+        xs = x.coords
         c = QuadExt(q.c)
-        acc = QuadExt(0) - c * x.coords[0] * x.coords[0]
-        for v in x.coords[1:]:
-            acc = acc + v * v
-        # exact in the quadratic field, unnormalized scale is fine for
-        # the zero test; mirror the normalized convention for nonzero
-        return acc
-    cs = xn.as_complex()
-    return -float(q.c) * cs[0] * cs[0] + sum(v * v for v in cs[1:])
+    acc = -(c * xs[0] * xs[0])
+    for v in xs[1:]:
+        acc = acc + v * v
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -323,28 +310,35 @@ def quadric_residual(x: ProjPoint, q: QuadricSpec):
 # ---------------------------------------------------------------------------
 
 
-def _sphere_vector(x: ProjPoint, q: QuadricSpec):
-    """The R^4 vector of a real quadric point in the x0 = 1 chart."""
-    v = x.real_vector()
-    if abs(v[0]) < 1e-13:
-        raise ValueError("real quadric points have x0 != 0")
-    vec = [v[i] / v[0] for i in range(1, 5)]
-    r2 = sum(c * c for c in vec)
-    if abs(r2 - float(q.c)) > 1e-6 * max(1.0, float(q.c)):
-        raise ValueError("point is not on the quadric")
-    return vec
+@dataclass(frozen=True)
+class PoleFrame:
+    """A pole of the real quadric in floats, built once per pole: its R^4
+    vector pv in the x0 = 1 chart, r = |pv|, the unit pole ph and the
+    basis (b1, b2, b3) of ph^perp."""
+
+    pv: list
+    r: float
+    ph: list
+    basis: list
 
 
-def _pole_basis(pole_vec):
-    """Deterministic basis (b1, b2, b3) of pole^perp in R^4 with
-    det[pole, b1, b2, b3] < 0.
+def pole_frame(pole: ProjPoint) -> PoleFrame:
+    """The stereographic frame of a real quadric point given exactly.
 
-    This orientation makes the stereographic chart match the intrinsic
-    sphere orientation fixed by the sign calibration: linking numbers of
+    The basis is deterministic, with det[ph, b1, b2, b3] < 0.  This
+    orientation makes the stereographic chart match the intrinsic sphere
+    orientation fixed by the sign calibration: linking numbers of
     transferred curves then agree with the Gauss integral in the chart.
     """
-    r = math.sqrt(sum(c * c for c in pole_vec))
-    ph = [c / r for c in pole_vec]
+    x0 = pole.coords[0]
+    if not x0:
+        raise GenericityError("real quadric points have x0 != 0")
+    pc = [complex(c / x0) for c in pole.coords[1:]]
+    if any(c.imag for c in pc):
+        raise ValueError("pole is not a real point")
+    pv = [c.real for c in pc]
+    r = math.sqrt(sum(c * c for c in pv))
+    ph = [c / r for c in pv]
     idx = sorted(range(4), key=lambda i: abs(ph[i]))[:3]
     idx.sort()
     basis = []
@@ -359,24 +353,24 @@ def _pole_basis(pole_vec):
     det = _det_n([[v[i] for v in [ph] + basis] for i in range(4)])
     if det > 0:
         basis[1], basis[2] = basis[2], basis[1]
-    return ph, basis
+    return PoleFrame(pv, r, ph, basis)
 
 
-def stereographic(x: ProjPoint, pole: ProjPoint, q: QuadricSpec):
-    """Stereographic image of a real quadric point from `pole`, with the
-    antipode of the pole at the origin and equatorial points on the unit
-    sphere.  Returns (image vector in R^3, differential callback).
+def stereographic(xv, frame: PoleFrame):
+    """Stereographic image of the sphere point xv (an R^4 vector in the
+    x0 = 1 chart) from the frame's pole, with the antipode of the pole at
+    the origin and equatorial points on the unit sphere.  Returns (image
+    vector in R^3, differential callback).
 
-    The differential maps R^4 tangent vectors of the sphere at x to R^3.
+    The differential maps R^4 tangent vectors of the sphere at xv to R^3.
     """
-    pv = _sphere_vector(pole, q)
-    xv = _sphere_vector(x, q)
-    r = math.sqrt(sum(c * c for c in pv))
-    ph, basis = _pole_basis(pv)
+    pv, r, ph, basis = frame.pv, frame.r, frame.ph, frame.basis
+    if abs(sum(c * c for c in xv) - r * r) > 1e-6 * max(1.0, r * r):
+        raise GenericityError("point is not on the quadric")
     dot = sum(xv[i] * ph[i] for i in range(4))
     denom = r - dot
     if abs(denom) < 1e-12 * r:
-        raise ValueError("cannot project the pole itself")
+        raise GenericityError("cannot project the pole itself")
     g = 1.0 / denom
     w = [ph[i] + (xv[i] - pv[i]) * g for i in range(4)]
     img = [sum(w[i] * b[i] for i in range(4)) for b in basis]
@@ -389,93 +383,14 @@ def stereographic(x: ProjPoint, pole: ProjPoint, q: QuadricSpec):
     return img, differential
 
 
-def stereographic_inverse(y, pole: ProjPoint, q: QuadricSpec) -> ProjPoint:
-    """Inverse of `stereographic`; y is an R^3 vector in the pole basis.
+def stereographic_inverse(y, frame: PoleFrame):
+    """Inverse of `stereographic`: the R^4 sphere vector of the R^3 vector
+    y in the pole basis.
 
     With w the image vector in pole-perp, the sphere point is
     x = p + lambda (w - p/r) with lambda = 2r / (|w|^2 + 1).
     """
-    pv = _sphere_vector(pole, q)
-    r = math.sqrt(sum(c * c for c in pv))
-    ph, basis = _pole_basis(pv)
+    pv, r, ph, basis = frame.pv, frame.r, frame.ph, frame.basis
     w = [sum(y[a] * basis[a][i] for a in range(3)) for i in range(4)]
     lam = 2.0 * r / (sum(c * c for c in w) + 1.0)
-    x = [pv[i] + lam * (w[i] - ph[i]) for i in range(4)]
-    return ProjPoint([1.0 + 0j] + [complex(c) for c in x], "P4")
-
-
-class LineParam:
-    """The line through center c and base point s, parameterized as
-    tau -> s + tau * c in a fixed chart; tau = 0 at s, tau = infinity at c.
-
-    Real tau sweeps the real line (minus c); the two half planes of the
-    complexified line are tagged by the sign of Im tau.
-    """
-
-    def __init__(self, c: ProjPoint, s: ProjPoint, chart=None):
-        if c.same_point(s):
-            raise ValueError("center and base point coincide")
-        # keep the caller's representatives: tau values are tied to them
-        # (the half-plane bookkeeping only ever pairs tau with the
-        # direction d gamma / d tau, which makes v representative-free)
-        self.c = c
-        self.s = s
-        if chart is None:
-            chart, _ = best_chart(self.c, self.s)
-        self.chart = chart
-        self._cv = self.c.as_complex()
-        self._sv = self.s.as_complex()
-
-    def point_at(self, tau):
-        cs = [self._sv[i] + tau * self._cv[i] for i in range(len(self._cv))]
-        return ProjPoint(cs, self.c.ambient)
-
-    def tau_of(self, x: ProjPoint):
-        """Parameter of a point on the line (least squares on the
-        homogeneous relation x ~ s + tau c)."""
-        xv = x.normalized().as_complex()
-        # solve for (alpha, beta): alpha*s + beta*c = lambda*x; fix scale by
-        # the largest coordinate of x
-        k = max(range(len(xv)), key=lambda i: abs(xv[i]))
-        # alpha*s_k + beta*c_k = x_k (scale lambda = 1 at k); pick a second
-        # row to solve the 2x2 system, the one maximizing the determinant
-        best, rows = None, None
-        for j in range(len(xv)):
-            if j == k:
-                continue
-            det = self._sv[k] * self._cv[j] - self._sv[j] * self._cv[k]
-            if best is None or abs(det) > best:
-                best, rows = abs(det), j
-        j = rows
-        det = self._sv[k] * self._cv[j] - self._sv[j] * self._cv[k]
-        if abs(det) < 1e-13:
-            raise ValueError("point collinearity system is degenerate")
-        alpha = (xv[k] * self._cv[j] - xv[j] * self._cv[k]) / det
-        beta = (self._sv[k] * xv[j] - self._sv[j] * xv[k]) / det
-        if abs(alpha) < 1e-13 * abs(beta):
-            return complex(float("inf"), 0)
-        return beta / alpha
-
-    def half_plane(self, x: ProjPoint) -> str:
-        t = self.tau_of(x)
-        if t.imag > 0:
-            return "upper"
-        if t.imag < 0:
-            return "lower"
-        return "real"
-
-    def real_direction(self):
-        """Tangent of the real line at s in the chart, in the direction of
-        increasing tau (chart coordinates with index `chart` removed)."""
-        k = self.chart
-        sv, cv = self._sv, self._cv
-        d = sv[k]
-        if abs(d) == 0:
-            raise ZeroDivisionError("base point not in the line chart")
-        # d/dtau [ (s_j + tau c_j) / (s_k + tau c_k) ] at tau = 0
-        out = []
-        for j in range(len(sv)):
-            if j == k:
-                continue
-            out.append((cv[j] * sv[k] - sv[j] * cv[k]) / (sv[k] * sv[k]))
-        return out
+    return [pv[i] + lam * (w[i] - ph[i]) for i in range(4)]

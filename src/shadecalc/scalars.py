@@ -178,10 +178,6 @@ class QuadExt:
             raise ValueError("mixed radicands are not supported")
         return other
 
-    @property
-    def radicand(self):
-        return self.n
-
     def __bool__(self):
         return bool(self.a) or bool(self.b)
 
@@ -254,6 +250,9 @@ class QuadExt:
         if not self.b:
             return f"QuadExt({self.a})"
         return f"QuadExt({self.a}, {self.b}, {self.n})"
+
+    def __str__(self):
+        return format_scalar(self)
 
 
 # ---------------------------------------------------------------------------

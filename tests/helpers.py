@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 
-from shadecalc.poly import BivarPoly, resultant
+from shadecalc.poly import BivarPoly, bivar_resultant_w
 from shadecalc.scalars import QQ
 
 
@@ -13,6 +13,11 @@ def bp(m, n, entries):
     for (j, k), c in entries.items():
         rows[j][k] = c
     return BivarPoly(m, n, rows)
+
+
+def same_point(a, b):
+    """Projective equality of two exact homogeneous coordinate lists."""
+    return all(a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(len(a)))
 
 
 def same_param(p, q, tol=1e-9):
@@ -38,7 +43,7 @@ def resultant_root_product_check(cases=200, seed=20240809, rel=1e-8):
         g = bp(m2, n2, {(j, k): rng.randint(-6, 6) for j in range(m2 + 1) for k in range(n2 + 1)})
         if f.is_zero() or g.is_zero():
             continue
-        r = resultant(f, g, "w")
+        r = bivar_resultant_w(f, g).chart_t()
         z0 = QQ(rng.randint(-4, 4), rng.randint(1, 3))
         fw = [complex(sum(complex(f.rows[j][k]) * complex(z0) ** j for j in range(m1 + 1))) for k in range(n1 + 1)]
         gw = [complex(sum(complex(g.rows[j][k]) * complex(z0) ** j for j in range(m2 + 1))) for k in range(n2 + 1)]

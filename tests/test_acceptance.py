@@ -332,18 +332,17 @@ class TestCriterion7:
     def test_linking_against_gauss(self):
         import numpy as np
 
-        from shadecalc.curves import hopf_pair_curve, split_circles_curve
-        from shadecalc.projective import ProjPoint, QuadricSpec, stereographic
+        from shadecalc.curves import eval_forms, hopf_pair_curve, split_circles_curve
+        from shadecalc.projective import ProjPoint, pole_frame, stereographic
 
-        q = QuadricSpec(QQ(1))
-        pole = ProjPoint([2, 1, 1, 1, 1])
+        pole = pole_frame(ProjPoint([2, 1, 1, 1, 1]))  # on the unit quadric
 
         def transfer(comp, n=256):
             pts = []
             for k in range(n):
                 aa = math.pi * k / n
-                p = comp.eval_point((complex(math.cos(aa)), complex(math.sin(aa))))
-                img, _ = stereographic(p, pole, q)
+                x = eval_forms(comp.coords, complex(math.cos(aa)), complex(math.sin(aa)))
+                img, _ = stereographic([(v / x[0]).real for v in x[1:]], pole)
                 pts.append(img)
             return np.array(pts)
 
@@ -378,10 +377,8 @@ class TestCriterion7:
                     for f in comp.coords
                 ]
                 norm = math.sqrt(sum(c * c for c in v))
-                lift = ProjPoint([1.0 + 0j] + [c / norm + 0j for c in v], "P4")
-                img, _ = stereographic(lift, pole, q)
+                img, _ = stereographic([c / norm for c in v], pole)
                 pts.append(img)
-            import numpy as np
 
             polys.append(np.array(pts))
         val, err, _ = gauss_linking_oracle(polys[0], polys[1])

@@ -165,7 +165,7 @@ class TestGoldenBytes:
         pytest.param(
             ["invariants", "--curve", "src/shadecalc/data/trefoil.json", "--seed", "1",
              "--centers", "4"],
-            "cb0dab006a07f2d6913629213bb92f2470c4fa5116e2491add1315c0b2db4c93",
+            "2939a5ac8848cb28ac1356b2dea4d9b83ca64895311902485e480d03228816e4",
             id="trefoil_centers4",
         ),
         # solitary pairs of a swap-mode system
@@ -272,6 +272,18 @@ class TestGoldenBytes:
 
 
 class TestCommands:
+    def test_reported_lift_parses_back(self, capsys):
+        # the center lift of a file is reported in the file's own scalar
+        # syntax, so it reads back to the same exact lift
+        from shadecalc.scalars import parse_scalar
+
+        code, out = run(["invariants", "--curve", str(DATA / "trefoil.json"), "--seed", "1"],
+                        capsys)
+        assert code == 0
+        lift = json.loads(out)["result"]["center"]["lift0"]
+        want = json.loads((DATA / "trefoil.json").read_text())["center"]["lift"]
+        assert [parse_scalar(c) for c in lift] == [parse_scalar(c) for c in want]
+
     def test_sweep_kae_payload(self, capsys):
         code, out = run(
             ["sweep", "--family", "kae", "--epsilon", "-1", "--grid=-1:1:1/4", "--seed", "2"],

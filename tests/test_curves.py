@@ -4,9 +4,9 @@ from shadecalc.curves import (
     CurveComponent,
     CurveModel,
     ParamPoint,
+    eval_forms,
     kae_curve,
     lp_line_curve,
-    real_locus_sample,
     trefoil_curve,
     unknot_curve,
 )
@@ -14,8 +14,10 @@ from shadecalc.diagram import oriented_real_tangent
 from shadecalc.errors import GenericityError, PreconditionError
 from shadecalc.invariants import find_real_points, self_double_points
 from shadecalc.poly import BinaryForm
-from shadecalc.projective import ProjPoint, QuadricSpec, quadric_residual
+from shadecalc.projective import QuadricSpec, normalize
 from shadecalc.scalars import GaussianRational as G, QQ
+
+from helpers import same_point
 
 
 class TestValidation:
@@ -46,24 +48,29 @@ class TestValidation:
         assert not rep["valid"]
 
 
+def _exact_value(comp, s, t):
+    return [f.eval(s, t) for f in comp.coords]
+
+
 class TestEvaluation:
     def test_unknot_at_zero(self):
-        p = unknot_curve().components[0].eval_point((G(1), G(0)))
-        assert p.same_point(ProjPoint([1, 0, 1, 0, 0]))
+        p = _exact_value(unknot_curve().components[0], G(1), G(0))
+        assert same_point(p, [1, 0, 1, 0, 0])
 
     def test_kae_at_i(self):
         comp = kae_curve(QQ(1, 2), 1).components[0]
-        p = comp.eval_point((G(1), G(0, 1)))
-        assert p.same_point(ProjPoint([1, 0, 0, G(0, QQ(1, 2))]))
+        p = _exact_value(comp, G(1), G(0, 1))
+        assert same_point(p, [1, 0, 0, G(0, QQ(1, 2))])
 
     def test_infinity_is_zero_one(self):
+        # the point at infinity of the t chart is s = 0 in the s chart
         comp = unknot_curve().components[0]
-        assert comp.eval_point("inf").same_point(comp.eval_point((G(0), G(1))))
+        assert same_point([f.chart_s()(G(0)) for f in comp.coords], _exact_value(comp, G(0), G(1)))
 
     def test_trefoil_solitary_parameter(self):
         comp = trefoil_curve().components[0]
-        p = comp.eval_point((G(1), G(0, 1)))
-        assert p.same_point(ProjPoint([0, G(0, 1), 1, 0, 0]))
+        p = _exact_value(comp, G(1), G(0, 1))
+        assert same_point(p, [0, G(0, 1), 1, 0, 0])
 
 
 class TestTangent:
@@ -94,7 +101,7 @@ class TestSelfDoublePoints:
         assert len(pts) == 1
         sdp = pts[0]
         assert sdp.kind == "real-real"
-        assert sdp.image.same_point(ProjPoint([1, 0, 0, 0]), 1e-8)
+        assert _close(normalize(sdp.image), [1, 0, 0, 0], 1e-8)
         params = sorted(p.affine().real for p in sdp.params)
         assert abs(params[0] + 1) < 1e-9 and abs(params[1] - 1) < 1e-9
 
@@ -103,7 +110,7 @@ class TestSelfDoublePoints:
         assert len(pts) == 1
         sdp = pts[0]
         assert sdp.kind == "complex-conjugate"
-        assert sdp.image.same_point(ProjPoint([1, 0, 0, 0]), 1e-8)
+        assert _close(normalize(sdp.image), [1, 0, 0, 0], 1e-8)
         zs = sorted(p.affine().imag for p in sdp.params)
         assert abs(zs[0] + 1) < 1e-9 and abs(zs[1] - 1) < 1e-9
 
@@ -129,34 +136,15 @@ class TestRealPoints:
             find_real_points(unknot_curve(), 0)
 
 
-class TestRealLocus:
-    def test_unknot_sample_on_plane_circle(self):
-        pts = real_locus_sample(unknot_curve(), 4)
-        assert len(pts) == 4
-        q = QuadricSpec(QQ(1))
-        for p in pts:
-            v = p.normalized().as_complex()
-            assert abs(v[3]) < 1e-12 and abs(v[4]) < 1e-12
-            assert abs(complex(quadric_residual(p, q))) < 1e-9
-
-    def test_trefoil_closed_polyline(self):
-        pts = real_locus_sample(trefoil_curve(), 360)
-        first = pts[0].normalized().as_complex()
-        # the sample covers the projective parameter circle once; the
-        # image is a closed trefoil on the sphere
-        assert len(pts) == 360
-        assert all(abs(v.imag) < 1e-9 for p in pts for v in p.normalized().as_complex())
-
-    def test_no_real_locus(self):
-        with pytest.raises(PreconditionError):
-            real_locus_sample(lp_line_curve(), 4)
-
-
 class TestConjugationEquivariance:
     def test_eval_conj(self):
         comp = kae_curve(QQ(1, 3), 1).components[0]
         z = (G(QQ(2, 7)), G(QQ(1, 2), QQ(5, 3)))
         zc = (z[0].conjugate(), z[1].conjugate())
-        a = comp.eval_point(z).as_complex()
-        b = comp.eval_point(zc, conj=True).as_complex()
+        a = eval_forms(comp.coords, *z)
+        b = eval_forms(comp.conj_coords, *zc)
         assert max(abs(x.conjugate() - y) for x, y in zip(a, b)) < 1e-12
+
+
+def _close(u, v, tol):
+    return max(abs(a - b) for a, b in zip(u, v)) <= tol

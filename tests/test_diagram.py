@@ -7,8 +7,10 @@ import pytest
 from shadecalc.curves import (
     CurveComponent,
     CurveModel,
+    eval_forms,
     kae_curve,
     lp_line_curve,
+    p3_forms,
     trefoil_curve,
     unknot_curve,
 )
@@ -53,8 +55,6 @@ class TestSelectCenter:
         # conic itself as the center
         u = unknot_curve()
         comp = u.components[0]
-        from shadecalc.curves import p3_forms
-
         pt = ProjPoint([f.eval(G(1), G(2)) for f in p3_forms(comp.coords)])
         bad = ProjectionCenter(pt, hyperplane=0)
         with pytest.raises(GenericityError):
@@ -124,8 +124,9 @@ class TestRecipeInvariances:
         from shadecalc.diagram import solitary_writhe
 
         (so,) = [c for c in data.crossings if c.kind == "solitary"]
-        s1 = solitary_writhe(tr.components[0], so.z, data.center)
-        s2 = solitary_writhe(tr.components[0], so.w, data.center)
+        forms = p3_forms(tr.components[0].coords)
+        s1 = solitary_writhe(tr.components[0], so.z, data.center, eval_forms(forms, so.z.s, so.z.t))
+        s2 = solitary_writhe(tr.components[0], so.w, data.center, eval_forms(forms, so.w.s, so.w.t))
         assert s1 == s2 == so.writhe
 
     def test_branch_tangent_phase_invariance(self):

@@ -30,7 +30,7 @@ from shadecalc.invariants import (
     shade_number_empty_real,
 )
 from shadecalc.poly import BinaryForm, real_roots_sturm
-from shadecalc.projective import ProjPoint, QuadricSpec, stereographic
+from shadecalc.projective import ProjPoint, pole_frame, stereographic
 from shadecalc.scalars import QQ
 
 
@@ -346,8 +346,7 @@ class TestLinking:
         # Gauss integral with twice the P3 linking number
         lines = _generic_lines()
         lk = linking_number(lines, 0, 1, seed=1)
-        pole = ProjPoint([2, 1, 1, 1, 1])
-        q = QuadricSpec(QQ(1))
+        pole = pole_frame(ProjPoint([2, 1, 1, 1, 1]))  # on the unit quadric
         polys = []
         for comp in lines.components:
             pts = []
@@ -361,8 +360,7 @@ class TestLinking:
                     for f in comp.coords
                 ]
                 norm = math.sqrt(sum(c * c for c in v))
-                lift = ProjPoint([1.0 + 0j] + [c / norm + 0j for c in v], "P4")
-                img, _ = stereographic(lift, pole, q)
+                img, _ = stereographic([c / norm for c in v], pole)
                 pts.append(img)
             polys.append(np.array(pts))
         val, err, _ = gauss_linking_oracle(polys[0], polys[1])

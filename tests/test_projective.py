@@ -3,20 +3,26 @@ import random
 
 import pytest
 
+from shadecalc.errors import GenericityError
 from shadecalc.projective import (
     DegenerateFrameError,
-    LineParam,
     ProjPoint,
     QuadricSpec,
     chart_parity,
     complex_frame_sign,
+    is_real_vector,
+    line_tau,
+    normalize,
     orientation_sign,
     pi_project,
+    pole_frame,
     quadric_residual,
     stereographic,
     stereographic_inverse,
 )
 from shadecalc.scalars import GaussianRational as G, QuadExt, QQ
+
+from helpers import same_point
 
 
 class TestOrientation:
@@ -50,14 +56,14 @@ class TestQuadric:
         lift = ProjPoint([QuadExt(1), QuadExt(0), QuadExt(0, 1, 2), QuadExt(0), QuadExt(0)])
         img = pi_project(lift)
         assert img.is_exact()
-        assert img.same_point(ProjPoint([0, 1, 0, 0]))
+        assert same_point(img.coords, [0, 1, 0, 0])
         with pytest.raises(ValueError):
             pi_project(ProjPoint([1, 0, 0, 0, 0]))
 
     def test_antipodal_identification(self):
         x = ProjPoint([1, QQ(3, 5), QQ(4, 5), 0, 0])
         anti = ProjPoint([-1, QQ(3, 5), QQ(4, 5), 0, 0])
-        assert pi_project(x).same_point(pi_project(anti))
+        assert same_point(pi_project(x).coords, pi_project(anti).coords)
 
     def test_residual_examples(self):
         q1 = QuadricSpec(QQ(1))
@@ -75,11 +81,11 @@ class TestQuadric:
 
 class TestStereographic:
     def setup_method(self):
-        self.q = QuadricSpec(QQ(1))
-        self.pole = ProjPoint([1, 1, 0, 0, 0])
+        self.pole = ProjPoint([1, 1, 0, 0, 0])  # on the unit quadric
+        self.frame = pole_frame(self.pole)
 
     def test_antipode_maps_to_origin(self):
-        img, _ = stereographic(ProjPoint([1, -1, 0, 0, 0]), self.pole, self.q)
+        img, _ = stereographic([-1.0, 0.0, 0.0, 0.0], self.frame)
         assert max(abs(v) for v in img) < 1e-12
 
     def test_round_trip_rational_points(self):
@@ -97,63 +103,83 @@ class TestStereographic:
             if not any(pt_coords[1:]) or not pt_coords[0]:
                 continue
             pt = ProjPoint([G(c) for c in pt_coords])
-            if pt.same_point(self.pole):
+            if same_point(pt.coords, self.pole.coords):
                 continue
-            img, _ = stereographic(pt, self.pole, self.q)
-            back = stereographic_inverse(img, self.pole, self.q)
-            assert back.same_point(pt, 1e-10)
+            xv = [float(c / pt_coords[0]) for c in pt_coords[1:]]
+            img, _ = stereographic(xv, self.frame)
+            back = stereographic_inverse(img, self.frame)
+            assert max(abs(a - b) for a, b in zip(back, xv)) <= 1e-10
             count += 1
 
     def test_equatorial_point_on_unit_sphere(self):
-        q2 = QuadricSpec(QQ(2))
         pole = ProjPoint([QuadExt(1), QuadExt(0), QuadExt(0, 1, 2), QuadExt(0), QuadExt(0)])
-        x = ProjPoint([QuadExt(1), QuadExt(0, 1, 2), QuadExt(0), QuadExt(0), QuadExt(0)])
-        img, _ = stereographic(x, pole, q2)
+        img, _ = stereographic([math.sqrt(2), 0.0, 0.0, 0.0], pole_frame(pole))
         assert abs(math.sqrt(sum(v * v for v in img)) - 1.0) < 1e-12
 
     def test_differential_preserves_independence(self):
-        img, dst = stereographic(ProjPoint([1, 0, 1, 0, 0]), self.pole, self.q)
+        img, dst = stereographic([0.0, 1.0, 0.0, 0.0], self.frame)
         # tangent frame at (0,1,0,0): orthogonal to the position vector
         u1 = [1.0, 0.0, 0.0, 0.0]
         u2 = [0.0, 0.0, 1.0, 0.0]
         u3 = [0.0, 0.0, 0.0, 1.0]
         assert orientation_sign([dst(u1), dst(u2), dst(u3)]) in (-1, 1)
 
+    def test_pole_and_off_sphere_points_are_genericity_failures(self):
+        # float checks of the pipeline end in GenericityError (exit 2)
+        with pytest.raises(GenericityError, match="pole itself"):
+            stereographic([1.0, 0.0, 0.0, 0.0], self.frame)
+        with pytest.raises(GenericityError, match="not on the quadric"):
+            stereographic([1.0, 1.0, 0.0, 0.0], self.frame)
+
 
 class TestLineParam:
+    """The tau solve of the solitary recipe, `line_tau`."""
+
     def test_range_family_tau(self):
         theta, phi = 1.5, -3.25
-        c = ProjPoint([0, 0, 0, 1])
-        s = ProjPoint([1, theta, phi, 0])
-        line = LineParam(c, s)
-        x = ProjPoint([1, theta, phi, complex(0, -(theta + phi))])
-        tau = line.tau_of(x)
+        c = [0j, 0j, 0j, 1 + 0j]
+        s = [1.0, theta, phi, 0.0]
+        x = [1 + 0j, complex(theta), complex(phi), complex(0, -(theta + phi))]
+        tau = line_tau(c, s, x)
         assert abs(tau - complex(0, -(theta + phi))) < 1e-9
-        assert line.half_plane(x) == "upper"  # theta + phi < 0
-        assert line.half_plane(x.conjugate()) == "lower"
+        assert tau.imag > 0  # upper half plane: theta + phi < 0
+        assert line_tau(c, s, [v.conjugate() for v in x]).imag < 0
 
     def test_explicit_imaginary_point(self):
-        c = ProjPoint([1, 0, 0, 0])
-        s = ProjPoint([0, 1, 1, 1])
-        line = LineParam(c, s)
-        x = line.point_at(1j)
-        assert line.half_plane(x) == "upper"
+        c = [1 + 0j, 0j, 0j, 0j]
+        s = [0.0, 1.0, 1.0, 1.0]
+        x = [s[i] + 1j * c[i] for i in range(4)]  # the point at tau = i
+        assert line_tau(c, s, x).imag > 0
 
     def test_coincident_rejected(self):
-        with pytest.raises(ValueError):
-            LineParam(ProjPoint([1, 2, 3, 4]), ProjPoint([2, 4, 6, 8]))
+        with pytest.raises(GenericityError):
+            line_tau([1 + 0j, 2 + 0j, 3 + 0j, 4 + 0j], [2.0, 4.0, 6.0, 8.0], [1 + 0j, 0j, 0j, 0j])
 
 
 class TestRealness:
+    """The pairwise-product test on float vectors, `is_real_vector`."""
+
     def test_pairwise_product_criterion(self):
-        x = ProjPoint([G(0, 1), G(0, -1), 0, 0])  # i * [1, -1, 0, 0]: real
-        assert x.is_real()
-        y = ProjPoint([1, G(0, 1), 1, 0])
-        assert not y.is_real()
-        assert not ProjPoint([G(0, 1), 1, 0, 0]).is_real()
+        assert is_real_vector([1j, -1j, 0j, 0j])  # i * [1, -1, 0, 0]: real
+        assert not is_real_vector([1 + 0j, 1j, 1 + 0j, 0j])
+        assert not is_real_vector([1j, 1 + 0j, 0j, 0j])
 
     def test_scaling_invariant(self):
-        x = ProjPoint([G(0, 2), G(0, -6), 0, 0])
-        assert x.is_real()
-        assert x.normalized().is_real()
-        assert x.real_vector()[0] != 0
+        x = [2j, -6j, 0j, 0j]
+        assert is_real_vector(x)
+        assert is_real_vector(normalize(x))
+        assert normalize(x)[0].real != 0
+
+
+class TestExactCoordinates:
+    def test_float_coordinates_rejected(self):
+        with pytest.raises(TypeError):
+            ProjPoint([1.0, 0j, 0j, 0j])
+        with pytest.raises(TypeError):
+            ProjPoint([1, 0, 0, 1e-3])
+
+    def test_normalized_needs_gaussian_coordinates(self):
+        x = ProjPoint([G(0, 2), G(0, -6), 0, 0]).normalized()
+        assert x.coords == (G(QQ(-1, 3)), G(1), G(0), G(0))
+        with pytest.raises(TypeError):
+            ProjPoint([QuadExt(1), QuadExt(0), QuadExt(0, 1, 2), QuadExt(0), QuadExt(0)]).normalized()
