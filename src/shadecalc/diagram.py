@@ -167,15 +167,22 @@ class Crossing:
 
 
 def _fmt_c(c):
+    """An entry of a normalized vector (|c| <= 1) to 1e-12 absolute, so
+    a round-off zero prints as 0.0; adding 0.0 turns -0.0 into 0.0."""
     c = complex(c)
-    return [float(f"{c.real:.12g}"), float(f"{c.imag:.12g}")]
+    return [float(f"{c.real:.12f}") + 0.0, float(f"{c.imag:.12f}") + 0.0]
 
 
 def _fmt_param(p: ParamPoint):
-    a = p.affine()
-    if a.real == float("inf"):
+    """The affine parameter t/s to 12 significant digits.  Round-off must
+    not show here either: a point within 1e-12 of infinity (s <= 1e-12
+    on the normalized pair) prints as "inf", and a part below 1e-12 of
+    max(1, |t/s|) as 0.0."""
+    if abs(p.s) <= 1e-12:
         return "inf"
-    return [float(f"{a.real:.12g}"), float(f"{a.imag:.12g}")]
+    a = p.t / p.s
+    eps = 1e-12 * max(1.0, abs(a))
+    return [float(f"{x:.12g}") + 0.0 if abs(x) > eps else 0.0 for x in (a.real, a.imag)]
 
 
 @dataclass
