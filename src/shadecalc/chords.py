@@ -19,14 +19,17 @@ pipeline is:
    where the system has no usable symmetry);
 3. extract: certified roots of R_z / R_w give parameter points
    (all honest solutions appear since V(system) lies in V(u, v));
-4. filter + polish + accept: one matrix product per combination,
-   Z C_u W^T and Z C_v W^T with Z, W the power matrices of the z and w
-   roots and C the complex coefficient tables, evaluates u and v on every
-   root pair at once; pairs where both are below FILTER_TOL relative to
-   their scale are candidates.  Each is polished by 2x2 Newton against
-   (u, v) and accepted only when every saturated minor is at relative
-   residual below ACCEPT_TOL (junk from V(u, v) fails by many orders of
-   magnitude) and the polished point stayed near its root disks;
+4. filter + polish + accept: u, v and the saturated minors are converted
+   to floats once per combination, stacked into one table T of complex
+   coefficient tables, and all four checks read T.  One matrix product,
+   Z T[:2] W^T with Z, W the power matrices of the z and w roots,
+   evaluates u and v on every root pair at once; pairs where both are
+   below FILTER_TOL relative to their scale are candidates.  Each is
+   polished by 2x2 Newton against (u, v) and accepted only when every
+   saturated minor is at relative residual below ACCEPT_TOL (junk from
+   V(u, v) fails by many orders of magnitude) and the polished point
+   stayed near its root disks; its Jacobian margin comes from the same
+   evaluation of the minors;
 5. count check: when saturation removed nothing beyond the z = w
    diagonal, the number of solutions must match the Bezout-style count
    supplied by the caller, else the configuration is declared
@@ -44,7 +47,7 @@ import numpy as np
 from .curves import ParamPoint, p3_forms
 from .errors import GenericityError
 from .poly import GZERO, BinaryForm, BivarPoly, bivar_divexact, bivar_gcd, bivar_resultant_w, gmul
-from .roots import UncertifiedRootsError, complex_roots
+from .roots import DEFAULT_TARGET_RADIUS, UncertifiedRootsError, complex_roots
 
 __all__ = ["PairSolution", "SaturatedSystem", "SystemResult", "solve_minor_system",
            "canonical_unordered", "collinearity_system", "coincidence_system", "secants"]
@@ -52,7 +55,6 @@ __all__ = ["PairSolution", "SaturatedSystem", "SystemResult", "solve_minor_syste
 ACCEPT_TOL = 1e-8
 FILTER_TOL = 1e-5  # candidate filter: |u|, |v| relative to their scale bounds
 JAC_MARGIN = 1e-6
-ROOT_RADIUS = 1e-12
 COMBO_RETRIES = 6
 
 
@@ -130,11 +132,6 @@ def _is_scalar_multiple(p: BivarPoly, q: BivarPoly) -> bool:
     return all(gmul(a, b0) == gmul(b, a0) for a, b in pairs)
 
 
-def _scale_bound(p: BivarPoly) -> float:
-    """Upper bound for |p| on normalized parameter pairs (max modulus 1)."""
-    return sum(abs(c) for row in p.complex_terms for _, c in row) or 1.0
-
-
 def _saturate_all(minors) -> SaturatedSystem:
     """Divide the common gcd out of all minors until it is constant."""
     minors = list(minors)
@@ -177,7 +174,7 @@ def secants(curve, i, j, *, p3):
     return curve._secants[key]
 
 
-def _binary_form_roots(form: BinaryForm, target_radius=ROOT_RADIUS):
+def _binary_form_roots(form: BinaryForm, target_radius=DEFAULT_TARGET_RADIUS):
     """Certified parameter points of P1 where the form vanishes, each
     tagged with its index in complex_roots' order; the degree deficit of
     the affine chart is the multiplicity at (0, 1), which comes last.
@@ -211,87 +208,6 @@ def _binary_form_roots(form: BinaryForm, target_radius=ROOT_RADIUS):
     return pts, conj + [len(roots)] * (inf_mult > 0)
 
 
-def _partials(p: BivarPoly):
-    """(d/ds, d/dt, d/du, d/dv) as BivarPoly values."""
-    m, n, T = p.m, p.n, p.num
-
-    def part(mm, nn, rows):
-        return BivarPoly._from_ints(mm, nn, p.den, rows)
-
-    zero_row = [[GZERO] * (n + 1)]
-    zero_col = [[GZERO]] * (m + 1)
-    ds = [[(a * (m - j), b * (m - j)) for a, b in T[j]] for j in range(m)]
-    dt = [[(a * j, b * j) for a, b in T[j]] for j in range(1, m + 1)]
-    du = [[(a * (n - k), b * (n - k)) for k, (a, b) in enumerate(r[:n])] for r in T]
-    dv = [[(a * k, b * k) for k, (a, b) in enumerate(r) if k] for r in T]
-    return (
-        part(max(m - 1, 0), n, ds or zero_row),
-        part(max(m - 1, 0), n, dt or zero_row),
-        part(m, max(n - 1, 0), du if n else zero_col),
-        part(m, max(n - 1, 0), dv if n else zero_col),
-    )
-
-
-class _NewtonSystem:
-    """2x2 Newton polishing against the combo pair in local charts."""
-
-    def __init__(self, A: BivarPoly, B: BivarPoly):
-        self.A, self.B = A, B
-        self.Agrad = _partials(A)
-        self.Bgrad = _partials(B)
-
-    def polish(self, zp: ParamPoint, wp: ParamPoint, steps=30):
-        zs, zt = zp.s, zp.t
-        ws, wt = wp.s, wp.t
-        z_chart_t = abs(zt) <= abs(zs)  # local coordinate: t if s = 1
-        w_chart_t = abs(wt) <= abs(ws)
-        dz = dw = 0.0
-        for _ in range(steps):
-            zpair = (1.0, zt / zs) if z_chart_t else (zs / zt, 1.0)
-            wpair = (1.0, wt / ws) if w_chart_t else (ws / wt, 1.0)
-            fa = self.A.eval_pair(zpair, wpair)
-            fb = self.B.eval_pair(zpair, wpair)
-            da_dz = (self.Agrad[1] if z_chart_t else self.Agrad[0]).eval_pair(zpair, wpair)
-            db_dz = (self.Bgrad[1] if z_chart_t else self.Bgrad[0]).eval_pair(zpair, wpair)
-            da_dw = (self.Agrad[3] if w_chart_t else self.Agrad[2]).eval_pair(zpair, wpair)
-            db_dw = (self.Bgrad[3] if w_chart_t else self.Bgrad[2]).eval_pair(zpair, wpair)
-            det = da_dz * db_dw - da_dw * db_dz
-            if abs(det) < 1e-300:
-                return None
-            dz = (fa * db_dw - fb * da_dw) / det
-            dw = (fb * da_dz - fa * db_dz) / det
-            if z_chart_t:
-                zt = zt - dz * zs
-            else:
-                zs = zs - dz * zt
-            if w_chart_t:
-                wt = wt - dw * ws
-            else:
-                ws = ws - dw * wt
-            if abs(dz) + abs(dw) < 1e-14:
-                break
-        zp2 = ParamPoint(zs, zt, max(zp.radius, abs(dz)), zp.mult, zp.real, zp.root)
-        wp2 = ParamPoint(ws, wt, max(wp.radius, abs(dw)), wp.mult, wp.real, wp.root)
-        return zp2, wp2
-
-
-def _system_margin(minor_grads, scales, zp: ParamPoint, wp: ParamPoint):
-    """Transversality margin of the full minor system at a solution: the
-    smallest singular value of the stacked, scale-normalized Jacobian in
-    the local parameter charts."""
-    z_chart_t = abs(zp.t) <= abs(zp.s)
-    w_chart_t = abs(wp.t) <= abs(wp.s)
-    zpair, wpair = zp.pair(), wp.pair()
-    rows = []
-    for grads, sc in zip(minor_grads, scales):
-        gz = (grads[1] if z_chart_t else grads[0]).eval_pair(zpair, wpair)
-        gw = (grads[3] if w_chart_t else grads[2]).eval_pair(zpair, wpair)
-        rows.append([gz / sc, gw / sc])
-    J = np.array(rows, dtype=complex)
-    svals = np.linalg.svd(J, compute_uv=False)
-    return float(svals[-1]) if len(svals) >= 2 else 0.0
-
-
 def _random_combo(minors, rng):
     while True:
         cs = [rng.randint(-9, 9) for _ in minors]
@@ -307,7 +223,7 @@ def solve_minor_system(
     seed=0,
     w_mode="solve",
     expected=None,
-    target_radius=ROOT_RADIUS,
+    target_radius=DEFAULT_TARGET_RADIUS,
     context="",
 ):
     """Certified solution pairs of a saturated minor system.  A common
@@ -394,32 +310,80 @@ def canonical_unordered(solutions):
     return [s for s in solutions if s.zi <= s.wi]
 
 
-def _power_matrix(points, deg):
-    """Row i holds s_i^(deg-j) t_i^j for j = 0..deg, (s_i, t_i) the
-    normalized pair of points[i]."""
-    st = np.array([p.pair() for p in points], dtype=complex).reshape(-1, 2)
+def _power_matrix(pairs, deg):
+    """Row i holds s_i^(deg-j) t_i^j for j = 0..deg, (s_i, t_i) = pairs[i]."""
+    st = np.array(pairs, dtype=complex).reshape(-1, 2)
     e = np.arange(deg + 1)
     return st[:, :1] ** (deg - e) * st[:, 1:] ** e
 
 
-def _coeff_matrix(p: BivarPoly):
-    """p's complex coefficient table as a dense (m+1, n+1) array."""
-    C = np.zeros((p.m + 1, p.n + 1), dtype=complex)
-    for j, row in enumerate(p.complex_terms):
-        for k, c in row:
-            C[j, k] = c
-    return C
+def _jet(x, deg, chart_t):
+    """Row 0: the power vector (s^(deg-j) t^j)_j of the point with local
+    coordinate x, (s, t) = (1, x) when chart_t and (x, 1) otherwise;
+    row 1: its derivative in x."""
+    e = np.arange(deg + 1)
+    J = np.zeros((2, deg + 1), dtype=complex)
+    J[0] = x**e
+    J[1, 1:] = e[1:] * J[0, :-1]
+    return J if chart_t else J[:, ::-1]
 
 
-def _candidates(u, v, zroots, wroots):
+def _jets(T, zx, wx, z_chart_t, w_chart_t):
+    """Value, z-partial and w-partial of every table of T at the point
+    with local coordinates zx, wx in the given charts."""
+    G = _jet(zx, T.shape[1] - 1, z_chart_t) @ T @ _jet(wx, T.shape[2] - 1, w_chart_t).T
+    return G[:, 0, 0], G[:, 1, 0], G[:, 0, 1]  # G[i] = [[f, f_w], [f_z, f_zw]]
+
+
+def _local(p: ParamPoint):
+    """A normalized point's chart (True: t, where s = 1) and its local
+    coordinate there, the smaller pair entry."""
+    chart_t = abs(p.t) <= abs(p.s)
+    return chart_t, p.t if chart_t else p.s
+
+
+def _coeff_tables(polys):
+    """The complex coefficient tables of polynomials of one bidegree,
+    stacked into one (len, m+1, n+1) array, each coefficient converted as
+    complex(a / den, b / den); and per table the bound sum |c| for its
+    modulus on normalized parameter pairs (1 for a zero table)."""
+    T = np.array([[[complex(a / p.den, b / p.den) for a, b in r] for r in p.num]
+                  for p in polys], dtype=complex)
+    scales = np.abs(T).sum(axis=(1, 2))
+    return T, np.where(scales > 0, scales, 1.0)
+
+
+def _candidates(T, scales, zroots, wroots):
     """Index pairs (zi, wi), in row order, of the root pairs on which u
-    and v are both within FILTER_TOL of zero relative to their scale."""
-    Z = _power_matrix(zroots, u.m)
-    W = _power_matrix(wroots, u.n).T
-    near = np.ones((len(zroots), len(wroots)), dtype=bool)
-    for p in (u, v):
-        near &= np.abs(Z @ _coeff_matrix(p) @ W) <= FILTER_TOL * _scale_bound(p)
-    return [tuple(ij) for ij in np.argwhere(near).tolist()]
+    and v, the tables T[0] and T[1], are both within FILTER_TOL of zero
+    relative to their scale."""
+    Z = _power_matrix([p.pair() for p in zroots], T.shape[1] - 1)
+    W = _power_matrix([p.pair() for p in wroots], T.shape[2] - 1).T
+    near = np.abs(Z @ T[:2] @ W) <= FILTER_TOL * scales[:2, None, None]
+    return [tuple(ij) for ij in np.argwhere(near[0] & near[1]).tolist()]
+
+
+def _polish(T, zp: ParamPoint, wp: ParamPoint, steps=30):
+    """2x2 Newton against the tables T = (u, v) in the local charts of the
+    start point, kept through every step; None on a singular Jacobian."""
+    (z_chart_t, zx), (w_chart_t, wx) = _local(zp), _local(wp)
+    dz = dw = 0.0
+    for _ in range(steps):
+        (fa, fb), (da_dz, db_dz), (da_dw, db_dw) = (
+            g.tolist() for g in _jets(T, zx, wx, z_chart_t, w_chart_t))
+        det = da_dz * db_dw - da_dw * db_dz
+        if abs(det) < 1e-300:
+            return None
+        dz = (fa * db_dw - fb * da_dw) / det
+        dw = (fb * da_dz - fa * db_dz) / det
+        zx, wx = zx - dz, wx - dw
+        if abs(dz) + abs(dw) < 1e-14:
+            break
+    zp2 = ParamPoint(*((1.0, zx) if z_chart_t else (zx, 1.0)),
+                     max(zp.radius, abs(dz)), zp.mult, zp.real, zp.root)
+    wp2 = ParamPoint(*((1.0, wx) if w_chart_t else (wx, 1.0)),
+                     max(wp.radius, abs(dw)), wp.mult, wp.real, wp.root)
+    return zp2, wp2
 
 
 def _pair_and_polish(minors, u, v, zroots, wroots, target_radius):
@@ -427,25 +391,24 @@ def _pair_and_polish(minors, u, v, zroots, wroots, target_radius):
     polished against (u, v) and kept when every minor vanishes there.
     Each (zi, wi) yields at most one solution, so two candidates that
     polish onto one point show in the caller's count check.  The
+    solution's margin is the smallest singular value of the minors'
+    scale-normalized Jacobian in the local parameter charts.  The
     benchmark ledger wraps this function by name with these six
     positional arguments; `target_radius` is unused."""
-    scales = [_scale_bound(m) for m in minors]
-    newton = _NewtonSystem(u, v)
-    minor_grads = [_partials(m) for m in minors]
+    T, scales = _coeff_tables([u, v, *minors])
     sols = []
-    for zi, wi in _candidates(u, v, zroots, wroots):
+    for zi, wi in _candidates(T, scales, zroots, wroots):
         zp, wp = zroots[zi], wroots[wi]
         # a singular Jacobian of the random pair (u, v) says nothing about
         # the candidate: keep it unpolished and let the checks below decide
-        z2, w2 = newton.polish(zp, wp) or (zp, wp)
-        zpair, wpair = z2.pair(), w2.pair()
-        resid = 0.0
-        for m, sc in zip(minors, scales):
-            resid = max(resid, abs(m.eval_pair(zpair, wpair)) / sc)
-        if resid > ACCEPT_TOL:
+        z2, w2 = _polish(T[:2], zp, wp) or (zp, wp)
+        (z_chart_t, zx), (w_chart_t, wx) = _local(z2), _local(w2)
+        f, fz, fw = _jets(T[2:], zx, wx, z_chart_t, w_chart_t)
+        if np.max(np.abs(f) / scales[2:]) > ACCEPT_TOL:
             continue
         # keep the point only if it stayed near the certified root disks
         if z2.dist(zp) > 1e-5 or w2.dist(wp) > 1e-5:
             continue
-        sols.append(PairSolution(z2, w2, _system_margin(minor_grads, scales, z2, w2)))
+        svals = np.linalg.svd(np.stack([fz, fw], axis=1) / scales[2:, None], compute_uv=False)
+        sols.append(PairSolution(z2, w2, float(svals[-1]) if len(svals) >= 2 else 0.0))
     return sols

@@ -17,6 +17,7 @@ from .diagram import render_diagram_svg, select_center
 from .errors import CurveFileError, GenericityError, InstabilityError, PreconditionError
 from .invariants import encomplexed_writhe, family_sweep, shade_number_empty_real
 from .reportio import ReportEnvelope, emit_report, parse_curve_file
+from .roots import DEFAULT_TARGET_RADIUS
 from .scalars import QQ
 
 EXIT_OK = 0
@@ -36,7 +37,8 @@ def build_parser():
     p_inv.add_argument("--curve", required=True, help="curve JSON file")
     p_inv.add_argument("--seed", type=int, default=0)
     p_inv.add_argument("--centers", type=int, default=1, help="cross-checked centers")
-    p_inv.add_argument("--tol", type=float, default=1e-12, help="root refinement target")
+    p_inv.add_argument("--tol", type=float, default=DEFAULT_TARGET_RADIUS,
+                       help="root refinement target")
     p_inv.add_argument("--svg", help="also write the diagram SVG here")
     _fmt_flags(p_inv)
 

@@ -53,6 +53,7 @@ from .projective import (
     quadric_residual,
     stereographic,
 )
+from .roots import DEFAULT_TARGET_RADIUS
 from .scalars import GaussianRational, QQ
 
 __all__ = [
@@ -297,17 +298,18 @@ def _center_off_component(center: ProjPoint, forms) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def oriented_real_tangent(comp: CurveComponent, param: ParamPoint, chart: int, forms=None):
+def oriented_real_tangent(comp: CurveComponent, param: ParamPoint, chart: int, vals=None):
     """Affine velocity of the real locus at a real parameter in the given
     projective chart, oriented by the fixed parameter-circle orientation
-    (s, t) = (cos a, sin a).
+    (s, t) = (cos a, sin a).  `vals` are the coordinate values at the
+    parameter when the caller holds them.
 
     Returns (affine point, velocity) as real float lists.
     """
-    if forms is None:
-        forms = comp.coords
+    forms = comp.coords
     s, t = param.s.real, param.t.real
-    vals = eval_forms(forms, complex(s), complex(t))
+    if vals is None:
+        vals = eval_forms(forms, complex(s), complex(t))
     vel = [
         complex((f.d_dt().eval(complex(s), complex(t)) * s - f.d_ds().eval(complex(s), complex(t)) * t))
         for f in forms
@@ -332,21 +334,20 @@ def oriented_real_tangent(comp: CurveComponent, param: ParamPoint, chart: int, f
 # ---------------------------------------------------------------------------
 
 
-def real_crossing_writhe(comp_i, comp_j, zp, wp, center: ProjPoint, forms_i=None, forms_j=None):
+def real_crossing_writhe(comp_i, comp_j, zp, wp, x):
     """P3 recipe: sign of (v, u, w) with v, w the endpoint tangents and u
-    the chord direction from the evaluation endpoint to the other one."""
-    forms_i = forms_i or p3_forms(comp_i.coords)
-    forms_j = forms_j or p3_forms(comp_j.coords)
-    av = normalize(eval_forms(forms_i, zp.s, zp.t))
-    bv = normalize(eval_forms(forms_j, wp.s, wp.t))
+    the chord direction from the evaluation endpoint to the other one.
+    The components are P3 curves and x is the value of comp_i at zp."""
+    y = eval_forms(comp_j.coords, wp.s, wp.t)
+    av, bv = normalize(x), normalize(y)
     best_k, best = None, -1.0
     for k in range(4):
         val = min(abs(av[k]), abs(bv[k]))
         if val > best:
             best, best_k = val, k
     k = best_k
-    a_aff, v = oriented_real_tangent(comp_i, zp, k, forms_i)
-    b_aff, w = oriented_real_tangent(comp_j, wp, k, forms_j)
+    a_aff, v = oriented_real_tangent(comp_i, zp, k, x)
+    b_aff, w = oriented_real_tangent(comp_j, wp, k, y)
     u = [b_aff[m] - a_aff[m] for m in range(3)]
     sign = orientation_sign([v, u, w], chart_parity(k))
     return P3_REAL_SIGN * sign
@@ -503,7 +504,7 @@ def _project_to_h(xvec, cvec, m):
 
 
 def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None,
-                  tol=1e-12) -> ProjectionData:
+                  tol=DEFAULT_TARGET_RADIUS) -> ProjectionData:
     """Solve every chord system for the given center, classify, evaluate
     writhes, and assemble the genericity certificate.  Raises
     GenericityError whenever any margin fails."""
@@ -619,7 +620,7 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
             if q is not None:
                 wr = sphere_real_pair_sign(comps[i], comps[j], zp, wp, center)
             else:
-                wr = real_crossing_writhe(comps[i], comps[j], zp, wp, center.point)
+                wr = real_crossing_writhe(comps[i], comps[j], zp, wp, x)
         else:
             wr = solitary_writhe(comps[i], zp, center, x)
         crossings.append(
@@ -633,7 +634,7 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
 
 
 def select_center(curve: CurveModel, seed=0, mode=None, forced_center=None,
-                  max_attempts=MAX_CENTER_ATTEMPTS, tol=1e-12):
+                  max_attempts=MAX_CENTER_ATTEMPTS, tol=DEFAULT_TARGET_RADIUS):
     """Draw seeded rational candidate centers and accept the first whose
     projection certifies; deterministic given the seed.
 

@@ -19,11 +19,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chords import canonical_unordered, secants, solve_minor_system
+from .chords import ACCEPT_TOL, canonical_unordered, secants, solve_minor_system
 from .curves import CurveModel, SelfIntersection, describe_ambient, eval_forms
 from .diagram import ProjectionData, branch_frame_sign, select_center
 from .errors import GenericityError, InstabilityError, PreconditionError
 from .poly import UPoly, real_roots_sturm
+from .projective import CERT_MARGIN, REALNESS_TOL
+from .roots import DEFAULT_TARGET_RADIUS
 from .scalars import QQ
 
 __all__ = [
@@ -40,10 +42,10 @@ __all__ = [
 ]
 
 TOLERANCES = {
-    "certification_margin": 1e-6,
-    "realness": 1e-9,
-    "root_residual": 1e-12,
-    "system_residual": 1e-8,
+    "certification_margin": CERT_MARGIN,
+    "realness": REALNESS_TOL,
+    "root_residual": DEFAULT_TARGET_RADIUS,
+    "system_residual": ACCEPT_TOL,
 }
 
 
@@ -187,7 +189,7 @@ def _sum_parts(data: ProjectionData):
 
 
 def encomplexed_writhe(curve: CurveModel, seed=0, centers=1, forced_center=None,
-                       tol=1e-12) -> InvariantReport:
+                       tol=DEFAULT_TARGET_RADIUS) -> InvariantReport:
     """Cw of a smooth real curve as the signed crossing count of a
     certified generic projection, cross-checked over `centers` accepted
     centers (the total must agree; the wr/sh split is center-dependent
@@ -237,7 +239,7 @@ def encomplexed_writhe(curve: CurveModel, seed=0, centers=1, forced_center=None,
 
 
 def shade_number_empty_real(curve: CurveModel, seed=0, centers=1, forced_center=None,
-                            tol=1e-12) -> InvariantReport:
+                            tol=DEFAULT_TARGET_RADIUS) -> InvariantReport:
     """sh(W) = half the signed count of shade points, for curves whose
     components all have empty real locus."""
     curve.require_valid()

@@ -8,8 +8,9 @@ integer arithmetic plus one lcm and one reduction per operation, and the
 exact kernels (gcds, exact division, resultants) read the integer
 tables.  `coeffs` / `rows` are exact GaussianRational views.
 Float evaluation converts one coefficient at a time, complex(a / den,
-b / den), which rounds exactly like the GaussianRational value; a
-BivarPoly converts its table once, on first use, and keeps it.
+b / den), which rounds exactly like the GaussianRational value; the
+chord solver converts a whole BivarPoly table that way into one numpy
+array per solve attempt, and no float copy is kept on a polynomial.
 
 Univariate gcds are modular (Brown 1971, zx_gcd), each proven by exact
 division and normalized to a leading coefficient with re > 0, im >= 0.
@@ -443,8 +444,8 @@ def _exact(den, c):
 
 class _IntTable:
     """Base of the polynomial classes: their slots are a shape (none, the
-    degree, or the bidegree), then `den` and the integer table `num`.  A
-    class with a further (cache) slot overrides `_key` to leave it out."""
+    degree, or the bidegree), then `den` and the integer table `num`;
+    equality and hash read them all."""
 
     __slots__ = ()
 
@@ -738,11 +739,9 @@ class BivarPoly(_IntTable):
     """Bihomogeneous polynomial of declared bidegree (m, n) over Q(i):
     Gaussian integers num[j][k] over one denominator `den`, in lowest
     terms, where num[j][k] / den multiplies s^(m-j) t^j u^(n-k) v^k.
-    `rows` is the exact GaussianRational view, `complex_terms` the float
-    view, built on first use and kept on the instance (not in the value:
-    equality and hash read only m, n, den and num)."""
+    `rows` is the exact GaussianRational view."""
 
-    __slots__ = ("m", "n", "den", "num", "_complex")
+    __slots__ = ("m", "n", "den", "num")
 
     def __init__(self, m, n, rows):
         if len(rows) != m + 1 or any(len(r) != n + 1 for r in rows):
@@ -754,10 +753,6 @@ class BivarPoly(_IntTable):
         den, num = _lowest_terms(den, num)
         self.m, self.n, self.den = m, n, den
         self.num = tuple(tuple(r) for r in num)
-        self._complex = None
-
-    def _key(self):
-        return (self.m, self.n, self.den, self.num)
 
     @classmethod
     def zero(cls, m, n):
@@ -792,18 +787,6 @@ class BivarPoly(_IntTable):
     def rows(self):
         return tuple(tuple(_exact(self.den, c) for c in r) for r in self.num)
 
-    @property
-    def complex_terms(self):
-        """Row j holds (k, complex(num[j][k] / den)) for each nonzero
-        num[j][k], in order of k; each coefficient is converted once."""
-        if self._complex is None:
-            den = self.den
-            self._complex = tuple(
-                tuple((k, complex(a / den, b / den)) for k, (a, b) in enumerate(r) if a or b)
-                for r in self.num
-            )
-        return self._complex
-
     def is_zero(self):
         return all(c == GZERO for r in self.num for c in r)
 
@@ -815,21 +798,6 @@ class BivarPoly(_IntTable):
 
     def __sub__(self, other):
         return BivarPoly.combination([(1, self), (-1, other)])
-
-    def eval_pair(self, st, uv):
-        """Complex value at projective parameters st = (s, t), uv = (u, v)."""
-        s, t = complex(st[0]), complex(st[1])
-        u, v = complex(uv[0]), complex(uv[1])
-        acc = 0j
-        spow = [s**e for e in range(self.m + 1)]
-        tpow = [t**e for e in range(self.m + 1)]
-        upow = [u**e for e in range(self.n + 1)]
-        vpow = [v**e for e in range(self.n + 1)]
-        for j, row in enumerate(self.complex_terms):
-            stj = spow[self.m - j] * tpow[j]
-            for k, c in row:
-                acc += c * stj * upow[self.n - k] * vpow[k]
-        return acc
 
     def swap_vars(self):
         return BivarPoly._from_ints(self.n, self.m, self.den, list(zip(*self.num)))

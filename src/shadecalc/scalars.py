@@ -43,7 +43,7 @@ class GaussianRational:
         object.__setattr__(self, "re", _as_fraction(re))
         object.__setattr__(self, "im", _as_fraction(im))
 
-    def __setattr__(self, *a):
+    def __setattr__(*a):
         raise AttributeError("GaussianRational is immutable")
 
     # -- predicates ----------------------------------------------------
@@ -55,7 +55,8 @@ class GaussianRational:
         return not self.im
 
     # -- arithmetic ----------------------------------------------------
-    def _coerce(self, other):
+    @staticmethod
+    def _coerce(other):
         if isinstance(other, GaussianRational):
             return other
         if isinstance(other, (int, Fraction)):

@@ -1,11 +1,12 @@
 """Shared oracle helpers for the unit and acceptance suites."""
 
+import math
 import random
 
 import numpy as np
 
 from shadecalc.poly import BivarPoly, bivar_resultant_w
-from shadecalc.scalars import QQ
+from shadecalc.scalars import QQ, GaussianRational
 
 
 def bp(m, n, entries):
@@ -13,6 +14,47 @@ def bp(m, n, entries):
     for (j, k), c in entries.items():
         rows[j][k] = c
     return BivarPoly(m, n, rows)
+
+
+def exact(x):
+    """x as a GaussianRational; a float or complex counts at its exact
+    binary value."""
+    if isinstance(x, GaussianRational):
+        return x
+    x = complex(x)
+    return GaussianRational(x.real, x.imag)
+
+
+def _gmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _integer_powers(pair, deg):
+    """A pair of exact scalars scaled by a common denominator d to
+    Gaussian integers (a, b), as [a^(deg-j) b^j for j = 0..deg] and d^deg."""
+    pair = [exact(x) for x in pair]
+    d = math.lcm(*(q.denominator for x in pair for q in (x.re, x.im)))
+    a, b = ((int(x.re * d), int(x.im * d)) for x in pair)
+    apow, bpow = [(1, 0)], [(1, 0)]
+    for _ in range(deg):
+        apow.append(_gmul(apow[-1], a))
+        bpow.append(_gmul(bpow[-1], b))
+    return [_gmul(apow[deg - j], bpow[j]) for j in range(deg + 1)], d**deg
+
+
+def bivar_value(p, st, uv):
+    """p at the parameter pairs st = (s, t) and uv = (u, v), exactly: by
+    homogeneity, p's integer table summed against the powers of the pairs
+    scaled to Gaussian integers, over den and the scales."""
+    S, ds = _integer_powers(st, p.m)
+    U, du = _integer_powers(uv, p.n)
+    re = im = 0
+    for j, row in enumerate(p.num):
+        for k, c in enumerate(row):
+            x = _gmul(_gmul(c, S[j]), U[k])
+            re, im = re + x[0], im + x[1]
+    den = p.den * ds * du
+    return GaussianRational(QQ(re, den), QQ(im, den))
 
 
 def same_point(a, b):

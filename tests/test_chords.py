@@ -27,7 +27,7 @@ from shadecalc.poly import BinaryForm
 from shadecalc.reportio import parse_curve_file
 from shadecalc.scalars import GaussianRational as G, QQ
 
-from helpers import conjugate_params, same_param
+from helpers import bivar_value, conjugate_params, same_param
 
 
 def center_system(curve, center, j=0):
@@ -44,22 +44,27 @@ def lp_minors(center):
 
 class TestMinorSystems:
     def test_collinearity_minors_are_determinants(self):
-        """Each exact minor, evaluated in floats, is the 3x3 determinant of
+        """Each minor, evaluated exactly, is the 3x3 determinant of
         [c | x(z) | y(w)] on its rows, for a real and a non-real pair."""
         rng = random.Random(4)
+
+        def rand():
+            return G(QQ(rng.randint(-9, 9), rng.randint(1, 9)),
+                     QQ(rng.randint(-9, 9), rng.randint(1, 9)))
+
         c = [G(1), G(QQ(1, 3)), G(QQ(-2, 5)), G(2)]
         for comp, conj in ((kae_curve(QQ(1, 2), -1).components[0], False),
                            (lp_line_curve().components[0], True)):
             yforms = comp.conj_coords if conj else comp.coords
             minors = collinearity_system(c, coincidence_system(comp.coords, yforms))
             for _ in range(5):
-                z = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), 1 + 0j)
-                w = (1 + 0j, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+                z, w = (rand(), G(1)), (G(1), rand())
                 x = [f.eval(*z) for f in comp.coords]
                 y = [f.eval(*w) for f in yforms]
-                for rows, m in zip(itertools.combinations(range(4), 3), minors):
-                    det = np.linalg.det([[complex(c[r]), x[r], y[r]] for r in rows])
-                    assert abs(m.eval_pair(z, w) - det) < 1e-12 * (1 + abs(det))
+                for (a, b, d), m in zip(itertools.combinations(range(4), 3), minors):
+                    det = (c[a] * (x[b] * y[d] - x[d] * y[b]) - c[b] * (x[a] * y[d] - x[d] * y[a])
+                           + c[d] * (x[a] * y[b] - x[b] * y[a]))
+                    assert bivar_value(m, z, w) == det
 
 
 class TestShadeSystems:
@@ -172,17 +177,13 @@ class TestRootIdentity:
 
 
 def _scalar_candidates(u, v, zroots, wroots):
-    """The candidate filter one pair at a time, by eval_pair."""
-    out = []
-    for zi, zp in enumerate(zroots):
-        for wi, wp in enumerate(wroots):
-            zu, wu = zp.pair(), wp.pair()
-            if abs(u.eval_pair(zu, wu)) > chords.FILTER_TOL * chords._scale_bound(u):
-                continue
-            if abs(v.eval_pair(zu, wu)) > chords.FILTER_TOL * chords._scale_bound(v):
-                continue
-            out.append((zi, wi))
-    return out
+    """The candidate filter one pair at a time, in exact arithmetic at
+    the float root pairs."""
+    bounds = [chords.FILTER_TOL * (sum(abs(complex(c)) for r in p.rows for c in r) or 1.0)
+              for p in (u, v)]
+    return [(zi, wi) for zi, zp in enumerate(zroots) for wi, wp in enumerate(wroots)
+            if all(abs(complex(bivar_value(p, zp.pair(), wp.pair()))) <= b
+                   for p, b in zip((u, v), bounds))]
 
 
 class TestCandidateFilter:
@@ -208,7 +209,7 @@ class TestCandidateFilter:
         solve_minor_system(minors, seed=seed, w_mode="swap", context=system)
         assert calls
         for _, u, v, zroots, wroots, _ in calls:
-            got = chords._candidates(u, v, zroots, wroots)
+            got = chords._candidates(*chords._coeff_tables([u, v]), zroots, wroots)
             assert got == _scalar_candidates(u, v, zroots, wroots)
             assert got
 

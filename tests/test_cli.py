@@ -298,6 +298,21 @@ class TestCommands:
         want = json.loads((DATA / "trefoil.json").read_text())["center"]["lift"]
         assert [parse_scalar(c) for c in lift] == [parse_scalar(c) for c in want]
 
+    def test_reported_tolerances_are_the_engine_constants(self, capsys):
+        from shadecalc.chords import ACCEPT_TOL
+        from shadecalc.projective import CERT_MARGIN, REALNESS_TOL
+        from shadecalc.roots import DEFAULT_TARGET_RADIUS
+
+        code, out = run(["invariants", "--curve", str(DATA / "unknot.json")], capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["tolerances"] == {
+            "certification_margin": CERT_MARGIN,
+            "realness": REALNESS_TOL,
+            "root_residual": DEFAULT_TARGET_RADIUS,
+            "system_residual": ACCEPT_TOL,
+        }
+        assert cli.build_parser().parse_args(["invariants", "--curve", "c"]).tol == DEFAULT_TARGET_RADIUS
+
     def test_sweep_kae_payload(self, capsys):
         code, out = run(
             ["sweep", "--family", "kae", "--epsilon", "-1", "--grid=-1:1:1/4", "--seed", "2"],

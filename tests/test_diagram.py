@@ -190,12 +190,9 @@ class TestP3RealWritheFixture:
         rr = [c for c in d.crossings if c.kind == "real-real"]
         if rr:
             c = rr[0]
-            s1 = real_crossing_writhe(
-                curve.components[0], curve.components[0], c.z, c.w, d.center.point
-            )
-            s2 = real_crossing_writhe(
-                curve.components[0], curve.components[0], c.w, c.z, d.center.point
-            )
+            comp = curve.components[0]
+            s1 = real_crossing_writhe(comp, comp, c.z, c.w, eval_forms(comp.coords, c.z.s, c.z.t))
+            s2 = real_crossing_writhe(comp, comp, c.w, c.z, eval_forms(comp.coords, c.w.s, c.w.t))
             assert s1 == s2 == c.writhe
 
 

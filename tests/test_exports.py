@@ -52,3 +52,41 @@ def test_private_helpers_have_a_caller():
         and total[node.name] == Counter(_referenced(node))[node.name]
     ]
     assert orphans == []
+
+
+# parameters kept on purpose, each with its reason
+UNREAD_ALLOWED = {
+    # the benchmark ledger wraps it by name with six positional arguments
+    "chords.py:_pair_and_polish.target_radius",
+    # the immutability guard refuses every assignment, whatever its arguments
+    "scalars.py:GaussianRational.__setattr__.a",
+}
+
+
+def _functions(node, prefix=""):
+    """(qualified name, node) of every function under node, methods and
+    nested functions included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+            yield from _functions(child, prefix + child.name + ".")
+        elif isinstance(child, ast.ClassDef):
+            yield from _functions(child, prefix + child.name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
+def test_parameters_are_read():
+    """Every parameter of every function of the package is read in its
+    body, so a signature cannot keep an argument nothing uses."""
+    src = Path(shadecalc.__file__).parent
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        for name, fn in _functions(ast.parse(path.read_text())):
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{name}.{p}" for p in params if p not in read]
+    assert sorted(set(unread) - UNREAD_ALLOWED) == []

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from shadecalc import chords
 from shadecalc.curves import kae_curve
 from shadecalc.chords import coincidence_system, collinearity_system, secants
 from shadecalc.poly import (
@@ -180,23 +181,20 @@ class TestGcd:
 
 
 class TestComplexTable:
-    def test_cached_table_stays_out_of_equality(self):
-        # the float table is built on first evaluation and kept on the
-        # instance; equality and hash must not see whether it was built
+    def test_equality_and_hash_read_the_table(self):
         a = bp(2, 1, {(0, 0): QQ(1, 3), (1, 1): G(2, -5), (2, 0): -7})
         b = bp(2, 1, {(0, 0): QQ(1, 3), (1, 1): G(2, -5), (2, 0): -7})
-        assert a == b and hash(a) == hash(b)
-        want = a.eval_pair((1, 0.5j), (0.25, 1))
         assert a == b and hash(a) == hash(b) and b == a
         assert {a: 1}[b] == 1
-        assert b.eval_pair((1, 0.5j), (0.25, 1)) == want
-        assert a.complex_terms is a.complex_terms
-        assert a.complex_terms == b.complex_terms
         assert a != bp(2, 1, {(0, 0): QQ(1, 3), (2, 0): -7})
 
-    def test_table_holds_the_nonzero_coefficients(self):
+    def test_stacked_tables_and_scales(self):
+        # the chord solver's float view: one complex table per polynomial
+        # of one bidegree, and per table the sum of the moduli
         p = bp(1, 1, {(0, 0): QQ(1, 3), (1, 1): G(QQ(-2, 7), 1)})
-        assert p.complex_terms == (((0, 1 / 3),), ((1, complex(-2 / 7, 1)),))
+        T, scales = chords._coeff_tables([p, BivarPoly.zero(1, 1)])
+        assert T.tolist() == [[[1 / 3, 0], [0, complex(-2 / 7, 1)]], [[0, 0], [0, 0]]]
+        assert scales.tolist() == [1 / 3 + abs(complex(-2 / 7, 1)), 1.0]
 
 
 class TestBinaryForm:

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from shadecalc import poly
+from shadecalc import chords, poly
 from shadecalc.poly import (
     BinaryForm,
     BivarPoly,
@@ -37,6 +37,8 @@ from shadecalc.poly import (
 )
 from shadecalc.scalars import GaussianRational as G
 
+from helpers import bivar_value
+
 Z, W = sympy.symbols("z w")
 QQ_I = sympy.QQ_I
 
@@ -50,6 +52,9 @@ wide_fractions = st.builds(
 ) | small_fractions
 wide_gaussians = st.builds(G, wide_fractions, wide_fractions)
 points = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+# dyadic parts in [-4, 4]: chart coordinates whose powers never underflow
+chart_parts = st.integers(-(2**12), 2**12).map(lambda k: k / 2**10)
+chart_points = st.builds(complex, chart_parts, chart_parts)
 
 
 # 60- to 70-digit parts, times a planted content n (1+i)^a (2+i)^b: with
@@ -397,25 +402,50 @@ def _canonical(p):
     return p.den > 0 and math.gcd(p.den, *parts) == 1
 
 
+def _power_rule(p, var, chart_t):
+    """The partial of p in the local coordinate of the z (var 0) or w
+    (var 1) chart, t or v when chart_t and s or u otherwise, by the power
+    rule on the exact rows."""
+    rows = p.rows if var == 0 else list(zip(*p.rows))
+    deg = len(rows) - 1
+    if deg == 0:
+        return BivarPoly.zero(p.m, p.n)
+    if chart_t:
+        d = [[j * c for c in rows[j]] for j in range(1, deg + 1)]
+    else:
+        d = [[(deg - j) * c for c in rows[j]] for j in range(deg)]
+    if var == 1:
+        d = [list(r) for r in zip(*d)]
+    return BivarPoly(len(d) - 1, len(d[0]) - 1, d)
+
+
+def _abs_value(p, st, uv):
+    """Sum of the moduli of p's terms at the pairs: a scale for round-off."""
+    s, t = map(abs, st)
+    u, v = map(abs, uv)
+    return sum(abs(complex(c)) * s ** (p.m - j) * t**j * u ** (p.n - k) * v**k
+               for j, r in enumerate(p.rows) for k, c in enumerate(r))
+
+
 class TestFloatEvaluation:
     """Each coefficient is converted on its own, in the order and with the
     zero skips of the per-coefficient GaussianRational formula."""
 
     @settings(max_examples=150, deadline=None)
-    @given(bivars(max_m=3, max_n=3, scalars=wide_gaussians), points, points, points, points)
-    def test_eval_pair(self, p, s, t, u, v):
-        spow = [s**e for e in range(p.m + 1)]
-        tpow = [t**e for e in range(p.m + 1)]
-        upow = [u**e for e in range(p.n + 1)]
-        vpow = [v**e for e in range(p.n + 1)]
-        want = 0j
-        for j in range(p.m + 1):
-            stj = spow[p.m - j] * tpow[j]
-            for k in range(p.n + 1):
-                c = p.rows[j][k]
-                if c:
-                    want += complex(c) * stj * upow[p.n - k] * vpow[k]
-        assert p.eval_pair((s, t), (u, v)) == want
+    @given(bivars(max_m=3, max_n=3, scalars=wide_gaussians), chart_points, chart_points,
+           st.booleans(), st.booleans())
+    def test_jet(self, p, zx, wx, z_chart_t, w_chart_t):
+        # the table holds each coefficient rounded on its own, and the
+        # power vectors with their local-chart derivatives give the value
+        # and both partials of the exact rows at (1, x) or (x, 1)
+        T, _ = chords._coeff_tables([p])
+        assert T[0].tolist() == [[complex(c) for c in r] for r in p.rows]
+        zpair = (1, zx) if z_chart_t else (zx, 1)
+        wpair = (1, wx) if w_chart_t else (wx, 1)
+        got = chords._jets(T, zx, wx, z_chart_t, w_chart_t)
+        for g, q in zip(got, (p, _power_rule(p, 0, z_chart_t), _power_rule(p, 1, w_chart_t))):
+            want = complex(bivar_value(q, zpair, wpair))
+            assert abs(g[0] - want) <= 1e-12 * _abs_value(q, zpair, wpair)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(wide_gaussians, min_size=1, max_size=7), points, points)
