@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 
-from shadecalc.poly import BivarPoly, bivar_resultant_w
+from shadecalc.poly import BivarPoly, bivar_resultant_w, gmul
 from shadecalc.scalars import QQ, GaussianRational
 
 
@@ -25,10 +25,6 @@ def exact(x):
     return GaussianRational(x.real, x.imag)
 
 
-def _gmul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
 def _integer_powers(pair, deg):
     """A pair of exact scalars scaled by a common denominator d to
     Gaussian integers (a, b), as [a^(deg-j) b^j for j = 0..deg] and d^deg."""
@@ -37,9 +33,9 @@ def _integer_powers(pair, deg):
     a, b = ((int(x.re * d), int(x.im * d)) for x in pair)
     apow, bpow = [(1, 0)], [(1, 0)]
     for _ in range(deg):
-        apow.append(_gmul(apow[-1], a))
-        bpow.append(_gmul(bpow[-1], b))
-    return [_gmul(apow[deg - j], bpow[j]) for j in range(deg + 1)], d**deg
+        apow.append(gmul(apow[-1], a))
+        bpow.append(gmul(bpow[-1], b))
+    return [gmul(apow[deg - j], bpow[j]) for j in range(deg + 1)], d**deg
 
 
 def bivar_value(p, st, uv):
@@ -51,7 +47,7 @@ def bivar_value(p, st, uv):
     re = im = 0
     for j, row in enumerate(p.num):
         for k, c in enumerate(row):
-            x = _gmul(_gmul(c, S[j]), U[k])
+            x = gmul(gmul(c, S[j]), U[k])
             re, im = re + x[0], im + x[1]
     den = p.den * ds * du
     return GaussianRational(QQ(re, den), QQ(im, den))

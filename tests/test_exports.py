@@ -1,6 +1,6 @@
 """Every name a shadecalc module lists in __all__ exists, so deleting a
-function cannot leave a stale export behind, and no private helper is
-left without a caller."""
+function cannot leave a stale export behind, no private helper is left
+without a caller, and no function keeps a parameter it never reads."""
 
 import ast
 import importlib
