@@ -44,9 +44,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .curves import ParamPoint, p3_forms
+from .curves import ParamPoint, _jet, _power_matrix, p3_forms
 from .errors import GenericityError
-from .poly import GZERO, BinaryForm, BivarPoly, bivar_divexact, bivar_gcd, bivar_resultant_w, gmul
+from .poly import (GZERO, BinaryForm, BivarPoly, bivar_divexact, bivar_gcd, bivar_resultant_w,
+                   complex_coeffs, gmul)
 from .roots import DEFAULT_TARGET_RADIUS, UncertifiedRootsError, complex_roots
 
 __all__ = ["PairSolution", "SaturatedSystem", "SystemResult", "solve_minor_system",
@@ -310,24 +311,6 @@ def canonical_unordered(solutions):
     return [s for s in solutions if s.zi <= s.wi]
 
 
-def _power_matrix(pairs, deg):
-    """Row i holds s_i^(deg-j) t_i^j for j = 0..deg, (s_i, t_i) = pairs[i]."""
-    st = np.array(pairs, dtype=complex).reshape(-1, 2)
-    e = np.arange(deg + 1)
-    return st[:, :1] ** (deg - e) * st[:, 1:] ** e
-
-
-def _jet(x, deg, chart_t):
-    """Row 0: the power vector (s^(deg-j) t^j)_j of the point with local
-    coordinate x, (s, t) = (1, x) when chart_t and (x, 1) otherwise;
-    row 1: its derivative in x."""
-    e = np.arange(deg + 1)
-    J = np.zeros((2, deg + 1), dtype=complex)
-    J[0] = x**e
-    J[1, 1:] = e[1:] * J[0, :-1]
-    return J if chart_t else J[:, ::-1]
-
-
 def _jets(T, zx, wx, z_chart_t, w_chart_t):
     """Value, z-partial and w-partial of every table of T at the point
     with local coordinates zx, wx in the given charts."""
@@ -335,20 +318,12 @@ def _jets(T, zx, wx, z_chart_t, w_chart_t):
     return G[:, 0, 0], G[:, 1, 0], G[:, 0, 1]  # G[i] = [[f, f_w], [f_z, f_zw]]
 
 
-def _local(p: ParamPoint):
-    """A normalized point's chart (True: t, where s = 1) and its local
-    coordinate there, the smaller pair entry."""
-    chart_t = abs(p.t) <= abs(p.s)
-    return chart_t, p.t if chart_t else p.s
-
-
 def _coeff_tables(polys):
     """The complex coefficient tables of polynomials of one bidegree,
-    stacked into one (len, m+1, n+1) array, each coefficient converted as
-    complex(a / den, b / den); and per table the bound sum |c| for its
-    modulus on normalized parameter pairs (1 for a zero table)."""
-    T = np.array([[[complex(a / p.den, b / p.den) for a, b in r] for r in p.num]
-                  for p in polys], dtype=complex)
+    stacked into one (len, m+1, n+1) array, each coefficient converted by
+    complex_coeffs; and per table the bound sum |c| for its modulus on
+    normalized parameter pairs (1 for a zero table)."""
+    T = np.array([[complex_coeffs(p.den, r) for r in p.num] for p in polys], dtype=complex)
     scales = np.abs(T).sum(axis=(1, 2))
     return T, np.where(scales > 0, scales, 1.0)
 
@@ -366,7 +341,7 @@ def _candidates(T, scales, zroots, wroots):
 def _polish(T, zp: ParamPoint, wp: ParamPoint, steps=30):
     """2x2 Newton against the tables T = (u, v) in the local charts of the
     start point, kept through every step; None on a singular Jacobian."""
-    (z_chart_t, zx), (w_chart_t, wx) = _local(zp), _local(wp)
+    (z_chart_t, zx), (w_chart_t, wx) = zp.local(), wp.local()
     dz = dw = 0.0
     for _ in range(steps):
         (fa, fb), (da_dz, db_dz), (da_dw, db_dw) = (
@@ -402,7 +377,7 @@ def _pair_and_polish(minors, u, v, zroots, wroots, target_radius):
         # a singular Jacobian of the random pair (u, v) says nothing about
         # the candidate: keep it unpolished and let the checks below decide
         z2, w2 = _polish(T[:2], zp, wp) or (zp, wp)
-        (z_chart_t, zx), (w_chart_t, wx) = _local(z2), _local(w2)
+        (z_chart_t, zx), (w_chart_t, wx) = z2.local(), w2.local()
         f, fz, fw = _jets(T[2:], zx, wx, z_chart_t, w_chart_t)
         if np.max(np.abs(f) / scales[2:]) > ACCEPT_TOL:
             continue

@@ -1,9 +1,12 @@
-"""Rational curve models: validation, exact and float evaluation,
-conjugate parameterizations and the built-in families.
+"""Rational curve models: validation, float evaluation, conjugate
+parameterizations and the built-in families.
 
 A curve component is a tuple of 4 or 5 binary forms of one degree; the
 model also records its ambient space (P3, or a quadric for sphere
-curves).  The worked examples ship as built-in families: the degree-3
+curves).  Each component converts its forms once into one complex table,
+one row per coordinate, and every float value of a curve point, and of
+its derivative in the point's local chart, is a power vector times that
+table.  The worked examples ship as built-in families: the degree-3
 knot family K_a(eps), the unknot and trefoil on the sphere, the
 real-point-free line, and a couple of linking fixtures.
 """
@@ -12,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PreconditionError
-from .poly import BinaryForm, form_gcd
+from .poly import BinaryForm, complex_coeffs, form_gcd
 from .projective import QuadricSpec
 from .scalars import GaussianRational, QQ
 
@@ -22,7 +27,6 @@ __all__ = [
     "CurveModel",
     "SelfIntersection",
     "ParamPoint",
-    "eval_forms",
     "kae_curve",
     "unknot_curve",
     "trefoil_curve",
@@ -58,6 +62,12 @@ class ParamPoint:
     def pair(self):
         return (self.s, self.t)
 
+    def local(self):
+        """The point's chart (True: t, where s = 1) and its local
+        coordinate there, the smaller pair entry."""
+        chart_t = abs(self.t) <= abs(self.s)
+        return chart_t, self.t if chart_t else self.s
+
     def conjugate(self):
         return ParamPoint(
             self.s.conjugate(), self.t.conjugate(), self.radius, self.mult, self.real, self.root
@@ -85,11 +95,30 @@ class SelfIntersection:
     components: tuple  # (i, j)
 
 
+def _power_matrix(pairs, deg):
+    """Row i holds s_i^(deg-j) t_i^j for j = 0..deg, (s_i, t_i) = pairs[i]."""
+    st = np.array(pairs, dtype=complex).reshape(-1, 2)
+    e = np.arange(deg + 1)
+    return st[:, :1] ** (deg - e) * st[:, 1:] ** e
+
+
+def _jet(x, deg, chart_t):
+    """Row 0: the power vector (s^(deg-j) t^j)_j of the point with local
+    coordinate x, (s, t) = (1, x) when chart_t and (x, 1) otherwise;
+    row 1: its derivative in x."""
+    e = np.arange(deg + 1)
+    J = np.zeros((2, deg + 1), dtype=complex)
+    J[0] = x**e
+    J[1, 1:] = e[1:] * J[0, :-1]
+    return J if chart_t else J[:, ::-1]
+
+
 class CurveComponent:
     """One rational component: 4 or 5 coordinate forms of common degree,
-    base-point free, plus the coefficient-conjugated parameterization."""
+    base-point free, plus the coefficient-conjugated parameterization and
+    the forms' complex coefficient table, (nvars, degree + 1)."""
 
-    __slots__ = ("coords", "conj_coords", "label", "degree")
+    __slots__ = ("coords", "conj_coords", "label", "degree", "table")
 
     def __init__(self, coords, label=""):
         coords = tuple(coords)
@@ -106,6 +135,7 @@ class CurveComponent:
         self.conj_coords = tuple(f.conjugate() for f in coords)
         self.label = label
         self.degree = d
+        self.table = np.array([complex_coeffs(f.den, f.num) for f in coords])
 
     @property
     def nvars(self):
@@ -117,11 +147,16 @@ class CurveComponent:
     def base_point_free(self) -> bool:
         return form_gcd(list(self.coords)).degree == 0
 
+    def values(self, pairs):
+        """The coordinate vectors at the parameter pairs (s, t), which
+        need not be normalized: one complex list per pair."""
+        return (_power_matrix(pairs, self.degree) @ self.table.T).tolist()
 
-def eval_forms(forms, s, t):
-    """Values of the forms at a float parameter (s, t), as a complex
-    vector."""
-    return [complex(f.eval(s, t)) for f in forms]
+    def jet(self, p: ParamPoint):
+        """The coordinate vector at p and its derivative in the local
+        coordinate of p's chart (ParamPoint.local), as two complex lists."""
+        chart_t, x = p.local()
+        return (_jet(x, self.degree, chart_t) @ self.table.T).tolist()
 
 
 class CurveModel:

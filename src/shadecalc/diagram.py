@@ -35,7 +35,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .chords import canonical_unordered, collinearity_system, secants, solve_minor_system
-from .curves import CurveComponent, CurveModel, ParamPoint, eval_forms, p3_forms
+from .curves import CurveComponent, CurveModel, ParamPoint, p3_forms
 from .errors import GenericityError, PreconditionError
 from .poly import form_gcd
 from .projective import (
@@ -298,22 +298,20 @@ def _center_off_component(center: ProjPoint, forms) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def oriented_real_tangent(comp: CurveComponent, param: ParamPoint, chart: int, vals=None):
+def oriented_real_tangent(comp: CurveComponent, param: ParamPoint, chart: int, jet):
     """Affine velocity of the real locus at a real parameter in the given
     projective chart, oriented by the fixed parameter-circle orientation
-    (s, t) = (cos a, sin a).  `vals` are the coordinate values at the
-    parameter when the caller holds them.
+    (s, t) = (cos a, sin a).  `jet` is comp.jet(param), the values f and
+    their derivatives f' in the local coordinate x.  The velocity
+    s f_t - t f_s is then (1 + x^2) f' - d x f in chart t (s = 1, by
+    Euler's d f = s f_s + t f_t) and its negative in chart s.
 
     Returns (affine point, velocity) as real float lists.
     """
-    forms = comp.coords
-    s, t = param.s.real, param.t.real
-    if vals is None:
-        vals = eval_forms(forms, complex(s), complex(t))
-    vel = [
-        complex((f.d_dt().eval(complex(s), complex(t)) * s - f.d_ds().eval(complex(s), complex(t)) * t))
-        for f in forms
-    ]
+    vals, dvals = jet
+    chart_t, x = param.local()
+    sign, d = (1 if chart_t else -1), comp.degree
+    vel = [sign * ((1 + x * x) * df - d * x * f) for f, df in zip(vals, dvals)]
     xk, dxk = vals[chart], vel[chart]
     if abs(xk) < 1e-12 * max(abs(v) for v in vals):
         raise DegenerateFrameError(f"real point not in chart {chart}")
@@ -334,30 +332,30 @@ def oriented_real_tangent(comp: CurveComponent, param: ParamPoint, chart: int, v
 # ---------------------------------------------------------------------------
 
 
-def real_crossing_writhe(comp_i, comp_j, zp, wp, x):
+def real_crossing_writhe(comp_i, comp_j, zp, wp, jz, jw):
     """P3 recipe: sign of (v, u, w) with v, w the endpoint tangents and u
     the chord direction from the evaluation endpoint to the other one.
-    The components are P3 curves and x is the value of comp_i at zp."""
-    y = eval_forms(comp_j.coords, wp.s, wp.t)
-    av, bv = normalize(x), normalize(y)
+    The components are P3 curves; jz, jw are their jets at zp, wp."""
+    av, bv = normalize(jz[0]), normalize(jw[0])
     best_k, best = None, -1.0
     for k in range(4):
         val = min(abs(av[k]), abs(bv[k]))
         if val > best:
             best, best_k = val, k
     k = best_k
-    a_aff, v = oriented_real_tangent(comp_i, zp, k, x)
-    b_aff, w = oriented_real_tangent(comp_j, wp, k, y)
+    a_aff, v = oriented_real_tangent(comp_i, zp, k, jz)
+    b_aff, w = oriented_real_tangent(comp_j, wp, k, jw)
     u = [b_aff[m] - a_aff[m] for m in range(3)]
     sign = orientation_sign([v, u, w], chart_parity(k))
     return P3_REAL_SIGN * sign
 
 
-def sphere_real_pair_sign(comp_i, comp_j, zp, wp, center: ProjectionCenter):
+def sphere_real_pair_sign(comp_i, comp_j, zp, wp, jz, jw, center: ProjectionCenter):
     """Q3 recipe via stereographic projection from lift0 with the antipode
-    lift1 at the origin; evaluated at both endpoints, which must agree."""
-    x_aff, X = oriented_real_tangent(comp_i, zp, 0)
-    y_aff, Y = oriented_real_tangent(comp_j, wp, 0)
+    lift1 at the origin; evaluated at both endpoints, which must agree.
+    jz, jw are the components' jets at zp, wp."""
+    x_aff, X = oriented_real_tangent(comp_i, zp, 0, jz)
+    y_aff, Y = oriented_real_tangent(comp_j, wp, 0, jw)
     frame = center.pole
     r, ph = frame.r, frame.ph
     # plane of the great circle through the lifts and x
@@ -406,12 +404,13 @@ def sphere_real_pair_sign(comp_i, comp_j, zp, wp, center: ProjectionCenter):
     return SPHERE_PAIR_SIGN * s_at_x
 
 
-def solitary_writhe(comp, zp: ParamPoint, center: ProjectionCenter, x):
+def solitary_writhe(jet, center: ProjectionCenter):
     """Solitary recipe at the real image point s of the conjugate branch
     pair: sign of (u, w, f, i f) against the complex orientation of CH,
     with (u, w, v) a positive RP3 frame and v induced by the half plane
-    holding the branch point.  x is the branch point's value."""
-    dx = _param_derivative(p3_forms(comp.coords), zp)
+    holding the branch point.  jet is the component's jet at the branch
+    point."""
+    x, dx = (p3_forms(v) for v in jet)
     return branch_frame_sign(x, dx, center.cvec, center.hyperplane)
 
 
@@ -466,15 +465,6 @@ def branch_frame_sign(x, dx, cvec, m):
     sign = complex_frame_sign([u2, w2], [f2])
     return SOLITARY_SIGN * sign
 
-
-def _param_derivative(forms, zp: ParamPoint):
-    """d/dz of the homogeneous coordinates in the parameter chart holding
-    zp (local coordinate of the smaller pair entry)."""
-    if abs(zp.t) <= abs(zp.s):
-        z = zp.t / zp.s
-        return [f.chart_t().derivative()(z) for f in forms]
-    z = zp.s / zp.t
-    return [f.chart_s().derivative()(z) for f in forms]
 
 # ---------------------------------------------------------------------------
 # full projection pipeline
@@ -571,7 +561,8 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
         [m for m in range(4) if abs(cvec[m]) > 1e-9],
         key=lambda m: -abs(cvec[m]),
     )
-    xs = [eval_forms(p3_forms(comps[i].coords), zp.s, zp.t) for _, i, _, zp, _, _ in entries]
+    jets = [comps[i].jet(zp) for _, i, _, zp, _, _ in entries]
+    xs = [p3_forms(x) for x, _ in jets]
     chosen = None
     for m in hyperplane_order:
         images = [normalize(_project_to_h(x, cvec, m)) for x in xs]
@@ -615,14 +606,13 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
 
     # writhes
     crossings = []
-    for (kind, i, j, zp, wp, same), x, img in zip(entries, xs, images):
-        if kind == "real-real":
-            if q is not None:
-                wr = sphere_real_pair_sign(comps[i], comps[j], zp, wp, center)
-            else:
-                wr = real_crossing_writhe(comps[i], comps[j], zp, wp, x)
+    for (kind, i, j, zp, wp, same), jz, img in zip(entries, jets, images):
+        if kind == "solitary":
+            wr = solitary_writhe(jz, center)
+        elif q is not None:
+            wr = sphere_real_pair_sign(comps[i], comps[j], zp, wp, jz, comps[j].jet(wp), center)
         else:
-            wr = solitary_writhe(comps[i], zp, center, x)
+            wr = real_crossing_writhe(comps[i], comps[j], zp, wp, jz, comps[j].jet(wp))
         crossings.append(
             Crossing(
                 kind, i, j, zp, wp, img, wr, same,
@@ -714,13 +704,11 @@ def render_diagram_svg(curve: CurveModel, data: ProjectionData, samples=720) -> 
     for comp in curve.components:
         if not comp.is_real():
             continue
-        forms = p3_forms(comp.coords)
+        angles = [math.pi * kk / samples for kk in range(samples + 1)]
         run = []
         runs = []
-        for kk in range(samples + 1):
-            a = math.pi * kk / samples
-            s, t = math.cos(a), math.sin(a)
-            vals = h_coords(eval_forms(forms, complex(s), complex(t)), rot)
+        for x in comp.values([(math.cos(a), math.sin(a)) for a in angles]):
+            vals = h_coords(p3_forms(x), rot)
             scale = max(map(abs, vals)) or 1.0
             den = vals[kh]
             if abs(den) < 1e-7 * scale:

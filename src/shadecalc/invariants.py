@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chords import ACCEPT_TOL, canonical_unordered, secants, solve_minor_system
-from .curves import CurveModel, SelfIntersection, describe_ambient, eval_forms
+from .curves import CurveModel, SelfIntersection, describe_ambient
 from .diagram import ProjectionData, branch_frame_sign, select_center
 from .errors import GenericityError, InstabilityError, PreconditionError
 from .poly import UPoly, real_roots_sturm
@@ -138,14 +138,14 @@ def self_double_points(curve: CurveModel, seed=0):
                 context=f"selfint[{i},{j}]",
             )
             sols = canonical_unordered(res.solutions) if i == j else res.solutions
-            for s in sols:
+            images = comps[i].values([s.z.pair() for s in sols])
+            for s, img in zip(sols, images):
                 if s.z.real and s.w.real:
                     kind = "real-real"
                 elif s.conjugate:
                     kind = "complex-conjugate"
                 else:
                     kind = "complex"
-                img = eval_forms(comps[i].coords, s.z.s, s.z.t)
                 out.append(SelfIntersection(kind, (s.z, s.w), img, (i, j)))
     curve._sdp_cache = out
     return out
@@ -359,8 +359,8 @@ def _range_isolation(d, K, b_name) -> _RangeIsolation:
     ph_iv = _certified_real_roots(B0, d, f"{b_name}(u,1) = 1")
     dA = A.derivative()
     dB0 = B0.derivative()
-    theta = [(x, complex(dA(complex(x)))) for x in (float((a0 + a1) / 2) for a0, a1 in th_iv)]
-    phi0 = [(m, complex(dB0(complex(float(m))))) for m in ((b0 + b1) / 2 for b0, b1 in ph_iv)]
+    theta = [(float(m), complex(dA(m))) for m in ((a0 + a1) / 2 for a0, a1 in th_iv)]
+    phi0 = [(m, complex(dB0(m))) for m in ((b0 + b1) / 2 for b0, b1 in ph_iv)]
     walls = sorted((-a1 - b1, -a0 - b0) for a0, a1 in th_iv for b0, b1 in ph_iv)
     return _RangeIsolation(d, QQ(K), theta, phi0, walls)
 

@@ -7,10 +7,12 @@ polynomial has den = 1, so equal values are equal objects.  Arithmetic is
 integer arithmetic plus one lcm and one reduction per operation, and the
 exact kernels (gcds, exact division, resultants) read the integer
 tables.  `coeffs` / `rows` are exact GaussianRational views.
-Float evaluation converts one coefficient at a time, complex(a / den,
-b / den), which rounds exactly like the GaussianRational value; the
-chord solver converts a whole BivarPoly table that way into one numpy
-array per solve attempt, and no float copy is kept on a polynomial.
+Evaluation here is exact.  Floats enter through one conversion rule,
+`complex_coeffs`: each coefficient on its own as complex(a / den, b / den),
+which rounds exactly like the GaussianRational value.  A curve component
+converts its coordinate forms that way once into one complex table, and
+the chord solver a whole BivarPoly table once per solve attempt; no float
+copy is kept on a polynomial.
 
 Univariate gcds are modular (Brown 1971, zx_gcd), each proven by exact
 division and normalized to a leading coefficient with re > 0, im >= 0.
@@ -442,6 +444,12 @@ def _exact(den, c):
     return GaussianRational(Fraction(c[0], den), Fraction(c[1], den))
 
 
+def complex_coeffs(den, num):
+    """The Gaussian integers num over den as complex numbers, each
+    converted on its own as complex(a / den, b / den)."""
+    return [complex(a / den, b / den) for a, b in num]
+
+
 class _IntTable:
     """Base of the polynomial classes: their slots are a shape (none, the
     degree, or the bidegree), then `den` and the integer table `num`;
@@ -529,15 +537,10 @@ class UPoly(_IntTable):
         return UPoly._from_ints(self.den, zx_diff(self.num))
 
     def __call__(self, z):
-        if isinstance(z, (GaussianRational, int, Fraction)):
-            acc = GaussianRational(0)
-            for c in reversed(self.coeffs):
-                acc = acc * z + c
-            return acc
-        acc = 0j
-        den = self.den
-        for a, b in reversed(self.num):
-            acc = acc * complex(z) + complex(a / den, b / den)
+        """The exact value at an exact scalar z."""
+        acc = GaussianRational(0)
+        for c in reversed(self.coeffs):
+            acc = acc * z + c
         return acc
 
     def is_real(self):
@@ -607,10 +610,6 @@ class BinaryForm(_IntTable):
         den, (num,) = _lowest_terms(den, [num])
         self.degree, self.den, self.num = degree, den, tuple(num)
 
-    @classmethod
-    def zero(cls, degree):
-        return cls._from_ints(degree, 1, [GZERO] * (degree + 1))
-
     @property
     def coeffs(self):
         return tuple(_exact(self.den, c) for c in self.num)
@@ -648,20 +647,7 @@ class BinaryForm(_IntTable):
     __rmul__ = __mul__
 
     def eval(self, s, t):
-        """Evaluate at (s, t): exact for exact scalars, complex otherwise."""
-        if isinstance(s, complex) or isinstance(t, complex):
-            sv, tv = complex(s), complex(t)
-            acc = 0j
-            tp = 1.0 + 0j
-            spows = [1.0 + 0j]
-            for _ in range(self.degree):
-                spows.append(spows[-1] * sv)
-            den = self.den
-            for k, (a, b) in enumerate(self.num):
-                if a or b:
-                    acc += complex(a / den, b / den) * spows[self.degree - k] * tp
-                tp *= tv
-            return acc
+        """The exact value at an exact point (s, t)."""
         sg = s if isinstance(s, GaussianRational) else GaussianRational(s)
         tg = t if isinstance(t, GaussianRational) else GaussianRational(t)
         if not sg and not tg:
@@ -673,28 +659,9 @@ class BinaryForm(_IntTable):
             tp = tp * tg
         return acc
 
-    def d_ds(self):
-        if self.degree == 0:
-            return BinaryForm.zero(0)
-        d = self.degree
-        return BinaryForm._from_ints(
-            d - 1, self.den, [(a * (d - k), b * (d - k)) for k, (a, b) in enumerate(self.num[:d])]
-        )
-
-    def d_dt(self):
-        if self.degree == 0:
-            return BinaryForm.zero(0)
-        return BinaryForm._from_ints(
-            self.degree - 1, self.den, [(a * k, b * k) for k, (a, b) in enumerate(self.num)][1:]
-        )
-
     def chart_t(self) -> UPoly:
         """f(1, t) as a polynomial in t."""
         return UPoly._from_ints(self.den, self.num)
-
-    def chart_s(self) -> UPoly:
-        """f(s, 1) as a polynomial in s."""
-        return UPoly._from_ints(self.den, self.num[::-1])
 
     def __repr__(self):
         return f"BinaryForm({self.degree}, {[str(c) for c in self.coeffs]})"

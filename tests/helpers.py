@@ -93,7 +93,7 @@ def resultant_root_product_check(cases=200, seed=20240809, rel=1e-8):
         for b in beta:
             for a in alpha:
                 prod *= b - a
-        mine = complex(r(complex(z0)))
+        mine = complex(r(z0))
         scale = max(abs(prod), abs(mine), 1e-30)
         assert abs(mine - prod) <= rel * scale, (fw, gw, mine, prod)
         checked += 1

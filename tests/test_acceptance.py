@@ -287,7 +287,8 @@ class TestCriterion7:
             norm = sum(abs(complex(c)) for c in p.coeffs)
             for r in roots:
                 if r.multiplicity == 1:
-                    ok &= abs(p(r.center)) < 1e-10 * (1 + norm * max(1.0, abs(r.center)) ** p.degree)
+                    resid = abs(complex(p(helpers.exact(r.center))))
+                    ok &= resid < 1e-10 * (1 + norm * max(1.0, abs(r.center)) ** p.degree)
         assert report("7 (root residuals)", ok)
 
     def test_conjugation_closure_of_chords(self):
@@ -332,16 +333,15 @@ class TestCriterion7:
     def test_linking_against_gauss(self):
         import numpy as np
 
-        from shadecalc.curves import eval_forms, hopf_pair_curve, split_circles_curve
+        from shadecalc.curves import hopf_pair_curve, split_circles_curve
         from shadecalc.projective import ProjPoint, pole_frame, stereographic
 
         pole = pole_frame(ProjPoint([2, 1, 1, 1, 1]))  # on the unit quadric
 
         def transfer(comp, n=256):
             pts = []
-            for k in range(n):
-                aa = math.pi * k / n
-                x = eval_forms(comp.coords, complex(math.cos(aa)), complex(math.sin(aa)))
+            angles = [math.pi * k / n for k in range(n)]
+            for x in comp.values([(math.cos(aa), math.sin(aa)) for aa in angles]):
                 img, _ = stereographic([(v / x[0]).real for v in x[1:]], pole)
                 pts.append(img)
             return np.array(pts)
@@ -370,12 +370,9 @@ class TestCriterion7:
         for comp in lines.components:
             pts = []
             n = 256
-            for k in range(2 * n):
-                aa = math.pi * k / n
-                v = [
-                    float(complex(f.eval(complex(math.cos(aa)), complex(math.sin(aa)))).real)
-                    for f in comp.coords
-                ]
+            angles = [math.pi * k / n for k in range(2 * n)]
+            for x in comp.values([(math.cos(aa), math.sin(aa)) for aa in angles]):
+                v = [c.real for c in x]
                 norm = math.sqrt(sum(c * c for c in v))
                 img, _ = stereographic([c / norm for c in v], pole)
                 pts.append(img)

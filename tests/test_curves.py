@@ -1,10 +1,10 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from shadecalc.curves import (
     CurveComponent,
     CurveModel,
     ParamPoint,
-    eval_forms,
     kae_curve,
     lp_line_curve,
     trefoil_curve,
@@ -17,7 +17,7 @@ from shadecalc.poly import BinaryForm
 from shadecalc.projective import QuadricSpec, normalize
 from shadecalc.scalars import GaussianRational as G, QQ
 
-from helpers import same_point
+from helpers import exact, same_point
 
 
 class TestValidation:
@@ -63,9 +63,10 @@ class TestEvaluation:
         assert same_point(p, [1, 0, 0, G(0, QQ(1, 2))])
 
     def test_infinity_is_zero_one(self):
-        # the point at infinity of the t chart is s = 0 in the s chart
+        # the point at infinity of the t chart, (s, t) = (0, 1), is the
+        # vector of the t^d coefficients
         comp = unknot_curve().components[0]
-        assert same_point([f.chart_s()(G(0)) for f in comp.coords], _exact_value(comp, G(0), G(1)))
+        assert same_point([f.coeffs[-1] for f in comp.coords], _exact_value(comp, G(0), G(1)))
 
     def test_trefoil_solitary_parameter(self):
         comp = trefoil_curve().components[0]
@@ -77,7 +78,8 @@ class TestTangent:
     """The immersion check of the live tangent, diagram.oriented_real_tangent."""
 
     def test_unknot_direction_at_zero(self):
-        _, tv = oriented_real_tangent(unknot_curve().components[0], ParamPoint(1, 0), 0)
+        comp, p = unknot_curve().components[0], ParamPoint(1, 0)
+        _, tv = oriented_real_tangent(comp, p, 0, comp.jet(p))
         assert abs(tv[0] - 2) < 1e-12
         assert all(abs(v) < 1e-12 for v in tv[1:])
 
@@ -92,7 +94,34 @@ class TestTangent:
             "cusp",
         )
         with pytest.raises(GenericityError, match="not immersed"):
-            oriented_real_tangent(cusp, ParamPoint(1, 0), 0)
+            oriented_real_tangent(cusp, ParamPoint(1, 0), 0, cusp.jet(ParamPoint(1, 0)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda d: st.lists(
+               st.lists(st.integers(-9, 9), min_size=d + 1, max_size=d + 1), min_size=4, max_size=4)),
+           st.integers(-64, 64), st.integers(-64, 64), st.integers(0, 3))
+    def test_velocity_is_exact_s_ft_minus_t_fs(self, rows, a, b, chart):
+        # in both parameter charts (|t| < |s| and |t| > |s|) the affine
+        # velocity is the chart image of the exact s f_t - t f_s
+        assume((a or b) and any(any(r) for r in rows))
+        comp = CurveComponent([BinaryForm(len(r) - 1, r) for r in rows])
+        p = ParamPoint(a / 16, b / 16)
+        s, t = exact(p.s), exact(p.t)
+        d = comp.degree
+        vals = [f.eval(s, t) for f in comp.coords]
+        # f_s and f_t by the power rule on the coefficients of s^(d-k) t^k
+        f_s = [BinaryForm(d - 1, [(d - k) * c for k, c in enumerate(r[:d])]) for r in rows]
+        f_t = [BinaryForm(d - 1, [k * c for k, c in enumerate(r) if k]) for r in rows]
+        vel = [s * ft.eval(s, t) - t * fs.eval(s, t) for fs, ft in zip(f_s, f_t)]
+        xk = vals[chart]
+        assume(xk and abs(complex(xk)) >= 1e-3 * max(abs(complex(v)) for v in vals))
+        want = [(vel[j] * xk - vals[j] * vel[chart]) / (xk * xk) for j in range(4) if j != chart]
+        try:
+            _, tv = oriented_real_tangent(comp, p, chart, comp.jet(p))
+        except GenericityError:
+            assume(False)
+        scale = 1 + max(abs(complex(w)) for w in want)
+        assert max(abs(g - complex(w).real) for g, w in zip(tv, want)) <= 1e-9 * scale
 
 
 class TestSelfDoublePoints:
@@ -141,9 +170,9 @@ class TestConjugationEquivariance:
         comp = kae_curve(QQ(1, 3), 1).components[0]
         z = (G(QQ(2, 7)), G(QQ(1, 2), QQ(5, 3)))
         zc = (z[0].conjugate(), z[1].conjugate())
-        a = eval_forms(comp.coords, *z)
-        b = eval_forms(comp.conj_coords, *zc)
-        assert max(abs(x.conjugate() - y) for x, y in zip(a, b)) < 1e-12
+        a = [f.eval(*z) for f in comp.coords]
+        b = [f.eval(*zc) for f in comp.conj_coords]
+        assert [x.conjugate() for x in a] == b
 
 
 def _close(u, v, tol):

@@ -7,7 +7,6 @@ import pytest
 from shadecalc.curves import (
     CurveComponent,
     CurveModel,
-    eval_forms,
     kae_curve,
     lp_line_curve,
     p3_forms,
@@ -124,9 +123,9 @@ class TestRecipeInvariances:
         from shadecalc.diagram import solitary_writhe
 
         (so,) = [c for c in data.crossings if c.kind == "solitary"]
-        forms = p3_forms(tr.components[0].coords)
-        s1 = solitary_writhe(tr.components[0], so.z, data.center, eval_forms(forms, so.z.s, so.z.t))
-        s2 = solitary_writhe(tr.components[0], so.w, data.center, eval_forms(forms, so.w.s, so.w.t))
+        comp = tr.components[0]
+        s1 = solitary_writhe(comp.jet(so.z), data.center)
+        s2 = solitary_writhe(comp.jet(so.w), data.center)
         assert s1 == s2 == so.writhe
 
     def test_branch_tangent_phase_invariance(self):
@@ -191,8 +190,9 @@ class TestP3RealWritheFixture:
         if rr:
             c = rr[0]
             comp = curve.components[0]
-            s1 = real_crossing_writhe(comp, comp, c.z, c.w, eval_forms(comp.coords, c.z.s, c.z.t))
-            s2 = real_crossing_writhe(comp, comp, c.w, c.z, eval_forms(comp.coords, c.w.s, c.w.t))
+            jz, jw = comp.jet(c.z), comp.jet(c.w)
+            s1 = real_crossing_writhe(comp, comp, c.z, c.w, jz, jw)
+            s2 = real_crossing_writhe(comp, comp, c.w, c.z, jw, jz)
             assert s1 == s2 == c.writhe
 
 

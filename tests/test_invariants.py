@@ -351,14 +351,11 @@ class TestLinking:
         for comp in lines.components:
             pts = []
             n = 256
-            for k in range(2 * n):
-                alpha = math.pi * k / n
-                # odd-degree forms flip sign at alpha + pi, so v / |v|
-                # itself traverses the great circle once over [0, 2 pi)
-                v = [
-                    float(complex(f.eval(complex(math.cos(alpha)), complex(math.sin(alpha)))).real)
-                    for f in comp.coords
-                ]
+            # odd-degree forms flip sign at alpha + pi, so v / |v|
+            # itself traverses the great circle once over [0, 2 pi)
+            angles = [math.pi * k / n for k in range(2 * n)]
+            for x in comp.values([(math.cos(a), math.sin(a)) for a in angles]):
+                v = [c.real for c in x]
                 norm = math.sqrt(sum(c * c for c in v))
                 img, _ = stereographic([c / norm for c in v], pole)
                 pts.append(img)

@@ -3,10 +3,10 @@ classes against sympy.
 
 Hypothesis draws small polynomials; sympy over QQ_I is the oracle for
 sums, products, divisibility, quotients, resultants, gcds and squarefree
-decompositions, and sympy's ZZ_I gcd for Gaussian content.  Float
-evaluation is checked bit for bit against the per-coefficient
-GaussianRational formula, and the stored (den, num) pair against its
-canonical form.
+decompositions, and sympy's ZZ_I gcd for Gaussian content.  The float
+tables are checked bit for bit against the per-coefficient
+GaussianRational conversion, float values and derivatives against exact
+evaluation, and the stored (den, num) pair against its canonical form.
 """
 
 import math
@@ -19,6 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 
 from shadecalc import chords, poly
+from shadecalc.curves import CurveComponent, ParamPoint
 from shadecalc.poly import (
     BinaryForm,
     BivarPoly,
@@ -37,7 +38,7 @@ from shadecalc.poly import (
 )
 from shadecalc.scalars import GaussianRational as G
 
-from helpers import bivar_value
+from helpers import bivar_value, exact
 
 Z, W = sympy.symbols("z w")
 QQ_I = sympy.QQ_I
@@ -55,6 +56,12 @@ points = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=F
 # dyadic parts in [-4, 4]: chart coordinates whose powers never underflow
 chart_parts = st.integers(-(2**12), 2**12).map(lambda k: k / 2**10)
 chart_points = st.builds(complex, chart_parts, chart_parts)
+# curve components of degree 1..6 with wide coefficients, not all zero
+components = st.integers(1, 6).flatmap(
+    lambda d: st.lists(st.lists(wide_gaussians, min_size=d + 1, max_size=d + 1),
+                       min_size=4, max_size=5)
+).filter(lambda rows: any(any(r) for r in rows)).map(
+    lambda rows: CurveComponent([BinaryForm(len(r) - 1, r) for r in rows]))
 
 
 # 60- to 70-digit parts, times a planted content n (1+i)^a (2+i)^b: with
@@ -419,6 +426,11 @@ def _power_rule(p, var, chart_t):
     return BivarPoly(len(d) - 1, len(d[0]) - 1, d)
 
 
+def _abs_upoly(p, x):
+    """Sum of the moduli of p's terms at x: a scale for round-off."""
+    return sum(abs(complex(c)) * abs(x) ** k for k, c in enumerate(p.coeffs))
+
+
 def _abs_value(p, st, uv):
     """Sum of the moduli of p's terms at the pairs: a scale for round-off."""
     s, t = map(abs, st)
@@ -428,8 +440,9 @@ def _abs_value(p, st, uv):
 
 
 class TestFloatEvaluation:
-    """Each coefficient is converted on its own, in the order and with the
-    zero skips of the per-coefficient GaussianRational formula."""
+    """Each coefficient is converted on its own, as the GaussianRational
+    value rounds; values and local-chart derivatives read off the complex
+    tables agree with exact evaluation."""
 
     @settings(max_examples=150, deadline=None)
     @given(bivars(max_m=3, max_n=3, scalars=wide_gaussians), chart_points, chart_points,
@@ -448,28 +461,32 @@ class TestFloatEvaluation:
             assert abs(g[0] - want) <= 1e-12 * _abs_value(q, zpair, wpair)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(wide_gaussians, min_size=1, max_size=7), points, points)
-    def test_binary_form_eval(self, cs, s, t):
-        f = BinaryForm(len(cs) - 1, cs)
-        want = 0j
-        tp = 1.0 + 0j
-        spows = [1.0 + 0j]
-        for _ in range(f.degree):
-            spows.append(spows[-1] * s)
-        for k, c in enumerate(f.coeffs):
-            if c:
-                want += complex(c) * spows[f.degree - k] * tp
-            tp *= t
-        assert f.eval(s, t) == want
+    @given(components, chart_points, st.booleans())
+    def test_component_jet(self, comp, x, chart_t):
+        # value and local-chart derivative of every coordinate against the
+        # exact form value and the exact derivative of its chart polynomial;
+        # normalization may move a point with |x| > 1 to the other chart
+        p = ParamPoint(*((1, x) if chart_t else (x, 1)))
+        p_chart_t, px = p.local()
+        vals, dvals = comp.jet(p)
+        for f, v, dv in zip(comp.coords, vals, dvals):
+            u = UPoly(f.coeffs if p_chart_t else f.coeffs[::-1])  # f(1, x) or f(x, 1)
+            du = u.derivative()
+            assert abs(v - complex(f.eval(exact(p.s), exact(p.t)))) <= 1e-12 * _abs_upoly(u, px)
+            assert abs(dv - complex(du(exact(px)))) <= 1e-12 * _abs_upoly(du, px)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(wide_gaussians, max_size=7), points)
-    def test_upoly_call(self, cs, z):
-        p = UPoly(cs)
-        want = 0j
-        for c in reversed(p.coeffs):
-            want = want * z + complex(c)
-        assert p(z) == want
+    @given(components, st.lists(st.tuples(chart_parts, chart_parts), max_size=6))
+    def test_component_values(self, comp, pairs):
+        # unnormalized real pairs, as the renderer passes (cos a, sin a)
+        pairs = [(s, t) for s, t in pairs if s or t]
+        got = comp.values(pairs)
+        assert len(got) == len(pairs)
+        for (s, t), row in zip(pairs, got):
+            for f, v in zip(comp.coords, row):
+                scale = sum(abs(complex(c)) * abs(s) ** (f.degree - k) * abs(t) ** k
+                            for k, c in enumerate(f.coeffs))
+                assert abs(v - complex(f.eval(s, t))) <= 1e-12 * scale
 
 
 class TestCanonicalForm:
@@ -504,7 +521,7 @@ class TestCanonicalForm:
     @given(form_pairs, forms, gaussians)
     def test_form_ops_stay_canonical(self, fg, h, c):
         f, g = fg
-        assert all(_canonical(r) for r in (f + g, f - g, f * h, f * c, f.d_ds(), f.d_dt()))
+        assert all(_canonical(r) for r in (f + g, f - g, f * h, f * c))
 
     @settings(max_examples=80, deadline=None)
     @given(bivar_pairs(), gaussians, gaussians)

@@ -7,6 +7,8 @@ from shadecalc.poly import UPoly
 from shadecalc.roots import complex_roots
 from shadecalc.scalars import GaussianRational as G
 
+from helpers import exact
+
 
 def centers(roots):
     return sorted((round(r.center.real, 9), round(r.center.imag, 9)) for r in roots)
@@ -68,7 +70,7 @@ class TestProperties:
             for r in roots:
                 if r.multiplicity > 1:
                     continue
-                resid = abs(p(r.center))
+                resid = abs(complex(p(exact(r.center))))
                 bound = 1e-10 * (1 + norm * max(1.0, abs(r.center)) ** p.degree)
                 assert resid < bound
 
