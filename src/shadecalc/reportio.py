@@ -147,9 +147,14 @@ def _parse_family(f):
         if k == "name":
             continue
         if k == "a":
-            kwargs["a"] = QQ(v)
+            try:
+                kwargs["a"] = QQ(v)
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
+                raise CurveFileError(f"family {name}: bad parameter a = {v!r}") from e
         elif k == "eps":
-            kwargs["eps"] = int(v)
+            if type(v) is not int or v not in (1, -1):
+                raise CurveFileError(f"family {name}: eps must be the integer 1 or -1, got {v!r}")
+            kwargs["eps"] = v
         else:
             raise CurveFileError(f"family {name}: unknown parameter {k!r}")
     try:
@@ -168,20 +173,14 @@ def _parse_center(c, model: CurveModel):
     if "lift" in c:
         if q is None:
             raise CurveFileError("center lifts only make sense for Q3 curves")
-        try:
-            vals = [parse_scalar(s) for s in c["lift"]]
-        except ValueError as e:
-            raise CurveFileError(f"center: {e}") from e
+        vals = _center_coords(c["lift"], 5, "lift")
         vals = [v if isinstance(v, QuadExt) else QuadExt(_require_real(v)) for v in vals]
         try:
             return center_from_lift(ProjPoint(vals, "P4"), q)
         except PreconditionError as e:
             raise CurveFileError(str(e)) from e
     if "point" in c:
-        try:
-            vals = [parse_scalar(s) for s in c["point"]]
-        except ValueError as e:
-            raise CurveFileError(f"center: {e}") from e
+        vals = _center_coords(c["point"], 4, "point")
         for v in vals:
             if isinstance(v, QuadExt) or not v.is_real:
                 raise CurveFileError("P3 centers must have rational coordinates")
@@ -189,6 +188,19 @@ def _parse_center(c, model: CurveModel):
             raise CurveFileError("Q3 curves need a quadric center lift")
         return ProjectionCenter(ProjPoint(vals, "P3"), hyperplane=0)
     raise CurveFileError("center needs a lift or a point")
+
+
+def _center_coords(raw, n, what):
+    """The n exact coordinates of a center point or lift, not all zero."""
+    if not isinstance(raw, list) or len(raw) != n:
+        raise CurveFileError(f"center: {what} needs exactly {n} coordinates")
+    try:
+        vals = [parse_scalar(s) for s in raw]
+    except ValueError as e:
+        raise CurveFileError(f"center: {e}") from e
+    if not any(vals):
+        raise CurveFileError(f"center: {what} coordinates are all zero")
+    return vals
 
 
 def _require_real(v: GaussianRational):

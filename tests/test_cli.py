@@ -120,6 +120,41 @@ class TestExitCodes:
         assert obj["result"]["sh_part"] in ("1/2", "-1/2")
         assert obj["result"]["mode"] == "shade"
 
+    KAE = {"name": "kae", "a": "1/2", "eps": -1}
+
+    @pytest.mark.parametrize("curve, message", [
+        # a P3 point with five entries was accepted and cut to four
+        ({"family": KAE, "center": {"point": ["1", "1/3", "2/5", "1/7", "9"]}},
+         "point needs exactly 4 coordinates"),
+        ({"family": KAE, "center": {"point": ["1", "1/3", "2/5"]}},
+         "point needs exactly 4 coordinates"),
+        ({"family": KAE, "center": {"point": ["0", "0", "0", "0"]}},
+         "point coordinates are all zero"),
+        ({"family": KAE, "center": {"point": "1 0 0 0"}},
+         "point needs exactly 4 coordinates"),
+        ({"family": {"name": "unknot"}, "center": {"lift": ["1", "1", "0", "0"]}},
+         "lift needs exactly 5 coordinates"),
+        ({"family": {"name": "unknot"}, "center": {"lift": ["0", "0", "0", "0", "0"]}},
+         "lift coordinates are all zero"),
+        ({"family": {**KAE, "a": [1]}}, "bad parameter a"),
+        ({"family": {**KAE, "a": "1/0"}}, "bad parameter a"),
+        ({"family": {**KAE, "eps": "x"}}, "eps must be the integer 1 or -1"),
+        # a float eps was truncated toward zero
+        ({"family": {**KAE, "eps": -1.7}}, "eps must be the integer 1 or -1"),
+        ({"family": {**KAE, "eps": -1.0}}, "eps must be the integer 1 or -1"),
+        ({"family": {**KAE, "eps": True}}, "eps must be the integer 1 or -1"),
+        ({"family": {**KAE, "eps": 2}}, "eps must be the integer 1 or -1"),
+    ])
+    def test_malformed_curve_file_exit_1(self, curve, message, tmp_path, capsys):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(curve))
+        code, out = run(["invariants", "--curve", str(path)], capsys)
+        assert code == 1
+        assert out == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self, capsys):
