@@ -90,3 +90,43 @@ def test_parameters_are_read():
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             unread += [f"{path.name}:{name}.{p}" for p in params if p not in read]
     assert sorted(set(unread) - UNREAD_ALLOWED) == []
+
+
+# public functions and methods no engine or benchmark code calls, each
+# with its reason
+UNCALLED_ALLOWED = {
+    # the certificate's flags are each set and checked where they are
+    # decided; the tests read the conjunction
+    "diagram.py:GenericityCertificate.all_ok",
+    # exact evaluation: the tests' oracle for the float tables
+    "poly.py:BinaryForm.eval",
+}
+
+
+def _public_defs(tree):
+    """(qualified name, node) of every public module-level function and
+    every public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{m.name}", m) for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+        elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+
+
+def test_public_names_have_a_caller():
+    """Every public function and method of the package is referenced in
+    the package or the benchmark outside its own definition, or exported
+    in its module's __all__, so code whose last caller goes cannot stay
+    behind."""
+    src = Path(shadecalc.__file__).parent
+    paths = sorted(src.glob("*.py")) + sorted((src.parents[1] / "perfbench").glob("*.py"))
+    trees = {p: ast.parse(p.read_text()) for p in paths}
+    total = Counter(name for tree in trees.values() for name in _referenced(tree))
+    uncalled = []
+    for path in sorted(src.glob("*.py")):
+        exported = getattr(importlib.import_module(f"shadecalc.{path.stem}"), "__all__", ())
+        for qualname, fn in _public_defs(trees[path]):
+            if qualname not in exported and total[fn.name] == Counter(_referenced(fn))[fn.name]:
+                uncalled.append(f"{path.name}:{qualname}")
+    assert sorted(uncalled) == sorted(UNCALLED_ALLOWED)
