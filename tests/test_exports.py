@@ -1,6 +1,7 @@
 """Every name a shadecalc module lists in __all__ exists, so deleting a
-function cannot leave a stale export behind, no private helper is left
-without a caller, and no function keeps a parameter it never reads."""
+function cannot leave a stale export behind, no private helper and no
+public function or method is left without a caller, and no function
+keeps a parameter it never reads."""
 
 import ast
 import importlib
