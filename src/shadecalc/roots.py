@@ -31,8 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly import GZERO, UPoly, gadd, gmul, gnorm, zx_sqf_list
-from .scalars import QQ
+from .poly import GZERO, UPoly, complex_coeffs, gadd, gmul, gnorm, zx_sqf_list
 
 __all__ = ["CertifiedRoot", "UncertifiedRootsError", "complex_roots"]
 
@@ -100,8 +99,7 @@ def _coeff_prec(zx) -> int:
 
 def _np_initial_roots(zx):
     scale = max(max(abs(a), abs(b)) for a, b in zx)
-    cs = [complex(QQ(a, scale), QQ(b, scale)) for a, b in zx]
-    arr = np.array(list(reversed(cs)), dtype=complex)
+    arr = np.array(complex_coeffs(scale, zx[::-1]), dtype=complex)
     if len(arr) <= 1:
         return []
     try:
