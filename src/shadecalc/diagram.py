@@ -35,7 +35,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .chords import canonical_unordered, collinearity_system, secants, solve_minor_system
-from .curves import CurveComponent, CurveModel, ParamPoint, p3_forms
+from .curves import CurveModel, ParamPoint, p3_forms
 from .errors import GenericityError, PreconditionError
 from .poly import form_gcd
 from .projective import (
@@ -298,20 +298,22 @@ def _center_off_component(center: ProjPoint, forms) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def oriented_real_tangent(comp: CurveComponent, param: ParamPoint, chart: int, jet):
+def oriented_real_tangent(param: ParamPoint, chart: int, jet):
     """Affine velocity of the real locus at a real parameter in the given
     projective chart, oriented by the fixed parameter-circle orientation
-    (s, t) = (cos a, sin a).  `jet` is comp.jet(param), the values f and
-    their derivatives f' in the local coordinate x.  The velocity
+    (s, t) = (cos a, sin a).  `jet` is the component's jet at param: the
+    values f and their derivatives f' in the local coordinate x.  The velocity
     s f_t - t f_s is then (1 + x^2) f' - d x f in chart t (s = 1, by
-    Euler's d f = s f_s + t f_t) and its negative in chart s.
+    Euler's d f = s f_s + t f_t) and its negative in chart s.  It is read
+    only through the affine velocity (vel_j f_k - f_j vel_k) / f_k^2, in
+    which any multiple of f cancels, so the radial term -d x f is left out.
 
     Returns (affine point, velocity) as real float lists.
     """
     vals, dvals = jet
     chart_t, x = param.local()
-    sign, d = (1 if chart_t else -1), comp.degree
-    vel = [sign * ((1 + x * x) * df - d * x * f) for f, df in zip(vals, dvals)]
+    sign = 1 if chart_t else -1
+    vel = [sign * (1 + x * x) * df for df in dvals]
     xk, dxk = vals[chart], vel[chart]
     if abs(xk) < 1e-12 * max(abs(v) for v in vals):
         raise DegenerateFrameError(f"real point not in chart {chart}")
@@ -332,7 +334,7 @@ def oriented_real_tangent(comp: CurveComponent, param: ParamPoint, chart: int, j
 # ---------------------------------------------------------------------------
 
 
-def real_crossing_writhe(comp_i, comp_j, zp, wp, jz, jw):
+def real_crossing_writhe(zp, wp, jz, jw):
     """P3 recipe: sign of (v, u, w) with v, w the endpoint tangents and u
     the chord direction from the evaluation endpoint to the other one.
     The components are P3 curves; jz, jw are their jets at zp, wp."""
@@ -343,19 +345,19 @@ def real_crossing_writhe(comp_i, comp_j, zp, wp, jz, jw):
         if val > best:
             best, best_k = val, k
     k = best_k
-    a_aff, v = oriented_real_tangent(comp_i, zp, k, jz)
-    b_aff, w = oriented_real_tangent(comp_j, wp, k, jw)
+    a_aff, v = oriented_real_tangent(zp, k, jz)
+    b_aff, w = oriented_real_tangent(wp, k, jw)
     u = [b_aff[m] - a_aff[m] for m in range(3)]
     sign = orientation_sign([v, u, w], chart_parity(k))
     return P3_REAL_SIGN * sign
 
 
-def sphere_real_pair_sign(comp_i, comp_j, zp, wp, jz, jw, center: ProjectionCenter):
+def sphere_real_pair_sign(zp, wp, jz, jw, center: ProjectionCenter):
     """Q3 recipe via stereographic projection from lift0 with the antipode
     lift1 at the origin; evaluated at both endpoints, which must agree.
     jz, jw are the components' jets at zp, wp."""
-    x_aff, X = oriented_real_tangent(comp_i, zp, 0, jz)
-    y_aff, Y = oriented_real_tangent(comp_j, wp, 0, jw)
+    x_aff, X = oriented_real_tangent(zp, 0, jz)
+    y_aff, Y = oriented_real_tangent(wp, 0, jw)
     frame = center.pole
     r, ph = frame.r, frame.ph
     # plane of the great circle through the lifts and x
@@ -610,9 +612,9 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
         if kind == "solitary":
             wr = solitary_writhe(jz, center)
         elif q is not None:
-            wr = sphere_real_pair_sign(comps[i], comps[j], zp, wp, jz, comps[j].jet(wp), center)
+            wr = sphere_real_pair_sign(zp, wp, jz, comps[j].jet(wp), center)
         else:
-            wr = real_crossing_writhe(comps[i], comps[j], zp, wp, jz, comps[j].jet(wp))
+            wr = real_crossing_writhe(zp, wp, jz, comps[j].jet(wp))
         crossings.append(
             Crossing(
                 kind, i, j, zp, wp, img, wr, same,

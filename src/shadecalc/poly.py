@@ -26,7 +26,10 @@ Z[i][z], a quotient by a primitive divisor has Gaussian-integer
 coefficients, so an inexact step means the division is inexact.
 Resultants of polynomial-entry Sylvester matrices go through integer
 evaluation, fraction-free (Bareiss) determinants over Z[i] and Newton
-interpolation, all in integers; degrees here stay below ~80.
+interpolation, all in integers; degrees here stay below ~80.  The
+Sylvester matrices at all evaluation nodes form one stack that a single
+batched elimination reduces, on numpy object arrays of Python ints, so
+the interpreter runs one loop per elimination step, not per entry.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from .scalars import GaussianRational, QQ
 
@@ -916,78 +921,96 @@ def bivar_divexact(p: BivarPoly, d: BivarPoly) -> BivarPoly:
 # ---------------------------------------------------------------------------
 
 
-def _bareiss_det(M):
-    """Fraction-free determinant of a square gint matrix (destructive)."""
-    n = len(M)
-    if n == 0:
-        return GONE
-    sign = 1
-    prev = GONE
-    for k in range(n - 1):
-        if M[k][k] == GZERO:
-            for i in range(k + 1, n):
-                if M[i][k] != GZERO:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return GZERO
-        pk = M[k][k]
-        for i in range(k + 1, n):
-            Mi = M[i]
-            Mk = M[k]
-            mik = Mi[k]
-            for j in range(k + 1, n):
-                num = gsub(gmul(pk, Mi[j]), gmul(mik, Mk[j]))
-                Mi[j] = gdivexact(num, prev)
-        prev = pk
-    d = M[n - 1][n - 1]
-    return gneg(d) if sign < 0 else d
+def _bareiss_stack(parts):
+    """Determinants of a stack of square Gaussian-integer matrices, by one
+    fraction-free (Bareiss 1968) elimination run on all of them at once.
+
+    parts is [re] for a real stack or [re, im] for a Gaussian one: (P, N, N)
+    object arrays of Python ints, N >= 1, overwritten.  Returns the
+    determinants the same way, as (P,) arrays.  Each step divides exactly
+    by the previous pivot (a Gaussian one as num * conj(prev) / |prev|^2),
+    so an inexact division raises ArithmeticError.  A zero pivot swaps rows
+    in its own matrix; a matrix whose pivot column is zero from the pivot
+    down has determinant 0 and leaves the stack.
+    """
+    P, N, _ = parts[0].shape
+    live = np.arange(P)
+    sign = np.ones(P, dtype=object)
+    prev = [np.ones(P, dtype=object)] + [np.zeros(P, dtype=object)] * (len(parts) - 1)
+    for k in range(N - 1):
+        nonzero = parts[0][:, k:, k] != 0
+        for A in parts[1:]:
+            nonzero |= A[:, k:, k] != 0
+        if not nonzero[:, 0].all():
+            for i in np.flatnonzero(~nonzero[:, 0]):
+                below = np.flatnonzero(nonzero[i])
+                if below.size:
+                    swap = [k, k + below[0]]
+                    for A in parts:
+                        A[i, swap] = A[i, swap[::-1]]
+                    sign[i] = -sign[i]
+            keep = nonzero.any(axis=1)
+            if not keep.all():
+                live, sign = live[keep], sign[keep]
+                parts = [A[keep] for A in parts]
+                prev = [x[keep] for x in prev]
+        pk = [A[:, k, k, None, None] for A in parts]
+        sub = [A[:, k + 1:, k + 1:] for A in parts]
+        col = [A[:, k + 1:, k, None] for A in parts]
+        row = [A[:, k, None, k + 1:] for A in parts]
+        if len(parts) == 1:
+            num = [pk[0] * sub[0] - col[0] * row[0]]
+            div = prev[0][:, None, None]
+        else:
+            (pr, pi), (sr, si), (cr, ci), (rr, ri) = pk, sub, col, row
+            nr = pr * sr - pi * si - (cr * rr - ci * ri)
+            ni = pr * si + pi * sr - (cr * ri + ci * rr)
+            dr, di = (x[:, None, None] for x in prev)
+            num = [nr * dr + ni * di, ni * dr - nr * di]
+            div = dr * dr + di * di
+        for A, x in zip(parts, num):
+            if k:  # the first step's previous pivot is 1
+                q = x // div
+                if (q * div != x).any():
+                    raise ArithmeticError("inexact division in fraction-free elimination")
+                x = q
+            A[:, k + 1:, k + 1:] = x
+        prev = [x[:, 0, 0] for x in pk]
+    dets = [np.zeros(P, dtype=object) for _ in parts]
+    for det, A in zip(dets, parts):
+        det[live] = sign * A[:, -1, -1]
+    return dets
 
 
-def _sylvester_det(acoeffs, bcoeffs, na, nb):
-    """det of the Sylvester matrix for coefficient sequences listed by
-    descending power of the eliminated variable's first coordinate."""
-    size = na + nb
-    M = []
-    for sh in range(nb):
-        row = [GZERO] * size
-        for j, c in enumerate(acoeffs):
-            row[sh + j] = c
-        M.append(row)
-    for sh in range(na):
-        row = [GZERO] * size
-        for j, c in enumerate(bcoeffs):
-            row[sh + j] = c
-        M.append(row)
-    return _bareiss_det(M)
-
-
-def _interp_newton(xs, ys):
-    """Little-endian gint coefficients of the polynomial through integer
-    nodes xs with gint values ys.
+def _interp_stack(xs, ys):
+    """Little-endian Gaussian-integer coefficients, as (a, b) tuples of
+    Python ints, of the polynomial through the integer nodes xs with the
+    values ys, given as in `_bareiss_stack`'s result.
 
     The values come from a Z[i] polynomial, whose divided differences at
     integer nodes are Gaussian integers, so every division is exact; an
     inexact one raises ArithmeticError.
     """
     n = len(xs)
-    dd = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            dd[i] = gdivexact(gsub(dd[i], dd[i - 1]), (xs[i] - xs[i - j], 0))
-    coeffs = [GZERO] * n
-    for i in range(n - 1, -1, -1):
-        # coeffs <- coeffs * (x - xs[i]) + dd[i]
-        new = [GZERO] * n
-        new[0] = dd[i]
-        for j in range(n - 1):
-            cj = coeffs[j]
-            if cj != GZERO:
-                new[j + 1] = gadd(new[j + 1], cj)
-                new[j] = gsub(new[j], gmul(cj, (xs[i], 0)))
-        coeffs = new
-    return coeffs
+    x = np.array(xs, dtype=object)
+    coeffs = []
+    for dd in ys:
+        dd = dd.copy()
+        for j in range(1, n):
+            step = x[j:] - x[:-j]
+            diff = dd[j:] - dd[j - 1:-1]
+            q = diff // step
+            if (q * step != diff).any():
+                raise ArithmeticError("inexact division in Newton interpolation")
+            dd[j:] = q
+        # Horner on the Newton form: c <- c * (x - xs[i]) + dd[i]
+        c = np.zeros(n, dtype=object)
+        for i in range(n - 1, -1, -1):
+            c[1:], c[0] = c[:-1] - x[i] * c[1:], dd[i] - x[i] * c[0]
+        coeffs.append(c.tolist())
+    if len(coeffs) == 1:
+        coeffs.append([0] * n)
+    return list(zip(*coeffs))
 
 
 def bivar_resultant_w(p: BivarPoly, q: BivarPoly, strip_content=False) -> BinaryForm:
@@ -999,6 +1022,11 @@ def bivar_resultant_w(p: BivarPoly, q: BivarPoly, strip_content=False) -> Binary
     Sylvester matrix by ascending v-power, which matches the classical
     resultant up to the factor (-1)^(deg_f * deg_g).
 
+    The Sylvester matrices at the D + 1 integer nodes 0, 1, -1, 2, -2, ...
+    are eliminated together as one stack (`_bareiss_stack`), and their
+    determinants interpolated (`_interp_stack`); a real pair carries no
+    imaginary parts through either.
+
     With strip_content=True the result is reduced to a primitive integer
     multiple (only root sets survive; used by the chord solver).
     """
@@ -1007,29 +1035,26 @@ def bivar_resultant_w(p: BivarPoly, q: BivarPoly, strip_content=False) -> Binary
         raise PolynomialError("positive degree in the eliminated variable required")
     D = p.m * q.n + q.m * p.n
     den = math.lcm(p.den, q.den)
-    pa = [_lift(r, den // p.den) for r in p.num]
-    qa = [_lift(r, den // q.den) for r in q.num]
-
-    def w_coeffs_at(rows, m, n, zeta):
-        # u^(n-k) v^k coefficient forms evaluated at (s, t) = (1, zeta),
-        # listed by descending u-power (k ascending)
-        out = []
-        for k in range(n + 1):
-            acc = GZERO
-            for j in range(m, -1, -1):
-                acc = gadd(gmul(acc, (zeta, 0)), rows[j][k])
-            out.append(acc)
-        return out
-
-    xs, ys = [], []
-    zeta = 0
-    while len(xs) < D + 1:
-        acoeffs = w_coeffs_at(pa, p.m, p.n, zeta)
-        bcoeffs = w_coeffs_at(qa, q.m, q.n, zeta)
-        ys.append(_sylvester_det(acoeffs, bcoeffs, na, nb))
-        xs.append(zeta)
-        zeta = -zeta + (1 if zeta <= 0 else 0)
-    coeffs = _interp_newton(xs, ys)
+    xs = [(i + 1) // 2 * (-1) ** (i + 1) for i in range(D + 1)]
+    x = np.array(xs, dtype=object)[:, None]
+    tables = [np.array([_lift(r, den // f.den) for r in f.num], dtype=object) for f in (p, q)]
+    nparts = 2 if any(t[..., 1].any() for t in tables) else 1
+    # u^(n-k) v^k coefficient forms at (s, t) = (1, x), by Horner over the
+    # t-power rows, listed by descending u-power (k ascending)
+    values = []
+    for t in tables:
+        acc = [np.zeros((D + 1, t.shape[1]), dtype=object) for _ in range(nparts)]
+        for r in t[::-1]:
+            acc = [a * x + r[:, c] for c, a in enumerate(acc)]
+        values.append(acc)
+    size = na + nb
+    stack = [np.zeros((D + 1, size, size), dtype=object) for _ in range(nparts)]
+    for M, a, b in zip(stack, *values):
+        for sh in range(nb):
+            M[:, sh, sh:sh + na + 1] = a
+        for sh in range(na):
+            M[:, nb + sh, sh:sh + nb + 1] = b
+    coeffs = _interp_stack(xs, _bareiss_stack(stack))
     if strip_content:
         return BinaryForm._from_ints(D, 1, _strip_int_content(coeffs))
     # the determinants are of the inputs scaled by den, one row each

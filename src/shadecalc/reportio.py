@@ -147,10 +147,21 @@ def _parse_family(f):
         if k == "name":
             continue
         if k == "a":
+            # a JSON integer or an exact rational string, read like a curve
+            # coefficient; a float would enter at its binary value and a
+            # bool as 0 or 1
             try:
-                kwargs["a"] = QQ(v)
-            except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
-                raise CurveFileError(f"family {name}: bad parameter a = {v!r}") from e
+                a = QQ(v) if type(v) is int else parse_scalar(v)
+            except ValueError:
+                a = None
+            if isinstance(a, GaussianRational) and a.is_real:
+                a = a.re
+            if not isinstance(a, QQ):
+                raise CurveFileError(
+                    f"family {name}: bad parameter a = {v!r}, "
+                    "give an integer or an exact rational string"
+                )
+            kwargs["a"] = a
         elif k == "eps":
             if type(v) is not int or v not in (1, -1):
                 raise CurveFileError(f"family {name}: eps must be the integer 1 or -1, got {v!r}")

@@ -71,3 +71,27 @@ def test_pair_and_polish_keeps_the_ledger_call_shape(monkeypatch):
     assert len(passed) == 6
     assert list(params) == passed
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+
+
+def test_resultant_hook_sees_the_form(monkeypatch):
+    # poly.resultant.max_degree and .max_coeff_bits are read off the form
+    # bivar_resultant_w returns, through the ledger's wrapper
+    ledger = _load_ledger(monkeypatch)
+    poly = importlib.import_module("shadecalc.poly")
+    from shadecalc.scalars import GaussianRational as G
+
+    real = (poly.BivarPoly(1, 2, [[3, 0, 1], [5, 7, 0]]), poly.BivarPoly(1, 1, [[-2, 1], [1, 4]]))
+    gauss = (poly.BivarPoly(2, 1, [[G(1, 2), 1], [0, G(0, 3)], [7, 0]]),
+             poly.BivarPoly(1, 2, [[1, G(2, -1), 0], [0, 5, G(1, 1)]]))
+    for p, q in (real, gauss):
+        led = ledger.Ledger()
+        led.install()
+        try:
+            form = poly.bivar_resultant_w(p, q)
+        finally:
+            led.uninstall()
+        bits = max(max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+                   for c in form.coeffs for x in (c.re, c.im))
+        assert form.degree > 0 and bits > 0
+        assert led.max_degree == form.degree
+        assert led.max_coeff_bits == bits

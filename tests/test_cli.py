@@ -144,6 +144,9 @@ class TestExitCodes:
         ({"family": {**KAE, "eps": -1.0}}, "eps must be the integer 1 or -1"),
         ({"family": {**KAE, "eps": True}}, "eps must be the integer 1 or -1"),
         ({"family": {**KAE, "eps": 2}}, "eps must be the integer 1 or -1"),
+        # a float entered at its binary value and a bool as 0 or 1
+        ({"family": {**KAE, "a": 0.1}}, "bad parameter a"),
+        ({"family": {**KAE, "a": True}}, "bad parameter a"),
     ])
     def test_malformed_curve_file_exit_1(self, curve, message, tmp_path, capsys):
         path = tmp_path / "curve.json"

@@ -191,8 +191,8 @@ class TestP3RealWritheFixture:
             c = rr[0]
             comp = curve.components[0]
             jz, jw = comp.jet(c.z), comp.jet(c.w)
-            s1 = real_crossing_writhe(comp, comp, c.z, c.w, jz, jw)
-            s2 = real_crossing_writhe(comp, comp, c.w, c.z, jw, jz)
+            s1 = real_crossing_writhe(c.z, c.w, jz, jw)
+            s2 = real_crossing_writhe(c.w, c.z, jw, jz)
             assert s1 == s2 == c.writhe
 
 

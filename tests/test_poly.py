@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from shadecalc import chords
+from shadecalc import chords, poly
 from shadecalc.curves import kae_curve
 from shadecalc.chords import coincidence_system, collinearity_system, secants
 from shadecalc.poly import (
@@ -63,6 +64,42 @@ class TestResultant:
         assert not resultant_w(bp(1, 1, {}), DIAG)
         with pytest.raises(ValueError):
             resultant_w(bp(1, 0, {(1, 0): 1}), DIAG)
+
+    def test_zero_pivot_at_node_zero(self):
+        # f(0, w) = w^2, so the Sylvester matrix at z = 0 has a zero pivot
+        # and swaps rows; at z = 1 it does not
+        f = bp(1, 2, {(0, 2): 1, (1, 1): 1, (1, 0): 1})  # w^2 + z w + z
+        g = bp(1, 1, {(0, 1): 1, (1, 0): -1, (0, 0): 1})  # w - z + 1
+        assert f.num[0][0] == (0, 0)
+        assert resultant_w(f, g) == UPoly([1, -2, 2])
+
+    def test_resultant_vanishing_at_nodes_one_and_minus_one(self):
+        # at z = +-1 both inputs lose their w^0 term: the Sylvester column
+        # is zero there, so those determinants are 0
+        f = bp(2, 2, {(0, 2): 1, (0, 1): 1, (2, 0): 1, (0, 0): -1})  # w^2 + w + z^2 - 1
+        g = bp(2, 2, {(0, 2): 1, (0, 1): -1, (2, 0): 2, (0, 0): -2})  # w^2 - w + 2 z^2 - 2
+        r = resultant_w(f, g)
+        assert r == UPoly([-5, 0, 4, 0, 1])  # (z - 1)(z + 1)(z^2 + 5)
+        assert not r(1) and not r(-1)
+
+    def test_form_holds_plain_ints(self):
+        # hashing, equality and bit counts read the integer table
+        f = bp(1, 2, {(0, 2): 1, (1, 1): G(2, 3), (1, 0): 5})
+        for g in (DIAG, bp(1, 1, {(0, 1): G(0, 1), (1, 0): 3})):
+            for strip in (False, True):
+                form = bivar_resultant_w(f, g, strip_content=strip)
+                assert all(type(x) is int for c in form.num for x in c)
+                assert type(form.den) is int
+
+    def test_inexact_division_raises(self):
+        # 0, 1, 0 at the nodes 0, 1, -1 is no integer polynomial: the
+        # divided difference (0 - 1) / (-1 - 1) is not an integer
+        with pytest.raises(ArithmeticError):
+            poly._interp_stack([0, 1, -1], [np.array([0, 1, 0], dtype=object)])
+        # a non-integer pivot: the second step floors (3/4) / (3/2) to 0
+        M = np.array([[[Fraction(3, 2), 1, 0], [1, 1, 0], [0, 1, 1]]], dtype=object)
+        with pytest.raises(ArithmeticError):
+            poly._bareiss_stack([M])
 
     def test_root_product_oracle(self):
         # resultant at z0 vs lc_f^(deg g) lc_g^(deg f) prod (beta - alpha)

@@ -13,6 +13,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -197,17 +198,74 @@ class TestBivarDivexact:
             bivar_divexact(p, d)
 
 
+@st.composite
+def matrix_stacks(draw):
+    """(P, N, N) stacks as [re] or [re, im] lists of nested int lists, N >= 2.
+
+    Small entries make zero pivots and singular matrices common; on top of
+    the drawn members, one has a zero first pivot over a nonzero entry
+    below it (a row swap at step 0) and one repeats a row (singular)."""
+    n = draw(st.integers(2, 4))
+    nparts = draw(st.sampled_from([1, 2]))
+    entries = st.integers(-3, 3)
+    matrix = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    members = draw(st.lists(st.tuples(*[matrix] * nparts), min_size=0, max_size=3))
+    swap, singular = draw(st.tuples(*[matrix] * nparts)), draw(st.tuples(*[matrix] * nparts))
+    for A in swap:
+        A[0][0] = 0
+    swap[0][draw(st.integers(1, n - 1))][0] = draw(st.integers(1, 3))
+    for A in singular:
+        A[-1] = list(A[0])
+    members += [swap, singular]
+    draw(st.randoms()).shuffle(members)
+    return [[list(m[c]) for m in members] for c in range(nparts)]
+
+
+class TestBareissStack:
+    @settings(max_examples=60, deadline=None)
+    @given(matrix_stacks())
+    def test_matches_sympy_det(self, parts):
+        arrays = [np.array(p, dtype=object) for p in parts]
+        dets = poly._bareiss_stack(arrays)
+        want = []
+        for i in range(len(parts[0])):
+            M = sympy.Matrix(parts[0][i])
+            if len(parts) == 2:
+                M += sympy.I * sympy.Matrix(parts[1][i])
+            re, im = sympy.expand(M.det()).as_real_imag()
+            want.append((int(re), int(im)))
+        got = list(zip(*dets)) if len(dets) == 2 else [(d, 0) for d in dets[0]]
+        assert got == want
+        assert len(dets) == len(parts)
+        assert all(type(d) is int for col in dets for d in col)
+
+
 class TestResultant:
     @settings(max_examples=40, deadline=None)
     @given(bivars(), bivars())
     def test_matches_sympy_resultant(self, p, q):
+        self.check_resultant(p, q)
+
+    @settings(max_examples=40, deadline=None)
+    @given(bivars(3, 3, small_fractions), bivars(3, 3, small_fractions))
+    def test_matches_sympy_resultant_real(self, p, q):
+        # real inputs take the elimination branch without imaginary parts
+        self.check_resultant(p, q)
+
+    @staticmethod
+    def check_resultant(p, q):
         # the declared w-degree must be the actual one, as sympy uses
         assume(p.n > 0 and q.n > 0)
         assume(any(r[p.n] for r in p.rows) and any(r[q.n] for r in q.rows))
         full = bivar_resultant_w(p, q)
-        want = sympy.Poly(
-            sympy.resultant(bivar_to_poly(p).as_expr(), bivar_to_poly(q).as_expr(), W), Z
-        )
+        # sympy 1.14's resultant(f, g) has the wrong sign when deg f < deg g
+        # and deg f * deg g is odd (resultant(w + 1, w^3 + 2, w) gives -1,
+        # the Sylvester determinant 1), so the higher degree goes first
+        f, g = bivar_to_poly(p).as_expr(), bivar_to_poly(q).as_expr()
+        if p.n >= q.n:
+            want = sympy.Poly(sympy.resultant(f, g, W), Z)
+        else:
+            want = sympy.Poly((-1) ** (p.n * q.n) * sympy.resultant(g, f, W), Z)
         # documented sign: ascending v-powers in the Sylvester matrix
         sign = (-1) ** (p.n * q.n)
         coeffs = poly_coeffs(want)
