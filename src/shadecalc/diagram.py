@@ -153,7 +153,6 @@ class Crossing:
     image: list  # diagram point in H, a normalized complex vector
     writhe: int = 0
     same_component: bool = True
-    radius: float = 0.0
 
     def describe(self):
         return {
@@ -615,12 +614,7 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
             wr = sphere_real_pair_sign(zp, wp, jz, comps[j].jet(wp), center)
         else:
             wr = real_crossing_writhe(zp, wp, jz, comps[j].jet(wp))
-        crossings.append(
-            Crossing(
-                kind, i, j, zp, wp, img, wr, same,
-                radius=max(zp.radius, wp.radius),
-            )
-        )
+        crossings.append(Crossing(kind, i, j, zp, wp, img, wr, same))
     crossings.sort(key=lambda c: (c.kind, c.comp_i, c.comp_j, c.z.root))
     return ProjectionData(center, cert, crossings, complex_pairs, mode)
 

@@ -6,11 +6,15 @@ a point is a Gaussian integer X standing for X / 2^P, Horner runs on
 Python integers with one shift per step, and every center is a dyadic
 Gaussian rational.
 
-The certificate is exact.  At the center c = X / 2^P of a squarefree f of
-degree n, f(c) 2^(nP) and f'(c) 2^((n-1)P) are Gaussian integers, and the
-disk around c of radius n|f(c)/f'(c)| contains a root of f (Henrici).  The
-stored radius is an integer upper bound on that radius, on the same 2^-P
-grid, times SLACK.  With one disk per approximate root and all disks
+The certificate is a rigorous bound, not an exact evaluation.  At the
+center c = X / 2^P of a squarefree f of degree n, the same truncated
+Horner that drives Newton's method gives f(c) 2^P and f'(c) 2^P, each
+product floored to the 2^-P grid, and a running error bound next to them
+turns these into an upper bound on |f(c)| and a lower bound on |f'(c)|.
+The disk around c of radius n|f(c)/f'(c)| contains a root of f
+(Henrici), so it still does with |f| bounded up and |f'| bounded down.
+The stored radius is an integer upper bound on that radius, on the same
+2^-P grid, times SLACK.  With one disk per approximate root and all disks
 pairwise disjoint, decided in integers, each disk contains exactly one
 root.  Multiplicities are exact, read off Yun's squarefree decomposition.
 
@@ -31,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly import GZERO, UPoly, complex_coeffs, gadd, gmul, gnorm, zx_sqf_list
+from .poly import UPoly, complex_coeffs, zx_sqf_list
 
 __all__ = ["CertifiedRoot", "UncertifiedRootsError", "complex_roots"]
 
@@ -74,15 +78,18 @@ class CertifiedRoot:
 
     @property
     def radius(self) -> float:
+        # a float part of the center lies on the 2^-prec grid too, so the
+        # sum is an integer over 2^prec: one correctly rounded division,
+        # rounded up by an integer comparison
         one = 1 << self.prec
         c = self.center
-        q = (
-            Fraction(self.rad, one)
-            + abs(Fraction(c.real) - Fraction(self.re, one))
-            + abs(Fraction(c.imag) - Fraction(self.im, one))
-        )
-        r = float(q)
-        return r if r >= q else math.nextafter(r, math.inf)
+        num = self.rad
+        for part, exact in ((c.real, self.re), (c.imag, self.im)):
+            n, d = part.as_integer_ratio()
+            num += abs(n * (one // d) - exact)
+        r = num / one
+        a, b = r.as_integer_ratio()
+        return r if a * one >= num * b else math.nextafter(r, math.inf)
 
     def overlaps(self, other: "CertifiedRoot") -> bool:
         a, b = (self, other) if self.prec >= other.prec else (other, self)
@@ -129,20 +136,28 @@ def _fixed(v: float, prec) -> int:
     return (num << prec) // den
 
 
+def _horner(shifted, x, y, prec):
+    """(pr, pi, dr, di): f(c) 2^prec = pr + pi i and f'(c) 2^prec = dr + di i
+    at c = (x + y i) / 2^prec, up to truncation.
+
+    `shifted` is the coefficient table times 2^prec; each product is floored
+    to the 2^-prec grid, part by part."""
+    pr, pi = shifted[-1]
+    dr = di = 0
+    for a, b in reversed(shifted[:-1]):
+        dr, di = ((dr * x - di * y) >> prec) + pr, ((dr * y + di * x) >> prec) + pi
+        pr, pi = ((pr * x - pi * y) >> prec) + a, ((pr * y + pi * x) >> prec) + b
+    return pr, pi, dr, di
+
+
 def _newton(shifted, x, y, prec, passes):
     """Newton iterates in fixed point from (x + y i) / 2^prec, until a step
     rounds to zero or after `passes` steps.
 
-    `shifted` is the coefficient table times 2^prec; Horner keeps f and f'
-    scaled by 2^prec and truncates each product back to the grid, and each
-    step is rounded to the nearest grid point, so a root on the grid is a
-    fixed point."""
+    Each step is rounded to the nearest grid point, so a root on the grid
+    is a fixed point."""
     for _ in range(passes):
-        pr, pi = shifted[-1]
-        dr = di = 0
-        for a, b in reversed(shifted[:-1]):
-            dr, di = ((dr * x - di * y) >> prec) + pr, ((dr * y + di * x) >> prec) + pi
-            pr, pi = ((pr * x - pi * y) >> prec) + a, ((pr * y + pi * x) >> prec) + b
+        pr, pi, dr, di = _horner(shifted, x, y, prec)
         nd = dr * dr + di * di
         if nd == 0:
             break
@@ -154,26 +169,27 @@ def _newton(shifted, x, y, prec, passes):
     return x, y
 
 
-def _radius(fac, x, y, prec):
-    """Least integer R with R / 2^prec >= SLACK * n|f(c)/f'(c)| at the exact
-    center c = (x + y i) / 2^prec, or None when f'(c) = 0.
+def _radius(shifted, x, y, prec):
+    """An integer R with R / 2^prec >= SLACK * n|f(c)/f'(c)| at the center
+    c = (x + y i) / 2^prec, or None when the lower bound on |f'(c)| is not
+    positive.
 
-    Exact Horner on X = x + y i: g ends as f(c) 2^(n prec) and q as
-    f'(c) 2^((n-1) prec), so the radius in grid units is SLACK n |g| / |q|."""
-    X = (x, y)
-    g, q = fac[-1], GZERO
-    shift = 0
-    for a, b in reversed(fac[:-1]):
-        shift += prec
-        q = gadd(gmul(q, X), g)
-        g = gadd(gmul(g, X), (a << shift, b << shift))
-    nq = gnorm(q)
-    if nq == 0:
+    A floored product is off by less than sqrt(2), and an error e in a
+    Horner value grows to at most e|c| < e m / 2^prec in the next product,
+    with m = isqrt(x^2 + y^2) + 1.  So e and e' below bound the errors of
+    f(c) 2^prec and f'(c) 2^prec from _horner in grid units, and
+    |f(c)| 2^prec <= hi and |f'(c)| 2^prec >= lo."""
+    pr, pi, dr, di = _horner(shifted, x, y, prec)
+    n = len(shifted) - 1
+    m = math.isqrt(x * x + y * y) + 1
+    e = e1 = 0
+    for _ in range(n):
+        e, e1 = ((e * m) >> prec) + 3, ((e1 * m) >> prec) + 3 + e
+    lo = math.isqrt(dr * dr + di * di) - e1
+    if lo <= 0:
         return None
-    k = SLACK * (len(fac) - 1)
-    t = -(-k * k * gnorm(g) // nq)
-    r = math.isqrt(t)
-    return r if r * r == t else r + 1
+    hi = math.isqrt(pr * pr + pi * pi) + 1 + e
+    return -(-(SLACK * n * hi << prec) // lo)
 
 
 def complex_roots(p: UPoly, target_radius=DEFAULT_TARGET_RADIUS, max_rounds=8):
@@ -230,17 +246,18 @@ def _disks(fac, approx, prec, passes, is_real_poly):
     """(x, y, R) per approximate root: the Newton center (x + y i) / 2^prec
     and its certified radius R / 2^prec; for a real factor a disk that
     meets the real axis moves to its real center.  None when an
-    approximation is not finite or f' vanishes at a center."""
+    approximation is not finite or the bound on |f'| at a center does not
+    exclude 0."""
     shifted = [(a << prec, b << prec) for a, b in fac]
     out = []
     for z in approx:
         if not cmath.isfinite(z):
             return None
         x, y = _newton(shifted, _fixed(z.real, prec), _fixed(z.imag, prec), prec, passes)
-        r = _radius(fac, x, y, prec)
+        r = _radius(shifted, x, y, prec)
         if r is not None and is_real_poly and y and y * y <= r * r:
             y = 0
-            r = _radius(fac, x, y, prec)
+            r = _radius(shifted, x, y, prec)
         if r is None:
             return None
         out.append((x, y, r))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from shadecalc import cli, invariants
+from shadecalc import cli, invariants, roots
 from shadecalc.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -171,6 +171,24 @@ class TestDeterminism:
         c1, out1 = run(argv, capsys)
         c2, out2 = run(argv, capsys)
         assert c1 == c2 == 0 and out1 == out2
+
+
+class TestRootRounds:
+    @pytest.mark.parametrize("name, flags", [
+        *(pytest.param(name, ["--seed", seed], id=f"{name}-{seed}")
+          for name in ("unknot", "lp_line", "hopf_pair", "kae_half_minus") for seed in "01"),
+        pytest.param("trefoil", ["--seed", "0", "--centers", "1"], id="trefoil-0"),
+    ])
+    def test_fixtures_certify_in_the_first_round(self, name, flags, capsys, monkeypatch):
+        # every squarefree factor is certified from numpy's roots in the
+        # first precision round; a radius bound too loose for that would
+        # move the work into the slow mpmath rounds
+        def escalated(zx, prec):
+            raise AssertionError(f"precision round escalated on a degree-{len(zx) - 1} factor")
+
+        monkeypatch.setattr(roots, "_mp_initial_roots", escalated)
+        code, _ = run(["invariants", "--curve", str(DATA / f"{name}.json"), *flags], capsys)
+        assert code == 0
 
 
 class TestGoldenBytes:

@@ -5,10 +5,14 @@ roots and recomputed exactly at its stored dyadic center; the real flags
 and real_roots_sturm are checked against sympy's exact real-root count and
 isolating intervals.  Polynomials are integer or Gaussian, of degree at
 most 12, often with planted real roots, conjugate pairs and repeated
-factors.  A second group disables Newton's method, so that the certifier
-alone must reject or classify adversarial approximate roots.
+factors.  The radius bound alone is checked against exact rational
+evaluation at arbitrary dyadic centers, up to degree 44, and the float
+view of a disk against a rational oracle.  A last group disables Newton's
+method, so that the certifier alone must reject or classify adversarial
+approximate roots.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -18,8 +22,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 
 from shadecalc import roots as roots_mod
-from shadecalc.poly import UPoly, real_roots_sturm, zx_mul, zx_strip
-from shadecalc.roots import SLACK, complex_roots
+from shadecalc.poly import UPoly, real_roots_sturm, zx_mul, zx_sqf_list, zx_strip
+from shadecalc.roots import NEWTON_PASSES, SLACK, CertifiedRoot, complex_roots
 from shadecalc.scalars import GaussianRational as G, QQ
 
 X = sympy.symbols("x")
@@ -120,6 +124,100 @@ class TestDisks:
             fc = r.center
             err = abs(Fraction(fc.real) - c.re) + abs(Fraction(fc.imag) - c.im)
             assert Fraction(r.radius) >= rad + err
+
+
+@st.composite
+def dyadic_points(draw):
+    """(table, x, y, prec): a Z or Z[i] coefficient table of degree 1 to 44
+    with parts up to 2^210, and a dyadic center (x + y i) / 2^prec with
+    |x|, |y| <= 2^(prec + 6).  Half of the centers lie a few grid steps
+    from a Newton-polished root, where |f(c)| 2^prec is small and the
+    truncation errors of the Horner values matter; a low prec makes them
+    matter for f' too."""
+    prec = draw(st.integers(1, 16) | st.integers(1, 300))
+    bits = draw(st.integers(0, 4) | st.integers(0, 210))
+    coeff = st.integers(-(1 << bits), 1 << bits)
+    imag = coeff if draw(st.booleans()) else st.just(0)
+    n = draw(st.integers(1, 44))
+    table = draw(st.lists(st.tuples(coeff, imag), min_size=n + 1, max_size=n + 1))
+    assume(table[-1] != (0, 0))
+    lim = 1 << (prec + 6)
+    if draw(st.booleans()):
+        x, y = draw(st.integers(-lim, lim)), draw(st.integers(-lim, lim) | st.just(0))
+    else:
+        approx = roots_mod._np_initial_roots(table)
+        assume(approx)
+        z = approx[draw(st.integers(0, len(approx) - 1))]
+        assume(abs(z) < 32)
+        shifted = [(a << prec, b << prec) for a, b in table]
+        x, y = roots_mod._newton(shifted, roots_mod._fixed(z.real, prec),
+                                 roots_mod._fixed(z.imag, prec), prec, NEWTON_PASSES)
+        x, y = x + draw(st.integers(-4, 4)), y + draw(st.integers(-4, 4))
+        assume(max(abs(x), abs(y)) <= lim)
+    return table, x, y, prec
+
+
+class TestRadiusBound:
+    @settings(max_examples=200, deadline=None)
+    @given(dyadic_points())
+    # 1 + x^2 - x^3 at 46/32: the truncated f(c) 2^5 is 1 against an exact
+    # 3.07, so the upper bound on |f| needs its error term e
+    @example(([(1, 0), (0, 0), (1, 0), (-1, 0)], 46, 0, 5))
+    # 1 - x^25 at 1/2 on the 2^-1 grid: the truncated f'(c) 2 is -2 against
+    # an exact -25 / 2^23, so the lower bound on |f'| needs its error term e'
+    @example(([(1, 0)] + [(0, 0)] * 24 + [(-1, 0)], 1, 0, 1))
+    def test_covers_exact_newton_radius(self, point):
+        # R is None, or R / 2^prec >= SLACK n |f(c) / f'(c)| with f(c) and
+        # f'(c) exact rationals; an f' that vanishes at c must give None
+        table, x, y, prec = point
+        shifted = [(a << prec, b << prec) for a, b in table]
+        R = roots_mod._radius(shifted, x, y, prec)
+        p = UPoly.from_zx(table)
+        c = G(Fraction(x, 1 << prec), Fraction(y, 1 << prec))
+        f2, fp2 = p(c).abs2(), p.derivative()(c).abs2()
+        if fp2 == 0:
+            assert R is None
+        elif R is not None:
+            k = SLACK * (len(table) - 1)
+            assert Fraction(R, 1 << prec) ** 2 * fp2 >= k * k * f2
+
+    @settings(max_examples=60, deadline=None)
+    @given(planted_polys())
+    def test_bounded_at_every_newton_center(self, p):
+        # at each Newton-polished center of a squarefree factor the lower
+        # bound on |f'| is positive, so no precision round escalates for it
+        for fac, _ in zx_sqf_list(p.to_zx()):
+            if len(fac) < 2:
+                continue
+            prec = roots_mod._coeff_prec(fac)
+            shifted = [(a << prec, b << prec) for a, b in fac]
+            approx = roots_mod._np_initial_roots(fac)
+            assert approx is not None and len(approx) == len(fac) - 1
+            for z in approx:
+                x, y = roots_mod._newton(shifted, roots_mod._fixed(z.real, prec),
+                                         roots_mod._fixed(z.imag, prec), prec, NEWTON_PASSES)
+                assert roots_mod._radius(shifted, x, y, prec) is not None
+
+
+def _scaled(max_bits):
+    return st.integers(0, max_bits).flatmap(lambda b: st.integers(-(1 << b), 1 << b))
+
+
+class TestFloatView:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 400).flatmap(lambda prec: st.tuples(
+        _scaled(prec + 60), _scaled(prec + 60), _scaled(prec + 10).map(abs), st.just(prec))))
+    def test_radius_is_least_float_covering_the_disk(self, disk):
+        # the float radius is the least float >= rad / 2^prec plus the
+        # distance of the float center from the exact one
+        re, im, rad, prec = disk
+        r = CertifiedRoot(re, im, rad, prec, 1)
+        one = 1 << prec
+        c = r.center
+        q = Fraction(rad, one) + abs(Fraction(c.real) - Fraction(re, one)) \
+            + abs(Fraction(c.imag) - Fraction(im, one))
+        assert Fraction(r.radius) >= q
+        assert Fraction(math.nextafter(r.radius, -math.inf)) < q
 
 
 class TestRealRootIntervals:
