@@ -51,7 +51,8 @@ from .poly import (GZERO, BinaryForm, BivarPoly, bivar_divexact, bivar_gcd, biva
 from .roots import DEFAULT_TARGET_RADIUS, UncertifiedRootsError, complex_roots
 
 __all__ = ["PairSolution", "SaturatedSystem", "SystemResult", "solve_minor_system",
-           "canonical_unordered", "collinearity_system", "coincidence_system", "secants"]
+           "canonical_unordered", "collinearity_system", "coincidence_system", "secants",
+           "double_points"]
 
 ACCEPT_TOL = 1e-8
 FILTER_TOL = 1e-5  # candidate filter: |u|, |v| relative to their scale bounds
@@ -77,6 +78,14 @@ class PairSolution:
     @property
     def wi(self) -> int:
         return self.w.root
+
+    @property
+    def double_point_kind(self) -> str:
+        """The kind of the solution read as a double point: real-real,
+        complex-conjugate or complex."""
+        if self.z.real and self.w.real:
+            return "real-real"
+        return "complex-conjugate" if self.conjugate else "complex"
 
 
 @dataclass(frozen=True)
@@ -309,6 +318,23 @@ def canonical_unordered(solutions):
     if singles:
         raise GenericityError(f"{singles} chord solutions missing their swapped partner")
     return [s for s in solutions if s.zi <= s.wi]
+
+
+def double_points(system: SaturatedSystem, solutions):
+    """The solutions at which every saturated Plücker form of `system`
+    vanishes, by the relative ACCEPT_TOL test of _pair_and_polish: the
+    double points among a center's chord solutions, whose collinearity
+    minors are combinations of those forms."""
+    if not solutions:
+        return []
+    T, scales = _coeff_tables([m for m in system.minors if not m.is_zero()])
+    out = []
+    for s in solutions:
+        (z_chart_t, zx), (w_chart_t, wx) = s.z.local(), s.w.local()
+        f, _, _ = _jets(T, zx, wx, z_chart_t, w_chart_t)
+        if np.max(np.abs(f) / scales) <= ACCEPT_TOL:
+            out.append(s)
+    return out
 
 
 def _jets(T, zx, wx, z_chart_t, w_chart_t):

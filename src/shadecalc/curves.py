@@ -14,6 +14,7 @@ real-point-free line, and a couple of linking fixtures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -147,6 +148,23 @@ class CurveComponent:
     def base_point_free(self) -> bool:
         return form_gcd(list(self.coords)).degree == 0
 
+    def is_immersion(self) -> bool:
+        """Exact: the parameterization is nowhere stationary, so the
+        component has no cusp.  By Euler's identity s x_s + t x_t = d x,
+        it is singular at p iff x_s(p) and x_t(p) are dependent, that is
+        iff the 2x2 minors of [x_s | x_t], forms of degree 2d - 2, have a
+        common root: a nonconstant form_gcd.  The minors are built one
+        at a time, since the first two live ones are usually coprime."""
+        ds, dt = zip(*(f.partials() for f in self.coords))
+        g = None
+        for a, b in combinations(range(self.nvars), 2):
+            m = ds[a] * dt[b] - ds[b] * dt[a]
+            if not m.is_zero():
+                g = form_gcd([m] if g is None else [g, m])
+                if g.degree == 0:
+                    return True
+        return False
+
     def values(self, pairs):
         """The coordinate vectors at the parameter pairs (s, t), which
         need not be normalized: one complex list per pair."""
@@ -176,7 +194,6 @@ class CurveModel:
                 raise PreconditionError(
                     f"component {c.label or '?'} has {c.nvars} coordinates, ambient wants {nv}"
                 )
-        self._sdp_cache = None
         self._secants = {}  # chords.secants records
 
     def is_real(self):

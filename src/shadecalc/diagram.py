@@ -34,9 +34,10 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
 
-from .chords import canonical_unordered, collinearity_system, secants, solve_minor_system
+from .chords import (canonical_unordered, collinearity_system, double_points, secants,
+                     solve_minor_system)
 from .curves import CurveModel, ParamPoint, p3_forms
-from .errors import GenericityError, PreconditionError
+from .errors import DoublePointError, GenericityError, InstabilityError, PreconditionError
 from .poly import form_gcd
 from .projective import (
     DegenerateFrameError,
@@ -495,10 +496,17 @@ def _project_to_h(xvec, cvec, m):
 
 
 def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None,
-                  tol=DEFAULT_TARGET_RADIUS) -> ProjectionData:
+                  tol=DEFAULT_TARGET_RADIUS, smoothness=False) -> ProjectionData:
     """Solve every chord system for the given center, classify, evaluate
     writhes, and assemble the genericity certificate.  Raises
-    GenericityError whenever any margin fails."""
+    GenericityError whenever any margin fails.
+
+    With `smoothness` (P3 curves only, whose projection record is their
+    smoothness record), the chord solutions also answer the smoothness
+    question: a double point zeroes every saturated Plücker form, hence
+    every collinearity minor, so at a center where it is a simple
+    solution it is among the chord solutions.  Any found raise
+    DoublePointError before anything is classified or signed."""
     comps = curve.components
     q = curve.quadric()
     if mode is None:
@@ -525,6 +533,11 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
         min_jac = min(min_jac, res.min_jac_margin)
         sols = canonical_unordered(res.solutions) if w_mode == "swap" else res.solutions
         raw.append((i, j, sols, i == j))
+    if smoothness:
+        kinds = [s.double_point_kind for i, j, sols, _ in raw
+                 for s in double_points(secants(curve, i, j, p3=True), sols)]
+        if kinds:
+            raise DoublePointError(kinds)
     # solve_minor_system rejects every margin below JAC_MARGIN
     margins["chord_jacobian"] = min_jac if min_jac < float("inf") else 1.0
     cert.all_chords_simple = True
@@ -551,6 +564,13 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
                 entries.append((kind, i, j, s.z, s.w, same))
             if same and mode == "diagram":
                 tangent_margin = min(tangent_margin, s.z.dist(s.w))
+        if mode == "diagram" and n_complex % 2:
+            # conjugation pairs up the non-contributing solutions of a
+            # real curve's system, so an odd count is a misclassification
+            raise InstabilityError(
+                f"chords[{i},{j}]: {n_complex} non-contributing chord solutions, "
+                "an odd count (conjugation pairs them)"
+            )
         complex_pairs += n_complex // 2 if same and mode == "diagram" else n_complex
     margins["tangent_chord"] = tangent_margin if tangent_margin < float("inf") else 1.0
     cert.no_tangent_chords = margins["tangent_chord"] >= 1e-6
@@ -620,16 +640,19 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
 
 
 def select_center(curve: CurveModel, seed=0, mode=None, forced_center=None,
-                  max_attempts=MAX_CENTER_ATTEMPTS, tol=DEFAULT_TARGET_RADIUS):
+                  max_attempts=MAX_CENTER_ATTEMPTS, tol=DEFAULT_TARGET_RADIUS,
+                  smoothness=False):
     """Draw seeded rational candidate centers and accept the first whose
-    projection certifies; deterministic given the seed.
+    projection certifies; deterministic given the seed.  `smoothness`
+    goes to project_curve.
 
     Returns the full ProjectionData of the accepted center.
     """
     rng = random.Random(seed)
     failures = []
     if forced_center is not None:
-        data = project_curve(curve, forced_center, seed=seed, mode=mode, tol=tol)
+        data = project_curve(curve, forced_center, seed=seed, mode=mode, tol=tol,
+                             smoothness=smoothness)
         data.center.seed = seed
         return data
     for attempt in range(max_attempts):
@@ -641,7 +664,8 @@ def select_center(curve: CurveModel, seed=0, mode=None, forced_center=None,
         center.seed = seed
         center.attempt = attempt
         try:
-            return project_curve(curve, center, seed=seed, mode=mode, tol=tol)
+            return project_curve(curve, center, seed=seed, mode=mode, tol=tol,
+                                 smoothness=smoothness)
         except GenericityError as e:
             failures.append(f"attempt {attempt}: {e}")
     raise GenericityError(

@@ -15,6 +15,18 @@ class PreconditionError(ShadecalcError):
     (singular curve, real points present, intersecting real loci...)."""
 
 
+class DoublePointError(PreconditionError):
+    """The curve has double points, one kind per point (real-real,
+    complex-conjugate or complex); invariants need a smooth embedding."""
+
+    def __init__(self, kinds):
+        super().__init__(
+            f"curve has {len(kinds)} double point(s) ({', '.join(sorted(set(kinds)))}); "
+            "invariants need a smooth embedding"
+        )
+        self.kinds = sorted(kinds)
+
+
 class GenericityError(ShadecalcError):
     """A projection center failed certification, or no generic center was
     found within the retry budget."""

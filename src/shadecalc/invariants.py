@@ -22,7 +22,7 @@ import numpy as np
 from .chords import ACCEPT_TOL, canonical_unordered, secants, solve_minor_system
 from .curves import CurveModel, SelfIntersection, describe_ambient
 from .diagram import ProjectionData, branch_frame_sign, select_center
-from .errors import GenericityError, InstabilityError, PreconditionError
+from .errors import DoublePointError, GenericityError, InstabilityError, PreconditionError
 from .poly import UPoly, real_roots_sturm
 from .projective import CERT_MARGIN, REALNESS_TOL
 from .roots import DEFAULT_TARGET_RADIUS
@@ -121,13 +121,8 @@ class SweepReport:
 
 def self_double_points(curve: CurveModel, seed=0):
     """All parameter pairs with projectively equal images, within and
-    across components; empty output certifies a smooth embedding.
-
-    Cached on the model (the answer does not depend on the seed beyond
-    the random combinations used for elimination).
-    """
-    if curve._sdp_cache is not None:
-        return curve._sdp_cache
+    across components; empty output certifies a smooth embedding.  The
+    seed picks the random combinations used for elimination."""
     out = []
     comps = curve.components
     for i in range(len(comps)):
@@ -140,14 +135,7 @@ def self_double_points(curve: CurveModel, seed=0):
             sols = canonical_unordered(res.solutions) if i == j else res.solutions
             images = comps[i].values([s.z.pair() for s in sols])
             for s, img in zip(sols, images):
-                if s.z.real and s.w.real:
-                    kind = "real-real"
-                elif s.conjugate:
-                    kind = "complex-conjugate"
-                else:
-                    kind = "complex"
-                out.append(SelfIntersection(kind, (s.z, s.w), img, (i, j)))
-    curve._sdp_cache = out
+                out.append(SelfIntersection(s.double_point_kind, (s.z, s.w), img, (i, j)))
     return out
 
 
@@ -167,14 +155,21 @@ def find_real_points(curve: CurveModel, component: int, seed=0):
     return [s.z for s in res.solutions if s.conjugate]
 
 
+def _require_immersed(curve: CurveModel):
+    """Exit 3 on a cusp, by an exact test (CurveComponent.is_immersion):
+    at a cusp no chord solve succeeds, so it must come first."""
+    for i, comp in enumerate(curve.components):
+        if not comp.is_immersion():
+            raise PreconditionError(
+                f"curve has a cusp on component {comp.label or i} (its parameterization "
+                "is stationary there); invariants need a smooth embedding"
+            )
+
+
 def _require_smooth(curve: CurveModel, seed=0):
     bad = self_double_points(curve, seed)
     if bad:
-        kinds = sorted({b.kind for b in bad})
-        raise PreconditionError(
-            f"curve has {len(bad)} double point(s) ({', '.join(kinds)}); "
-            "invariants need a smooth embedding"
-        )
+        raise DoublePointError([b.kind for b in bad])
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +193,14 @@ def encomplexed_writhe(curve: CurveModel, seed=0, centers=1, forced_center=None,
     if not curve.is_real():
         raise PreconditionError("encomplexed writhe needs real coefficients; "
                                 "use the shade number for curves without real points")
-    _require_smooth(curve, seed)
+    _require_immersed(curve)
+    # a P3 curve's projection record is its smoothness record
+    # (secants(.., p3=True) is secants(.., p3=False)), so its first
+    # center's chord solutions give its double points; a sphere curve
+    # solves its own 5-coordinate system
+    p3 = curve.quadric() is None
+    if not p3:
+        _require_smooth(curve, seed)
     runs = []
     for k in range(max(1, centers)):
         data = select_center(
@@ -207,6 +209,7 @@ def encomplexed_writhe(curve: CurveModel, seed=0, centers=1, forced_center=None,
             mode="diagram",
             forced_center=forced_center if k == 0 else None,
             tol=tol,
+            smoothness=p3 and k == 0,
         )
         runs.append(data)
     totals = []
@@ -537,10 +540,10 @@ def family_sweep(family: str, grid, seed=0, eps=None, d=None, K=None) -> SweepRe
             idx, a = idx_a
             from .curves import kae_curve
 
-            curve = kae_curve(a, eps)
-            if self_double_points(curve, seed + idx):
+            try:
+                rep = encomplexed_writhe(kae_curve(a, eps), seed=seed + idx)
+            except DoublePointError:
                 return (None, True, "singular member (double point)")
-            rep = encomplexed_writhe(curve, seed=seed + idx)
             return (QQ(rep.Cw), False, None)
 
     elif family == "range":

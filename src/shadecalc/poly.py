@@ -664,6 +664,14 @@ class BinaryForm(_IntTable):
             tp = tp * tg
         return acc
 
+    def partials(self):
+        """(df/ds, df/dt), forms of degree d - 1 (d >= 1)."""
+        d, num = self.degree, self.num
+        ds = [(a * (d - k), b * (d - k)) for k, (a, b) in enumerate(num[:-1])]
+        dt = [(a * k, b * k) for k, (a, b) in enumerate(num) if k]
+        return (BinaryForm._from_ints(d - 1, self.den, ds),
+                BinaryForm._from_ints(d - 1, self.den, dt))
+
     def chart_t(self) -> UPoly:
         """f(1, t) as a polynomial in t."""
         return UPoly._from_ints(self.den, self.num)

@@ -152,24 +152,27 @@ def _horner(shifted, x, y, prec):
 
 def _newton(shifted, x, y, prec, passes):
     """Newton iterates in fixed point from (x + y i) / 2^prec, until a step
-    rounds to zero or after `passes` steps.
+    rounds to zero or after `passes` steps.  Returns (x, y, h): h is the
+    _horner tuple at the returned point when the loop broke there on a
+    zero step, else None.
 
     Each step is rounded to the nearest grid point, so a root on the grid
     is a fixed point."""
     for _ in range(passes):
-        pr, pi, dr, di = _horner(shifted, x, y, prec)
+        h = _horner(shifted, x, y, prec)
+        pr, pi, dr, di = h
         nd = dr * dr + di * di
         if nd == 0:
             break
         sx = (((pr * dr + pi * di) << (prec + 1)) + nd) // (2 * nd)
         sy = (((pi * dr - pr * di) << (prec + 1)) + nd) // (2 * nd)
         if sx == 0 and sy == 0:
-            break
+            return x, y, h
         x, y = x - sx, y - sy
-    return x, y
+    return x, y, None
 
 
-def _radius(shifted, x, y, prec):
+def _radius(shifted, x, y, prec, h=None):
     """An integer R with R / 2^prec >= SLACK * n|f(c)/f'(c)| at the center
     c = (x + y i) / 2^prec, or None when the lower bound on |f'(c)| is not
     positive.
@@ -178,8 +181,9 @@ def _radius(shifted, x, y, prec):
     Horner value grows to at most e|c| < e m / 2^prec in the next product,
     with m = isqrt(x^2 + y^2) + 1.  So e and e' below bound the errors of
     f(c) 2^prec and f'(c) 2^prec from _horner in grid units, and
-    |f(c)| 2^prec <= hi and |f'(c)| 2^prec >= lo."""
-    pr, pi, dr, di = _horner(shifted, x, y, prec)
+    |f(c)| 2^prec <= hi and |f'(c)| 2^prec >= lo.  `h` is the _horner
+    tuple at c when the caller has it already."""
+    pr, pi, dr, di = h if h is not None else _horner(shifted, x, y, prec)
     n = len(shifted) - 1
     m = math.isqrt(x * x + y * y) + 1
     e = e1 = 0
@@ -253,8 +257,8 @@ def _disks(fac, approx, prec, passes, is_real_poly):
     for z in approx:
         if not cmath.isfinite(z):
             return None
-        x, y = _newton(shifted, _fixed(z.real, prec), _fixed(z.imag, prec), prec, passes)
-        r = _radius(shifted, x, y, prec)
+        x, y, h = _newton(shifted, _fixed(z.real, prec), _fixed(z.imag, prec), prec, passes)
+        r = _radius(shifted, x, y, prec, h)
         if r is not None and is_real_poly and y and y * y <= r * r:
             y = 0
             r = _radius(shifted, x, y, prec)

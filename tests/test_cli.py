@@ -110,6 +110,48 @@ class TestExitCodes:
         assert out == b""
         assert "certified wall" in capsys.readouterr().err
 
+    # [s^4, s^2 t^2, s t^3, t^4] in P3, and on the unit sphere the lift of
+    # the cuspidal cubic (t^2, t^3, 0) of R^3: both stationary at t = 0
+    CUSPS = {
+        "p3": {"ambient": "P3", "components": [{"degree": 4, "label": "quartic", "coords": [
+            ["1", "0", "0", "0", "0"], ["0", "0", "1", "0", "0"],
+            ["0", "0", "0", "1", "0"], ["0", "0", "0", "0", "1"]]}]},
+        "sphere": {"ambient": {"Q3": {"c": "1"}}, "components": [
+            {"degree": 6, "label": "sextic", "coords": [
+                ["1", "0", "0", "0", "1", "0", "1"], ["0", "0", "2", "0", "0", "0", "0"],
+                ["0", "0", "0", "2", "0", "0", "0"], ["0", "0", "0", "0", "0", "0", "0"],
+                ["-1", "0", "0", "0", "1", "0", "1"]]}]},
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5])
+    @pytest.mark.parametrize("ambient,label", [("p3", "quartic"), ("sphere", "sextic")])
+    def test_cusp_exit_3(self, ambient, label, seed, tmp_path, capsys):
+        # the chord solve used to end in a zero Jacobian margin (exit 2)
+        path = tmp_path / "cusp.json"
+        path.write_text(json.dumps(self.CUSPS[ambient]))
+        code, out = run(["invariants", "--curve", str(path), "--seed", str(seed)], capsys)
+        assert code == 3
+        assert out == b""
+        assert capsys.readouterr().err == (
+            f"precondition violation: curve has a cusp on component {label} (its "
+            "parameterization is stationary there); invariants need a smooth embedding\n"
+        )
+
+    @pytest.mark.parametrize("eps,kind", [(1, "complex-conjugate"), (-1, "real-real")])
+    def test_singular_curve_forced_center_exit_3(self, eps, kind, tmp_path, capsys):
+        # a generic forced center off the plane of the nodal cubic: its
+        # chord solutions hold the node
+        path = tmp_path / "k0.json"
+        path.write_text(json.dumps({"family": {"name": "kae", "a": 0, "eps": eps},
+                                    "center": {"point": ["1", "1/2", "1/3", "2"]}}))
+        code, out = run(["invariants", "--curve", str(path)], capsys)
+        assert code == 3
+        assert out == b""
+        assert capsys.readouterr().err == (
+            f"precondition violation: curve has 1 double point(s) ({kind}); "
+            "invariants need a smooth embedding\n"
+        )
+
     def test_lp_line_shade_branch(self, capsys):
         code, out = run(
             ["invariants", "--curve", str(DATA / "lp_line.json"), "--seed", "3"], capsys

@@ -124,6 +124,29 @@ class TestTangent:
         assert max(abs(g - complex(w).real) for g, w in zip(tv, want)) <= 1e-9 * scale
 
 
+class TestImmersion:
+    @pytest.mark.parametrize("curve", [kae_curve(0, 1), kae_curve(QQ(1, 2), -1), trefoil_curve(),
+                                       unknot_curve(), lp_line_curve()],
+                             ids=["k0_plus", "kae_half_minus", "trefoil", "unknot", "lp_line"])
+    def test_fixtures_are_immersed(self, curve):
+        assert all(c.is_immersion() for c in curve.components)
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]],  # cuspidal cubic
+        [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
+    ])
+    def test_cusps(self, rows):
+        comp = CurveComponent([BinaryForm(len(r) - 1, r) for r in rows])
+        assert not comp.is_immersion()
+
+    def test_complex_cusp(self):
+        # the cuspidal cubic [v^3, v u^2, u^3, 0] in u = t - i s, v = t + i s:
+        # stationary at the non-real parameter t = i s
+        u, v = BinaryForm(1, [G(0, -1), 1]), BinaryForm(1, [G(0, 1), 1])
+        comp = CurveComponent([v * v * v, v * u * u, u * u * u, BinaryForm(3, [0] * 4)])
+        assert comp.base_point_free() and not comp.is_immersion()
+
+
 class TestSelfDoublePoints:
     def test_k0_minus_real_node(self):
         pts = self_double_points(kae_curve(0, -1))

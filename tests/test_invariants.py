@@ -2,11 +2,12 @@
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shadecalc import invariants
+from shadecalc import diagram, invariants
 from shadecalc.curves import (
     CurveComponent,
     CurveModel,
@@ -17,8 +18,9 @@ from shadecalc.curves import (
     trefoil_curve,
     unknot_curve,
 )
+from shadecalc.chords import secants
 from shadecalc.diagram import SOLITARY_SIGN
-from shadecalc.errors import InstabilityError, PreconditionError
+from shadecalc.errors import DoublePointError, InstabilityError, PreconditionError
 from shadecalc.invariants import (
     encomplexed_writhe,
     family_sweep,
@@ -27,10 +29,12 @@ from shadecalc.invariants import (
     range_collision_times,
     range_family_is_singular,
     range_family_shade,
+    self_double_points,
     shade_number_empty_real,
 )
 from shadecalc.poly import BinaryForm, real_roots_sturm
 from shadecalc.projective import ProjPoint, pole_frame, stereographic
+from shadecalc.reportio import parse_curve_file
 from shadecalc.scalars import QQ
 
 
@@ -73,6 +77,122 @@ class TestKaeGoldens:
     def test_multi_center_agreement(self):
         rep = encomplexed_writhe(kae_curve(QQ(1, 2), -1), seed=5, centers=3)
         assert rep.Cw == 1 and rep.centers_checked == 3
+
+
+def _data_curve(name):
+    path = Path(invariants.__file__).parent / "data" / f"{name}.json"
+    return parse_curve_file(path.read_bytes())[0]
+
+
+class TestFirstCenterSmoothness:
+    """A P3 curve's double points come from its first center's chord
+    solutions; there is no separate smoothness solve."""
+
+    def test_one_chord_solve_per_p3_curve(self, monkeypatch):
+        calls = {"solve": 0, "sdp": 0}
+
+        def counted(fn, key):
+            def run(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return run
+
+        for module in (diagram, invariants):
+            monkeypatch.setattr(module, "solve_minor_system",
+                                counted(module.solve_minor_system, "solve"))
+        monkeypatch.setattr(invariants, "self_double_points",
+                            counted(invariants.self_double_points, "sdp"))
+        # seed 1 accepts its first drawn center (seed 0 rejects one after
+        # its solve); a separate smoothness solve would make it 2
+        rep = encomplexed_writhe(kae_curve(QQ(1, 2), -1), seed=1, centers=1)
+        assert (rep.Cw, rep.center["attempt"]) == (1, 0)
+        assert calls == {"solve": 1, "sdp": 0}
+
+    P3_CURVES = (
+        [pytest.param(lambda n=n: _data_curve(n), id=n)
+         for n in ("k0_plus", "k0_minus", "kae_half_minus")]
+        + [pytest.param(lambda a=a, eps=eps: kae_curve(a, eps), id=f"kae({a},{eps:+d})")
+           for a in (-1, QQ(-1, 2), 0, QQ(1, 2), 1) for eps in (1, -1)]
+    )
+
+    @pytest.mark.parametrize("make", P3_CURVES)
+    def test_first_center_agrees_with_self_double_points(self, make):
+        for seed in range(10):
+            curve = make()
+            assert secants(curve, 0, 0, p3=True) is secants(curve, 0, 0, p3=False)
+            try:
+                encomplexed_writhe(curve, seed=seed)
+                found = []
+            except DoublePointError as e:
+                found = e.kinds
+            want = sorted(b.kind for b in self_double_points(make(), seed))
+            assert found == want, f"seed {seed}"
+
+    @pytest.mark.parametrize("eps,kind", [(1, "complex-conjugate"), (-1, "real-real")])
+    def test_double_point_raised_before_any_sign(self, eps, kind, monkeypatch):
+        def no_sign(*args):
+            raise AssertionError("a sign recipe ran on a singular curve")
+
+        monkeypatch.setattr(diagram, "real_crossing_writhe", no_sign)
+        monkeypatch.setattr(diagram, "solitary_writhe", no_sign)
+        with pytest.raises(DoublePointError) as ei:
+            encomplexed_writhe(kae_curve(0, eps), seed=3)
+        assert ei.value.kinds == [kind]
+
+    def test_sweep_flags_the_singular_member_without_self_double_points(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("self_double_points ran in a P3 kae sweep")
+
+        monkeypatch.setattr(invariants, "self_double_points", forbidden)
+        rep = family_sweep("kae", [QQ(-1, 2), 0, QQ(1, 2)], seed=1, eps=1)
+        assert rep.singular == [False, True, False]
+        assert rep.errors[1] == "singular member (double point)"
+
+
+class TestCuspAndParityGuards:
+    CUSP = [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
+
+    def test_cusp_rejected_before_any_chord_solve(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a chord system was solved for a cuspidal curve")
+
+        monkeypatch.setattr(diagram, "solve_minor_system", forbidden)
+        monkeypatch.setattr(invariants, "solve_minor_system", forbidden)
+        curve = CurveModel("P3", [CurveComponent([BinaryForm(4, r) for r in self.CUSP], "q")])
+        with pytest.raises(PreconditionError, match="cusp on component q"):
+            encomplexed_writhe(curve, seed=0)
+
+    @staticmethod
+    def _mutate(monkeypatch, mutation):
+        solve = diagram.solve_minor_system
+
+        def mutated(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            for s in res.solutions:
+                mutation(s)
+            return res
+
+        monkeypatch.setattr(diagram, "solve_minor_system", mutated)
+
+    def test_solitary_filed_as_non_contributing_trips_the_guard(self, monkeypatch):
+        # kae(1, +1) has one solitary crossing: dropping the conjugate flag
+        # makes it the one non-contributing solution of its system
+        assert [c.kind for c in encomplexed_writhe(kae_curve(1, 1)).crossings] == ["solitary"]
+
+        def drop_conjugate(s):
+            s.conjugate = False
+
+        self._mutate(monkeypatch, drop_conjugate)
+        with pytest.raises(InstabilityError, match="odd count"):
+            encomplexed_writhe(kae_curve(1, 1))
+
+    def test_real_crossing_filed_as_non_contributing_trips_the_guard(self, monkeypatch):
+        def drop_realness(s):
+            s.z.real = s.w.real = False
+
+        self._mutate(monkeypatch, drop_realness)
+        with pytest.raises(InstabilityError, match="odd count"):
+            encomplexed_writhe(kae_curve(QQ(1, 2), -1))
 
 
 class TestSweeps:

@@ -34,6 +34,23 @@ def resultant_w(f, g):
     return bivar_resultant_w(f, g).chart_t()
 
 
+class TestPartials:
+    @pytest.mark.parametrize("coeffs", [[1, 2], [3, 0, G(1, 2), -7], [G(0, 1), 0, 0, 2, QQ(1, 3)]])
+    def test_euler_identity(self, coeffs):
+        # s f_s + t f_t = d f
+        f = BinaryForm(len(coeffs) - 1, coeffs)
+        d = f.degree
+        fs, ft = f.partials()
+        s, t = BinaryForm(1, [1, 0]), BinaryForm(1, [0, 1])
+        assert (fs.degree, ft.degree) == (d - 1, d - 1)
+        assert s * fs + t * ft == f * d
+
+    def test_by_hand(self):
+        # f = s^2 t + 3 t^3: f_s = 2 s t, f_t = s^2 + 9 t^2
+        fs, ft = BinaryForm(3, [0, 1, 0, 3]).partials()
+        assert fs == BinaryForm(2, [0, 2, 0]) and ft == BinaryForm(2, [1, 0, 9])
+
+
 class TestResultant:
     def test_linear_system(self):
         # 2x2 Sylvester of a linear pair

@@ -126,6 +126,42 @@ class TestDisks:
             assert Fraction(r.radius) >= rad + err
 
 
+def _horner_calls(p, handoff):
+    """complex_roots(p) and the argument tuples of every _horner call it
+    made; without the handoff _radius evaluates afresh at each center."""
+    horner, newton = roots_mod._horner, roots_mod._newton
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return horner(*args)
+
+    with pytest.MonkeyPatch.context() as mp_:
+        mp_.setattr(roots_mod, "_horner", spy)
+        if not handoff:
+            mp_.setattr(roots_mod, "_newton", lambda *a: newton(*a)[:2] + (None,))
+        return complex_roots(p), calls
+
+
+class TestHornerHandoff:
+    @settings(max_examples=40, deadline=None)
+    @given(planted_polys())
+    def test_disks_bit_identical_without_the_handoff(self, p):
+        handed, calls = _horner_calls(p, True)
+        fresh, fresh_calls = _horner_calls(p, False)
+        assert handed == fresh
+        assert len(calls) <= len(fresh_calls)
+        # no point is evaluated twice in a row
+        assert not any(a == b for a, b in zip(calls, calls[1:]))
+
+    def test_one_evaluation_saved_per_converged_root(self):
+        # (x - 1)(x - 2)(x^2 + 1): Newton ends on a zero step at all four
+        p = UPoly([2, -3, 3, -3, 1])
+        _, calls = _horner_calls(p, True)
+        _, fresh_calls = _horner_calls(p, False)
+        assert len(fresh_calls) - len(calls) == 4
+
+
 @st.composite
 def dyadic_points(draw):
     """(table, x, y, prec): a Z or Z[i] coefficient table of degree 1 to 44
@@ -150,8 +186,8 @@ def dyadic_points(draw):
         z = approx[draw(st.integers(0, len(approx) - 1))]
         assume(abs(z) < 32)
         shifted = [(a << prec, b << prec) for a, b in table]
-        x, y = roots_mod._newton(shifted, roots_mod._fixed(z.real, prec),
-                                 roots_mod._fixed(z.imag, prec), prec, NEWTON_PASSES)
+        x, y, _ = roots_mod._newton(shifted, roots_mod._fixed(z.real, prec),
+                                    roots_mod._fixed(z.imag, prec), prec, NEWTON_PASSES)
         x, y = x + draw(st.integers(-4, 4)), y + draw(st.integers(-4, 4))
         assume(max(abs(x), abs(y)) <= lim)
     return table, x, y, prec
@@ -194,9 +230,11 @@ class TestRadiusBound:
             approx = roots_mod._np_initial_roots(fac)
             assert approx is not None and len(approx) == len(fac) - 1
             for z in approx:
-                x, y = roots_mod._newton(shifted, roots_mod._fixed(z.real, prec),
-                                         roots_mod._fixed(z.imag, prec), prec, NEWTON_PASSES)
-                assert roots_mod._radius(shifted, x, y, prec) is not None
+                x, y, h = roots_mod._newton(shifted, roots_mod._fixed(z.real, prec),
+                                            roots_mod._fixed(z.imag, prec), prec, NEWTON_PASSES)
+                assert roots_mod._radius(shifted, x, y, prec, h) is not None
+                # the Horner values Newton hands over are those at (x, y)
+                assert h is None or h == roots_mod._horner(shifted, x, y, prec)
 
 
 def _scaled(max_bits):
@@ -254,7 +292,7 @@ def _without_newton(approximants):
     """Patches for roots: Newton returns its start, and each squarefree
     factor's approximate roots come from approximants(zx)."""
     return {
-        "_newton": lambda shifted, x, y, prec, passes: (x, y),
+        "_newton": lambda shifted, x, y, prec, passes: (x, y, None),
         "_np_initial_roots": approximants,
     }
 
