@@ -58,6 +58,7 @@ ACCEPT_TOL = 1e-8
 FILTER_TOL = 1e-5  # candidate filter: |u|, |v| relative to their scale bounds
 JAC_MARGIN = 1e-6
 COMBO_RETRIES = 6
+POLISH_STEPS = 30  # Newton steps of the pair polish at most
 
 
 @dataclass
@@ -364,12 +365,12 @@ def _candidates(T, scales, zroots, wroots):
     return [tuple(ij) for ij in np.argwhere(near[0] & near[1]).tolist()]
 
 
-def _polish(T, zp: ParamPoint, wp: ParamPoint, steps=30):
+def _polish(T, zp: ParamPoint, wp: ParamPoint):
     """2x2 Newton against the tables T = (u, v) in the local charts of the
     start point, kept through every step; None on a singular Jacobian."""
     (z_chart_t, zx), (w_chart_t, wx) = zp.local(), wp.local()
     dz = dw = 0.0
-    for _ in range(steps):
+    for _ in range(POLISH_STEPS):
         (fa, fb), (da_dz, db_dz), (da_dw, db_dw) = (
             g.tolist() for g in _jets(T, zx, wx, z_chart_t, w_chart_t))
         det = da_dz * db_dw - da_dw * db_dz

@@ -49,13 +49,11 @@ from .projective import (
     line_tau,
     normalize,
     orientation_sign,
-    pi_project,
     pole_frame,
-    quadric_residual,
     stereographic,
 )
 from .roots import DEFAULT_TARGET_RADIUS
-from .scalars import GaussianRational, QQ
+from .scalars import QQ, surd_parts
 
 __all__ = [
     "ProjectionCenter",
@@ -80,21 +78,26 @@ P3_REAL_SIGN = 1
 
 SEAM_TOL = 1e-6
 MAX_CENTER_ATTEMPTS = 50
+SVG_SAMPLES = 720  # parameter samples per real component in render_diagram_svg
 
 
 @dataclass
 class ProjectionCenter:
-    point: ProjPoint  # real center in RP3 (for Q3: the image of the lifts)
+    point: ProjPoint  # rational center in RP3 (for Q3: the image of the lifts)
     hyperplane: int  # index m of the coordinate hyperplane H = {y_m = 0}
-    lift0: ProjPoint | None = None
-    lift1: ProjPoint | None = None
+    lift0: ProjPoint | None = None  # Q3: the lift the pole frame is built from
     seed: int = 0
     attempt: int = 0
 
     @cached_property
+    def coords(self):
+        """The center's normalized rational coordinates, computed once."""
+        return self.point.normalized().coords
+
+    @cached_property
     def cvec(self):
         """The center as a normalized complex vector, for the float recipes."""
-        return self.point.normalized().as_complex()
+        return [complex(c) for c in self.coords]
 
     @cached_property
     def pole(self):
@@ -113,33 +116,19 @@ class ProjectionCenter:
         return d
 
 
+# every check of project_curve raises when it fails, so a returned
+# certificate has passed them all
+CERTIFIED_FLAGS = ("center_off_curve", "all_chords_simple", "no_triple_points",
+                   "no_tangent_chords", "no_crossing_at_chart_seam")
+
+
 @dataclass
 class GenericityCertificate:
-    center_off_curve: bool = False
-    all_chords_simple: bool = False
-    no_triple_points: bool = False
-    no_tangent_chords: bool = False
-    no_crossing_at_chart_seam: bool = False
     margins: dict = field(default_factory=dict)
-
-    def all_ok(self):
-        return (
-            self.center_off_curve
-            and self.all_chords_simple
-            and self.no_triple_points
-            and self.no_tangent_chords
-            and self.no_crossing_at_chart_seam
-        )
 
     def describe(self):
         return {
-            "flags": {
-                "center_off_curve": self.center_off_curve,
-                "all_chords_simple": self.all_chords_simple,
-                "no_triple_points": self.no_triple_points,
-                "no_tangent_chords": self.no_tangent_chords,
-                "no_crossing_at_chart_seam": self.no_crossing_at_chart_seam,
-            },
+            "flags": dict.fromkeys(CERTIFIED_FLAGS, True),
             "margins": {k: float(f"{v:.6e}") for k, v in self.margins.items()},
         }
 
@@ -240,37 +229,44 @@ def rational_quadric_point(q: QuadricSpec, rng) -> ProjPoint:
             continue
         if not pt[0]:
             continue  # want x0 != 0 so the point is on the real sphere
-        return ProjPoint([GaussianRational(x) for x in pt], "P4")
+        return ProjPoint(pt)
     raise GenericityError("could not draw a rational quadric point")
 
 
 def draw_center(curve: CurveModel, rng) -> ProjectionCenter:
+    """A seeded rational center; for a sphere curve, the image in RP3
+    (project from [1,0,0,0,0], drop x0) of a rational quadric point."""
     q = curve.quadric()
     if q is None:
-        pt = ProjPoint(
-            [GaussianRational(1)] + [GaussianRational(_rand_fraction(rng)) for _ in range(3)]
-        )
-        return ProjectionCenter(pt, hyperplane=0)
+        return ProjectionCenter(ProjPoint([1] + [_rand_fraction(rng) for _ in range(3)]),
+                                hyperplane=0)
     lift0 = rational_quadric_point(q, rng)
-    center = pi_project(lift0)
-    if not center.is_exact():
-        raise GenericityError("quadric center does not project to a rational point")
-    lift1 = ProjPoint([-lift0.coords[0]] + list(lift0.coords[1:]), "P4")
-    return ProjectionCenter(center, hyperplane=0, lift0=lift0, lift1=lift1)
+    return ProjectionCenter(ProjPoint(lift0.coords[1:]), hyperplane=0, lift0=lift0)
 
 
 def center_from_lift(lift: ProjPoint, q: QuadricSpec) -> ProjectionCenter:
-    """Projection data from an explicit quadric lift (exact rational or
-    quadratic-surd coordinates, e.g. the trefoil's sqrt(2) center)."""
-    if quadric_residual(lift, q):
+    """Projection data from an explicit quadric lift x = A + sqrt(n) B
+    (A, B rational, n not a square; e.g. the trefoil's sqrt(2) center).
+
+    With Q(x) = -c x0^2 + sum xi^2 and its bilinear form Q(A, B), x is on
+    the quadric iff Q(A) + n Q(B) = 0 and Q(A, B) = 0, and its image
+    [x1 : ... : x4] in RP3 is rational iff A[1:] and B[1:] are linearly
+    dependent; the image is then scaled to 1 at its first nonzero entry.
+    Raises ValueError when the lift mixes radicands."""
+    A, B, n = surd_parts(lift.coords)
+
+    def form(x, y):
+        return -q.c * x[0] * y[0] + sum(a * b for a, b in zip(x[1:], y[1:]))
+
+    if form(A, A) + n * form(B, B) or form(A, B):
         raise PreconditionError("explicit center lift is not on the quadric")
-    center = pi_project(lift)
-    if not center.is_exact():
+    if any(A[i] * B[j] != A[j] * B[i] for i, j in combinations(range(1, 5), 2)):
         raise PreconditionError(
             "explicit center lift must project to a rational point of RP3"
         )
-    anti = ProjPoint([-1 * lift.coords[0]] + list(lift.coords[1:]), "P4")
-    return ProjectionCenter(center, hyperplane=0, lift0=lift, lift1=anti)
+    v = B[1:] if any(B[1:]) else A[1:]
+    pivot = next(x for x in v if x)
+    return ProjectionCenter(ProjPoint([x / pivot for x in v]), hyperplane=0, lift0=lift)
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +274,9 @@ def center_from_lift(lift: ProjPoint, q: QuadricSpec) -> ProjectionCenter:
 # ---------------------------------------------------------------------------
 
 
-def _center_off_component(center: ProjPoint, forms) -> bool:
+def _center_off_component(c, forms) -> bool:
     """Exact check that the projected curve never passes through the
-    center: the 2x2 minors of [c | psi(z)] must have constant gcd."""
-    c = center.coords
+    center c: the 2x2 minors of [c | psi(z)] must have constant gcd."""
     minors = []
     n = len(forms)
     for a in range(n):
@@ -353,8 +348,8 @@ def real_crossing_writhe(zp, wp, jz, jw):
 
 
 def sphere_real_pair_sign(zp, wp, jz, jw, center: ProjectionCenter):
-    """Q3 recipe via stereographic projection from lift0 with the antipode
-    lift1 at the origin; evaluated at both endpoints, which must agree.
+    """Q3 recipe via stereographic projection from lift0 with its antipode
+    at the origin; evaluated at both endpoints, which must agree.
     jz, jw are the components' jets at zp, wp."""
     x_aff, X = oriented_real_tangent(zp, 0, jz)
     y_aff, Y = oriented_real_tangent(wp, 0, jw)
@@ -513,17 +508,15 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
         mode = "diagram" if curve.is_real() else "shade"
     cert = GenericityCertificate()
     margins = cert.margins
-    cvec = center.cvec
+    cvec, c = center.cvec, center.coords
 
     for i, comp in enumerate(comps):
-        if not _center_off_component(center.point, p3_forms(comp.coords)):
+        if not _center_off_component(c, p3_forms(comp.coords)):
             raise GenericityError(f"center lies on the projected component {i}")
-    cert.center_off_curve = True
 
     raw = []  # (comp_i, comp_j, unordered solutions, same_component)
     complex_pairs = 0
     min_jac = float("inf")
-    c = center.point.normalized().coords
     for i, j, w_mode, expected, offset, context in _chord_systems(comps, mode):
         sec = secants(curve, i, "conj" if w_mode == "conj" else j, p3=True)
         res = solve_minor_system(
@@ -540,7 +533,6 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
             raise DoublePointError(kinds)
     # solve_minor_system rejects every margin below JAC_MARGIN
     margins["chord_jacobian"] = min_jac if min_jac < float("inf") else 1.0
-    cert.all_chords_simple = True
 
     # classify: real-real (diagram mode only), solitary (conjugate
     # preimages) or a non-contributing complex pair
@@ -571,10 +563,9 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
                 f"chords[{i},{j}]: {n_complex} non-contributing chord solutions, "
                 "an odd count (conjugation pairs them)"
             )
-        complex_pairs += n_complex // 2 if same and mode == "diagram" else n_complex
+        complex_pairs += n_complex // 2 if mode == "diagram" else n_complex
     margins["tangent_chord"] = tangent_margin if tangent_margin < float("inf") else 1.0
-    cert.no_tangent_chords = margins["tangent_chord"] >= 1e-6
-    if not cert.no_tangent_chords:
+    if not margins["tangent_chord"] >= 1e-6:
         raise GenericityError("tangent chord detected (z = w within margin)")
 
     # hyperplane selection: seam margins over candidate H indices
@@ -622,8 +613,6 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
     center.hyperplane = m
     margins["chart_seam"] = seam
     margins["triple_point_separation"] = sep
-    cert.no_crossing_at_chart_seam = True
-    cert.no_triple_points = True
 
     # writhes
     crossings = []
@@ -640,8 +629,7 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
 
 
 def select_center(curve: CurveModel, seed=0, mode=None, forced_center=None,
-                  max_attempts=MAX_CENTER_ATTEMPTS, tol=DEFAULT_TARGET_RADIUS,
-                  smoothness=False):
+                  tol=DEFAULT_TARGET_RADIUS, smoothness=False):
     """Draw seeded rational candidate centers and accept the first whose
     projection certifies; deterministic given the seed.  `smoothness`
     goes to project_curve.
@@ -655,7 +643,7 @@ def select_center(curve: CurveModel, seed=0, mode=None, forced_center=None,
                              smoothness=smoothness)
         data.center.seed = seed
         return data
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_CENTER_ATTEMPTS):
         try:
             center = draw_center(curve, rng)
         except GenericityError as e:
@@ -669,7 +657,7 @@ def select_center(curve: CurveModel, seed=0, mode=None, forced_center=None,
         except GenericityError as e:
             failures.append(f"attempt {attempt}: {e}")
     raise GenericityError(
-        f"no generic center found in {max_attempts} attempts", attempts=failures
+        f"no generic center found in {MAX_CENTER_ATTEMPTS} attempts", attempts=failures
     )
 
 
@@ -692,7 +680,7 @@ def _rot3(a, b, c):
     return out
 
 
-def render_diagram_svg(curve: CurveModel, data: ProjectionData, samples=720) -> str:
+def render_diagram_svg(curve: CurveModel, data: ProjectionData) -> str:
     """Projected real locus as polylines in the H chart, real crossings
     marked with their signs, solitary points as dots; deterministic."""
     m = data.center.hyperplane
@@ -724,7 +712,7 @@ def render_diagram_svg(curve: CurveModel, data: ProjectionData, samples=720) -> 
     for comp in curve.components:
         if not comp.is_real():
             continue
-        angles = [math.pi * kk / samples for kk in range(samples + 1)]
+        angles = [math.pi * kk / SVG_SAMPLES for kk in range(SVG_SAMPLES + 1)]
         run = []
         runs = []
         for x in comp.values([(math.cos(a), math.sin(a)) for a in angles]):

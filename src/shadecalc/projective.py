@@ -1,10 +1,11 @@
-"""Exact projective points, float point vectors, orientation signs, the
-quadric double cover and stereographic projection.
+"""Exact projective points, float point vectors, orientation signs and
+the stereographic projection of the quadric.
 
-`ProjPoint` holds exact homogeneous coordinates only: Gaussian rationals,
-or QuadExt surds for quadric lifts such as the trefoil's sqrt(2) center.
-A float point (a curve value at a certified root, a crossing image, a
-center read in floats) is a plain list of complex numbers; `normalize`,
+`ProjPoint` holds exact real homogeneous coordinates only, since every
+projection center is real: rationals, or also `Surd` values a + b*sqrt(n)
+for a quadric lift such as the trefoil's sqrt(2) center.  A float point
+(a curve value at a certified root, a crossing image, a center read in
+floats) is a plain list of complex numbers; `normalize`,
 `is_real_vector` and `line_tau` act on those lists, and `pole_frame`
 reads a quadric pole into floats once for `stereographic`.
 
@@ -28,15 +29,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GenericityError
-from .scalars import GaussianRational, QuadExt, QQ
+from .scalars import QQ, Surd, surd_parts
 
 __all__ = [
     "ProjPoint",
     "QuadricSpec",
     "DegenerateFrameError",
     "orientation_sign",
-    "pi_project",
-    "quadric_residual",
     "PoleFrame",
     "pole_frame",
     "stereographic",
@@ -57,47 +56,35 @@ class DegenerateFrameError(GenericityError):
 
 
 def _to_value(v):
-    if isinstance(v, (GaussianRational, QuadExt)):
+    if isinstance(v, Surd):
         return v
     if isinstance(v, (int, Fraction)):
-        return GaussianRational(v)
+        return Fraction(v)
     raise TypeError(f"bad coordinate type {type(v).__name__}")
 
 
 class ProjPoint:
-    """Point of P3 or P4 with exact homogeneous coordinates: Gaussian
-    rationals, or QuadExt surds for quadric lifts."""
+    """Point of P3 or P4 with exact real homogeneous coordinates:
+    rationals, or also Surd values for a quadric lift."""
 
-    __slots__ = ("coords", "ambient")
+    __slots__ = ("coords",)
 
-    def __init__(self, coords, ambient=None):
+    def __init__(self, coords):
         coords = tuple(_to_value(c) for c in coords)
         if len(coords) not in (4, 5):
             raise ValueError("projective points here live in P3 or P4")
         if not any(coords):
             raise ValueError("all homogeneous coordinates are zero")
         self.coords = coords
-        self.ambient = ambient or ("P3" if len(coords) == 4 else "P4")
-
-    @property
-    def dim(self):
-        return len(self.coords) - 1
-
-    def is_exact(self):
-        """True when every coordinate is a Gaussian rational (no surd)."""
-        return all(isinstance(c, GaussianRational) for c in self.coords)
-
-    def as_complex(self):
-        return [complex(c) for c in self.coords]
 
     def normalized(self):
-        """Scale so the largest-modulus coordinate is 1 (Gaussian
+        """Scale so the largest-modulus coordinate is 1 (rational
         coordinates only; idempotent)."""
-        if not self.is_exact():
-            raise TypeError("normalized needs Gaussian rational coordinates")
-        k = max(range(len(self.coords)), key=lambda i: self.coords[i].abs2())
+        if any(isinstance(c, Surd) for c in self.coords):
+            raise TypeError("normalized needs rational coordinates")
+        k = max(range(len(self.coords)), key=lambda i: abs(self.coords[i]))
         d = self.coords[k]
-        return ProjPoint([c / d for c in self.coords], self.ambient)
+        return ProjPoint([c / d for c in self.coords])
 
     def __repr__(self):
         return f"ProjPoint({[str(c) for c in self.coords]})"
@@ -244,68 +231,6 @@ def line_tau(c, s, x):
 
 
 # ---------------------------------------------------------------------------
-# the quadric double cover
-# ---------------------------------------------------------------------------
-
-
-def pi_project(x: ProjPoint) -> ProjPoint:
-    """The double cover CQ3 -> CP3: project from [1,0,0,0,0] and drop x0.
-
-    Antipodal real quadric points have the same image; the projection
-    center itself is rejected.  Exact-quadratic coordinates are reduced
-    to rationals when the projective point allows it.
-    """
-    if x.dim != 4:
-        raise ValueError("pi_project expects a point of P4")
-    rest = list(x.coords[1:])
-    if not any(rest):
-        raise ValueError("cannot project the center [1,0,0,0,0]")
-    if any(isinstance(c, QuadExt) for c in rest):
-        reduced = rationalize_quadext(rest)
-        if reduced is not None:
-            rest = reduced
-    return ProjPoint(rest, "P3")
-
-
-def rationalize_quadext(coords):
-    """Rational representative of a projective tuple with QuadExt entries,
-    or None if the point is genuinely irrational."""
-    qs = []
-    for c in coords:
-        if isinstance(c, QuadExt):
-            qs.append(c)
-        elif isinstance(c, GaussianRational) and c.is_real:
-            qs.append(QuadExt(c.re))
-        else:
-            return None
-    pivot = next((c for c in qs if c), None)
-    if pivot is None:
-        return None
-    scaled = [c / pivot for c in qs]
-    if all(c.is_rational() for c in scaled):
-        return [GaussianRational(c.as_fraction()) for c in scaled]
-    return None
-
-
-def quadric_residual(x: ProjPoint, q: QuadricSpec):
-    """-c x0^2 + x1^2 + ... + x4^2, exactly: at the normalized
-    representative for Gaussian coordinates, and unnormalized in
-    Q(sqrt n) for surd coordinates (the zero test is scale free)."""
-    if x.dim != 4:
-        raise ValueError("quadric residual expects a point of P4")
-    if x.is_exact():
-        xs = x.normalized().coords
-        c = GaussianRational(q.c)
-    else:
-        xs = x.coords
-        c = QuadExt(q.c)
-    acc = -(c * xs[0] * xs[0])
-    for v in xs[1:]:
-        acc = acc + v * v
-    return acc
-
-
-# ---------------------------------------------------------------------------
 # stereographic projection of the real quadric
 # ---------------------------------------------------------------------------
 
@@ -330,13 +255,17 @@ def pole_frame(pole: ProjPoint) -> PoleFrame:
     orientation fixed by the sign calibration: linking numbers of
     transferred curves then agree with the Gauss integral in the chart.
     """
-    x0 = pole.coords[0]
-    if not x0:
+    A, B, rad = surd_parts(pole.coords)
+    # x0 = a0 + b0 sqrt(rad) with rad = 0 or not a square: den = 0 iff x0 = 0
+    a0, b0 = A[0], B[0]
+    den = a0 * a0 - rad * b0 * b0
+    if not den:
         raise GenericityError("real quadric points have x0 != 0")
-    pc = [complex(c / x0) for c in pole.coords[1:]]
-    if any(c.imag for c in pc):
-        raise ValueError("pole is not a real point")
-    pv = [c.real for c in pc]
+    pv = []
+    for ai, bi in zip(A[1:], B[1:]):
+        # xi / x0 = p + q sqrt(rad) exactly, then one rounding of each part
+        p, q = (ai * a0 - rad * bi * b0) / den, (bi * a0 - ai * b0) / den
+        pv.append(float(p) + float(q) * math.sqrt(rad) if q else float(p))
     r = math.sqrt(sum(c * c for c in pv))
     ph = [c / r for c in pv]
     idx = sorted(range(4), key=lambda i: abs(ph[i]))[:3]

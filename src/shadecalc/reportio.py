@@ -1,9 +1,10 @@
 """Curve-file parsing, canonical serialization and the report envelope.
 
 Curve files are UTF-8 JSON.  Coefficients travel as exact strings
-("p/q", "p/q+r/s i"); projection-center lifts may carry quadratic surds
-("a+b*sqrt(n)") so exact-algebraic sphere fixtures stay exact.  Unknown
-fields are rejected.  Reports serialize to canonical JSON (sorted keys,
+("p/q", "p/q+r/s i").  A projection center is real: a point has rational
+coordinates, and a sphere curve's lift may also carry sqrt forms
+("a+b*sqrt(n)", one radicand n per lift) so the trefoil's sqrt(2) center
+stays exact.  Unknown fields are rejected.  Reports serialize to canonical JSON (sorted keys,
 tight separators) so identical inputs give identical bytes.
 """
 
@@ -16,7 +17,7 @@ from .diagram import ProjectionCenter, center_from_lift
 from .errors import CurveFileError, PreconditionError
 from .poly import BinaryForm
 from .projective import ProjPoint, QuadricSpec
-from .scalars import GaussianRational, QuadExt, QQ, format_scalar, parse_scalar
+from .scalars import GaussianRational, QQ, Surd, format_scalar, parse_scalar
 
 __all__ = [
     "parse_curve_file",
@@ -113,7 +114,7 @@ def _parse_component(c, idx, nvars):
                 v = parse_scalar(sval) if isinstance(sval, str) else None
             except ValueError as e:
                 raise CurveFileError(f"component {label}: {e}") from e
-            if v is None or isinstance(v, QuadExt):
+            if v is None or isinstance(v, Surd):
                 raise CurveFileError(
                     f"component {label}: coefficient {sval!r} is not an exact "
                     "rational or Gaussian rational string"
@@ -185,19 +186,21 @@ def _parse_center(c, model: CurveModel):
         if q is None:
             raise CurveFileError("center lifts only make sense for Q3 curves")
         vals = _center_coords(c["lift"], 5, "lift")
-        vals = [v if isinstance(v, QuadExt) else QuadExt(_require_real(v)) for v in vals]
+        vals = [v if isinstance(v, Surd) else _require_real(v) for v in vals]
         try:
-            return center_from_lift(ProjPoint(vals, "P4"), q)
+            return center_from_lift(ProjPoint(vals), q)
         except PreconditionError as e:
             raise CurveFileError(str(e)) from e
+        except ValueError as e:
+            raise CurveFileError(f"center: {e}") from e
     if "point" in c:
         vals = _center_coords(c["point"], 4, "point")
         for v in vals:
-            if isinstance(v, QuadExt) or not v.is_real:
+            if isinstance(v, Surd) or not v.is_real:
                 raise CurveFileError("P3 centers must have rational coordinates")
         if q is not None:
             raise CurveFileError("Q3 curves need a quadric center lift")
-        return ProjectionCenter(ProjPoint(vals, "P3"), hyperplane=0)
+        return ProjectionCenter(ProjPoint([v.re for v in vals]), hyperplane=0)
     raise CurveFileError("center needs a lift or a point")
 
 

@@ -42,6 +42,7 @@ __all__ = ["CertifiedRoot", "UncertifiedRootsError", "complex_roots"]
 DEFAULT_TARGET_RADIUS = 1e-12
 SLACK = 4
 NEWTON_PASSES = 8
+MAX_ROUNDS = 8  # certification rounds per factor, and overlap refinements
 
 
 class UncertifiedRootsError(RuntimeError):
@@ -196,12 +197,12 @@ def _radius(shifted, x, y, prec, h=None):
     return -(-(SLACK * n * hi << prec) // lo)
 
 
-def complex_roots(p: UPoly, target_radius=DEFAULT_TARGET_RADIUS, max_rounds=8):
+def complex_roots(p: UPoly, target_radius=DEFAULT_TARGET_RADIUS):
     """All complex roots of p with certified disks and exact multiplicities,
     sorted by (Re, Im) of the centers.
 
     Overlapping disks of two coprime factors are certified again at a quarter
-    of the larger radius, up to max_rounds times; then UncertifiedRootsError.
+    of the larger radius, up to MAX_ROUNDS times; then UncertifiedRootsError.
     """
     if not p:
         raise ValueError("cannot root-solve the zero polynomial")
@@ -210,8 +211,8 @@ def complex_roots(p: UPoly, target_radius=DEFAULT_TARGET_RADIUS, max_rounds=8):
         return []
     real_poly = p.is_real()
     factors = [fm for fm in zx_sqf_list(zx) if len(fm[0]) > 1]
-    found = [_certified_factor_roots(*fm, real_poly, target_radius, max_rounds) for fm in factors]
-    for _ in range(max_rounds + 1):
+    found = [_certified_factor_roots(*fm, real_poly, target_radius) for fm in factors]
+    for _ in range(MAX_ROUNDS + 1):
         clash = next(((i, j, a, b) for i in range(len(found)) for j in range(i + 1, len(found))
                       for a in found[i] for b in found[j] if a.overlaps(b)), None)
         if clash is None:
@@ -219,11 +220,11 @@ def complex_roots(p: UPoly, target_radius=DEFAULT_TARGET_RADIUS, max_rounds=8):
         i, j, a, b = clash
         target = max(Fraction(a.rad, 1 << a.prec), Fraction(b.rad, 1 << b.prec)) / 4
         for k in (i, j):
-            found[k] = _certified_factor_roots(*factors[k], real_poly, target, max_rounds)
+            found[k] = _certified_factor_roots(*factors[k], real_poly, target)
     raise UncertifiedRootsError("root disks of coprime factors overlap", clusters=[a, b])
 
 
-def _certified_factor_roots(fac, mult, real_poly, target_radius, max_rounds):
+def _certified_factor_roots(fac, mult, real_poly, target_radius):
     n = len(fac) - 1
     prec = _coeff_prec(fac)
     approx = _np_initial_roots(fac)
@@ -231,7 +232,7 @@ def _certified_factor_roots(fac, mult, real_poly, target_radius, max_rounds):
         approx = _mp_initial_roots(fac, prec)
     is_real_poly = all(b == 0 for a, b in fac)
     disks = []
-    for round_no in range(max_rounds):
+    for round_no in range(MAX_ROUNDS):
         if round_no:
             prec = int(prec * 1.6) + 60
             approx = _mp_initial_roots(fac, prec)

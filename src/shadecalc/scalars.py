@@ -1,10 +1,11 @@
-"""Exact coefficient arithmetic: rationals, Gaussian rationals, and the
-small real quadratic extensions used for fixture projection centers.
+"""Exact scalars: rationals and Gaussian rationals, and the parsing of
+coefficient strings.
 
 Everything downstream of curve input and upstream of root finding runs on
 these types, so elimination is exact end to end.  Floating point enters
 only when roots are located and signs of well-separated determinants are
-taken.
+taken.  A sqrt form "a+b*sqrt(n)", allowed only in a sphere curve's
+center lift, parses to plain data, a `Surd`; there is no arithmetic on it.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
-__all__ = ["QQ", "GaussianRational", "QuadExt", "parse_scalar", "format_scalar"]
+__all__ = ["QQ", "GaussianRational", "Surd", "surd_parts", "parse_scalar", "format_scalar"]
 
 QQ = Fraction
 
@@ -119,10 +121,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def abs2(self) -> Fraction:
-        """|z|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
-
     # -- conversions ---------------------------------------------------
     def __complex__(self):
         return complex(self.re, self.im)
@@ -150,110 +148,29 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
-class QuadExt:
-    """A real value a + b*sqrt(n) with a, b rational and n a fixed
-    positive non-square integer.
+class Surd(NamedTuple):
+    """A parsed sqrt form a + b*sqrt(n): a, b rational, b nonzero and n a
+    positive integer that is not a square.  Plain data: a quadric lift's
+    coordinates are split by `surd_parts`, with no arithmetic on Surds."""
 
-    Only the handful of operations needed to validate and project exact
-    fixture centers (the sqrt(2) lift of the trefoil projection point)
-    are provided.
-    """
-
-    __slots__ = ("a", "b", "n")
-
-    def __init__(self, a, b=0, n=0):
-        self.a = _as_fraction(a)
-        self.b = _as_fraction(b)
-        self.n = int(n)
-        if self.b and self.n <= 0:
-            raise ValueError("radicand must be a positive integer")
-        if not self.b:
-            self.n = 0
-
-    def _unify(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuadExt(other)
-        if not isinstance(other, QuadExt):
-            return None
-        if self.n and other.n and self.n != other.n:
-            raise ValueError("mixed radicands are not supported")
-        return other
-
-    def __bool__(self):
-        return bool(self.a) or bool(self.b)
-
-    def __add__(self, other):
-        o = self._unify(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self.n or o.n)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.n)
-
-    def __sub__(self, other):
-        o = self._unify(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._unify(other)
-        if o is None:
-            return NotImplemented
-        n = self.n or o.n
-        return QuadExt(self.a * o.a + self.b * o.b * n, self.a * o.b + self.b * o.a, n)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._unify(other)
-        if o is None:
-            return NotImplemented
-        n = self.n or o.n
-        denom = o.a * o.a - n * o.b * o.b
-        if not denom:
-            if not o:
-                raise ZeroDivisionError("division by zero in Q(sqrt n)")
-            # o = b*sqrt(n) with a = 0, or conjugate-norm zero (impossible
-            # for non-square n); rationalize against sqrt(n) directly
-            return (self * QuadExt(0, 1, n)) / QuadExt(o.b * n, 0, n)
-        conj = QuadExt(o.a, -o.b, n)
-        num = self * conj
-        return QuadExt(num.a / denom, num.b / denom, n)
-
-    def __eq__(self, other):
-        o = self._unify(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.n))
-
-    def is_rational(self) -> bool:
-        return not self.b
-
-    def as_fraction(self) -> Fraction:
-        if self.b:
-            raise ValueError("value has an irrational part")
-        return self.a
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.n) if self.b else float(self.a)
-
-    def __repr__(self):
-        if not self.b:
-            return f"QuadExt({self.a})"
-        return f"QuadExt({self.a}, {self.b}, {self.n})"
+    a: Fraction
+    b: Fraction
+    n: int
 
     def __str__(self):
         return format_scalar(self)
+
+
+def surd_parts(values):
+    """(A, B, n) with values = A + sqrt(n) B: A and B rational lists and n
+    the one radicand of the Surd values (0 when there is none, so B = 0).
+    Raises ValueError when two radicands differ."""
+    ns = sorted({v.n for v in values if isinstance(v, Surd)})
+    if len(ns) > 1:
+        raise ValueError(f"lift mixes the radicands {ns[0]} and {ns[1]}")
+    A = [v.a if isinstance(v, Surd) else Fraction(v) for v in values]
+    B = [v.b if isinstance(v, Surd) else Fraction(0) for v in values]
+    return A, B, ns[0] if ns else 0
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +187,9 @@ _RE_SQRT = re.compile(rf"^\s*({_RAT})?\s*([+-])?\s*(\d+(?:/\d+)?)\s*\*\s*sqrt\((
 def parse_scalar(text: str):
     """Parse "p/q", "p/q+r/s i", "r/s i" or "a+b*sqrt(n)" strings.
 
-    Returns a GaussianRational, or a QuadExt for sqrt forms (accepted
-    only where the caller allows exact-quadratic fixture input).
+    Returns a GaussianRational, or a Surd for a sqrt form whose value is
+    irrational (accepted only where the caller allows it).  A sqrt form
+    with b = 0 or a square radicand k^2 is the rational a + b*k.
     """
     if not isinstance(text, str):
         raise ValueError(f"coefficient must be a string, got {type(text).__name__}")
@@ -300,7 +218,11 @@ def _parse_scalar_inner(text: str):
         b = Fraction(m.group(3))
         if m.group(2) == "-":
             b = -b
-        return QuadExt(a, b, int(m.group(4)))
+        n = int(m.group(4))
+        k = math.isqrt(n)
+        if not b or k * k == n:
+            return GaussianRational(a + b * k)
+        return Surd(a, b, n)
     raise ValueError(f"malformed coefficient string: {text!r}")
 
 
@@ -315,9 +237,7 @@ def format_scalar(x) -> str:
             return f"{x.im} i"
         sign = "+" if x.im > 0 else "-"
         return f"{x.re}{sign}{abs(x.im)} i"
-    if isinstance(x, QuadExt):
-        if not x.b:
-            return str(x.a)
+    if isinstance(x, Surd):
         sign = "+" if x.b > 0 else "-"
         return f"{x.a}{sign}{abs(x.b)}*sqrt({x.n})"
     raise TypeError(f"cannot format {type(x).__name__}")

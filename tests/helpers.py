@@ -25,6 +25,11 @@ def exact(x):
     return GaussianRational(x.real, x.imag)
 
 
+def abs2(z):
+    """|z|^2 of a GaussianRational, as an exact rational."""
+    return z.re * z.re + z.im * z.im
+
+
 def _integer_powers(pair, deg):
     """A pair of exact scalars scaled by a common denominator d to
     Gaussian integers (a, b), as [a^(deg-j) b^j for j = 0..deg] and d^deg."""

@@ -201,6 +201,36 @@ class TestExitCodes:
         assert message in err
 
 
+    @pytest.mark.parametrize("command", ["validate", "invariants"])
+    def test_lift_mixing_radicands_exit_1(self, command, tmp_path, capsys):
+        # on the c = 5 quadric, but sqrt(2) and sqrt(3) do not share one
+        # Q(sqrt n): a file error, not a traceback
+        circle = [["1", "0", "1"], ["1", "0", "-1"], ["0", "2", "0"], ["2", "0", "2"],
+                  ["0", "0", "0"]]
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({
+            "ambient": {"Q3": {"c": "5"}}, "components": [{"coords": circle}],
+            "center": {"lift": ["1", "1*sqrt(2)", "1*sqrt(3)", "0", "0"]}}))
+        code, out = run([command, "--curve", str(path)], capsys)
+        assert (code, out) == (1, b"")
+        assert capsys.readouterr().err == "error: center: lift mixes the radicands 2 and 3\n"
+
+    def test_square_radicand_lift_is_rational(self, tmp_path, capsys):
+        # -2 + sqrt(4) = 0: the lift is the rational quadric point
+        # [1, 0, 0, 1, 0], and is echoed as such
+        results = []
+        for i, x1 in enumerate(["-2+1*sqrt(4)", "0"]):
+            path = tmp_path / f"curve{i}.json"
+            path.write_text(json.dumps({"family": {"name": "unknot"},
+                                        "center": {"lift": ["1", x1, "0", "1", "0"]}}))
+            code, out = run(["invariants", "--curve", str(path)], capsys)
+            assert code == 0
+            results.append(json.loads(out)["result"])
+        assert results[0] == results[1]
+        assert results[0]["Cw"] == 0
+        assert results[0]["center"]["lift0"] == ["1", "0", "0", "1", "0"]
+
+
 class TestDeterminism:
     def test_byte_identical_runs(self, capsys):
         argv = ["invariants", "--curve", str(DATA / "unknot.json"), "--seed", "11", "--json"]
@@ -384,6 +414,19 @@ class TestGoldenBytes:
 
 
 class TestCommands:
+    def test_complex_chord_pairs_count_pairs_across_components(self, tmp_path, capsys):
+        # the cross system of these two real conics has one conjugate pair
+        # of non-real chords at seed 0; it counted as 2 when a cross system
+        # added chords and a same-component system added pairs
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({"components": [
+            {"coords": [["1", "0", "1"], ["0", "2", "0"], ["1", "0", "-1"], ["0", "0", "0"]]},
+            {"coords": [["3", "0", "3"], ["0", "-3", "-1"], ["1", "0", "0"], ["3", "3", "-1"]]},
+        ]}))
+        code, out = run(["invariants", "--curve", str(path), "--seed", "0"], capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["complex_chord_pairs"] == 1
+
     def test_reported_lift_parses_back(self, capsys):
         # the center lift of a file is reported in the file's own scalar
         # syntax, so it reads back to the same exact lift

@@ -24,14 +24,14 @@ from shadecalc.diagram import (
 from shadecalc.errors import GenericityError
 from shadecalc.poly import BinaryForm
 from shadecalc.projective import ProjPoint
-from shadecalc.scalars import GaussianRational as G, QuadExt, QQ
+from shadecalc.scalars import GaussianRational as G, QQ, Surd
 
 from helpers import conjugate_params
 
 
 def sqrt2_trefoil_center():
     tr = trefoil_curve()
-    lift = ProjPoint([QuadExt(1), QuadExt(0), QuadExt(0, 1, 2), QuadExt(0), QuadExt(0)])
+    lift = ProjPoint([1, 0, Surd(QQ(0), QQ(1), 2), 0, 0])
     return tr, center_from_lift(lift, tr.quadric())
 
 
@@ -54,7 +54,7 @@ class TestSelectCenter:
         # conic itself as the center
         u = unknot_curve()
         comp = u.components[0]
-        pt = ProjPoint([f.eval(G(1), G(2)) for f in p3_forms(comp.coords)])
+        pt = ProjPoint([f.eval(G(1), G(2)).re for f in p3_forms(comp.coords)])
         bad = ProjectionCenter(pt, hyperplane=0)
         with pytest.raises(GenericityError):
             project_curve(u, bad, seed=1)
@@ -67,14 +67,34 @@ class TestSelectCenter:
         coords = [BinaryForm(3, [1, 0, -1, 0]), BinaryForm(3, [0, 1, 1, -1]),
                   BinaryForm(3, [1, 0, 0, 1]), BinaryForm(3, [0, 0, 0, 0])]
         curve = CurveModel("P3", [CurveComponent(coords)])
-        pt = ProjPoint([G(1), G(QQ(2, 7)), G(QQ(-3, 5)), G(0)])
+        pt = ProjPoint([1, QQ(2, 7), QQ(-3, 5), 0])
         with pytest.raises(GenericityError, match="positive-dimensional"):
             project_curve(curve, ProjectionCenter(pt, hyperplane=0), seed=0)
 
     def test_certificate_flags_all_true(self):
         d = select_center(trefoil_curve(), seed=1)
-        assert d.certificate.all_ok()
+        flags = d.certificate.describe()["flags"]
+        assert len(flags) == 5 and all(v is True for v in flags.values())
         assert d.certificate.margins["chord_jacobian"] >= 1e-6
+
+    def test_center_normalized_once(self, monkeypatch):
+        # select_center draws, rejects and accepts centers; project_curve
+        # reads the one cached normalization per center
+        calls = []
+        normalized = ProjPoint.normalized
+
+        def spy(self):
+            calls.append(self)
+            return normalized(self)
+
+        monkeypatch.setattr(ProjPoint, "normalized", spy)
+        for curve, seed, attempt in [(kae_curve(QQ(1, 2), -1), 0, 1), (unknot_curve(), 0, 1),
+                                     (kae_curve(QQ(1, 2), 1), 3, 0)]:
+            calls.clear()
+            d = select_center(curve, seed=seed)
+            assert d.center.attempt == attempt
+            assert len(calls) == attempt + 1
+            assert len({id(p) for p in calls}) == len(calls)
 
 
 class TestTrefoilSqrt2Center:

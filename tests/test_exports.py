@@ -96,9 +96,6 @@ def test_parameters_are_read():
 # public functions and methods no engine or benchmark code calls, each
 # with its reason
 UNCALLED_ALLOWED = {
-    # the certificate's flags are each set and checked where they are
-    # decided; the tests read the conjunction
-    "diagram.py:GenericityCertificate.all_ok",
     # exact evaluation: the tests' oracle for the float tables
     "poly.py:BinaryForm.eval",
 }

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from shadecalc.errors import GenericityError
+from shadecalc.diagram import center_from_lift
+from shadecalc.errors import GenericityError, PreconditionError
 from shadecalc.projective import (
     DegenerateFrameError,
     ProjPoint,
@@ -14,13 +15,11 @@ from shadecalc.projective import (
     line_tau,
     normalize,
     orientation_sign,
-    pi_project,
     pole_frame,
-    quadric_residual,
     stereographic,
     stereographic_inverse,
 )
-from shadecalc.scalars import GaussianRational as G, QuadExt, QQ
+from shadecalc.scalars import GaussianRational as G, QQ, Surd
 
 from helpers import same_point
 
@@ -51,26 +50,50 @@ class TestOrientation:
         assert [chart_parity(k) for k in range(4)] == [1, -1, 1, -1]
 
 
+SQRT2 = Surd(QQ(0), QQ(1), 2)
+
+
 class TestQuadric:
-    def test_pi_project_examples(self):
-        lift = ProjPoint([QuadExt(1), QuadExt(0), QuadExt(0, 1, 2), QuadExt(0), QuadExt(0)])
-        img = pi_project(lift)
-        assert img.is_exact()
-        assert same_point(img.coords, [0, 1, 0, 0])
-        with pytest.raises(ValueError):
-            pi_project(ProjPoint([1, 0, 0, 0, 0]))
+    """`center_from_lift`: a lift A + sqrt(n) B is on the quadric and has a
+    rational image in RP3, decided by exact rational tests."""
+
+    def test_sqrt2_trefoil_lift(self):
+        center = center_from_lift(ProjPoint([1, 0, SQRT2, 0, 0]), QuadricSpec(QQ(2)))
+        assert center.point.coords == (0, 1, 0, 0)
+        assert center.lift0.coords == (1, 0, SQRT2, 0, 0)
+
+    def test_surd_in_x0_with_rational_image(self):
+        # [sqrt 2, 1, 1, 0, 0] on -x0^2 + sum xi^2 = 0: B[1:] = 0
+        center = center_from_lift(ProjPoint([SQRT2, 1, 1, 0, 0]), QuadricSpec(QQ(1)))
+        assert center.point.coords == (1, 1, 0, 0)
+        assert center.pole.pv == [math.sqrt(2) / 2, math.sqrt(2) / 2, 0.0, 0.0]
 
     def test_antipodal_identification(self):
-        x = ProjPoint([1, QQ(3, 5), QQ(4, 5), 0, 0])
-        anti = ProjPoint([-1, QQ(3, 5), QQ(4, 5), 0, 0])
-        assert same_point(pi_project(x).coords, pi_project(anti).coords)
+        q = QuadricSpec(QQ(1))
+        x = center_from_lift(ProjPoint([1, QQ(3, 5), QQ(4, 5), 0, 0]), q)
+        anti = center_from_lift(ProjPoint([-1, QQ(3, 5), QQ(4, 5), 0, 0]), q)
+        assert x.point.coords == anti.point.coords == (1, QQ(4, 3), 0, 0)
 
-    def test_residual_examples(self):
-        q1 = QuadricSpec(QQ(1))
-        assert not quadric_residual(ProjPoint([1, 1, 0, 0, 0]), q1)
-        assert quadric_residual(ProjPoint([1, 1, 1, 0, 0]), q1) == G(1)
-        q2 = QuadricSpec(QQ(2))
-        assert not quadric_residual(ProjPoint([G(1), G(0), G(-1), G(-1), G(0)]), q2)
+    def test_off_quadric(self):
+        q1, q2 = QuadricSpec(QQ(1)), QuadricSpec(QQ(2))
+        center_from_lift(ProjPoint([1, 1, 0, 0, 0]), q1)
+        center_from_lift(ProjPoint([1, 0, -1, -1, 0]), q2)
+        for lift, q in [([1, 1, 1, 0, 0], q1), ([1, 0, 0, 0, 0], q1), ([1, 0, SQRT2, 0, 0], q1),
+                        ([1, 1, SQRT2, 0, 0], q2)]:
+            with pytest.raises(PreconditionError, match="not on the quadric"):
+                center_from_lift(ProjPoint(lift), q)
+
+    def test_irrational_image(self):
+        # [1, 1, sqrt 2, 0, 0] is on the c = 3 quadric, but A[1:] and B[1:]
+        # are independent, so [1 : sqrt 2 : 0 : 0] is not a rational point
+        with pytest.raises(PreconditionError, match="rational point of RP3"):
+            center_from_lift(ProjPoint([1, 1, SQRT2, 0, 0]), QuadricSpec(QQ(3)))
+
+    def test_mixed_radicands(self):
+        # on the c = 5 quadric, but Q(sqrt 2, sqrt 3) is not one Q(sqrt n)
+        with pytest.raises(ValueError, match="mixes the radicands 2 and 3"):
+            center_from_lift(ProjPoint([1, SQRT2, Surd(QQ(0), QQ(1), 3), 0, 0]),
+                             QuadricSpec(QQ(5)))
 
     def test_unknot_identity_symbolic(self):
         from shadecalc.curves import quadric_identity_residual, unknot_curve
@@ -102,7 +125,7 @@ class TestStereographic:
             pt_coords = [base[i] + t * d[i] for i in range(5)]
             if not any(pt_coords[1:]) or not pt_coords[0]:
                 continue
-            pt = ProjPoint([G(c) for c in pt_coords])
+            pt = ProjPoint(pt_coords)
             if same_point(pt.coords, self.pole.coords):
                 continue
             xv = [float(c / pt_coords[0]) for c in pt_coords[1:]]
@@ -112,7 +135,7 @@ class TestStereographic:
             count += 1
 
     def test_equatorial_point_on_unit_sphere(self):
-        pole = ProjPoint([QuadExt(1), QuadExt(0), QuadExt(0, 1, 2), QuadExt(0), QuadExt(0)])
+        pole = ProjPoint([1, 0, SQRT2, 0, 0])
         img, _ = stereographic([math.sqrt(2), 0.0, 0.0, 0.0], pole_frame(pole))
         assert abs(math.sqrt(sum(v * v for v in img)) - 1.0) < 1e-12
 
@@ -178,8 +201,11 @@ class TestExactCoordinates:
         with pytest.raises(TypeError):
             ProjPoint([1, 0, 0, 1e-3])
 
-    def test_normalized_needs_gaussian_coordinates(self):
-        x = ProjPoint([G(0, 2), G(0, -6), 0, 0]).normalized()
-        assert x.coords == (G(QQ(-1, 3)), G(1), G(0), G(0))
+    def test_normalized_needs_rational_coordinates(self):
+        x = ProjPoint([QQ(2), -6, 0, 0]).normalized()
+        assert x.coords == (QQ(-1, 3), 1, 0, 0)
+        assert all(type(c) is QQ for c in x.coords)
         with pytest.raises(TypeError):
-            ProjPoint([QuadExt(1), QuadExt(0), QuadExt(0, 1, 2), QuadExt(0), QuadExt(0)]).normalized()
+            ProjPoint([G(0, 2), G(0, -6), 0, 0])  # non-real coordinates
+        with pytest.raises(TypeError):
+            ProjPoint([1, 0, SQRT2, 0, 0]).normalized()

@@ -26,6 +26,8 @@ from shadecalc.poly import UPoly, real_roots_sturm, zx_mul, zx_sqf_list, zx_stri
 from shadecalc.roots import NEWTON_PASSES, SLACK, CertifiedRoot, complex_roots
 from shadecalc.scalars import GaussianRational as G, QQ
 
+from helpers import abs2
+
 X = sympy.symbols("x")
 MP_BITS = 300
 # 300-bit roots are off by far less than this; exact dyadic centers may sit
@@ -120,7 +122,7 @@ class TestDisks:
         for r in complex_roots(p):
             c, rad = _exact(r)
             f, fp = p(c), dp(c)
-            assert rad * rad * fp.abs2() >= (SLACK * n) ** 2 * f.abs2()
+            assert rad * rad * abs2(fp) >= (SLACK * n) ** 2 * abs2(f)
             fc = r.center
             err = abs(Fraction(fc.real) - c.re) + abs(Fraction(fc.imag) - c.im)
             assert Fraction(r.radius) >= rad + err
@@ -210,7 +212,7 @@ class TestRadiusBound:
         R = roots_mod._radius(shifted, x, y, prec)
         p = UPoly.from_zx(table)
         c = G(Fraction(x, 1 << prec), Fraction(y, 1 << prec))
-        f2, fp2 = p(c).abs2(), p.derivative()(c).abs2()
+        f2, fp2 = abs2(p(c)), abs2(p.derivative()(c))
         if fp2 == 0:
             assert R is None
         elif R is not None:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from shadecalc.scalars import GaussianRational as G, QuadExt, format_scalar, parse_scalar
+from shadecalc.scalars import GaussianRational as G, Surd, format_scalar, parse_scalar, surd_parts
 
 rationals = st.fractions(max_denominator=50)
 gaussians = st.builds(G, rationals, rationals)
@@ -60,9 +60,20 @@ class TestParsing:
 
     def test_sqrt_form(self):
         v = parse_scalar("1/2+3*sqrt(2)")
-        assert isinstance(v, QuadExt)
-        assert v.a == Fraction(1, 2) and v.b == 3 and v.n == 2
+        assert v == Surd(Fraction(1, 2), 3, 2)
+        assert format_scalar(v) == str(v) == "1/2+3*sqrt(2)"
         assert parse_scalar(format_scalar(v)) == v
+        assert str(parse_scalar("1*sqrt(2)")) == "0+1*sqrt(2)"
+
+    @pytest.mark.parametrize(
+        "text,val",
+        [("-2+1*sqrt(4)", G(0)), ("0+1*sqrt(1)", G(1)), ("3-2*sqrt(9)", G(-3)),
+         ("5+0*sqrt(2)", G(5)), ("1/2+3*sqrt(0)", G(Fraction(1, 2)))],
+    )
+    def test_rational_sqrt_forms_are_rationals(self, text, val):
+        # b * sqrt(k^2) reads as b * k, and b = 0 as a: a Surd is irrational
+        v = parse_scalar(text)
+        assert isinstance(v, G) and v == val
 
     @pytest.mark.parametrize("bad", ["", "x", "1/0", "1+2j", "sqrt(2)"])
     def test_malformed(self, bad):
@@ -70,16 +81,12 @@ class TestParsing:
             parse_scalar(bad)
 
 
-class TestQuadExt:
-    def test_arithmetic(self):
-        r2 = QuadExt(0, 1, 2)
-        assert r2 * r2 == QuadExt(2)
-        assert (QuadExt(1, 1, 2) * QuadExt(1, -1, 2)) == QuadExt(-1)
-        assert (QuadExt(1, 1, 2) / QuadExt(1, 1, 2)) == QuadExt(1)
+class TestSurdParts:
+    def test_split(self):
+        A, B, n = surd_parts([Fraction(1), Surd(Fraction(1, 2), -3, 5), Fraction(0)])
+        assert (A, B, n) == ([1, Fraction(1, 2), 0], [0, -3, 0], 5)
+        assert surd_parts([1, Fraction(2, 3)]) == ([1, Fraction(2, 3)], [0, 0], 0)
 
-    def test_rationalize(self):
-        v = QuadExt(0, 3, 2) / QuadExt(0, 1, 2)
-        assert v.is_rational() and v.as_fraction() == 3
-
-    def test_float(self):
-        assert abs(float(QuadExt(1, 1, 2)) - 2.414213562) < 1e-9
+    def test_mixed_radicands(self):
+        with pytest.raises(ValueError, match="mixes the radicands 2 and 3"):
+            surd_parts([Surd(0, 1, 3), Surd(0, 1, 2)])
