@@ -140,8 +140,7 @@ def cmd_sweep(args, out):
 
 def cmd_render(args, out):
     model, center = _load(args.curve)
-    mode = "diagram" if model.is_real() else "shade"
-    data = select_center(model, seed=args.seed, mode=mode, forced_center=center)
+    data = select_center(model, seed=args.seed, forced_center=center)
     Path(args.out).write_text(render_diagram_svg(model, data))
     out.write(f"wrote {args.out}\n".encode())
     return EXIT_OK

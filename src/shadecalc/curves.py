@@ -373,11 +373,12 @@ def split_circles_curve() -> CurveModel:
     return CurveModel(QuadricSpec(QQ(1)), comps, {"family": "split_circles"})
 
 
+# name -> (the parameters the family takes, its constructor)
 BUILTIN_FAMILIES = {
-    "unknot": lambda **kw: unknot_curve(),
-    "trefoil": lambda **kw: trefoil_curve(),
-    "lp_line": lambda **kw: lp_line_curve(),
-    "hopf_pair": lambda **kw: hopf_pair_curve(),
-    "split_circles": lambda **kw: split_circles_curve(),
-    "kae": lambda **kw: kae_curve(kw["a"], kw["eps"]),
+    "unknot": ((), unknot_curve),
+    "trefoil": ((), trefoil_curve),
+    "lp_line": ((), lp_line_curve),
+    "hopf_pair": ((), hopf_pair_curve),
+    "split_circles": ((), split_circles_curve),
+    "kae": (("a", "eps"), kae_curve),
 }

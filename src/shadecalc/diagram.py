@@ -5,21 +5,28 @@ chord data: real-real crossings (two real preimages), solitary crossings
 (conjugate non-real preimages over a real image point), and non-real
 chord pairs that contribute nothing.  Signs:
 
-* P3 real crossings: the sign of the frame (v, u, w) at one endpoint,
-  where v, w are the curve tangents at the two endpoints (in one fixed
-  orientation of the real parameter circle), u points from the evaluation
-  endpoint to the other one along the straight chart segment, and the
-  chart parity converts to the global RP3 orientation.  The third frame
-  vector of the verbatim recipe is w' = alpha w + beta u with alpha > 0,
-  so w may replace it under the determinant.
+* P3 real crossings: the sign of
+  det[f(z), sigma_z f'(z), f(w), sigma_w f'(w)] over the homogeneous
+  curve values and their derivatives at the two endpoints, where
+  sigma = +1 in parameter chart t and -1 in chart s orients the real
+  parameter circle as `oriented_real_tangent` does.  Rescaling the two
+  real points by lambda and mu (their velocities pick up only multiples
+  of the points) multiplies the determinant by lambda^2 mu^2 > 0, so no
+  chart is chosen; in the chart [1, a] it is the frame (v, b - a, w) of
+  the two tangents and the chord (see projective).
 * Sphere (Q3) real crossings: the stereographic recipe; project from one
   lift of the center, push the tangents down, orient the connecting
   great-circle arc from the evaluation point into the arc, and flip the
   other endpoint's tangent when the antipodal lift lies on the arc.
   Evaluated at both endpoints; the two evaluations must agree.
-* Solitary crossings: the complex-orientation test of (u, w, f, i f)
-  where (u, w) completes the induced real line direction v to a positive
-  RP3 frame and f is the projected branch tangent.
+* Solitary crossings: the sign of det[Re x, Im x, Re dx, Im dx] at the
+  non-real branch point x with tangent dx, which is -1/4 of
+  det[x, conj x, dx, conj dx]: the orientation of the two conjugate
+  branches through the real image point (Viro's encomplexed writhe).
+  A complex rescaling x -> kappa x acts on each (Re, Im) column pair by
+  a 2x2 block of determinant |kappa|^2, so the determinant scales by
+  |kappa|^4, and a multiple of x added to dx drops out; neither the
+  chart nor the projection center enters the sign.
 
 The residual global signs of the recipes are pinned by the trefoil
 calibration (wr part +3, sh part +1) and validated against the Gauss
@@ -43,10 +50,7 @@ from .projective import (
     DegenerateFrameError,
     ProjPoint,
     QuadricSpec,
-    chart_parity,
-    complex_frame_sign,
     is_real_vector,
-    line_tau,
     normalize,
     orientation_sign,
     pole_frame,
@@ -181,7 +185,6 @@ class ProjectionData:
     certificate: GenericityCertificate
     crossings: list  # real-real and solitary, with writhes
     complex_pairs: int  # non-contributing chord pairs (unordered count)
-    mode: str  # "diagram" | "shade"
 
 
 # ---------------------------------------------------------------------------
@@ -330,21 +333,14 @@ def oriented_real_tangent(param: ParamPoint, chart: int, jet):
 
 
 def real_crossing_writhe(zp, wp, jz, jw):
-    """P3 recipe: sign of (v, u, w) with v, w the endpoint tangents and u
-    the chord direction from the evaluation endpoint to the other one.
-    The components are P3 curves; jz, jw are their jets at zp, wp."""
-    av, bv = normalize(jz[0]), normalize(jw[0])
-    best_k, best = None, -1.0
-    for k in range(4):
-        val = min(abs(av[k]), abs(bv[k]))
-        if val > best:
-            best, best_k = val, k
-    k = best_k
-    a_aff, v = oriented_real_tangent(zp, k, jz)
-    b_aff, w = oriented_real_tangent(wp, k, jw)
-    u = [b_aff[m] - a_aff[m] for m in range(3)]
-    sign = orientation_sign([v, u, w], chart_parity(k))
-    return P3_REAL_SIGN * sign
+    """P3 recipe: the sign of det[f(z), sigma_z f'(z), f(w), sigma_w f'(w)]
+    from the components' jets jz, jw at the real parameters zp, wp, with
+    sigma the parameter-circle orientation of `oriented_real_tangent`."""
+    cols = []
+    for p, (vals, dvals) in ((zp, jz), (wp, jw)):
+        sigma = 1 if p.local()[0] else -1
+        cols += [[v.real for v in vals], [sigma * d.real for d in dvals]]
+    return P3_REAL_SIGN * orientation_sign(cols)
 
 
 def sphere_real_pair_sign(zp, wp, jz, jw, center: ProjectionCenter):
@@ -401,66 +397,22 @@ def sphere_real_pair_sign(zp, wp, jz, jw, center: ProjectionCenter):
     return SPHERE_PAIR_SIGN * s_at_x
 
 
-def solitary_writhe(jet, center: ProjectionCenter):
-    """Solitary recipe at the real image point s of the conjugate branch
-    pair: sign of (u, w, f, i f) against the complex orientation of CH,
-    with (u, w, v) a positive RP3 frame and v induced by the half plane
-    holding the branch point.  jet is the component's jet at the branch
-    point."""
+def solitary_writhe(jet):
+    """Solitary recipe at one branch point of a conjugate pair; jet is
+    the component's jet there."""
     x, dx = (p3_forms(v) for v in jet)
-    return branch_frame_sign(x, dx, center.cvec, center.hyperplane)
+    return branch_frame_sign(x, dx)
 
 
-def branch_frame_sign(x, dx, cvec, m):
+def branch_frame_sign(x, dx):
     """Local writhe of one complex branch over a real image point: the
-    branch through x with tangent dx, projected from the center to the
-    hyperplane {y_m = 0}.  Everything downstream of the curve model runs
-    through here, including the range-family driver."""
-    if abs(cvec[m]) < 1e-9:
-        raise GenericityError("projection center lies on the chosen hyperplane")
-    # projection to H along the center: N = x - (x_m / c_m) c
-    N = _project_to_h(x, cvec, m)
-    dN = _project_to_h(dx, cvec, m)
-    nN = normalize(N)
-    if not is_real_vector(nN):
-        raise GenericityError("solitary image point failed the realness test")
-    sv = [c.real for c in nN]
-    # chart for the sign evaluation: s must be visible (the center may sit
-    # at the chart's infinity; the line keeps a well-defined direction)
-    k, margin = None, -1.0
-    sn = [abs(v) / max(abs(t) for t in sv) for v in sv]
-    for j in range(4):
-        if j == m:
-            continue
-        if sn[j] > margin:
-            margin, k = sn[j], j
-    if margin < 1e-9:
-        raise GenericityError("no usable affine chart for the solitary sign")
-    tau = line_tau(cvec, sv, x)
-    if abs(tau.imag) < 1e-9 * (1 + abs(tau)):
-        raise GenericityError("solitary branch parameter is real (tangency)")
-    # tangent of the real line at s in the chart, in the direction of
-    # increasing tau: d/dtau (s_j + tau c_j) / (s_k + tau c_k) at tau = 0
-    v = [((cvec[j] * sv[k] - sv[j] * cvec[k]) / (sv[k] * sv[k])).real
-         for j in range(4) if j != k]
-    if tau.imag < 0:
-        v = [-c for c in v]
-    # chart coordinate slots (chart coords = indices != k in order)
-    idx = [j for j in range(4) if j != k]
-    h_slots = [i for i, j in enumerate(idx) if j != m]
-    u3 = [0.0, 0.0, 0.0]
-    w3 = [0.0, 0.0, 0.0]
-    u3[h_slots[0]] = 1.0
-    w3[h_slots[1]] = 1.0
-    if orientation_sign([u3, w3, v], chart_parity(k)) < 0:
-        w3 = [-c for c in w3]
-    # branch tangent f of the projected curve in the chart, restricted to H
-    fk = (lambda j: (dN[j] * N[k] - N[j] * dN[k]) / (N[k] * N[k]))
-    f2 = [fk(idx[h_slots[0]]), fk(idx[h_slots[1]])]
-    u2 = [u3[h_slots[0]], u3[h_slots[1]]]
-    w2 = [w3[h_slots[0]], w3[h_slots[1]]]
-    sign = complex_frame_sign([u2, w2], [f2])
-    return SOLITARY_SIGN * sign
+    sign of det[Re x, Im x, Re dx, Im dx] for the branch through the
+    non-real point x of P3 with tangent dx.  Everything downstream of the
+    curve model runs through here, including the range-family driver."""
+    if is_real_vector(x):
+        raise GenericityError("solitary branch point is real (tangency)")
+    cols = [[c.real for c in x], [c.imag for c in x], [c.real for c in dx], [c.imag for c in dx]]
+    return SOLITARY_SIGN * orientation_sign(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +424,12 @@ def _expected_same(d):
     return (d - 1) * (d - 2)
 
 
-def _chord_systems(comps, mode):
+def _chord_systems(comps, shade):
     """(i, j, w_mode, expected count, seed offset, context) of every chord
     system a projection solves: each component against itself and every
-    pair of components (diagram), or each against its conjugate (shade)."""
-    if mode == "shade":
+    pair of components (a real curve), or each against its conjugate (a
+    curve without real points, whose crossings are its shade points)."""
+    if shade:
         return [(i, i, "conj", c.degree * c.degree, 101 * i, f"shade[{i}]")
                 for i, c in enumerate(comps)]
     same = [(i, i, "swap", _expected_same(c.degree), 101 * i, f"chords[{i},{i}]")
@@ -490,7 +443,7 @@ def _project_to_h(xvec, cvec, m):
     return [xvec[j] - lam * cvec[j] for j in range(4)]
 
 
-def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None,
+def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0,
                   tol=DEFAULT_TARGET_RADIUS, smoothness=False) -> ProjectionData:
     """Solve every chord system for the given center, classify, evaluate
     writhes, and assemble the genericity certificate.  Raises
@@ -504,8 +457,7 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
     DoublePointError before anything is classified or signed."""
     comps = curve.components
     q = curve.quadric()
-    if mode is None:
-        mode = "diagram" if curve.is_real() else "shade"
+    shade = not curve.is_real()  # chords against the conjugate only
     cert = GenericityCertificate()
     margins = cert.margins
     cvec, c = center.cvec, center.coords
@@ -517,7 +469,7 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
     raw = []  # (comp_i, comp_j, unordered solutions, same_component)
     complex_pairs = 0
     min_jac = float("inf")
-    for i, j, w_mode, expected, offset, context in _chord_systems(comps, mode):
+    for i, j, w_mode, expected, offset, context in _chord_systems(comps, shade):
         sec = secants(curve, i, "conj" if w_mode == "conj" else j, p3=True)
         res = solve_minor_system(
             replace(sec, minors=collinearity_system(c, sec.minors)), seed=seed + offset,
@@ -534,14 +486,14 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
     # solve_minor_system rejects every margin below JAC_MARGIN
     margins["chord_jacobian"] = min_jac if min_jac < float("inf") else 1.0
 
-    # classify: real-real (diagram mode only), solitary (conjugate
+    # classify: real-real (real curves only), solitary (conjugate
     # preimages) or a non-contributing complex pair
     entries = []  # (kind, i, j, z, w, same)
     tangent_margin = float("inf")
     for i, j, sols, same in raw:
         n_complex = 0
         for s in sols:
-            if mode == "shade" or not (s.z.real or s.w.real):
+            if shade or not (s.z.real or s.w.real):
                 kind = "solitary" if s.conjugate else None
             elif s.z.real and s.w.real:
                 kind = "real-real"
@@ -554,16 +506,16 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
                 n_complex += 1
             else:
                 entries.append((kind, i, j, s.z, s.w, same))
-            if same and mode == "diagram":
+            if same and not shade:
                 tangent_margin = min(tangent_margin, s.z.dist(s.w))
-        if mode == "diagram" and n_complex % 2:
+        if not shade and n_complex % 2:
             # conjugation pairs up the non-contributing solutions of a
             # real curve's system, so an odd count is a misclassification
             raise InstabilityError(
                 f"chords[{i},{j}]: {n_complex} non-contributing chord solutions, "
                 "an odd count (conjugation pairs them)"
             )
-        complex_pairs += n_complex // 2 if mode == "diagram" else n_complex
+        complex_pairs += n_complex if shade else n_complex // 2
     margins["tangent_chord"] = tangent_margin if tangent_margin < float("inf") else 1.0
     if not margins["tangent_chord"] >= 1e-6:
         raise GenericityError("tangent chord detected (z = w within margin)")
@@ -618,17 +570,17 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0, mode=None
     crossings = []
     for (kind, i, j, zp, wp, same), jz, img in zip(entries, jets, images):
         if kind == "solitary":
-            wr = solitary_writhe(jz, center)
+            wr = solitary_writhe(jz)
         elif q is not None:
             wr = sphere_real_pair_sign(zp, wp, jz, comps[j].jet(wp), center)
         else:
             wr = real_crossing_writhe(zp, wp, jz, comps[j].jet(wp))
         crossings.append(Crossing(kind, i, j, zp, wp, img, wr, same))
     crossings.sort(key=lambda c: (c.kind, c.comp_i, c.comp_j, c.z.root))
-    return ProjectionData(center, cert, crossings, complex_pairs, mode)
+    return ProjectionData(center, cert, crossings, complex_pairs)
 
 
-def select_center(curve: CurveModel, seed=0, mode=None, forced_center=None,
+def select_center(curve: CurveModel, seed=0, forced_center=None,
                   tol=DEFAULT_TARGET_RADIUS, smoothness=False):
     """Draw seeded rational candidate centers and accept the first whose
     projection certifies; deterministic given the seed.  `smoothness`
@@ -639,7 +591,7 @@ def select_center(curve: CurveModel, seed=0, mode=None, forced_center=None,
     rng = random.Random(seed)
     failures = []
     if forced_center is not None:
-        data = project_curve(curve, forced_center, seed=seed, mode=mode, tol=tol,
+        data = project_curve(curve, forced_center, seed=seed, tol=tol,
                              smoothness=smoothness)
         data.center.seed = seed
         return data
@@ -652,7 +604,7 @@ def select_center(curve: CurveModel, seed=0, mode=None, forced_center=None,
         center.seed = seed
         center.attempt = attempt
         try:
-            return project_curve(curve, center, seed=seed, mode=mode, tol=tol,
+            return project_curve(curve, center, seed=seed, tol=tol,
                                  smoothness=smoothness)
         except GenericityError as e:
             failures.append(f"attempt {attempt}: {e}")

@@ -206,7 +206,6 @@ def encomplexed_writhe(curve: CurveModel, seed=0, centers=1, forced_center=None,
         data = select_center(
             curve,
             seed=seed + 1000003 * k,
-            mode="diagram",
             forced_center=forced_center if k == 0 else None,
             tol=tol,
             smoothness=p3 and k == 0,
@@ -259,7 +258,7 @@ def shade_number_empty_real(curve: CurveModel, seed=0, centers=1, forced_center=
             )
     runs = []
     for k in range(max(1, centers)):
-        runs.append(select_center(curve, seed=seed + 1000003 * k, mode="shade",
+        runs.append(select_center(curve, seed=seed + 1000003 * k,
                                   forced_center=forced_center if k == 0 else None, tol=tol))
     values = []
     for data in runs:
@@ -371,7 +370,6 @@ def _range_isolation(d, K, b_name) -> _RangeIsolation:
 def _range_shade_at(iso: _RangeIsolation, t):
     t = QQ(t)
     phis = [float(m + t) for m, _ in iso.phi0]
-    cvec = [0j, 0j, 0j, 1 + 0j]
     signs = []
     for theta, dP in iso.theta:
         for phi, (_, dQ) in zip(phis, iso.phi0):
@@ -379,7 +377,7 @@ def _range_shade_at(iso: _RangeIsolation, t):
                 raise PreconditionError("shade point degenerated onto the real locus")
             x = [1 + 0j, complex(theta), complex(phi), -1j * (theta + phi)]
             dx = [0j, -1j * dQ, dP, -dQ - 1j * dP]
-            signs.append(branch_frame_sign(x, dx, cvec, 3))
+            signs.append(branch_frame_sign(x, dx))
     return {
         "d": iso.d,
         "t": t,
@@ -456,7 +454,7 @@ def linking_number(curve: CurveModel, i: int, j: int, seed=0):
     ]
     if meets:
         raise PreconditionError("components intersect on the real locus")
-    data = select_center(sub, seed=seed, mode="diagram")
+    data = select_center(sub, seed=seed)
     lk = QQ(
         sum(
             c.writhe

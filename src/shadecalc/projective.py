@@ -5,18 +5,20 @@ the stereographic projection of the quadric.
 projection center is real: rationals, or also `Surd` values a + b*sqrt(n)
 for a quadric lift such as the trefoil's sqrt(2) center.  A float point
 (a curve value at a certified root, a crossing image, a center read in
-floats) is a plain list of complex numbers; `normalize`,
-`is_real_vector` and `line_tau` act on those lists, and `pole_frame`
-reads a quadric pole into floats once for `stereographic`.
+floats) is a plain list of complex numbers; `normalize` and
+`is_real_vector` act on those lists, and `pole_frame` reads a quadric
+pole into floats once for `stereographic`.
 
 Sign conventions (fixed once, used by every writhe recipe):
 
 * RP3 is oriented so that the affine chart [1, x1, x2, x3] with frame
-  (d1, d2, d3) is positive.  Dehomogenizing at coordinate k instead
-  multiplies frame signs by the chart parity (-1)^k.
-* Complex charts carry the orientation (Re1, Im1, Re2, Im2, ...); complex
-  chart transitions are holomorphic, so no parity bookkeeping is needed
-  on the complex side.
+  (d1, d2, d3) is positive.  The P3 recipes never pick a chart: they
+  take the sign of a 4x4 determinant of homogeneous vectors in R^4.
+  With x = (1, a), y = (1, b) and velocities (0, v), (0, w),
+  det[x, (0, v), y, (0, w)] = det[v, b - a, w] is the chart-0 frame
+  sign.  Dehomogenizing at coordinate k instead moves row k to the
+  front, a permutation of sign (-1)^k: the chart parity that an affine
+  recipe has to track, and that the determinant carries by itself.
 * The 3-sphere (the real quadric -c x0^2 + sum xi^2 = 0, normalized to
   x0 = 1) is oriented as the boundary of the ball in the x0 = 1 chart of
   R^4, outward normal first.
@@ -40,10 +42,8 @@ __all__ = [
     "pole_frame",
     "stereographic",
     "stereographic_inverse",
-    "chart_parity",
     "normalize",
     "is_real_vector",
-    "line_tau",
 ]
 
 CERT_MARGIN = 1e-6
@@ -106,10 +106,10 @@ class QuadricSpec:
         return math.sqrt(float(self.c))
 
 
-def orientation_sign(vectors, chart_parity_sign=1, threshold=CERT_MARGIN):
-    """Sign of det of the given real frame vectors (columns), times the
-    chart parity.  Raises DegenerateFrameError when the Hadamard-scaled
-    determinant sits below `threshold`."""
+def orientation_sign(vectors):
+    """Sign of det of the given real frame vectors (columns).  Raises
+    DegenerateFrameError when the Hadamard-scaled determinant sits below
+    CERT_MARGIN."""
     n = len(vectors)
     if any(len(v) != n for v in vectors):
         raise ValueError("frame must be square")
@@ -119,12 +119,11 @@ def orientation_sign(vectors, chart_parity_sign=1, threshold=CERT_MARGIN):
     for v in cols:
         norm = math.sqrt(sum(x * x for x in v))
         scale *= norm if norm > 0 else 1.0
-    if scale == 0 or abs(det) < threshold * scale:
+    if scale == 0 or abs(det) < CERT_MARGIN * scale:
         raise DegenerateFrameError(
-            f"frame determinant margin {abs(det) / scale if scale else 0.0:.3e} below {threshold}"
+            f"frame determinant margin {abs(det) / scale if scale else 0.0:.3e} below {CERT_MARGIN}"
         )
-    s = 1 if det > 0 else -1
-    return s * (1 if chart_parity_sign >= 0 else -1)
+    return 1 if det > 0 else -1
 
 
 def _det_n(m):
@@ -144,39 +143,6 @@ def _det_n(m):
             for j in range(k, n):
                 a[i][j] -= f * a[k][j]
     return det
-
-
-def complex_frame_sign(real_vectors, complex_vectors, threshold=CERT_MARGIN):
-    """Orientation of (real_vectors..., f, i f, ...) against the complex
-    orientation (Re1, Im1, Re2, Im2, ...) of C^n.
-
-    real_vectors: real n-vectors; complex_vectors: complex n-vectors,
-    each contributing the ordered pair (f, i f).
-    """
-    n = len(real_vectors[0]) if real_vectors else len(complex_vectors[0])
-    cols = []
-    for v in real_vectors:
-        col = []
-        for x in v:
-            col.extend([float(x), 0.0])
-        cols.append(col)
-    for f in complex_vectors:
-        col_f, col_if = [], []
-        for x in f:
-            x = complex(x)
-            col_f.extend([x.real, x.imag])
-            col_if.extend([-x.imag, x.real])
-        cols.append(col_f)
-        cols.append(col_if)
-    if len(cols) != 2 * n:
-        raise ValueError("frame does not span the realified space")
-    return orientation_sign([list(c) for c in cols], 1, threshold)
-
-
-def chart_parity(k: int) -> int:
-    """Orientation parity of the k-th affine chart of RP3 against the
-    chart-0 convention: (-1)^k."""
-    return -1 if k % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -201,33 +167,6 @@ def is_real_vector(v):
             if abs((v[i] * v[j].conjugate()).imag) > REALNESS_TOL * scale * scale:
                 return False
     return True
-
-
-def line_tau(c, s, x):
-    """Parameter of the point x on the line tau -> s + tau c through the
-    base point s and the center c (complex vectors, kept as the caller's
-    representatives): tau = 0 at s, tau = infinity at c.
-
-    Real tau sweeps the real line (minus c); the two half planes of the
-    complexified line are tagged by the sign of Im tau.  The homogeneous
-    relation alpha s + beta c = x is solved at the largest coordinate k of
-    x and the row j that maximizes the 2x2 determinant.
-    """
-    a, b = normalize(c), normalize(s)
-    n = len(a)
-    if max(abs(a[i] * b[j] - a[j] * b[i]) for i in range(n) for j in range(n)) <= 1e-9:
-        raise GenericityError("center and base point coincide")
-    xv = normalize(x)
-    k = max(range(n), key=lambda i: abs(xv[i]))
-    j = max((j for j in range(n) if j != k), key=lambda j: abs(s[k] * c[j] - s[j] * c[k]))
-    det = s[k] * c[j] - s[j] * c[k]
-    if abs(det) < 1e-13:
-        raise GenericityError("point collinearity system is degenerate")
-    alpha = (xv[k] * c[j] - xv[j] * c[k]) / det
-    beta = (s[k] * xv[j] - s[j] * xv[k]) / det
-    if abs(alpha) < 1e-13 * abs(beta):
-        return complex(float("inf"), 0)
-    return beta / alpha
 
 
 # ---------------------------------------------------------------------------

@@ -143,10 +143,13 @@ def _parse_family(f):
     name = f["name"]
     if name not in BUILTIN_FAMILIES:
         raise CurveFileError(f"unknown family {name!r}")
+    params, build = BUILTIN_FAMILIES[name]
     kwargs = {}
     for k, v in f.items():
         if k == "name":
             continue
+        if k not in params:
+            raise CurveFileError(f"family {name}: unknown parameter {k!r}")
         if k == "a":
             # a JSON integer or an exact rational string, read like a curve
             # coefficient; a float would enter at its binary value and a
@@ -163,16 +166,14 @@ def _parse_family(f):
                     "give an integer or an exact rational string"
                 )
             kwargs["a"] = a
-        elif k == "eps":
+        else:  # "eps", the only other parameter a family takes
             if type(v) is not int or v not in (1, -1):
                 raise CurveFileError(f"family {name}: eps must be the integer 1 or -1, got {v!r}")
             kwargs["eps"] = v
-        else:
-            raise CurveFileError(f"family {name}: unknown parameter {k!r}")
-    try:
-        return BUILTIN_FAMILIES[name](**kwargs)
-    except KeyError as e:
-        raise CurveFileError(f"family {name}: missing parameter {e}") from e
+    missing = [k for k in params if k not in kwargs]
+    if missing:
+        raise CurveFileError(f"family {name}: missing parameter {missing[0]!r}")
+    return build(**kwargs)
 
 
 def _parse_center(c, model: CurveModel):

@@ -143,11 +143,6 @@ class GaussianRational:
         return format_scalar(self)
 
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
-
-
 class Surd(NamedTuple):
     """A parsed sqrt form a + b*sqrt(n): a, b rational, b nonzero and n a
     positive integer that is not a square.  Plain data: a quadric lift's
@@ -163,14 +158,22 @@ class Surd(NamedTuple):
 
 def surd_parts(values):
     """(A, B, n) with values = A + sqrt(n) B: A and B rational lists and n
-    the one radicand of the Surd values (0 when there is none, so B = 0).
-    Raises ValueError when two radicands differ."""
-    ns = sorted({v.n for v in values if isinstance(v, Surd)})
-    if len(ns) > 1:
-        raise ValueError(f"lift mixes the radicands {ns[0]} and {ns[1]}")
-    A = [v.a if isinstance(v, Surd) else Fraction(v) for v in values]
-    B = [v.b if isinstance(v, Surd) else Fraction(0) for v in values]
-    return A, B, ns[0] if ns else 0
+    the least radicand of the Surd values (0 when there is none, so B = 0).
+    Another radicand m names the same field when n m is a square k^2, and
+    b sqrt(m) is then (b k / n) sqrt(n); raises ValueError otherwise."""
+    n = min((v.n for v in values if isinstance(v, Surd)), default=0)
+    A, B = [], []
+    for v in values:
+        if not isinstance(v, Surd):
+            A.append(Fraction(v))
+            B.append(Fraction(0))
+            continue
+        k = math.isqrt(n * v.n)
+        if k * k != n * v.n:
+            raise ValueError(f"lift mixes the radicands {n} and {v.n}")
+        A.append(v.a)
+        B.append(v.b * Fraction(k, n))
+    return A, B, n
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,11 @@ class TestExitCodes:
         # a float entered at its binary value and a bool as 0 or 1
         ({"family": {**KAE, "a": 0.1}}, "bad parameter a"),
         ({"family": {**KAE, "a": True}}, "bad parameter a"),
+        # a parameter the family does not take was silently ignored
+        ({"family": {"name": "trefoil", "a": "1/2", "eps": 1}},
+         "family trefoil: unknown parameter 'a'"),
+        ({"family": {**KAE, "c": "2"}}, "family kae: unknown parameter 'c'"),
+        ({"family": {"name": "kae", "a": "1/2"}}, "family kae: missing parameter 'eps'"),
     ])
     def test_malformed_curve_file_exit_1(self, curve, message, tmp_path, capsys):
         path = tmp_path / "curve.json"
@@ -214,6 +219,28 @@ class TestExitCodes:
         code, out = run([command, "--curve", str(path)], capsys)
         assert (code, out) == (1, b"")
         assert capsys.readouterr().err == "error: center: lift mixes the radicands 2 and 3\n"
+
+    def test_lift_with_radicands_of_one_field(self, tmp_path, capsys):
+        # sqrt(8) = 2 sqrt(2): both spellings of the c = 10 quadric point
+        # [1, sqrt(2), 2 sqrt(2), 0, 0] give the same center, and lift0
+        # echoes each as written
+        circle = [["1", "0", "1"], ["0", "0", "0"], ["1", "0", "-1"], ["0", "2", "0"],
+                  ["3", "0", "3"]]
+        results = []
+        for i, x2 in enumerate(["1*sqrt(8)", "2*sqrt(2)"]):
+            path = tmp_path / f"curve{i}.json"
+            path.write_text(json.dumps({
+                "ambient": {"Q3": {"c": "10"}}, "components": [{"coords": circle}],
+                "center": {"lift": ["1", "1*sqrt(2)", x2, "0", "0"]}}))
+            assert run(["validate", "--curve", str(path)], capsys)[0] == 0
+            code, out = run(["invariants", "--curve", str(path)], capsys)
+            assert code == 0
+            results.append(json.loads(out)["result"])
+        lifts = [r["center"].pop("lift0") for r in results]
+        assert lifts == [["1", "0+1*sqrt(2)", "0+1*sqrt(8)", "0", "0"],
+                         ["1", "0+1*sqrt(2)", "0+2*sqrt(2)", "0", "0"]]
+        assert results[0] == results[1]
+        assert results[0]["center"]["point"] == ["1", "2", "0", "0"]
 
     def test_square_radicand_lift_is_rational(self, tmp_path, capsys):
         # -2 + sqrt(4) = 0: the lift is the rational quadric point
@@ -286,7 +313,7 @@ class TestGoldenBytes:
         ),
         pytest.param(
             ["invariants", "--curve", "src/shadecalc/data/kae_half_minus.json", "--seed", "0"],
-            "e836ea332712531e7d6e50c4ac873e2658667c4916cace6331be3eee5770c620",
+            "e8b537421b14450e0ae34f1be46eddf08b074a6b6779b63016976bf51f64aa58",
             id="kae_half_minus",
         ),
         # the longest crossing sort, over four centers
@@ -414,6 +441,24 @@ class TestGoldenBytes:
 
 
 class TestCommands:
+    def test_chord_between_parameter_one_and_infinity(self, capsys):
+        # the first kae(1/2, -1) center at seed 0 sees the one real crossing
+        # on the chord from parameter 1 to infinity, whose endpoints share
+        # no affine chart; the chart-free sign accepts that center
+        reports = []
+        for centers in ("1", "3"):
+            code, out = run(["invariants", "--curve", str(DATA / "kae_half_minus.json"),
+                             "--seed", "0", "--centers", centers], capsys)
+            assert code == 0
+            reports.append(json.loads(out)["result"])
+        for r in reports:
+            assert r["Cw"] == 1
+            assert r["center"]["attempt"] == 0
+            assert r["center"]["point"] == ["1", "0", "-2", "1/2"]
+            (c,) = r["crossings"]
+            assert (c["kind"], c["z"], c["w"], c["writhe"]) == ("real-real", [1.0, 0.0], "inf", 1)
+        assert reports[1]["centers_checked"] == 3
+
     def test_complex_chord_pairs_count_pairs_across_components(self, tmp_path, capsys):
         # the cross system of these two real conics has one conjugate pair
         # of non-real chords at seed 0; it counted as 2 when a cross system

@@ -88,7 +88,7 @@ class TestSelectCenter:
             return normalized(self)
 
         monkeypatch.setattr(ProjPoint, "normalized", spy)
-        for curve, seed, attempt in [(kae_curve(QQ(1, 2), -1), 0, 1), (unknot_curve(), 0, 1),
+        for curve, seed, attempt in [(kae_curve(QQ(1, 2), -1), 197, 1), (unknot_curve(), 0, 1),
                                      (kae_curve(QQ(1, 2), 1), 3, 0)]:
             calls.clear()
             d = select_center(curve, seed=seed)
@@ -144,19 +144,31 @@ class TestRecipeInvariances:
 
         (so,) = [c for c in data.crossings if c.kind == "solitary"]
         comp = tr.components[0]
-        s1 = solitary_writhe(comp.jet(so.z), data.center)
-        s2 = solitary_writhe(comp.jet(so.w), data.center)
+        s1 = solitary_writhe(comp.jet(so.z))
+        s2 = solitary_writhe(comp.jet(so.w))
         assert s1 == s2 == so.writhe
 
     def test_branch_tangent_phase_invariance(self):
-        # complex rescaling of the branch tangent leaves the sign alone
-        cvec = [0j, 0j, 0j, 1 + 0j]
+        # a complex rescaling of the point or of its tangent acts on its
+        # (Re, Im) column pair with determinant |kappa|^2 > 0, and a
+        # multiple of the point added to the tangent drops out
         x = [1 + 0j, 1.5 + 0j, -3.25 + 0j, 1.75j]
         dx = [0j, -1j * 2.0, 3.0 + 0j, -2.0 - 3.0j]
-        base = branch_frame_sign(x, dx, cvec, 3)
-        for lam in (-1, 1j, -0.7 + 0.2j, 3.0):
-            scaled = [lam * v for v in dx]
-            assert branch_frame_sign(x, scaled, cvec, 3) == base
+        base = branch_frame_sign(x, dx)
+        for kappa in (-1, 1j, -0.7 + 0.2j, 3.0):
+            kx = [kappa * v for v in x]
+            kdx = [kappa * v for v in dx]
+            assert branch_frame_sign(x, kdx) == base
+            assert branch_frame_sign(kx, dx) == base
+            assert branch_frame_sign(kx, kdx) == base
+            assert branch_frame_sign(x, [d + kappa * v for d, v in zip(dx, x)]) == base
+        # the conjugate branch carries the same sign
+        assert branch_frame_sign([v.conjugate() for v in x],
+                                 [v.conjugate() for v in dx]) == base
+
+    def test_real_branch_point_rejected(self):
+        with pytest.raises(GenericityError, match="real"):
+            branch_frame_sign([1 + 1j, 2 + 2j, 0j, -1 - 1j], [1j, 0j, 1 + 0j, 2 + 0j])
 
     def test_orientation_reversal_of_parameter(self):
         # reparameterizing (s, t) -> (s, -t) reverses the real locus;
@@ -187,38 +199,60 @@ def _reversed_model(curve):
     return CurveModel(curve.ambient, comps, curve.metadata)
 
 
-class TestP3RealWritheFixture:
-    def test_right_handed_configuration(self):
-        # two straight real lines through a crossing, chosen so the
-        # verbatim frame (v, u, w) is the identity: writhe +1.  The
-        # verbatim frame order is (v, u, w'): note that listing the
-        # arguments as (v=e1, w=e2, u=e3) evaluates to det(e1, e3, e2),
-        # which is -1, not +1; the frame order is what counts.
-        from shadecalc.diagram import real_crossing_writhe, ProjectionCenter
+def _line(*forms):
+    """A real line of P3 from four (s, t) coefficient pairs."""
+    return CurveComponent([BinaryForm(1, f) for f in forms])
 
-        F = lambda cs: BinaryForm(1, cs)
-        # a(z) = (z, 0, 0) with tangent e1; b(w) = (1, w, w) passes above
-        l1 = CurveComponent([F([1, 0]), F([0, 1]), F([0, 0]), F([0, 0])], "a")
-        l2 = CurveComponent([F([1, 0]), F([1, 0]), F([0, QQ(1, 2)]), F([0, 1])], "b")
-        # chord through c joining a(0) = [1,0,0,0] and b(0) = [1,1,0,0]:
-        # u along e1; v = tangent of l1 = e1? that frame degenerates, so
-        # steer the example: use the kae curve crossing instead and just
-        # assert the sign is stable across the two endpoints by the swap
+
+class TestP3RealWritheFixture:
+    # l1 = [s, t, 0, 0] is the x axis, traversed toward +x; l2 = [s, 0, s, t]
+    # is the line (0, 1, z), traversed toward +z.  The center [0:0:1:0]
+    # (the y direction) sees them cross on the chord from a = (0, 0, 0) to
+    # b = (0, 1, 0).  Seen from y = -inf, l1 is over: e1 x e3 = -e2 points
+    # at the viewer, a positive crossing (from y = +inf, l2 is over and
+    # e3 x e1 = e2 points at the viewer).  In the chart the frame
+    # (v, b - a, w) = (e1, e2, e3) is the identity.
+    L1 = _line([1, 0], [0, 1], [0, 0], [0, 0])
+    L2 = _line([1, 0], [0, 0], [1, 0], [0, 1])
+    # l1 traversed toward -x: the crossing sits at parameter infinity,
+    # where the local coordinate is s and sigma = -1 carries the
+    # circle orientation (s, t) = (cos a, sin a)
+    L1_AT_INF = _line([0, 1], [1, 0], [0, 0], [0, 0])
+
+    @staticmethod
+    def _writhe(l1, z, l2, w):
+        from shadecalc.curves import ParamPoint
+        from shadecalc.diagram import real_crossing_writhe
+
+        zp, wp = ParamPoint(*z, real=True), ParamPoint(*w, real=True)
+        return real_crossing_writhe(zp, wp, l1.jet(zp), l2.jet(wp))
+
+    def test_right_handed_configuration(self):
+        from shadecalc.diagram import real_crossing_writhe
+
+        assert self._writhe(self.L1, (1, 0), self.L2, (1, 0)) == 1
+        assert self._writhe(self.L2, (1, 0), self.L1, (1, 0)) == 1
+        # the same endpoint swap on a crossing of a real kae curve
         curve = kae_curve(QQ(1, 2), -1)
         d = select_center(curve, seed=0)
-        rr = [c for c in d.crossings if c.kind == "real-real"]
-        if rr:
-            c = rr[0]
-            comp = curve.components[0]
-            jz, jw = comp.jet(c.z), comp.jet(c.w)
-            s1 = real_crossing_writhe(c.z, c.w, jz, jw)
-            s2 = real_crossing_writhe(c.w, c.z, jw, jz)
-            assert s1 == s2 == c.writhe
+        (c,) = [c for c in d.crossings if c.kind == "real-real"]
+        comp = curve.components[0]
+        jz, jw = comp.jet(c.z), comp.jet(c.w)
+        s1 = real_crossing_writhe(c.z, c.w, jz, jw)
+        s2 = real_crossing_writhe(c.w, c.z, jw, jz)
+        assert s1 == s2 == c.writhe
+
+    @pytest.mark.parametrize("l1, z, l2, w", [
+        (L1_AT_INF, (0, 1), L2, (1, 0)),
+        (L1, (1, 0), _line([1, 0], [0, 0], [1, 0], [0, -1]), (1, 0)),
+    ], ids=["l1_at_infinity", "l2_reversed"])
+    def test_reversed_strand_is_left_handed(self, l1, z, l2, w):
+        assert self._writhe(l1, z, l2, w) == -1
 
 
 class TestShadeMode:
     def test_lp_line_single_shade_point(self):
-        d = select_center(lp_line_curve(), seed=4, mode="shade")
+        d = select_center(lp_line_curve(), seed=4)
         so = [c for c in d.crossings if c.kind == "solitary"]
         assert len(so) == 1
         assert so[0].writhe in (-1, 1)
@@ -243,7 +277,7 @@ class TestSvg:
 
     def test_shade_only_dots(self):
         lp = lp_line_curve()
-        d = select_center(lp, seed=2, mode="shade")
+        d = select_center(lp, seed=2)
         svg = render_diagram_svg(lp, d)
         assert svg.count("<path") == 0  # no real locus
         assert svg.count("<circle") == 1

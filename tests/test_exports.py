@@ -1,7 +1,7 @@
 """Every name a shadecalc module lists in __all__ exists, so deleting a
 function cannot leave a stale export behind, no private helper and no
-public function or method is left without a caller, and no function
-keeps a parameter it never reads."""
+public function or method is left without a caller, no function keeps
+a parameter it never reads, and no module constant stays unread."""
 
 import ast
 import importlib
@@ -128,3 +128,33 @@ def test_public_names_have_a_caller():
             if qualname not in exported and total[fn.name] == Counter(_referenced(fn))[fn.name]:
                 uncalled.append(f"{path.name}:{qualname}")
     assert sorted(uncalled) == sorted(UNCALLED_ALLOWED)
+
+
+def _reads(tree):
+    """Every name read under tree: loaded names, attributes and imported
+    names, but not the targets of assignments."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+
+
+def test_module_constants_are_read():
+    """Every module-level name a package module assigns is read somewhere
+    in the package or the benchmark, so a constant whose last reader goes
+    cannot stay behind."""
+    src = Path(shadecalc.__file__).parent
+    paths = sorted(src.glob("*.py")) + sorted((src.parents[1] / "perfbench").glob("*.py"))
+    read = Counter(name for p in paths for name in _reads(ast.parse(p.read_text())))
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            unread += [f"{path.name}:{t.id}" for target in targets for t in ast.walk(target)
+                       if isinstance(t, ast.Name) and not t.id.startswith("__")
+                       and not read[t.id]]
+    assert unread == []

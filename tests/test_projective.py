@@ -9,10 +9,7 @@ from shadecalc.projective import (
     DegenerateFrameError,
     ProjPoint,
     QuadricSpec,
-    chart_parity,
-    complex_frame_sign,
     is_real_vector,
-    line_tau,
     normalize,
     orientation_sign,
     pole_frame,
@@ -40,14 +37,6 @@ class TestOrientation:
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateFrameError):
             orientation_sign([[1, 0, 0], [1, 1e-9, 0], [0, 0, 1]])
-
-    def test_six_frame_by_hand(self):
-        # (v, iv, u, w, f, if) with v = e3, u = e1, w = e2, f = e1 + i e2:
-        # hand expansion of the 6x6 determinant gives +1
-        assert complex_frame_sign([[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [1, 1j, 0]]) == 1
-
-    def test_chart_parity(self):
-        assert [chart_parity(k) for k in range(4)] == [1, -1, 1, -1]
 
 
 SQRT2 = Surd(QQ(0), QQ(1), 2)
@@ -153,30 +142,6 @@ class TestStereographic:
             stereographic([1.0, 0.0, 0.0, 0.0], self.frame)
         with pytest.raises(GenericityError, match="not on the quadric"):
             stereographic([1.0, 1.0, 0.0, 0.0], self.frame)
-
-
-class TestLineParam:
-    """The tau solve of the solitary recipe, `line_tau`."""
-
-    def test_range_family_tau(self):
-        theta, phi = 1.5, -3.25
-        c = [0j, 0j, 0j, 1 + 0j]
-        s = [1.0, theta, phi, 0.0]
-        x = [1 + 0j, complex(theta), complex(phi), complex(0, -(theta + phi))]
-        tau = line_tau(c, s, x)
-        assert abs(tau - complex(0, -(theta + phi))) < 1e-9
-        assert tau.imag > 0  # upper half plane: theta + phi < 0
-        assert line_tau(c, s, [v.conjugate() for v in x]).imag < 0
-
-    def test_explicit_imaginary_point(self):
-        c = [1 + 0j, 0j, 0j, 0j]
-        s = [0.0, 1.0, 1.0, 1.0]
-        x = [s[i] + 1j * c[i] for i in range(4)]  # the point at tau = i
-        assert line_tau(c, s, x).imag > 0
-
-    def test_coincident_rejected(self):
-        with pytest.raises(GenericityError):
-            line_tau([1 + 0j, 2 + 0j, 3 + 0j, 4 + 0j], [2.0, 4.0, 6.0, 8.0], [1 + 0j, 0j, 0j, 0j])
 
 
 class TestRealness:

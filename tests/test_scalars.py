@@ -90,3 +90,18 @@ class TestSurdParts:
     def test_mixed_radicands(self):
         with pytest.raises(ValueError, match="mixes the radicands 2 and 3"):
             surd_parts([Surd(0, 1, 3), Surd(0, 1, 2)])
+        with pytest.raises(ValueError, match="mixes the radicands 2 and 3"):
+            surd_parts([Surd(0, 1, 8), Surd(0, 1, 2), Surd(0, 1, 3)])
+
+    def test_radicands_of_one_field(self):
+        # sqrt(8) = 2 sqrt(2) and sqrt(18) = 3/2 sqrt(8): n m is a square
+        A, B, n = surd_parts([1, Surd(0, 1, 2), Surd(1, 1, 8)])
+        assert (A, B, n) == ([1, 0, 1], [0, 1, 2], 2)
+        assert surd_parts([Surd(0, 1, 18), Surd(0, 1, 8)]) == ([0, 0], [Fraction(3, 2), 1], 8)
+
+    def test_huge_radicands(self):
+        # one isqrt per entry decides it; nothing is factored
+        big = 2 * 3**400
+        assert surd_parts([Surd(0, 1, 2), Surd(0, 1, big)])[1] == [1, 3**200]
+        with pytest.raises(ValueError, match="mixes the radicands"):
+            surd_parts([Surd(0, 1, 2), Surd(0, 1, big + 2)])
