@@ -7,6 +7,7 @@ import pytest
 from shadecalc.curves import (
     CurveComponent,
     CurveModel,
+    ParamPoint,
     kae_curve,
     lp_line_curve,
     p3_forms,
@@ -18,6 +19,7 @@ from shadecalc.diagram import (
     branch_frame_sign,
     center_from_lift,
     project_curve,
+    real_crossing_writhe,
     render_diagram_svg,
     select_center,
 )
@@ -221,15 +223,10 @@ class TestP3RealWritheFixture:
 
     @staticmethod
     def _writhe(l1, z, l2, w):
-        from shadecalc.curves import ParamPoint
-        from shadecalc.diagram import real_crossing_writhe
-
         zp, wp = ParamPoint(*z, real=True), ParamPoint(*w, real=True)
         return real_crossing_writhe(zp, wp, l1.jet(zp), l2.jet(wp))
 
     def test_right_handed_configuration(self):
-        from shadecalc.diagram import real_crossing_writhe
-
         assert self._writhe(self.L1, (1, 0), self.L2, (1, 0)) == 1
         assert self._writhe(self.L2, (1, 0), self.L1, (1, 0)) == 1
         # the same endpoint swap on a crossing of a real kae curve
