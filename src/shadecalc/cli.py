@@ -117,7 +117,15 @@ def cmd_invariants(args, out):
     return EXIT_OK
 
 
+# the sweep flags each family takes
+SWEEP_FLAGS = {"kae": ("epsilon",), "range": ("d", "K")}
+
+
 def cmd_sweep(args, out):
+    foreign = [f"--{f}" for f in ("epsilon", "d", "K")
+               if f not in SWEEP_FLAGS[args.family] and getattr(args, f) is not None]
+    if foreign:
+        raise CurveFileError(f"{args.family} sweep does not take {', '.join(foreign)}")
     if args.family == "kae":
         if args.epsilon is None:
             raise CurveFileError("kae sweep needs --epsilon")
@@ -129,6 +137,8 @@ def cmd_sweep(args, out):
             K = QQ(args.K) if args.K else None
         except (ValueError, ZeroDivisionError) as e:
             raise CurveFileError(f"bad --K value: {e}") from e
+        if K is not None and K <= 0:
+            raise CurveFileError(f"bad --K value: {args.K} is not positive")
         extra = {"d": args.d, "K": K}
     grid = _parse_grid(args.grid)
     rep = family_sweep(args.family, grid, seed=args.seed, **extra)

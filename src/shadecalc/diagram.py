@@ -9,16 +9,18 @@ chord pairs that contribute nothing.  Signs:
   det[f(z), sigma_z f'(z), f(w), sigma_w f'(w)] over the homogeneous
   curve values and their derivatives at the two endpoints, where
   sigma = +1 in parameter chart t and -1 in chart s orients the real
-  parameter circle as `oriented_real_tangent` does.  Rescaling the two
-  real points by lambda and mu (their velocities pick up only multiples
-  of the points) multiplies the determinant by lambda^2 mu^2 > 0, so no
-  chart is chosen; in the chart [1, a] it is the frame (v, b - a, w) of
-  the two tangents and the chord (see projective).
-* Sphere (Q3) real crossings: the stereographic recipe; project from one
-  lift of the center, push the tangents down, orient the connecting
-  great-circle arc from the evaluation point into the arc, and flip the
-  other endpoint's tangent when the antipodal lift lies on the arc.
-  Evaluated at both endpoints; the two evaluations must agree.
+  parameter circle (`_oriented_jet`).  Rescaling the two real points by
+  lambda and mu (their velocities pick up only multiples of the points)
+  multiplies the determinant by lambda^2 mu^2 > 0, so no chart is
+  chosen; in the chart [1, a] it is the frame (v, b - a, w) of the two
+  tangents and the chord (see projective).  Swapping the endpoints is
+  an even permutation of the columns.
+* Sphere (Q3) real crossings: the sign of
+  det[q, f(z), sigma_z f'(z), f(w), sigma_w f'(w)] over the five sphere
+  coordinates, q the antipode of the center's lift in the chart x0 = 1
+  (`ProjectionCenter.antipode`), the point the diagram projects
+  radially from.  The rescaling and endpoint-swap arguments above carry
+  over unchanged, so neither a chart nor a choice of endpoint enters.
 * Solitary crossings: the sign of det[Re x, Im x, Re dx, Im dx] at the
   non-real branch point x with tangent dx, which is -1/4 of
   det[x, conj x, dx, conj dx]: the orientation of the two conjugate
@@ -46,16 +48,7 @@ from .chords import (canonical_unordered, collinearity_system, double_points, se
 from .curves import CurveModel, ParamPoint, p3_forms
 from .errors import DoublePointError, GenericityError, InstabilityError, PreconditionError
 from .poly import form_gcd
-from .projective import (
-    DegenerateFrameError,
-    ProjPoint,
-    QuadricSpec,
-    is_real_vector,
-    normalize,
-    orientation_sign,
-    pole_frame,
-    stereographic,
-)
+from .projective import ProjPoint, QuadricSpec, is_real_vector, normalize, orientation_sign
 from .roots import DEFAULT_TARGET_RADIUS
 from .scalars import QQ, surd_parts
 
@@ -89,7 +82,7 @@ SVG_SAMPLES = 720  # parameter samples per real component in render_diagram_svg
 class ProjectionCenter:
     point: ProjPoint  # rational center in RP3 (for Q3: the image of the lifts)
     hyperplane: int  # index m of the coordinate hyperplane H = {y_m = 0}
-    lift0: ProjPoint | None = None  # Q3: the lift the pole frame is built from
+    lift0: ProjPoint | None = None  # Q3: the lift whose antipode orients real pairs
     seed: int = 0
     attempt: int = 0
 
@@ -104,9 +97,18 @@ class ProjectionCenter:
         return [complex(c) for c in self.coords]
 
     @cached_property
-    def pole(self):
-        """Stereographic frame of lift0 (Q3 centers)."""
-        return pole_frame(self.lift0)
+    def antipode(self):
+        """The antipode (1, -x1/x0, ..., -x4/x0) of lift0 (Q3 centers) as a
+        float vector.  Each ratio xi/x0 = p + q sqrt(n) is formed exactly
+        and rounded once; x0 != 0 on the real quadric."""
+        A, B, n = surd_parts(self.lift0.coords)
+        a0, b0 = A[0], B[0]
+        den = a0 * a0 - n * b0 * b0
+        q = [1.0]
+        for ai, bi in zip(A[1:], B[1:]):
+            p, r = (ai * a0 - n * bi * b0) / den, (bi * a0 - ai * b0) / den
+            q.append(-(float(p) + float(r) * math.sqrt(n) if r else float(p)))
+        return q
 
     def describe(self):
         d = {
@@ -292,109 +294,35 @@ def _center_off_component(c, forms) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# oriented tangents
-# ---------------------------------------------------------------------------
-
-
-def oriented_real_tangent(param: ParamPoint, chart: int, jet):
-    """Affine velocity of the real locus at a real parameter in the given
-    projective chart, oriented by the fixed parameter-circle orientation
-    (s, t) = (cos a, sin a).  `jet` is the component's jet at param: the
-    values f and their derivatives f' in the local coordinate x.  The velocity
-    s f_t - t f_s is then (1 + x^2) f' - d x f in chart t (s = 1, by
-    Euler's d f = s f_s + t f_t) and its negative in chart s.  It is read
-    only through the affine velocity (vel_j f_k - f_j vel_k) / f_k^2, in
-    which any multiple of f cancels, so the radial term -d x f is left out.
-
-    Returns (affine point, velocity) as real float lists.
-    """
-    vals, dvals = jet
-    chart_t, x = param.local()
-    sign = 1 if chart_t else -1
-    vel = [sign * (1 + x * x) * df for df in dvals]
-    xk, dxk = vals[chart], vel[chart]
-    if abs(xk) < 1e-12 * max(abs(v) for v in vals):
-        raise DegenerateFrameError(f"real point not in chart {chart}")
-    pt, tv = [], []
-    for j in range(len(vals)):
-        if j == chart:
-            continue
-        pt.append((vals[j] / xk).real)
-        tv.append(((vel[j] * xk - vals[j] * dxk) / (xk * xk)).real)
-    scale = max(map(abs, pt)) + 1.0
-    if max(map(abs, tv)) < 1e-9 * scale:
-        raise GenericityError("projected curve is not immersed at a crossing parameter")
-    return pt, tv
-
-
-# ---------------------------------------------------------------------------
 # writhe recipes
 # ---------------------------------------------------------------------------
+
+
+def _oriented_jet(p: ParamPoint, jet):
+    """The real point f(p) and its velocity sigma f'(p) as two real float
+    columns, from the component's jet at the real parameter p: sigma = +1
+    in parameter chart t and -1 in chart s, so the velocity is
+    (s f_t - t f_s) / (1 + x^2) plus a multiple of f (Euler's identity),
+    the orientation of the parameter circle (s, t) = (cos a, sin a)."""
+    vals, dvals = jet
+    sigma = 1 if p.local()[0] else -1
+    return [[v.real for v in vals], [sigma * d.real for d in dvals]]
 
 
 def real_crossing_writhe(zp, wp, jz, jw):
     """P3 recipe: the sign of det[f(z), sigma_z f'(z), f(w), sigma_w f'(w)]
     from the components' jets jz, jw at the real parameters zp, wp, with
-    sigma the parameter-circle orientation of `oriented_real_tangent`."""
-    cols = []
-    for p, (vals, dvals) in ((zp, jz), (wp, jw)):
-        sigma = 1 if p.local()[0] else -1
-        cols += [[v.real for v in vals], [sigma * d.real for d in dvals]]
-    return P3_REAL_SIGN * orientation_sign(cols)
+    sigma as in `_oriented_jet`."""
+    return P3_REAL_SIGN * orientation_sign(_oriented_jet(zp, jz) + _oriented_jet(wp, jw))
 
 
 def sphere_real_pair_sign(zp, wp, jz, jw, center: ProjectionCenter):
-    """Q3 recipe via stereographic projection from lift0 with its antipode
-    at the origin; evaluated at both endpoints, which must agree.
-    jz, jw are the components' jets at zp, wp."""
-    x_aff, X = oriented_real_tangent(zp, 0, jz)
-    y_aff, Y = oriented_real_tangent(wp, 0, jw)
-    frame = center.pole
-    r, ph = frame.r, frame.ph
-    # plane of the great circle through the lifts and x
-    xdot = sum(x_aff[i] * ph[i] for i in range(4))
-    e2 = [x_aff[i] - xdot * ph[i] for i in range(4)]
-    n2 = math.sqrt(sum(c * c for c in e2))
-    if n2 < 1e-9 * r:
-        raise GenericityError("crossing point sits on the pole axis")
-    e2 = [c / n2 for c in e2]
-    # both points must lie on the circle: y decomposes in (ph, e2)
-    ydot1 = sum(y_aff[i] * ph[i] for i in range(4))
-    ydot2 = sum(y_aff[i] * e2[i] for i in range(4))
-    resid = math.sqrt(
-        sum((y_aff[i] - ydot1 * ph[i] - ydot2 * e2[i]) ** 2 for i in range(4))
-    )
-    if resid > 1e-6 * r:
-        raise GenericityError("chord endpoints do not share a great circle")
-    alpha_x = math.atan2(sum(x_aff[i] * e2[i] for i in range(4)), xdot)
-    alpha_y = math.atan2(ydot2, ydot1) % (2 * math.pi)
-    alpha_x = alpha_x % (2 * math.pi)
-    # pole at angle 0, antipode at pi; the arc between the endpoints that
-    # avoids the pole is the plain interval [min, max]
-    lo, hi = min(alpha_x, alpha_y), max(alpha_x, alpha_y)
-    if min(lo, 2 * math.pi - hi) < 1e-7 or abs(hi - lo) < 1e-7:
-        raise GenericityError("chord endpoint too close to the projection pole")
-    eps = -1 if (lo < math.pi < hi) else 1
-    if abs(lo - math.pi) < 1e-9 or abs(hi - math.pi) < 1e-9:
-        raise GenericityError("antipodal lift sits on the chord arc")
-
-    def circle_dir(alpha):
-        return [r * (-math.sin(alpha) * ph[i] + math.cos(alpha) * e2[i]) for i in range(4)]
-
-    u_x = circle_dir(alpha_x)
-    if alpha_y < alpha_x:
-        u_x = [-c for c in u_x]
-    u_y = circle_dir(alpha_y)
-    if alpha_x < alpha_y:
-        u_y = [-c for c in u_y]
-    _, dst_x = stereographic(x_aff, frame)
-    _, dst_y = stereographic(y_aff, frame)
-    sX, sY = dst_x(X), dst_y(Y)
-    s_at_x = orientation_sign([dst_x(u_x), [eps * c for c in sY], sX])
-    s_at_y = orientation_sign([dst_y(u_y), [eps * c for c in sX], sY])
-    if s_at_x != s_at_y:
-        raise GenericityError("sphere pair sign disagrees between the two endpoints")
-    return SPHERE_PAIR_SIGN * s_at_x
+    """Q3 recipe: the sign of
+    det[q, f(z), sigma_z f'(z), f(w), sigma_w f'(w)] over the five sphere
+    coordinates, with q the center's `antipode` and the other columns as
+    in `real_crossing_writhe`."""
+    return SPHERE_PAIR_SIGN * orientation_sign(
+        [center.antipode] + _oriented_jet(zp, jz) + _oriented_jet(wp, jw))
 
 
 def solitary_writhe(jet):

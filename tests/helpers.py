@@ -58,6 +58,21 @@ def bivar_value(p, st, uv):
     return GaussianRational(QQ(re, den), QQ(im, den))
 
 
+# the pole (1, 1, 1, 1)/2 of the unit sphere and an orthonormal basis of
+# its orthogonal complement with det[pole, b1, b2, b3] < 0, the orientation
+# under which diagrammatic linking numbers match the Gauss integral
+STEREO_POLE = np.full(4, 0.5)
+STEREO_BASIS = np.array([[1, -1, 0, 0], [0, 0, 1, -1], [-1, -1, 1, 1]]) / np.array(
+    [[math.sqrt(2)], [math.sqrt(2)], [2.0]])
+
+
+def stereo_r3(x):
+    """Stereographic image in R^3 of the unit-sphere point x of R^4 from
+    STEREO_POLE, in the coordinates of STEREO_BASIS."""
+    x = np.asarray(x, dtype=float)
+    return STEREO_BASIS @ x / (1.0 - STEREO_POLE @ x)
+
+
 def same_point(a, b):
     """Projective equality of two exact homogeneous coordinate lists."""
     return all(a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(len(a)))

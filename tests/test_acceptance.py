@@ -334,16 +334,12 @@ class TestCriterion7:
         import numpy as np
 
         from shadecalc.curves import hopf_pair_curve, split_circles_curve
-        from shadecalc.projective import ProjPoint, pole_frame, stereographic
-
-        pole = pole_frame(ProjPoint([2, 1, 1, 1, 1]))  # on the unit quadric
 
         def transfer(comp, n=256):
             pts = []
             angles = [math.pi * k / n for k in range(n)]
             for x in comp.values([(math.cos(aa), math.sin(aa)) for aa in angles]):
-                img, _ = stereographic([(v / x[0]).real for v in x[1:]], pole)
-                pts.append(img)
+                pts.append(helpers.stereo_r3([(v / x[0]).real for v in x[1:]]))
             return np.array(pts)
 
         ok = True
@@ -374,8 +370,7 @@ class TestCriterion7:
             for x in comp.values([(math.cos(aa), math.sin(aa)) for aa in angles]):
                 v = [c.real for c in x]
                 norm = math.sqrt(sum(c * c for c in v))
-                img, _ = stereographic([c / norm for c in v], pole)
-                pts.append(img)
+                pts.append(helpers.stereo_r3([c / norm for c in v]))
 
             polys.append(np.array(pts))
         val, err, _ = gauss_linking_oracle(polys[0], polys[1])

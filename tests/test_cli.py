@@ -83,7 +83,7 @@ class TestExitCodes:
         assert out == b""
         assert "error: --tol must be a positive finite number" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("K", ["abc", "1/0"])
+    @pytest.mark.parametrize("K", ["abc", "1/0", "0", "-5"])
     def test_bad_K_exit_1(self, K, capsys):
         code, out = run(
             ["sweep", "--family", "range", "--d", "2", "--K", K, "--grid=0:1:1/2"], capsys
@@ -91,6 +91,19 @@ class TestExitCodes:
         assert code == 1
         assert out == b""
         assert "error: bad --K value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "kae", "--epsilon", "1", "--d", "3", "--K", "7"],
+         "kae sweep does not take --d, --K"),
+        (["--family", "range", "--d", "2", "--epsilon", "-1"],
+         "range sweep does not take --epsilon"),
+    ], ids=["kae_with_d_K", "range_with_epsilon"])
+    def test_flag_of_the_other_family_exit_1(self, argv, message, capsys):
+        # the report would not echo a flag the family drops
+        code, out = run(["sweep", *argv, "--grid=0:1:1/2"], capsys)
+        assert code == 1
+        assert out == b""
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_wall_ledger_violation_exit_3(self, capsys, monkeypatch):
         # a sign flip at t = 3 moves sh with no certified wall in (2, 4)

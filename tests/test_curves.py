@@ -10,8 +10,8 @@ from shadecalc.curves import (
     trefoil_curve,
     unknot_curve,
 )
-from shadecalc.diagram import oriented_real_tangent
-from shadecalc.errors import GenericityError, PreconditionError
+from shadecalc.diagram import _oriented_jet
+from shadecalc.errors import PreconditionError
 from shadecalc.invariants import find_real_points, self_double_points
 from shadecalc.poly import BinaryForm
 from shadecalc.projective import QuadricSpec, normalize
@@ -75,53 +75,37 @@ class TestEvaluation:
 
 
 class TestTangent:
-    """The immersion check of the live tangent, diagram.oriented_real_tangent."""
-
-    def test_unknot_direction_at_zero(self):
-        comp, p = unknot_curve().components[0], ParamPoint(1, 0)
-        _, tv = oriented_real_tangent(p, 0, comp.jet(p))
-        assert abs(tv[0] - 2) < 1e-12
-        assert all(abs(v) < 1e-12 for v in tv[1:])
-
-    def test_cusp_rejected(self):
-        cusp = CurveComponent(
-            [
-                BinaryForm(3, [1, 0, 0, 0]),
-                BinaryForm(3, [0, 0, 1, 0]),
-                BinaryForm(3, [0, 0, 0, 1]),
-                BinaryForm(3, [0, 0, 0, 0]),
-            ],
-            "cusp",
-        )
-        with pytest.raises(GenericityError, match="not immersed"):
-            oriented_real_tangent(ParamPoint(1, 0), 0, cusp.jet(ParamPoint(1, 0)))
+    """The oriented velocity column of both real sign recipes,
+    diagram._oriented_jet."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda d: st.lists(
                st.lists(st.integers(-9, 9), min_size=d + 1, max_size=d + 1), min_size=4, max_size=4)),
-           st.integers(-64, 64), st.integers(-64, 64), st.integers(0, 3))
-    def test_velocity_is_exact_s_ft_minus_t_fs(self, rows, a, b, chart):
-        # in both parameter charts (|t| < |s| and |t| > |s|) the affine
-        # velocity is the chart image of the exact s f_t - t f_s
+           st.integers(-64, 64), st.integers(-64, 64))
+    def test_velocity_is_exact_s_ft_minus_t_fs(self, rows, a, b):
+        # in both parameter charts (|t| < |s| and |t| > |s|) the velocity
+        # column is the exact (s f_t - t f_s) / (1 + x^2), x the local
+        # coordinate, plus a multiple of f
         assume((a or b) and any(any(r) for r in rows))
         comp = CurveComponent([BinaryForm(len(r) - 1, r) for r in rows])
         p = ParamPoint(a / 16, b / 16)
         s, t = exact(p.s), exact(p.t)
         d = comp.degree
-        vals = [f.eval(s, t) for f in comp.coords]
+        vals = [complex(f.eval(s, t)).real for f in comp.coords]
         # f_s and f_t by the power rule on the coefficients of s^(d-k) t^k
         f_s = [BinaryForm(d - 1, [(d - k) * c for k, c in enumerate(r[:d])]) for r in rows]
         f_t = [BinaryForm(d - 1, [k * c for k, c in enumerate(r) if k]) for r in rows]
-        vel = [s * ft.eval(s, t) - t * fs.eval(s, t) for fs, ft in zip(f_s, f_t)]
-        xk = vals[chart]
-        assume(xk and abs(complex(xk)) >= 1e-3 * max(abs(complex(v)) for v in vals))
-        want = [(vel[j] * xk - vals[j] * vel[chart]) / (xk * xk) for j in range(4) if j != chart]
-        try:
-            _, tv = oriented_real_tangent(p, chart, comp.jet(p))
-        except GenericityError:
-            assume(False)
-        scale = 1 + max(abs(complex(w)) for w in want)
-        assert max(abs(g - complex(w).real) for g, w in zip(tv, want)) <= 1e-9 * scale
+        x = p.local()[1].real
+        want = [complex(s * ft.eval(s, t) - t * fs.eval(s, t)).real / (1 + x * x)
+                for fs, ft in zip(f_s, f_t)]
+        norm2 = sum(v * v for v in vals)
+        assume(norm2 >= 1e-6)  # f vanishes at a common root of the forms
+        f_col, v_col = _oriented_jet(p, comp.jet(p))
+        r = [g - w for g, w in zip(v_col, want)]
+        mu = sum(ri * v for ri, v in zip(r, vals)) / norm2
+        scale = 1 + max(map(abs, want)) + max(map(abs, vals))
+        assert max(abs(g - v) for g, v in zip(f_col, vals)) <= 1e-9 * scale
+        assert max(abs(ri - mu * v) for ri, v in zip(r, vals)) <= 1e-9 * scale
 
 
 class TestImmersion:

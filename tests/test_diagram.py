@@ -8,6 +8,7 @@ from shadecalc.curves import (
     CurveComponent,
     CurveModel,
     ParamPoint,
+    hopf_pair_curve,
     kae_curve,
     lp_line_curve,
     p3_forms,
@@ -22,8 +23,10 @@ from shadecalc.diagram import (
     real_crossing_writhe,
     render_diagram_svg,
     select_center,
+    sphere_real_pair_sign,
 )
 from shadecalc.errors import GenericityError
+from shadecalc.invariants import encomplexed_writhe
 from shadecalc.poly import BinaryForm
 from shadecalc.projective import ProjPoint
 from shadecalc.scalars import GaussianRational as G, QQ, Surd
@@ -183,11 +186,35 @@ class TestRecipeInvariances:
         w2 = sorted((c.kind, c.writhe) for c in d2.crossings)
         assert w1 == w2
 
-    def test_sphere_pair_endpoint_agreement_is_enforced(self, trefoil_data):
-        # the recipe evaluates both endpoints internally and raises on
-        # disagreement; reaching here means all nine pairs agreed
-        _, data = trefoil_data
-        assert sum(1 for c in data.crossings if c.kind == "real-real") == 9
+    def test_sphere_pair_sign_survives_endpoint_swap(self, trefoil_data):
+        # swapping the endpoints swaps two column pairs of the
+        # determinant, an even permutation
+        tr, data = trefoil_data
+        comp = tr.components[0]
+        rr = [c for c in data.crossings if c.kind == "real-real"]
+        assert len(rr) == 9
+        for c in rr:
+            jz, jw = comp.jet(c.z), comp.jet(c.w)
+            assert sphere_real_pair_sign(c.w, c.z, jw, jz, data.center) == c.writhe
+            assert sphere_real_pair_sign(c.z, c.w, jz, jw, data.center) == c.writhe
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("curve, changed", [(trefoil_curve(), 6), (hopf_pair_curve(), 2)],
+                             ids=["trefoil", "hopf_pair"])
+    def test_antipodal_lift_keeps_cw(self, curve, changed, seed):
+        # both lifts [x0, x1..x4] and [x0, -x1..-x4] of one RP3 center give
+        # the same crossings; the real-pair signs read the lift's antipode,
+        # and the ones that flip sum to 0, so Cw does not move
+        q = curve.quadric()
+        x = select_center(curve, seed=seed).center.lift0.coords
+        reps = [encomplexed_writhe(curve, seed=seed,
+                                   forced_center=center_from_lift(ProjPoint(lift), q))
+                for lift in (x, [x[0]] + [-c for c in x[1:]])]
+        assert reps[0].Cw == reps[1].Cw
+        ids = [[(c.kind, c.z.root, c.w.root) for c in r.crossings] for r in reps]
+        assert ids[0] == ids[1]
+        flipped = [a.writhe for a, b in zip(*(r.crossings for r in reps)) if a.writhe != b.writhe]
+        assert len(flipped) == changed and sum(flipped) == 0
 
 
 def _reversed_model(curve):

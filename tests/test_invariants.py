@@ -33,9 +33,10 @@ from shadecalc.invariants import (
     shade_number_empty_real,
 )
 from shadecalc.poly import BinaryForm, real_roots_sturm
-from shadecalc.projective import ProjPoint, pole_frame, stereographic
 from shadecalc.reportio import parse_curve_file
 from shadecalc.scalars import QQ
+
+from helpers import stereo_r3
 
 
 class TestGoldenValues:
@@ -466,7 +467,6 @@ class TestLinking:
         # Gauss integral with twice the P3 linking number
         lines = _generic_lines()
         lk = linking_number(lines, 0, 1, seed=1)
-        pole = pole_frame(ProjPoint([2, 1, 1, 1, 1]))  # on the unit quadric
         polys = []
         for comp in lines.components:
             pts = []
@@ -477,8 +477,7 @@ class TestLinking:
             for x in comp.values([(math.cos(a), math.sin(a)) for a in angles]):
                 v = [c.real for c in x]
                 norm = math.sqrt(sum(c * c for c in v))
-                img, _ = stereographic([c / norm for c in v], pole)
-                pts.append(img)
+                pts.append(stereo_r3([c / norm for c in v]))
             polys.append(np.array(pts))
         val, err, _ = gauss_linking_oracle(polys[0], polys[1])
         assert abs(val - 2 * float(lk)) <= max(0.05, 2 * err)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from shadecalc.diagram import center_from_lift
-from shadecalc.errors import GenericityError, PreconditionError
+from shadecalc.errors import PreconditionError
 from shadecalc.projective import (
     DegenerateFrameError,
     ProjPoint,
@@ -12,13 +12,8 @@ from shadecalc.projective import (
     is_real_vector,
     normalize,
     orientation_sign,
-    pole_frame,
-    stereographic,
-    stereographic_inverse,
 )
 from shadecalc.scalars import GaussianRational as G, QQ, Surd
-
-from helpers import same_point
 
 
 class TestOrientation:
@@ -55,7 +50,7 @@ class TestQuadric:
         # [sqrt 2, 1, 1, 0, 0] on -x0^2 + sum xi^2 = 0: B[1:] = 0
         center = center_from_lift(ProjPoint([SQRT2, 1, 1, 0, 0]), QuadricSpec(QQ(1)))
         assert center.point.coords == (1, 1, 0, 0)
-        assert center.pole.pv == [math.sqrt(2) / 2, math.sqrt(2) / 2, 0.0, 0.0]
+        assert center.antipode == [1.0, -math.sqrt(2) / 2, -math.sqrt(2) / 2, 0.0, 0.0]
 
     def test_antipodal_identification(self):
         q = QuadricSpec(QQ(1))
@@ -89,59 +84,6 @@ class TestQuadric:
 
         comp = unknot_curve().components[0]
         assert quadric_identity_residual(comp, QuadricSpec(QQ(1))).is_zero()
-
-
-class TestStereographic:
-    def setup_method(self):
-        self.pole = ProjPoint([1, 1, 0, 0, 0])  # on the unit quadric
-        self.frame = pole_frame(self.pole)
-
-    def test_antipode_maps_to_origin(self):
-        img, _ = stereographic([-1.0, 0.0, 0.0, 0.0], self.frame)
-        assert max(abs(v) for v in img) < 1e-12
-
-    def test_round_trip_rational_points(self):
-        rng = random.Random(0)
-        count = 0
-        while count < 100:
-            d = [QQ(0)] + [QQ(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)]
-            A = sum(x * x for x in d[1:])
-            base = [QQ(1), QQ(0), QQ(1), QQ(0), QQ(0)]
-            B = 2 * sum(b * x for b, x in zip(base[1:], d[1:]))
-            if not A:
-                continue
-            t = -B / A
-            pt_coords = [base[i] + t * d[i] for i in range(5)]
-            if not any(pt_coords[1:]) or not pt_coords[0]:
-                continue
-            pt = ProjPoint(pt_coords)
-            if same_point(pt.coords, self.pole.coords):
-                continue
-            xv = [float(c / pt_coords[0]) for c in pt_coords[1:]]
-            img, _ = stereographic(xv, self.frame)
-            back = stereographic_inverse(img, self.frame)
-            assert max(abs(a - b) for a, b in zip(back, xv)) <= 1e-10
-            count += 1
-
-    def test_equatorial_point_on_unit_sphere(self):
-        pole = ProjPoint([1, 0, SQRT2, 0, 0])
-        img, _ = stereographic([math.sqrt(2), 0.0, 0.0, 0.0], pole_frame(pole))
-        assert abs(math.sqrt(sum(v * v for v in img)) - 1.0) < 1e-12
-
-    def test_differential_preserves_independence(self):
-        img, dst = stereographic([0.0, 1.0, 0.0, 0.0], self.frame)
-        # tangent frame at (0,1,0,0): orthogonal to the position vector
-        u1 = [1.0, 0.0, 0.0, 0.0]
-        u2 = [0.0, 0.0, 1.0, 0.0]
-        u3 = [0.0, 0.0, 0.0, 1.0]
-        assert orientation_sign([dst(u1), dst(u2), dst(u3)]) in (-1, 1)
-
-    def test_pole_and_off_sphere_points_are_genericity_failures(self):
-        # float checks of the pipeline end in GenericityError (exit 2)
-        with pytest.raises(GenericityError, match="pole itself"):
-            stereographic([1.0, 0.0, 0.0, 0.0], self.frame)
-        with pytest.raises(GenericityError, match="not on the quadric"):
-            stereographic([1.0, 1.0, 0.0, 0.0], self.frame)
 
 
 class TestRealness:
