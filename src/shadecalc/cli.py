@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from .diagram import render_diagram_svg, select_center
+from .diagram import render_diagram_svg
 from .errors import CurveFileError, GenericityError, InstabilityError, PreconditionError
 from .invariants import encomplexed_writhe, family_sweep, shade_number_empty_real
 from .reportio import ReportEnvelope, emit_report, parse_curve_file
@@ -94,6 +94,11 @@ def _parse_grid(spec: str):
     return out
 
 
+def _invariant(model):
+    """Cw for a real curve, else the shade number; `render` draws its projection."""
+    return encomplexed_writhe if model.is_real() else shade_number_empty_real
+
+
 def cmd_invariants(args, out):
     if args.centers < 1:
         raise CurveFileError("--centers must be >= 1")
@@ -107,8 +112,8 @@ def cmd_invariants(args, out):
         "tol": args.tol,
     }
     tol = min(max(args.tol, 1e-14), 1e-6)
-    invariant = encomplexed_writhe if model.is_real() else shade_number_empty_real
-    rep = invariant(model, seed=args.seed, centers=args.centers, forced_center=center, tol=tol)
+    rep = _invariant(model)(model, seed=args.seed, centers=args.centers,
+                            forced_center=center, tol=tol)
     payload = rep.describe()
     if args.svg:
         Path(args.svg).write_text(render_diagram_svg(model, rep.projection))
@@ -150,8 +155,8 @@ def cmd_sweep(args, out):
 
 def cmd_render(args, out):
     model, center = _load(args.curve)
-    data = select_center(model, seed=args.seed, forced_center=center)
-    Path(args.out).write_text(render_diagram_svg(model, data))
+    rep = _invariant(model)(model, seed=args.seed, forced_center=center)
+    Path(args.out).write_text(render_diagram_svg(model, rep.projection))
     out.write(f"wrote {args.out}\n".encode())
     return EXIT_OK
 

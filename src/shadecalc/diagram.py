@@ -335,8 +335,8 @@ def solitary_writhe(jet):
 def branch_frame_sign(x, dx):
     """Local writhe of one complex branch over a real image point: the
     sign of det[Re x, Im x, Re dx, Im dx] for the branch through the
-    non-real point x of P3 with tangent dx.  Everything downstream of the
-    curve model runs through here, including the range-family driver."""
+    non-real point x of P3 with tangent dx.  Every solitary crossing of a
+    curve model is signed here."""
     if is_real_vector(x):
         raise GenericityError("solitary branch point is real (tangency)")
     cols = [[c.real for c in x], [c.imag for c in x], [c.real for c in dx], [c.imag for c in dx]]

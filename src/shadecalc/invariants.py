@@ -21,7 +21,7 @@ import numpy as np
 
 from .chords import ACCEPT_TOL, canonical_unordered, secants, solve_minor_system
 from .curves import CurveModel, SelfIntersection, describe_ambient
-from .diagram import ProjectionData, branch_frame_sign, select_center
+from .diagram import SOLITARY_SIGN, ProjectionData, select_center
 from .errors import DoublePointError, GenericityError, InstabilityError, PreconditionError
 from .poly import UPoly, real_roots_sturm
 from .projective import CERT_MARGIN, REALNESS_TOL
@@ -345,47 +345,45 @@ def _certified_real_roots(p: UPoly, expect: int, what: str):
 @dataclass(frozen=True)
 class _RangeIsolation:
     """The range family at fixed (d, K), isolated once.  B_t(u) = B_0(u - t),
-    so phi_k(t) = phi_k(0) + t and Q_t'(phi_k(t)) = Q_0'(phi_k(0)): every
-    member is read off the roots of A and B_0."""
+    so phi_k(t) = phi_k(0) + t and every member is read off the roots of
+    A and B_0."""
 
     d: int
     K: Fraction
-    theta: list  # (float theta_j, P'(theta_j)) per root of A
-    phi0: list  # (exact midpoint of phi_k(0), Q_0'(phi_k(0))) per root of B_0
-    walls: list  # sorted closed intervals holding the d^2 collision times
+    theta: list  # float midpoint of theta_j per root of A, ascending
+    phi0: list  # exact midpoint of phi_k(0) per root of B_0, ascending
+    walls: list  # closed interval holding -theta_j - phi_k(0), in (j, k) order
 
 
 def _range_isolation(d, K, b_name) -> _RangeIsolation:
     A, B0 = _range_polys(d, 0, K)
     th_iv = _certified_real_roots(A, d, "P(u,1) = 1")
     ph_iv = _certified_real_roots(B0, d, f"{b_name}(u,1) = 1")
-    dA = A.derivative()
-    dB0 = B0.derivative()
-    theta = [(float(m), complex(dA(m))) for m in ((a0 + a1) / 2 for a0, a1 in th_iv)]
-    phi0 = [(m, complex(dB0(m))) for m in ((b0 + b1) / 2 for b0, b1 in ph_iv)]
-    walls = sorted((-a1 - b1, -a0 - b0) for a0, a1 in th_iv for b0, b1 in ph_iv)
+    theta = [float((a0 + a1) / 2) for a0, a1 in th_iv]
+    phi0 = [(b0 + b1) / 2 for b0, b1 in ph_iv]
+    walls = [(-a1 - b1, -a0 - b0) for a0, a1 in th_iv for b0, b1 in ph_iv]
     return _RangeIsolation(d, QQ(K), theta, phi0, walls)
 
 
 def _range_shade_at(iso: _RangeIsolation, t):
+    # walls[j d + k] is pair (j, k)'s.  A and B_0 have d simple real roots and
+    # leading coefficient K > 0, so sign P'(theta_j) Q'(phi_k) = (-1)^(j + k);
+    # theta_j + phi_k(0) + t is positive above the pair's wall, negative below
     t = QQ(t)
-    phis = [float(m + t) for m, _ in iso.phi0]
     signs = []
-    for theta, dP in iso.theta:
-        for phi, (_, dQ) in zip(phis, iso.phi0):
-            if abs(theta + phi) < 1e-12:
-                raise PreconditionError("shade point degenerated onto the real locus")
-            x = [1 + 0j, complex(theta), complex(phi), -1j * (theta + phi)]
-            dx = [0j, -1j * dQ, dP, -dQ - 1j * dP]
-            signs.append(branch_frame_sign(x, dx))
+    for n, (lo, hi) in enumerate(iso.walls):
+        if lo <= t <= hi:
+            raise PreconditionError("shade point degenerated onto the real locus")
+        side = 1 if t > hi else -1
+        signs.append(-SOLITARY_SIGN * (-1) ** sum(divmod(n, iso.d)) * side)
     return {
         "d": iso.d,
         "t": t,
         "K": iso.K,
         "sh": QQ(sum(signs), 2),
         "signs": signs,
-        "theta": [x for x, _ in iso.theta],
-        "phi": phis,
+        "theta": list(iso.theta),
+        "phi": [float(m + t) for m in iso.phi0],
     }
 
 
@@ -396,8 +394,9 @@ def _in_wall(walls, t) -> bool:
 def range_family_shade(d: int, t, K=None):
     """Shade number of the degree-d range-family member W_t through the
     shade centered at [0,0,0,1]: the d x d grid of shade points
-    [1, theta_j, phi_k, -i(theta_j + phi_k)], each signed by the solitary
-    branch recipe with the tangent taken from the defining gradient.
+    x = [1, theta_j, phi_k, -i(theta_j + phi_k)] with tangents
+    dx = [0, -i Q', P', -Q' - i P'], each signed exactly by the solitary
+    recipe det[Re x, Im x, Re dx, Im dx] = -P'(theta_j) Q'(phi_k) (theta_j + phi_k).
 
     Returns a dict with the value and the per-point ledger; raises
     PreconditionError when t is a singular sample (a real point exists).
@@ -415,7 +414,7 @@ def range_collision_times(d, K):
     at t = -theta_j - phi_k(0).  Sorted closed intervals
     [-a1 - b1, -a0 - b0] from the isolating intervals of theta_j and
     phi_k(0): the one isolation that range sweeps shift by t."""
-    return _range_isolation(d, K, "Q_0").walls
+    return sorted(_range_isolation(d, K, "Q_0").walls)
 
 
 def _check_wall_ledger(walls, a, b, delta):
@@ -528,7 +527,7 @@ def family_sweep(family: str, grid, seed=0, eps=None, d=None, K=None) -> SweepRe
     error."""
     grid = [QQ(g) for g in grid]
     params = {}
-    walls = None
+    iso = None
     if family == "kae":
         if eps not in (1, -1):
             raise PreconditionError("kae sweep needs eps = +1 or -1")
@@ -552,13 +551,12 @@ def family_sweep(family: str, grid, seed=0, eps=None, d=None, K=None) -> SweepRe
         params = {"d": d, "K": _frac_str(QQ(K))}
         try:
             iso = _range_isolation(d, K, "Q_t")
-            walls = iso.walls
         except PreconditionError as e:
-            iso, failure = None, e
+            failure = e
 
         def sample(idx_a):
             idx, t = idx_a
-            if (iso is None or _in_wall(walls, t)) and range_family_is_singular(d, t, K):
+            if (iso is None or _in_wall(iso.walls, t)) and range_family_is_singular(d, t, K):
                 return (None, True, "singular member (real point)")
             if iso is None:
                 raise failure
@@ -576,8 +574,8 @@ def family_sweep(family: str, grid, seed=0, eps=None, d=None, K=None) -> SweepRe
     for g, v, s in zip(grid, values, singular):
         if s or v is None:
             continue
-        if prev is not None and walls is not None:
-            _check_wall_ledger(walls, prev[0], g, v - prev[1])
+        if prev is not None and iso is not None:
+            _check_wall_ledger(iso.walls, prev[0], g, v - prev[1])
         if prev is not None and v != prev[1]:
             jumps.append((prev[0], g, v - prev[1]))
         prev = (g, v)

@@ -538,9 +538,6 @@ class UPoly(_IntTable):
 
     __rmul__ = __mul__
 
-    def derivative(self):
-        return UPoly._from_ints(self.den, zx_diff(self.num))
-
     def __call__(self, z):
         """The exact value at an exact scalar z."""
         acc = GaussianRational(0)

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 
-from shadecalc.poly import BivarPoly, bivar_resultant_w, gmul
+from shadecalc.poly import BivarPoly, UPoly, bivar_resultant_w, gmul, zx_diff
 from shadecalc.scalars import QQ, GaussianRational
 
 
@@ -23,6 +23,11 @@ def exact(x):
         return x
     x = complex(x)
     return GaussianRational(x.real, x.imag)
+
+
+def derivative(p):
+    """p' of a UPoly, from the kernel's zx_diff."""
+    return UPoly._from_ints(p.den, zx_diff(p.num))
 
 
 def abs2(z):

@@ -392,6 +392,13 @@ class TestGoldenBytes:
             "3457df731065fc4a65a56aceef6c293dde669a823defac8d90b5e21a81fd1787",
             id="sweep_range_exact_wall",
         ),
+        # d = 5 at the default K = 10^7: exact signs at every sample, where
+        # a float frame of the same shade points falls below CERT_MARGIN
+        pytest.param(
+            ["sweep", "--family", "range", "--d", "5", "--grid=-10:10:1/10"],
+            "a407b6335fb2c4c1769eba186f1c2b67b5212f5f6a7f37b140ea938d0f598e41",
+            id="sweep_range_d5",
+        ),
     ]
 
     @pytest.mark.parametrize("argv,digest", CASES)
@@ -533,6 +540,20 @@ class TestCommands:
         svg = out_file.read_text()
         assert svg.startswith("<?xml") and "</svg>" in svg
 
+    def test_render_refuses_what_invariants_refuses(self, tmp_path, capsys):
+        # render draws the projection of the invariant call, so a curve
+        # with a double point exits 3 with the same message, not 2 after
+        # trying every center
+        curve = str(DATA / "k0_plus.json")
+        outcomes = []
+        for argv in (["invariants", "--curve", curve],
+                     ["render", "--curve", curve, "--out", str(tmp_path / "d.svg")]):
+            code, out = run(argv, capsys)
+            outcomes.append((code, out, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 3 and "double point" in outcomes[0][2]
+        assert not (tmp_path / "d.svg").exists()
+
     def test_validate(self, capsys):
         code, out = run(["validate", "--curve", str(DATA / "trefoil.json")], capsys)
         assert code == 0
@@ -570,7 +591,6 @@ class TestInvariantsSvg:
             return render(model, data)
 
         monkeypatch.setattr(invariants, "select_center", select_spy)
-        monkeypatch.setattr(cli, "select_center", select_spy)
         monkeypatch.setattr(cli, "render_diagram_svg", render_spy)
         return projections, rendered
 
@@ -595,6 +615,16 @@ class TestInvariantsSvg:
         assert code == 0
         assert [kwargs["tol"] for kwargs, _ in projections] == [1e-9]
         assert rendered[0] is projections[0][1]
+
+    def test_render_draws_the_invariant_projection(self, tmp_path, capsys, monkeypatch):
+        projections, rendered = self.spy(monkeypatch)
+        code, _ = run(
+            ["render", "--curve", str(DATA / "hopf_pair.json"), "--out", str(tmp_path / "d.svg")],
+            capsys,
+        )
+        assert code == 0
+        assert len(projections) == 1
+        assert len(rendered) == 1 and rendered[0] is projections[0][1]
 
     def test_shade_mode_uses_file_center(self, tmp_path, capsys):
         point = ["1", "1/3", "-2/5", "2"]

@@ -36,7 +36,7 @@ from shadecalc.poly import BinaryForm, real_roots_sturm
 from shadecalc.reportio import parse_curve_file
 from shadecalc.scalars import QQ
 
-from helpers import stereo_r3
+from helpers import derivative, exact, stereo_r3
 
 
 class TestGoldenValues:
@@ -420,6 +420,41 @@ class TestRangeSweepOneIsolation:
     def test_wall_ledger_silent(self, d, K, grid):
         rep = family_sweep("range", grid, d=d, K=K)
         assert rep.jumps and not any(rep.errors)
+
+    @pytest.mark.parametrize("d,K,grid", [
+        pytest.param(d, QQ(10) ** (2 + d), _grid(-10, 10, QQ(1, 10)), id=f"d{d}_default_K")
+        for d in (1, 2, 3, 4)
+    ] + [
+        pytest.param(3, QQ(10**4), _benchmark_grid(seed), id=f"range_sweep_seed{seed}")
+        for seed in range(41, 51)
+    ])
+    def test_exact_signs_match_float_frame(self, d, K, grid):
+        # the float solitary recipe on the float shade point
+        # [1, theta, phi, -i(theta + phi)] with its defining-gradient tangent
+        # gives the exact sign at every point of every sample outside the walls
+        iso = invariants._range_isolation(d, K, "Q_t")
+        A, B0 = invariants._range_polys(d, 0, K)
+        dP = [complex(derivative(A)(exact(theta))) for theta in iso.theta]
+        dQ = [complex(derivative(B0)(m)) for m in iso.phi0]
+        outside = [t for t in grid if not invariants._in_wall(iso.walls, t)]
+        assert len(outside) >= len(grid) - d * d
+        for t in outside:
+            res = invariants._range_shade_at(iso, t)
+            want = [
+                diagram.branch_frame_sign([1 + 0j, complex(th), complex(ph), -1j * (th + ph)],
+                                          [0j, -1j * q, p, -q - 1j * p])
+                for th, p in zip(res["theta"], dP) for ph, q in zip(res["phi"], dQ)
+            ]
+            assert res["signs"] == want, t
+
+    def test_d5_default_K_sweep_has_no_errors(self):
+        # at K = 10^7 the float frame of every d = 5 shade point has a
+        # Hadamard margin below CERT_MARGIN; the exact signs need none
+        grid = _grid(-10, 10, QQ(1, 10))
+        rep = family_sweep("range", grid, d=5)
+        assert not any(rep.errors) and not any(rep.singular)
+        assert set(rep.values) == {QQ(1, 2), QQ(-1, 2)}
+        assert len(rep.jumps) == 5
 
     @pytest.mark.parametrize("grid,flip", [
         pytest.param(_grid(-5, 5, 1), QQ(3), id="delta_without_wall"),

@@ -39,7 +39,7 @@ from shadecalc.poly import (
 )
 from shadecalc.scalars import GaussianRational as G
 
-from helpers import bivar_value, exact
+from helpers import bivar_value, derivative, exact
 
 Z, W = sympy.symbols("z w")
 QQ_I = sympy.QQ_I
@@ -529,7 +529,7 @@ class TestFloatEvaluation:
         vals, dvals = comp.jet(p)
         for f, v, dv in zip(comp.coords, vals, dvals):
             u = UPoly(f.coeffs if p_chart_t else f.coeffs[::-1])  # f(1, x) or f(x, 1)
-            du = u.derivative()
+            du = derivative(u)
             assert abs(v - complex(f.eval(exact(p.s), exact(p.t)))) <= 1e-12 * _abs_upoly(u, px)
             assert abs(dv - complex(du(exact(px)))) <= 1e-12 * _abs_upoly(du, px)
 
@@ -573,7 +573,7 @@ class TestCanonicalForm:
     @settings(max_examples=80, deadline=None)
     @given(upolys, upolys, gaussians)
     def test_upoly_ops_stay_canonical(self, p, q, c):
-        assert all(_canonical(r) for r in (p, p + q, p - q, p * q, p * c, p.derivative()))
+        assert all(_canonical(r) for r in (p, p + q, p - q, p * q, p * c, derivative(p)))
 
     @settings(max_examples=80, deadline=None)
     @given(form_pairs, forms, gaussians)

@@ -26,7 +26,7 @@ from shadecalc.poly import UPoly, real_roots_sturm, zx_mul, zx_sqf_list, zx_stri
 from shadecalc.roots import NEWTON_PASSES, SLACK, CertifiedRoot, complex_roots
 from shadecalc.scalars import GaussianRational as G, QQ
 
-from helpers import abs2
+from helpers import abs2, derivative
 
 X = sympy.symbols("x")
 MP_BITS = 300
@@ -118,7 +118,7 @@ class TestDisks:
         # here in exact rationals, and the float view must cover the exact disk
         assume(_sympy_poly(p).is_sqf)
         n = p.degree
-        dp = p.derivative()
+        dp = derivative(p)
         for r in complex_roots(p):
             c, rad = _exact(r)
             f, fp = p(c), dp(c)
@@ -212,7 +212,7 @@ class TestRadiusBound:
         R = roots_mod._radius(shifted, x, y, prec)
         p = UPoly.from_zx(table)
         c = G(Fraction(x, 1 << prec), Fraction(y, 1 << prec))
-        f2, fp2 = abs2(p(c)), abs2(p.derivative()(c))
+        f2, fp2 = abs2(p(c)), abs2(derivative(p)(c))
         if fp2 == 0:
             assert R is None
         elif R is not None:
