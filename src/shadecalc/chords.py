@@ -10,8 +10,8 @@ deck-transform components for antipodally symmetric sphere curves).  The
 pipeline is:
 
 1. saturate: divide the Plücker forms P_ab = x_a(z) y_b(w) - x_b(z) y_a(w)
-   by their gcd until it is constant, once per curve, component pair and
-   coordinate set (`secants`).  A center's collinearity minors are linear
+   by their gcd, once per curve, component pair and coordinate set
+   (`secants`).  A center's collinearity minors are linear
    combinations of the saturated forms, so no center runs a gcd, and a
    factor that only the center brings stays and ends in GenericityError;
 2. eliminate: take two random small-integer combinations u, v of the
@@ -144,36 +144,34 @@ def _is_scalar_multiple(p: BivarPoly, q: BivarPoly) -> bool:
 
 
 def _saturate_all(minors) -> SaturatedSystem:
-    """Divide the common gcd out of all minors until it is constant."""
+    """Divide the gcd G of all minors out of them, once: the quotients
+    F_i / G have constant gcd, since G is the greatest common factor."""
     minors = list(minors)
-    removed_m = removed_n = 0
-    diagonal_only = True
-    diag = BivarPoly(1, 1, [[0, 1], [-1, 0]])  # s v - t u, the z = w locus
-    while True:
-        live = [m for m in minors if not m.is_zero()]
-        if not live:
-            raise GenericityError("all minors vanish identically (degenerate configuration)")
-        g = live[0]
-        for m in live[1:]:
-            g = bivar_gcd(g, m)
-            if g.m == 0 and g.n == 0:
-                break
-        if g.m == 0 and g.n == 0:
+    live = [m for m in minors if not m.is_zero()]
+    if not live:
+        raise GenericityError("all minors vanish identically (degenerate configuration)")
+    g = live[0]
+    for m in live[1:]:
+        if g.m == g.n == 0:
             break
-        if not _is_scalar_multiple(g, diag):
-            diagonal_only = False
-        removed_m += g.m
-        removed_n += g.n
-        minors = [bivar_divexact(m, g) for m in minors]
-    return SaturatedSystem(tuple(minors), (removed_m, removed_n), diagonal_only)
+        g = bivar_gcd(g, m)
+    if g.m == g.n == 0:
+        return SaturatedSystem(tuple(minors), (0, 0), True)
+    diag = BivarPoly(1, 1, [[0, 1], [-1, 0]])  # s v - t u, the z = w locus
+    return SaturatedSystem(tuple(bivar_divexact(m, g) for m in minors), (g.m, g.n),
+                           _is_scalar_multiple(g, diag))
 
 
 def secants(curve, i, j, *, p3):
     """The saturated Plücker forms of components i and j of the curve
     (j = "conj": component i against its own conjugate), over all
     coordinates or, with p3, over the P3 image coordinates.  Built once
-    per curve and shared by the smoothness check, the real-point search
-    and every projection center."""
+    per curve.  The P3-image records serve every projection center and,
+    when each lost at most the diagonal, the smoothness check through the
+    first center's chord solutions.  The records over all five
+    coordinates of a sphere curve serve the real-point search and the
+    separate smoothness solve of a deck-symmetric curve, whose P3-image
+    records lost the deck graph too."""
     comps = curve.components
     key = (i, j, p3 and comps[i].nvars == 5)  # a P3 curve is its own image
     if key not in curve._secants:
@@ -321,14 +319,15 @@ def canonical_unordered(solutions):
     return [s for s in solutions if s.zi <= s.wi]
 
 
-def double_points(system: SaturatedSystem, solutions):
-    """The solutions at which every saturated Plücker form of `system`
-    vanishes, by the relative ACCEPT_TOL test of _pair_and_polish: the
-    double points among a center's chord solutions, whose collinearity
-    minors are combinations of those forms."""
+def double_points(forms, solutions):
+    """The solutions at which every Plücker form in `forms` vanishes, by
+    the relative ACCEPT_TOL test of _pair_and_polish.  On a record's
+    saturated forms these are the image coincidences among a center's
+    chord solutions, whose collinearity minors are combinations of
+    those forms."""
     if not solutions:
         return []
-    T, scales = _coeff_tables([m for m in system.minors if not m.is_zero()])
+    T, scales = _coeff_tables([m for m in forms if not m.is_zero()])
     out = []
     for s in solutions:
         (z_chart_t, zx), (w_chart_t, wx) = s.z.local(), s.w.local()

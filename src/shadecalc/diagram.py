@@ -43,8 +43,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
 
-from .chords import (canonical_unordered, collinearity_system, double_points, secants,
-                     solve_minor_system)
+from .chords import (canonical_unordered, coincidence_system, collinearity_system, double_points,
+                     secants, solve_minor_system)
 from .curves import CurveModel, ParamPoint, p3_forms
 from .errors import DoublePointError, GenericityError, InstabilityError, PreconditionError
 from .poly import form_gcd
@@ -377,11 +377,15 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0,
     writhes, and assemble the genericity certificate.  Raises
     GenericityError whenever any margin fails.
 
-    With `smoothness` (P3 curves only, whose projection record is their
-    smoothness record), the chord solutions also answer the smoothness
-    question: a double point zeroes every saturated Plücker form, hence
-    every collinearity minor, so at a center where it is a simple
-    solution it is among the chord solutions.  Any found raise
+    With `smoothness`, the chord solutions also answer the smoothness
+    question.  The caller passes it only when every P3-image record
+    (secants(.., p3=True)) lost at most the diagonal to saturation: then
+    a double point zeroes every saturated Plücker form, hence every
+    collinearity minor, so at a center where it is a simple solution it
+    is among the chord solutions.  A P3 curve keeps every solution that
+    zeroes those forms.  A sphere curve keeps those that also zero the
+    raw Plücker forms of its five coordinates, since its P3 image also
+    identifies antipodal pairs (x0 -> -x0).  Any kept raise
     DoublePointError before anything is classified or signed."""
     comps = curve.components
     q = curve.quadric()
@@ -407,8 +411,16 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0,
         sols = canonical_unordered(res.solutions) if w_mode == "swap" else res.solutions
         raw.append((i, j, sols, i == j))
     if smoothness:
-        kinds = [s.double_point_kind for i, j, sols, _ in raw
-                 for s in double_points(secants(curve, i, j, p3=True), sols)]
+        kinds = []
+        for i, j, sols, _ in raw:
+            found = double_points(secants(curve, i, j, p3=True).minors, sols)
+            if q is not None and found:
+                # a P3-image coincidence on the sphere is a double point or
+                # an antipodal pair, x(z) = deck y(w); only a double point
+                # zeroes the raw Plücker forms of all five coordinates
+                found = double_points(
+                    coincidence_system(comps[i].coords, comps[j].coords), found)
+            kinds += [s.double_point_kind for s in found]
         if kinds:
             raise DoublePointError(kinds)
     # solve_minor_system rejects every margin below JAC_MARGIN

@@ -183,6 +183,27 @@ def _sum_parts(data: ProjectionData):
     return QQ(wr), QQ(sh)
 
 
+def _check_p3_writhe(comps, data: ProjectionData):
+    """The paper's identities for a P3 curve, with N_d = (d-1)(d-2)/2.
+    Per component, Cw_i = N_d (mod 2): its N_d chords through the center
+    are crossings (+-1 each) and conjugate pairs of non-contributing
+    chords.  And |Cw| <= sum N_{d_i}, the genus-0 bound (Mikhalkin and
+    Orevkov, "Maximally writhed real algebraic links", Invent. Math. 216
+    (2019))."""
+    genus_bounds = [(c.degree - 1) * (c.degree - 2) // 2 for c in comps]
+    cw = [0] * len(comps)
+    for c in data.crossings:
+        if c.same_component:
+            cw[c.comp_i] += c.writhe
+    for i, (w, n) in enumerate(zip(cw, genus_bounds)):
+        if (w - n) % 2:
+            raise InstabilityError(f"component {i}: Cw = {w} is not congruent to "
+                                   f"N_d = {n} mod 2")
+    if abs(sum(cw)) > sum(genus_bounds):
+        raise InstabilityError(f"|Cw| = {abs(sum(cw))} exceeds the genus bound "
+                               f"{sum(genus_bounds)}")
+
+
 def encomplexed_writhe(curve: CurveModel, seed=0, centers=1, forced_center=None,
                        tol=DEFAULT_TARGET_RADIUS) -> InvariantReport:
     """Cw of a smooth real curve as the signed crossing count of a
@@ -194,12 +215,15 @@ def encomplexed_writhe(curve: CurveModel, seed=0, centers=1, forced_center=None,
         raise PreconditionError("encomplexed writhe needs real coefficients; "
                                 "use the shade number for curves without real points")
     _require_immersed(curve)
-    # a P3 curve's projection record is its smoothness record
-    # (secants(.., p3=True) is secants(.., p3=False)), so its first
-    # center's chord solutions give its double points; a sphere curve
-    # solves its own 5-coordinate system
-    p3 = curve.quadric() is None
-    if not p3:
+    # the first center's chord solutions give the double points when every
+    # P3-image record lost at most the diagonal (project_curve sets a
+    # sphere curve's antipodal pairs apart).  A deck-symmetric sphere curve
+    # (hopf_pair, unknot, split_circles) loses the deck graph too, which
+    # hides its x0 = 0 double points, so it solves its 5-coordinate system
+    n = len(curve.components)
+    first_center = all(secants(curve, i, j, p3=True).diagonal_only
+                       for i in range(n) for j in range(i, n))
+    if not first_center:
         _require_smooth(curve, seed)
     runs = []
     for k in range(max(1, centers)):
@@ -208,7 +232,7 @@ def encomplexed_writhe(curve: CurveModel, seed=0, centers=1, forced_center=None,
             seed=seed + 1000003 * k,
             forced_center=forced_center if k == 0 else None,
             tol=tol,
-            smoothness=p3 and k == 0,
+            smoothness=first_center and k == 0,
         )
         runs.append(data)
     totals = []
@@ -216,6 +240,8 @@ def encomplexed_writhe(curve: CurveModel, seed=0, centers=1, forced_center=None,
         wr, sh = _sum_parts(data)
         if (wr + sh).denominator != 1:
             raise InstabilityError("encomplexed writhe came out non-integral")
+        if curve.quadric() is None:
+            _check_p3_writhe(curve.components, data)
         totals.append(wr + sh)
     if len(set(totals)) > 1:
         raise InstabilityError(
@@ -356,6 +382,25 @@ class _RangeIsolation:
 
 
 def _range_isolation(d, K, b_name) -> _RangeIsolation:
+    """The isolation at K; K = None takes the first of 10^(2+d),
+    10^(3+d), ... at which both polynomials certify d real roots.  Every
+    K > (2(d^2+1))^d does: |P(u,1)| and |Q_0(u,1)| are at least
+    K (2(d^2+1))^-d > 1 halfway between consecutive roots of the products
+    and half a root gap beyond the outer ones, so A and B_0 change sign d
+    times."""
+    if K is not None:
+        return _isolate_range(d, K, b_name)
+    K = QQ(10) ** (2 + d)
+    while True:
+        try:
+            return _isolate_range(d, K, b_name)
+        except PreconditionError:
+            if K > (2 * (d * d + 1)) ** d:
+                raise
+            K *= 10
+
+
+def _isolate_range(d, K, b_name) -> _RangeIsolation:
     A, B0 = _range_polys(d, 0, K)
     th_iv = _certified_real_roots(A, d, "P(u,1) = 1")
     ph_iv = _certified_real_roots(B0, d, f"{b_name}(u,1) = 1")
@@ -401,11 +446,10 @@ def range_family_shade(d: int, t, K=None):
     Returns a dict with the value and the per-point ledger; raises
     PreconditionError when t is a singular sample (a real point exists).
     """
-    if K is None:
-        K = QQ(10) ** (2 + d)
-    if range_family_is_singular(d, t, K):
+    iso = _range_isolation(d, K, "Q_t")
+    if range_family_is_singular(d, t, iso.K):
         raise PreconditionError(f"t = {t} is singular: the member acquires a real point")
-    return _range_shade_at(_range_isolation(d, K, "Q_t"), t)
+    return _range_shade_at(iso, t)
 
 
 def range_collision_times(d, K):
@@ -546,13 +590,12 @@ def family_sweep(family: str, grid, seed=0, eps=None, d=None, K=None) -> SweepRe
     elif family == "range":
         if not d or d < 1:
             raise PreconditionError("range sweep needs d >= 1")
-        if K is None:
-            K = QQ(10) ** (2 + d)
-        params = {"d": d, "K": _frac_str(QQ(K))}
         try:
             iso = _range_isolation(d, K, "Q_t")
+            K = iso.K
         except PreconditionError as e:
             failure = e
+        params = {"d": d, "K": _frac_str(QQ(K))}
 
         def sample(idx_a):
             idx, t = idx_a

@@ -399,6 +399,13 @@ class TestGoldenBytes:
             "a407b6335fb2c4c1769eba186f1c2b67b5212f5f6a7f37b140ea938d0f598e41",
             id="sweep_range_d5",
         ),
+        # d = 6 with no --K: 10^8 isolates too few roots of Q_0 = 1, so
+        # the sweep runs at K = 10^9
+        pytest.param(
+            ["sweep", "--family", "range", "--d", "6", "--grid=-10:10:1/10"],
+            "f75d36e932253387f23fa8dd2b9087ab81d4306538f882c77e1f6b735142100e",
+            id="sweep_range_d6",
+        ),
     ]
 
     @pytest.mark.parametrize("argv,digest", CASES)
@@ -407,6 +414,15 @@ class TestGoldenBytes:
         code, out = run(argv, capsys)
         assert code == 0
         assert hashlib.sha256(out).hexdigest() == digest
+
+    def test_trefoil_render_digest(self, tmp_path, capsys, monkeypatch):
+        # the sphere trefoil drawn through its file's center
+        monkeypatch.chdir(tmp_path)
+        code, out = run(["render", "--curve", str(DATA / "trefoil.json"), "--out", "d.svg"],
+                        capsys)
+        assert (code, out) == (0, b"wrote d.svg\n")
+        assert hashlib.sha256((tmp_path / "d.svg").read_bytes()).hexdigest() == (
+            "51227be91049e923c904d44f6f3adb18262dca234a019e0d61bff75bb9299bf6")
 
     @pytest.mark.parametrize("name,kind", [("k0_plus", "complex-conjugate"),
                                            ("k0_minus", "real-real")])

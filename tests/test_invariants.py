@@ -33,6 +33,7 @@ from shadecalc.invariants import (
     shade_number_empty_real,
 )
 from shadecalc.poly import BinaryForm, real_roots_sturm
+from shadecalc.projective import QuadricSpec
 from shadecalc.reportio import parse_curve_file
 from shadecalc.scalars import QQ
 
@@ -85,9 +86,52 @@ def _data_curve(name):
     return parse_curve_file(path.read_bytes())[0]
 
 
+def _sphere_curve(forms):
+    return CurveModel(QuadricSpec(QQ(1)), [CurveComponent(forms, "lift")])
+
+
+def _stereo_lift(y):
+    """The unit-sphere curve over the P3 curve y by inverse stereographic
+    projection of the R^3 point (y1, y2, y3)/w, w = y0 + 2 y1 + y2 + y3:
+    [w^2 + r2, 2 w y1, 2 w y2, 2 w y3, r2 - w^2], r2 = y1^2 + y2^2 + y3^2.
+    Its points at infinity, w = 0, all go to the pole [1, 0, 0, 0, 1]."""
+    w = y[0] + y[1] * 2 + y[2] + y[3]
+    r2 = y[1] * y[1] + y[2] * y[2] + y[3] * y[3]
+    return _sphere_curve([w * w + r2, w * y[1] * 2, w * y[2] * 2, w * y[3] * 2, r2 - w * w])
+
+
+def _rotated(curve):
+    """A sphere curve turned by x -> q x on x1..x4, read as a quaternion,
+    with q = 1 + 2i + 2j + 4k; x0 scales by |q| = 5 to stay on the quadric."""
+    a, b, c, d = 1, 2, 2, 4
+    L = [[a, -b, -c, -d], [b, a, -d, c], [c, d, a, -b], [d, -c, b, a]]
+    comps = []
+    for comp in curve.components:
+        x0, *x = comp.coords
+        comps.append(CurveComponent(
+            [x0 * 5] + [x[0] * r[0] + x[1] * r[1] + x[2] * r[2] + x[3] * r[3] for r in L],
+            comp.label))
+    return CurveModel(curve.ambient, comps)
+
+
+# [s^4, s^2 t^2, s t^3 - s^3 t, t^4]: its one node joins u = t/s = 1 and -1
+NODAL_QUARTIC = [BinaryForm(4, r) for r in
+                 ([1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, -1, 0, 1, 0], [0, 0, 0, 0, 1])]
+# a smooth quartic on the unit sphere through an antipodal pair: the
+# inverse stereographic lift of a cubic of R^3 through p = (1, 1, 1) at
+# u = 1 and -p/|p|^2 at u = 2 (the antipode on the sphere), whose points
+# at infinity are u = 0 and the circular points u = +-i; the lifted forms
+# share the factor 1 + u^2, which is divided out
+ANTIPODAL_QUARTIC = [BinaryForm(4, r) for r in (
+    [140, -104, 87, -116, 53], [0, 46, -16, 16, -16], [0, 22, 8, 22, -22],
+    [0, 40, -25, 40, -25], [140, -104, 72, -116, 38])]
+
+
 class TestFirstCenterSmoothness:
     """A P3 curve's double points come from its first center's chord
-    solutions; there is no separate smoothness solve."""
+    solutions; there is no separate smoothness solve.  So do a sphere
+    curve's, unless saturation of a P3-image record removed more than the
+    diagonal."""
 
     def test_one_chord_solve_per_p3_curve(self, monkeypatch):
         calls = {"solve": 0, "sdp": 0}
@@ -149,6 +193,93 @@ class TestFirstCenterSmoothness:
         assert rep.singular == [False, True, False]
         assert rep.errors[1] == "singular member (double point)"
 
+    # sphere curves whose P3-image record lost only the diagonal take the
+    # same route; project_curve sets their antipodal pairs apart
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(trefoil_curve, id="trefoil"),
+        pytest.param(lambda: _rotated(trefoil_curve()), id="trefoil_rotated"),
+    ])
+    def test_sphere_trefoil(self, make):
+        for seed in range(10):
+            curve = make()
+            assert secants(curve, 0, 0, p3=True).diagonal_only
+            assert encomplexed_writhe(curve, seed=seed).Cw == 4, f"seed {seed}"
+            assert self_double_points(make(), seed) == []
+
+    # the d points at infinity of a degree-d P3 curve lift to one d-fold
+    # point at the pole: C(d, 2) double points, real-real for the real
+    # kae(a, -1) and one real-real plus a conjugate pair for kae(a, +1)
+    POLE_KINDS = {-1: ["real-real"] * 3, 1: ["complex", "complex", "complex-conjugate"]}
+    NODE_KIND = {-1: "real-real", 1: "complex-conjugate"}  # kae(0, eps)'s node
+
+    @pytest.mark.parametrize("a", [-1, QQ(-1, 2), 0, QQ(1, 2), 1])
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_lifted_kae_double_points(self, a, eps):
+        want = sorted(self.POLE_KINDS[eps] + [self.NODE_KIND[eps]] * (a == 0))
+        y = kae_curve(a, eps).components[0].coords
+        for seed in range(4):
+            curve = _stereo_lift(y)
+            assert secants(curve, 0, 0, p3=True).diagonal_only
+            with pytest.raises(DoublePointError) as ei:
+                encomplexed_writhe(curve, seed=seed)
+            assert ei.value.kinds == want, f"seed {seed}"
+
+    def test_lifted_nodal_quartic_double_points(self):
+        # a 4-fold point at the pole (two conjugate pairs of points at
+        # infinity: 2 complex-conjugate and 4 complex pairs) and the node
+        want = ["complex"] * 4 + ["complex-conjugate"] * 2 + ["real-real"]
+        assert sorted(b.kind for b in self_double_points(_stereo_lift(NODAL_QUARTIC))) == want
+        for seed in range(4):
+            with pytest.raises(DoublePointError) as ei:
+                encomplexed_writhe(_stereo_lift(NODAL_QUARTIC), seed=seed)
+            assert ei.value.kinds == want, f"seed {seed}"
+
+    def test_antipodal_pair_is_not_a_double_point(self, monkeypatch):
+        # the P3 image of ANTIPODAL_QUARTIC has one double point, an
+        # antipodal pair; the five-coordinate forms set it apart
+        double_points = diagram.double_points
+        found = []
+
+        def spy(forms, solutions):
+            out = double_points(forms, solutions)
+            found.append((len(forms), len(out)))
+            return out
+
+        monkeypatch.setattr(diagram, "double_points", spy)
+        for seed in range(4):
+            found.clear()
+            curve = _sphere_curve(ANTIPODAL_QUARTIC)
+            assert secants(curve, 0, 0, p3=True).diagonal_only
+            assert encomplexed_writhe(curve, seed=seed).Cw == -1
+            assert found == [(6, 1), (10, 0)]
+            assert self_double_points(_sphere_curve(ANTIPODAL_QUARTIC), seed) == []
+
+    @pytest.mark.parametrize("make,separate", [
+        (trefoil_curve, False), (hopf_pair_curve, True), (unknot_curve, True),
+        (split_circles_curve, True),
+    ])
+    def test_deck_symmetric_curves_solve_their_own_system(self, make, separate, monkeypatch):
+        # their P3-image records lose the deck graph, which hides the
+        # x0 = 0 double points, so only their own system can find them
+        calls = []
+        sdp = invariants.self_double_points
+
+        def spy(*args):
+            calls.append(args)
+            return sdp(*args)
+
+        monkeypatch.setattr(invariants, "self_double_points", spy)
+        curve = make()
+        try:
+            encomplexed_writhe(curve, seed=0)
+        except DoublePointError:
+            assert make is split_circles_curve  # its 2 complex double points
+        assert len(calls) == separate
+        n = len(curve.components)
+        records = [secants(curve, i, j, p3=True) for i in range(n) for j in range(i, n)]
+        assert all(r.diagonal_only for r in records) != separate
+
 
 class TestCuspAndParityGuards:
     CUSP = [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
@@ -186,6 +317,31 @@ class TestCuspAndParityGuards:
         self._mutate(monkeypatch, drop_conjugate)
         with pytest.raises(InstabilityError, match="odd count"):
             encomplexed_writhe(kae_curve(1, 1))
+
+    @staticmethod
+    def _edit_crossings(monkeypatch, edit):
+        select = invariants.select_center
+
+        def edited(*args, **kwargs):
+            data = select(*args, **kwargs)
+            data.crossings = edit(data.crossings)
+            return data
+
+        monkeypatch.setattr(invariants, "select_center", edited)
+
+    def test_dropped_crossing_trips_the_parity_guard(self, monkeypatch):
+        # kae(1/2, -1) has N_3 = 1 chord through a center: one crossing,
+        # Cw = 1; dropping it moves Cw by 1 (flipping its sign would move
+        # it by 2 and keep the parity)
+        assert len(encomplexed_writhe(kae_curve(QQ(1, 2), -1), seed=2).crossings) == 1
+        self._edit_crossings(monkeypatch, lambda crossings: crossings[1:])
+        with pytest.raises(InstabilityError, match="Cw = 0 is not congruent to N_d = 1 mod 2"):
+            encomplexed_writhe(kae_curve(QQ(1, 2), -1), seed=2)
+
+    def test_extra_crossings_trip_the_genus_bound(self, monkeypatch):
+        self._edit_crossings(monkeypatch, lambda crossings: crossings * 3)
+        with pytest.raises(InstabilityError, match=r"\|Cw\| = 3 exceeds the genus bound 1"):
+            encomplexed_writhe(kae_curve(QQ(1, 2), -1), seed=2)
 
     def test_real_crossing_filed_as_non_contributing_trips_the_guard(self, monkeypatch):
         def drop_realness(s):
@@ -455,6 +611,25 @@ class TestRangeSweepOneIsolation:
         assert not any(rep.errors) and not any(rep.singular)
         assert set(rep.values) == {QQ(1, 2), QQ(-1, 2)}
         assert len(rep.jumps) == 5
+
+    @pytest.mark.parametrize("d,K", [(d, QQ(10) ** (2 + d)) for d in range(1, 6)]
+                             + [(6, QQ(10) ** 9), (7, QQ(10) ** 11)])
+    def test_default_K_is_the_first_power_that_isolates(self, d, K):
+        # from d = 6 on, 10^(2+d) isolates too few roots of Q_0 = 1
+        assert invariants._range_isolation(d, None, "Q_t").K == K
+        if K > QQ(10) ** (2 + d):
+            with pytest.raises(PreconditionError, match="increase K"):
+                invariants._range_isolation(d, K / 10, "Q_t")
+
+    def test_d6_default_K_sweep_has_no_errors(self):
+        rep = family_sweep("range", _grid(-10, 10, QQ(1, 10)), d=6)
+        assert rep.parameters == {"d": 6, "K": "1000000000"}
+        assert not any(rep.errors) and not any(rep.singular)
+        assert len(rep.jumps) == 12
+        # an explicit K keeps its own isolation error
+        rep = family_sweep("range", [QQ(0)], d=6, K=QQ(10) ** 8)
+        assert rep.errors == ["PreconditionError: Q_t(u,1) = 1: found 2 real roots, "
+                              "need 6 (increase K)"]
 
     @pytest.mark.parametrize("grid,flip", [
         pytest.param(_grid(-5, 5, 1), QQ(3), id="delta_without_wall"),
