@@ -50,9 +50,8 @@ from .poly import (GZERO, BinaryForm, BivarPoly, bivar_divexact, bivar_gcd, biva
                    complex_coeffs, gmul)
 from .roots import DEFAULT_TARGET_RADIUS, UncertifiedRootsError, complex_roots
 
-__all__ = ["PairSolution", "SaturatedSystem", "SystemResult", "solve_minor_system",
-           "canonical_unordered", "collinearity_system", "coincidence_system", "secants",
-           "double_points"]
+__all__ = ["PairSolution", "SaturatedSystem", "solve_minor_system", "canonical_unordered",
+           "collinearity_system", "coincidence_system", "secants", "double_points"]
 
 ACCEPT_TOL = 1e-8
 FILTER_TOL = 1e-5  # candidate filter: |u|, |v| relative to their scale bounds
@@ -94,12 +93,6 @@ class SaturatedSystem:
     minors: tuple  # in input order; a zero minor stays in place
     removed: tuple  # total bidegree removed by saturation
     diagonal_only: bool  # saturation removed exactly the diagonal (or nothing)
-
-
-@dataclass
-class SystemResult:
-    solutions: list
-    min_jac_margin: float
 
 
 def collinearity_system(center_coords, plucker):
@@ -235,7 +228,8 @@ def solve_minor_system(
     target_radius=DEFAULT_TARGET_RADIUS,
     context="",
 ):
-    """Certified solution pairs of a saturated minor system.  A common
+    """The certified solution pairs (PairSolution) of a saturated minor
+    system, each with its Jacobian margin at least JAC_MARGIN.  A common
     factor left in the minors ends in GenericityError (one nonconstant
     minor, resultants that vanish in every retry, or a zero margin).
 
@@ -256,7 +250,7 @@ def solve_minor_system(
     nonconst = [m for m in live if m.m + m.n > 0]
     if not nonconst:
         # constants only: a nonzero constant forbids all solutions
-        return SystemResult([], float("inf"))
+        return []
     if len(nonconst) == 1:
         raise GenericityError(f"{context}: solution set is positive-dimensional")
 
@@ -288,18 +282,18 @@ def solve_minor_system(
             if conj is not None:
                 for s in sols:
                     s.conjugate = conj[s.zi] == s.wi
-            result = SystemResult(sols, min((s.jac_margin for s in sols), default=float("inf")))
             if expected is not None and system.diagonal_only and len(sols) != expected:
                 raise GenericityError(
                     f"{context}: found {len(sols)} solutions, expected {expected} "
                     f"(non-generic configuration or uncertified pairing)"
                 )
-            if result.min_jac_margin < JAC_MARGIN:
+            jac = min((s.jac_margin for s in sols), default=float("inf"))
+            if jac < JAC_MARGIN:
                 raise GenericityError(
-                    f"{context}: chord Jacobian margin {result.min_jac_margin:.2e} "
+                    f"{context}: chord Jacobian margin {jac:.2e} "
                     f"below {JAC_MARGIN} (tangent or multiple chord)"
                 )
-            return result
+            return sols
         except UncertifiedRootsError as e:
             last_err = e
             continue

@@ -73,15 +73,17 @@ SPHERE_PAIR_SIGN = 1
 SOLITARY_SIGN = 1
 P3_REAL_SIGN = 1
 
-SEAM_TOL = 1e-6
 MAX_CENTER_ATTEMPTS = 50
 SVG_SAMPLES = 720  # parameter samples per real component in render_diagram_svg
 
 
 @dataclass
 class ProjectionCenter:
+    """A rational projection center and what the diagram derives from it:
+    its normalized coordinates, the diagram hyperplane and, for a sphere
+    curve, the antipode of its lift."""
+
     point: ProjPoint  # rational center in RP3 (for Q3: the image of the lifts)
-    hyperplane: int  # index m of the coordinate hyperplane H = {y_m = 0}
     lift0: ProjPoint | None = None  # Q3: the lift whose antipode orients real pairs
     seed: int = 0
     attempt: int = 0
@@ -90,6 +92,14 @@ class ProjectionCenter:
     def coords(self):
         """The center's normalized rational coordinates, computed once."""
         return self.point.normalized().coords
+
+    @cached_property
+    def hyperplane(self):
+        """The index m of the diagram hyperplane H = {y_m = 0}: the first
+        index of largest |c_m|, where the normalized coordinate is exactly
+        1.  Projecting from c onto H then gives y_m = 0 exactly, and the
+        normalized image keeps an entry 1 away from the seam y_m = 0."""
+        return self.coords.index(1)
 
     @cached_property
     def cvec(self):
@@ -123,7 +133,8 @@ class ProjectionCenter:
 
 
 # every check of project_curve raises when it fails, so a returned
-# certificate has passed them all
+# certificate has passed them all; no_crossing_at_chart_seam holds by the
+# choice of ProjectionCenter.hyperplane
 CERTIFIED_FLAGS = ("center_off_curve", "all_chords_simple", "no_triple_points",
                    "no_tangent_chords", "no_crossing_at_chart_seam")
 
@@ -148,7 +159,10 @@ class Crossing:
     w: ParamPoint
     image: list  # diagram point in H, a normalized complex vector
     writhe: int = 0
-    same_component: bool = True
+
+    @property
+    def same_component(self) -> bool:
+        return self.comp_i == self.comp_j
 
     def describe(self):
         return {
@@ -243,10 +257,9 @@ def draw_center(curve: CurveModel, rng) -> ProjectionCenter:
     (project from [1,0,0,0,0], drop x0) of a rational quadric point."""
     q = curve.quadric()
     if q is None:
-        return ProjectionCenter(ProjPoint([1] + [_rand_fraction(rng) for _ in range(3)]),
-                                hyperplane=0)
+        return ProjectionCenter(ProjPoint([1] + [_rand_fraction(rng) for _ in range(3)]))
     lift0 = rational_quadric_point(q, rng)
-    return ProjectionCenter(ProjPoint(lift0.coords[1:]), hyperplane=0, lift0=lift0)
+    return ProjectionCenter(ProjPoint(lift0.coords[1:]), lift0=lift0)
 
 
 def center_from_lift(lift: ProjPoint, q: QuadricSpec) -> ProjectionCenter:
@@ -271,7 +284,7 @@ def center_from_lift(lift: ProjPoint, q: QuadricSpec) -> ProjectionCenter:
         )
     v = B[1:] if any(B[1:]) else A[1:]
     pivot = next(x for x in v if x)
-    return ProjectionCenter(ProjPoint([x / pivot for x in v]), hyperplane=0, lift0=lift)
+    return ProjectionCenter(ProjPoint([x / pivot for x in v]), lift0=lift)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +388,9 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0,
                   tol=DEFAULT_TARGET_RADIUS, smoothness=False) -> ProjectionData:
     """Solve every chord system for the given center, classify, evaluate
     writhes, and assemble the genericity certificate.  Raises
-    GenericityError whenever any margin fails.
+    GenericityError whenever any margin fails.  The crossings are imaged
+    in the center's one diagram hyperplane (ProjectionCenter.hyperplane);
+    the center itself is left as it was passed.
 
     With `smoothness`, the chord solutions also answer the smoothness
     question.  The caller passes it only when every P3-image record
@@ -398,21 +413,17 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0,
         if not _center_off_component(c, p3_forms(comp.coords)):
             raise GenericityError(f"center lies on the projected component {i}")
 
-    raw = []  # (comp_i, comp_j, unordered solutions, same_component)
-    complex_pairs = 0
-    min_jac = float("inf")
+    raw = []  # (comp_i, comp_j, unordered solutions)
     for i, j, w_mode, expected, offset, context in _chord_systems(comps, shade):
         sec = secants(curve, i, "conj" if w_mode == "conj" else j, p3=True)
-        res = solve_minor_system(
+        sols = solve_minor_system(
             replace(sec, minors=collinearity_system(c, sec.minors)), seed=seed + offset,
             w_mode=w_mode, expected=expected, context=context, target_radius=tol,
         )
-        min_jac = min(min_jac, res.min_jac_margin)
-        sols = canonical_unordered(res.solutions) if w_mode == "swap" else res.solutions
-        raw.append((i, j, sols, i == j))
+        raw.append((i, j, canonical_unordered(sols) if w_mode == "swap" else sols))
     if smoothness:
         kinds = []
-        for i, j, sols, _ in raw:
+        for i, j, sols in raw:
             found = double_points(secants(curve, i, j, p3=True).minors, sols)
             if q is not None and found:
                 # a P3-image coincidence on the sphere is a double point or
@@ -424,13 +435,14 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0,
         if kinds:
             raise DoublePointError(kinds)
     # solve_minor_system rejects every margin below JAC_MARGIN
-    margins["chord_jacobian"] = min_jac if min_jac < float("inf") else 1.0
+    margins["chord_jacobian"] = min((s.jac_margin for *_, sols in raw for s in sols), default=1.0)
 
     # classify: real-real (real curves only), solitary (conjugate
     # preimages) or a non-contributing complex pair
-    entries = []  # (kind, i, j, z, w, same)
+    entries = []  # (kind, i, j, z, w)
+    complex_pairs = 0
     tangent_margin = float("inf")
-    for i, j, sols, same in raw:
+    for i, j, sols in raw:
         n_complex = 0
         for s in sols:
             if shade or not (s.z.real or s.w.real):
@@ -445,8 +457,8 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0,
             if kind is None:
                 n_complex += 1
             else:
-                entries.append((kind, i, j, s.z, s.w, same))
-            if same and not shade:
+                entries.append((kind, i, j, s.z, s.w))
+            if i == j and not shade:
                 tangent_margin = min(tangent_margin, s.z.dist(s.w))
         if not shade and n_complex % 2:
             # conjugation pairs up the non-contributing solutions of a
@@ -460,62 +472,39 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0,
     if not margins["tangent_chord"] >= 1e-6:
         raise GenericityError("tangent chord detected (z = w within margin)")
 
-    # hyperplane selection: seam margins over candidate H indices
-    hyperplane_order = sorted(
-        [m for m in range(4) if abs(cvec[m]) > 1e-9],
-        key=lambda m: -abs(cvec[m]),
-    )
-    jets = [comps[i].jet(zp) for _, i, _, zp, _, _ in entries]
-    xs = [p3_forms(x) for x, _ in jets]
-    chosen = None
-    for m in hyperplane_order:
-        images = [normalize(_project_to_h(x, cvec, m)) for x in xs]
-        if any(e[0] == "solitary" and not is_real_vector(v) for e, v in zip(entries, images)):
+    # diagram images in H = {y_m = 0}, m = center.hyperplane
+    m = center.hyperplane
+    jets = [comps[i].jet(zp) for _, i, _, zp, _ in entries]
+    images = [normalize(_project_to_h(p3_forms(x), cvec, m)) for x, _ in jets]
+    if any(e[0] == "solitary" and not is_real_vector(v) for e, v in zip(entries, images)):
+        raise GenericityError("solitary crossing has a non-real diagram image")
+    # triple-point separation: on the sphere, antipodally related chords
+    # of one great circle share a P3 image legitimately (their signs are
+    # intrinsic), so only solitary images need separating there; in P3
+    # every image must be simple
+    sep = 1.0
+    for a, b in combinations(range(len(images)), 2):
+        if q is not None and entries[a][0] == "real-real" and entries[b][0] == "real-real":
             continue
-        if images:
-            seam = min(
-                max(abs(v[kk]) for kk in range(4) if kk != m) for v in images
-            )
-        else:
-            seam = 1.0
-        if seam < SEAM_TOL:
-            continue
-        # triple-point separation in this hyperplane: on the sphere,
-        # antipodally related chords of one great circle share a P3 image
-        # legitimately (their signs are intrinsic), so only solitary
-        # images need separating there; in P3 every image must be simple
-        sep = 1.0
-        for a in range(len(images)):
-            for b in range(a + 1, len(images)):
-                if q is not None and entries[a][0] == "real-real" and entries[b][0] == "real-real":
-                    continue
-                d = max(
-                    abs(images[a][p] * images[b][r] - images[a][r] * images[b][p])
-                    for p in range(4)
-                    for r in range(4)
-                )
-                sep = min(sep, d)
-        if sep < 1e-6:
-            continue
-        chosen = (m, seam, sep, images)
-        break
-    if chosen is None:
-        raise GenericityError("no coordinate hyperplane avoids seams and triple points")
-    m, seam, sep, images = chosen
-    center.hyperplane = m
-    margins["chart_seam"] = seam
+        sep = min(sep, max(abs(images[a][p] * images[b][r] - images[a][r] * images[b][p])
+                           for p in range(4) for r in range(4)))
+    if sep < 1e-6:
+        raise GenericityError(f"two crossings share a diagram point (separation {sep:.2e})")
+    # y_m = 0 exactly and normalize scales the largest entry to 1, so every
+    # image stays at distance 1 from the seam; kept for the report's bytes
+    margins["chart_seam"] = 1.0
     margins["triple_point_separation"] = sep
 
     # writhes
     crossings = []
-    for (kind, i, j, zp, wp, same), jz, img in zip(entries, jets, images):
+    for (kind, i, j, zp, wp), jz, img in zip(entries, jets, images):
         if kind == "solitary":
             wr = solitary_writhe(jz)
         elif q is not None:
             wr = sphere_real_pair_sign(zp, wp, jz, comps[j].jet(wp), center)
         else:
             wr = real_crossing_writhe(zp, wp, jz, comps[j].jet(wp))
-        crossings.append(Crossing(kind, i, j, zp, wp, img, wr, same))
+        crossings.append(Crossing(kind, i, j, zp, wp, img, wr))
     crossings.sort(key=lambda c: (c.kind, c.comp_i, c.comp_j, c.z.root))
     return ProjectionData(center, cert, crossings, complex_pairs)
 

@@ -62,6 +62,7 @@ class InvariantReport:
     ambient: object
     mode: str
     complex_pairs: int = 0
+    root_residual: float = DEFAULT_TARGET_RADIUS  # the root radius the engine was given
     # the reported projection, kept for rendering; never serialized
     projection: ProjectionData | None = field(default=None, repr=False, compare=False)
 
@@ -78,7 +79,7 @@ class InvariantReport:
             "certificate": self.certificate,
             "crossings": [c.describe() for c in self.crossings],
             "complex_chord_pairs": self.complex_pairs,
-            "tolerances": TOLERANCES,
+            "tolerances": {**TOLERANCES, "root_residual": self.root_residual},
         }
 
 
@@ -128,11 +129,12 @@ def self_double_points(curve: CurveModel, seed=0):
     for i in range(len(comps)):
         for j in range(i, len(comps)):
             mode = "swap" if i == j else "solve"
-            res = solve_minor_system(
+            sols = solve_minor_system(
                 secants(curve, i, j, p3=False), seed=seed + 7 * i + j, w_mode=mode,
                 context=f"selfint[{i},{j}]",
             )
-            sols = canonical_unordered(res.solutions) if i == j else res.solutions
+            if i == j:
+                sols = canonical_unordered(sols)
             images = comps[i].values([s.z.pair() for s in sols])
             for s, img in zip(sols, images):
                 out.append(SelfIntersection(s.double_point_kind, (s.z, s.w), img, (i, j)))
@@ -148,11 +150,11 @@ def find_real_points(curve: CurveModel, component: int, seed=0):
             f"component {comp.label or component} has real coefficients; "
             "use the real locus instead"
         )
-    res = solve_minor_system(
+    sols = solve_minor_system(
         secants(curve, component, "conj", p3=False), seed=seed, w_mode="conj",
         context=f"realpts[{component}]",
     )
-    return [s.z for s in res.solutions if s.conjugate]
+    return [s.z for s in sols if s.conjugate]
 
 
 def _require_immersed(curve: CurveModel):
@@ -204,6 +206,34 @@ def _check_p3_writhe(comps, data: ProjectionData):
                                f"{sum(genus_bounds)}")
 
 
+def _cross_checked(curve, name, value, seed, centers, forced_center, tol, smoothness=False):
+    """The projections from `centers` accepted centers, the k-th drawn at
+    seed + 1000003 k and the first at `forced_center` when one is given
+    (`smoothness` goes to the first only).  value(data) is read off each,
+    in order, and InstabilityError is raised unless all agree."""
+    runs = [select_center(curve, seed=seed + 1000003 * k,
+                          forced_center=forced_center if k == 0 else None, tol=tol,
+                          smoothness=smoothness and k == 0)
+            for k in range(max(1, centers))]
+    values = [value(data) for data in runs]
+    if len(set(values)) > 1:
+        shown = ", ".join(_frac_str(v) for v in sorted(set(values)))
+        raise InstabilityError(f"centers disagree on {name}: [{shown}]",
+                               reports=[d.center.describe() for d in runs])
+    return runs
+
+
+def _report(curve, runs, mode, Cw, wr, sh, seed, tol) -> InvariantReport:
+    """The report of the first of the cross-checked projections."""
+    data = runs[0]
+    return InvariantReport(
+        Cw=Cw, wr_part=wr, sh_part=sh, crossings=data.crossings,
+        center=data.center.describe(), certificate=data.certificate.describe(), seed=seed,
+        centers_checked=len(runs), ambient=describe_ambient(curve.ambient), mode=mode,
+        complex_pairs=data.complex_pairs, root_residual=tol, projection=data,
+    )
+
+
 def encomplexed_writhe(curve: CurveModel, seed=0, centers=1, forced_center=None,
                        tol=DEFAULT_TARGET_RADIUS) -> InvariantReport:
     """Cw of a smooth real curve as the signed crossing count of a
@@ -225,45 +255,22 @@ def encomplexed_writhe(curve: CurveModel, seed=0, centers=1, forced_center=None,
                        for i in range(n) for j in range(i, n))
     if not first_center:
         _require_smooth(curve, seed)
-    runs = []
-    for k in range(max(1, centers)):
-        data = select_center(
-            curve,
-            seed=seed + 1000003 * k,
-            forced_center=forced_center if k == 0 else None,
-            tol=tol,
-            smoothness=first_center and k == 0,
-        )
-        runs.append(data)
-    totals = []
-    for data in runs:
+
+    def total(data):
         wr, sh = _sum_parts(data)
         if (wr + sh).denominator != 1:
             raise InstabilityError("encomplexed writhe came out non-integral")
         if curve.quadric() is None:
             _check_p3_writhe(curve.components, data)
-        totals.append(wr + sh)
-    if len(set(totals)) > 1:
-        raise InstabilityError(
-            f"centers disagree on Cw: {sorted(set(int(t) for t in totals))}",
-            reports=[d.center.describe() for d in runs],
-        )
-    data = runs[0]
-    wr, sh = _sum_parts(data)
-    return InvariantReport(
-        Cw=int(wr + sh),
-        wr_part=wr,
-        sh_part=sh,
-        crossings=data.crossings,
-        center=data.center.describe(),
-        certificate=data.certificate.describe(),
-        seed=seed,
-        centers_checked=len(runs),
-        ambient=describe_ambient(curve.ambient),
-        mode="diagram",
-        complex_pairs=data.complex_pairs,
-        projection=data,
-    )
+        return wr + sh
+
+    runs = _cross_checked(curve, "Cw", total, seed, centers, forced_center, tol, first_center)
+    wr, sh = _sum_parts(runs[0])
+    return _report(curve, runs, "diagram", int(wr + sh), wr, sh, seed, tol)
+
+
+def _half_shade(data: ProjectionData):
+    return _sum_parts(data)[1] / 2
 
 
 def shade_number_empty_real(curve: CurveModel, seed=0, centers=1, forced_center=None,
@@ -282,40 +289,14 @@ def shade_number_empty_real(curve: CurveModel, seed=0, centers=1, forced_center=
             raise PreconditionError(
                 f"component {comp.label or i} has real points at parameters {zs}"
             )
-    runs = []
-    for k in range(max(1, centers)):
-        runs.append(select_center(curve, seed=seed + 1000003 * k,
-                                  forced_center=forced_center if k == 0 else None, tol=tol))
-    values = []
-    for data in runs:
-        sh = QQ(sum(c.writhe for c in data.crossings if c.kind == "solitary"), 2)
-        values.append(sh)
-    if len(set(values)) > 1:
-        raise InstabilityError(
-            f"centers disagree on sh: {sorted(set(str(v) for v in values))}",
-            reports=[d.center.describe() for d in runs],
-        )
-    data = runs[0]
-    sh = values[0]
+    runs = _cross_checked(curve, "sh", _half_shade, seed, centers, forced_center, tol)
+    sh = _half_shade(runs[0])
     d_total = sum(c.degree for c in curve.components)
     if abs(sh) > QQ(d_total * d_total, 2):
         raise InstabilityError(f"|sh| = {sh} exceeds d^2/2")
     if (sh - QQ(d_total, 2)).denominator > 1:
         raise InstabilityError(f"sh = {sh} is not congruent to d/2 mod 1")
-    return InvariantReport(
-        Cw=None,
-        wr_part=QQ(0),
-        sh_part=sh,
-        crossings=data.crossings,
-        center=data.center.describe(),
-        certificate=data.certificate.describe(),
-        seed=seed,
-        centers_checked=len(runs),
-        ambient=describe_ambient(curve.ambient),
-        mode="shade",
-        complex_pairs=data.complex_pairs,
-        projection=data,
-    )
+    return _report(curve, runs, "shade", None, QQ(0), sh, seed, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,10 @@ Sign conventions (fixed once, used by every writhe recipe):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import GenericityError
 from .scalars import QQ, Surd
@@ -108,36 +109,15 @@ def orientation_sign(vectors):
     n = len(vectors)
     if any(len(v) != n for v in vectors):
         raise ValueError("frame must be square")
-    cols = [[float(x) for x in v] for v in vectors]
-    det = _det_n([[cols[j][i] for j in range(n)] for i in range(n)])
-    scale = 1.0
-    for v in cols:
-        norm = math.sqrt(sum(x * x for x in v))
-        scale *= norm if norm > 0 else 1.0
+    frame = np.array(vectors, dtype=float)  # one row per vector: the same det
+    det = float(np.linalg.det(frame))
+    norms = np.linalg.norm(frame, axis=1)
+    scale = float(np.prod(norms[norms > 0]))
     if scale == 0 or abs(det) < CERT_MARGIN * scale:
         raise DegenerateFrameError(
             f"frame determinant margin {abs(det) / scale if scale else 0.0:.3e} below {CERT_MARGIN}"
         )
     return 1 if det > 0 else -1
-
-
-def _det_n(m):
-    n = len(m)
-    a = [row[:] for row in m]
-    det = 1.0
-    for k in range(n):
-        piv = max(range(k, n), key=lambda i: abs(a[i][k]))
-        if abs(a[piv][k]) == 0.0:
-            return 0.0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    return det
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,7 @@ def _parse_center(c, model: CurveModel):
                 raise CurveFileError("P3 centers must have rational coordinates")
         if q is not None:
             raise CurveFileError("Q3 curves need a quadric center lift")
-        return ProjectionCenter(ProjPoint([v.re for v in vals]), hyperplane=0)
+        return ProjectionCenter(ProjPoint([v.re for v in vals]))
     raise CurveFileError("center needs a lift or a point")
 
 

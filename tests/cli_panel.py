@@ -9,7 +9,9 @@ error and (for `render`) the SVG it wrote, then the command itself.  Run
 it in two checkouts and `diff` the outputs to compare their bytes.
 
 The panel: `invariants` on the 8 fixtures at seeds 0-29, the trefoil
-over 4 centers at seeds 0-3, kae sweeps of both signs on -1:1:1/8 at
+over 4 centers at seeds 0-3, `lp_line`, `kae_half_minus`, `hopf_pair`
+and `unknot` over 3 centers at seeds 0-5 (the cross-check of both the
+Cw and the sh path), kae sweeps of both signs on -1:1:1/8 at
 seeds 0-3, range sweeps at d = 1-6 on -10:10:1/10 at the default K and
 at d = 3, K = 10^4 on the ten benchmark grids, and `render` on the 8
 fixtures at seeds 0-2.
@@ -47,6 +49,10 @@ def commands(svg):
     for seed in range(4):
         yield ["invariants", "--curve", f"{DATA}/trefoil.json", "--seed", str(seed),
                "--centers", "4"]
+    for name in ("lp_line", "kae_half_minus", "hopf_pair", "unknot"):
+        for seed in range(6):
+            yield ["invariants", "--curve", f"{DATA}/{name}.json", "--seed", str(seed),
+                   "--centers", "3"]
     for seed in range(4):
         for eps in ("-1", "1"):
             yield ["sweep", "--family", "kae", "--epsilon", eps, "--grid=-1:1:1/8",

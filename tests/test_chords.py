@@ -71,9 +71,7 @@ class TestMinorSystems:
 class TestShadeSystems:
     def test_lp_line_one_shade_point_generic_center(self):
         c = [G(1), G(QQ(1, 3)), G(QQ(-2, 5)), G(2)]
-        res = solve_minor_system(lp_minors(c), seed=2, w_mode="conj", expected=1, context="lp")
-        assert len(res.solutions) == 1
-        s = res.solutions[0]
+        (s,) = solve_minor_system(lp_minors(c), seed=2, w_mode="conj", expected=1, context="lp")
         assert conjugate_params(s.z, s.w)
         # closed form: z = (p2 - i p3) / (p0 - i p1)
         want = (complex(QQ(-2, 5)) - 2j) / (1 - complex(QQ(1, 3)) * 1j)
@@ -81,8 +79,7 @@ class TestShadeSystems:
 
     def test_lp_line_shade_point_at_infinity(self):
         c = [G(0), G(0), G(0), G(1)]
-        res = solve_minor_system(lp_minors(c), seed=1, w_mode="conj", expected=1, context="lp")
-        (s,) = res.solutions
+        (s,) = solve_minor_system(lp_minors(c), seed=1, w_mode="conj", expected=1, context="lp")
         assert abs(s.z.s) < 1e-12  # the parameter (0, 1)
 
     def test_count_check_failure_raises(self):
@@ -95,8 +92,8 @@ class TestSameComponentSystems:
     def test_unknot_no_chords_after_saturation(self):
         curve = unknot_curve()
         system = center_system(curve, [G(0), G(0), G(0), G(1)])
-        res = solve_minor_system(system, seed=3, w_mode="swap", expected=0, context="unknot")
-        assert res.solutions == []
+        assert solve_minor_system(system, seed=3, w_mode="swap", expected=0,
+                                  context="unknot") == []
         sec = secants(curve, 0, 0, p3=True)
         assert not sec.diagonal_only  # the deck transform came out too
         assert sec.removed == (2, 2)
@@ -106,19 +103,18 @@ class TestSameComponentSystems:
         # generic center; degree 2: none
         curve = kae_curve(QQ(1, 2), -1)
         c = [G(1), G(QQ(2, 7)), G(QQ(-3, 5)), G(QQ(1, 2))]
-        res = solve_minor_system(
+        sols = solve_minor_system(
             center_system(curve, c), seed=6, w_mode="swap", expected=2, context="kae",
         )
-        assert len(res.solutions) == 2
+        assert len(sols) == 2
         assert secants(curve, 0, 0, p3=True).diagonal_only
 
     def test_conjugation_closure(self):
         c = [G(1), G(QQ(2, 7)), G(QQ(-3, 5)), G(QQ(1, 2))]
-        res = solve_minor_system(
+        sols = solve_minor_system(
             center_system(kae_curve(QQ(1, 2), 1), c),
             seed=6, w_mode="swap", expected=2, context="kae",
         )
-        sols = res.solutions
         for s in sols:
             found = any(
                 same_param(s.z.conjugate(), t.z) and same_param(s.w.conjugate(), t.w) for t in sols
@@ -157,12 +153,12 @@ class TestRootIdentity:
 
         monkeypatch.setattr(chords, "_pair_and_polish", spy)
         c = [G(1), G(QQ(2, 7)), G(QQ(-3, 5)), G(QQ(1, 2))]
-        res = solve_minor_system(
+        got = solve_minor_system(
             center_system(kae_curve(QQ(1, 2), eps), c),
             seed=6, w_mode="swap", expected=2, context="kae",
         )
         zroots, sols = calls[-1]
-        assert sols == res.solutions
+        assert sols == got
         a, b = sols
         assert (a.zi, a.wi) == (b.wi, b.zi) and a.zi < a.wi
         for s in sols:
@@ -218,8 +214,7 @@ class TestCandidateFilter:
 @pytest.fixture(scope="module")
 def solutions():
     minors = center_system(trefoil_curve(), [G(0), G(1), G(0), G(0)])
-    res = solve_minor_system(minors, seed=7, w_mode="swap", expected=20, context="trefoil")
-    return res.solutions
+    return solve_minor_system(minors, seed=7, w_mode="swap", expected=20, context="trefoil")
 
 
 class TestTrefoilGolden:
@@ -279,12 +274,12 @@ def _angle(p):
 class TestSelfIntersectionSystems:
     def test_k0_nodes(self):
         for eps, want_real in ((-1, True), (1, False)):
-            res = solve_minor_system(
+            sols = solve_minor_system(
                 secants(kae_curve(0, eps), 0, 0, p3=False),
                 seed=4, w_mode="swap", context="k0",
             )
-            assert len(res.solutions) == 2  # ordered
-            for s in res.solutions:
+            assert len(sols) == 2  # ordered
+            for s in sols:
                 assert (s.z.real and s.w.real) == want_real
 
 

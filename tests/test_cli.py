@@ -165,6 +165,48 @@ class TestExitCodes:
             "invariants need a smooth embedding\n"
         )
 
+    @pytest.mark.parametrize("point, message", [
+        # kae(1/2, -1) passes through [1, 0, 0, 1/2] at parameter infinity
+        (["1", "0", "0", "1/2"], "center lies on the projected component 0"),
+        # [1, 2, 2, 1] is on a tangent line: one of the two chords is tangent
+        (["1", "2", "2", "1"], "chords[0,0]: found 1 solutions, expected 2 "
+                               "(non-generic configuration or uncertified pairing)"),
+    ], ids=["on-curve", "tangent-line"])
+    def test_adversarial_file_center_exit_2(self, point, message, tmp_path, capsys):
+        path = tmp_path / "kae.json"
+        curve = json.loads((DATA / "kae_half_minus.json").read_text())
+        path.write_text(json.dumps({**curve, "center": {"point": point}}))
+        code, out = run(["invariants", "--curve", str(path)], capsys)
+        assert code == 2
+        assert out == b""
+        assert capsys.readouterr().err == f"genericity failure: {message}\n"
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("kae_half_minus", "Cw", "centers disagree on Cw: [-1, 1]"),
+        ("lp_line", "sh", "centers disagree on sh: [-1/2, 1/2]"),
+    ])
+    def test_centers_that_disagree_exit_3(self, name, value, message, capsys, monkeypatch):
+        # every writhe of the second center flipped: the first center's
+        # value and its negative, both within the value's own checks
+        select_center = invariants.select_center
+        runs = []
+
+        def flipped(*args, **kwargs):
+            data = select_center(*args, **kwargs)
+            runs.append(data)
+            if len(runs) == 2:
+                for c in data.crossings:
+                    c.writhe = -c.writhe
+            return data
+
+        monkeypatch.setattr(invariants, "select_center", flipped)
+        code, out = run(["invariants", "--curve", str(DATA / f"{name}.json"), "--centers", "2"],
+                        capsys)
+        assert len(runs) == 2
+        assert code == 3
+        assert out == b""
+        assert capsys.readouterr().err == f"precondition violation: {message}\n"
+
     def test_lp_line_shade_branch(self, capsys):
         code, out = run(
             ["invariants", "--curve", str(DATA / "lp_line.json"), "--seed", "3"], capsys
@@ -534,6 +576,30 @@ class TestCommands:
             "system_residual": ACCEPT_TOL,
         }
         assert cli.build_parser().parse_args(["invariants", "--curve", "c"]).tol == DEFAULT_TARGET_RADIUS
+
+    @pytest.mark.parametrize("tol, shown", [("1e-8", b"1e-08"), ("1e-30", b"1e-14"),
+                                            ("1e-3", b"1e-06")])
+    def test_reported_root_residual_is_the_radius_used(self, tol, shown, capsys):
+        # --tol is clamped to [1e-14, 1e-6] before it reaches the engine
+        code, out = run(["invariants", "--curve", str(DATA / "unknot.json"), "--tol", tol],
+                        capsys)
+        assert code == 0
+        assert b'"root_residual":' + shown + b"," in out
+
+    @pytest.mark.parametrize("curve, hyperplane", [
+        # the first index of largest |c_m|: 2 at index 3
+        ({**json.loads((DATA / "lp_line.json").read_text()),
+          "center": {"point": ["1", "1/3", "-2/5", "2"]}}, 3),
+        # the lift [1, 0, sqrt(2), 0, 0] projects to [0, 1, 0, 0]
+        (json.loads((DATA / "trefoil.json").read_text()), 1),
+    ], ids=["p3-point", "trefoil-lift"])
+    def test_reported_hyperplane_is_the_largest_center_coordinate(self, curve, hyperplane,
+                                                                  tmp_path, capsys):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(curve))
+        code, out = run(["invariants", "--curve", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["center"]["hyperplane"] == hyperplane
 
     def test_sweep_kae_payload(self, capsys):
         code, out = run(

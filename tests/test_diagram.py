@@ -60,7 +60,7 @@ class TestSelectCenter:
         u = unknot_curve()
         comp = u.components[0]
         pt = ProjPoint([f.eval(G(1), G(2)).re for f in p3_forms(comp.coords)])
-        bad = ProjectionCenter(pt, hyperplane=0)
+        bad = ProjectionCenter(pt)
         with pytest.raises(GenericityError):
             project_curve(u, bad, seed=1)
 
@@ -74,7 +74,16 @@ class TestSelectCenter:
         curve = CurveModel("P3", [CurveComponent(coords)])
         pt = ProjPoint([1, QQ(2, 7), QQ(-3, 5), 0])
         with pytest.raises(GenericityError, match="positive-dimensional"):
-            project_curve(curve, ProjectionCenter(pt, hyperplane=0), seed=0)
+            project_curve(curve, ProjectionCenter(pt), seed=0)
+
+    def test_project_curve_leaves_the_center_unmodified(self):
+        # the diagram hyperplane is the center's first largest coordinate,
+        # derived from the center rather than written back by the projection
+        center = ProjectionCenter(ProjPoint([1, QQ(1, 3), QQ(-2, 5), 2]), seed=4, attempt=2)
+        before = center.describe()
+        assert before["hyperplane"] == 3
+        project_curve(lp_line_curve(), center, seed=0)
+        assert center.describe() == before
 
     def test_certificate_flags_all_true(self):
         d = select_center(trefoil_curve(), seed=1)

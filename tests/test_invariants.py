@@ -299,10 +299,10 @@ class TestCuspAndParityGuards:
         solve = diagram.solve_minor_system
 
         def mutated(*args, **kwargs):
-            res = solve(*args, **kwargs)
-            for s in res.solutions:
+            sols = solve(*args, **kwargs)
+            for s in sols:
                 mutation(s)
-            return res
+            return sols
 
         monkeypatch.setattr(diagram, "solve_minor_system", mutated)
 
