@@ -178,24 +178,23 @@ def secants(curve, i, j, *, p3):
 
 def _binary_form_roots(form: BinaryForm, target_radius=DEFAULT_TARGET_RADIUS):
     """Certified parameter points of P1 where the form vanishes, each
-    tagged with its index in complex_roots' order; the degree deficit of
-    the affine chart is the multiplicity at (0, 1), which comes last.
+    tagged with its index in complex_roots' order; the point (0, 1), where
+    the form vanishes when its t^d coefficient does, comes last.
 
     Also returns the conjugation map on the indices for a real form (None
     otherwise): root j is the conjugate of root i when disk j is the one
     disk that meets the mirror image of disk i."""
     if form.is_zero():
         raise GenericityError("root extraction from the zero form")
-    p = form.chart_t()
     real = form.is_real()
-    roots = complex_roots(p, target_radius) if p.degree >= 1 else []
+    roots = complex_roots(form, target_radius)
     pts = []
     for k, r in enumerate(roots):
         scale = max(1.0, abs(r.center)) ** 2
-        pts.append(ParamPoint(1.0, r.center, r.radius / scale, r.multiplicity, r.real, k))
-    inf_mult = form.degree - p.degree if p else form.degree
-    if inf_mult > 0:
-        pts.append(ParamPoint(0.0, 1.0, 0.0, inf_mult, real, len(roots)))
+        pts.append(ParamPoint(1.0, r.center, r.radius / scale, r.real, k))
+    at_inf = form.num[-1] == GZERO
+    if at_inf:
+        pts.append(ParamPoint(0.0, 1.0, 0.0, real, len(roots)))
     if not real:
         return pts, None
     conj = []
@@ -207,7 +206,7 @@ def _binary_form_roots(form: BinaryForm, target_radius=DEFAULT_TARGET_RADIUS):
                 f"mirrored root disk meets {len(hits)} disks", clusters=[r]
             )
         conj.append(hits[0])
-    return pts, conj + [len(roots)] * (inf_mult > 0)
+    return pts, conj + [len(roots)] * at_inf
 
 
 def _random_combo(minors, rng):
@@ -375,9 +374,9 @@ def _polish(T, zp: ParamPoint, wp: ParamPoint):
         if abs(dz) + abs(dw) < 1e-14:
             break
     zp2 = ParamPoint(*((1.0, zx) if z_chart_t else (zx, 1.0)),
-                     max(zp.radius, abs(dz)), zp.mult, zp.real, zp.root)
+                     max(zp.radius, abs(dz)), zp.real, zp.root)
     wp2 = ParamPoint(*((1.0, wx) if w_chart_t else (wx, 1.0)),
-                     max(wp.radius, abs(dw)), wp.mult, wp.real, wp.root)
+                     max(wp.radius, abs(dw)), wp.real, wp.root)
     return zp2, wp2
 
 

@@ -9,6 +9,7 @@ input, seed and flags.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_GENERICITY = 2
 EXIT_PRECONDITION = 3
+MAX_GRID_SAMPLES = 10**5
 
 
 def build_parser():
@@ -86,12 +88,10 @@ def _parse_grid(spec: str):
         raise CurveFileError(f"bad grid value: {e}") from e
     if step <= 0 or b < a:
         raise CurveFileError("grid needs a <= b and step > 0")
-    out = []
-    g = a
-    while g <= b:
-        out.append(g)
-        g += step
-    return out
+    n = (b - a) // step + 1
+    if n > MAX_GRID_SAMPLES:
+        raise CurveFileError(f"grid has {n} samples, more than {MAX_GRID_SAMPLES}")
+    return list(itertools.accumulate(itertools.repeat(step, n - 1), initial=a))
 
 
 def _invariant(model):

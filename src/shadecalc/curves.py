@@ -41,14 +41,13 @@ class ParamPoint:
     """A point of the parameter line P1, kept as a normalized (s, t)
     pair: real pairs stay real, the larger coordinate is scaled to 1.
     `radius` is the certification radius in the chart of the smaller
-    coordinate; `mult` the root multiplicity where one applies.  A point
-    found as a certified root carries that root's index in `root` and
-    its certified realness in `real`; nothing re-derives either from
-    the floats."""
+    coordinate.  A point found as a certified root carries that root's
+    index in `root` and its certified realness in `real`; nothing
+    re-derives either from the floats."""
 
-    __slots__ = ("s", "t", "radius", "mult", "real", "root")
+    __slots__ = ("s", "t", "radius", "real", "root")
 
-    def __init__(self, s, t, radius=0.0, mult=1, real=False, root=None):
+    def __init__(self, s, t, radius=0.0, real=False, root=None):
         s, t = complex(s), complex(t)
         if abs(s) >= abs(t):
             s, t = 1.0 + 0j, t / s
@@ -56,7 +55,6 @@ class ParamPoint:
             s, t = s / t, 1.0 + 0j
         self.s, self.t = s, t
         self.radius = float(radius)
-        self.mult = int(mult)
         self.real = bool(real)
         self.root = root
 
@@ -70,9 +68,7 @@ class ParamPoint:
         return chart_t, self.t if chart_t else self.s
 
     def conjugate(self):
-        return ParamPoint(
-            self.s.conjugate(), self.t.conjugate(), self.radius, self.mult, self.real, self.root
-        )
+        return ParamPoint(self.s.conjugate(), self.t.conjugate(), self.radius, self.real, self.root)
 
     def affine(self):
         """t/s, possibly inf."""

@@ -14,7 +14,7 @@ the total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +23,7 @@ from .chords import ACCEPT_TOL, canonical_unordered, secants, solve_minor_system
 from .curves import CurveModel, SelfIntersection, describe_ambient
 from .diagram import SOLITARY_SIGN, ProjectionData, select_center
 from .errors import DoublePointError, GenericityError, InstabilityError, PreconditionError
-from .poly import UPoly, real_roots_sturm
+from .poly import BinaryForm, form_gcd, real_roots_sturm
 from .projective import CERT_MARGIN, REALNESS_TOL
 from .roots import DEFAULT_TARGET_RADIUS
 from .scalars import QQ
@@ -54,19 +54,15 @@ class InvariantReport:
     Cw: int | None
     wr_part: Fraction
     sh_part: Fraction
-    crossings: list
-    center: dict
-    certificate: dict
+    projection: ProjectionData  # the reported one: its center, certificate and crossings
     seed: int
     centers_checked: int
     ambient: object
     mode: str
-    complex_pairs: int = 0
     root_residual: float = DEFAULT_TARGET_RADIUS  # the root radius the engine was given
-    # the reported projection, kept for rendering; never serialized
-    projection: ProjectionData | None = field(default=None, repr=False, compare=False)
 
     def describe(self):
+        data = self.projection
         return {
             "Cw": self.Cw,
             "wr_part": _frac_str(self.wr_part),
@@ -75,10 +71,10 @@ class InvariantReport:
             "ambient": self.ambient,
             "seed": self.seed,
             "centers_checked": self.centers_checked,
-            "center": self.center,
-            "certificate": self.certificate,
-            "crossings": [c.describe() for c in self.crossings],
-            "complex_chord_pairs": self.complex_pairs,
+            "center": data.center.describe(),
+            "certificate": data.certificate.describe(),
+            "crossings": [c.describe() for c in data.crossings],
+            "complex_chord_pairs": data.complex_pairs,
             "tolerances": {**TOLERANCES, "root_residual": self.root_residual},
         }
 
@@ -225,12 +221,10 @@ def _cross_checked(curve, name, value, seed, centers, forced_center, tol, smooth
 
 def _report(curve, runs, mode, Cw, wr, sh, seed, tol) -> InvariantReport:
     """The report of the first of the cross-checked projections."""
-    data = runs[0]
     return InvariantReport(
-        Cw=Cw, wr_part=wr, sh_part=sh, crossings=data.crossings,
-        center=data.center.describe(), certificate=data.certificate.describe(), seed=seed,
+        Cw=Cw, wr_part=wr, sh_part=sh, projection=runs[0], seed=seed,
         centers_checked=len(runs), ambient=describe_ambient(curve.ambient), mode=mode,
-        complex_pairs=data.complex_pairs, root_residual=tol, projection=data,
+        root_residual=tol,
     )
 
 
@@ -305,43 +299,35 @@ def shade_number_empty_real(curve: CurveModel, seed=0, centers=1, forced_center=
 
 
 def _range_polys(d: int, t, K):
-    """(A, B) with A = P(u,1) - 1 and B = Q_t(u,1) - 1 as exact UPoly."""
+    """(A, B) with A = P(u,1) - 1 and B = Q_t(u,1) - 1 as exact degree-d
+    binary forms in (s, u)."""
     if d < 1:
         raise PreconditionError("range family needs degree >= 1")
     K = QQ(K)
     t = QQ(t)
     if K <= 0:
         raise PreconditionError("K must be positive")
-    A = UPoly([K])
+    A = BinaryForm(0, [K])
     for j in range(1, d + 1):
-        A = A * UPoly([-j, 1])
-    B = UPoly([K])
+        A = A * BinaryForm(1, [-j, 1])
+    B = BinaryForm(0, [K])
     for j in range(1, d + 1):
-        B = B * UPoly([-(t + QQ(j, d * d + 1)), 1])
-    one = UPoly([1])
+        B = B * BinaryForm(1, [-(t + QQ(j, d * d + 1)), 1])
+    one = BinaryForm(d, [1] + [0] * d)  # s^d
     return A - one, B - one
-
-
-def _upoly_mirror(p: UPoly) -> UPoly:
-    """p(-u)."""
-    num = [(-a, -b) if j % 2 else (a, b) for j, (a, b) in enumerate(p.num)]
-    return UPoly._from_ints(p.den, num)
-
-
-def _ures_is_zero(f: UPoly, g: UPoly) -> bool:
-    """Exact vanishing test for the univariate resultant of f and g."""
-    return f.gcd(g).degree >= 1
 
 
 def range_family_is_singular(d, t, K) -> bool:
     """True iff some theta_j + phi_k(t) = 0 (the member W_t has a real
     point); exact via a gcd test on A(u), B(-u)."""
     A, B = _range_polys(d, t, K)
-    return _ures_is_zero(A, _upoly_mirror(B))
+    mirror = BinaryForm._from_ints(d, B.den, [(-a, -b) if k % 2 else (a, b)
+                                              for k, (a, b) in enumerate(B.num)])
+    return form_gcd([A, mirror]).degree >= 1
 
 
-def _certified_real_roots(p: UPoly, expect: int, what: str):
-    ivs = real_roots_sturm(p, width=QQ(1, 2**90))
+def _certified_real_roots(f: BinaryForm, expect: int, what: str):
+    ivs = real_roots_sturm(f, width=QQ(1, 2**90))
     if len(ivs) != expect:
         raise PreconditionError(
             f"{what}: found {len(ivs)} real roots, need {expect} (increase K)"

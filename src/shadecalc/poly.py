@@ -1,8 +1,8 @@
 """Exact polynomial arithmetic over Q(i) on one number type.
 
-UPoly, BinaryForm and BivarPoly store one positive denominator `den` over
-a table `num` of Gaussian integers, plain ``(a, b)`` int tuples for
-a + b*i, in lowest terms: gcd(den, every a and b) == 1 and the zero
+BinaryForm and BivarPoly store one positive denominator `den` over a
+table `num` of Gaussian integers, plain ``(a, b)`` int tuples for a + b*i,
+in lowest terms: gcd(den, every a and b) == 1 and the zero
 polynomial has den = 1, so equal values are equal objects.  Arithmetic is
 integer arithmetic plus one lcm and one reduction per operation, and the
 exact kernels (gcds, exact division, resultants) read the integer
@@ -12,7 +12,9 @@ Evaluation here is exact.  Floats enter through one conversion rule,
 which rounds exactly like the GaussianRational value.  A curve component
 converts its coordinate forms that way once into one complex table, and
 the chord solver a whole BivarPoly table once per solve attempt; no float
-copy is kept on a polynomial.
+copy is kept on a polynomial.  A univariate polynomial is a binary form
+read in the chart s = 1: root finding and real-root intervals take the
+form and work on f(1, t), its `to_zx` table.
 
 Univariate gcds are modular (Brown 1971, zx_gcd), each proven by exact
 division and normalized to a leading coefficient with re > 0, im >= 0.
@@ -43,7 +45,6 @@ import numpy as np
 from .scalars import GaussianRational, QQ
 
 __all__ = [
-    "UPoly",
     "BinaryForm",
     "BivarPoly",
     "real_roots_sturm",
@@ -480,112 +481,6 @@ class _IntTable:
 
 
 # ---------------------------------------------------------------------------
-# UPoly: public univariate polynomial over Q(i)
-# ---------------------------------------------------------------------------
-
-
-class UPoly(_IntTable):
-    """Dense univariate polynomial over Q(i), little-endian: Gaussian
-    integers `num` (trailing zeros stripped) over one denominator `den`,
-    in lowest terms.  `coeffs` is the exact GaussianRational view."""
-
-    __slots__ = ("den", "num")
-
-    def __init__(self, coeffs):
-        den, (num,) = _ints_of([coeffs])
-        self._init(den, num)
-
-    def _init(self, den, num):
-        den, (num,) = _lowest_terms(den, [zx_strip(list(num))])
-        self.den, self.num = den, tuple(num)
-
-    @classmethod
-    def from_zx(cls, f):
-        return cls._from_ints(1, f)
-
-    def to_zx(self):
-        """Primitive Z[i] coefficient list (self up to a positive rational)."""
-        return _strip_int_content(list(self.num))
-
-    @property
-    def coeffs(self):
-        return tuple(_exact(self.den, c) for c in self.num)
-
-    @property
-    def degree(self):
-        return len(self.num) - 1
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __add__(self, other):
-        den = math.lcm(self.den, other.den)
-        return UPoly._from_ints(
-            den, zx_add(_lift(self.num, den // self.den), _lift(other.num, den // other.den))
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return UPoly._from_ints(self.den, zx_neg(self.num))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            d, g = _scalar(other)
-            return UPoly._from_ints(self.den * d, [gmul(c, g) for c in self.num])
-        return UPoly._from_ints(self.den * other.den, zx_mul(self.num, other.num))
-
-    __rmul__ = __mul__
-
-    def __call__(self, z):
-        """The exact value at an exact scalar z."""
-        acc = GaussianRational(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-    def is_real(self):
-        return all(b == 0 for _, b in self.num)
-
-    def conjugate(self):
-        return UPoly._from_ints(self.den, [(a, -b) for a, b in self.num])
-
-    def gcd(self, other):
-        return UPoly.from_zx(zx_gcd(self.to_zx(), other.to_zx()))
-
-    def __repr__(self):
-        return f"UPoly({[str(c) for c in self.coeffs]})"
-
-
-def real_roots_sturm(p: UPoly, width=QQ(1, 2**40)):
-    """Sorted disjoint closed rational intervals, one per distinct real
-    root of a real polynomial, each of width `width` around the exact
-    center of a certified real disk from roots.complex_roots (the disk's
-    own [c - r, c + r] when two roots lie closer than `width`).
-
-    There is no Sturm chain behind it: the benchmark ledger wraps this
-    function by name, which waits for the next benchmark change.
-    """
-    from .roots import complex_roots  # roots imports this module
-
-    if not p:
-        raise PolynomialError("zero polynomial has no isolated roots")
-    if not p.is_real():
-        raise PolynomialError("polynomial has non-real coefficients")
-    h = width / 2
-    disks = [
-        (Fraction(r.re, 1 << r.prec), Fraction(r.rad, 1 << r.prec))
-        for r in complex_roots(p, h)
-        if r.real
-    ]
-    wide = [(c - h, c + h) for c, _ in disks]
-    if all(a[1] < b[0] for a, b in zip(wide, wide[1:])):
-        return wide
-    return [(c - r, c + r) for c, r in disks]
-
-
-# ---------------------------------------------------------------------------
 # BinaryForm: homogeneous polynomial in (s, t)
 # ---------------------------------------------------------------------------
 
@@ -669,9 +564,10 @@ class BinaryForm(_IntTable):
         return (BinaryForm._from_ints(d - 1, self.den, ds),
                 BinaryForm._from_ints(d - 1, self.den, dt))
 
-    def chart_t(self) -> UPoly:
-        """f(1, t) as a polynomial in t."""
-        return UPoly._from_ints(self.den, self.num)
+    def to_zx(self):
+        """Primitive Z[i] coefficient list of f(1, t), little-endian in t
+        (f(1, t) up to a positive rational)."""
+        return _strip_int_content(zx_strip(list(self.num)))
 
     def __repr__(self):
         return f"BinaryForm({self.degree}, {[str(c) for c in self.coeffs]})"
@@ -704,6 +600,34 @@ def form_gcd(forms):
             break
     d = len(g) - 1 + s_pow + t_pow
     return BinaryForm._from_ints(d, 1, [GZERO] * t_pow + list(g) + [GZERO] * s_pow)
+
+
+def real_roots_sturm(f: BinaryForm, width=QQ(1, 2**40)):
+    """Sorted disjoint closed rational intervals, one per distinct real
+    root t of f(1, t) for a real form f, each of width `width` around the
+    exact center of a certified real disk from roots.complex_roots (the
+    disk's own [c - r, c + r] when two roots lie closer than `width`).
+    A root at (0, 1) has no interval.
+
+    There is no Sturm chain behind it: the benchmark ledger wraps this
+    function by name, which waits for the next benchmark change.
+    """
+    from .roots import complex_roots  # roots imports this module
+
+    if f.is_zero():
+        raise PolynomialError("zero polynomial has no isolated roots")
+    if not f.is_real():
+        raise PolynomialError("polynomial has non-real coefficients")
+    h = width / 2
+    disks = [
+        (Fraction(r.re, 1 << r.prec), Fraction(r.rad, 1 << r.prec))
+        for r in complex_roots(f, h)
+        if r.real
+    ]
+    wide = [(c - h, c + h) for c, _ in disks]
+    if all(a[1] < b[0] for a, b in zip(wide, wide[1:])):
+        return wide
+    return [(c - r, c + r) for c, r in disks]
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly import UPoly, complex_coeffs, zx_sqf_list
+from .poly import BinaryForm, complex_coeffs, zx_sqf_list
 
 __all__ = ["CertifiedRoot", "UncertifiedRootsError", "complex_roots"]
 
@@ -197,19 +197,21 @@ def _radius(shifted, x, y, prec, h=None):
     return -(-(SLACK * n * hi << prec) // lo)
 
 
-def complex_roots(p: UPoly, target_radius=DEFAULT_TARGET_RADIUS):
-    """All complex roots of p with certified disks and exact multiplicities,
-    sorted by (Re, Im) of the centers.
+def complex_roots(f: BinaryForm, target_radius=DEFAULT_TARGET_RADIUS):
+    """All roots t of f(1, t) with certified disks and exact
+    multiplicities, sorted by (Re, Im) of the centers.  A root of the form
+    at (0, 1), where the declared degree exceeds that of f(1, t), is not
+    among them.
 
     Overlapping disks of two coprime factors are certified again at a quarter
     of the larger radius, up to MAX_ROUNDS times; then UncertifiedRootsError.
     """
-    if not p:
+    if f.is_zero():
         raise ValueError("cannot root-solve the zero polynomial")
-    zx = p.to_zx()
+    zx = f.to_zx()
     if len(zx) <= 1:
         return []
-    real_poly = p.is_real()
+    real_poly = f.is_real()
     factors = [fm for fm in zx_sqf_list(zx) if len(fm[0]) > 1]
     found = [_certified_factor_roots(*fm, real_poly, target_radius) for fm in factors]
     for _ in range(MAX_ROUNDS + 1):

@@ -12,9 +12,12 @@ The panel: `invariants` on the 8 fixtures at seeds 0-29, the trefoil
 over 4 centers at seeds 0-3, `lp_line`, `kae_half_minus`, `hopf_pair`
 and `unknot` over 3 centers at seeds 0-5 (the cross-check of both the
 Cw and the sh path), kae sweeps of both signs on -1:1:1/8 at
-seeds 0-3, range sweeps at d = 1-6 on -10:10:1/10 at the default K and
-at d = 3, K = 10^4 on the ten benchmark grids, and `render` on the 8
-fixtures at seeds 0-2.
+seeds 0-3, range sweeps at d = 1-6 on -10:10:1/10 at the default K, at
+d = 3, K = 10^4 on the ten benchmark grids and at d = 2 and 3 with
+K = 1 on -2:2:1, and `render` on the 8 fixtures at seeds 0-2.  At
+d = 3, K = 1 is too small to isolate the range family's real roots, so
+that sweep runs the exact singular test (`_range_polys` and the gcd) on
+every sample, where the others run it only inside walls.
 """
 
 from __future__ import annotations
@@ -64,6 +67,8 @@ def commands(svg):
         delta = Fraction(random.Random(seed).randrange(1000), 10000)
         yield ["sweep", "--family", "range", "--d", "3", "--K", "10000",
                f"--grid={_fmt(-10 + delta)}:{_fmt(10 + delta)}:1/10"]
+    for d in (2, 3):
+        yield ["sweep", "--family", "range", "--d", str(d), "--K", "1", "--grid=-2:2:1"]
     for name in FIXTURES:
         for seed in range(3):
             yield ["render", "--curve", f"{DATA}/{name}.json", "--seed", str(seed),

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 
-from shadecalc.poly import BivarPoly, UPoly, bivar_resultant_w, gmul, zx_diff
+from shadecalc.poly import BinaryForm, BivarPoly, bivar_resultant_w, gmul
 from shadecalc.scalars import QQ, GaussianRational
 
 
@@ -16,6 +16,17 @@ def bp(m, n, entries):
     return BivarPoly(m, n, rows)
 
 
+def form(cs):
+    """The binary form f of degree len(cs) - 1 with f(1, t) = sum cs[k] t^k."""
+    return BinaryForm(len(cs) - 1, cs)
+
+
+def zx_form(f):
+    """The binary form of degree len(f) - 1 whose f(1, t) has the Z[i]
+    coefficient table f, little-endian in t."""
+    return BinaryForm._from_ints(len(f) - 1, 1, f)
+
+
 def exact(x):
     """x as a GaussianRational; a float or complex counts at its exact
     binary value."""
@@ -23,11 +34,6 @@ def exact(x):
         return x
     x = complex(x)
     return GaussianRational(x.real, x.imag)
-
-
-def derivative(p):
-    """p' of a UPoly, from the kernel's zx_diff."""
-    return UPoly._from_ints(p.den, zx_diff(p.num))
 
 
 def abs2(z):
@@ -106,7 +112,7 @@ def resultant_root_product_check(cases=200, seed=20240809, rel=1e-8):
         g = bp(m2, n2, {(j, k): rng.randint(-6, 6) for j in range(m2 + 1) for k in range(n2 + 1)})
         if f.is_zero() or g.is_zero():
             continue
-        r = bivar_resultant_w(f, g).chart_t()
+        r = bivar_resultant_w(f, g)
         z0 = QQ(rng.randint(-4, 4), rng.randint(1, 3))
         fw = [complex(sum(complex(f.rows[j][k]) * complex(z0) ** j for j in range(m1 + 1))) for k in range(n1 + 1)]
         gw = [complex(sum(complex(g.rows[j][k]) * complex(z0) ** j for j in range(m2 + 1))) for k in range(n2 + 1)]
@@ -118,7 +124,7 @@ def resultant_root_product_check(cases=200, seed=20240809, rel=1e-8):
         for b in beta:
             for a in alpha:
                 prod *= b - a
-        mine = complex(r(z0))
+        mine = complex(r.eval(1, z0))
         scale = max(abs(prod), abs(mine), 1e-30)
         assert abs(mine - prod) <= rel * scale, (fw, gw, mine, prod)
         checked += 1

@@ -132,6 +132,18 @@ class TestRootIdentity:
         assert conj == [1, 0, 2, 3]
         assert pts[3].s == 0
 
+    @pytest.mark.parametrize("deficit", [1, 2])
+    def test_root_at_infinity_comes_last(self, deficit):
+        # s^deficit (t - s)(t - 2 s): the chart roots 1 and 2, then (0, 1)
+        # once, whatever its multiplicity
+        f = BinaryForm(2 + deficit, [2, -3, 1] + [0] * deficit)
+        pts, conj = _binary_form_roots(f)
+        assert [p.root for p in pts] == [0, 1, 2]
+        assert all(p.real for p in pts)
+        assert conj == [0, 1, 2]
+        assert [p.affine() for p in pts[:2]] == [1, 2]
+        assert (pts[2].s, pts[2].t) == (0, 1)
+
     def test_non_real_form_has_no_conjugate_map(self):
         # (t - i s)(t - s): the root 1 of a non-real form is not flagged real
         pts, conj = _binary_form_roots(BinaryForm(2, [G(0, 1), G(-1, -1), G(1)]))

@@ -5,12 +5,15 @@ import io
 import json
 import shutil
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from shadecalc import cli, invariants, roots
 from shadecalc.cli import main
+from shadecalc.errors import CurveFileError
+from shadecalc.scalars import QQ
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "src" / "shadecalc" / "data"
@@ -62,6 +65,21 @@ class TestExitCodes:
     def test_bad_grid_exit_1(self, capsys):
         code, _ = run(["sweep", "--family", "kae", "--epsilon", "1", "--grid=1:0:1"], capsys)
         assert code == 1
+
+    def test_oversized_grid_exit_1_at_once(self, capsys):
+        # 10^9 + 1 samples: the count is checked before any sample is built
+        start = time.perf_counter()
+        code, out = run(["sweep", "--family", "range", "--d", "1", "--grid=0:1e9:1"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, b"")
+        assert capsys.readouterr().err == "error: grid has 1000000001 samples, more than 100000\n"
+
+    def test_grid_sample_count_bound(self):
+        assert cli._parse_grid("-1:1:1/3") == [QQ(k, 3) for k in range(-3, 4)]
+        assert cli._parse_grid("0:1:3") == [0]
+        assert len(cli._parse_grid(f"0:{cli.MAX_GRID_SAMPLES - 1}:1")) == cli.MAX_GRID_SAMPLES
+        with pytest.raises(CurveFileError, match="more than"):
+            cli._parse_grid(f"0:{cli.MAX_GRID_SAMPLES}:1")
 
     @pytest.mark.parametrize("centers", ["0", "-2"])
     def test_centers_below_one_exit_1(self, centers, capsys):

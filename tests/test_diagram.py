@@ -220,9 +220,10 @@ class TestRecipeInvariances:
                                    forced_center=center_from_lift(ProjPoint(lift), q))
                 for lift in (x, [x[0]] + [-c for c in x[1:]])]
         assert reps[0].Cw == reps[1].Cw
-        ids = [[(c.kind, c.z.root, c.w.root) for c in r.crossings] for r in reps]
+        crossings = [r.projection.crossings for r in reps]
+        ids = [[(c.kind, c.z.root, c.w.root) for c in cs] for cs in crossings]
         assert ids[0] == ids[1]
-        flipped = [a.writhe for a, b in zip(*(r.crossings for r in reps)) if a.writhe != b.writhe]
+        flipped = [a.writhe for a, b in zip(*crossings) if a.writhe != b.writhe]
         assert len(flipped) == changed and sum(flipped) == 0
 
 

@@ -32,19 +32,19 @@ from shadecalc.invariants import (
     self_double_points,
     shade_number_empty_real,
 )
-from shadecalc.poly import BinaryForm, real_roots_sturm
+from shadecalc.poly import BinaryForm, real_roots_sturm, zx_mul
 from shadecalc.projective import QuadricSpec
 from shadecalc.reportio import parse_curve_file
 from shadecalc.scalars import QQ
 
-from helpers import derivative, exact, stereo_r3
+from helpers import exact, stereo_r3
 
 
 class TestGoldenValues:
     def test_unknot_zero(self):
         rep = encomplexed_writhe(unknot_curve(), seed=3)
         assert rep.Cw == 0 and rep.wr_part == 0 and rep.sh_part == 0
-        assert rep.crossings == []
+        assert rep.projection.crossings == []
 
     def test_trefoil_four(self):
         rep = encomplexed_writhe(trefoil_curve(), seed=3)
@@ -54,7 +54,7 @@ class TestGoldenValues:
     def test_lp_line_half(self):
         rep = shade_number_empty_real(lp_line_curve(), seed=3)
         assert rep.sh_part == QQ(1, 2)  # frozen sign of the calibrated chain
-        assert len(rep.crossings) == 1
+        assert len(rep.projection.crossings) == 1
 
     def test_singular_member_rejected(self):
         with pytest.raises(PreconditionError) as ei:
@@ -150,7 +150,7 @@ class TestFirstCenterSmoothness:
         # seed 1 accepts its first drawn center (seed 0 rejects one after
         # its solve); a separate smoothness solve would make it 2
         rep = encomplexed_writhe(kae_curve(QQ(1, 2), -1), seed=1, centers=1)
-        assert (rep.Cw, rep.center["attempt"]) == (1, 0)
+        assert (rep.Cw, rep.projection.center.attempt) == (1, 0)
         assert calls == {"solve": 1, "sdp": 0}
 
     P3_CURVES = (
@@ -309,7 +309,8 @@ class TestCuspAndParityGuards:
     def test_solitary_filed_as_non_contributing_trips_the_guard(self, monkeypatch):
         # kae(1, +1) has one solitary crossing: dropping the conjugate flag
         # makes it the one non-contributing solution of its system
-        assert [c.kind for c in encomplexed_writhe(kae_curve(1, 1)).crossings] == ["solitary"]
+        rep = encomplexed_writhe(kae_curve(1, 1))
+        assert [c.kind for c in rep.projection.crossings] == ["solitary"]
 
         def drop_conjugate(s):
             s.conjugate = False
@@ -333,7 +334,7 @@ class TestCuspAndParityGuards:
         # kae(1/2, -1) has N_3 = 1 chord through a center: one crossing,
         # Cw = 1; dropping it moves Cw by 1 (flipping its sign would move
         # it by 2 and keep the parity)
-        assert len(encomplexed_writhe(kae_curve(QQ(1, 2), -1), seed=2).crossings) == 1
+        assert len(encomplexed_writhe(kae_curve(QQ(1, 2), -1), seed=2).projection.crossings) == 1
         self._edit_crossings(monkeypatch, lambda crossings: crossings[1:])
         with pytest.raises(InstabilityError, match="Cw = 0 is not congruent to N_d = 1 mod 2"):
             encomplexed_writhe(kae_curve(QQ(1, 2), -1), seed=2)
@@ -400,6 +401,43 @@ class TestRangeFamily:
         assert not range_family_is_singular(1, t_sing + QQ(1, 10**6), K)
         with pytest.raises(PreconditionError):
             range_family_shade(1, t_sing, K)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_range_polys_are_the_products(self, d):
+        # K prod (u - r_j) - 1 from integer tables: with r_j = p_j / q and
+        # K = k / m it is (k prod (q u - p_j) - m q^d) / (m q^d)
+        def expected(roots, K):
+            q = math.lcm(*(r.denominator for r in roots))
+            table = [(1, 0)]
+            for r in roots:
+                table = zx_mul(table, [(-int(r * q), 0), (q, 0)])
+            k, m = K.numerator, K.denominator
+            num = [(k * a, 0) for a, _ in table]
+            num[0] = (num[0][0] - m * q**d, 0)
+            return BinaryForm._from_ints(d, m * q**d, num)
+
+        for t, K in ((QQ(0), QQ(10) ** (2 + d)), (QQ(-7, 3), QQ(5, 4)), (QQ(11, 6), QQ(1))):
+            A, B = invariants._range_polys(d, t, K)
+            assert A == expected([QQ(j) for j in range(1, d + 1)], K)
+            assert B == expected([t + QQ(j, d * d + 1) for j in range(1, d + 1)], K)
+
+    @pytest.mark.parametrize("d,theta,phi", [
+        (1, QQ(3, 2), QQ(1)),
+        (2, QQ(11, 5), QQ(4, 5)),
+        (3, QQ(5333, 2667), QQ(4001, 26670)),
+    ])
+    def test_singular_at_a_rational_collision_time(self, d, theta, phi):
+        # K prod (theta - j) = 1 and K prod (phi - j/(d^2+1)) = 1 at the
+        # same K: W_t has a real point at t = -theta - phi, which lies in
+        # exactly one certified wall; 10^-30 away it has none
+        K = 1 / math.prod(theta - j for j in range(1, d + 1))
+        assert math.prod(phi - QQ(j, d * d + 1) for j in range(1, d + 1)) * K == 1
+        t = -theta - phi
+        assert sum(lo <= t <= hi for lo, hi in range_collision_times(d, K)) == 1
+        assert range_family_is_singular(d, t, K)
+        e = QQ(1, 10**30)
+        assert not range_family_is_singular(d, t + e, K)
+        assert not range_family_is_singular(d, t - e, K)
 
     def test_small_K_rejected(self):
         # for d = 3 and K = 1 the middle pair of roots of P = 1 vanishes
@@ -550,7 +588,7 @@ class TestRangeSweepOneIsolation:
     def test_work_counts(self, d, K, grid, monkeypatch):
         walls = range_collision_times(d, K)
         in_wall = sum(any(lo <= t <= hi for lo, hi in walls) for t in grid)
-        calls = {"real_roots_sturm": 0, "_ures_is_zero": 0}
+        calls = {"real_roots_sturm": 0, "form_gcd": 0}
 
         def counted(name):
             fn = getattr(invariants, name)
@@ -564,7 +602,7 @@ class TestRangeSweepOneIsolation:
         for name in calls:
             monkeypatch.setattr(invariants, name, counted(name))
         family_sweep("range", grid, d=d, K=K)
-        assert calls == {"real_roots_sturm": 2, "_ures_is_zero": in_wall}
+        assert calls == {"real_roots_sturm": 2, "form_gcd": in_wall}
 
     @pytest.mark.parametrize("d,K,grid", [
         pytest.param(2, QQ(1000), _grid(-10, 10, QQ(1, 10)), id="criterion4_d2"),
@@ -590,8 +628,9 @@ class TestRangeSweepOneIsolation:
         # gives the exact sign at every point of every sample outside the walls
         iso = invariants._range_isolation(d, K, "Q_t")
         A, B0 = invariants._range_polys(d, 0, K)
-        dP = [complex(derivative(A)(exact(theta))) for theta in iso.theta]
-        dQ = [complex(derivative(B0)(m)) for m in iso.phi0]
+        dA, dB0 = A.partials()[1], B0.partials()[1]
+        dP = [complex(dA.eval(1, exact(theta))) for theta in iso.theta]
+        dQ = [complex(dB0.eval(1, m)) for m in iso.phi0]
         outside = [t for t in grid if not invariants._in_wall(iso.walls, t)]
         assert len(outside) >= len(grid) - d * d
         for t in outside:

@@ -10,7 +10,6 @@ from shadecalc.chords import coincidence_system, collinearity_system, secants
 from shadecalc.poly import (
     BinaryForm,
     BivarPoly,
-    UPoly,
     bivar_gcd,
     bivar_divexact,
     bivar_resultant_w,
@@ -27,11 +26,6 @@ def bp(m, n, entries):
 
 
 DIAG = bp(1, 1, {(0, 1): 1, (1, 0): -1})  # w - z ... sv - tu homogeneously
-
-
-def resultant_w(f, g):
-    """Resultant eliminating w, as a polynomial in z."""
-    return bivar_resultant_w(f, g).chart_t()
 
 
 class TestPartials:
@@ -56,31 +50,31 @@ class TestResultant:
         # 2x2 Sylvester of a linear pair
         f = bp(1, 1, {(1, 0): 1, (0, 1): -1})  # z - w
         g = bp(1, 1, {(1, 0): 1, (0, 1): 1})  # z + w
-        assert resultant_w(f, g) == UPoly([0, 2])
+        assert bivar_resultant_w(f, g) == BinaryForm(2, [0, 2, 0])
 
     def test_quartic_by_hand(self):
         # res(z^2 + w^2, z w - 1, w) expanded by hand: z^4 + 1
         f = bp(2, 2, {(2, 0): 1, (0, 2): 1})
         g = bp(1, 1, {(1, 1): 1, (0, 0): -1})
-        assert resultant_w(f, g) == UPoly([1, 0, 0, 0, 1])
+        assert bivar_resultant_w(f, g) == BinaryForm(4, [1, 0, 0, 0, 1])
 
     def test_shared_factor_vanishes(self):
         # (z - w)(z + w) against (z - w)
         f = bp(2, 2, {(2, 0): 1, (0, 2): -1})
-        assert not resultant_w(f, DIAG)
+        assert bivar_resultant_w(f, DIAG).is_zero()
 
     def test_eliminate_z(self):
         f = bp(1, 1, {(1, 0): 1, (0, 1): -1})
         g = bp(1, 1, {(1, 0): 1, (0, 1): 1})
-        r = resultant_w(f.swap_vars(), g.swap_vars())
-        assert r.degree == 1 and not r.coeffs[0]
+        r = bivar_resultant_w(f.swap_vars(), g.swap_vars())
+        assert r == BinaryForm(2, [0, -2, 0])
 
     def test_zero_input_gives_zero_resultant(self):
         # the chord solver retries a combination whose resultant is zero;
         # an input without w is rejected
-        assert not resultant_w(bp(1, 1, {}), DIAG)
+        assert bivar_resultant_w(bp(1, 1, {}), DIAG).is_zero()
         with pytest.raises(ValueError):
-            resultant_w(bp(1, 0, {(1, 0): 1}), DIAG)
+            bivar_resultant_w(bp(1, 0, {(1, 0): 1}), DIAG)
 
     def test_zero_pivot_at_node_zero(self):
         # f(0, w) = w^2, so the Sylvester matrix at z = 0 has a zero pivot
@@ -88,16 +82,16 @@ class TestResultant:
         f = bp(1, 2, {(0, 2): 1, (1, 1): 1, (1, 0): 1})  # w^2 + z w + z
         g = bp(1, 1, {(0, 1): 1, (1, 0): -1, (0, 0): 1})  # w - z + 1
         assert f.num[0][0] == (0, 0)
-        assert resultant_w(f, g) == UPoly([1, -2, 2])
+        assert bivar_resultant_w(f, g) == BinaryForm(3, [1, -2, 2, 0])
 
     def test_resultant_vanishing_at_nodes_one_and_minus_one(self):
         # at z = +-1 both inputs lose their w^0 term: the Sylvester column
         # is zero there, so those determinants are 0
         f = bp(2, 2, {(0, 2): 1, (0, 1): 1, (2, 0): 1, (0, 0): -1})  # w^2 + w + z^2 - 1
         g = bp(2, 2, {(0, 2): 1, (0, 1): -1, (2, 0): 2, (0, 0): -2})  # w^2 - w + 2 z^2 - 2
-        r = resultant_w(f, g)
-        assert r == UPoly([-5, 0, 4, 0, 1])  # (z - 1)(z + 1)(z^2 + 5)
-        assert not r(1) and not r(-1)
+        r = bivar_resultant_w(f, g)
+        assert r == BinaryForm(8, [-5, 0, 4, 0, 1, 0, 0, 0, 0])  # (z - 1)(z + 1)(z^2 + 5)
+        assert not r.eval(1, 1) and not r.eval(1, -1)
 
     def test_form_holds_plain_ints(self):
         # hashing, equality and bit counts read the integer table
@@ -129,7 +123,7 @@ class TestResultant:
             g = bp(m2, n2, {(j, k): rng.randint(-6, 6) for j in range(m2 + 1) for k in range(n2 + 1)})
             if f.is_zero() or g.is_zero():
                 continue
-            r = resultant_w(f, g)
+            r = bivar_resultant_w(f, g)
             z0 = QQ(rng.randint(-4, 4), rng.randint(1, 3))
             fw = [complex(sum(complex(f.rows[j][k]) * complex(z0) ** j for j in range(m1 + 1))) for k in range(n1 + 1)]
             gw = [complex(sum(complex(g.rows[j][k]) * complex(z0) ** j for j in range(m2 + 1))) for k in range(n2 + 1)]
@@ -141,7 +135,7 @@ class TestResultant:
             for b in beta:
                 for a in alpha:
                     prod *= b - a
-            mine = complex(r(z0))
+            mine = complex(r.eval(1, z0))
             scale = max(abs(prod), abs(mine), 1e-30)
             assert abs(mine - prod) <= 1e-8 * scale, (fw, gw, mine, prod)
             checked += 1
@@ -266,4 +260,6 @@ class TestBinaryForm:
 
     def test_charts(self):
         f = BinaryForm(3, [2, 0, -1, 5])
-        assert f.chart_t() == UPoly([2, 0, -1, 5])
+        assert f.to_zx() == [(2, 0), (0, 0), (-1, 0), (5, 0)]
+        # f(1, t) loses the zero t^d coefficient and the integer content
+        assert BinaryForm(4, [4, 0, G(-2, 2), 6, 0]).to_zx() == [(2, 0), (0, 0), (-1, 1), (3, 0)]

@@ -24,7 +24,6 @@ from shadecalc.curves import CurveComponent, ParamPoint
 from shadecalc.poly import (
     BinaryForm,
     BivarPoly,
-    UPoly,
     bivar_divexact,
     bivar_resultant_w,
     gdivexact,
@@ -39,7 +38,7 @@ from shadecalc.poly import (
 )
 from shadecalc.scalars import GaussianRational as G
 
-from helpers import bivar_value, derivative, exact
+from helpers import bivar_value, exact
 
 Z, W = sympy.symbols("z w")
 QQ_I = sympy.QQ_I
@@ -101,7 +100,6 @@ def forms_of(d):
     return st.lists(gaussians, min_size=d + 1, max_size=d + 1).map(lambda cs: BinaryForm(d, cs))
 
 
-upolys = st.lists(gaussians, max_size=5).map(UPoly)
 forms = st.integers(0, 4).flatmap(forms_of)
 form_pairs = st.integers(0, 4).flatmap(lambda d: st.tuples(forms_of(d), forms_of(d)))
 
@@ -119,8 +117,9 @@ def _gr(c):
     return G(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
 
 
-def upoly_to_poly(p):
-    return sympy.Poly(sum((_sym(c) * Z**j for j, c in enumerate(p.coeffs)), sympy.Integer(0)),
+def chart_poly(f):
+    """f(1, z) of a binary form f as a sympy polynomial."""
+    return sympy.Poly(sum((_sym(c) * Z**j for j, c in enumerate(f.coeffs)), sympy.Integer(0)),
                       Z, domain=QQ_I)
 
 
@@ -462,7 +461,7 @@ class TestZxSqfList:
 
 def _canonical(p):
     """den > 0 and minimal: no integer > 1 divides den and every part."""
-    table = p.num if isinstance(p, (UPoly, BinaryForm)) else [c for r in p.num for c in r]
+    table = p.num if isinstance(p, BinaryForm) else [c for r in p.num for c in r]
     parts = [x for c in table for x in c]
     return p.den > 0 and math.gcd(p.den, *parts) == 1
 
@@ -484,9 +483,9 @@ def _power_rule(p, var, chart_t):
     return BivarPoly(len(d) - 1, len(d[0]) - 1, d)
 
 
-def _abs_upoly(p, x):
-    """Sum of the moduli of p's terms at x: a scale for round-off."""
-    return sum(abs(complex(c)) * abs(x) ** k for k, c in enumerate(p.coeffs))
+def _abs_chart(f, x):
+    """Sum of the moduli of the terms of f(1, x): a scale for round-off."""
+    return sum(abs(complex(c)) * abs(x) ** k for k, c in enumerate(f.coeffs))
 
 
 def _abs_value(p, st, uv):
@@ -528,10 +527,11 @@ class TestFloatEvaluation:
         p_chart_t, px = p.local()
         vals, dvals = comp.jet(p)
         for f, v, dv in zip(comp.coords, vals, dvals):
-            u = UPoly(f.coeffs if p_chart_t else f.coeffs[::-1])  # f(1, x) or f(x, 1)
-            du = derivative(u)
-            assert abs(v - complex(f.eval(exact(p.s), exact(p.t)))) <= 1e-12 * _abs_upoly(u, px)
-            assert abs(dv - complex(du(exact(px)))) <= 1e-12 * _abs_upoly(du, px)
+            # u(1, x) is f(1, x) or f(x, 1)
+            u = BinaryForm(f.degree, f.coeffs if p_chart_t else f.coeffs[::-1])
+            du = u.partials()[1]
+            assert abs(v - complex(f.eval(exact(p.s), exact(p.t)))) <= 1e-12 * _abs_chart(u, px)
+            assert abs(dv - complex(du.eval(1, exact(px)))) <= 1e-12 * _abs_chart(du, px)
 
     @settings(max_examples=150, deadline=None)
     @given(components, st.lists(st.tuples(chart_parts, chart_parts), max_size=6))
@@ -549,19 +549,19 @@ class TestFloatEvaluation:
 
 class TestCanonicalForm:
     def test_scaled_input_gives_equal_objects(self):
-        assert UPoly([Fraction(2, 4)]) == UPoly([Fraction(1, 2)])
-        assert hash(UPoly([Fraction(2, 4)])) == hash(UPoly([Fraction(1, 2)]))
-        assert UPoly([]).den == 1 and BivarPoly.zero(1, 2).den == 1
+        assert BinaryForm(0, [Fraction(2, 4)]) == BinaryForm(0, [Fraction(1, 2)])
+        assert hash(BinaryForm(0, [Fraction(2, 4)])) == hash(BinaryForm(0, [Fraction(1, 2)]))
+        assert BinaryForm(1, [0, 0]).den == 1 and BivarPoly.zero(1, 2).den == 1
 
     @settings(max_examples=80, deadline=None)
-    @given(st.lists(gaussians, max_size=5), st.integers(1, 10**6))
+    @given(st.lists(gaussians, min_size=1, max_size=5), st.integers(1, 10**6))
     def test_unreduced_tables(self, cs, k):
-        p = UPoly(cs)
-        q = UPoly._from_ints(p.den * k, [(a * k, b * k) for a, b in p.num])
+        p = BinaryForm(len(cs) - 1, cs)
+        q = BinaryForm._from_ints(p.degree, p.den * k, [(a * k, b * k) for a, b in p.num])
         assert (q.den, q.num) == (p.den, p.num)
         assert q == p and hash(q) == hash(p)
-        # the exact view gives back the input, trailing zeros stripped
-        assert p.coeffs == tuple(cs[: len(p.coeffs)])
+        # the exact view gives back the input
+        assert p.coeffs == tuple(cs)
 
     @settings(max_examples=80, deadline=None)
     @given(bivars(), st.integers(1, 10**6))
@@ -571,15 +571,11 @@ class TestCanonicalForm:
         assert q.rows == p.rows
 
     @settings(max_examples=80, deadline=None)
-    @given(upolys, upolys, gaussians)
-    def test_upoly_ops_stay_canonical(self, p, q, c):
-        assert all(_canonical(r) for r in (p, p + q, p - q, p * q, p * c, derivative(p)))
-
-    @settings(max_examples=80, deadline=None)
     @given(form_pairs, forms, gaussians)
     def test_form_ops_stay_canonical(self, fg, h, c):
         f, g = fg
-        assert all(_canonical(r) for r in (f + g, f - g, f * h, f * c))
+        rs = (f + g, f - g, f * h, f * c, *(f.partials() if f.degree else ()))
+        assert all(_canonical(r) for r in rs)
 
     @settings(max_examples=80, deadline=None)
     @given(bivar_pairs(), gaussians, gaussians)
@@ -590,14 +586,6 @@ class TestCanonicalForm:
 
 
 class TestArithmeticMatchesSympy:
-    @settings(max_examples=80, deadline=None)
-    @given(upolys, upolys)
-    def test_upoly_add_mul(self, p, q):
-        P, Q = upoly_to_poly(p), upoly_to_poly(q)
-        assert upoly_to_poly(p + q) == P + Q
-        assert upoly_to_poly(p - q) == P - Q
-        assert upoly_to_poly(p * q) == P * Q
-
     @settings(max_examples=60, deadline=None)
     @given(bivar_pairs(), gaussians, gaussians)
     def test_bivar_add_combination(self, pq, a, b):
@@ -615,4 +603,4 @@ class TestArithmeticMatchesSympy:
         F = sum((_sym(c) * Z**j for j, c in enumerate(f.coeffs)), sympy.Integer(0))
         Gw = sum((_sym(c) * W**k for k, c in enumerate(g.coeffs)), sympy.Integer(0))
         assert bivar_to_poly(prod) == sympy.Poly(F * Gw, Z, W, domain=QQ_I)
-        assert upoly_to_poly((f * f).chart_t()) == upoly_to_poly(f.chart_t()) ** 2
+        assert chart_poly(f * f) == chart_poly(f) ** 2

@@ -22,11 +22,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 
 from shadecalc import roots as roots_mod
-from shadecalc.poly import UPoly, real_roots_sturm, zx_mul, zx_sqf_list, zx_strip
+from shadecalc.poly import real_roots_sturm, zx_mul, zx_sqf_list, zx_strip
 from shadecalc.roots import NEWTON_PASSES, SLACK, CertifiedRoot, complex_roots
 from shadecalc.scalars import GaussianRational as G, QQ
 
-from helpers import abs2, derivative
+from helpers import abs2, form, zx_form
 
 X = sympy.symbols("x")
 MP_BITS = 300
@@ -55,7 +55,7 @@ def planted_polys(draw):
     for g in factors:
         f = zx_mul(f, zx_strip(g)) if zx_strip(g) else f
     assume(2 <= len(f) <= 13)
-    return UPoly.from_zx(f)
+    return zx_form(f)
 
 
 def _sympy_poly(p):
@@ -118,10 +118,10 @@ class TestDisks:
         # here in exact rationals, and the float view must cover the exact disk
         assume(_sympy_poly(p).is_sqf)
         n = p.degree
-        dp = derivative(p)
+        dp = p.partials()[1]
         for r in complex_roots(p):
             c, rad = _exact(r)
-            f, fp = p(c), dp(c)
+            f, fp = p.eval(1, c), dp.eval(1, c)
             assert rad * rad * abs2(fp) >= (SLACK * n) ** 2 * abs2(f)
             fc = r.center
             err = abs(Fraction(fc.real) - c.re) + abs(Fraction(fc.imag) - c.im)
@@ -158,7 +158,7 @@ class TestHornerHandoff:
 
     def test_one_evaluation_saved_per_converged_root(self):
         # (x - 1)(x - 2)(x^2 + 1): Newton ends on a zero step at all four
-        p = UPoly([2, -3, 3, -3, 1])
+        p = form([2, -3, 3, -3, 1])
         _, calls = _horner_calls(p, True)
         _, fresh_calls = _horner_calls(p, False)
         assert len(fresh_calls) - len(calls) == 4
@@ -210,9 +210,9 @@ class TestRadiusBound:
         table, x, y, prec = point
         shifted = [(a << prec, b << prec) for a, b in table]
         R = roots_mod._radius(shifted, x, y, prec)
-        p = UPoly.from_zx(table)
+        p = zx_form(table)
         c = G(Fraction(x, 1 << prec), Fraction(y, 1 << prec))
-        f2, fp2 = abs2(p(c)), abs2(derivative(p)(c))
+        f2, fp2 = abs2(p.eval(1, c)), abs2(p.partials()[1].eval(1, c))
         if fp2 == 0:
             assert R is None
         elif R is not None:
@@ -277,16 +277,16 @@ class TestRealRootIntervals:
     def test_perturbed_cubic(self):
         # K(u-1)(u-2)(u-3) - 1 with K = 1000: three roots within 0.01 of 1, 2, 3
         K = 1000
-        ivs = real_roots_sturm(UPoly([-6 * K - 1, 11 * K, -6 * K, K]), width=QQ(1, 2**30))
+        ivs = real_roots_sturm(form([-6 * K - 1, 11 * K, -6 * K, K]), width=QQ(1, 2**30))
         assert len(ivs) == 3
         for (a, b), target in zip(ivs, (1, 2, 3)):
             assert abs(float((a + b) / 2) - target) < 0.01
 
     def test_no_real_roots(self):
-        assert real_roots_sturm(UPoly([1, 0, 1])) == []
+        assert real_roots_sturm(form([1, 0, 1])) == []
 
     def test_cubic_three_roots(self):
-        ivs = real_roots_sturm(UPoly([0, -1, 0, 1]), width=QQ(1, 2**30))
+        ivs = real_roots_sturm(form([0, -1, 0, 1]), width=QQ(1, 2**30))
         assert [float((a + b) / 2) for a, b in ivs] == [-1.0, 0.0, 1.0]
 
 
@@ -311,7 +311,7 @@ class TestCertifierAlone:
         # so the certifier must refine instead of flagging a real root at 0
         for name, fn in _without_newton(lambda zx: [0.925j, -1j, 5 + 0j]).items():
             monkeypatch.setattr(roots_mod, name, fn)
-        p = UPoly([-5, 1, -5, 1])
+        p = form([-5, 1, -5, 1])
         roots = complex_roots(p, target_radius=100)
         _check_certified(p, roots)
         assert [r.real for r in roots] == [False, False, True]
@@ -324,7 +324,7 @@ class TestCertifierAlone:
     )
     # x^2 (x - 1) seeded with 0.25 and 1.25: the first disks of the coprime
     # factors x and x - 1 have radius 1 and overlap, so both must be refined
-    @example(UPoly([0, 0, -1, 1]), [0.25 + 0j] + [0j] * 11, 1)
+    @example(form([0, 0, -1, 1]), [0.25 + 0j] + [0j] * 11, 1)
     def test_perturbed_approximants(self, p, noise, shrink):
         # approximants off the true roots of each squarefree factor by up to
         # 0.3 / shrink, in any direction
