@@ -163,8 +163,8 @@ class CurveComponent:
 
     def values(self, pairs):
         """The coordinate vectors at the parameter pairs (s, t), which
-        need not be normalized: one complex list per pair."""
-        return (_power_matrix(pairs, self.degree) @ self.table.T).tolist()
+        need not be normalized: a complex array with one row per pair."""
+        return _power_matrix(pairs, self.degree) @ self.table.T
 
     def jet(self, p: ParamPoint):
         """The coordinate vector at p and its derivative in the local

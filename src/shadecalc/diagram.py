@@ -43,6 +43,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
 
+import numpy as np
+
 from .chords import (canonical_unordered, coincidence_system, collinearity_system, double_points,
                      secants, solve_minor_system)
 from .curves import CurveModel, ParamPoint, p3_forms
@@ -561,51 +563,68 @@ def _rot3(a, b, c):
     return out
 
 
+def _h_rotated(X, cvec, m, rot):
+    """The rotated H coordinates of the points in the rows of X (complex,
+    4 columns) as three float arrays: _project_to_h on the columns, then
+    each rotated coordinate summed left to right.  The center is real
+    with cvec[m] = 1, so numpy's complex quotient and products round
+    exactly as Python's do.  No matrix product here: its summation order
+    is not fixed."""
+    h = _project_to_h(X.T, cvec, m)
+    v = [h[j].real for j in range(4) if j != m]
+    return [(r[0] * v[0] + r[1] * v[1]) + r[2] * v[2] for r in rot]
+
+
+def _chart_points(vals, tol):
+    """Per row of the rotated coordinates `vals`: whether it lies on the
+    seam of the chart at slot 0 (|vals[0]| below tol times the largest
+    entry, or all zero), and its two chart coordinates."""
+    scale = np.maximum(np.maximum(abs(vals[0]), abs(vals[1])), abs(vals[2]))
+    scale[scale == 0] = 1.0
+    seam = abs(vals[0]) < tol * scale
+    den = np.where(seam, 1.0, vals[0])
+    return seam.tolist(), (vals[1] / den).tolist(), (vals[2] / den).tolist()
+
+
 def render_diagram_svg(curve: CurveModel, data: ProjectionData) -> str:
     """Projected real locus as polylines in the H chart, real crossings
-    marked with their signs, solitary points as dots; deterministic."""
+    marked with their signs, solitary points as dots; deterministic.
+
+    Each strand's samples are projected as one array through
+    _project_to_h, whose elementwise float operations are those of one
+    point at a time, and each rotated coordinate is summed left to
+    right, so the bytes are those of evaluating the points one by one."""
     m = data.center.hyperplane
     cvec = data.center.cvec
-    idx = [j for j in range(4) if j != m]
 
     # fixed generic rotations of the H coordinates: one affine chart must
     # show every crossing mark on its strand, and coordinate charts of
     # RP2 always lose a line, so rotate first and dehomogenize at slot 0
     rotations = [_rot3(7, 3, 1), _rot3(2, 9, 5), _rot3(4, 1, 8)]
-
-    def h_coords(point_vals, rot):
-        h = _project_to_h(point_vals, cvec, m)
-        v = [h[j].real for j in idx]
-        return [sum(rot[r][o] * v[o] for o in range(3)) for r in range(3)]
-
-    probe_pts = [normalize(cr.image) for cr in data.crossings]
-    rot = rotations[0]
-    for cand in rotations:
-        vis = [h_coords(p, cand) for p in probe_pts]
-        if all(abs(v[0]) >= 1e-3 * (max(map(abs, v)) or 1.0) for v in vis):
-            rot = cand
-            break
-    probe = [h_coords(p, rot) for p in probe_pts]
-    kh = 0
+    probe_pts = np.array([normalize(cr.image) for cr in data.crossings],
+                         dtype=complex).reshape(-1, 4)
+    rot = next((r for r in rotations
+                if not any(_chart_points(_h_rotated(probe_pts, cvec, m, r), 1e-3)[0])),
+               rotations[0])
+    probe = _h_rotated(probe_pts, cvec, m, rot)
 
     paths = []
     pts2d = []
+    angles = [math.pi * kk / SVG_SAMPLES for kk in range(SVG_SAMPLES + 1)]
+    pairs = [(math.cos(a), math.sin(a)) for a in angles]
     for comp in curve.components:
         if not comp.is_real():
             continue
-        angles = [math.pi * kk / SVG_SAMPLES for kk in range(SVG_SAMPLES + 1)]
+        # the P3 image (p3_forms) of every sample, as one array
+        X = comp.values(pairs)[:, -4:]
         run = []
         runs = []
-        for x in comp.values([(math.cos(a), math.sin(a)) for a in angles]):
-            vals = h_coords(p3_forms(x), rot)
-            scale = max(map(abs, vals)) or 1.0
-            den = vals[kh]
-            if abs(den) < 1e-7 * scale:
+        for cut, *p2 in zip(*_chart_points(_h_rotated(X, cvec, m, rot), 1e-7)):
+            if cut:
                 if len(run) > 1:
                     runs.append(run)
                 run = []
                 continue
-            p2 = [vals[r] / den for r in range(3) if r != kh]
             if run and (abs(p2[0] - run[-1][0]) + abs(p2[1] - run[-1][1]) > 10.0):
                 runs.append(run)
                 run = []
@@ -615,11 +634,9 @@ def render_diagram_svg(curve: CurveModel, data: ProjectionData) -> str:
             runs.append(run)
         paths.append(runs)
     marks = []
-    for c, vals in zip(data.crossings, probe):
-        den = vals[kh]
-        if abs(den) < 1e-9 * (max(map(abs, vals)) or 1.0):
+    for c, cut, *p2 in zip(data.crossings, *_chart_points(probe, 1e-9)):
+        if cut:
             continue
-        p2 = [vals[r] / den for r in range(3) if r != kh]
         marks.append((c.kind, c.writhe, p2))
         pts2d.append(p2)
     if not pts2d:
@@ -663,8 +680,8 @@ def render_diagram_svg(curve: CurveModel, data: ProjectionData) -> str:
             if len(run) < 2:
                 continue
             d = " ".join(
-                f"{'M' if i == 0 else 'L'}{to_px(p)[0]:.2f},{to_px(p)[1]:.2f}"
-                for i, p in enumerate(run)
+                f"{'M' if i == 0 else 'L'}{x:.2f},{y:.2f}"
+                for i, (x, y) in enumerate(map(to_px, run))
             )
             parts.append(
                 f'<path d="{d}" fill="none" stroke="#1a1a1a" stroke-width="1.5"/>'

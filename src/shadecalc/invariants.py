@@ -131,7 +131,7 @@ def self_double_points(curve: CurveModel, seed=0):
             )
             if i == j:
                 sols = canonical_unordered(sols)
-            images = comps[i].values([s.z.pair() for s in sols])
+            images = comps[i].values([s.z.pair() for s in sols]).tolist()
             for s, img in zip(sols, images):
                 out.append(SelfIntersection(s.double_point_kind, (s.z, s.w), img, (i, j)))
     return out

@@ -5,8 +5,9 @@
 Runs every command of the panel through `shadecalc.cli.main` in this one
 process, from the repository root that holds this file, and prints one
 line per command: the sha256 of its exit code, standard output, standard
-error and (for `render`) the SVG it wrote, then the command itself.  Run
-it in two checkouts and `diff` the outputs to compare their bytes.
+error and (for `render` and `--svg`) the SVG it wrote, then the command
+itself.  Run it in two checkouts and `diff` the outputs to compare their
+bytes.
 
 The panel: `invariants` on the 8 fixtures at seeds 0-29, the trefoil
 over 4 centers at seeds 0-3, `lp_line`, `kae_half_minus`, `hopf_pair`
@@ -14,10 +15,12 @@ and `unknot` over 3 centers at seeds 0-5 (the cross-check of both the
 Cw and the sh path), kae sweeps of both signs on -1:1:1/8 at
 seeds 0-3, range sweeps at d = 1-6 on -10:10:1/10 at the default K, at
 d = 3, K = 10^4 on the ten benchmark grids and at d = 2 and 3 with
-K = 1 on -2:2:1, and `render` on the 8 fixtures at seeds 0-2.  At
-d = 3, K = 1 is too small to isolate the range family's real roots, so
-that sweep runs the exact singular test (`_range_polys` and the gcd) on
-every sample, where the others run it only inside walls.
+K = 1 on -2:2:1, `invariants --svg` (the benchmark's SVG path) on
+`unknot`, `lp_line`, `hopf_pair` and `kae_half_minus` at seeds 0-29,
+and `render` on the 8 fixtures at seeds 0-2.  At d = 3, K = 1 is too
+small to isolate the range family's real roots, so that sweep runs the
+exact singular test (`_range_polys` and the gcd) on every sample, where
+the others run it only inside walls.
 """
 
 from __future__ import annotations
@@ -69,6 +72,10 @@ def commands(svg):
                f"--grid={_fmt(-10 + delta)}:{_fmt(10 + delta)}:1/10"]
     for d in (2, 3):
         yield ["sweep", "--family", "range", "--d", str(d), "--K", "1", "--grid=-2:2:1"]
+    for name in ("unknot", "lp_line", "hopf_pair", "kae_half_minus"):
+        for seed in range(30):
+            yield ["invariants", "--curve", f"{DATA}/{name}.json", "--seed", str(seed),
+                   "--svg", svg]
     for name in FIXTURES:
         for seed in range(3):
             yield ["render", "--curve", f"{DATA}/{name}.json", "--seed", str(seed),

@@ -515,6 +515,12 @@ class TestGoldenBytes:
             "a1f1c1782d0e7ce04558652eef343a6fb54397ce77a0d0ab2d08a446e1c94c18",
             id="lp_line",
         ),
+        pytest.param(
+            "kae_half_minus",
+            "c6eb6d199e0343257875b2bb11ed226ea95e9f97e0f91f8e5d47e58dfe65ddbb",
+            "2285eb025edabf143e4b44e5c88406d6e4ad2812b8eac4b5ccc2c401f90ff849",
+            id="kae_half_minus",
+        ),
     ]
 
     @pytest.mark.parametrize("name,report_digest,svg_digest", SVG_CASES)
