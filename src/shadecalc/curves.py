@@ -249,8 +249,7 @@ def p3_forms(forms):
 def quadric_identity_residual(comp: CurveComponent, q: QuadricSpec) -> BinaryForm:
     """-c x0(s,t)^2 + sum xi(s,t)^2 as a form: zero iff the component
     lies on the quadric identically."""
-    c = GaussianRational(q.c)
-    acc = (comp.coords[0] * comp.coords[0]) * (-c)
+    acc = (comp.coords[0] * comp.coords[0]) * (-q.c)
     for f in comp.coords[1:]:
         acc = acc + f * f
     return acc
@@ -321,9 +320,9 @@ def lp_line_curve() -> CurveModel:
     i = GaussianRational(0, 1)
     coords = [
         BinaryForm(1, [1, 0]),
-        BinaryForm(1, [i, GaussianRational(0)]),
+        BinaryForm(1, [i, 0]),
         BinaryForm(1, [0, 1]),
-        BinaryForm(1, [GaussianRational(0), i]),
+        BinaryForm(1, [0, i]),
     ]
     return CurveModel("P3", [CurveComponent(coords, label="lp-line")], {"family": "lp_line"})
 

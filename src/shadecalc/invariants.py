@@ -1,6 +1,6 @@
 """Assembly of the invariants: encomplexed writhe, shade numbers of
-real-point-free curves, the explicit range family, linking numbers, the
-Gauss-integral oracle and parameter-family sweeps.
+real-point-free curves, the explicit range family, linking numbers and
+parameter-family sweeps.
 
 Conventions: wr_part sums the writhes of same-component real crossings,
 sh_part the writhes of solitary crossings (one per conjugate pair for
@@ -13,11 +13,8 @@ the total.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .chords import ACCEPT_TOL, canonical_unordered, secants, solve_minor_system
 from .curves import CurveModel, SelfIntersection, describe_ambient
@@ -37,7 +34,6 @@ __all__ = [
     "shade_number_empty_real",
     "range_family_shade",
     "linking_number",
-    "gauss_linking_oracle",
     "family_sweep",
 ]
 
@@ -476,49 +472,6 @@ def linking_number(curve: CurveModel, i: int, j: int, seed=0):
     if curve.quadric() is not None and lk.denominator != 1:
         raise InstabilityError(f"sphere linking number came out non-integral: {lk}")
     return lk
-
-
-def gauss_linking_oracle(poly_a, poly_b):
-    """Discretized Gauss linking integral of two closed polylines (lists
-    of 3-vectors, closure implied).  Returns (value, error_estimate,
-    proximity_warning)."""
-    A = np.asarray(poly_a, dtype=float)
-    B = np.asarray(poly_b, dtype=float)
-    if A.ndim != 2 or A.shape[1] != 3 or B.ndim != 2 or B.shape[1] != 3:
-        raise ValueError("polylines must be (n, 3) arrays")
-
-    def lk(As, Bs):
-        a1 = As
-        a2 = np.roll(As, -1, axis=0)
-        b1 = Bs
-        b2 = np.roll(Bs, -1, axis=0)
-        total = 0.0
-        for k in range(len(b1)):
-            a = a1 - b1[k]
-            b = a1 - b2[k]
-            c = a2 - b2[k]
-            d = a2 - b1[k]
-            an = np.linalg.norm(a, axis=1)
-            bn = np.linalg.norm(b, axis=1)
-            cn = np.linalg.norm(c, axis=1)
-            dn = np.linalg.norm(d, axis=1)
-            p = np.einsum("ij,ij->i", a, np.cross(b, c))
-            d1 = an * bn * cn + np.einsum("ij,ij->i", a, b) * cn \
-                + np.einsum("ij,ij->i", b, c) * an + np.einsum("ij,ij->i", c, a) * bn
-            d2 = an * dn * cn + np.einsum("ij,ij->i", a, d) * cn \
-                + np.einsum("ij,ij->i", d, c) * an + np.einsum("ij,ij->i", c, a) * dn
-            total += float(np.sum(np.arctan2(p, d1) + np.arctan2(p, d2)))
-        return total / (2 * math.pi)
-
-    val = lk(A, B)
-    coarse = lk(A[::2], B[::2]) if len(A) > 8 and len(B) > 8 else val
-    err = abs(val - coarse) + 1e-9
-    dmin = min(
-        float(np.min(np.linalg.norm(A[:, None, :] - B[None, :, :], axis=2))), 1e9
-    )
-    scale = max(np.ptp(A), np.ptp(B)) or 1.0
-    warning = dmin < 0.05 * scale
-    return val, err, warning
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ in lowest terms: gcd(den, every a and b) == 1 and the zero
 polynomial has den = 1, so equal values are equal objects.  Arithmetic is
 integer arithmetic plus one lcm and one reduction per operation, and the
 exact kernels (gcds, exact division, resultants) read the integer
-tables.  `coeffs` / `rows` are exact GaussianRational views.
-Evaluation here is exact.  Floats enter through one conversion rule,
-`complex_coeffs`: each coefficient on its own as complex(a / den, b / den),
-which rounds exactly like the GaussianRational value.  A curve component
+tables.  `coeffs` / `rows` give each coefficient back as parsed data,
+a GaussianRational pair (a / den, b / den), for formatting.  Floats
+enter through one conversion rule, `complex_coeffs`: each coefficient on
+its own as complex(a / den, b / den).  A curve component
 converts its coordinate forms that way once into one complex table, and
 the chord solver a whole BivarPoly table once per solve attempt; no float
 copy is kept on a polynomial.  A univariate polynomial is a binary form
@@ -415,8 +415,10 @@ def _strip_int_content(f):
 
 
 def _scalar(c):
-    """(den, gint) with c = gint / den for an exact scalar c."""
-    re, im = (c.re, c.im) if isinstance(c, GaussianRational) else (Fraction(c), Fraction(0))
+    """(den, gint) with c = gint / den for an exact scalar c: an int, a
+    Fraction or a parsed GaussianRational, whose parts both have a
+    numerator and a denominator."""
+    re, im = (c.re, c.im) if isinstance(c, GaussianRational) else (c, 0)
     den = math.lcm(re.denominator, im.denominator)
     return den, (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
 
@@ -489,7 +491,7 @@ class BinaryForm(_IntTable):
     """Homogeneous form of declared degree d over Q(i): Gaussian integers
     `num` over one denominator `den`, in lowest terms, where num[k] / den
     multiplies s^(d-k) t^k.  The zero form keeps its declared degree.
-    `coeffs` is the exact GaussianRational view."""
+    `coeffs` gives the coefficients back as GaussianRational pairs."""
 
     __slots__ = ("degree", "den", "num")
 
@@ -542,19 +544,6 @@ class BinaryForm(_IntTable):
         )
 
     __rmul__ = __mul__
-
-    def eval(self, s, t):
-        """The exact value at an exact point (s, t)."""
-        sg = s if isinstance(s, GaussianRational) else GaussianRational(s)
-        tg = t if isinstance(t, GaussianRational) else GaussianRational(t)
-        if not sg and not tg:
-            raise PolynomialError("(0, 0) is not a point of the parameter line")
-        # homogeneous Horner: acc = sum over i <= k of c_i s^(k-i) t^i
-        acc, tp = GaussianRational(0), GaussianRational(1)
-        for c in self.coeffs:
-            acc = acc * sg + c * tp
-            tp = tp * tg
-        return acc
 
     def partials(self):
         """(df/ds, df/dt), forms of degree d - 1 (d >= 1)."""
@@ -640,7 +629,7 @@ class BivarPoly(_IntTable):
     """Bihomogeneous polynomial of declared bidegree (m, n) over Q(i):
     Gaussian integers num[j][k] over one denominator `den`, in lowest
     terms, where num[j][k] / den multiplies s^(m-j) t^j u^(n-k) v^k.
-    `rows` is the exact GaussianRational view."""
+    `rows` gives the coefficients back as GaussianRational pairs."""
 
     __slots__ = ("m", "n", "den", "num")
 

@@ -158,7 +158,7 @@ def _parse_family(f):
                 a = QQ(v) if type(v) is int else parse_scalar(v)
             except ValueError:
                 a = None
-            if isinstance(a, GaussianRational) and a.is_real:
+            if isinstance(a, GaussianRational) and not a.im:
                 a = a.re
             if not isinstance(a, QQ):
                 raise CurveFileError(
@@ -197,7 +197,7 @@ def _parse_center(c, model: CurveModel):
     if "point" in c:
         vals = _center_coords(c["point"], 4, "point")
         for v in vals:
-            if isinstance(v, Surd) or not v.is_real:
+            if isinstance(v, Surd) or v.im:
                 raise CurveFileError("P3 centers must have rational coordinates")
         if q is not None:
             raise CurveFileError("Q3 curves need a quadric center lift")
@@ -213,13 +213,14 @@ def _center_coords(raw, n, what):
         vals = [parse_scalar(s) for s in raw]
     except ValueError as e:
         raise CurveFileError(f"center: {e}") from e
-    if not any(vals):
+    # a Surd is irrational, so never zero
+    if all(v == GaussianRational(0) for v in vals):
         raise CurveFileError(f"center: {what} coordinates are all zero")
     return vals
 
 
 def _require_real(v: GaussianRational):
-    if not v.is_real:
+    if v.im:
         raise CurveFileError("center coordinates must be real")
     return v.re
 

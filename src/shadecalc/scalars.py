@@ -1,11 +1,13 @@
-"""Exact scalars: rationals and Gaussian rationals, and the parsing of
-coefficient strings.
+"""Exact scalars: the parsing and formatting of coefficient strings.
 
-Everything downstream of curve input and upstream of root finding runs on
-these types, so elimination is exact end to end.  Floating point enters
-only when roots are located and signs of well-separated determinants are
-taken.  A sqrt form "a+b*sqrt(n)", allowed only in a sphere curve's
-center lift, parses to plain data, a `Surd`; there is no arithmetic on it.
+A coefficient string parses to plain data: a `GaussianRational` (p/q or
+p/q + r/s i), or a `Surd` for a sqrt form "a+b*sqrt(n)", allowed only in
+a sphere curve's center lift.  Neither carries arithmetic.  The exact
+kernels, from curve input up to root finding, run on the polynomial
+classes' integer tables (Gaussian integers over one denominator, see
+`poly`), into which a parsed coefficient is read once, so elimination is
+exact end to end.  Floating point enters only when roots are located and
+signs of well-separated determinants are taken.
 """
 
 from __future__ import annotations
@@ -20,124 +22,16 @@ __all__ = ["QQ", "GaussianRational", "Surd", "surd_parts", "parse_scalar", "form
 QQ = Fraction
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        # floats are dyadic, so this is exact
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
+class GaussianRational(NamedTuple):
+    """A parsed element re + im*i of Q(i), exact real and imaginary
+    rationals.  Plain data, like `Surd`: what `parse_scalar` returns and
+    what the `coeffs` / `rows` views of the polynomial classes give back,
+    with no arithmetic on it; the polynomial classes read it into their
+    integer tables.  As a tuple it is always truthy, and + and * on it
+    concatenate and repeat."""
 
-
-class GaussianRational:
-    """An element of Q(i), stored as exact real and imaginary rationals.
-
-    Instances are immutable and normalized by Fraction itself (lowest
-    terms, positive denominator).  A value with zero imaginary part
-    compares equal to the corresponding rational.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
-
-    def __setattr__(*a):
-        raise AttributeError("GaussianRational is immutable")
-
-    # -- predicates ----------------------------------------------------
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
-    # -- arithmetic ----------------------------------------------------
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self.im and not o.im:
-            return GaussianRational(self.re * o.re)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if not n:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    # -- conversions ---------------------------------------------------
-    def __complex__(self):
-        return complex(self.re, self.im)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
+    re: Fraction
+    im: Fraction = Fraction(0)
 
     def __str__(self):
         return format_scalar(self)
@@ -214,7 +108,7 @@ def _parse_scalar_inner(text: str):
         return GaussianRational(Fraction(m.group(1)), im)
     m = _RE_IMAG.match(text)
     if m:
-        return GaussianRational(0, Fraction(m.group(1)))
+        return GaussianRational(Fraction(0), Fraction(m.group(1)))
     m = _RE_SQRT.match(text)
     if m:
         a = Fraction(m.group(1)) if m.group(1) else Fraction(0)

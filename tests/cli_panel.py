@@ -17,10 +17,13 @@ seeds 0-3, range sweeps at d = 1-6 on -10:10:1/10 at the default K, at
 d = 3, K = 10^4 on the ten benchmark grids and at d = 2 and 3 with
 K = 1 on -2:2:1, `invariants --svg` (the benchmark's SVG path) on
 `unknot`, `lp_line`, `hopf_pair` and `kae_half_minus` at seeds 0-29,
-and `render` on the 8 fixtures at seeds 0-2.  At d = 3, K = 1 is too
-small to isolate the range family's real roots, so that sweep runs the
-exact singular test (`_range_polys` and the gcd) on every sample, where
-the others run it only inside walls.
+`render` on the 8 fixtures at seeds 0-2, `validate` on the 8 fixtures,
+and `invariants` on each malformed curve file of
+`test_cli.MALFORMED_CURVES` (the exit-1 parse path), written into the
+panel's temporary directory and shown as TMP/malformed<k>.json.  At
+d = 3, K = 1 is too small to isolate the range family's real roots, so
+that sweep runs the exact singular test (`_range_polys` and the gcd) on
+every sample, where the others run it only inside walls.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import random
 import sys
@@ -37,8 +41,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from shadecalc import cli  # noqa: E402
+from test_cli import MALFORMED_CURVES  # noqa: E402
 
 DATA = "src/shadecalc/data"
 FIXTURES = sorted(p.stem for p in (ROOT / DATA).glob("*.json"))
@@ -48,7 +54,8 @@ def _fmt(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def commands(svg):
+def commands(tmp):
+    svg = os.path.join(tmp, "diagram.svg")
     for name in FIXTURES:
         for seed in range(30):
             yield ["invariants", "--curve", f"{DATA}/{name}.json", "--seed", str(seed)]
@@ -80,6 +87,12 @@ def commands(svg):
         for seed in range(3):
             yield ["render", "--curve", f"{DATA}/{name}.json", "--seed", str(seed),
                    "--out", svg]
+    for name in FIXTURES:
+        yield ["validate", "--curve", f"{DATA}/{name}.json"]
+    for k, (curve, _) in enumerate(MALFORMED_CURVES):
+        path = os.path.join(tmp, f"malformed{k}.json")
+        Path(path).write_text(json.dumps(curve))
+        yield ["invariants", "--curve", path]
 
 
 def run(argv, svg):
@@ -104,8 +117,8 @@ def main():
     os.chdir(ROOT)
     with tempfile.TemporaryDirectory() as tmp:
         svg = os.path.join(tmp, "diagram.svg")
-        for argv in commands(svg):
-            shown = " ".join("OUT" if a == svg else a for a in argv)
+        for argv in commands(tmp):
+            shown = " ".join("OUT" if a == svg else a.replace(tmp, "TMP") for a in argv)
             print(run(argv, svg), shown, flush=True)
 
 

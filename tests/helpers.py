@@ -2,8 +2,10 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
+from sympy import QQ_I
 
 from shadecalc.poly import BinaryForm, BivarPoly, bivar_resultant_w, gmul
 from shadecalc.scalars import QQ, GaussianRational
@@ -27,26 +29,57 @@ def zx_form(f):
     return BinaryForm._from_ints(len(f) - 1, 1, f)
 
 
+def flipped(f):
+    """f(s, -t): the binary form f with its parameter reversed."""
+    num = [(a * (-1) ** k, b * (-1) ** k) for k, (a, b) in enumerate(f.num)]
+    return BinaryForm._from_ints(f.degree, f.den, num)
+
+
 def exact(x):
-    """x as a GaussianRational; a float or complex counts at its exact
-    binary value."""
-    if isinstance(x, GaussianRational):
+    """x as an element of sympy's Q(i), QQ_I, the suites' exact
+    arithmetic: a parsed GaussianRational, a rational, or a float or
+    complex at its exact binary value."""
+    if isinstance(x, QQ_I.dtype):
         return x
+    if isinstance(x, GaussianRational):
+        return QQ_I(x.re, x.im)
+    if isinstance(x, (int, Fraction)):
+        return QQ_I(x, 0)
     x = complex(x)
-    return GaussianRational(x.real, x.imag)
+    return QQ_I(Fraction(x.real), Fraction(x.imag))
+
+
+def conj(z):
+    """The complex conjugate of an exact value, in QQ_I."""
+    z = exact(z)
+    return QQ_I(z.x, -z.y)
+
+
+def parts(z):
+    """(re, im) of an exact value, as Fractions."""
+    z = exact(z)
+    return tuple(Fraction(q.numerator, q.denominator) for q in (z.x, z.y))
 
 
 def abs2(z):
-    """|z|^2 of a GaussianRational, as an exact rational."""
-    return z.re * z.re + z.im * z.im
+    """|z|^2 of an exact value, as a Fraction."""
+    re, im = parts(z)
+    return re * re + im * im
+
+
+def to_complex(z):
+    """An exact value as a complex, each part rounded on its own (the
+    engine's `complex_coeffs` rule)."""
+    z = exact(z)
+    return complex(z.x, z.y)
 
 
 def _integer_powers(pair, deg):
     """A pair of exact scalars scaled by a common denominator d to
     Gaussian integers (a, b), as [a^(deg-j) b^j for j = 0..deg] and d^deg."""
     pair = [exact(x) for x in pair]
-    d = math.lcm(*(q.denominator for x in pair for q in (x.re, x.im)))
-    a, b = ((int(x.re * d), int(x.im * d)) for x in pair)
+    d = math.lcm(*(q.denominator for x in pair for q in (x.x, x.y)))
+    a, b = ((int(x.x * d), int(x.y * d)) for x in pair)
     apow, bpow = [(1, 0)], [(1, 0)]
     for _ in range(deg):
         apow.append(gmul(apow[-1], a))
@@ -54,10 +87,25 @@ def _integer_powers(pair, deg):
     return [gmul(apow[deg - j], bpow[j]) for j in range(deg + 1)], d**deg
 
 
+def form_value(f, s, t):
+    """The binary form f at the exact point (s, t), in QQ_I: by
+    homogeneity, f's integer table summed against the powers of the pair
+    scaled to Gaussian integers, over den and the scale."""
+    if not (exact(s) or exact(t)):
+        raise ValueError("(0, 0) is not a point of the parameter line")
+    S, ds = _integer_powers((s, t), f.degree)
+    re = im = 0
+    for c, x in zip(f.num, S):
+        a, b = gmul(c, x)
+        re, im = re + a, im + b
+    den = f.den * ds
+    return QQ_I(Fraction(re, den), Fraction(im, den))
+
+
 def bivar_value(p, st, uv):
-    """p at the parameter pairs st = (s, t) and uv = (u, v), exactly: by
-    homogeneity, p's integer table summed against the powers of the pairs
-    scaled to Gaussian integers, over den and the scales."""
+    """p at the parameter pairs st = (s, t) and uv = (u, v), exactly, in
+    QQ_I: by homogeneity, p's integer table summed against the powers of
+    the pairs scaled to Gaussian integers, over den and the scales."""
     S, ds = _integer_powers(st, p.m)
     U, du = _integer_powers(uv, p.n)
     re = im = 0
@@ -66,7 +114,7 @@ def bivar_value(p, st, uv):
             x = gmul(gmul(c, S[j]), U[k])
             re, im = re + x[0], im + x[1]
     den = p.den * ds * du
-    return GaussianRational(QQ(re, den), QQ(im, den))
+    return QQ_I(Fraction(re, den), Fraction(im, den))
 
 
 # the pole (1, 1, 1, 1)/2 of the unit sphere and an orthonormal basis of
@@ -84,8 +132,52 @@ def stereo_r3(x):
     return STEREO_BASIS @ x / (1.0 - STEREO_POLE @ x)
 
 
+def gauss_linking_oracle(poly_a, poly_b):
+    """Discretized Gauss linking integral of two closed polylines (lists
+    of 3-vectors, closure implied).  Returns (value, error_estimate,
+    proximity_warning)."""
+    A = np.asarray(poly_a, dtype=float)
+    B = np.asarray(poly_b, dtype=float)
+    if A.ndim != 2 or A.shape[1] != 3 or B.ndim != 2 or B.shape[1] != 3:
+        raise ValueError("polylines must be (n, 3) arrays")
+
+    def lk(As, Bs):
+        a1 = As
+        a2 = np.roll(As, -1, axis=0)
+        b1 = Bs
+        b2 = np.roll(Bs, -1, axis=0)
+        total = 0.0
+        for k in range(len(b1)):
+            a = a1 - b1[k]
+            b = a1 - b2[k]
+            c = a2 - b2[k]
+            d = a2 - b1[k]
+            an = np.linalg.norm(a, axis=1)
+            bn = np.linalg.norm(b, axis=1)
+            cn = np.linalg.norm(c, axis=1)
+            dn = np.linalg.norm(d, axis=1)
+            p = np.einsum("ij,ij->i", a, np.cross(b, c))
+            d1 = an * bn * cn + np.einsum("ij,ij->i", a, b) * cn \
+                + np.einsum("ij,ij->i", b, c) * an + np.einsum("ij,ij->i", c, a) * bn
+            d2 = an * dn * cn + np.einsum("ij,ij->i", a, d) * cn \
+                + np.einsum("ij,ij->i", d, c) * an + np.einsum("ij,ij->i", c, a) * dn
+            total += float(np.sum(np.arctan2(p, d1) + np.arctan2(p, d2)))
+        return total / (2 * math.pi)
+
+    val = lk(A, B)
+    coarse = lk(A[::2], B[::2]) if len(A) > 8 and len(B) > 8 else val
+    err = abs(val - coarse) + 1e-9
+    dmin = min(
+        float(np.min(np.linalg.norm(A[:, None, :] - B[None, :, :], axis=2))), 1e9
+    )
+    scale = max(np.ptp(A), np.ptp(B)) or 1.0
+    warning = dmin < 0.05 * scale
+    return val, err, warning
+
+
 def same_point(a, b):
     """Projective equality of two exact homogeneous coordinate lists."""
+    a, b = [exact(x) for x in a], [exact(x) for x in b]
     return all(a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(len(a)))
 
 
@@ -114,8 +206,8 @@ def resultant_root_product_check(cases=200, seed=20240809, rel=1e-8):
             continue
         r = bivar_resultant_w(f, g)
         z0 = QQ(rng.randint(-4, 4), rng.randint(1, 3))
-        fw = [complex(sum(complex(f.rows[j][k]) * complex(z0) ** j for j in range(m1 + 1))) for k in range(n1 + 1)]
-        gw = [complex(sum(complex(g.rows[j][k]) * complex(z0) ** j for j in range(m2 + 1))) for k in range(n2 + 1)]
+        fw = [complex(sum(to_complex(f.rows[j][k]) * complex(z0) ** j for j in range(m1 + 1))) for k in range(n1 + 1)]
+        gw = [complex(sum(to_complex(g.rows[j][k]) * complex(z0) ** j for j in range(m2 + 1))) for k in range(n2 + 1)]
         if abs(fw[-1]) < 1e-9 or abs(gw[-1]) < 1e-9:
             continue
         alpha = np.roots(list(reversed(fw)))
@@ -124,7 +216,7 @@ def resultant_root_product_check(cases=200, seed=20240809, rel=1e-8):
         for b in beta:
             for a in alpha:
                 prod *= b - a
-        mine = complex(r.eval(1, z0))
+        mine = to_complex(form_value(r, 1, z0))
         scale = max(abs(prod), abs(mine), 1e-30)
         assert abs(mine - prod) <= rel * scale, (fw, gw, mine, prod)
         checked += 1

@@ -28,7 +28,7 @@ from shadecalc.poly import BinaryForm, BivarPoly, bivar_divexact, bivar_gcd
 from shadecalc.reportio import parse_curve_file
 from shadecalc.scalars import GaussianRational as G, QQ
 
-from helpers import bivar_value, conjugate_params, same_param
+from helpers import bivar_value, conjugate_params, exact, form_value, same_param, to_complex
 
 
 def center_system(curve, center, j=0):
@@ -50,18 +50,18 @@ class TestMinorSystems:
         rng = random.Random(4)
 
         def rand():
-            return G(QQ(rng.randint(-9, 9), rng.randint(1, 9)),
-                     QQ(rng.randint(-9, 9), rng.randint(1, 9)))
+            return exact(G(QQ(rng.randint(-9, 9), rng.randint(1, 9)),
+                           QQ(rng.randint(-9, 9), rng.randint(1, 9))))
 
-        c = [G(1), G(QQ(1, 3)), G(QQ(-2, 5)), G(2)]
+        c = [1, QQ(1, 3), QQ(-2, 5), 2]
         for comp, conj in ((kae_curve(QQ(1, 2), -1).components[0], False),
                            (lp_line_curve().components[0], True)):
             yforms = comp.conj_coords if conj else comp.coords
             minors = collinearity_system(c, coincidence_system(comp.coords, yforms))
             for _ in range(5):
-                z, w = (rand(), G(1)), (G(1), rand())
-                x = [f.eval(*z) for f in comp.coords]
-                y = [f.eval(*w) for f in yforms]
+                z, w = (rand(), 1), (1, rand())
+                x = [form_value(f, *z) for f in comp.coords]
+                y = [form_value(f, *w) for f in yforms]
                 for (a, b, d), m in zip(itertools.combinations(range(4), 3), minors):
                     det = (c[a] * (x[b] * y[d] - x[d] * y[b]) - c[b] * (x[a] * y[d] - x[d] * y[a])
                            + c[d] * (x[a] * y[b] - x[b] * y[a]))
@@ -70,7 +70,7 @@ class TestMinorSystems:
 
 class TestShadeSystems:
     def test_lp_line_one_shade_point_generic_center(self):
-        c = [G(1), G(QQ(1, 3)), G(QQ(-2, 5)), G(2)]
+        c = [1, QQ(1, 3), QQ(-2, 5), 2]
         (s,) = solve_minor_system(lp_minors(c), seed=2, w_mode="conj", expected=1, context="lp")
         assert conjugate_params(s.z, s.w)
         # closed form: z = (p2 - i p3) / (p0 - i p1)
@@ -78,12 +78,12 @@ class TestShadeSystems:
         assert abs(s.z.affine() - want) < 1e-9
 
     def test_lp_line_shade_point_at_infinity(self):
-        c = [G(0), G(0), G(0), G(1)]
+        c = [0, 0, 0, 1]
         (s,) = solve_minor_system(lp_minors(c), seed=1, w_mode="conj", expected=1, context="lp")
         assert abs(s.z.s) < 1e-12  # the parameter (0, 1)
 
     def test_count_check_failure_raises(self):
-        c = [G(1), G(QQ(1, 3)), G(QQ(-2, 5)), G(2)]
+        c = [1, QQ(1, 3), QQ(-2, 5), 2]
         with pytest.raises(GenericityError):
             solve_minor_system(lp_minors(c), seed=2, w_mode="conj", expected=3, context="lp")
 
@@ -91,7 +91,7 @@ class TestShadeSystems:
 class TestSameComponentSystems:
     def test_unknot_no_chords_after_saturation(self):
         curve = unknot_curve()
-        system = center_system(curve, [G(0), G(0), G(0), G(1)])
+        system = center_system(curve, [0, 0, 0, 1])
         assert solve_minor_system(system, seed=3, w_mode="swap", expected=0,
                                   context="unknot") == []
         sec = secants(curve, 0, 0, p3=True)
@@ -102,7 +102,7 @@ class TestSameComponentSystems:
         # degree 3: (d-1)(d-2) = 2 ordered chord solutions through a
         # generic center; degree 2: none
         curve = kae_curve(QQ(1, 2), -1)
-        c = [G(1), G(QQ(2, 7)), G(QQ(-3, 5)), G(QQ(1, 2))]
+        c = [1, QQ(2, 7), QQ(-3, 5), QQ(1, 2)]
         sols = solve_minor_system(
             center_system(curve, c), seed=6, w_mode="swap", expected=2, context="kae",
         )
@@ -110,7 +110,7 @@ class TestSameComponentSystems:
         assert secants(curve, 0, 0, p3=True).diagonal_only
 
     def test_conjugation_closure(self):
-        c = [G(1), G(QQ(2, 7)), G(QQ(-3, 5)), G(QQ(1, 2))]
+        c = [1, QQ(2, 7), QQ(-3, 5), QQ(1, 2)]
         sols = solve_minor_system(
             center_system(kae_curve(QQ(1, 2), 1), c),
             seed=6, w_mode="swap", expected=2, context="kae",
@@ -164,7 +164,7 @@ class TestRootIdentity:
             return out
 
         monkeypatch.setattr(chords, "_pair_and_polish", spy)
-        c = [G(1), G(QQ(2, 7)), G(QQ(-3, 5)), G(QQ(1, 2))]
+        c = [1, QQ(2, 7), QQ(-3, 5), QQ(1, 2)]
         got = solve_minor_system(
             center_system(kae_curve(QQ(1, 2), eps), c),
             seed=6, w_mode="swap", expected=2, context="kae",
@@ -188,10 +188,10 @@ class TestRootIdentity:
 def _scalar_candidates(u, v, zroots, wroots):
     """The candidate filter one pair at a time, in exact arithmetic at
     the float root pairs."""
-    bounds = [chords.FILTER_TOL * (sum(abs(complex(c)) for r in p.rows for c in r) or 1.0)
+    bounds = [chords.FILTER_TOL * (sum(abs(to_complex(c)) for r in p.rows for c in r) or 1.0)
               for p in (u, v)]
     return [(zi, wi) for zi, zp in enumerate(zroots) for wi, wp in enumerate(wroots)
-            if all(abs(complex(bivar_value(p, zp.pair(), wp.pair()))) <= b
+            if all(abs(to_complex(bivar_value(p, zp.pair(), wp.pair()))) <= b
                    for p, b in zip((u, v), bounds))]
 
 
@@ -214,7 +214,7 @@ class TestCandidateFilter:
         if system == "smoothness":
             minors = secants(curve, 0, 0, p3=False)
         else:
-            minors = center_system(curve, [G(1), G(QQ(2, 7)), G(QQ(-3, 5)), G(QQ(1, 2))])
+            minors = center_system(curve, [1, QQ(2, 7), QQ(-3, 5), QQ(1, 2)])
         solve_minor_system(minors, seed=seed, w_mode="swap", context=system)
         assert calls
         for _, u, v, zroots, wroots, _ in calls:
@@ -225,7 +225,7 @@ class TestCandidateFilter:
 
 @pytest.fixture(scope="module")
 def solutions():
-    minors = center_system(trefoil_curve(), [G(0), G(1), G(0), G(0)])
+    minors = center_system(trefoil_curve(), [0, 1, 0, 0])
     return solve_minor_system(minors, seed=7, w_mode="swap", expected=20, context="trefoil")
 
 
@@ -322,7 +322,7 @@ class TestSecants:
             # no zero coordinate: x3 = 0 on the k0 cubics, and a center in
             # their plane is the degenerate case the routes must not share
             # (TestSelectCenter in test_diagram.py)
-            c = [G(QQ(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)))
+            c = [QQ(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
                  for _ in range(4)]
             for i, j, w_mode, *_ in _chord_systems(comps, mode):
                 y = comps[i].conj_coords if w_mode == "conj" else comps[j].coords

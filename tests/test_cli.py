@@ -19,6 +19,52 @@ ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "src" / "shadecalc" / "data"
 
 
+KAE = {"name": "kae", "a": "1/2", "eps": -1}
+
+# curve files that `invariants` must reject with exit code 1, each with
+# its message; tests/cli_panel.py runs them too
+MALFORMED_CURVES = [
+    # a P3 point with five entries was accepted and cut to four
+    ({"family": KAE, "center": {"point": ["1", "1/3", "2/5", "1/7", "9"]}},
+     "point needs exactly 4 coordinates"),
+    ({"family": KAE, "center": {"point": ["1", "1/3", "2/5"]}},
+     "point needs exactly 4 coordinates"),
+    ({"family": KAE, "center": {"point": ["0", "0", "0", "0"]}},
+     "point coordinates are all zero"),
+    ({"family": KAE, "center": {"point": "1 0 0 0"}},
+     "point needs exactly 4 coordinates"),
+    ({"family": {"name": "unknot"}, "center": {"lift": ["1", "1", "0", "0"]}},
+     "lift needs exactly 5 coordinates"),
+    ({"family": {"name": "unknot"}, "center": {"lift": ["0", "0", "0", "0", "0"]}},
+     "lift coordinates are all zero"),
+    ({"family": {**KAE, "a": [1]}}, "bad parameter a"),
+    ({"family": {**KAE, "a": "1/0"}}, "bad parameter a"),
+    ({"family": {**KAE, "eps": "x"}}, "eps must be the integer 1 or -1"),
+    # a float eps was truncated toward zero
+    ({"family": {**KAE, "eps": -1.7}}, "eps must be the integer 1 or -1"),
+    ({"family": {**KAE, "eps": -1.0}}, "eps must be the integer 1 or -1"),
+    ({"family": {**KAE, "eps": True}}, "eps must be the integer 1 or -1"),
+    ({"family": {**KAE, "eps": 2}}, "eps must be the integer 1 or -1"),
+    # a float entered at its binary value and a bool as 0 or 1
+    ({"family": {**KAE, "a": 0.1}}, "bad parameter a"),
+    ({"family": {**KAE, "a": True}}, "bad parameter a"),
+    # a parameter the family does not take was silently ignored
+    ({"family": {"name": "trefoil", "a": "1/2", "eps": 1}},
+     "family trefoil: unknown parameter 'a'"),
+    ({"family": {**KAE, "c": "2"}}, "family kae: unknown parameter 'c'"),
+    ({"family": {"name": "kae", "a": "1/2"}}, "family kae: missing parameter 'eps'"),
+    # a non-real center coordinate or family parameter, and zeros
+    # written as Gaussian or sqrt forms
+    ({"family": KAE, "center": {"point": ["1", "1 i", "0", "0"]}},
+     "P3 centers must have rational coordinates"),
+    ({"family": {"name": "unknot"}, "center": {"lift": ["1", "1 i", "0", "0", "0"]}},
+     "center coordinates must be real"),
+    ({"family": {**KAE, "a": "1/2+1 i"}}, "bad parameter a"),
+    ({"family": KAE, "center": {"point": ["0", "0 i", "-2+1*sqrt(4)", "0"]}},
+     "point coordinates are all zero"),
+]
+
+
 def run(argv, capsys):
     buf = io.BytesIO()
 
@@ -235,39 +281,7 @@ class TestExitCodes:
         assert obj["result"]["sh_part"] in ("1/2", "-1/2")
         assert obj["result"]["mode"] == "shade"
 
-    KAE = {"name": "kae", "a": "1/2", "eps": -1}
-
-    @pytest.mark.parametrize("curve, message", [
-        # a P3 point with five entries was accepted and cut to four
-        ({"family": KAE, "center": {"point": ["1", "1/3", "2/5", "1/7", "9"]}},
-         "point needs exactly 4 coordinates"),
-        ({"family": KAE, "center": {"point": ["1", "1/3", "2/5"]}},
-         "point needs exactly 4 coordinates"),
-        ({"family": KAE, "center": {"point": ["0", "0", "0", "0"]}},
-         "point coordinates are all zero"),
-        ({"family": KAE, "center": {"point": "1 0 0 0"}},
-         "point needs exactly 4 coordinates"),
-        ({"family": {"name": "unknot"}, "center": {"lift": ["1", "1", "0", "0"]}},
-         "lift needs exactly 5 coordinates"),
-        ({"family": {"name": "unknot"}, "center": {"lift": ["0", "0", "0", "0", "0"]}},
-         "lift coordinates are all zero"),
-        ({"family": {**KAE, "a": [1]}}, "bad parameter a"),
-        ({"family": {**KAE, "a": "1/0"}}, "bad parameter a"),
-        ({"family": {**KAE, "eps": "x"}}, "eps must be the integer 1 or -1"),
-        # a float eps was truncated toward zero
-        ({"family": {**KAE, "eps": -1.7}}, "eps must be the integer 1 or -1"),
-        ({"family": {**KAE, "eps": -1.0}}, "eps must be the integer 1 or -1"),
-        ({"family": {**KAE, "eps": True}}, "eps must be the integer 1 or -1"),
-        ({"family": {**KAE, "eps": 2}}, "eps must be the integer 1 or -1"),
-        # a float entered at its binary value and a bool as 0 or 1
-        ({"family": {**KAE, "a": 0.1}}, "bad parameter a"),
-        ({"family": {**KAE, "a": True}}, "bad parameter a"),
-        # a parameter the family does not take was silently ignored
-        ({"family": {"name": "trefoil", "a": "1/2", "eps": 1}},
-         "family trefoil: unknown parameter 'a'"),
-        ({"family": {**KAE, "c": "2"}}, "family kae: unknown parameter 'c'"),
-        ({"family": {"name": "kae", "a": "1/2"}}, "family kae: missing parameter 'eps'"),
-    ])
+    @pytest.mark.parametrize("curve, message", MALFORMED_CURVES)
     def test_malformed_curve_file_exit_1(self, curve, message, tmp_path, capsys):
         path = tmp_path / "curve.json"
         path.write_text(json.dumps(curve))

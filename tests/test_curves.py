@@ -17,7 +17,7 @@ from shadecalc.poly import BinaryForm
 from shadecalc.projective import QuadricSpec, normalize
 from shadecalc.scalars import GaussianRational as G, QQ
 
-from helpers import exact, same_point
+from helpers import conj, exact, form_value, same_point, to_complex
 
 
 class TestValidation:
@@ -49,7 +49,7 @@ class TestValidation:
 
 
 def _exact_value(comp, s, t):
-    return [f.eval(s, t) for f in comp.coords]
+    return [form_value(f, s, t) for f in comp.coords]
 
 
 class TestEvaluation:
@@ -91,12 +91,12 @@ class TestTangent:
         p = ParamPoint(a / 16, b / 16)
         s, t = exact(p.s), exact(p.t)
         d = comp.degree
-        vals = [complex(f.eval(s, t)).real for f in comp.coords]
+        vals = [to_complex(form_value(f, s, t)).real for f in comp.coords]
         # f_s and f_t by the power rule on the coefficients of s^(d-k) t^k
         f_s = [BinaryForm(d - 1, [(d - k) * c for k, c in enumerate(r[:d])]) for r in rows]
         f_t = [BinaryForm(d - 1, [k * c for k, c in enumerate(r) if k]) for r in rows]
         x = p.local()[1].real
-        want = [complex(s * ft.eval(s, t) - t * fs.eval(s, t)).real / (1 + x * x)
+        want = [to_complex(s * form_value(ft, s, t) - t * form_value(fs, s, t)).real / (1 + x * x)
                 for fs, ft in zip(f_s, f_t)]
         norm2 = sum(v * v for v in vals)
         assume(norm2 >= 1e-6)  # f vanishes at a common root of the forms
@@ -175,11 +175,11 @@ class TestRealPoints:
 class TestConjugationEquivariance:
     def test_eval_conj(self):
         comp = kae_curve(QQ(1, 3), 1).components[0]
-        z = (G(QQ(2, 7)), G(QQ(1, 2), QQ(5, 3)))
-        zc = (z[0].conjugate(), z[1].conjugate())
-        a = [f.eval(*z) for f in comp.coords]
-        b = [f.eval(*zc) for f in comp.conj_coords]
-        assert [x.conjugate() for x in a] == b
+        z = (QQ(2, 7), G(QQ(1, 2), QQ(5, 3)))
+        zc = (conj(z[0]), conj(z[1]))
+        a = [form_value(f, *z) for f in comp.coords]
+        b = [form_value(f, *zc) for f in comp.conj_coords]
+        assert [conj(x) for x in a] == b
 
 
 def _close(u, v, tol):

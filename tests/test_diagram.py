@@ -29,9 +29,9 @@ from shadecalc.errors import GenericityError
 from shadecalc.invariants import encomplexed_writhe
 from shadecalc.poly import BinaryForm
 from shadecalc.projective import ProjPoint
-from shadecalc.scalars import GaussianRational as G, QQ, Surd
+from shadecalc.scalars import QQ, Surd
 
-from helpers import conjugate_params
+from helpers import conjugate_params, flipped, form_value, parts
 
 
 def sqrt2_trefoil_center():
@@ -59,7 +59,7 @@ class TestSelectCenter:
         # conic itself as the center
         u = unknot_curve()
         comp = u.components[0]
-        pt = ProjPoint([f.eval(G(1), G(2)).re for f in p3_forms(comp.coords)])
+        pt = ProjPoint([parts(form_value(f, 1, 2))[0] for f in p3_forms(comp.coords)])
         bad = ProjectionCenter(pt)
         with pytest.raises(GenericityError):
             project_curve(u, bad, seed=1)
@@ -230,10 +230,7 @@ class TestRecipeInvariances:
 def _reversed_model(curve):
     comps = []
     for comp in curve.components:
-        coords = []
-        for f in comp.coords:
-            coeffs = [c * ((-1) ** k) for k, c in enumerate(f.coeffs)]
-            coords.append(BinaryForm(f.degree, coeffs))
+        coords = [flipped(f) for f in comp.coords]
         comps.append(CurveComponent(coords, comp.label + "-rev"))
     return CurveModel(curve.ambient, comps, curve.metadata)
 

@@ -59,8 +59,6 @@ def test_private_helpers_have_a_caller():
 UNREAD_ALLOWED = {
     # the benchmark ledger wraps it by name with six positional arguments
     "chords.py:_pair_and_polish.target_radius",
-    # the immutability guard refuses every assignment, whatever its arguments
-    "scalars.py:GaussianRational.__setattr__.a",
 }
 
 
@@ -95,10 +93,7 @@ def test_parameters_are_read():
 
 # public functions and methods no engine or benchmark code calls, each
 # with its reason
-UNCALLED_ALLOWED = {
-    # exact evaluation: the tests' oracle for the float tables
-    "poly.py:BinaryForm.eval",
-}
+UNCALLED_ALLOWED = set()
 
 
 def _public_defs(tree):

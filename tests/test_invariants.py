@@ -24,7 +24,6 @@ from shadecalc.errors import DoublePointError, InstabilityError, PreconditionErr
 from shadecalc.invariants import (
     encomplexed_writhe,
     family_sweep,
-    gauss_linking_oracle,
     linking_number,
     range_collision_times,
     range_family_is_singular,
@@ -37,7 +36,7 @@ from shadecalc.projective import QuadricSpec
 from shadecalc.reportio import parse_curve_file
 from shadecalc.scalars import QQ
 
-from helpers import exact, stereo_r3
+from helpers import form_value, gauss_linking_oracle, stereo_r3, to_complex
 
 
 class TestGoldenValues:
@@ -629,8 +628,8 @@ class TestRangeSweepOneIsolation:
         iso = invariants._range_isolation(d, K, "Q_t")
         A, B0 = invariants._range_polys(d, 0, K)
         dA, dB0 = A.partials()[1], B0.partials()[1]
-        dP = [complex(dA.eval(1, exact(theta))) for theta in iso.theta]
-        dQ = [complex(dB0.eval(1, m)) for m in iso.phi0]
+        dP = [to_complex(form_value(dA, 1, theta)) for theta in iso.theta]
+        dQ = [to_complex(form_value(dB0, 1, m)) for m in iso.phi0]
         outside = [t for t in grid if not invariants._in_wall(iso.walls, t)]
         assert len(outside) >= len(grid) - d * d
         for t in outside:

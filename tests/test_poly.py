@@ -13,8 +13,12 @@ from shadecalc.poly import (
     bivar_gcd,
     bivar_divexact,
     bivar_resultant_w,
+    gadd,
+    gmul,
 )
 from shadecalc.scalars import GaussianRational as G, QQ
+
+from helpers import exact, form_value, to_complex
 
 
 def bp(m, n, entries):
@@ -91,7 +95,7 @@ class TestResultant:
         g = bp(2, 2, {(0, 2): 1, (0, 1): -1, (2, 0): 2, (0, 0): -2})  # w^2 - w + 2 z^2 - 2
         r = bivar_resultant_w(f, g)
         assert r == BinaryForm(8, [-5, 0, 4, 0, 1, 0, 0, 0, 0])  # (z - 1)(z + 1)(z^2 + 5)
-        assert not r.eval(1, 1) and not r.eval(1, -1)
+        assert not form_value(r, 1, 1) and not form_value(r, 1, -1)
 
     def test_form_holds_plain_ints(self):
         # hashing, equality and bit counts read the integer table
@@ -125,8 +129,8 @@ class TestResultant:
                 continue
             r = bivar_resultant_w(f, g)
             z0 = QQ(rng.randint(-4, 4), rng.randint(1, 3))
-            fw = [complex(sum(complex(f.rows[j][k]) * complex(z0) ** j for j in range(m1 + 1))) for k in range(n1 + 1)]
-            gw = [complex(sum(complex(g.rows[j][k]) * complex(z0) ** j for j in range(m2 + 1))) for k in range(n2 + 1)]
+            fw = [complex(sum(to_complex(f.rows[j][k]) * complex(z0) ** j for j in range(m1 + 1))) for k in range(n1 + 1)]
+            gw = [complex(sum(to_complex(g.rows[j][k]) * complex(z0) ** j for j in range(m2 + 1))) for k in range(n2 + 1)]
             if abs(fw[-1]) < 1e-9 or abs(gw[-1]) < 1e-9:
                 continue
             alpha = np.roots(list(reversed(fw))) if n1 else []
@@ -135,7 +139,7 @@ class TestResultant:
             for b in beta:
                 for a in alpha:
                     prod *= b - a
-            mine = complex(r.eval(1, z0))
+            mine = to_complex(form_value(r, 1, z0))
             scale = max(abs(prod), abs(mine), 1e-30)
             assert abs(mine - prod) <= 1e-8 * scale, (fw, gw, mine, prod)
             checked += 1
@@ -171,7 +175,7 @@ class TestSaturate:
         # Plücker forms are those quotients up to one scalar
         curve = kae_curve(QQ(1, 2), -1)
         comp = curve.components[0]
-        center = [G(1), G(QQ(1, 3)), G(QQ(-2, 5)), G(2)]
+        center = [1, QQ(1, 3), QQ(-2, 5), 2]
         minors = collinearity_system(center, coincidence_system(comp.coords, comp.coords))
         saturated = collinearity_system(center, secants(curve, 0, 0, p3=True).minors)
         diag = bp(1, 1, {(0, 1): 1, (1, 0): -1})
@@ -188,16 +192,14 @@ class TestSaturate:
 
 
 def _mul(a, b):
-    out = BivarPoly.zero(a.m + b.m, a.n + b.n)
-    rows = [[G(0)] * (out.n + 1) for _ in range(out.m + 1)]
-    for j1 in range(a.m + 1):
-        for k1 in range(a.n + 1):
-            if not a.rows[j1][k1]:
-                continue
-            for j2 in range(b.m + 1):
-                for k2 in range(b.n + 1):
-                    rows[j1 + j2][k1 + k2] = rows[j1 + j2][k1 + k2] + a.rows[j1][k1] * b.rows[j2][k2]
-    return BivarPoly(out.m, out.n, rows)
+    """a * b, the schoolbook product of the integer tables."""
+    rows = [[(0, 0)] * (a.n + b.n + 1) for _ in range(a.m + b.m + 1)]
+    for j1, r1 in enumerate(a.num):
+        for k1, c1 in enumerate(r1):
+            for j2, r2 in enumerate(b.num):
+                for k2, c2 in enumerate(r2):
+                    rows[j1 + j2][k1 + k2] = gadd(rows[j1 + j2][k1 + k2], gmul(c1, c2))
+    return BivarPoly._from_ints(a.m + b.m, a.n + b.n, a.den * b.den, rows)
 
 
 def _same_up_to_scalar(p, q):
@@ -205,7 +207,7 @@ def _same_up_to_scalar(p, q):
     if (p.m, p.n) != (q.m, q.n):
         return False
     for rp, rq in zip(p.rows, q.rows):
-        for x, y in zip(rp, rq):
+        for x, y in zip(map(exact, rp), map(exact, rq)):
             if not x and not y:
                 continue
             if not x or not y:
@@ -247,16 +249,17 @@ class TestComplexTable:
 
 class TestBinaryForm:
     def test_eval_examples(self):
+        # the suites' exact evaluation oracle, tests/helpers.form_value
         f = BinaryForm(2, [1, 0, 1])  # s^2 + t^2
-        assert f.eval(G(1), G(0, 1)) == G(0)
+        assert form_value(f, 1, G(0, 1)) == exact(0)
         x0 = BinaryForm(6, [1, 0, 3, 0, 3, 0, 1])  # (s^2+t^2)^3
-        assert x0.eval(G(1), G(1)) == G(8)
-        with pytest.raises(TypeError):
-            f.eval(1 + 0j, 0j)  # evaluation is exact only
+        assert form_value(x0, 1, 1) == exact(8)
+        # a float point counts at its exact binary value
+        assert form_value(f, 1, 0.1) == exact(1 + Fraction(0.1) ** 2)
 
     def test_zero_point_rejected(self):
         with pytest.raises(ValueError):
-            BinaryForm(2, [1, 0, 1]).eval(G(0), G(0))
+            form_value(BinaryForm(2, [1, 0, 1]), G(0), 0)
 
     def test_charts(self):
         f = BinaryForm(3, [2, 0, -1, 5])

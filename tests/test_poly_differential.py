@@ -5,7 +5,7 @@ Hypothesis draws small polynomials; sympy over QQ_I is the oracle for
 sums, products, divisibility, quotients, resultants, gcds and squarefree
 decompositions, and sympy's ZZ_I gcd for Gaussian content.  The float
 tables are checked bit for bit against the per-coefficient
-GaussianRational conversion, float values and derivatives against exact
+conversion of the exact parts, float values and derivatives against exact
 evaluation, and the stored (den, num) pair against its canonical form.
 """
 
@@ -38,7 +38,7 @@ from shadecalc.poly import (
 )
 from shadecalc.scalars import GaussianRational as G
 
-from helpers import bivar_value, exact
+from helpers import bivar_value, exact, form_value, to_complex
 
 Z, W = sympy.symbols("z w")
 QQ_I = sympy.QQ_I
@@ -60,7 +60,7 @@ chart_points = st.builds(complex, chart_parts, chart_parts)
 components = st.integers(1, 6).flatmap(
     lambda d: st.lists(st.lists(wide_gaussians, min_size=d + 1, max_size=d + 1),
                        min_size=4, max_size=5)
-).filter(lambda rows: any(any(r) for r in rows)).map(
+).filter(lambda rows: any(c.re or c.im for r in rows for c in r)).map(
     lambda rows: CurveComponent([BinaryForm(len(r) - 1, r) for r in rows]))
 
 
@@ -105,10 +105,10 @@ form_pairs = st.integers(0, 4).flatmap(lambda d: st.tuples(forms_of(d), forms_of
 
 
 def _sym(c):
-    if isinstance(c, tuple):
-        return sympy.Integer(c[0]) + sympy.I * c[1]
-    return sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
-        c.im.numerator, c.im.denominator
+    """A parsed GaussianRational or a Gaussian integer pair in sympy."""
+    re, im = (c.re, c.im) if isinstance(c, G) else c
+    return sympy.Rational(re.numerator, re.denominator) + sympy.I * sympy.Rational(
+        im.numerator, im.denominator
     )
 
 
@@ -255,7 +255,7 @@ class TestResultant:
     def check_resultant(p, q):
         # the declared w-degree must be the actual one, as sympy uses
         assume(p.n > 0 and q.n > 0)
-        assume(any(r[p.n] for r in p.rows) and any(r[q.n] for r in q.rows))
+        assume(any(r[p.n] != (0, 0) for r in p.num) and any(r[q.n] != (0, 0) for r in q.num))
         full = bivar_resultant_w(p, q)
         # sympy 1.14's resultant(f, g) has the wrong sign when deg f < deg g
         # and deg f * deg g is odd (resultant(w + 1, w^3 + 2, w) gives -1,
@@ -267,15 +267,16 @@ class TestResultant:
             want = sympy.Poly((-1) ** (p.n * q.n) * sympy.resultant(g, f, W), Z)
         # documented sign: ascending v-powers in the Sylvester matrix
         sign = (-1) ** (p.n * q.n)
-        coeffs = poly_coeffs(want)
-        coeffs += [G(0)] * (full.degree + 1 - len(coeffs))
-        assert list(full.coeffs) == [c * sign for c in coeffs]
+        coeffs = [sign * exact(c) for c in poly_coeffs(want)]
+        coeffs += [exact(0)] * (full.degree + 1 - len(coeffs))
+        assert [exact(c) for c in full.coeffs] == coeffs
         # stripped content: the same form up to a positive rational
         stripped = bivar_resultant_w(p, q, strip_content=True)
-        ratios = {a / b for a, b in zip(stripped.coeffs, full.coeffs) if b}
-        assert all(not a for a, b in zip(stripped.coeffs, full.coeffs) if not b)
+        pairs = [(exact(a), exact(b)) for a, b in zip(stripped.coeffs, full.coeffs)]
+        ratios = {a / b for a, b in pairs if b}
+        assert all(not a for a, b in pairs if not b)
         assert len(ratios) <= 1
-        assert all(r.is_real and r.re > 0 for r in ratios)
+        assert all(not r.y and r.x > 0 for r in ratios)
         # ... with integer coefficients that share no rational integer factor
         parts = [x for c in stripped.coeffs for x in (c.re, c.im)]
         assert all(x.denominator == 1 for x in parts)
@@ -469,36 +470,36 @@ def _canonical(p):
 def _power_rule(p, var, chart_t):
     """The partial of p in the local coordinate of the z (var 0) or w
     (var 1) chart, t or v when chart_t and s or u otherwise, by the power
-    rule on the exact rows."""
-    rows = p.rows if var == 0 else list(zip(*p.rows))
+    rule on the integer table."""
+    rows = p.num if var == 0 else list(zip(*p.num))
     deg = len(rows) - 1
     if deg == 0:
         return BivarPoly.zero(p.m, p.n)
     if chart_t:
-        d = [[j * c for c in rows[j]] for j in range(1, deg + 1)]
+        d = [[(j * a, j * b) for a, b in rows[j]] for j in range(1, deg + 1)]
     else:
-        d = [[(deg - j) * c for c in rows[j]] for j in range(deg)]
+        d = [[((deg - j) * a, (deg - j) * b) for a, b in rows[j]] for j in range(deg)]
     if var == 1:
         d = [list(r) for r in zip(*d)]
-    return BivarPoly(len(d) - 1, len(d[0]) - 1, d)
+    return BivarPoly._from_ints(len(d) - 1, len(d[0]) - 1, p.den, d)
 
 
 def _abs_chart(f, x):
     """Sum of the moduli of the terms of f(1, x): a scale for round-off."""
-    return sum(abs(complex(c)) * abs(x) ** k for k, c in enumerate(f.coeffs))
+    return sum(abs(to_complex(c)) * abs(x) ** k for k, c in enumerate(f.coeffs))
 
 
 def _abs_value(p, st, uv):
     """Sum of the moduli of p's terms at the pairs: a scale for round-off."""
     s, t = map(abs, st)
     u, v = map(abs, uv)
-    return sum(abs(complex(c)) * s ** (p.m - j) * t**j * u ** (p.n - k) * v**k
+    return sum(abs(to_complex(c)) * s ** (p.m - j) * t**j * u ** (p.n - k) * v**k
                for j, r in enumerate(p.rows) for k, c in enumerate(r))
 
 
 class TestFloatEvaluation:
-    """Each coefficient is converted on its own, as the GaussianRational
-    value rounds; values and local-chart derivatives read off the complex
+    """Each coefficient is converted on its own, each exact part
+    rounded; values and local-chart derivatives read off the complex
     tables agree with exact evaluation."""
 
     @settings(max_examples=150, deadline=None)
@@ -509,12 +510,12 @@ class TestFloatEvaluation:
         # power vectors with their local-chart derivatives give the value
         # and both partials of the exact rows at (1, x) or (x, 1)
         T, _ = chords._coeff_tables([p])
-        assert T[0].tolist() == [[complex(c) for c in r] for r in p.rows]
+        assert T[0].tolist() == [[to_complex(c) for c in r] for r in p.rows]
         zpair = (1, zx) if z_chart_t else (zx, 1)
         wpair = (1, wx) if w_chart_t else (wx, 1)
         got = chords._jets(T, zx, wx, z_chart_t, w_chart_t)
         for g, q in zip(got, (p, _power_rule(p, 0, z_chart_t), _power_rule(p, 1, w_chart_t))):
-            want = complex(bivar_value(q, zpair, wpair))
+            want = to_complex(bivar_value(q, zpair, wpair))
             assert abs(g[0] - want) <= 1e-12 * _abs_value(q, zpair, wpair)
 
     @settings(max_examples=150, deadline=None)
@@ -530,8 +531,8 @@ class TestFloatEvaluation:
             # u(1, x) is f(1, x) or f(x, 1)
             u = BinaryForm(f.degree, f.coeffs if p_chart_t else f.coeffs[::-1])
             du = u.partials()[1]
-            assert abs(v - complex(f.eval(exact(p.s), exact(p.t)))) <= 1e-12 * _abs_chart(u, px)
-            assert abs(dv - complex(du.eval(1, exact(px)))) <= 1e-12 * _abs_chart(du, px)
+            assert abs(v - to_complex(form_value(f, p.s, p.t))) <= 1e-12 * _abs_chart(u, px)
+            assert abs(dv - to_complex(form_value(du, 1, px))) <= 1e-12 * _abs_chart(du, px)
 
     @settings(max_examples=150, deadline=None)
     @given(components, st.lists(st.tuples(chart_parts, chart_parts), max_size=6))
@@ -542,9 +543,9 @@ class TestFloatEvaluation:
         assert len(got) == len(pairs)
         for (s, t), row in zip(pairs, got):
             for f, v in zip(comp.coords, row):
-                scale = sum(abs(complex(c)) * abs(s) ** (f.degree - k) * abs(t) ** k
+                scale = sum(abs(to_complex(c)) * abs(s) ** (f.degree - k) * abs(t) ** k
                             for k, c in enumerate(f.coeffs))
-                assert abs(v - complex(f.eval(s, t))) <= 1e-12 * scale
+                assert abs(v - to_complex(form_value(f, s, t))) <= 1e-12 * scale
 
 
 class TestCanonicalForm:

@@ -7,7 +7,7 @@ from shadecalc.poly import BinaryForm
 from shadecalc.roots import complex_roots
 from shadecalc.scalars import GaussianRational as G
 
-from helpers import exact, form
+from helpers import form, form_value, to_complex
 
 
 def centers(roots):
@@ -75,11 +75,11 @@ class TestProperties:
             p = form(cs)
             roots = complex_roots(p)
             assert sum(r.multiplicity for r in roots) == p.degree
-            norm = sum(abs(complex(c)) for c in p.coeffs)
+            norm = sum(abs(to_complex(c)) for c in p.coeffs)
             for r in roots:
                 if r.multiplicity > 1:
                     continue
-                resid = abs(complex(p.eval(1, exact(r.center))))
+                resid = abs(to_complex(form_value(p, 1, r.center)))
                 bound = 1e-10 * (1 + norm * max(1.0, abs(r.center)) ** p.degree)
                 assert resid < bound
 

@@ -26,7 +26,7 @@ from shadecalc.poly import real_roots_sturm, zx_mul, zx_sqf_list, zx_strip
 from shadecalc.roots import NEWTON_PASSES, SLACK, CertifiedRoot, complex_roots
 from shadecalc.scalars import GaussianRational as G, QQ
 
-from helpers import abs2, form, zx_form
+from helpers import abs2, form, form_value, zx_form
 
 X = sympy.symbols("x")
 MP_BITS = 300
@@ -121,7 +121,7 @@ class TestDisks:
         dp = p.partials()[1]
         for r in complex_roots(p):
             c, rad = _exact(r)
-            f, fp = p.eval(1, c), dp.eval(1, c)
+            f, fp = form_value(p, 1, c), form_value(dp, 1, c)
             assert rad * rad * abs2(fp) >= (SLACK * n) ** 2 * abs2(f)
             fc = r.center
             err = abs(Fraction(fc.real) - c.re) + abs(Fraction(fc.imag) - c.im)
@@ -212,7 +212,7 @@ class TestRadiusBound:
         R = roots_mod._radius(shifted, x, y, prec)
         p = zx_form(table)
         c = G(Fraction(x, 1 << prec), Fraction(y, 1 << prec))
-        f2, fp2 = abs2(p.eval(1, c)), abs2(p.partials()[1].eval(1, c))
+        f2, fp2 = abs2(form_value(p, 1, c)), abs2(form_value(p.partials()[1], 1, c))
         if fp2 == 0:
             assert R is None
         elif R is not None:

@@ -1,45 +1,18 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from shadecalc.errors import CurveFileError
+from shadecalc.poly import BinaryForm
+from shadecalc.reportio import parse_curve_json
 from shadecalc.scalars import GaussianRational as G, Surd, format_scalar, parse_scalar, surd_parts
 
 rationals = st.fractions(max_denominator=50)
 gaussians = st.builds(G, rationals, rationals)
-
-
-class TestGaussianRational:
-    def test_basic_arithmetic(self):
-        i = G(0, 1)
-        assert i * i == G(-1)
-        assert (G(1, 2) * G(1, -2)) == G(5)
-        assert G(3, 4) / G(3, 4) == G(1)
-
-    def test_real_comparison(self):
-        assert G(Fraction(2, 4)) == Fraction(1, 2)
-        assert G(Fraction(1, 2), 0).is_real
-        assert not G(0, Fraction(1, 3)).is_real
-
-    @given(gaussians, gaussians, gaussians)
-    def test_ring_laws(self, a, b, c):
-        assert (a + b) * c == a * c + b * c
-        assert a * b == b * a
-        assert a + (b + c) == (a + b) + c
-
-    @given(gaussians)
-    def test_conjugation(self, a):
-        assert a.conjugate().conjugate() == a
-        assert (a * a.conjugate()).is_real
-
-    @given(gaussians, gaussians)
-    def test_division(self, a, b):
-        if b:
-            assert (a / b) * b == a
-
-    def test_zero_division(self):
-        with pytest.raises(ZeroDivisionError):
-            G(1) / G(0)
+surds = st.builds(Surd, rationals, rationals.filter(bool),
+                  st.integers(2, 99).filter(lambda n: math.isqrt(n) ** 2 != n))
 
 
 class TestParsing:
@@ -57,6 +30,23 @@ class TestParsing:
     def test_scalar_roundtrip(self, text, val):
         assert parse_scalar(text) == val
         assert parse_scalar(format_scalar(val)) == val
+
+    @given(gaussians)
+    def test_scalar_roundtrip_drawn(self, x):
+        # a parsed pair goes into a polynomial's integer table and comes
+        # back from its coeffs view as the same pair, in lowest terms
+        assert parse_scalar(format_scalar(x)) == x
+        (back,) = BinaryForm(0, [x]).coeffs
+        assert back == x and all(type(q) is Fraction for q in back)
+
+    @given(surds)
+    def test_surd_coefficient_refused(self, v):
+        # a sqrt form parses, but only a center lift may hold one
+        text = format_scalar(v)
+        assert parse_scalar(text) == v
+        obj = {"components": [{"coords": [[text, "1"], ["1", "0"], ["0", "1"], ["1", "1"]]}]}
+        with pytest.raises(CurveFileError, match="is not an exact rational"):
+            parse_curve_json(obj)
 
     def test_sqrt_form(self):
         v = parse_scalar("1/2+3*sqrt(2)")
