@@ -296,21 +296,26 @@ def shade_number_empty_real(curve: CurveModel, seed=0, centers=1, forced_center=
 
 def _range_polys(d: int, t, K):
     """(A, B) with A = P(u,1) - 1 and B = Q_t(u,1) - 1 as exact degree-d
-    binary forms in (s, u)."""
+    binary forms in (s, u), from integer tables: with the roots r_j = p_j / q
+    over one denominator and K = k / m, K prod (u - r_j s) - s^d is
+    (k prod (q u - p_j s) - m q^d s^d) / (m q^d)."""
     if d < 1:
         raise PreconditionError("range family needs degree >= 1")
     K = QQ(K)
     t = QQ(t)
     if K <= 0:
         raise PreconditionError("K must be positive")
-    A = BinaryForm(0, [K])
-    for j in range(1, d + 1):
-        A = A * BinaryForm(1, [-j, 1])
-    B = BinaryForm(0, [K])
-    for j in range(1, d + 1):
-        B = B * BinaryForm(1, [-(t + QQ(j, d * d + 1)), 1])
-    one = BinaryForm(d, [1] + [0] * d)  # s^d
-    return A - one, B - one
+
+    def form(q, ps):
+        table = [K.numerator]  # table[k] multiplies s^(d-k) u^k
+        for p in ps:
+            table = [q * b - p * a for a, b in zip(table + [0], [0] + table)]
+        table[0] -= K.denominator * q**d
+        return BinaryForm._from_ints(d, K.denominator * q**d, [(c, 0) for c in table])
+
+    q = t.denominator * (d * d + 1)  # t + j/(d^2+1) = (t.numerator (d^2+1) + j t.denominator) / q
+    return (form(1, range(1, d + 1)),
+            form(q, [t.numerator * (d * d + 1) + j * t.denominator for j in range(1, d + 1)]))
 
 
 def range_family_is_singular(d, t, K) -> bool:

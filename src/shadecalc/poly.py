@@ -655,6 +655,27 @@ class BivarPoly(_IntTable):
         return cls._from_ints(f.degree, g.degree, f.den * g.den, rows)
 
     @classmethod
+    def bezoutian(cls, f: BinaryForm, g: BinaryForm):
+        """(f(s,t) g(u,v) - g(s,t) f(u,v)) / (s v - t u), of bidegree
+        (d-1, d-1) for forms of one degree d >= 1, without the product or
+        the division.  With P[p][q] = f_p g_q - g_p f_q the coefficient
+        table of the numerator, the quotient's table Q satisfies
+        P[p][q] = Q[p][q-1] - Q[p-1][q], so row by row from the top
+        Q[p-1][q] = Q[p][q-1] - P[p][q]."""
+        d = f.degree
+        rows = []
+        above = [GZERO] * d  # row p of Q, zero for p = d
+        for p in range(d, 0, -1):
+            fp, gp = f.num[p], g.num[p]
+            row = []
+            for q in range(d):
+                pq = gsub(gmul(fp, g.num[q]), gmul(gp, f.num[q]))
+                row.append(gsub(above[q - 1], pq) if q else gneg(pq))
+            rows.append(row)
+            above = row
+        return cls._from_ints(d - 1, d - 1, f.den * g.den, rows[::-1])
+
+    @classmethod
     def combination(cls, terms):
         """Sum of c * p over (c, p) pairs of exact scalars c and
         polynomials p of one bidegree, on one common denominator."""

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shadecalc import chords
 from shadecalc.chords import (
@@ -24,7 +25,7 @@ from shadecalc.curves import kae_curve, lp_line_curve, p3_forms, trefoil_curve, 
 from shadecalc.diagram import _chord_systems
 from shadecalc.errors import GenericityError
 from shadecalc.invariants import encomplexed_writhe
-from shadecalc.poly import BinaryForm, BivarPoly, bivar_divexact, bivar_gcd
+from shadecalc.poly import BinaryForm, BivarPoly, bivar_divexact, bivar_gcd, gmul
 from shadecalc.reportio import parse_curve_file
 from shadecalc.scalars import GaussianRational as G, QQ
 
@@ -299,6 +300,39 @@ DATA = Path(__file__).resolve().parents[1] / "src" / "shadecalc" / "data"
 FIXTURES = sorted(DATA.glob("*.json"))
 
 
+DIAG = BivarPoly(1, 1, [[0, 1], [-1, 0]])  # s v - t u
+UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+# the records whose proof at W0 fails, so they still run the gcd round:
+# the P3-image records of the deck-symmetric sphere curves, which lose the
+# deck graph besides the diagonal
+GCD_RECORDS = {("hopf_pair", 0, 0, True), ("hopf_pair", 1, 1, True), ("unknot", 0, 0, True),
+               ("split_circles", 0, 1, True)}
+
+
+def _records():
+    """(name, curve, i, j, p3, x, y) for every record of the 8 fixtures
+    (P3 image and, on the sphere, all five coordinates) and of the kae
+    sweeps' members, on freshly built curves: the 54 records of
+    TestSecants.test_one_gcd_round_saturates, with the coordinate forms
+    x and y their Plücker forms are built from."""
+    curves = [(path.stem, parse_curve_file(path.read_bytes())[0]) for path in FIXTURES]
+    curves += [(f"kae({n}/8,{eps})", kae_curve(QQ(n, 8), eps))
+               for n in range(-8, 9) for eps in (1, -1)]
+    for name, curve in curves:
+        comps = curve.components
+        pairs = ([(i, "conj") for i in range(len(comps))] if not curve.is_real() else
+                 [(i, j) for i in range(len(comps)) for j in range(i, len(comps))])
+        for i, j in pairs:
+            y = comps[i].conj_coords if j == "conj" else comps[j].coords
+            for p3 in sorted({True, comps[i].nvars == 4}):
+                forms = p3_forms if p3 else tuple
+                yield name, curve, i, j, p3, forms(comps[i].coords), forms(y)
+
+
+def _times_unit(p, unit):
+    return BivarPoly._from_ints(p.m, p.n, p.den, [[gmul(c, unit) for c in r] for r in p.num])
+
+
 def _same_system(a, b):
     """Minor by minor: both zero or one a nonzero multiple of the other."""
     return len(a) == len(b) and all(
@@ -316,7 +350,6 @@ class TestSecants:
         # Plücker forms once and leave the same minors up to a scalar
         curve, _ = parse_curve_file(path.read_bytes())
         comps = curve.components
-        mode = "diagram" if curve.is_real() else "shade"
         rng = random.Random(path.stem)
         for _ in range(3):
             # no zero coordinate: x3 = 0 on the k0 cubics, and a center in
@@ -324,7 +357,7 @@ class TestSecants:
             # (TestSelectCenter in test_diagram.py)
             c = [QQ(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
                  for _ in range(4)]
-            for i, j, w_mode, *_ in _chord_systems(comps, mode):
+            for i, j, w_mode, *_ in _chord_systems(comps, not curve.is_real()):
                 y = comps[i].conj_coords if w_mode == "conj" else comps[j].coords
                 raw = coincidence_system(p3_forms(comps[i].coords), p3_forms(y))
                 old = chords._saturate_all(collinearity_system(c, raw))
@@ -371,35 +404,113 @@ class TestSecants:
                     count += 1
         assert count == 54
 
-    @pytest.fixture
-    def saturations(self, monkeypatch):
-        """Runs encomplexed_writhe and returns the size of every system
-        _saturate_all saw."""
-        saturate_all = chords._saturate_all
+    def test_bezoutian_is_the_exact_quotient(self):
+        # on every same-component record the engine's quotient is the raw
+        # Plücker form divided by the diagonal, table for table; where the
+        # proof holds the record holds those quotients
+        count = 0
+        for name, curve, i, j, p3, x, _ in _records():
+            if j != i:
+                continue
+            pairs = list(itertools.combinations(range(len(x)), 2))
+            quotients = [BivarPoly.bezoutian(x[a], x[b]) for a, b in pairs]
+            for q, f in zip(quotients, coincidence_system(x, x)):
+                want = bivar_divexact(f, DIAG)
+                assert (q.m, q.n, q.den, q.num) == (want.m, want.n, want.den, want.num)
+            if (name, i, j, p3) not in GCD_RECORDS:
+                assert secants(curve, i, j, p3=p3).minors == tuple(quotients)
+            count += 1
+        assert count == 49
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda d: st.lists(
+        st.lists(st.integers(-20, 20), min_size=d + 1, max_size=d + 1), min_size=2, max_size=2)),
+        st.integers(1, 6), st.integers(1, 6))
+    def test_bezoutian_identity_on_random_forms(self, tables, den_f, den_g):
+        f = BinaryForm(len(tables[0]) - 1, [QQ(c, den_f) for c in tables[0]])
+        g = BinaryForm(len(tables[1]) - 1, [QQ(c, den_g) for c in tables[1]])
+        raw = BivarPoly.from_form_product(f, g) - BivarPoly.from_form_product(g, f)
+        q = BivarPoly.bezoutian(f, g)
+        assert q == bivar_divexact(raw, DIAG)
+        assert q.swap_vars() == q  # symmetric
+
+    def test_records_match_the_saturation_loop(self):
+        # the engine's records remove what dividing the gcd out until it is
+        # constant removes, and keep its minors up to one common unit
+        count = 0
+        for _, curve, i, j, p3, x, y in _records():
+            minors, removed, diagonal_only = self._saturate_until_constant(
+                coincidence_system(x, y))
+            rec = secants(curve, i, j, p3=p3)
+            assert (rec.removed, rec.diagonal_only) == (removed, diagonal_only)
+            assert len(rec.minors) == len(minors)
+            assert any(all(_times_unit(a, unit) == b for a, b in zip(minors, rec.minors))
+                       for unit in UNITS)
+            count += 1
+        assert count == 54
+
+    def test_gcd_runs_only_on_the_deck_records(self, monkeypatch):
+        # the gcd round (_saturate_all, and bivar_gcd within it) runs on
+        # the pinned records alone; the unknot's and hopf_pair's P3-image
+        # records keep one nonzero quotient, so their round needs no gcd
         calls = []
 
-        def spy(minors):
-            calls.append(len(minors))
-            return saturate_all(minors)
+        def spy(name):
+            fn = getattr(chords, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(chords, name, wrapper)
+
+        spy("_saturate_all")
+        spy("bivar_gcd")
+        rounds, gcds = set(), set()
+        for name, curve, i, j, p3, _, _ in _records():
+            calls.clear()
+            secants(curve, i, j, p3=p3)
+            if "_saturate_all" in calls:
+                rounds.add((name, i, j, p3))
+            if "bivar_gcd" in calls:
+                gcds.add((name, i, j, p3))
+        assert rounds == GCD_RECORDS
+        assert gcds == {("split_circles", 0, 1, True)}
+
+    @pytest.fixture
+    def saturations(self, monkeypatch):
+        """Runs encomplexed_writhe and returns, for every record it
+        saturated, the builder's name and the record's size."""
+        calls = []
+
+        def spy(name):
+            build = getattr(chords, name)
+
+            def wrapper(*args):
+                out = build(*args)
+                calls.append((name, len(out.minors)))
+                return out
+            monkeypatch.setattr(chords, name, wrapper)
 
         def run(curve, centers):
             calls.clear()
             encomplexed_writhe(curve, seed=1, centers=centers)
             return list(calls)
 
-        monkeypatch.setattr(chords, "_saturate_all", spy)
+        spy("_saturate_same")
+        spy("_saturate_all")
         return run
 
     def test_centers_share_the_saturation(self, saturations):
-        # every center shares the saturation of the trefoil's six x1..x4
-        # forms; its first center's chord solutions prove smoothness, so
-        # the ten forms of all five coordinates are never saturated
+        # every center shares the record of the trefoil's six x1..x4
+        # forms, built as Bezoutian quotients with no gcd round; its first
+        # center's chord solutions prove smoothness, so the ten forms of
+        # all five coordinates are never saturated
         one = saturations(trefoil_curve(), 1)
         four = saturations(trefoil_curve(), 4)
-        assert one == four == [6]
+        assert one == four == [("_saturate_same", 6)]
 
     def test_p3_smoothness_and_projection_share_one(self, saturations):
-        assert saturations(kae_curve(QQ(1, 2), -1), 2) == [6]
+        assert saturations(kae_curve(QQ(1, 2), -1), 2) == [("_saturate_same", 6)]
 
     def test_cached_on_the_model(self):
         curve = kae_curve(QQ(1, 2), -1)

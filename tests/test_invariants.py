@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shadecalc import diagram, invariants
+from shadecalc import chords, diagram, invariants
 from shadecalc.curves import (
     CurveComponent,
     CurveModel,
@@ -278,6 +278,33 @@ class TestFirstCenterSmoothness:
         n = len(curve.components)
         records = [secants(curve, i, j, p3=True) for i in range(n) for j in range(i, n)]
         assert all(r.diagonal_only for r in records) != separate
+
+
+def _ladder_curve(d):
+    """The degree-ladder curve of degree d: four seeded random binary
+    forms with integer coefficients in [-3, 3]."""
+    rng = random.Random(1000 + d)
+    forms = [BinaryForm(d, [rng.randint(-3, 3) for _ in range(d + 1)]) for _ in range(4)]
+    return CurveModel("P3", [CurveComponent(forms)])
+
+
+class TestDegreeLadder:
+    @pytest.mark.parametrize("d,want", [(6, 0), (8, -1)])
+    def test_writhe_over_two_centers(self, d, want, monkeypatch):
+        # the record is proven coprime at W0, with no gcd; Cw agrees over
+        # two centers, has the parity of N_d = (d-1)(d-2)/2 chords through
+        # a generic center and stays within the genus bound
+        def forbidden(*args):
+            raise AssertionError("bivar_gcd ran on a degree-ladder record")
+
+        monkeypatch.setattr(chords, "bivar_gcd", forbidden)
+        curve = _ladder_curve(d)
+        rep = encomplexed_writhe(curve, seed=0, centers=2)
+        n_d = (d - 1) * (d - 2) // 2
+        assert rep.Cw == want
+        assert (rep.Cw - n_d) % 2 == 0 and abs(rep.Cw) <= n_d
+        record = secants(curve, 0, 0, p3=True)
+        assert (record.removed, record.diagonal_only) == ((1, 1), True)
 
 
 class TestCuspAndParityGuards:
