@@ -21,9 +21,32 @@ pipeline is:
    in GenericityError;
 2. eliminate: take two random small-integer combinations u, v of the
    saturated minors and compute the homogeneous resultants R_z (and R_w
-   where the system has no usable symmetry);
-3. extract: certified roots of R_z / R_w give parameter points
-   (all honest solutions appear since V(system) lies in V(u, v));
+   where the system has no usable symmetry).  For a projection, most of
+   R_z is a known excess factor.  The minors are the 3x3 minors of
+   [c | x(z) | y(w)] divided by the factor G saturation removed, so by
+   Laplace expansion u = det[a | c | x | y] / G and
+   v = det[b | c | x | y] / G, with a = (alpha3, -alpha2, alpha1, -alpha0)
+   for u's coefficients alpha over the minors (and b likewise).  Where
+   E(z) = det[a | b | c | x(z)] vanishes, some combination of a and b
+   lies in the span of c and x(z0), so u(z0, .) and v(z0, .) are
+   proportional and (z - z0) divides v - lambda u; hence
+   R_z = Res_w(u, v) = E^n C with n = deg_w u, a polynomial identity in
+   the coefficients that holds for every a, b.  C has degree
+   n (2m - d): 2 N_d on a same-component record, d1 d2 across components
+   and d^2 against the conjugate.  In solve mode R_w = E_y(w)^m C' the
+   same way.  `bivar_resultant_w` divides each node's determinant
+   exactly by the divisor E^n (E primitive over Z[i]) and interpolates C
+   alone, so the sphere trefoil eliminates 20 roots, not 50.  A chord
+   end z0 that a draw of a, b puts at a root of E stays a root of C:
+   there v - lambda u = (z - z0) v'' with v''(z0, .) a multiple of
+   det[x(z0) | c | x'(z0) | y(.)], which vanishes at the chord's other
+   end.  Only records that lost at most the diagonal are divided; a
+   record that lost the deck graph too can have n (2m - d) < 0;
+3. extract: certified roots of C (and C') give parameter points (all
+   honest solutions appear since V(system) lies in V(u, v)).  In swap
+   and conj mode, on a divided record, each root of C must be the z of
+   exactly one solution: a root shared by two is a point on two chords
+   through the center;
 4. filter + polish + accept: u, v and the saturated minors are converted
    to floats once per combination, stacked into one table T of complex
    coefficient tables, and all four checks read T.  One matrix product,
@@ -51,8 +74,8 @@ import numpy as np
 
 from .curves import ParamPoint, _jet, _power_matrix, p3_forms
 from .errors import GenericityError
-from .poly import (GZERO, BinaryForm, BivarPoly, bivar_divexact, bivar_gcd, bivar_resultant_w,
-                   complex_coeffs, form_gcd, gmul)
+from .poly import (FORM_ONE, GZERO, BinaryForm, BivarPoly, bivar_divexact, bivar_gcd,
+                   bivar_resultant_w, complex_coeffs, form_gcd, gdivexact, glist_gcd, gmul)
 from .roots import DEFAULT_TARGET_RADIUS, UncertifiedRootsError, complex_roots
 
 __all__ = ["PairSolution", "SaturatedSystem", "solve_minor_system", "canonical_unordered",
@@ -99,6 +122,7 @@ class SaturatedSystem:
     minors: tuple  # in input order; a zero minor stays in place
     removed: tuple  # total bidegree removed by saturation
     diagonal_only: bool  # saturation removed exactly the diagonal (or nothing)
+    forms: tuple = ()  # (x, y): the coordinate forms of a `secants` record
 
 
 def collinearity_system(center_coords, plucker):
@@ -218,7 +242,7 @@ def secants(curve, i, j, *, p3):
             forms = coincidence_system(x, y)
             coprime = _coprime_at_w0(forms) and _coprime_at_w0([f.swap_vars() for f in forms])
             rec = SaturatedSystem(tuple(forms), (0, 0), True) if coprime else _saturate_all(forms)
-        curve._secants[key] = rec
+        curve._secants[key] = replace(rec, forms=(x, y))
     return curve._secants[key]
 
 
@@ -256,13 +280,47 @@ def _binary_form_roots(form: BinaryForm, target_radius=DEFAULT_TARGET_RADIUS):
 
 
 def _random_combo(minors, rng):
+    """A nonzero combination of the minors with random small integer
+    coefficients, and those coefficients."""
     while True:
         cs = [rng.randint(-9, 9) for _ in minors]
         if not any(cs):
             continue
         acc = BivarPoly.combination([(c, m) for c, m in zip(cs, minors) if c])
         if not acc.is_zero():
-            return acc
+            return cs, acc
+
+
+def _det3(rows):
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _excess_factor(system, center, alpha, beta, side, n):
+    """E^n for E = det[a | b | c | x(s, t)] made primitive over Z[i],
+    with x the forms system.forms[side]; 1 without a center or when the
+    record lost more than the diagonal.  The combinations alpha, beta of
+    the nonconstant collinearity minors (in the order of
+    `collinearity_system`) are det[a | c | x | y] / G and
+    det[b | c | x | y] / G, G the factor saturation removed, by Laplace
+    expansion along the first column: a = (alpha3, -alpha2, alpha1,
+    -alpha0), with 0 in the slot of a minor left out."""
+    if center is None or not system.diagonal_only:
+        return FORM_ONE
+    x = system.forms[side]
+    slots = [k for k, m in enumerate(system.minors) if m.m + m.n > 0 and not m.is_zero()]
+    a, b = ([0] * 4, [0] * 4)
+    for k, p, q in zip(slots, alpha, beta):
+        a[3 - k], b[3 - k] = (-1) ** (k + 1) * p, (-1) ** (k + 1) * q
+    rows = list(zip(a, b, center))
+    terms = [x[r] * ((-1) ** (r + 1) * _det3(rows[:r] + rows[r + 1:])) for r in range(4)]
+    E = sum(terms[1:], terms[0])
+    g = glist_gcd(E.num)
+    E = BinaryForm._from_ints(E.degree, 1, [gdivexact(c, g) for c in E.num])
+    power = FORM_ONE
+    for _ in range(n):
+        power = power * E
+    return power
 
 
 def solve_minor_system(
@@ -272,6 +330,7 @@ def solve_minor_system(
     expected=None,
     target_radius=DEFAULT_TARGET_RADIUS,
     context="",
+    center=None,
 ):
     """The certified solution pairs (PairSolution) of a saturated minor
     system, each with its Jacobian margin at least JAC_MARGIN.  A common
@@ -287,6 +346,13 @@ def solve_minor_system(
 
     `expected` is the Bezout-style solution count; it is enforced only
     when saturation removed nothing beyond the z = w diagonal.
+
+    `center`: the exact coordinates of the projection center whose
+    collinearity minors of a `secants` record make up the system.  Then,
+    on a record that lost at most the diagonal, each resultant is divided
+    by its excess factor, E^n for R_z and E_y^m for R_w (see the module
+    docstring), and in swap and conj mode every root of the divided R_z
+    must be the z of exactly one solution.
     """
     rng = random.Random(seed ^ 0x5EED)
     live = [m for m in system.minors if not m.is_zero()]
@@ -301,16 +367,19 @@ def solve_minor_system(
 
     last_err = None
     for attempt in range(COMBO_RETRIES):
-        u = _random_combo(nonconst, rng)
-        v = _random_combo(nonconst, rng)
+        alpha, u = _random_combo(nonconst, rng)
+        beta, v = _random_combo(nonconst, rng)
         if _is_scalar_multiple(u, v):
             continue
         try:
-            Rz = bivar_resultant_w(u, v, strip_content=True)
+            # u(z0, w) and v(z0, w) are proportional at every root z0 of E
+            Rz = bivar_resultant_w(u, v, strip_content=True,
+                                   divisor=_excess_factor(system, center, alpha, beta, 0, u.n))
             if Rz.is_zero():
                 continue
             if w_mode == "solve":
-                Rw = bivar_resultant_w(u.swap_vars(), v.swap_vars(), strip_content=True)
+                Rw = bivar_resultant_w(u.swap_vars(), v.swap_vars(), strip_content=True,
+                                       divisor=_excess_factor(system, center, alpha, beta, 1, u.m))
                 if Rw.is_zero():
                     continue
             # conj[zi] is the index of z's conjugate among the w roots
@@ -338,6 +407,8 @@ def solve_minor_system(
                     f"{context}: chord Jacobian margin {jac:.2e} "
                     f"below {JAC_MARGIN} (tangent or multiple chord)"
                 )
+            if center is not None and w_mode != "solve" and system.diagonal_only:
+                _each_root_once(system, sols, len(zroots), context)
             return sols
         except UncertifiedRootsError as e:
             last_err = e
@@ -346,6 +417,23 @@ def solve_minor_system(
         f"{context}: elimination failed after {COMBO_RETRIES} combination retries"
         + (f" (last: {last_err})" if last_err else "")
     )
+
+
+def _each_root_once(system, sols, nroots, context):
+    """Raise GenericityError unless each of the nroots roots of the
+    divided R_z is the z of exactly one solution: a root shared by two
+    solutions is a point on two chords through the center.  Solutions at
+    an image coincidence x(z) = y(w) of the record, and their roots, are
+    left out: they solve every chord system, and the smoothness check of
+    the caller reports them."""
+    if sorted(s.zi for s in sols) == list(range(nroots)):
+        return
+    shared = {s.zi for s in double_points(coincidence_system(*system.forms), sols)}
+    if sorted(s.zi for s in sols if s.zi not in shared) != sorted(set(range(nroots)) - shared):
+        raise GenericityError(
+            f"{context}: the {nroots} roots of the divided resultant are not each "
+            f"the z of exactly one of {len(sols)} solutions"
+        )
 
 
 def canonical_unordered(solutions):

@@ -420,7 +420,7 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0,
         sec = secants(curve, i, "conj" if w_mode == "conj" else j, p3=True)
         sols = solve_minor_system(
             replace(sec, minors=collinearity_system(c, sec.minors)), seed=seed + offset,
-            w_mode=w_mode, expected=expected, context=context, target_radius=tol,
+            w_mode=w_mode, expected=expected, context=context, target_radius=tol, center=c,
         )
         raw.append((i, j, canonical_unordered(sols) if w_mode == "swap" else sols))
     if smoothness:

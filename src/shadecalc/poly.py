@@ -28,7 +28,9 @@ Z[i][z], a quotient by a primitive divisor has Gaussian-integer
 coefficients, so an inexact step means the division is inexact.
 Resultants of polynomial-entry Sylvester matrices go through integer
 evaluation, fraction-free (Bareiss) determinants over Z[i] and Newton
-interpolation, all in integers; degrees here stay below ~80.  The
+interpolation, all in integers; a known factor of the resultant is
+divided out exactly at each node first, so only the quotient is
+interpolated.  Degrees here stay below ~80.  The
 Sylvester matrices at all evaluation nodes form one stack that a single
 batched elimination reduces, on numpy object arrays of Python ints, so
 the interpreter runs one loop per elimination step, not per entry.
@@ -562,6 +564,9 @@ class BinaryForm(_IntTable):
         return f"BinaryForm({self.degree}, {[str(c) for c in self.coeffs]})"
 
 
+FORM_ONE = BinaryForm(0, [1])
+
+
 def form_gcd(forms):
     """Gcd of binary forms: the common s- and t-powers times the gcd of
     the dehomogenized cores."""
@@ -952,19 +957,64 @@ def _interp_stack(xs, ys):
     return list(zip(*coeffs))
 
 
-def bivar_resultant_w(p: BivarPoly, q: BivarPoly, strip_content=False) -> BinaryForm:
-    """Homogeneous resultant eliminating the (u, v) pair.
+def _divisor_nodes(divisor: BinaryForm, count):
+    """The first `count` integers x of 0, 1, -1, 2, -2, ... at which the
+    divisor's value e = divisor.num evaluated at (s, t) = (1, x) is not
+    zero, with those values as in `_bareiss_stack`'s result."""
+    xs, values = [], []
+    for i in itertools.count():
+        x = (i + 1) // 2 * (-1) ** (i + 1)
+        e = GZERO
+        for c in reversed(divisor.num):
+            e = gadd((e[0] * x, e[1] * x), c)
+        if e != GZERO:
+            xs.append(x)
+            values.append(e)
+            if len(xs) == count:
+                break
+    re, im = (np.array(part, dtype=object) for part in zip(*values))
+    return xs, [re, im] if im.any() else [re]
+
+
+def _divide_values(dets, divisor):
+    """dets / divisor entrywise in Z[i], both given as in `_bareiss_stack`'s
+    result; an inexact division raises ArithmeticError."""
+    if len(divisor) == 1:
+        num, div = dets, divisor[0]
+    else:
+        (dr, di), (er, ei) = (dets if len(dets) == 2 else [dets[0], 0 * dets[0]]), divisor
+        num, div = [dr * er + di * ei, di * er - dr * ei], er * er + ei * ei
+    out = [x // div for x in num]
+    if any((q * div != x).any() for q, x in zip(out, num)):
+        raise ArithmeticError("the divisor does not divide the resultant at a node")
+    return out
+
+
+def bivar_resultant_w(p: BivarPoly, q: BivarPoly, strip_content=False,
+                      divisor: BinaryForm = FORM_ONE) -> BinaryForm:
+    """Homogeneous resultant eliminating the (u, v) pair, divided by a
+    known factor of it.
 
     p, q are read as binary forms of their declared (u, v)-degrees with
-    BinaryForm coefficients in (s, t); the result is a binary form in
-    (s, t) of degree p.m*q.n + q.m*p.n.  Coefficient sequences enter the
-    Sylvester matrix by ascending v-power, which matches the classical
-    resultant up to the factor (-1)^(deg_f * deg_g).
+    BinaryForm coefficients in (s, t); the resultant is a binary form in
+    (s, t) of degree D = p.m*q.n + q.m*p.n.  Coefficient sequences enter
+    the Sylvester matrix by ascending v-power, which matches the classical
+    resultant up to the factor (-1)^(deg_f * deg_g).  The result is the
+    resultant divided by `divisor` (default 1), a binary form of degree
+    D - divisor.degree.
 
-    The Sylvester matrices at the D + 1 integer nodes 0, 1, -1, 2, -2, ...
-    are eliminated together as one stack (`_bareiss_stack`), and their
-    determinants interpolated (`_interp_stack`); a real pair carries no
-    imaginary parts through either.
+    The nodes are the integers 0, 1, -1, 2, -2, ... at which the divisor
+    does not vanish, one more than the quotient's degree needs.  The
+    Sylvester matrices at all nodes are eliminated together as one stack
+    (`_bareiss_stack`); each determinant is divided exactly by the
+    divisor's value at its node, and the quotients are interpolated
+    (`_interp_stack`); a real pair carries no imaginary parts through
+    either.  The spare node's top coefficient must come out zero.  So a
+    divisor that does not divide the resultant, as a form, raises
+    ArithmeticError (an inexact node division or a nonzero top
+    coefficient); a primitive Z[i] divisor of the resultant divides every
+    node value, by Gauss's lemma.  The chord solver divides out the
+    projection's excess factor E^n this way (see `chords`).
 
     With strip_content=True the result is reduced to a primitive integer
     multiple (only root sets survive; used by the chord solver).
@@ -972,9 +1022,13 @@ def bivar_resultant_w(p: BivarPoly, q: BivarPoly, strip_content=False) -> Binary
     na, nb = p.n, q.n
     if na == 0 or nb == 0:
         raise PolynomialError("positive degree in the eliminated variable required")
-    D = p.m * q.n + q.m * p.n
+    if divisor.is_zero():
+        raise PolynomialError("division of a resultant by the zero form")
+    D = p.m * q.n + q.m * p.n - divisor.degree
+    if D < 0:
+        raise PolynomialError(f"divisor of degree {divisor.degree} exceeds the resultant's")
     den = math.lcm(p.den, q.den)
-    xs = [(i + 1) // 2 * (-1) ** (i + 1) for i in range(D + 1)]
+    xs, evals = _divisor_nodes(divisor, D + 2)
     x = np.array(xs, dtype=object)[:, None]
     tables = [np.array([_lift(r, den // f.den) for r in f.num], dtype=object) for f in (p, q)]
     nparts = 2 if any(t[..., 1].any() for t in tables) else 1
@@ -982,19 +1036,21 @@ def bivar_resultant_w(p: BivarPoly, q: BivarPoly, strip_content=False) -> Binary
     # t-power rows, listed by descending u-power (k ascending)
     values = []
     for t in tables:
-        acc = [np.zeros((D + 1, t.shape[1]), dtype=object) for _ in range(nparts)]
+        acc = [np.zeros((D + 2, t.shape[1]), dtype=object) for _ in range(nparts)]
         for r in t[::-1]:
             acc = [a * x + r[:, c] for c, a in enumerate(acc)]
         values.append(acc)
     size = na + nb
-    stack = [np.zeros((D + 1, size, size), dtype=object) for _ in range(nparts)]
+    stack = [np.zeros((D + 2, size, size), dtype=object) for _ in range(nparts)]
     for M, a, b in zip(stack, *values):
         for sh in range(nb):
             M[:, sh, sh:sh + na + 1] = a
         for sh in range(na):
             M[:, nb + sh, sh:sh + nb + 1] = b
-    coeffs = _interp_stack(xs, _bareiss_stack(stack))
+    *coeffs, top = _interp_stack(xs, _divide_values(_bareiss_stack(stack), evals))
+    if top != GZERO:
+        raise ArithmeticError("the divisor does not divide the resultant")
     if strip_content:
         return BinaryForm._from_ints(D, 1, _strip_int_content(coeffs))
     # the determinants are of the inputs scaled by den, one row each
-    return BinaryForm._from_ints(D, den ** (na + nb), coeffs)
+    return BinaryForm._from_ints(D, den ** (na + nb), _lift(coeffs, divisor.den))

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 from sympy import QQ_I
 
+from shadecalc.curves import CurveComponent, CurveModel
 from shadecalc.poly import BinaryForm, BivarPoly, bivar_resultant_w, gmul
 from shadecalc.scalars import QQ, GaussianRational
 
@@ -221,3 +222,11 @@ def resultant_root_product_check(cases=200, seed=20240809, rel=1e-8):
         assert abs(mine - prod) <= rel * scale, (fw, gw, mine, prod)
         checked += 1
     return checked
+
+
+def ladder_curve(d):
+    """The degree-ladder curve of degree d: four seeded random binary
+    forms with integer coefficients in [-3, 3]."""
+    rng = random.Random(1000 + d)
+    forms = [BinaryForm(d, [rng.randint(-3, 3) for _ in range(d + 1)]) for _ in range(4)]
+    return CurveModel("P3", [CurveComponent(forms)])

@@ -22,14 +22,17 @@ from shadecalc.chords import (
     solve_minor_system,
 )
 from shadecalc.curves import kae_curve, lp_line_curve, p3_forms, trefoil_curve, unknot_curve
+from shadecalc import diagram
 from shadecalc.diagram import _chord_systems
-from shadecalc.errors import GenericityError
-from shadecalc.invariants import encomplexed_writhe
-from shadecalc.poly import BinaryForm, BivarPoly, bivar_divexact, bivar_gcd, gmul
+from shadecalc.errors import GenericityError, ShadecalcError
+from shadecalc.invariants import encomplexed_writhe, shade_number_empty_real
+from shadecalc.poly import (GZERO, BinaryForm, BivarPoly, bivar_divexact, bivar_gcd,
+                            bivar_resultant_w, gmul)
 from shadecalc.reportio import parse_curve_file
 from shadecalc.scalars import GaussianRational as G, QQ
 
-from helpers import bivar_value, conjugate_params, exact, form_value, same_param, to_complex
+from helpers import (bivar_value, conjugate_params, exact, form_value, ladder_curve, same_param,
+                     to_complex)
 
 
 def center_system(curve, center, j=0):
@@ -518,3 +521,141 @@ class TestSecants:
         tr = trefoil_curve()
         assert secants(tr, 0, 0, p3=True) is not secants(tr, 0, 0, p3=False)
         assert len(secants(tr, 0, 0, p3=False).minors) == 10
+
+
+def _unit_rational_multiple(p: BinaryForm, q: BinaryForm) -> bool:
+    """p = lam q for lam a unit of Z[i] times a positive rational: the
+    tables are proportional and lam = p_k / q_k is real or imaginary."""
+    if p.degree != q.degree or p.is_zero() or q.is_zero():
+        return False
+    a0, b0 = next((a, b) for a, b in zip(p.num, q.num) if b != GZERO)
+    lam = gmul(a0, (b0[0], -b0[1]))  # lam times |b0|^2
+    return GZERO not in (a0, b0) and 0 in lam and all(
+        gmul(a, b0) == gmul(b, a0) for a, b in zip(p.num, q.num))
+
+
+EXCESS_CASES = (
+    [pytest.param(lambda p=path: parse_curve_file(p.read_bytes()), id=path.stem)
+     for path in FIXTURES]
+    + [pytest.param(lambda a=a, eps=eps: (kae_curve(a, eps), None), id=f"kae({a},{eps:+d})")
+       for a in (-1, QQ(-1, 2), QQ(1, 2), 1) for eps in (1, -1)]
+    + [pytest.param(lambda d=d: (ladder_curve(d), None), id=f"ladder{d}") for d in (6, 8)]
+)
+
+
+class TestExcessFactor:
+    """A projection's u and v are det[a | c | x | y] / G and
+    det[b | c | x | y] / G, so R_z = E^n C with E = det[a | b | c | x(z)]
+    and n = deg_w u (R_w = E_y^m C' in solve mode), and each solve
+    eliminates C alone."""
+
+    @pytest.mark.parametrize("make", EXCESS_CASES)
+    def test_divided_resultant_times_the_excess_is_the_resultant(self, make, monkeypatch):
+        resultant, solve = chords.bivar_resultant_w, diagram.solve_minor_system
+        mode, calls = [None], []
+
+        def spy_solve(system, **kwargs):
+            mode[0] = kwargs["w_mode"]
+            try:
+                return solve(system, **kwargs)
+            finally:
+                mode[0] = None
+
+        def spy(p, q, strip_content=False, divisor=chords.FORM_ONE):
+            out = resultant(p, q, strip_content, divisor)
+            if mode[0] is not None:
+                calls.append((mode[0], p, q, divisor, out))
+            return out
+
+        monkeypatch.setattr(diagram, "solve_minor_system", spy_solve)
+        monkeypatch.setattr(chords, "bivar_resultant_w", spy)
+        for seed in range(4):
+            curve, center = make()
+            invariant = encomplexed_writhe if curve.is_real() else shade_number_empty_real
+            try:
+                invariant(curve, seed=seed, forced_center=center)
+            except ShadecalcError:
+                pass  # the precondition fixtures fail after (or before) their solves
+        (d,) = {comp.degree for comp in curve.components}
+        for _, p, q, divisor, out in calls:
+            # E has the components' degree d; n is p's degree in the
+            # eliminated pair
+            assert divisor.degree == p.n * d
+            full = resultant(p, q, strip_content=True)
+            assert _unit_rational_multiple(full, divisor * out)
+        if len(curve.components) > 1 and calls:
+            assert "solve" in {m for m, *_ in calls}  # R_w divided too
+
+    def test_golden_chords_survive_the_division(self, solutions):
+        # the divided solve of the golden center finds the same 20 points
+        c = [0, 1, 0, 0]
+        divided = solve_minor_system(center_system(trefoil_curve(), c), seed=7, w_mode="swap",
+                                     expected=20, context="trefoil", center=c)
+        assert len(divided) == len(solutions) == 20
+        for s in solutions:
+            assert any(same_param(s.z, t.z) and same_param(s.w, t.w) for t in divided)
+
+    def test_trefoil_degrees(self, monkeypatch):
+        # R_z of degree 50 = 30 + 20: E^5 with E of degree 6, and the
+        # 2 N_6 = 20 roots that are chord ends
+        degrees = []
+        resultant = chords.bivar_resultant_w
+
+        def spy(p, q, strip_content=False, divisor=chords.FORM_ONE):
+            out = resultant(p, q, strip_content, divisor)
+            degrees.append((divisor.degree, out.degree))
+            return out
+
+        monkeypatch.setattr(chords, "bivar_resultant_w", spy)
+        encomplexed_writhe(trefoil_curve(), seed=0, centers=4)
+        assert degrees == [(30, 20)] * 4
+
+    @pytest.mark.parametrize("system,mode,count", [("trefoil", "swap", 20), ("lp_line", "conj", 1)])
+    def test_every_root_is_used_once(self, system, mode, count, monkeypatch):
+        c = [1, QQ(2, 7), QQ(-3, 5), QQ(1, 2)]
+        minors = center_system(trefoil_curve(), c) if system == "trefoil" else lp_minors(c)
+        calls = []
+        pair_and_polish = chords._pair_and_polish
+
+        def spy(*args):
+            calls.append(args[3])
+            return pair_and_polish(*args)
+
+        monkeypatch.setattr(chords, "_pair_and_polish", spy)
+        sols = solve_minor_system(minors, seed=2, w_mode=mode, context=system, center=c)
+        assert sorted(s.zi for s in sols) == list(range(len(calls[-1]))) == list(range(count))
+
+        def drop_one(*args):
+            return pair_and_polish(*args)[1:]
+
+        monkeypatch.setattr(chords, "_pair_and_polish", drop_one)
+        with pytest.raises(GenericityError, match="not each the z of exactly one"):
+            solve_minor_system(minors, seed=2, w_mode=mode, context=system, center=c)
+
+    def test_chord_end_at_a_root_of_e_is_kept(self, monkeypatch):
+        # at c = e1 the trefoil has the chord (0, infinity), x(1, 0) =
+        # (0, -1, -1, 0); these draws make E vanish at both of its ends,
+        # and C still does
+        c = [0, 1, 0, 0]
+        system = center_system(trefoil_curve(), c)
+        alpha, beta = [1, 2, 1], [1, -3, 1]  # over the nonzero minors 0, 1, 3
+        E = chords._excess_factor(system, c, alpha, beta, 0, 1)
+        assert E.num[0] == E.num[-1] == GZERO
+        draws = [alpha, beta]
+
+        def drawn(minors, rng):
+            cs = draws.pop(0)
+            return cs, BivarPoly.combination([(k, m) for k, m in zip(cs, minors) if k])
+
+        monkeypatch.setattr(chords, "_random_combo", drawn)
+        sols = solve_minor_system(system, w_mode="swap", expected=20, center=c)
+        assert {(round(abs(s.z.s)), round(abs(s.w.s))) for s in sols} >= {(1, 0), (0, 1)}
+
+    def test_inexact_divisor_raises(self):
+        # Res_w(z - w, z + w) = 2 s t up to sign: t divides it, s + t not
+        p = BivarPoly(1, 1, [[0, -1], [1, 0]])
+        q = BivarPoly(1, 1, [[0, 1], [1, 0]])
+        assert bivar_resultant_w(p, q, divisor=BinaryForm(1, [0, 1])) in (
+            BinaryForm(1, [2, 0]), BinaryForm(1, [-2, 0]))
+        with pytest.raises(ArithmeticError):
+            bivar_resultant_w(p, q, divisor=BinaryForm(1, [1, 1]))

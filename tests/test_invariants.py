@@ -36,7 +36,7 @@ from shadecalc.projective import QuadricSpec
 from shadecalc.reportio import parse_curve_file
 from shadecalc.scalars import QQ
 
-from helpers import form_value, gauss_linking_oracle, stereo_r3, to_complex
+from helpers import form_value, gauss_linking_oracle, ladder_curve, stereo_r3, to_complex
 
 
 class TestGoldenValues:
@@ -280,16 +280,8 @@ class TestFirstCenterSmoothness:
         assert all(r.diagonal_only for r in records) != separate
 
 
-def _ladder_curve(d):
-    """The degree-ladder curve of degree d: four seeded random binary
-    forms with integer coefficients in [-3, 3]."""
-    rng = random.Random(1000 + d)
-    forms = [BinaryForm(d, [rng.randint(-3, 3) for _ in range(d + 1)]) for _ in range(4)]
-    return CurveModel("P3", [CurveComponent(forms)])
-
-
 class TestDegreeLadder:
-    @pytest.mark.parametrize("d,want", [(6, 0), (8, -1)])
+    @pytest.mark.parametrize("d,want", [(6, 0), (8, -1), (10, -2)])
     def test_writhe_over_two_centers(self, d, want, monkeypatch):
         # the record is proven coprime at W0, with no gcd; Cw agrees over
         # two centers, has the parity of N_d = (d-1)(d-2)/2 chords through
@@ -298,7 +290,7 @@ class TestDegreeLadder:
             raise AssertionError("bivar_gcd ran on a degree-ladder record")
 
         monkeypatch.setattr(chords, "bivar_gcd", forbidden)
-        curve = _ladder_curve(d)
+        curve = ladder_curve(d)
         rep = encomplexed_writhe(curve, seed=0, centers=2)
         n_d = (d - 1) * (d - 2) // 2
         assert rep.Cw == want
