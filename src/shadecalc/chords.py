@@ -13,12 +13,12 @@ pipeline is:
    (`secants`): the Plücker forms P_ab = x_a(z) y_b(w) - x_b(z) y_a(w)
    of a component against itself are divided by the diagonal as they are
    built (their Bezoutians), and any other pair keeps its raw forms.
-   One specialization w = W0 proves the result coprime; only when that
-   proof fails does a gcd round divide out the rest (the deck graph of
-   an antipodally symmetric sphere curve).  A center's collinearity
-   minors are linear combinations of the saturated forms, so no center
-   runs a gcd, and a factor that only the center brings stays and ends
-   in GenericityError;
+   One `bivar_gcd` of the forms follows; on most records its first
+   specialization proves them coprime, and a nonconstant gcd (the deck
+   graph of an antipodally symmetric sphere curve) is divided out.  A
+   center's collinearity minors are linear combinations of the saturated
+   forms, so no center runs a gcd, and a factor that only the center
+   brings stays and ends in GenericityError;
 2. eliminate: take two random small-integer combinations u, v of the
    saturated minors and compute the homogeneous resultants R_z (and R_w
    where the system has no usable symmetry).  For a projection, most of
@@ -75,7 +75,7 @@ import numpy as np
 from .curves import ParamPoint, _jet, _power_matrix, p3_forms
 from .errors import GenericityError
 from .poly import (FORM_ONE, GZERO, BinaryForm, BivarPoly, bivar_divexact, bivar_gcd,
-                   bivar_resultant_w, complex_coeffs, form_gcd, gdivexact, glist_gcd, gmul)
+                   bivar_resultant_w, complex_coeffs, gdivexact, glist_gcd, gmul)
 from .roots import DEFAULT_TARGET_RADIUS, UncertifiedRootsError, complex_roots
 
 __all__ = ["PairSolution", "SaturatedSystem", "solve_minor_system", "canonical_unordered",
@@ -86,7 +86,7 @@ FILTER_TOL = 1e-5  # candidate filter: |u|, |v| relative to their scale bounds
 JAC_MARGIN = 1e-6
 COMBO_RETRIES = 6
 POLISH_STEPS = 30  # Newton steps of the pair polish at most
-W0 = 7  # where secants specializes w = v/u to prove a record coprime
+DIAGONAL = BivarPoly(1, 1, [[0, 1], [-1, 0]])  # s v - t u, the z = w locus
 
 
 @dataclass
@@ -122,7 +122,7 @@ class SaturatedSystem:
     minors: tuple  # in input order; a zero minor stays in place
     removed: tuple  # total bidegree removed by saturation
     diagonal_only: bool  # saturation removed exactly the diagonal (or nothing)
-    forms: tuple = ()  # (x, y): the coordinate forms of a `secants` record
+    forms: tuple  # (x, y): the coordinate forms of the record
 
 
 def collinearity_system(center_coords, plucker):
@@ -166,69 +166,36 @@ def _is_scalar_multiple(p: BivarPoly, q: BivarPoly) -> bool:
     return all(gmul(a, b0) == gmul(b, a0) for a, b in pairs)
 
 
-def _saturate_all(minors) -> SaturatedSystem:
-    """Divide the gcd G of all minors out of them, once: the quotients
-    F_i / G have constant gcd, since G is the greatest common factor.
-    The fallback of `secants` when its coprimality proof fails."""
-    minors = list(minors)
-    live = [m for m in minors if not m.is_zero()]
-    if not live:
-        raise GenericityError("all minors vanish identically (degenerate configuration)")
-    g = live[0]
-    for m in live[1:]:
-        if g.m == g.n == 0:
-            break
-        g = bivar_gcd(g, m)
-    if g.m == g.n == 0:
-        return SaturatedSystem(tuple(minors), (0, 0), True)
-    diag = BivarPoly(1, 1, [[0, 1], [-1, 0]])  # s v - t u, the z = w locus
-    return SaturatedSystem(tuple(bivar_divexact(m, g) for m in minors), (g.m, g.n),
-                           _is_scalar_multiple(g, diag))
-
-
-def _coprime_at_w0(minors) -> bool:
-    """True when the binary forms m(s, t; 1, W0) of the minors are not all
-    zero and have a constant gcd.  A common factor of positive
-    (s, t)-degree would divide them and stay nonconstant, so then every
-    common factor of the minors is a form in (u, v) alone."""
-    powers = [W0**k for k in range(minors[0].n + 1)]
-    forms = []
-    for p in minors:
-        num = [(sum(a * w for (a, _), w in zip(r, powers)), sum(b * w for (_, b), w in zip(r, powers)))
-               for r in p.num]
-        if any(c != GZERO for c in num):
-            forms.append(BinaryForm._from_ints(p.m, 1, num))
-    return bool(forms) and form_gcd(forms).degree == 0
-
-
-def _saturate_same(x) -> SaturatedSystem:
-    """The record of a component against itself.  Each Plücker form
-    x_a(z) x_b(w) - x_b(z) x_a(w) is antisymmetric, so the diagonal
-    D = s v - t u divides it, and its quotient, the Bezoutian, is
-    symmetric: a common factor in (u, v) alone would give one in (s, t)
-    alone, so the proof at W0 on one side shows the quotients coprime.
-    Only when it fails do they go through the gcd round."""
-    quotients = [BivarPoly.bezoutian(x[a], x[b]) for a, b in combinations(range(len(x)), 2)]
-    if _coprime_at_w0(quotients):
-        return SaturatedSystem(tuple(quotients), (1, 1), True)
-    sat = _saturate_all(quotients)
-    return SaturatedSystem(sat.minors, (sat.removed[0] + 1, sat.removed[1] + 1),
-                           sat.removed == (0, 0))
+def _saturate(x, y, same) -> SaturatedSystem:
+    """The record of coordinate forms x(z) and y(w), same when both are
+    one component's.  Each Plücker form x_a(z) x_b(w) - x_b(z) x_a(w) of a
+    component against itself is antisymmetric, so the diagonal
+    D = s v - t u divides it and the record starts from its quotient, the
+    Bezoutian; any other record starts from the raw forms.  One bivar_gcd
+    of all of them follows, and only a nonconstant gcd (the deck graph of
+    an antipodally symmetric sphere curve) is divided out."""
+    if same:
+        forms = [BivarPoly.bezoutian(x[a], x[b]) for a, b in combinations(range(len(x)), 2)]
+    else:
+        forms = coincidence_system(x, y)
+    g = bivar_gcd(*forms)
+    if g.m or g.n:
+        forms = [bivar_divexact(f, g) for f in forms]
+    diagonal_only = g.m == g.n == 0 or not same and _is_scalar_multiple(g, DIAGONAL)
+    removed = (g.m + 1, g.n + 1) if same else (g.m, g.n)
+    return SaturatedSystem(tuple(forms), removed, diagonal_only, (x, y))
 
 
 def secants(curve, i, j, *, p3):
     """The saturated Plücker forms of components i and j of the curve
     (j = "conj": component i against its own conjugate), over all
-    coordinates or, with p3, over the P3 image coordinates.  Built once
-    per curve.  A same-component record holds the Bezoutian quotients by
-    the diagonal (`_saturate_same`); any other record holds the raw forms
-    once the proof at W0 in both variables shows them coprime.  The
-    P3-image records serve every projection center and, when each lost
-    at most the diagonal, the smoothness check through the first
-    center's chord solutions.  The records over all five coordinates of
-    a sphere curve serve the real-point search and the separate
-    smoothness solve of a deck-symmetric curve, whose P3-image records
-    lost the deck graph too."""
+    coordinates or, with p3, over the P3 image coordinates, built once
+    per curve by `_saturate`.  The P3-image records serve every projection
+    center and, when each lost at most the diagonal, the smoothness check
+    through the first center's chord solutions.  The records over all
+    five coordinates of a sphere curve serve the real-point search and
+    the separate smoothness solve of a deck-symmetric curve, whose
+    P3-image records lost the deck graph too."""
     comps = curve.components
     key = (i, j, p3 and comps[i].nvars == 5)  # a P3 curve is its own image
     if key not in curve._secants:
@@ -236,13 +203,7 @@ def secants(curve, i, j, *, p3):
         y = comps[i].conj_coords if j == "conj" else comps[j].coords
         if p3:
             x, y = p3_forms(x), p3_forms(y)
-        if j == i:
-            rec = _saturate_same(x)
-        else:
-            forms = coincidence_system(x, y)
-            coprime = _coprime_at_w0(forms) and _coprime_at_w0([f.swap_vars() for f in forms])
-            rec = SaturatedSystem(tuple(forms), (0, 0), True) if coprime else _saturate_all(forms)
-        curve._secants[key] = replace(rec, forms=(x, y))
+        curve._secants[key] = _saturate(x, y, j == i)
     return curve._secants[key]
 
 

@@ -18,8 +18,9 @@ form and work on f(1, t), its `to_zx` table.
 
 Univariate gcds are modular (Brown 1971, zx_gcd), each proven by exact
 division and normalized to a leading coefficient with re > 0, im >= 0.
-The bivariate gcd's pseudo-remainder sequence in w strips content to
-keep sizes near-primitive.
+The bivariate gcd is Brown's too, with integer evaluation nodes in place
+of primes: specialized univariate gcds, interpolated and proven by exact
+division (`bivar_gcd`).
 Content is a Gaussian gcd taken in C-level integer gcds: math.gcd of all
 parts gives the rational-integer content, and a Gaussian Euclid runs only
 modulo the gcd of the norms of what is left, on small numbers.
@@ -38,6 +39,7 @@ the interpreter runs one loop per elimination step, not per entry.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -734,91 +736,116 @@ def _to_columns(p: BivarPoly):
     return cols
 
 
-def _from_columns(m, n, den, cols):
-    """The BivarPoly of declared bidegree (m, n) whose w^k coefficient is
-    cols[k] / den; the inverse of _to_columns."""
-    if len(cols) > n + 1 or any(len(col) > m + 1 for col in cols):
-        raise PolynomialError("affine table exceeds declared bidegree")
-    rows = [[GZERO] * (n + 1) for _ in range(m + 1)]
-    for k, col in enumerate(cols):
-        for j, c in enumerate(col):
-            rows[j][k] = c
-    return BivarPoly._from_ints(m, n, den, rows)
+W0 = 7  # the first node w = v/u of bivar_gcd
 
 
-def _cols_poly_content(cols):
-    g = []
-    for col in cols:
-        if not col:
-            continue
-        g = zx_gcd(g, col) if g else list(col)
-        if len(g) == 1:
-            break
+def _zx_value(f, x):
+    """f(x) for a little-endian Gaussian-integer list f and an integer x."""
+    v = GZERO
+    for c in reversed(f):
+        v = (v[0] * x + c[0], v[1] * x + c[1])
+    return v
+
+
+def _specialize(p: BivarPoly, w):
+    """p(s, t; 1, w) on p's integer table, a binary form of degree p.m."""
+    return BinaryForm._from_ints(p.m, 1, [_zx_value(r, w) for r in p.num])
+
+
+def _uv_content(polys):
+    """The primitive gcd of every row of the polynomials read as a binary
+    form in (u, v): their common factor in (u, v) alone, as a BivarPoly of
+    bidegree (0, e)."""
+    c = form_gcd([BinaryForm._from_ints(p.n, 1, r) for p in polys for r in p.num])
+    return BivarPoly._from_ints(0, c.degree, 1, [c.num])
+
+
+def _interpolated_gcd(polys, batch):
+    """The gcd candidate through the images of one degree in `batch`, as
+    (w, gamma(w), image table), divided into every input; an inexact step
+    anywhere raises ArithmeticError."""
+    xs, scaled = [w for w, _, _ in batch], []
+    for _, gw, img in batch:
+        lc = next(c for c in reversed(img) if c != GZERO)
+        scaled.append([gdivexact(gmul(gw, c), lc) for c in img])
+    rows = []
+    for column in zip(*scaled):
+        re, im = (np.array(part, dtype=object) for part in zip(*column))
+        rows.append(_interp_stack(xs, [re, im] if im.any() else [re]))
+    k = glist_gcd([c for r in rows for c in r])
+    h = BivarPoly._from_ints(len(rows) - 1, len(xs) - 1, 1,
+                             [[gdivexact(c, k) for c in r] for r in rows])
+    h = bivar_divexact(h, _uv_content([h]))
+    a = _uv_content(polys).num[0]
+    g = BivarPoly._from_ints(h.m, h.n + len(a) - 1, h.den, [zx_mul(r, a) for r in h.num])
+    for p in polys:
+        bivar_divexact(p, g)
     return g
 
 
-def _cols_scalar_primitive(cols):
-    flat = [c for col in cols for c in col]
-    g = glist_gcd(flat)
-    if g == GZERO or gnorm(g) == 1:
-        return cols
-    return [[gdivexact(c, g) for c in col] for col in cols]
+def bivar_gcd(*polys: BivarPoly) -> BivarPoly:
+    """Gcd of bihomogeneous polynomials, bihomogeneous and primitive over
+    Z[i] (one nonzero input is its own gcd): Brown's modular gcd (J. ACM
+    18, 1971; Geddes, Czapor and Labahn 1992, ch. 7) with integer nodes
+    w = v/u = W0, W0 + 1, ... in place of primes.
 
+    At a node the inputs specialize to binary forms in (s, t), and the gcd
+    G specializes to a divisor of their gcd g_w, nonzero wherever some
+    input's specialization is; so deg g_w is at least G's (s, t)-degree.
+    A constant g_w proves G = A, a form in (u, v) alone: the gcd of every
+    row read as a (u, v)-form, constant when every input equals its
+    swap_vars, since A(u, v) would bring A(s, t).  On most records the
+    first node is the whole proof.
 
-def _cols_prem(f, g):
-    """Pseudo-remainder in w of column lists over Z[i][z]."""
-    dg = len(g) - 1
-    lc = g[-1]
-    f = [list(col) for col in f]
-    while f and len(f) - 1 >= dg:
-        df = len(f) - 1
-        top = f[-1]
-        f = [zx_strip(zx_mul(col, lc)) if col else [] for col in f]
-        shift = df - dg
-        for j in range(dg + 1):
-            f[shift + j] = zx_sub(f[shift + j], zx_mul(top, g[j]))
-        f = f[:df]
-        while f and not f[-1]:
-            f.pop()
-    return f
-
-
-def bivar_gcd(p: BivarPoly, q: BivarPoly) -> BivarPoly:
-    """Gcd of bihomogeneous polynomials (bihomogeneous again): primitive
-    PRS in the affine chart plus bookkeeping for the pure s- and u-powers
-    the chart cannot see."""
-    if p.is_zero():
-        return q
-    if q.is_zero():
-        return p
-    pc, qc = _to_columns(p), _to_columns(q)
-    p_updef = p.n + 1 - len(pc)
-    q_updef = q.n + 1 - len(qc)
-    p_sdef = p.m - max(len(col) - 1 for col in pc if col)
-    q_sdef = q.m - max(len(col) - 1 for col in qc if col)
-    ca = _cols_poly_content(pc)
-    cb = _cols_poly_content(qc)
-    fa = [zx_divexact(col, ca) if col else [] for col in pc] if len(ca) > 1 else pc
-    fb = [zx_divexact(col, cb) if col else [] for col in qc] if len(cb) > 1 else qc
-    gcont = zx_gcd(ca, cb)
-    f, g = (fa, fb) if len(fa) >= len(fb) else (fb, fa)
-    while g:
-        r = _cols_prem(f, g)
-        r = _cols_scalar_primitive(r)
-        if r:
-            cr = _cols_poly_content(r)
-            if len(cr) > 1:
-                r = [zx_divexact(col, cr) if col else [] for col in r]
-        f, g = g, r
-    f = _cols_scalar_primitive(f)
-    cf = _cols_poly_content(f)
-    if len(cf) > 1:
-        f = [zx_divexact(col, cf) if col else [] for col in f]
-    if len(gcont) > 1:
-        f = [zx_strip(zx_mul(col, gcont)) if col else [] for col in f]
-    m_decl = max(len(col) - 1 for col in f if col) + min(p_sdef, q_sdef)
-    n_decl = len(f) - 1 + min(p_updef, q_updef)
-    return _from_columns(m_decl, n_decl, 1, f)
+    Otherwise G = A H with H free of (u, v)-factors.  gamma, the Z[i] gcd
+    of the inputs' top t-rows as polynomials in w (the gcd of their
+    Gaussian contents times their primitive gcd), is a multiple of lc H.
+    Where gamma(w) != 0 an image of the least degree seen, scaled to the
+    leading coefficient gamma(w), is (gamma / lc H) H at w; an image of
+    higher degree is unlucky and skipped, a lower one restarts the batch.
+    deg gamma + min deg_w + 1 such images give (gamma / lc H) H row by row
+    (`_interp_stack`), and its primitive part is H.  The candidate A H is
+    certified when it divides every input exactly: its (s, t)-degree is
+    deg g_w, so the quotients' images at w have a constant gcd (the
+    one-node coprimality test), and H primitive leaves their (u, v)-rows
+    coprime.  A failed candidate shows its degree unlucky at every node of
+    the batch, and the next batch must go lower.  Unlucky nodes are roots
+    of gamma or of a resultant of degree at most 2 m n in w, so a gcd not
+    certified within that many further nodes raises ArithmeticError.
+    """
+    live = [p for p in polys if not p.is_zero()]
+    if not live:
+        raise PolynomialError("gcd of zero polynomials")
+    if len(live) == 1:
+        return live[0]
+    need = None
+    cap, batch = max(p.m for p in live), []
+    for w in itertools.count(W0):
+        images = [f for f in (_specialize(p, w) for p in live) if not f.is_zero()]
+        g = form_gcd(images) if images else None
+        if g is not None and g.degree == 0:
+            if all(p.num == tuple(zip(*p.num)) for p in live):
+                return BivarPoly._from_ints(0, 0, 1, [[GONE]])
+            return _uv_content(live)
+        if need is None:
+            tops = [next(t for t in map(zx_strip, reversed(p.num)) if t) for p in live]
+            k = glist_gcd([c for t in tops for c in t])
+            gamma = [gmul(k, c) for c in functools.reduce(zx_gcd, tops)]
+            need = len(gamma) + min(max(len(zx_strip(r)) for r in p.num) for p in live) - 1
+            limit = w + need + len(gamma) + 2 * max(p.m for p in live) * max(p.n for p in live)
+        elif w > limit:
+            raise ArithmeticError("bivariate gcd not certified")
+        gw = _zx_value(gamma, w)
+        if gw == GZERO or g.degree > cap:
+            continue
+        if g.degree < cap:
+            cap, batch = g.degree, []
+        batch.append((w, gw, g.num))
+        if len(batch) == need:
+            try:
+                return _interpolated_gcd(live, batch)
+            except ArithmeticError:  # every image of degree cap was unlucky
+                cap, batch = cap - 1, []
 
 
 def bivar_divexact(p: BivarPoly, d: BivarPoly) -> BivarPoly:
@@ -827,8 +854,9 @@ def bivar_divexact(p: BivarPoly, d: BivarPoly) -> BivarPoly:
     Works on the integer tables with the Gaussian content of d's divided
     out, so by Gauss's lemma an exact quotient has Z[i] coefficients.
     Long division in w then divides column by column with zx_divexact,
-    and the quotient is rescaled once at the end.  An inexact step or a
-    nonzero remainder raises ArithmeticError.
+    and the quotient is rescaled once at the end.  An inexact step, a
+    nonzero remainder or a quotient beyond the declared bidegree (p lacks
+    a power of s or u that d has) raises ArithmeticError.
     """
     if d.is_zero():
         raise PolynomialError("division by the zero polynomial")
@@ -839,7 +867,7 @@ def bivar_divexact(p: BivarPoly, d: BivarPoly) -> BivarPoly:
     if not fp:
         return BivarPoly.zero(m, n)
     nq = len(fp) - len(fd)
-    if nq < 0:
+    if not 0 <= nq <= n:
         raise ArithmeticError("inexact bivariate division")
     cont = glist_gcd([c for col in fd for c in col])
     fd = [[gdivexact(c, cont) for c in col] for col in fd]
@@ -852,12 +880,15 @@ def bivar_divexact(p: BivarPoly, d: BivarPoly) -> BivarPoly:
         for j in range(len(fd) - 1):
             rem[k + j] = zx_sub(rem[k + j], zx_mul(qk, fd[j]))
         rem[k + len(fd) - 1] = []
-    if any(rem):
+    if any(rem) or any(len(col) > m + 1 for col in qcols):
         raise ArithmeticError("inexact bivariate division")
     # p / d = q d.den / (p.den cont), and 1 / cont = conj(cont) / |cont|^2
     scale = (cont[0] * d.den, -cont[1] * d.den)
-    qcols = [[gmul(c, scale) for c in col] for col in qcols]
-    return _from_columns(m, n, p.den * gnorm(cont), qcols)
+    rows = [[GZERO] * (n + 1) for _ in range(m + 1)]
+    for k, col in enumerate(qcols):
+        for j, c in enumerate(col):
+            rows[j][k] = gmul(c, scale)
+    return BivarPoly._from_ints(m, n, p.den * gnorm(cont), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -964,9 +995,7 @@ def _divisor_nodes(divisor: BinaryForm, count):
     xs, values = [], []
     for i in itertools.count():
         x = (i + 1) // 2 * (-1) ** (i + 1)
-        e = GZERO
-        for c in reversed(divisor.num):
-            e = gadd((e[0] * x, e[1] * x), c)
+        e = _zx_value(divisor.num, x)
         if e != GZERO:
             xs.append(x)
             values.append(e)

@@ -5,10 +5,11 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import sympy
 from sympy import QQ_I
 
 from shadecalc.curves import CurveComponent, CurveModel
-from shadecalc.poly import BinaryForm, BivarPoly, bivar_resultant_w, gmul
+from shadecalc.poly import BinaryForm, BivarPoly, bivar_resultant_w, gdivexact, glist_gcd, gmul
 from shadecalc.scalars import QQ, GaussianRational
 
 
@@ -117,6 +118,30 @@ def bivar_value(p, st, uv):
     den = p.den * ds * du
     return QQ_I(Fraction(re, den), Fraction(im, den))
 
+
+
+def sympy_bivar_gcd(polys):
+    """The suites' oracle gcd of nonzero bihomogeneous polynomials, as a
+    BivarPoly primitive over Z[i]: sympy's gcd over QQ_I of the affine
+    polynomials p(1, z; 1, w), times the common s- and u-powers that the
+    affine chart cannot see."""
+    z, w = sympy.symbols("z w")
+    affine = [sympy.Poly.from_dict(
+        {(j, k): QQ_I(Fraction(a, p.den), Fraction(b, p.den))
+         for j, r in enumerate(p.num) for k, (a, b) in enumerate(r) if a or b},
+        z, w, domain=QQ_I) for p in polys]
+    g = affine[0]
+    for f in affine[1:]:
+        g = g.gcd(f)
+    m = g.degree(z) + min(p.m - f.degree(z) for p, f in zip(polys, affine))
+    n = g.degree(w) + min(p.n - f.degree(w) for p, f in zip(polys, affine))
+    terms = g.as_dict(native=True)
+    den = math.lcm(*(q.denominator for c in terms.values() for q in (c.x, c.y)))
+    rows = [[(0, 0)] * (n + 1) for _ in range(m + 1)]
+    for (j, k), c in terms.items():
+        rows[j][k] = (int(c.x * den), int(c.y * den))
+    k = glist_gcd([c for r in rows for c in r])
+    return BivarPoly._from_ints(m, n, 1, [[gdivexact(c, k) for c in r] for r in rows])
 
 # the pole (1, 1, 1, 1)/2 of the unit sphere and an orthonormal basis of
 # its orthogonal complement with det[pole, b1, b2, b3] < 0, the orientation

@@ -32,7 +32,7 @@ from shadecalc.reportio import parse_curve_file
 from shadecalc.scalars import GaussianRational as G, QQ
 
 from helpers import (bivar_value, conjugate_params, exact, form_value, ladder_curve, same_param,
-                     to_complex)
+                     sympy_bivar_gcd, to_complex)
 
 
 def center_system(curve, center, j=0):
@@ -305,9 +305,9 @@ FIXTURES = sorted(DATA.glob("*.json"))
 
 DIAG = BivarPoly(1, 1, [[0, 1], [-1, 0]])  # s v - t u
 UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
-# the records whose proof at W0 fails, so they still run the gcd round:
-# the P3-image records of the deck-symmetric sphere curves, which lose the
-# deck graph besides the diagonal
+# the records whose gcd is nonconstant: the P3-image records of the
+# deck-symmetric sphere curves, which lose the deck graph besides the
+# diagonal
 GCD_RECORDS = {("hopf_pair", 0, 0, True), ("hopf_pair", 1, 1, True), ("unknot", 0, 0, True),
                ("split_circles", 0, 1, True)}
 
@@ -330,6 +330,22 @@ def _records():
             for p3 in sorted({True, comps[i].nvars == 4}):
                 forms = p3_forms if p3 else tuple
                 yield name, curve, i, j, p3, forms(comps[i].coords), forms(y)
+
+
+@functools.cache
+def _saturate_until_constant(minors):
+    """The saturation loop that one gcd round replaced, on sympy's gcd:
+    divide the common gcd out until it is constant.  A single nonzero
+    minor is its own gcd, as in the engine."""
+    minors, removed, diagonal_only = list(minors), (0, 0), True
+    while True:
+        live = [m for m in minors if not m.is_zero()]
+        g = live[0] if len(live) == 1 else sympy_bivar_gcd(live)
+        if g.m == g.n == 0:
+            return minors, removed, diagonal_only
+        diagonal_only &= chords._is_scalar_multiple(g, DIAG)
+        removed = (removed[0] + g.m, removed[1] + g.n)
+        minors = [bivar_divexact(m, g) for m in minors]
 
 
 def _times_unit(p, unit):
@@ -362,49 +378,32 @@ class TestSecants:
                  for _ in range(4)]
             for i, j, w_mode, *_ in _chord_systems(comps, not curve.is_real()):
                 y = comps[i].conj_coords if w_mode == "conj" else comps[j].coords
-                raw = coincidence_system(p3_forms(comps[i].coords), p3_forms(y))
-                old = chords._saturate_all(collinearity_system(c, raw))
+                raw = collinearity_system(c, coincidence_system(p3_forms(comps[i].coords),
+                                                                p3_forms(y)))
+                g = bivar_gcd(*raw)
+                diagonal_only = g.m == g.n == 0 or chords._is_scalar_multiple(g, DIAG)
                 sec = secants(curve, i, "conj" if w_mode == "conj" else j, p3=True)
-                assert _same_system(old.minors, collinearity_system(c, sec.minors))
-                assert (old.removed, old.diagonal_only) == (sec.removed, sec.diagonal_only)
-
-    @staticmethod
-    def _saturate_until_constant(minors):
-        """The saturation loop that one gcd round replaced: divide the
-        common gcd out until it is constant."""
-        minors, removed, diagonal_only = list(minors), (0, 0), True
-        diag = BivarPoly(1, 1, [[0, 1], [-1, 0]])
-        while True:
-            live = [m for m in minors if not m.is_zero()]
-            g = functools.reduce(bivar_gcd, live)
-            if g.m == g.n == 0:
-                return minors, removed, diagonal_only
-            diagonal_only &= chords._is_scalar_multiple(g, diag)
-            removed = (removed[0] + g.m, removed[1] + g.n)
-            minors = [bivar_divexact(m, g) for m in minors]
+                assert _same_system([bivar_divexact(m, g) for m in raw],
+                                    collinearity_system(c, sec.minors))
+                assert ((g.m, g.n), diagonal_only) == (sec.removed, sec.diagonal_only)
 
     def test_one_gcd_round_saturates(self):
         # every record of the 8 fixtures (P3 image and, on the sphere, all
-        # five coordinates) and of the kae sweeps' members: after G = gcd(F_i)
-        # is divided out, gcd(F_i / G) is constant
-        curves = [parse_curve_file(path.read_bytes())[0] for path in FIXTURES]
-        curves += [kae_curve(QQ(n, 8), eps) for n in range(-8, 9) for eps in (1, -1)]
+        # five coordinates) and of the kae sweeps' members: the gcd G of the
+        # raw forms F_i is the oracle's up to a unit, and gcd(F_i / G) is
+        # constant
         count = 0
-        for curve in curves:
-            comps = curve.components
-            pairs = ([(i, "conj") for i in range(len(comps))] if not curve.is_real() else
-                     [(i, j) for i in range(len(comps)) for j in range(i, len(comps))])
-            for i, j in pairs:
-                y = comps[i].conj_coords if j == "conj" else comps[j].coords
-                for p3 in {True, comps[i].nvars == 4}:
-                    forms = (p3_forms if p3 else tuple)
-                    raw = coincidence_system(forms(comps[i].coords), forms(y))
-                    sat = chords._saturate_all(raw)
-                    minors, removed, diagonal_only = self._saturate_until_constant(raw)
-                    assert [(p.m, p.n, p.den, p.num) for p in sat.minors] == [
-                        (p.m, p.n, p.den, p.num) for p in minors]
-                    assert (sat.removed, sat.diagonal_only) == (removed, diagonal_only)
-                    count += 1
+        for _, _, _, _, _, x, y in _records():
+            raw = coincidence_system(x, y)
+            g = bivar_gcd(*raw)
+            minors, removed, _ = _saturate_until_constant(tuple(raw))
+            assert (g.m, g.n) == removed
+            quotients = [bivar_divexact(f, g) for f in raw]
+            assert any(all(_times_unit(a, unit) == b for a, b in zip(minors, quotients))
+                       for unit in UNITS)
+            h = bivar_gcd(*quotients)
+            assert h.m == h.n == 0
+            count += 1
         assert count == 54
 
     def test_bezoutian_is_the_exact_quotient(self):
@@ -442,8 +441,8 @@ class TestSecants:
         # constant removes, and keep its minors up to one common unit
         count = 0
         for _, curve, i, j, p3, x, y in _records():
-            minors, removed, diagonal_only = self._saturate_until_constant(
-                coincidence_system(x, y))
+            minors, removed, diagonal_only = _saturate_until_constant(
+                tuple(coincidence_system(x, y)))
             rec = secants(curve, i, j, p3=p3)
             assert (rec.removed, rec.diagonal_only) == (removed, diagonal_only)
             assert len(rec.minors) == len(minors)
@@ -453,67 +452,56 @@ class TestSecants:
         assert count == 54
 
     def test_gcd_runs_only_on_the_deck_records(self, monkeypatch):
-        # the gcd round (_saturate_all, and bivar_gcd within it) runs on
-        # the pinned records alone; the unknot's and hopf_pair's P3-image
-        # records keep one nonzero quotient, so their round needs no gcd
-        calls = []
+        # every record is built by one bivar_gcd call, whose factor is
+        # nonconstant, of bidegree (1, 1), on the pinned records alone
+        factors = []
 
-        def spy(name):
-            fn = getattr(chords, name)
-
-            def wrapper(*args):
-                calls.append(name)
-                return fn(*args)
-            monkeypatch.setattr(chords, name, wrapper)
-
-        spy("_saturate_all")
-        spy("bivar_gcd")
-        rounds, gcds = set(), set()
+        def spy(*forms):
+            g = bivar_gcd(*forms)
+            factors.append((g.m, g.n))
+            return g
+        monkeypatch.setattr(chords, "bivar_gcd", spy)
+        nonconstant = set()
         for name, curve, i, j, p3, _, _ in _records():
-            calls.clear()
+            factors.clear()
             secants(curve, i, j, p3=p3)
-            if "_saturate_all" in calls:
-                rounds.add((name, i, j, p3))
-            if "bivar_gcd" in calls:
-                gcds.add((name, i, j, p3))
-        assert rounds == GCD_RECORDS
-        assert gcds == {("split_circles", 0, 1, True)}
+            assert len(factors) == 1
+            if factors != [(0, 0)]:
+                assert factors == [(1, 1)]
+                nonconstant.add((name, i, j, p3))
+        assert nonconstant == GCD_RECORDS
 
     @pytest.fixture
     def saturations(self, monkeypatch):
         """Runs encomplexed_writhe and returns, for every record it
         saturated, the builder's name and the record's size."""
         calls = []
+        build = chords._saturate
 
-        def spy(name):
-            build = getattr(chords, name)
-
-            def wrapper(*args):
-                out = build(*args)
-                calls.append((name, len(out.minors)))
-                return out
-            monkeypatch.setattr(chords, name, wrapper)
+        def spy(*args):
+            out = build(*args)
+            calls.append(("_saturate", len(out.minors)))
+            return out
+        monkeypatch.setattr(chords, "_saturate", spy)
 
         def run(curve, centers):
             calls.clear()
             encomplexed_writhe(curve, seed=1, centers=centers)
             return list(calls)
 
-        spy("_saturate_same")
-        spy("_saturate_all")
         return run
 
     def test_centers_share_the_saturation(self, saturations):
         # every center shares the record of the trefoil's six x1..x4
-        # forms, built as Bezoutian quotients with no gcd round; its first
+        # forms, built as Bezoutian quotients with a constant gcd; its first
         # center's chord solutions prove smoothness, so the ten forms of
         # all five coordinates are never saturated
         one = saturations(trefoil_curve(), 1)
         four = saturations(trefoil_curve(), 4)
-        assert one == four == [("_saturate_same", 6)]
+        assert one == four == [("_saturate", 6)]
 
     def test_p3_smoothness_and_projection_share_one(self, saturations):
-        assert saturations(kae_curve(QQ(1, 2), -1), 2) == [("_saturate_same", 6)]
+        assert saturations(kae_curve(QQ(1, 2), -1), 2) == [("_saturate", 6)]
 
     def test_cached_on_the_model(self):
         curve = kae_curve(QQ(1, 2), -1)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shadecalc import chords, diagram, invariants
+from shadecalc import chords, diagram, invariants, poly
 from shadecalc.curves import (
     CurveComponent,
     CurveModel,
@@ -283,15 +283,26 @@ class TestFirstCenterSmoothness:
 class TestDegreeLadder:
     @pytest.mark.parametrize("d,want", [(6, 0), (8, -1), (10, -2)])
     def test_writhe_over_two_centers(self, d, want, monkeypatch):
-        # the record is proven coprime at W0, with no gcd; Cw agrees over
-        # two centers, has the parity of N_d = (d-1)(d-2)/2 chords through
-        # a generic center and stays within the genus bound
-        def forbidden(*args):
-            raise AssertionError("bivar_gcd ran on a degree-ladder record")
+        # the record's gcd is proven constant at the first node, with no
+        # other node specialized; Cw agrees over two centers, has the
+        # parity of N_d = (d-1)(d-2)/2 chords through a generic center and
+        # stays within the genus bound
+        nodes, factors = [], []
+        specialize, gcd = poly._specialize, chords.bivar_gcd
 
-        monkeypatch.setattr(chords, "bivar_gcd", forbidden)
+        def spy_specialize(p, w):
+            nodes.append(w)
+            return specialize(p, w)
+
+        def spy_gcd(*forms):
+            g = gcd(*forms)
+            factors.append((g.m, g.n))
+            return g
+        monkeypatch.setattr(poly, "_specialize", spy_specialize)
+        monkeypatch.setattr(chords, "bivar_gcd", spy_gcd)
         curve = ladder_curve(d)
         rep = encomplexed_writhe(curve, seed=0, centers=2)
+        assert factors == [(0, 0)] and set(nodes) == {poly.W0}
         n_d = (d - 1) * (d - 2) // 2
         assert rep.Cw == want
         assert (rep.Cw - n_d) % 2 == 0 and abs(rep.Cw) <= n_d

@@ -229,6 +229,45 @@ class TestGcd:
         assert _same_up_to_scalar(g, b)
         assert _same_up_to_scalar(bivar_divexact(a, g), zpw)
 
+    @pytest.mark.parametrize("cofactors", [
+        # C t and C (t u^2 + s (v - 7u)(v - 8u)) share the root t = 0 at the
+        # first two nodes w = v/u = 7, 8
+        ((1, 0, {(1, 0): 1}), (1, 2, {(0, 0): 56, (0, 1): -15, (0, 2): 1, (1, 0): 1})),
+        # C s and C (s u^2 + t (v - 7u)(v - 8u)) share the root s = 0 there,
+        # a power of s that the affine chart does not see
+        ((1, 0, {(0, 0): 1}), (1, 2, {(0, 0): 1, (1, 0): 56, (1, 1): -15, (1, 2): 1})),
+    ])
+    def test_unlucky_first_nodes(self, cofactors):
+        # the images at the first two nodes have the degree of C times the
+        # shared root; that batch interpolates a multiple of C which exact
+        # division rejects, and the next nodes give C
+        c = bp(1, 1, {(0, 0): 1, (0, 1): 1, (1, 0): 1})  # z + w + 1
+        f, g = (_mul(c, bp(*args)) for args in cofactors)
+        assert _same_up_to_scalar(bivar_gcd(f, g), c)
+
+    @pytest.mark.parametrize("p, d", [((1, 0, {(1, 0): 1}), (1, 0, {(0, 0): 1})),
+                                      ((0, 1, {(0, 1): 1}), (0, 1, {(0, 0): 1}))])
+    def test_division_by_a_missing_power(self, p, d):
+        # t / s and v / u: the affine chart sees z / 1 and w / 1
+        with pytest.raises(ArithmeticError):
+            bivar_divexact(bp(*p), bp(*d))
+
+    def test_factor_in_u_v_alone(self):
+        # s (u^2 + v^2) and t (u^2 + v^2) are not symmetric: their images
+        # at the first node are coprime, and the common factor is their
+        # rows' gcd in (u, v)
+        c = bp(0, 2, {(0, 0): 1, (0, 2): 1})
+        f, g = _mul(c, bp(1, 0, {(0, 0): 1})), _mul(c, bp(1, 0, {(1, 0): 1}))
+        assert _same_up_to_scalar(bivar_gcd(f, g), c)
+        assert _same_up_to_scalar(bivar_gcd(f, g, bp(0, 0, {(0, 0): 3})), bp(0, 0, {(0, 0): 1}))
+
+    def test_leading_coefficient_with_a_gaussian_content(self):
+        # C = 2z + 1 + w has lc 2 in z: gamma carries the content 2, so each
+        # image scaled to lc gamma(w) = 2 is C(z, w) exactly
+        c = bp(1, 1, {(0, 0): 1, (0, 1): 1, (1, 0): 2})
+        f, g = _mul(c, bp(1, 0, {(1, 0): 1})), _mul(c, bp(1, 0, {(0, 0): 1}))
+        assert _same_up_to_scalar(bivar_gcd(f, g), c)
+
 
 class TestComplexTable:
     def test_equality_and_hash_read_the_table(self):

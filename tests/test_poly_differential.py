@@ -25,6 +25,7 @@ from shadecalc.poly import (
     BinaryForm,
     BivarPoly,
     bivar_divexact,
+    bivar_gcd,
     bivar_resultant_w,
     gdivexact,
     gmul,
@@ -38,7 +39,7 @@ from shadecalc.poly import (
 )
 from shadecalc.scalars import GaussianRational as G
 
-from helpers import bivar_value, exact, form_value, to_complex
+from helpers import bivar_value, exact, form_value, sympy_bivar_gcd, to_complex
 
 Z, W = sympy.symbols("z w")
 QQ_I = sympy.QQ_I
@@ -195,6 +196,52 @@ class TestBivarDivexact:
         assume(not rem.is_zero)
         with pytest.raises(ArithmeticError):
             bivar_divexact(p, d)
+
+
+def _product(a, b):
+    return poly_to_bivar(bivar_to_poly(a) * bivar_to_poly(b), a.m + b.m, a.n + b.n)
+
+
+def _power(var, a):
+    """s^a, t^a, u^a or v^a."""
+    m, n = (a, 0) if var in "st" else (0, a)
+    rows = [[(0, 0)] * (n + 1) for _ in range(m + 1)]
+    rows[a if var == "t" else 0][a if var == "v" else 0] = (1, 0)
+    return BivarPoly._from_ints(m, n, 1, rows)
+
+
+nonzero_bivars = bivars().filter(lambda p: not p.is_zero())
+
+
+@st.composite
+def common_factors(draw):
+    """A product of one or two factors, each a pure s-, t-, u- or v-power,
+    a form in (s, t) alone, a form in (u, v) alone, s (u + v) + c t u
+    (the leading coefficient c in z has a Gaussian content) or a random
+    polynomial."""
+    def factor():
+        kind = draw(st.sampled_from(["power", "st", "uv", "content", "random"]))
+        if kind == "power":
+            return _power(draw(st.sampled_from("stuv")), draw(st.integers(1, 2)))
+        if kind == "content":
+            c = draw(st.sampled_from([2, 3, G(1, 1), G(2, 1)]))
+            return BivarPoly(1, 1, [[1, 1], [c, 0]])
+        m, n = {"st": (draw(st.integers(1, 2)), 0), "uv": (0, draw(st.integers(1, 2))),
+                "random": (draw(st.integers(1, 2)), draw(st.integers(0, 2)))}[kind]
+        return draw(bivars_of(m, n).filter(lambda p: not p.is_zero()))
+
+    c = factor()
+    return _product(c, factor()) if draw(st.booleans()) else c
+
+
+class TestBivarGcd:
+    @settings(max_examples=60, deadline=None)
+    @given(common_factors(), st.lists(nonzero_bivars, min_size=2, max_size=4))
+    def test_matches_sympy_gcd(self, c, cofactors):
+        products = [_product(a, c) for a in cofactors]
+        got, want = bivar_gcd(*products), sympy_bivar_gcd(products)
+        assert (got.m, got.n) == (want.m, want.n)
+        assert chords._is_scalar_multiple(got, want)
 
 
 @st.composite
