@@ -27,14 +27,17 @@ modulo the gcd of the norms of what is left, on small numbers.
 Exact division is integer long division: by Gauss's lemma over the UFD
 Z[i][z], a quotient by a primitive divisor has Gaussian-integer
 coefficients, so an inexact step means the division is inexact.
-Resultants of polynomial-entry Sylvester matrices go through integer
-evaluation, fraction-free (Bareiss) determinants over Z[i] and Newton
-interpolation, all in integers; a known factor of the resultant is
-divided out exactly at each node first, so only the quotient is
-interpolated.  Degrees here stay below ~80.  The
-Sylvester matrices at all evaluation nodes form one stack that a single
-batched elimination reduces, on numpy object arrays of Python ints, so
-the interpreter runs one loop per elimination step, not per entry.
+Resultants go through integer evaluation, fraction-free (Bareiss)
+determinants over Z[i] and Newton interpolation, all in integers; a known
+factor of the resultant is divided out exactly at each node first, so
+only the quotient is interpolated.  At each evaluation node the matrix is
+the hybrid Sylvester-Bezout matrix of the two specialized polynomials,
+max(na, nb) square where the Sylvester matrix is na + nb, with one row
+negated where needed so that its determinant is the Sylvester
+determinant exactly.  The matrices at all nodes form one stack that a
+single batched elimination reduces, on numpy object arrays of Python
+ints, so the interpreter runs one loop per elimination step, not per
+entry.
 """
 
 from __future__ import annotations
@@ -896,6 +899,14 @@ def bivar_divexact(p: BivarPoly, d: BivarPoly) -> BivarPoly:
 # ---------------------------------------------------------------------------
 
 
+def _gmul_parts(x, y):
+    """x * y entrywise for Gaussian arrays given as [re] or [re, im]."""
+    if len(x) == 1:
+        return [x[0] * y[0]]
+    (xr, xi), (yr, yi) = x, y
+    return [xr * yr - xi * yi, xr * yi + xi * yr]
+
+
 def _bareiss_stack(parts):
     """Determinants of a stack of square Gaussian-integer matrices, by one
     fraction-free (Bareiss 1968) elimination run on all of them at once.
@@ -933,16 +944,10 @@ def _bareiss_stack(parts):
         sub = [A[:, k + 1:, k + 1:] for A in parts]
         col = [A[:, k + 1:, k, None] for A in parts]
         row = [A[:, k, None, k + 1:] for A in parts]
-        if len(parts) == 1:
-            num = [pk[0] * sub[0] - col[0] * row[0]]
-            div = prev[0][:, None, None]
-        else:
-            (pr, pi), (sr, si), (cr, ci), (rr, ri) = pk, sub, col, row
-            nr = pr * sr - pi * si - (cr * rr - ci * ri)
-            ni = pr * si + pi * sr - (cr * ri + ci * rr)
-            dr, di = (x[:, None, None] for x in prev)
-            num = [nr * dr + ni * di, ni * dr - nr * di]
-            div = dr * dr + di * di
+        num = [x - y for x, y in zip(_gmul_parts(pk, sub), _gmul_parts(col, row))]
+        div, *di = (x[:, None, None] for x in prev)
+        if di:
+            num, div = _gmul_parts(num, [div, -di[0]]), div * div + di[0] * di[0]
         for A, x in zip(parts, num):
             if k:  # the first step's previous pivot is 1
                 q = x // div
@@ -1019,6 +1024,47 @@ def _divide_values(dets, divisor):
     return out
 
 
+def _hybrid_bezout(a, b):
+    """Hybrid Sylvester-Bezout matrices of the coefficient stacks a, b,
+    given as in `_bareiss_stack`'s result but (P, na + 1) and (P, nb + 1):
+    row i holds a polynomial's coefficients at node i by ascending power
+    of x = v/u, in formal degrees na, nb >= 1.  Each matrix's determinant
+    is the Sylvester determinant of a and b with ascending powers.
+
+    With f the input of formal degree m = max(na, nb) and g the other,
+    of degree n, the matrix is m x m and its rows are coefficients of
+    x^0..x^(m-1): first x^i g for i < m - n, then, for k = 1..n, the
+    Bezout row F_k x^(m-n) g - G_k f, where F_k and G_k are the top k
+    coefficients of f and g read as polynomials of degree k - 1, so the
+    top k coefficients cancel.  From F_k = x F_(k-1) + f_(m-k+1) (and G_k
+    likewise) each Bezout row is x times the one before plus
+    f_(m-k+1) x^(m-n) g - g_(n-k+1) f.  Its determinant is the classical
+    resultant Res(f, g) as a polynomial identity in the coefficients,
+    whatever they are: (-1)^(na nb) times the ascending Sylvester
+    determinant when f is a, the ascending determinant itself when f is
+    b; in the first case with na nb odd the last row is negated.
+    """
+    f, g = (a, b) if a[0].shape[1] >= b[0].shape[1] else (b, a)
+    P, m, n = f[0].shape[0], f[0].shape[1] - 1, g[0].shape[1] - 1
+    stack = [np.zeros((P, m, m), dtype=object) for _ in f]
+    for M, c in zip(stack, g):
+        for i in range(m - n):
+            M[:, i, i:i + n + 1] = c
+    for k in range(1, n + 1):
+        r = m - n + k - 1
+        fg = _gmul_parts([c[:, m - k + 1, None] for c in f], [c[:, :n] for c in g])
+        gf = _gmul_parts([c[:, n - k + 1, None] for c in g], [c[:, :m] for c in f])
+        for M, x, y in zip(stack, fg, gf):
+            M[:, r] = -y
+            M[:, r, m - n:] += x
+            if k > 1:
+                M[:, r, 1:] += M[:, r - 1, :-1]
+    if f is a and m * n % 2:
+        for M in stack:
+            M[:, -1] = -M[:, -1]
+    return stack
+
+
 def bivar_resultant_w(p: BivarPoly, q: BivarPoly, strip_content=False,
                       divisor: BinaryForm = FORM_ONE) -> BinaryForm:
     """Homogeneous resultant eliminating the (u, v) pair, divided by a
@@ -1026,16 +1072,21 @@ def bivar_resultant_w(p: BivarPoly, q: BivarPoly, strip_content=False,
 
     p, q are read as binary forms of their declared (u, v)-degrees with
     BinaryForm coefficients in (s, t); the resultant is a binary form in
-    (s, t) of degree D = p.m*q.n + q.m*p.n.  Coefficient sequences enter
-    the Sylvester matrix by ascending v-power, which matches the classical
-    resultant up to the factor (-1)^(deg_f * deg_g).  The result is the
+    (s, t) of degree D = p.m*q.n + q.m*p.n.  The resultant is the
+    determinant of the Sylvester matrix whose rows hold v^i p and v^i q
+    by ascending v-power, in the declared degrees na = p.n and nb = q.n;
+    it is the classical resultant times (-1)^(na nb).  The result is the
     resultant divided by `divisor` (default 1), a binary form of degree
     D - divisor.degree.
 
     The nodes are the integers 0, 1, -1, 2, -2, ... at which the divisor
-    does not vanish, one more than the quotient's degree needs.  The
-    Sylvester matrices at all nodes are eliminated together as one stack
-    (`_bareiss_stack`); each determinant is divided exactly by the
+    does not vanish, one more than the quotient's degree needs.  At each
+    node p and q specialize to polynomials in x = v/u, and the
+    determinant is taken of their hybrid Sylvester-Bezout matrix
+    (`_hybrid_bezout`): max(na, nb) square, where the Sylvester matrix
+    is na + nb, and with its sign fixed so that the two determinants are
+    equal.  The matrices at all nodes are eliminated together as one
+    stack (`_bareiss_stack`); each determinant is divided exactly by the
     divisor's value at its node, and the quotients are interpolated
     (`_interp_stack`); a real pair carries no imaginary parts through
     either.  The spare node's top coefficient must come out zero.  So a
@@ -1058,28 +1109,17 @@ def bivar_resultant_w(p: BivarPoly, q: BivarPoly, strip_content=False,
         raise PolynomialError(f"divisor of degree {divisor.degree} exceeds the resultant's")
     den = math.lcm(p.den, q.den)
     xs, evals = _divisor_nodes(divisor, D + 2)
-    x = np.array(xs, dtype=object)[:, None]
     tables = [np.array([_lift(r, den // f.den) for r in f.num], dtype=object) for f in (p, q)]
     nparts = 2 if any(t[..., 1].any() for t in tables) else 1
-    # u^(n-k) v^k coefficient forms at (s, t) = (1, x), by Horner over the
-    # t-power rows, listed by descending u-power (k ascending)
-    values = []
-    for t in tables:
-        acc = [np.zeros((D + 2, t.shape[1]), dtype=object) for _ in range(nparts)]
-        for r in t[::-1]:
-            acc = [a * x + r[:, c] for c, a in enumerate(acc)]
-        values.append(acc)
-    size = na + nb
-    stack = [np.zeros((D + 2, size, size), dtype=object) for _ in range(nparts)]
-    for M, a, b in zip(stack, *values):
-        for sh in range(nb):
-            M[:, sh, sh:sh + na + 1] = a
-        for sh in range(na):
-            M[:, nb + sh, sh:sh + nb + 1] = b
-    *coeffs, top = _interp_stack(xs, _divide_values(_bareiss_stack(stack), evals))
+    # u^(n-k) v^k coefficient forms at (s, t) = (1, x): the powers x^j
+    # times the t^j rows, listed by descending u-power (k ascending)
+    powers = np.vander(np.array(xs, dtype=object), max(p.m, q.m) + 1, increasing=True)
+    values = [[powers[:, :len(t)] @ t[..., c] for c in range(nparts)] for t in tables]
+    *coeffs, top = _interp_stack(xs, _divide_values(_bareiss_stack(_hybrid_bezout(*values)), evals))
     if top != GZERO:
         raise ArithmeticError("the divisor does not divide the resultant")
     if strip_content:
         return BinaryForm._from_ints(D, 1, _strip_int_content(coeffs))
-    # the determinants are of the inputs scaled by den, one row each
+    # the determinants are of the inputs scaled by den: a factor den per
+    # Sylvester row, na + nb in all (a Bezout row is of degree 2 in them)
     return BinaryForm._from_ints(D, den ** (na + nb), _lift(coeffs, divisor.den))

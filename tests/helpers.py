@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import sympy
-from sympy import QQ_I
+from sympy import QQ_I, ZZ_I
+from sympy.polys.matrices import DomainMatrix
 
 from shadecalc.curves import CurveComponent, CurveModel
 from shadecalc.poly import BinaryForm, BivarPoly, bivar_resultant_w, gdivexact, glist_gcd, gmul
@@ -142,6 +143,34 @@ def sympy_bivar_gcd(polys):
         rows[j][k] = (int(c.x * den), int(c.y * den))
     k = glist_gcd([c for r in rows for c in r])
     return BivarPoly._from_ints(m, n, 1, [[gdivexact(c, k) for c in r] for r in rows])
+
+
+def sylvester_resultant(p, q):
+    """The suites' oracle for `bivar_resultant_w(p, q)`: sympy's
+    determinant over Z[i][z] of the Sylvester matrix whose rows hold
+    w^i p (i < q.n) and w^i q (i < p.n) by ascending power of w = v/u, in
+    the formal degrees p.n and q.n, whatever the top or bottom w-rows
+    are: the classical resultant times (-1)^(p.n q.n).  Returned as the
+    D + 1 coefficients, in QQ_I and little-endian in t, of the resultant
+    form of degree D = p.m q.n + q.m p.n."""
+    K = ZZ_I[sympy.Symbol("z")]
+
+    def entries(f):
+        return [K.ring.from_dict({(j,): ZZ_I(*r[k]) for j, r in enumerate(f.num)})
+                for k in range(f.n + 1)]
+    na, nb = p.n, q.n
+    rows = [[K.zero] * (na + nb) for _ in range(na + nb)]
+    for i in range(nb):
+        rows[i][i:i + na + 1] = entries(p)
+    for i in range(na):
+        rows[nb + i][i:i + nb + 1] = entries(q)
+    det = DomainMatrix(rows, (na + nb, na + nb), K).det()
+    den = p.den**nb * q.den**na  # the tables are p.den p and q.den q
+    coeffs = [QQ_I(0)] * (p.m * q.n + q.m * p.n + 1)
+    for (j,), c in det.terms():
+        coeffs[j] = QQ_I(Fraction(int(c.x), den), Fraction(int(c.y), den))
+    return coeffs
+
 
 # the pole (1, 1, 1, 1)/2 of the unit sphere and an orthonormal basis of
 # its orthogonal complement with det[pole, b1, b2, b3] < 0, the orientation

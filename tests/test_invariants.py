@@ -281,7 +281,7 @@ class TestFirstCenterSmoothness:
 
 
 class TestDegreeLadder:
-    @pytest.mark.parametrize("d,want", [(6, 0), (8, -1), (10, -2)])
+    @pytest.mark.parametrize("d,want", [(6, 0), (8, -1), (10, -2), (12, 3)])
     def test_writhe_over_two_centers(self, d, want, monkeypatch):
         # the record's gcd is proven constant at the first node, with no
         # other node specialized; Cw agrees over two centers, has the

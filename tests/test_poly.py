@@ -51,7 +51,7 @@ class TestPartials:
 
 class TestResultant:
     def test_linear_system(self):
-        # 2x2 Sylvester of a linear pair
+        # a linear pair: a 1 x 1 hybrid matrix (the Sylvester matrix is 2 x 2)
         f = bp(1, 1, {(1, 0): 1, (0, 1): -1})  # z - w
         g = bp(1, 1, {(1, 0): 1, (0, 1): 1})  # z + w
         assert bivar_resultant_w(f, g) == BinaryForm(2, [0, 2, 0])
@@ -80,22 +80,42 @@ class TestResultant:
         with pytest.raises(ValueError):
             bivar_resultant_w(bp(1, 0, {(1, 0): 1}), DIAG)
 
-    def test_zero_pivot_at_node_zero(self):
-        # f(0, w) = w^2, so the Sylvester matrix at z = 0 has a zero pivot
-        # and swaps rows; at z = 1 it does not
-        f = bp(1, 2, {(0, 2): 1, (1, 1): 1, (1, 0): 1})  # w^2 + z w + z
-        g = bp(1, 1, {(0, 1): 1, (1, 0): -1, (0, 0): 1})  # w - z + 1
-        assert f.num[0][0] == (0, 0)
-        assert bivar_resultant_w(f, g) == BinaryForm(3, [1, -2, 2, 0])
+    @staticmethod
+    def _stacks(monkeypatch):
+        """The matrix stacks that `_bareiss_stack` receives, copied before
+        it overwrites them."""
+        stacks, bareiss = [], poly._bareiss_stack
 
-    def test_resultant_vanishing_at_nodes_one_and_minus_one(self):
-        # at z = +-1 both inputs lose their w^0 term: the Sylvester column
-        # is zero there, so those determinants are 0
+        def spy(parts):
+            stacks.append([A.copy() for A in parts])
+            return bareiss(parts)
+        monkeypatch.setattr(poly, "_bareiss_stack", spy)
+        return stacks
+
+    def test_zero_pivot_at_node_zero(self, monkeypatch):
+        # g(0, w) = w, so at z = 0 the hybrid matrix's first row, g, has a
+        # zero pivot over the Bezout row's -f(0, 0) = -1 and the
+        # elimination swaps rows; at the nodes 1, -1, 2, -2 it does not
+        f = bp(1, 2, {(0, 2): 3, (0, 1): 1, (1, 1): 1, (0, 0): 1, (1, 0): -1})  # 3 w^2 + (1 + z) w + 1 - z
+        g = bp(1, 1, {(0, 1): 1, (1, 0): 1})  # w + z
+        stacks = self._stacks(monkeypatch)
+        assert bivar_resultant_w(f, g) == BinaryForm(3, [1, -2, 2, 0])
+        [[M]] = stacks
+        assert [i for i, A in enumerate(M) if A[0, 0] == 0] == [0]
+        assert M[0, 1, 0] != 0
+
+    def test_resultant_vanishing_at_nodes_one_and_minus_one(self, monkeypatch):
+        # at z = +-1 both inputs lose their w^0 term, so the hybrid
+        # matrix's first column, (g0 - f0, f1 g0 - g1 f0), is zero there:
+        # those two matrices leave the elimination with determinant 0
         f = bp(2, 2, {(0, 2): 1, (0, 1): 1, (2, 0): 1, (0, 0): -1})  # w^2 + w + z^2 - 1
         g = bp(2, 2, {(0, 2): 1, (0, 1): -1, (2, 0): 2, (0, 0): -2})  # w^2 - w + 2 z^2 - 2
+        stacks = self._stacks(monkeypatch)
         r = bivar_resultant_w(f, g)
         assert r == BinaryForm(8, [-5, 0, 4, 0, 1, 0, 0, 0, 0])  # (z - 1)(z + 1)(z^2 + 5)
         assert not form_value(r, 1, 1) and not form_value(r, 1, -1)
+        [[M]] = stacks
+        assert [i for i, A in enumerate(M) if not A[:, 0].any()] == [1, 2]  # the nodes 1, -1
 
     def test_form_holds_plain_ints(self):
         # hashing, equality and bit counts read the integer table

@@ -23,6 +23,7 @@ from shadecalc import chords, poly
 from shadecalc.curves import CurveComponent, ParamPoint
 from shadecalc.poly import (
     BinaryForm,
+    FORM_ONE,
     BivarPoly,
     bivar_divexact,
     bivar_gcd,
@@ -39,7 +40,7 @@ from shadecalc.poly import (
 )
 from shadecalc.scalars import GaussianRational as G
 
-from helpers import bivar_value, exact, form_value, sympy_bivar_gcd, to_complex
+from helpers import bivar_value, exact, form_value, sylvester_resultant, sympy_bivar_gcd, to_complex
 
 Z, W = sympy.symbols("z w")
 QQ_I = sympy.QQ_I
@@ -286,6 +287,36 @@ class TestBareissStack:
         assert all(type(d) is int for col in dets for d in col)
 
 
+@st.composite
+def resultant_cases(draw):
+    """(p, q, divisor) of bidegrees up to (4, 6) with w-degrees p.n < q.n,
+    p.n = q.n or p.n > q.n, real or Gaussian: q = e q' for a form e monic
+    in t, so Res(p, q) = e^(p.n) Res(p, q') and the divisor is e^k for
+    some k <= p.n; the top or bottom w-row of p or q' may be zeroed."""
+    scalars = draw(st.sampled_from([small_fractions, gaussians]))
+    order = draw(st.sampled_from(["<", "=", ">"]))
+    n1 = draw(st.integers(1, 5 if order != "=" else 6))
+    n2 = n1 if order == "=" else draw(st.integers(n1 + 1, 6))
+    na, nb = (n2, n1) if order == ">" else (n1, n2)
+    de = draw(st.integers(0, 2))
+    e = BinaryForm(de, draw(st.lists(scalars, min_size=de, max_size=de)) + [1])
+    p = draw(bivars_of(draw(st.integers(0, 4)), na, scalars))
+    q1 = draw(bivars_of(draw(st.integers(0, 4 - de)), nb, scalars))
+    rows = [[list(r) for r in f.rows] for f in (p, q1)]
+    for r, n in zip(rows, (na, nb)):
+        for k in draw(st.sets(st.sampled_from([0, n]))):
+            for row in r:
+                row[k] = 0
+    p = BivarPoly(p.m, na, rows[0])
+    e_poly = sympy.Poly(sum((_sym(c) * Z**j for j, c in enumerate(e.coeffs)), sympy.Integer(0)),
+                        Z, W, domain=QQ_I)
+    q = poly_to_bivar(bivar_to_poly(BivarPoly(q1.m, nb, rows[1])) * e_poly, q1.m + de, nb)
+    divisor = FORM_ONE
+    for _ in range(draw(st.integers(0, na))):
+        divisor = divisor * e
+    return p, q, divisor
+
+
 class TestResultant:
     @settings(max_examples=40, deadline=None)
     @given(bivars(), bivars())
@@ -298,27 +329,26 @@ class TestResultant:
         # real inputs take the elimination branch without imaginary parts
         self.check_resultant(p, q)
 
+    @settings(max_examples=30, deadline=None)
+    @given(resultant_cases())
+    def test_formal_degrees_and_divisor(self, case):
+        # every (na, nb) order through the one hybrid matrix builder, with
+        # vanishing top or bottom w-rows and a divisor of the resultant
+        self.check_resultant(*case)
+
     @staticmethod
-    def check_resultant(p, q):
-        # the declared w-degree must be the actual one, as sympy uses
+    def check_resultant(p, q, divisor=FORM_ONE):
         assume(p.n > 0 and q.n > 0)
-        assume(any(r[p.n] != (0, 0) for r in p.num) and any(r[q.n] != (0, 0) for r in q.num))
-        full = bivar_resultant_w(p, q)
-        # sympy 1.14's resultant(f, g) has the wrong sign when deg f < deg g
-        # and deg f * deg g is odd (resultant(w + 1, w^3 + 2, w) gives -1,
-        # the Sylvester determinant 1), so the higher degree goes first
-        f, g = bivar_to_poly(p).as_expr(), bivar_to_poly(q).as_expr()
-        if p.n >= q.n:
-            want = sympy.Poly(sympy.resultant(f, g, W), Z)
-        else:
-            want = sympy.Poly((-1) ** (p.n * q.n) * sympy.resultant(g, f, W), Z)
-        # documented sign: ascending v-powers in the Sylvester matrix
-        sign = (-1) ** (p.n * q.n)
-        coeffs = [sign * exact(c) for c in poly_coeffs(want)]
+        full = bivar_resultant_w(p, q, divisor=divisor)
+        # the oracle's Sylvester determinant, divided exactly by the divisor
+        want, rem = sympy.Poly(list(reversed(sylvester_resultant(p, q))), Z, domain=QQ_I).div(
+            sympy.Poly(list(reversed([exact(c) for c in divisor.coeffs])), Z, domain=QQ_I))
+        assert rem.is_zero
+        coeffs = [exact(c) for c in poly_coeffs(want)]
         coeffs += [exact(0)] * (full.degree + 1 - len(coeffs))
         assert [exact(c) for c in full.coeffs] == coeffs
         # stripped content: the same form up to a positive rational
-        stripped = bivar_resultant_w(p, q, strip_content=True)
+        stripped = bivar_resultant_w(p, q, strip_content=True, divisor=divisor)
         pairs = [(exact(a), exact(b)) for a, b in zip(stripped.coeffs, full.coeffs)]
         ratios = {a / b for a, b in pairs if b}
         assert all(not a for a, b in pairs if not b)
