@@ -35,13 +35,14 @@ pipeline is:
    n (2m - d): 2 N_d on a same-component record, d1 d2 across components
    and d^2 against the conjugate.  In solve mode R_w = E_y(w)^m C' the
    same way.  `bivar_resultant_w` divides each node's determinant
-   exactly by the divisor E^n (E primitive over Z[i]) and interpolates C
-   alone, so the sphere trefoil eliminates 20 roots, not 50.  A chord
-   end z0 that a draw of a, b puts at a root of E stays a root of C:
-   there v - lambda u = (z - z0) v'' with v''(z0, .) a multiple of
-   det[x(z0) | c | x'(z0) | y(.)], which vanishes at the chord's other
-   end.  Only records that lost at most the diagonal are divided; a
-   record that lost the deck graph too can have n (2m - d) < 0;
+   exactly by E^n, E's node value (E primitive over Z[i]) raised to the
+   n-th power, and interpolates C alone, so the sphere trefoil eliminates
+   20 roots, not 50.  A chord end z0 that a draw of a, b puts at a root
+   of E stays a root of C: there v - lambda u = (z - z0) v'' with
+   v''(z0, .) a multiple of det[x(z0) | c | x'(z0) | y(.)], which
+   vanishes at the chord's other end.  Only records that lost at most
+   the diagonal are divided; a record that lost the deck graph too can
+   have n (2m - d) < 0;
 3. extract: certified roots of C (and C') give parameter points (all
    honest solutions appear since V(system) lies in V(u, v)).  In swap
    and conj mode, on a divided record, each root of C must be the z of
@@ -52,12 +53,14 @@ pipeline is:
    coefficient tables, and all four checks read T.  One matrix product,
    Z T[:2] W^T with Z, W the power matrices of the z and w roots,
    evaluates u and v on every root pair at once; pairs where both are
-   below FILTER_TOL relative to their scale are candidates.  Each is
-   polished by 2x2 Newton against (u, v) and accepted only when every
-   saturated minor is at relative residual below ACCEPT_TOL (junk from
-   V(u, v) fails by many orders of magnitude) and the polished point
-   stayed near its root disks; its Jacobian margin comes from the same
-   evaluation of the minors;
+   below FILTER_TOL relative to their scale are candidates.  All are
+   polished together by 2x2 Newton against (u, v), one stacked
+   evaluation of T[:2] per step, each candidate stopping on its own.  A
+   candidate is accepted only when every saturated minor is at relative
+   residual below ACCEPT_TOL (junk from V(u, v) fails by many orders of
+   magnitude) and the polished point stayed near its root disks; one
+   evaluation of the minors at all candidates gives the residuals and
+   the Jacobians, and one stacked SVD gives the Jacobian margins;
 5. count check: when saturation removed nothing beyond the z = w
    diagonal, the number of solutions must match the Bezout-style count
    supplied by the caller, else the configuration is declared
@@ -66,17 +69,19 @@ pipeline is:
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .curves import ParamPoint, _jet, _power_matrix, p3_forms
+from .curves import ParamPoint, _power_matrix, p3_forms
 from .errors import GenericityError
 from .poly import (FORM_ONE, GZERO, BinaryForm, BivarPoly, bivar_divexact, bivar_gcd,
                    bivar_resultant_w, complex_coeffs, gdivexact, glist_gcd, gmul)
-from .roots import DEFAULT_TARGET_RADIUS, UncertifiedRootsError, complex_roots
+from .roots import (DEFAULT_TARGET_RADIUS, CertifiedRoot, UncertifiedRootsError, _meeting_pairs,
+                    complex_roots)
 
 __all__ = ["PairSolution", "SaturatedSystem", "solve_minor_system", "canonical_unordered",
            "collinearity_system", "coincidence_system", "secants", "double_points"]
@@ -213,8 +218,10 @@ def _binary_form_roots(form: BinaryForm, target_radius=DEFAULT_TARGET_RADIUS):
     the form vanishes when its t^d coefficient does, comes last.
 
     Also returns the conjugation map on the indices for a real form (None
-    otherwise): root j is the conjugate of root i when disk j is the one
-    disk that meets the mirror image of disk i."""
+    otherwise).  A certified real root, and the point (0, 1), is its own
+    conjugate.  The conjugate of a non-real root i is the one non-real
+    root j whose disk meets the mirror image of disk i: the conjugate
+    root lies in exactly one disk, and not in a real root's disk."""
     if form.is_zero():
         raise GenericityError("root extraction from the zero form")
     real = form.is_real()
@@ -223,21 +230,25 @@ def _binary_form_roots(form: BinaryForm, target_radius=DEFAULT_TARGET_RADIUS):
     for k, r in enumerate(roots):
         scale = max(1.0, abs(r.center)) ** 2
         pts.append(ParamPoint(1.0, r.center, r.radius / scale, r.real, k))
-    at_inf = form.num[-1] == GZERO
-    if at_inf:
+    if form.num[-1] == GZERO:
         pts.append(ParamPoint(0.0, 1.0, 0.0, real, len(roots)))
     if not real:
         return pts, None
-    conj = []
-    for r in roots:
-        mirror = replace(r, im=-r.im)
-        hits = [j for j, o in enumerate(roots) if o.overlaps(mirror)]
-        if len(hits) != 1:
+    conj = list(range(len(pts)))
+    loose = [k for k, r in enumerate(roots) if not r.real]
+    hits = {k: [] for k in loose}
+    # the non-real disks, then their mirror images: disk a meets mirror b - m
+    disks, m = [roots[k] for k in loose], len(loose)
+    disks += [CertifiedRoot(r.re, -r.im, r.rad, r.prec, r.multiplicity) for r in disks]
+    for a, b in _meeting_pairs(disks):
+        if a < m <= b:
+            hits[loose[b - m]].append(loose[a])
+    for k, ks in hits.items():
+        if len(ks) != 1:
             raise UncertifiedRootsError(
-                f"mirrored root disk meets {len(hits)} disks", clusters=[r]
-            )
-        conj.append(hits[0])
-    return pts, conj + [len(roots)] * at_inf
+                f"mirrored root disk meets {len(ks)} disks", clusters=[roots[k]])
+        conj[k] = ks[0]
+    return pts, conj
 
 
 def _random_combo(minors, rng):
@@ -258,8 +269,9 @@ def _det3(rows):
 
 
 def _excess_factor(system, center, alpha, beta, side, n):
-    """E^n for E = det[a | b | c | x(s, t)] made primitive over Z[i],
-    with x the forms system.forms[side]; 1 without a center or when the
+    """(E, n), the divisor and its power that `bivar_resultant_w` divides
+    out, for E = det[a | b | c | x(s, t)] made primitive over Z[i], with
+    x the forms system.forms[side]; E = 1 without a center or when the
     record lost more than the diagonal.  The combinations alpha, beta of
     the nonconstant collinearity minors (in the order of
     `collinearity_system`) are det[a | c | x | y] / G and
@@ -267,21 +279,19 @@ def _excess_factor(system, center, alpha, beta, side, n):
     expansion along the first column: a = (alpha3, -alpha2, alpha1,
     -alpha0), with 0 in the slot of a minor left out."""
     if center is None or not system.diagonal_only:
-        return FORM_ONE
+        return FORM_ONE, n
     x = system.forms[side]
     slots = [k for k, m in enumerate(system.minors) if m.m + m.n > 0 and not m.is_zero()]
     a, b = ([0] * 4, [0] * 4)
     for k, p, q in zip(slots, alpha, beta):
         a[3 - k], b[3 - k] = (-1) ** (k + 1) * p, (-1) ** (k + 1) * q
-    rows = list(zip(a, b, center))
+    # E is made primitive below, so the center may be scaled to integers
+    scale = math.lcm(*(c.denominator for c in center))
+    rows = list(zip(a, b, [int(c * scale) for c in center]))
     terms = [x[r] * ((-1) ** (r + 1) * _det3(rows[:r] + rows[r + 1:])) for r in range(4)]
     E = sum(terms[1:], terms[0])
     g = glist_gcd(E.num)
-    E = BinaryForm._from_ints(E.degree, 1, [gdivexact(c, g) for c in E.num])
-    power = FORM_ONE
-    for _ in range(n):
-        power = power * E
-    return power
+    return BinaryForm._from_ints(E.degree, 1, [gdivexact(c, g) for c in E.num]), n
 
 
 def solve_minor_system(
@@ -334,13 +344,14 @@ def solve_minor_system(
             continue
         try:
             # u(z0, w) and v(z0, w) are proportional at every root z0 of E
-            Rz = bivar_resultant_w(u, v, strip_content=True,
-                                   divisor=_excess_factor(system, center, alpha, beta, 0, u.n))
+            E, n = _excess_factor(system, center, alpha, beta, 0, u.n)
+            Rz = bivar_resultant_w(u, v, strip_content=True, divisor=E, power=n)
             if Rz.is_zero():
                 continue
             if w_mode == "solve":
+                E, m = _excess_factor(system, center, alpha, beta, 1, u.m)
                 Rw = bivar_resultant_w(u.swap_vars(), v.swap_vars(), strip_content=True,
-                                       divisor=_excess_factor(system, center, alpha, beta, 1, u.m))
+                                       divisor=E, power=m)
                 if Rw.is_zero():
                     continue
             # conj[zi] is the index of z's conjugate among the w roots
@@ -416,20 +427,31 @@ def double_points(forms, solutions):
     if not solutions:
         return []
     T, scales = _coeff_tables([m for m in forms if not m.is_zero()])
-    out = []
-    for s in solutions:
-        (z_chart_t, zx), (w_chart_t, wx) = s.z.local(), s.w.local()
-        f, _, _ = _jets(T, zx, wx, z_chart_t, w_chart_t)
-        if np.max(np.abs(f) / scales) <= ACCEPT_TOL:
-            out.append(s)
-    return out
+    G = _jets(T, *_local_arrays([p for s in solutions for p in (s.z, s.w)]))
+    near = (np.abs(G[..., 0, 0]) / scales).max(axis=1) <= ACCEPT_TOL
+    return [s for s, ok in zip(solutions, near.tolist()) if ok]
 
 
-def _jets(T, zx, wx, z_chart_t, w_chart_t):
-    """Value, z-partial and w-partial of every table of T at the point
-    with local coordinates zx, wx in the given charts."""
-    G = _jet(zx, T.shape[1] - 1, z_chart_t) @ T @ _jet(wx, T.shape[2] - 1, w_chart_t).T
-    return G[:, 0, 0], G[:, 1, 0], G[:, 0, 1]  # G[i] = [[f, f_w], [f_z, f_zw]]
+def _local_arrays(points):
+    """The local coordinates and the charts (True: t) of the points z1,
+    w1, z2, w2, ..., as (K, 2) arrays with the pair (z_k, w_k) in row k."""
+    charts, xs = zip(*(p.local() for p in points))
+    return np.array(xs, dtype=complex).reshape(-1, 2), np.array(charts).reshape(-1, 2)
+
+
+def _jets(T, xy, chart_t):
+    """G[k, i] = [[f, f_w], [f_z, f_zw]] for f = T[i] at point k, given as
+    in `_local_arrays`: the power vectors (s^(deg-j) t^j)_j of all z and w
+    coordinates and their derivatives in the local coordinate are one
+    array, and one product with T gives every value."""
+    m, n = T.shape[1] - 1, T.shape[2] - 1
+    e = np.arange(max(m, n) + 1)
+    J = np.zeros((xy.size, 2, len(e)), dtype=complex)
+    J[:, 0] = xy.reshape(-1, 1) ** e
+    J[:, 1, 1:] = e[1:] * J[:, 0, :-1]
+    Jz, Jw = (np.where(c[:, None, None], j, j[..., ::-1])
+              for c, j in zip(chart_t.T, (J[0::2, :, :m + 1], J[1::2, :, :n + 1])))
+    return Jz[:, None] @ T @ Jw[:, None].swapaxes(2, 3)
 
 
 def _coeff_tables(polys):
@@ -452,52 +474,58 @@ def _candidates(T, scales, zroots, wroots):
     return [tuple(ij) for ij in np.argwhere(near[0] & near[1]).tolist()]
 
 
-def _polish(T, zp: ParamPoint, wp: ParamPoint):
-    """2x2 Newton against the tables T = (u, v) in the local charts of the
-    start point, kept through every step; None on a singular Jacobian."""
-    (z_chart_t, zx), (w_chart_t, wx) = zp.local(), wp.local()
-    dz = dw = 0.0
-    for _ in range(POLISH_STEPS):
-        (fa, fb), (da_dz, db_dz), (da_dw, db_dw) = (
-            g.tolist() for g in _jets(T, zx, wx, z_chart_t, w_chart_t))
-        det = da_dz * db_dw - da_dw * db_dz
-        if abs(det) < 1e-300:
-            return None
-        dz = (fa * db_dw - fb * da_dw) / det
-        dw = (fb * da_dz - fa * db_dz) / det
-        zx, wx = zx - dz, wx - dw
-        if abs(dz) + abs(dw) < 1e-14:
-            break
-    zp2 = ParamPoint(*((1.0, zx) if z_chart_t else (zx, 1.0)),
-                     max(zp.radius, abs(dz)), zp.real, zp.root)
-    wp2 = ParamPoint(*((1.0, wx) if w_chart_t else (wx, 1.0)),
-                     max(wp.radius, abs(dw)), wp.real, wp.root)
-    return zp2, wp2
+def _polish(T, xy, chart_t):
+    """2x2 Newton against T = (u, v), in lockstep over the points given as
+    in `_jets`, each in its start charts: the polished points and per
+    point the moduli of its last step.  A point stops after a step with
+    |dz| + |dw| below 1e-14 (or after POLISH_STEPS steps), and one whose
+    Jacobian goes singular goes back to its start with step 0."""
+    start, size, live = xy, np.zeros(xy.shape), np.ones(len(xy), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(POLISH_STEPS):
+            G = _jets(T, xy, chart_t)
+            (fa, fb), (za, zb), (wa, wb) = (G[:, :, i, j].T for i, j in ((0, 0), (1, 0), (0, 1)))
+            det = za * wb - wa * zb
+            d = np.stack([fa * wb - fb * wa, fb * za - fa * zb], axis=1) / det[:, None]
+            xy = np.where(live[:, None], xy - d, xy)
+            size = np.where(live[:, None], np.abs(d), size)
+            singular = live & (np.abs(det) < 1e-300)
+            if singular.any():
+                xy[singular], size[singular] = start[singular], 0.0
+            live &= ~singular & (size.sum(axis=1) >= 1e-14)
+            if not live.any():
+                break
+    return xy, size
 
 
 def _pair_and_polish(minors, u, v, zroots, wroots, target_radius):
     """Solutions from the root pairs on which u and v nearly vanish,
     polished against (u, v) and kept when every minor vanishes there.
     Each (zi, wi) yields at most one solution, so two candidates that
-    polish onto one point show in the caller's count check.  The
-    solution's margin is the smallest singular value of the minors'
-    scale-normalized Jacobian in the local parameter charts.  The
-    benchmark ledger wraps this function by name with these six
+    polish onto one point show in the caller's count check.  A singular
+    Jacobian of the random pair (u, v) says nothing about a candidate,
+    which stays unpolished.  The margin is the smallest singular value of
+    the minors' scale-normalized Jacobian in the local parameter charts.
+    The benchmark ledger wraps this function by name with these six
     positional arguments; `target_radius` is unused."""
     T, scales = _coeff_tables([u, v, *minors])
-    sols = []
-    for zi, wi in _candidates(T, scales, zroots, wroots):
-        zp, wp = zroots[zi], wroots[wi]
-        # a singular Jacobian of the random pair (u, v) says nothing about
-        # the candidate: keep it unpolished and let the checks below decide
-        z2, w2 = _polish(T[:2], zp, wp) or (zp, wp)
-        (z_chart_t, zx), (w_chart_t, wx) = z2.local(), w2.local()
-        f, fz, fw = _jets(T[2:], zx, wx, z_chart_t, w_chart_t)
-        if np.max(np.abs(f) / scales[2:]) > ACCEPT_TOL:
-            continue
-        # keep the point only if it stayed near the certified root disks
-        if z2.dist(zp) > 1e-5 or w2.dist(wp) > 1e-5:
-            continue
-        svals = np.linalg.svd(np.stack([fz, fw], axis=1) / scales[2:, None], compute_uv=False)
-        sols.append(PairSolution(z2, w2, float(svals[-1]) if len(svals) >= 2 else 0.0))
-    return sols
+    pairs = _candidates(T, scales, zroots, wroots)
+    if not pairs:
+        return []
+    starts = [p for i, j in pairs for p in (zroots[i], wroots[j])]
+    xy, chart_t = _local_arrays(starts)
+    polished = (a.ravel().tolist() for a in (chart_t, *_polish(T[:2], xy, chart_t)))
+    # each point moved in its start chart, its radius grown to the last step
+    ends = [ParamPoint(*((1.0, x) if c else (x, 1.0)), max(p.radius, e), p.real, p.root)
+            for p, c, x, e in zip(starts, *polished)]
+    G = _jets(T[2:], *_local_arrays(ends))
+    ok = (np.abs(G[..., 0, 0]) / scales[2:]).max(axis=1) <= ACCEPT_TOL
+    # keep a point only if it stayed near the certified root disks
+    near = [p.dist(q) <= 1e-5 for p, q in zip(ends, starts)]
+    ok &= np.logical_and(near[0::2], near[1::2])
+    keep = np.flatnonzero(ok)
+    # (f_z, f_w) per minor: the diagonal of [[f_z, f_zw], [f, f_w]]
+    jac = np.diagonal(G[keep, :, ::-1], axis1=2, axis2=3) / scales[2:, None]
+    svals = np.linalg.svd(jac, compute_uv=False)
+    margins = svals[:, -1].tolist() if svals.shape[1] >= 2 else [0.0] * len(keep)
+    return [PairSolution(ends[2 * k], ends[2 * k + 1], m) for k, m in zip(keep.tolist(), margins)]

@@ -993,10 +993,10 @@ def _interp_stack(xs, ys):
     return list(zip(*coeffs))
 
 
-def _divisor_nodes(divisor: BinaryForm, count):
+def _divisor_nodes(divisor: BinaryForm, power, count):
     """The first `count` integers x of 0, 1, -1, 2, -2, ... at which the
     divisor's value e = divisor.num evaluated at (s, t) = (1, x) is not
-    zero, with those values as in `_bareiss_stack`'s result."""
+    zero, with the values e^power as in `_bareiss_stack`'s result."""
     xs, values = [], []
     for i in itertools.count():
         x = (i + 1) // 2 * (-1) ** (i + 1)
@@ -1007,7 +1007,7 @@ def _divisor_nodes(divisor: BinaryForm, count):
             if len(xs) == count:
                 break
     re, im = (np.array(part, dtype=object) for part in zip(*values))
-    return xs, [re, im] if im.any() else [re]
+    return xs, functools.reduce(_gmul_parts, [[re, im] if im.any() else [re]] * power)
 
 
 def _divide_values(dets, divisor):
@@ -1066,7 +1066,7 @@ def _hybrid_bezout(a, b):
 
 
 def bivar_resultant_w(p: BivarPoly, q: BivarPoly, strip_content=False,
-                      divisor: BinaryForm = FORM_ONE) -> BinaryForm:
+                      divisor: BinaryForm = FORM_ONE, power=1) -> BinaryForm:
     """Homogeneous resultant eliminating the (u, v) pair, divided by a
     known factor of it.
 
@@ -1076,8 +1076,8 @@ def bivar_resultant_w(p: BivarPoly, q: BivarPoly, strip_content=False,
     determinant of the Sylvester matrix whose rows hold v^i p and v^i q
     by ascending v-power, in the declared degrees na = p.n and nb = q.n;
     it is the classical resultant times (-1)^(na nb).  The result is the
-    resultant divided by `divisor` (default 1), a binary form of degree
-    D - divisor.degree.
+    resultant divided by `divisor` raised to `power` >= 1 (default 1), a
+    binary form of degree D - power * divisor.degree.
 
     The nodes are the integers 0, 1, -1, 2, -2, ... at which the divisor
     does not vanish, one more than the quotient's degree needs.  At each
@@ -1087,14 +1087,16 @@ def bivar_resultant_w(p: BivarPoly, q: BivarPoly, strip_content=False,
     is na + nb, and with its sign fixed so that the two determinants are
     equal.  The matrices at all nodes are eliminated together as one
     stack (`_bareiss_stack`); each determinant is divided exactly by the
-    divisor's value at its node, and the quotients are interpolated
+    divisor's value at its node raised to `power` (the power is never
+    built as a form), and the quotients are interpolated
     (`_interp_stack`); a real pair carries no imaginary parts through
     either.  The spare node's top coefficient must come out zero.  So a
     divisor that does not divide the resultant, as a form, raises
     ArithmeticError (an inexact node division or a nonzero top
     coefficient); a primitive Z[i] divisor of the resultant divides every
     node value, by Gauss's lemma.  The chord solver divides out the
-    projection's excess factor E^n this way (see `chords`).
+    projection's excess factor E^n this way, as divisor E and power n
+    (see `chords`).
 
     With strip_content=True the result is reduced to a primitive integer
     multiple (only root sets survive; used by the chord solver).
@@ -1104,11 +1106,11 @@ def bivar_resultant_w(p: BivarPoly, q: BivarPoly, strip_content=False,
         raise PolynomialError("positive degree in the eliminated variable required")
     if divisor.is_zero():
         raise PolynomialError("division of a resultant by the zero form")
-    D = p.m * q.n + q.m * p.n - divisor.degree
+    D = p.m * q.n + q.m * p.n - power * divisor.degree
     if D < 0:
-        raise PolynomialError(f"divisor of degree {divisor.degree} exceeds the resultant's")
+        raise PolynomialError(f"divisor of degree {power * divisor.degree} exceeds the resultant's")
     den = math.lcm(p.den, q.den)
-    xs, evals = _divisor_nodes(divisor, D + 2)
+    xs, evals = _divisor_nodes(divisor, power, D + 2)
     tables = [np.array([_lift(r, den // f.den) for r in f.num], dtype=object) for f in (p, q)]
     nparts = 2 if any(t[..., 1].any() for t in tables) else 1
     # u^(n-k) v^k coefficient forms at (s, t) = (1, x): the powers x^j
@@ -1122,4 +1124,4 @@ def bivar_resultant_w(p: BivarPoly, q: BivarPoly, strip_content=False,
         return BinaryForm._from_ints(D, 1, _strip_int_content(coeffs))
     # the determinants are of the inputs scaled by den: a factor den per
     # Sylvester row, na + nb in all (a Bezout row is of degree 2 in them)
-    return BinaryForm._from_ints(D, den ** (na + nb), _lift(coeffs, divisor.den))
+    return BinaryForm._from_ints(D, den ** (na + nb), _lift(coeffs, divisor.den ** power))

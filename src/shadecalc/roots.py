@@ -1,7 +1,9 @@
 """Certified complex root finding for exact-coefficient polynomials.
 
-Approximations come from numpy (fallback mpmath at higher precision).
-Newton's method then runs in fixed point on the Z[i] coefficient table:
+Approximations come from numpy (fallback mpmath at higher precision);
+a real factor's come from its real companion matrix, so they are exactly
+real or in exact conjugate pairs.  Newton's method then runs in fixed
+point on the Z[i] coefficient table, where a real start stays real:
 a point is a Gaussian integer X standing for X / 2^P, Horner runs on
 Python integers with one shift per step, and every center is a dyadic
 Gaussian rational.
@@ -15,15 +17,16 @@ The disk around c of radius n|f(c)/f'(c)| contains a root of f
 (Henrici), so it still does with |f| bounded up and |f'| bounded down.
 The stored radius is an integer upper bound on that radius, on the same
 2^-P grid, times SLACK.  With one disk per approximate root and all disks
-pairwise disjoint, decided in integers, each disk contains exactly one
-root.  Multiplicities are exact, read off Yun's squarefree decomposition.
+pairwise disjoint, each disk contains exactly one root.  Disjointness is
+decided in integers for the pairs that a sweep over the disks, sorted by
+their real extent, brings together.  Multiplicities are exact, read off
+Yun's squarefree decomposition.
 
 For a real f, realness follows from conjugate symmetry, not from a
-tolerance.  A disk that meets the real axis is moved to its real center
-and its radius recomputed there.  That disk, disjoint from all the
-others, holds exactly one root, and the root's conjugate lies in the same
-disk, so the root is real.  A disk that misses the axis holds a non-real
-root.
+tolerance.  A disk centered on the real axis (a disk that meets the axis
+is moved there and its radius recomputed), disjoint from all the others,
+holds exactly one root, and the root's conjugate lies in the same disk,
+so the root is real.  A disk that misses the axis holds a non-real root.
 """
 
 from __future__ import annotations
@@ -92,13 +95,6 @@ class CertifiedRoot:
         a, b = r.as_integer_ratio()
         return r if a * one >= num * b else math.nextafter(r, math.inf)
 
-    def overlaps(self, other: "CertifiedRoot") -> bool:
-        a, b = (self, other) if self.prec >= other.prec else (other, self)
-        k = a.prec - b.prec
-        dx, dy = a.re - (b.re << k), a.im - (b.im << k)
-        s = a.rad + (b.rad << k)
-        return dx * dx + dy * dy <= s * s
-
 
 def _coeff_prec(zx) -> int:
     bits = max(max(abs(a), abs(b)).bit_length() for a, b in zx)
@@ -108,6 +104,8 @@ def _coeff_prec(zx) -> int:
 def _np_initial_roots(zx):
     scale = max(max(abs(a), abs(b)) for a, b in zx)
     arr = np.array(complex_coeffs(scale, zx[::-1]), dtype=complex)
+    if not arr.imag.any():
+        arr = arr.real  # real roots come out real, the others in conjugate pairs
     if len(arr) <= 1:
         return []
     try:
@@ -215,11 +213,15 @@ def complex_roots(f: BinaryForm, target_radius=DEFAULT_TARGET_RADIUS):
     factors = [fm for fm in zx_sqf_list(zx) if len(fm[0]) > 1]
     found = [_certified_factor_roots(*fm, real_poly, target_radius) for fm in factors]
     for _ in range(MAX_ROUNDS + 1):
-        clash = next(((i, j, a, b) for i in range(len(found)) for j in range(i + 1, len(found))
-                      for a in found[i] for b in found[j] if a.overlaps(b)), None)
-        if clash is None:
-            return sorted(sum(found, []), key=lambda r: (r.center.real, r.center.imag))
+        flat = sum(found, [])
+        owner = [k for k, fr in enumerate(found) for _ in fr]
+        # the first clash by factor pair, then by root
+        clash = len(found) > 1 and min(((owner[a], owner[b], a, b) for a, b in _meeting_pairs(flat)
+                                        if owner[a] != owner[b]), default=None)
+        if not clash:
+            return sorted(flat, key=lambda r: (r.center.real, r.center.imag))
         i, j, a, b = clash
+        a, b = flat[a], flat[b]
         target = max(Fraction(a.rad, 1 << a.prec), Fraction(b.rad, 1 << b.prec)) / 4
         for k in (i, j):
             found[k] = _certified_factor_roots(*factors[k], real_poly, target)
@@ -240,8 +242,9 @@ def _certified_factor_roots(fac, mult, real_poly, target_radius):
             approx = _mp_initial_roots(fac, prec)
         disks = _disks(fac, approx, prec, NEWTON_PASSES + 2 * round_no, is_real_poly)
         limit = Fraction(target_radius) * (1 << prec)
-        if disks and all(r <= limit for _, _, r in disks) and _pairwise_disjoint(disks):
-            return [CertifiedRoot(x, y, r, prec, mult, real_poly and y == 0) for x, y, r in disks]
+        roots = [CertifiedRoot(x, y, r, prec, mult, real_poly and y == 0) for x, y, r in disks or ()]
+        if disks and all(r.rad <= limit for r in roots) and not _meeting_pairs(roots):
+            return roots
     one = 1 << prec
     raise UncertifiedRootsError(
         f"could not certify {n} disjoint root disks at target radius {target_radius}",
@@ -271,10 +274,20 @@ def _disks(fac, approx, prec, passes, is_real_poly):
     return out
 
 
-def _pairwise_disjoint(disks):
-    for i, (xi, yi, ri) in enumerate(disks):
-        for xj, yj, rj in disks[i + 1 :]:
-            dx, dy, s = xi - xj, yi - yj, ri + rj
-            if dx * dx + dy * dy <= s * s:
-                return False
-    return True
+def _meeting_pairs(roots):
+    """The index pairs (i, j), i < j, of the certified disks that meet,
+    decided in integers on the finest grid among them: |c_i - c_j| <=
+    R_i + R_j.  A sweep over the disks sorted by the left end of their
+    real extent tests each disk only against those that start before it
+    ends."""
+    prec = max((r.prec for r in roots), default=0)
+    disks = sorted(((r.re << prec - r.prec, r.im << prec - r.prec, r.rad << prec - r.prec, k)
+                    for k, r in enumerate(roots)), key=lambda d: d[0] - d[2])
+    pairs = []
+    for n, (xi, yi, ri, i) in enumerate(disks):
+        for xj, yj, rj, j in disks[n + 1:]:
+            if xj - rj > xi + ri:
+                break
+            if (xi - xj) ** 2 + (yi - yj) ** 2 <= (ri + rj) ** 2:
+                pairs.append((min(i, j), max(i, j)))
+    return pairs

@@ -1,5 +1,6 @@
 """Shared oracle helpers for the unit and acceptance suites."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,8 @@ import sympy
 from sympy import QQ_I, ZZ_I
 from sympy.polys.matrices import DomainMatrix
 
-from shadecalc.curves import CurveComponent, CurveModel
+from shadecalc import chords
+from shadecalc.curves import CurveComponent, CurveModel, ParamPoint, _jet
 from shadecalc.poly import BinaryForm, BivarPoly, bivar_resultant_w, gdivexact, glist_gcd, gmul
 from shadecalc.scalars import QQ, GaussianRational
 
@@ -284,3 +286,78 @@ def ladder_curve(d):
     rng = random.Random(1000 + d)
     forms = [BinaryForm(d, [rng.randint(-3, 3) for _ in range(d + 1)]) for _ in range(4)]
     return CurveModel("P3", [CurveComponent(forms)])
+
+
+def _scalar_jets(T, zx, wx, z_chart_t, w_chart_t):
+    """Value, z-partial and w-partial of every table of T at one point with
+    local coordinates zx, wx in the given charts (True: chart t)."""
+    G = _jet(zx, T.shape[1] - 1, z_chart_t) @ T @ _jet(wx, T.shape[2] - 1, w_chart_t).T
+    return G[:, 0, 0], G[:, 1, 0], G[:, 0, 1]  # G[i] = [[f, f_w], [f_z, f_zw]]
+
+
+def _scalar_polish(T, zp, wp):
+    """2x2 Newton against the tables T = (u, v) in the local charts of the
+    start point, kept through every step; None on a singular Jacobian."""
+    (z_chart_t, zx), (w_chart_t, wx) = zp.local(), wp.local()
+    dz = dw = 0.0
+    for _ in range(chords.POLISH_STEPS):
+        (fa, fb), (da_dz, db_dz), (da_dw, db_dw) = (
+            g.tolist() for g in _scalar_jets(T, zx, wx, z_chart_t, w_chart_t))
+        det = da_dz * db_dw - da_dw * db_dz
+        if abs(det) < 1e-300:
+            return None
+        dz = (fa * db_dw - fb * da_dw) / det
+        dw = (fb * da_dz - fa * db_dz) / det
+        zx, wx = zx - dz, wx - dw
+        if abs(dz) + abs(dw) < 1e-14:
+            break
+    zp2 = ParamPoint(*((1.0, zx) if z_chart_t else (zx, 1.0)),
+                     max(zp.radius, abs(dz)), zp.real, zp.root)
+    wp2 = ParamPoint(*((1.0, wx) if w_chart_t else (wx, 1.0)),
+                     max(wp.radius, abs(dw)), wp.real, wp.root)
+    return zp2, wp2
+
+
+def pair_and_polish_oracle(minors, u, v, zroots, wroots):
+    """`chords._pair_and_polish` one candidate at a time: each candidate
+    is polished by its own Newton loop, and its residuals and Jacobian
+    margin come from its own evaluation of the minors."""
+    T, scales = chords._coeff_tables([u, v, *minors])
+    sols = []
+    for zi, wi in chords._candidates(T, scales, zroots, wroots):
+        zp, wp = zroots[zi], wroots[wi]
+        z2, w2 = _scalar_polish(T[:2], zp, wp) or (zp, wp)
+        (z_chart_t, zx), (w_chart_t, wx) = z2.local(), w2.local()
+        f, fz, fw = _scalar_jets(T[2:], zx, wx, z_chart_t, w_chart_t)
+        if np.max(np.abs(f) / scales[2:]) > chords.ACCEPT_TOL:
+            continue
+        if z2.dist(zp) > 1e-5 or w2.dist(wp) > 1e-5:
+            continue
+        svals = np.linalg.svd(np.stack([fz, fw], axis=1) / scales[2:, None], compute_uv=False)
+        sols.append(chords.PairSolution(z2, w2, float(svals[-1]) if len(svals) >= 2 else 0.0))
+    return sols
+
+
+def overlaps(a, b):
+    """The certified disks a and b meet: the integer test on the finer of
+    their two grids."""
+    a, b = (a, b) if a.prec >= b.prec else (b, a)
+    k = a.prec - b.prec
+    dx, dy = a.re - (b.re << k), a.im - (b.im << k)
+    s = a.rad + (b.rad << k)
+    return dx * dx + dy * dy <= s * s
+
+
+def mirror_scan_oracle(roots):
+    """The conjugation map on certified roots of a real form by the
+    all-pairs scan: root j is the conjugate of root i when disk j is the
+    one disk that meets the mirror image of disk i; None when a mirror
+    meets no disk or several."""
+    conj = []
+    for r in roots:
+        mirror = dataclasses.replace(r, im=-r.im)
+        hits = [j for j, o in enumerate(roots) if overlaps(o, mirror)]
+        if len(hits) != 1:
+            return None
+        conj.append(hits[0])
+    return conj

@@ -31,8 +31,8 @@ from shadecalc.poly import (GZERO, BinaryForm, BivarPoly, bivar_divexact, bivar_
 from shadecalc.reportio import parse_curve_file
 from shadecalc.scalars import GaussianRational as G, QQ
 
-from helpers import (bivar_value, conjugate_params, exact, form_value, ladder_curve, same_param,
-                     sympy_bivar_gcd, to_complex)
+from helpers import (bivar_value, conjugate_params, exact, form_value, ladder_curve,
+                     pair_and_polish_oracle, same_param, sympy_bivar_gcd, to_complex)
 
 
 def center_system(curve, center, j=0):
@@ -225,6 +225,114 @@ class TestCandidateFilter:
             got = chords._candidates(*chords._coeff_tables([u, v]), zroots, wroots)
             assert got == _scalar_candidates(u, v, zroots, wroots)
             assert got
+
+
+def _polish_calls(run):
+    """The argument tuples of every _pair_and_polish call that run()
+    makes."""
+    calls, pair_and_polish = [], chords._pair_and_polish
+
+    def spy(*args):
+        calls.append(args)
+        return pair_and_polish(*args)
+
+    with pytest.MonkeyPatch.context() as mp_:
+        mp_.setattr(chords, "_pair_and_polish", spy)
+        run()
+    return calls
+
+
+def _assert_matches_oracle(args):
+    """_pair_and_polish on args gives the solutions of the one-candidate-
+    at-a-time oracle: the same (zi, wi) in the same order, and s, t,
+    radius and Jacobian margin within 1e-12 relative."""
+    got, want = chords._pair_and_polish(*args), pair_and_polish_oracle(*args[:5])
+    assert [(s.zi, s.wi) for s in got] == [(s.zi, s.wi) for s in want]
+    for a, b in zip(got, want):
+        pairs = [(x, y) for p, q in ((a.z, b.z), (a.w, b.w))
+                 for x, y in ((p.s, q.s), (p.t, q.t), (p.radius, q.radius))]
+        for x, y in pairs + [(a.jac_margin, b.jac_margin)]:
+            assert abs(x - y) <= 1e-12 * max(abs(x), abs(y))
+        assert (a.z.real, a.w.real, a.conjugate) == (b.z.real, b.w.real, b.conjugate)
+    return got
+
+
+def _roots_at(*ts, radius=1e-13):
+    """Real parameter points (1, t) tagged as certified roots 0, 1, ..."""
+    return [chords.ParamPoint(1.0, t, radius, True, k) for k, t in enumerate(ts)]
+
+
+class TestBatchedPolish:
+    """All candidates of a combination are polished in one lockstep
+    Newton pass and accepted from one evaluation of the minors; the
+    result is the per-candidate loop's, kept in tests/helpers.py as the
+    oracle."""
+
+    @pytest.mark.parametrize("case", ["trefoil", "kae+1", "kae-1", "lp_line", "ladder6"])
+    def test_matches_the_per_candidate_loop(self, case):
+        c = [1, QQ(2, 7), QQ(-3, 5), QQ(1, 2)]
+        if case == "trefoil":  # swap mode over two centers
+            run = functools.partial(encomplexed_writhe, trefoil_curve(), seed=0, centers=2)
+        elif case.startswith("kae"):
+            run = functools.partial(encomplexed_writhe, kae_curve(1, int(case[3:])), seed=0)
+        elif case == "lp_line":
+            run = functools.partial(solve_minor_system, lp_minors(c), seed=2, w_mode="conj",
+                                    center=c)
+        else:
+            run = functools.partial(solve_minor_system, center_system(ladder_curve(6), c),
+                                    seed=1, w_mode="solve", center=c)
+        calls = _polish_calls(run)
+        assert calls
+        assert sum(len(_assert_matches_oracle(args)) for args in calls)
+
+    def test_singular_jacobian_keeps_the_candidate_unpolished(self):
+        # u = 8z^3 - 4z^2 and v = w: the Jacobian of (u, v) is singular
+        # at z = 0 and regular at z = 1/2; the first candidate stays where
+        # it started, the second is polished onto the root in one batch
+        u = BivarPoly(3, 1, [[0, 0], [0, 0], [-4, 0], [8, 0]])
+        v = BivarPoly(3, 1, [[0, 1], [0, 0], [0, 0], [0, 0]])
+        zroots, wroots = _roots_at(0.0, 0.5 + 1e-10), _roots_at(1e-12)
+        sols = _assert_matches_oracle(([u, v], u, v, zroots, wroots, None))
+        assert [(s.zi, s.wi) for s in sols] == [(0, 0), (1, 0)]
+        first, second = sols
+        assert (first.z.t, first.w.t, first.z.radius) == (0.0, 1e-12, 1e-13)
+        assert abs(second.z.t - 0.5) < 1e-15 and second.w.t == 0
+
+    def test_a_candidate_runs_every_step(self, monkeypatch):
+        # u = (10^8 z^2 + 1)(3z - 1): from z = 3e-4 Newton stays on the
+        # real axis, away from the roots +-10^-4 i, for all POLISH_STEPS
+        # steps, while the candidate near z = 1/3 stops after a few
+        u = BivarPoly(3, 1, [[-1, 0], [3, 0], [-10**8, 0], [3 * 10**8, 0]])
+        v = BivarPoly(3, 1, [[0, 1], [0, 0], [0, 0], [0, 0]])
+        # radius 0: each polished radius is the point's own last step
+        zroots, wroots = _roots_at(3e-4, 1 / 3 + 1e-10, radius=0.0), _roots_at(1e-12, radius=0.0)
+        jets, evaluations = chords._jets, []
+
+        def spy(T, xy, chart_t):
+            evaluations.append(len(xy))
+            return jets(T, xy, chart_t)
+
+        monkeypatch.setattr(chords, "_jets", spy)
+        sols = _assert_matches_oracle(([u, v], u, v, zroots, wroots, None))
+        # the batch evaluates both candidates at every step, then the minors once
+        assert evaluations[:chords.POLISH_STEPS + 1] == [2] * (chords.POLISH_STEPS + 1)
+        assert [(s.zi, s.wi) for s in sols] == [(1, 0)]
+
+    def test_no_candidates(self):
+        u = BivarPoly(1, 1, [[1, 0], [0, 1]])  # s u + t v
+        v = BivarPoly(1, 1, [[1, 1], [0, 0]])  # s (u + v)
+        zroots, wroots = _roots_at(0.25, 0.75), _roots_at(0.5)
+        assert _assert_matches_oracle(([u, v], u, v, zroots, wroots, None)) == []
+
+    def test_disk_distance_rejects(self):
+        # 2u = 2z^2 + 199z - 100 = (2z - 1)(z + 100): at z = 1/2 + 1.2e-5
+        # u passes the filter, and the polished root lies 1.2e-5 from the
+        # start, beyond the 1e-5 that the disks allow
+        u = BivarPoly(2, 1, [[-100, 0], [199, 0], [2, 0]])
+        v = BivarPoly(2, 1, [[0, 1], [0, 0], [0, 0]])
+        zroots, wroots = _roots_at(0.5 + 1.2e-5), _roots_at(0.0)
+        assert chords._candidates(*chords._coeff_tables([u, v]), zroots, wroots) == [(0, 0)]
+        assert _assert_matches_oracle(([u, v], u, v, zroots, wroots, None)) == []
 
 
 @pytest.fixture(scope="module")
@@ -531,6 +639,15 @@ EXCESS_CASES = (
 )
 
 
+def _form_power(E, n):
+    """E^n, the divisor that `bivar_resultant_w` divides out for the pair
+    (E, n) of `chords._excess_factor`, built as a form."""
+    out = chords.FORM_ONE
+    for _ in range(n):
+        out = out * E
+    return out
+
+
 class TestExcessFactor:
     """A projection's u and v are det[a | c | x | y] / G and
     det[b | c | x | y] / G, so R_z = E^n C with E = det[a | b | c | x(z)]
@@ -549,10 +666,10 @@ class TestExcessFactor:
             finally:
                 mode[0] = None
 
-        def spy(p, q, strip_content=False, divisor=chords.FORM_ONE):
-            out = resultant(p, q, strip_content, divisor)
+        def spy(p, q, strip_content=False, divisor=chords.FORM_ONE, power=1):
+            out = resultant(p, q, strip_content, divisor, power)
             if mode[0] is not None:
-                calls.append((mode[0], p, q, divisor, out))
+                calls.append((mode[0], p, q, _form_power(divisor, power), out))
             return out
 
         monkeypatch.setattr(diagram, "solve_minor_system", spy_solve)
@@ -589,9 +706,9 @@ class TestExcessFactor:
         degrees = []
         resultant = chords.bivar_resultant_w
 
-        def spy(p, q, strip_content=False, divisor=chords.FORM_ONE):
-            out = resultant(p, q, strip_content, divisor)
-            degrees.append((divisor.degree, out.degree))
+        def spy(p, q, strip_content=False, divisor=chords.FORM_ONE, power=1):
+            out = resultant(p, q, strip_content, divisor, power)
+            degrees.append((_form_power(divisor, power).degree, out.degree))
             return out
 
         monkeypatch.setattr(chords, "bivar_resultant_w", spy)
@@ -627,8 +744,8 @@ class TestExcessFactor:
         c = [0, 1, 0, 0]
         system = center_system(trefoil_curve(), c)
         alpha, beta = [1, 2, 1], [1, -3, 1]  # over the nonzero minors 0, 1, 3
-        E = chords._excess_factor(system, c, alpha, beta, 0, 1)
-        assert E.num[0] == E.num[-1] == GZERO
+        E, n = chords._excess_factor(system, c, alpha, beta, 0, 1)
+        assert n == 1 and E.num[0] == E.num[-1] == GZERO
         draws = [alpha, beta]
 
         def drawn(minors, rng):

@@ -289,10 +289,11 @@ class TestBareissStack:
 
 @st.composite
 def resultant_cases(draw):
-    """(p, q, divisor) of bidegrees up to (4, 6) with w-degrees p.n < q.n,
+    """(p, q, e, k) of bidegrees up to (4, 6) with w-degrees p.n < q.n,
     p.n = q.n or p.n > q.n, real or Gaussian: q = e q' for a form e monic
     in t, so Res(p, q) = e^(p.n) Res(p, q') and the divisor is e^k for
-    some k <= p.n; the top or bottom w-row of p or q' may be zeroed."""
+    some 1 <= k <= p.n; the top or bottom w-row of p or q' may be
+    zeroed."""
     scalars = draw(st.sampled_from([small_fractions, gaussians]))
     order = draw(st.sampled_from(["<", "=", ">"]))
     n1 = draw(st.integers(1, 5 if order != "=" else 6))
@@ -311,10 +312,7 @@ def resultant_cases(draw):
     e_poly = sympy.Poly(sum((_sym(c) * Z**j for j, c in enumerate(e.coeffs)), sympy.Integer(0)),
                         Z, W, domain=QQ_I)
     q = poly_to_bivar(bivar_to_poly(BivarPoly(q1.m, nb, rows[1])) * e_poly, q1.m + de, nb)
-    divisor = FORM_ONE
-    for _ in range(draw(st.integers(0, na))):
-        divisor = divisor * e
-    return p, q, divisor
+    return p, q, e, draw(st.integers(1, na))
 
 
 class TestResultant:
@@ -333,22 +331,29 @@ class TestResultant:
     @given(resultant_cases())
     def test_formal_degrees_and_divisor(self, case):
         # every (na, nb) order through the one hybrid matrix builder, with
-        # vanishing top or bottom w-rows and a divisor of the resultant
-        self.check_resultant(*case)
+        # vanishing top or bottom w-rows and a power of a divisor of the
+        # resultant; dividing by e^k built as a form gives the same form
+        p, q, e, k = case
+        ek = FORM_ONE
+        for _ in range(k):
+            ek = ek * e
+        assert self.check_resultant(p, q, e, k) == bivar_resultant_w(p, q, divisor=ek)
 
     @staticmethod
-    def check_resultant(p, q, divisor=FORM_ONE):
+    def check_resultant(p, q, divisor=FORM_ONE, power=1):
         assume(p.n > 0 and q.n > 0)
-        full = bivar_resultant_w(p, q, divisor=divisor)
+        full = bivar_resultant_w(p, q, divisor=divisor, power=power)
         # the oracle's Sylvester determinant, divided exactly by the divisor
+        # raised to the power
         want, rem = sympy.Poly(list(reversed(sylvester_resultant(p, q))), Z, domain=QQ_I).div(
-            sympy.Poly(list(reversed([exact(c) for c in divisor.coeffs])), Z, domain=QQ_I))
+            sympy.Poly(list(reversed([exact(c) for c in divisor.coeffs])), Z, domain=QQ_I)
+            ** power)
         assert rem.is_zero
         coeffs = [exact(c) for c in poly_coeffs(want)]
         coeffs += [exact(0)] * (full.degree + 1 - len(coeffs))
         assert [exact(c) for c in full.coeffs] == coeffs
         # stripped content: the same form up to a positive rational
-        stripped = bivar_resultant_w(p, q, strip_content=True, divisor=divisor)
+        stripped = bivar_resultant_w(p, q, strip_content=True, divisor=divisor, power=power)
         pairs = [(exact(a), exact(b)) for a, b in zip(stripped.coeffs, full.coeffs)]
         ratios = {a / b for a, b in pairs if b}
         assert all(not a for a, b in pairs if not b)
@@ -358,6 +363,7 @@ class TestResultant:
         parts = [x for c in stripped.coeffs for x in (c.re, c.im)]
         assert all(x.denominator == 1 for x in parts)
         assert stripped.is_zero() or math.gcd(*(x.numerator for x in parts)) == 1
+        return full
 
 
 def _zz_i_gcd(values):
@@ -590,10 +596,12 @@ class TestFloatEvaluation:
         assert T[0].tolist() == [[to_complex(c) for c in r] for r in p.rows]
         zpair = (1, zx) if z_chart_t else (zx, 1)
         wpair = (1, wx) if w_chart_t else (wx, 1)
-        got = chords._jets(T, zx, wx, z_chart_t, w_chart_t)
+        G = chords._jets(T, np.array([[zx, wx]], dtype=complex),
+                         np.array([[z_chart_t, w_chart_t]]))
+        got = G[0, 0, 0, 0], G[0, 0, 1, 0], G[0, 0, 0, 1]
         for g, q in zip(got, (p, _power_rule(p, 0, z_chart_t), _power_rule(p, 1, w_chart_t))):
             want = to_complex(bivar_value(q, zpair, wpair))
-            assert abs(g[0] - want) <= 1e-12 * _abs_value(q, zpair, wpair)
+            assert abs(g - want) <= 1e-12 * _abs_value(q, zpair, wpair)
 
     @settings(max_examples=150, deadline=None)
     @given(components, chart_points, st.booleans())

@@ -3,11 +3,15 @@ import random
 
 import pytest
 
+from shadecalc import roots as roots_mod
+from shadecalc.chords import _binary_form_roots
+from shadecalc.curves import trefoil_curve
+from shadecalc.invariants import encomplexed_writhe
 from shadecalc.poly import BinaryForm
 from shadecalc.roots import complex_roots
 from shadecalc.scalars import GaussianRational as G
 
-from helpers import form, form_value, to_complex
+from helpers import form, form_value, mirror_scan_oracle, overlaps, to_complex
 
 
 def centers(roots):
@@ -88,7 +92,7 @@ class TestProperties:
         roots = complex_roots(p)
         for i, a in enumerate(roots):
             for b in roots[i + 1 :]:
-                assert not a.overlaps(b)
+                assert not overlaps(a, b)
 
     def test_conjugation_equivariance(self):
         rng = random.Random(13)
@@ -102,3 +106,93 @@ class TestProperties:
             want = sorted((round(r.center.real, 8), round(r.center.imag, 8)) for r in r1)
             for (a, b), (c, d) in zip(got, want):
                 assert abs(a - c) < 1e-7 and abs(b - d) < 1e-7
+
+
+def _real_form(rng, real_roots, pairs, repeated, at_inf):
+    """A real binary form with the given numbers of rational real roots,
+    conjugate pairs of roots, repeated (squared) real factors and roots at
+    (0, 1)."""
+    f = BinaryForm(0, [1])
+    for _ in range(real_roots):
+        f = f * BinaryForm(1, [-rng.randint(-9, 9), rng.randint(1, 4)])
+    for _ in range(pairs):
+        a, b = rng.randint(-5, 5), rng.randint(1, 5)
+        f = f * BinaryForm(2, [a * a + b * b, -2 * a, 1])
+    for _ in range(repeated):
+        g = BinaryForm(1, [rng.randint(-9, 9), 1])
+        f = f * g * g
+    return BinaryForm(f.degree + at_inf, [c for c in f.coeffs] + [0] * at_inf)
+
+
+class TestRealStarts:
+    """A real factor's approximate roots come from its real coefficient
+    array: exactly real or in exact conjugate pairs, so Newton's method
+    keeps a real start on the real axis."""
+
+    def test_initial_roots_are_real_or_conjugate_pairs(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            f = _real_form(rng, rng.randint(0, 4), rng.randint(0, 3), 0, 0)
+            approx = roots_mod._np_initial_roots(f.to_zx())
+            if f.degree < 1:
+                continue
+            assert len(approx) == f.degree
+            assert sorted(approx, key=_key) == sorted((z.conjugate() for z in approx), key=_key)
+
+    def test_trefoil_center_disks_need_no_recentring(self, monkeypatch):
+        # one _radius call per Newton center: no disk of the trefoil's
+        # center eliminants meets the real axis off it, and every disk on
+        # the axis started there
+        radius, disks, newton = roots_mod._radius, roots_mod._disks, roots_mod._newton
+        calls, found, start_ys = [], [], []
+
+        def spy_radius(*args):
+            calls.append(args)
+            return radius(*args)
+
+        def spy_disks(*args):
+            out = disks(*args)
+            found.extend(out)
+            return out
+
+        def spy_newton(shifted, x, y, *rest):
+            start_ys.append(y)
+            return newton(shifted, x, y, *rest)
+
+        monkeypatch.setattr(roots_mod, "_radius", spy_radius)
+        monkeypatch.setattr(roots_mod, "_disks", spy_disks)
+        monkeypatch.setattr(roots_mod, "_newton", spy_newton)
+        report = encomplexed_writhe(trefoil_curve(), seed=0, centers=4)
+        assert report.Cw == 4
+        assert len(calls) == len(found) == len(start_ys)
+        assert start_ys.count(0) == [y for _, y, _ in found].count(0) > 0
+
+    def test_conjugate_map_matches_the_mirror_scan(self):
+        # real roots, conjugate pairs, repeated roots and roots at (0, 1)
+        rng = random.Random(7)
+        for _ in range(40):
+            f = _real_form(rng, rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 1),
+                           rng.randint(0, 2))
+            if not f.to_zx()[1:]:
+                continue
+            pts, conj = _binary_form_roots(f)
+            want = mirror_scan_oracle(complex_roots(f))
+            assert conj[:len(want)] == want
+            assert conj[len(want):] == [len(want)] * (len(pts) - len(want))
+
+    def test_close_conjugate_pair_in_one_round(self, monkeypatch):
+        # (10^12 (x - 1)^2 + 1)(x^2 - 3): the pair 1 +- 10^-6 i starts as a
+        # pair, not on the axis, and certifies without the mpmath fallback
+        def refuse(*args):
+            raise AssertionError("fell back to mpmath")
+
+        monkeypatch.setattr(roots_mod, "_mp_initial_roots", refuse)
+        e = 10**12
+        roots = complex_roots(form([e + 1, -2 * e, e]) * form([-3, 0, 1]))
+        assert [r.real for r in roots] == [True, False, False, True]
+        assert abs(roots[1].center - (1 - 1e-6j)) < 1e-12
+        assert abs(roots[2].center - (1 + 1e-6j)) < 1e-12
+
+
+def _key(z):
+    return (z.real, z.imag)

@@ -12,6 +12,7 @@ method, so that the certifier alone must reject or classify adversarial
 approximate roots.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from shadecalc.poly import real_roots_sturm, zx_mul, zx_sqf_list, zx_strip
 from shadecalc.roots import NEWTON_PASSES, SLACK, CertifiedRoot, complex_roots
 from shadecalc.scalars import GaussianRational as G, QQ
 
-from helpers import abs2, form, form_value, zx_form
+from helpers import abs2, form, form_value, overlaps, zx_form
 
 X = sympy.symbols("x")
 MP_BITS = 300
@@ -237,6 +238,19 @@ class TestRadiusBound:
                 assert roots_mod._radius(shifted, x, y, prec, h) is not None
                 # the Horner values Newton hands over are those at (x, y)
                 assert h is None or h == roots_mod._horner(shifted, x, y, prec)
+
+
+class TestSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(CertifiedRoot, st.integers(-40, 40), st.integers(-40, 40),
+                              st.integers(0, 25), st.integers(0, 3), st.just(1)), max_size=14))
+    def test_meeting_pairs_match_the_all_pairs_test(self, disks):
+        # small disks on grids of 2^-0 to 2^-3, so that touching and nested
+        # disks and equal left ends are common: the sweep on the finest grid
+        # finds every pair that meets on the finer of its own two grids
+        want = [(i, j) for i, j in itertools.combinations(range(len(disks)), 2)
+                if overlaps(disks[i], disks[j])]
+        assert sorted(roots_mod._meeting_pairs(disks)) == want
 
 
 def _scaled(max_bits):
