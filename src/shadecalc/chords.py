@@ -15,7 +15,8 @@ pipeline is:
    built (their Bezoutians), and any other pair keeps its raw forms.
    One `bivar_gcd` of the forms follows; on most records its first
    specialization proves them coprime, and a nonconstant gcd (the deck
-   graph of an antipodally symmetric sphere curve) is divided out.  A
+   graph of an antipodally symmetric sphere curve, whose double points
+   the smoothness check counts from x0) is divided out.  A
    center's collinearity minors are linear combinations of the saturated
    forms, so no center runs a gcd, and a factor that only the center
    brings stays and ends in GenericityError;
@@ -91,7 +92,6 @@ FILTER_TOL = 1e-5  # candidate filter: |u|, |v| relative to their scale bounds
 JAC_MARGIN = 1e-6
 COMBO_RETRIES = 6
 POLISH_STEPS = 30  # Newton steps of the pair polish at most
-DIAGONAL = BivarPoly(1, 1, [[0, 1], [-1, 0]])  # s v - t u, the z = w locus
 
 
 @dataclass
@@ -126,7 +126,7 @@ class PairSolution:
 class SaturatedSystem:
     minors: tuple  # in input order; a zero minor stays in place
     removed: tuple  # total bidegree removed by saturation
-    diagonal_only: bool  # saturation removed exactly the diagonal (or nothing)
+    diagonal_only: bool  # saturation removed the diagonal of a same record, nothing of another
     forms: tuple  # (x, y): the coordinate forms of the record
 
 
@@ -186,9 +186,8 @@ def _saturate(x, y, same) -> SaturatedSystem:
     g = bivar_gcd(*forms)
     if g.m or g.n:
         forms = [bivar_divexact(f, g) for f in forms]
-    diagonal_only = g.m == g.n == 0 or not same and _is_scalar_multiple(g, DIAGONAL)
     removed = (g.m + 1, g.n + 1) if same else (g.m, g.n)
-    return SaturatedSystem(tuple(forms), removed, diagonal_only, (x, y))
+    return SaturatedSystem(tuple(forms), removed, g.m == g.n == 0, (x, y))
 
 
 def secants(curve, i, j, *, p3):
@@ -196,11 +195,10 @@ def secants(curve, i, j, *, p3):
     (j = "conj": component i against its own conjugate), over all
     coordinates or, with p3, over the P3 image coordinates, built once
     per curve by `_saturate`.  The P3-image records serve every projection
-    center and, when each lost at most the diagonal, the smoothness check
-    through the first center's chord solutions.  The records over all
-    five coordinates of a sphere curve serve the real-point search and
-    the separate smoothness solve of a deck-symmetric curve, whose
-    P3-image records lost the deck graph too."""
+    center and the smoothness check through the first center's chord
+    solutions.  The records over all five coordinates of a sphere curve
+    serve the real-point search, linking numbers and the test that a
+    factor lost across components is a deck graph."""
     comps = curve.components
     key = (i, j, p3 and comps[i].nvars == 5)  # a P3 curve is its own image
     if key not in curve._secants:

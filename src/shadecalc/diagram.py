@@ -386,6 +386,28 @@ def _project_to_h(xvec, cvec, m):
     return [xvec[j] - lam * cvec[j] for j in range(4)]
 
 
+def _deck_double_points(curve: CurveModel):
+    """Kinds of the double points that P3-image records hid.  Immersed
+    components are birational, so a loss beyond the diagonal is a shared
+    image curve (PreconditionError) unless it is a sphere curve's deck
+    graph x(z) = lambda deck y(w) (x0 -> -x0).  Its double points are the
+    roots of x0, none real (c > 0): one each across components, paired on
+    one component less the two fixed points of the involution."""
+    comps, kinds = curve.components, []
+    for i in range(len(comps)):
+        for j in range(i, len(comps)):
+            if secants(curve, i, j, p3=True).diagonal_only:
+                continue
+            if curve.quadric() is None or (
+                    i != j and not secants(curve, i, j, p3=False).diagonal_only):
+                raise PreconditionError(f"components {i} and {j} share a curve of double "
+                                        "points; invariants need a smooth embedding")
+            x0 = comps[i].coords[0]
+            roots = x0.degree - form_gcd([x0, *x0.partials()]).degree
+            kinds += ["complex"] * (roots if i != j else (roots - 2) // 2)
+    return kinds
+
+
 def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0,
                   tol=DEFAULT_TARGET_RADIUS, smoothness=False) -> ProjectionData:
     """Solve every chord system for the given center, classify, evaluate
@@ -395,14 +417,13 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0,
     the center itself is left as it was passed.
 
     With `smoothness`, the chord solutions also answer the smoothness
-    question.  The caller passes it only when every P3-image record
-    (secants(.., p3=True)) lost at most the diagonal to saturation: then
-    a double point zeroes every saturated Plücker form, hence every
-    collinearity minor, so at a center where it is a simple solution it
-    is among the chord solutions.  A P3 curve keeps every solution that
-    zeroes those forms.  A sphere curve keeps those that also zero the
-    raw Plücker forms of its five coordinates, since its P3 image also
-    identifies antipodal pairs (x0 -> -x0).  Any kept raise
+    question: a double point off the deck graphs that saturation removed
+    (`_deck_double_points` counts those on them) zeroes every saturated
+    P3-image form, hence every collinearity minor, so at a center where
+    it is a simple solution it is among the chord solutions.  A P3 curve
+    keeps every solution that zeroes those forms; a sphere curve those
+    that also zero the raw forms of its five coordinates, since its P3
+    image also identifies antipodal pairs.  Any found raise
     DoublePointError before anything is classified or signed."""
     comps = curve.components
     q = curve.quadric()
@@ -411,6 +432,7 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0,
     margins = cert.margins
     cvec, c = center.cvec, center.coords
 
+    kinds = _deck_double_points(curve) if smoothness else []
     for i, comp in enumerate(comps):
         if not _center_off_component(c, p3_forms(comp.coords)):
             raise GenericityError(f"center lies on the projected component {i}")
@@ -424,15 +446,10 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0,
         )
         raw.append((i, j, canonical_unordered(sols) if w_mode == "swap" else sols))
     if smoothness:
-        kinds = []
         for i, j, sols in raw:
             found = double_points(secants(curve, i, j, p3=True).minors, sols)
-            if q is not None and found:
-                # a P3-image coincidence on the sphere is a double point or
-                # an antipodal pair, x(z) = deck y(w); only a double point
-                # zeroes the raw Plücker forms of all five coordinates
-                found = double_points(
-                    coincidence_system(comps[i].coords, comps[j].coords), found)
+            if q is not None and found:  # set antipodal pairs, x(z) = deck y(w), apart
+                found = double_points(coincidence_system(comps[i].coords, comps[j].coords), found)
             kinds += [s.double_point_kind for s in found]
         if kinds:
             raise DoublePointError(kinds)

@@ -160,12 +160,6 @@ def _require_immersed(curve: CurveModel):
             )
 
 
-def _require_smooth(curve: CurveModel, seed=0):
-    bad = self_double_points(curve, seed)
-    if bad:
-        raise DoublePointError([b.kind for b in bad])
-
-
 # ---------------------------------------------------------------------------
 # encomplexed writhe and shade numbers
 # ---------------------------------------------------------------------------
@@ -198,14 +192,14 @@ def _check_p3_writhe(comps, data: ProjectionData):
                                f"{sum(genus_bounds)}")
 
 
-def _cross_checked(curve, name, value, seed, centers, forced_center, tol, smoothness=False):
+def _cross_checked(curve, name, value, seed, centers, forced_center, tol):
     """The projections from `centers` accepted centers, the k-th drawn at
     seed + 1000003 k and the first at `forced_center` when one is given
-    (`smoothness` goes to the first only).  value(data) is read off each,
-    in order, and InstabilityError is raised unless all agree."""
+    (the first of a real curve checks smoothness).  value(data) is read
+    off each, in order, and InstabilityError is raised unless all agree."""
     runs = [select_center(curve, seed=seed + 1000003 * k,
                           forced_center=forced_center if k == 0 else None, tol=tol,
-                          smoothness=smoothness and k == 0)
+                          smoothness=curve.is_real() and k == 0)
             for k in range(max(1, centers))]
     values = [value(data) for data in runs]
     if len(set(values)) > 1:
@@ -235,16 +229,6 @@ def encomplexed_writhe(curve: CurveModel, seed=0, centers=1, forced_center=None,
         raise PreconditionError("encomplexed writhe needs real coefficients; "
                                 "use the shade number for curves without real points")
     _require_immersed(curve)
-    # the first center's chord solutions give the double points when every
-    # P3-image record lost at most the diagonal (project_curve sets a
-    # sphere curve's antipodal pairs apart).  A deck-symmetric sphere curve
-    # (hopf_pair, unknot, split_circles) loses the deck graph too, which
-    # hides its x0 = 0 double points, so it solves its 5-coordinate system
-    n = len(curve.components)
-    first_center = all(secants(curve, i, j, p3=True).diagonal_only
-                       for i in range(n) for j in range(i, n))
-    if not first_center:
-        _require_smooth(curve, seed)
 
     def total(data):
         wr, sh = _sum_parts(data)
@@ -254,7 +238,7 @@ def encomplexed_writhe(curve: CurveModel, seed=0, centers=1, forced_center=None,
             _check_p3_writhe(curve.components, data)
         return wr + sh
 
-    runs = _cross_checked(curve, "Cw", total, seed, centers, forced_center, tol, first_center)
+    runs = _cross_checked(curve, "Cw", total, seed, centers, forced_center, tol)
     wr, sh = _sum_parts(runs[0])
     return _report(curve, runs, "diagram", int(wr + sh), wr, sh, seed, tol)
 

@@ -13,6 +13,7 @@ from sympy.polys.matrices import DomainMatrix
 from shadecalc import chords
 from shadecalc.curves import CurveComponent, CurveModel, ParamPoint, _jet
 from shadecalc.poly import BinaryForm, BivarPoly, bivar_resultant_w, gdivexact, glist_gcd, gmul
+from shadecalc.projective import QuadricSpec
 from shadecalc.scalars import QQ, GaussianRational
 
 
@@ -286,6 +287,57 @@ def ladder_curve(d):
     rng = random.Random(1000 + d)
     forms = [BinaryForm(d, [rng.randint(-3, 3) for _ in range(d + 1)]) for _ in range(4)]
     return CurveModel("P3", [CurveComponent(forms)])
+
+
+def _quaternion_product(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2, a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2, a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+# a skew-symmetric matrix whose Cayley transform (I - A)(I + A)^-1 is a
+# rational rotation of x1..x4
+CAYLEY_SKEW = [[0, 1, 2, 0], [-1, 0, 1, 3], [-2, -1, 0, 1], [0, -3, -1, 0]]
+
+
+def deck_sextic(rotate=False):
+    """An immersed degree-6 curve on the unit sphere that is its own
+    antipodal image and has two complex double points, both on its deck
+    graph.  The quaternion product Y(a, b) = (a, b, 0, 0) r^2 with
+    r = (a, 2b, b, 0) has sum Y_k^2 = (a^2 + b^2)(a^2 + 5b^2)^2, so at
+    (a, b) = (2st, s^2 - t^2), where a^2 + b^2 = (s^2 + t^2)^2, the forms
+    [(s^2 + t^2)(a^2 + 5b^2), Y] lie on -x0^2 + x1^2 + ... + x4^2 = 0.
+    The involution (s, t) -> (t, -s) negates a, b and so Y, and fixes x0:
+    it is the deck transform, and its graph leaves the P3-image record
+    with the diagonal.  x0 has six simple roots: the two fixed points
+    s = +-i t, and the four roots of a^2 + 5b^2, which the involution
+    pairs into two double points.  With `rotate`, x1..x4 are turned by
+    the Cayley transform of CAYLEY_SKEW."""
+    s, t = sympy.symbols("s t")
+    a, b = 2 * s * t, s**2 - t**2
+    r = (a, 2 * b, b, 0)
+    y = _quaternion_product((a, b, 0, 0), _quaternion_product(r, r))
+    if rotate:
+        A = sympy.Matrix(CAYLEY_SKEW)
+        eye = sympy.eye(4)
+        y = tuple((eye - A) * (eye + A).inv() * sympy.Matrix(y))
+    coords = []
+    for f in [(s**2 + t**2) * (a**2 + 5 * b**2), *y]:
+        p = sympy.Poly(sympy.expand(f), s, t)
+        coeffs = [p.coeff_monomial(s ** (6 - k) * t**k) for k in range(7)]
+        coords.append(BinaryForm(6, [Fraction(int(c.p), int(c.q)) for c in coeffs]))
+    return CurveModel(QuadricSpec(QQ(1)), [CurveComponent(coords, "deck_sextic")])
+
+
+def image_twin(curve, swap):
+    """The one-component curve plus a copy of its component: the same
+    forms, or with swap the forms reparameterized by (s, t) -> (t, s).
+    The two components share their image, a curve of double points."""
+    comp = curve.components[0]
+    copy = [BinaryForm._from_ints(f.degree, f.den, f.num[::-1]) if swap else f
+            for f in comp.coords]
+    return CurveModel(curve.ambient, [comp, CurveComponent(copy, "copy")])
 
 
 def _scalar_jets(T, zx, wx, z_chart_t, w_chart_t):

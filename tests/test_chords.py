@@ -489,7 +489,7 @@ class TestSecants:
                 raw = collinearity_system(c, coincidence_system(p3_forms(comps[i].coords),
                                                                 p3_forms(y)))
                 g = bivar_gcd(*raw)
-                diagonal_only = g.m == g.n == 0 or chords._is_scalar_multiple(g, DIAG)
+                diagonal_only = g.m == g.n == 0 or i == j and chords._is_scalar_multiple(g, DIAG)
                 sec = secants(curve, i, "conj" if w_mode == "conj" else j, p3=True)
                 assert _same_system([bivar_divexact(m, g) for m in raw],
                                     collinearity_system(c, sec.minors))
@@ -552,6 +552,9 @@ class TestSecants:
             minors, removed, diagonal_only = _saturate_until_constant(
                 tuple(coincidence_system(x, y)))
             rec = secants(curve, i, j, p3=p3)
+            # a record of two components counts as diagonal_only only when
+            # it lost nothing
+            diagonal_only &= j == i or removed == (0, 0)
             assert (rec.removed, rec.diagonal_only) == (removed, diagonal_only)
             assert len(rec.minors) == len(minors)
             assert any(all(_times_unit(a, unit) == b for a, b in zip(minors, rec.minors))
@@ -660,7 +663,7 @@ class TestExcessFactor:
         mode, calls = [None], []
 
         def spy_solve(system, **kwargs):
-            mode[0] = kwargs["w_mode"]
+            mode[0] = kwargs["w_mode"], system.diagonal_only
             try:
                 return solve(system, **kwargs)
             finally:
@@ -669,7 +672,7 @@ class TestExcessFactor:
         def spy(p, q, strip_content=False, divisor=chords.FORM_ONE, power=1):
             out = resultant(p, q, strip_content, divisor, power)
             if mode[0] is not None:
-                calls.append((mode[0], p, q, _form_power(divisor, power), out))
+                calls.append((*mode[0], p, q, _form_power(divisor, power), out))
             return out
 
         monkeypatch.setattr(diagram, "solve_minor_system", spy_solve)
@@ -682,10 +685,11 @@ class TestExcessFactor:
             except ShadecalcError:
                 pass  # the precondition fixtures fail after (or before) their solves
         (d,) = {comp.degree for comp in curve.components}
-        for _, p, q, divisor, out in calls:
+        for _, divided, p, q, divisor, out in calls:
             # E has the components' degree d; n is p's degree in the
-            # eliminated pair
-            assert divisor.degree == p.n * d
+            # eliminated pair.  A record that lost the deck graph too (the
+            # deck record of split_circles) divides by 1
+            assert divisor.degree == (p.n * d if divided else 0)
             full = resultant(p, q, strip_content=True)
             assert _unit_rational_multiple(full, divisor * out)
         if len(curve.components) > 1 and calls:

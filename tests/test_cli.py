@@ -12,8 +12,12 @@ import pytest
 
 from shadecalc import cli, invariants, roots
 from shadecalc.cli import main
+from shadecalc.curves import kae_curve, trefoil_curve, unknot_curve
 from shadecalc.errors import CurveFileError
+from shadecalc.reportio import model_to_json
 from shadecalc.scalars import QQ
+
+from helpers import image_twin
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "src" / "shadecalc" / "data"
@@ -212,6 +216,22 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"precondition violation: curve has a cusp on component {label} (its "
             "parameterization is stationary there); invariants need a smooth embedding\n"
+        )
+
+    @pytest.mark.parametrize("name", ["unknot", "trefoil", "kae"])
+    @pytest.mark.parametrize("swap", [False, True], ids=["exact", "swapped"])
+    def test_shared_image_exit_3(self, name, swap, tmp_path, capsys):
+        # a curve plus a copy of its component: the parent reported Cw 0 for
+        # the unknot, Cw 8 for the swapped trefoil and exit 2 otherwise
+        make = {"unknot": unknot_curve, "trefoil": trefoil_curve,
+                "kae": lambda: kae_curve(QQ(1, 2), -1)}[name]
+        path = tmp_path / "twin.json"
+        path.write_text(json.dumps(model_to_json(image_twin(make(), swap))))
+        code, out = run(["invariants", "--curve", str(path)], capsys)
+        assert (code, out) == (3, b"")
+        assert capsys.readouterr().err == (
+            "precondition violation: components 0 and 1 share a curve of double points; "
+            "invariants need a smooth embedding\n"
         )
 
     @pytest.mark.parametrize("eps,kind", [(1, "complex-conjugate"), (-1, "real-real")])

@@ -36,7 +36,8 @@ from shadecalc.projective import QuadricSpec
 from shadecalc.reportio import parse_curve_file
 from shadecalc.scalars import QQ
 
-from helpers import form_value, gauss_linking_oracle, ladder_curve, stereo_r3, to_complex
+from helpers import (deck_sextic, form_value, gauss_linking_oracle, image_twin, ladder_curve,
+                     stereo_r3, to_complex)
 
 
 class TestGoldenValues:
@@ -254,30 +255,66 @@ class TestFirstCenterSmoothness:
             assert found == [(6, 1), (10, 0)]
             assert self_double_points(_sphere_curve(ANTIPODAL_QUARTIC), seed) == []
 
-    @pytest.mark.parametrize("make,separate", [
+    @pytest.mark.parametrize("make,deck", [
         (trefoil_curve, False), (hopf_pair_curve, True), (unknot_curve, True),
         (split_circles_curve, True),
     ])
-    def test_deck_symmetric_curves_solve_their_own_system(self, make, separate, monkeypatch):
+    def test_deck_symmetric_curves_count_from_x0(self, make, deck, monkeypatch):
         # their P3-image records lose the deck graph, which hides the
-        # x0 = 0 double points, so only their own system can find them
-        calls = []
-        sdp = invariants.self_double_points
+        # x0 = 0 double points; those are counted from x0, with no
+        # separate solve
+        def forbidden(*args):
+            raise AssertionError("self_double_points ran in encomplexed_writhe")
 
-        def spy(*args):
-            calls.append(args)
-            return sdp(*args)
-
-        monkeypatch.setattr(invariants, "self_double_points", spy)
+        monkeypatch.setattr(invariants, "self_double_points", forbidden)
         curve = make()
-        try:
+        if make is split_circles_curve:
+            with pytest.raises(DoublePointError) as ei:
+                encomplexed_writhe(curve, seed=0)
+            assert ei.value.kinds == ["complex", "complex"]
+        else:
             encomplexed_writhe(curve, seed=0)
-        except DoublePointError:
-            assert make is split_circles_curve  # its 2 complex double points
-        assert len(calls) == separate
         n = len(curve.components)
         records = [secants(curve, i, j, p3=True) for i in range(n) for j in range(i, n)]
-        assert all(r.diagonal_only for r in records) != separate
+        assert all(r.diagonal_only for r in records) != deck
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["plain", "rotated"])
+    def test_deck_sextic_hidden_double_points(self, rotate):
+        # both double points lie on the deck graph, which its P3-image
+        # record removed with the diagonal; the five-coordinate solve finds
+        # the same two
+        for seed in range(4):
+            curve = deck_sextic(rotate)
+            record = secants(curve, 0, 0, p3=True)
+            assert (record.removed, record.diagonal_only) == ((2, 2), False)
+            with pytest.raises(DoublePointError) as ei:
+                encomplexed_writhe(curve, seed=seed)
+            assert ei.value.kinds == ["complex", "complex"], f"seed {seed}"
+            assert sorted(b.kind for b in self_double_points(deck_sextic(rotate), seed)) == \
+                ["complex", "complex"], f"seed {seed}"
+
+
+TWINS = [pytest.param(make, swap, id=f"{name}-{'swapped' if swap else 'exact'}")
+         for name, make in (("unknot", unknot_curve), ("trefoil", trefoil_curve),
+                            ("kae", lambda: kae_curve(QQ(1, 2), -1)))
+         for swap in (False, True)]
+
+
+class TestSharedImage:
+    """Two components with one image share a curve of double points.
+    Saturation divides that curve out of their record, so no chord
+    solution shows it; the lost factor does."""
+
+    @pytest.mark.parametrize("make,swap", TWINS)
+    def test_rejected_before_any_chord_solve(self, make, swap, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a chord system was solved for a shared image")
+
+        monkeypatch.setattr(diagram, "solve_minor_system", forbidden)
+        with pytest.raises(PreconditionError, match="components 0 and 1 share a curve of "
+                                                    "double points") as ei:
+            encomplexed_writhe(image_twin(make(), swap), seed=0)
+        assert not isinstance(ei.value, DoublePointError)
 
 
 class TestDegreeLadder:
