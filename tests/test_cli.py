@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from shadecalc import cli, invariants, roots
+from shadecalc import cli, diagram, invariants, roots
 from shadecalc.cli import main
 from shadecalc.curves import kae_curve, trefoil_curve, unknot_curve
 from shadecalc.errors import CurveFileError
@@ -220,9 +220,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name", ["unknot", "trefoil", "kae"])
     @pytest.mark.parametrize("swap", [False, True], ids=["exact", "swapped"])
-    def test_shared_image_exit_3(self, name, swap, tmp_path, capsys):
-        # a curve plus a copy of its component: the parent reported Cw 0 for
-        # the unknot, Cw 8 for the swapped trefoil and exit 2 otherwise
+    def test_shared_image_exit_3(self, name, swap, tmp_path, capsys, monkeypatch):
+        # a curve plus a copy of its component: saturation divides their
+        # shared image out of the cross record, so no chord solution could
+        # show it, and the lost factor rejects the curve before any solve
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a chord system was solved for a shared image")
+
+        monkeypatch.setattr(diagram, "solve_minor_system", forbidden)
         make = {"unknot": unknot_curve, "trefoil": trefoil_curve,
                 "kae": lambda: kae_curve(QQ(1, 2), -1)}[name]
         path = tmp_path / "twin.json"

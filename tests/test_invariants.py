@@ -36,8 +36,8 @@ from shadecalc.projective import QuadricSpec
 from shadecalc.reportio import parse_curve_file
 from shadecalc.scalars import QQ
 
-from helpers import (deck_sextic, form_value, gauss_linking_oracle, image_twin, ladder_curve,
-                     stereo_r3, to_complex)
+from helpers import (deck_sextic, form_value, gauss_linking_oracle, ladder_curve, stereo_r3,
+                     to_complex)
 
 
 class TestGoldenValues:
@@ -292,29 +292,6 @@ class TestFirstCenterSmoothness:
             assert ei.value.kinds == ["complex", "complex"], f"seed {seed}"
             assert sorted(b.kind for b in self_double_points(deck_sextic(rotate), seed)) == \
                 ["complex", "complex"], f"seed {seed}"
-
-
-TWINS = [pytest.param(make, swap, id=f"{name}-{'swapped' if swap else 'exact'}")
-         for name, make in (("unknot", unknot_curve), ("trefoil", trefoil_curve),
-                            ("kae", lambda: kae_curve(QQ(1, 2), -1)))
-         for swap in (False, True)]
-
-
-class TestSharedImage:
-    """Two components with one image share a curve of double points.
-    Saturation divides that curve out of their record, so no chord
-    solution shows it; the lost factor does."""
-
-    @pytest.mark.parametrize("make,swap", TWINS)
-    def test_rejected_before_any_chord_solve(self, make, swap, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a chord system was solved for a shared image")
-
-        monkeypatch.setattr(diagram, "solve_minor_system", forbidden)
-        with pytest.raises(PreconditionError, match="components 0 and 1 share a curve of "
-                                                    "double points") as ei:
-            encomplexed_writhe(image_twin(make(), swap), seed=0)
-        assert not isinstance(ei.value, DoublePointError)
 
 
 class TestDegreeLadder:
