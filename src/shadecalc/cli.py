@@ -4,6 +4,12 @@ Subcommands: invariants, sweep, render, validate.  Exit codes: 0 on
 success, 1 on parse or flag errors, 2 on genericity exhaustion, 3 on
 precondition violations.  Reports are byte-deterministic for fixed
 input, seed and flags.
+
+Every subcommand's flags are declared once, in `SUBCOMMANDS`.  A call
+that names a subcommand builds only that subcommand's parser; the whole
+parser (`build_parser`) is built only for top-level help and for errors
+the subcommand's parser leaves to it, so help and error text are
+argparse's own either way.
 """
 
 from __future__ import annotations
@@ -28,46 +34,80 @@ EXIT_PRECONDITION = 3
 MAX_GRID_SAMPLES = 10**5
 
 
-def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="shadecalc",
-        description="Encomplexed writhe, shade and linking numbers of real rational curves",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+def _invariants_flags(p):
+    p.add_argument("--curve", required=True, help="curve JSON file")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--centers", type=int, default=1, help="cross-checked centers")
+    p.add_argument("--tol", type=float, default=DEFAULT_TARGET_RADIUS,
+                   help="root refinement target")
+    p.add_argument("--svg", help="also write the diagram SVG here")
+    _fmt_flags(p)
 
-    p_inv = sub.add_parser("invariants", help="compute Cw or the shade number of a curve")
-    p_inv.add_argument("--curve", required=True, help="curve JSON file")
-    p_inv.add_argument("--seed", type=int, default=0)
-    p_inv.add_argument("--centers", type=int, default=1, help="cross-checked centers")
-    p_inv.add_argument("--tol", type=float, default=DEFAULT_TARGET_RADIUS,
-                       help="root refinement target")
-    p_inv.add_argument("--svg", help="also write the diagram SVG here")
-    _fmt_flags(p_inv)
 
-    p_sw = sub.add_parser("sweep", help="invariant sweep over a parameter family")
-    p_sw.add_argument("--family", required=True, choices=["kae", "range"])
-    p_sw.add_argument("--epsilon", type=int, choices=[1, -1], help="kae: the family sign")
-    p_sw.add_argument("--d", type=int, help="range: curve degree")
-    p_sw.add_argument("--K", help="range: factor scale (rational)")
-    p_sw.add_argument("--grid", required=True, help="a:b:step, rational endpoints")
-    p_sw.add_argument("--seed", type=int, default=0)
-    _fmt_flags(p_sw)
+def _sweep_flags(p):
+    p.add_argument("--family", required=True, choices=["kae", "range"])
+    p.add_argument("--epsilon", type=int, choices=[1, -1], help="kae: the family sign")
+    p.add_argument("--d", type=int, help="range: curve degree")
+    p.add_argument("--K", help="range: factor scale (rational)")
+    p.add_argument("--grid", required=True, help="a:b:step, rational endpoints")
+    p.add_argument("--seed", type=int, default=0)
+    _fmt_flags(p)
 
-    p_r = sub.add_parser("render", help="projected diagram as SVG")
-    p_r.add_argument("--curve", required=True)
-    p_r.add_argument("--seed", type=int, default=0)
-    p_r.add_argument("--out", required=True)
 
-    p_v = sub.add_parser("validate", help="structural validation of a curve file")
-    p_v.add_argument("--curve", required=True)
-    _fmt_flags(p_v)
-    return ap
+def _render_flags(p):
+    p.add_argument("--curve", required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
+
+
+def _validate_flags(p):
+    p.add_argument("--curve", required=True)
+    _fmt_flags(p)
 
 
 def _fmt_flags(p):
     g = p.add_mutually_exclusive_group()
     g.add_argument("--json", dest="fmt", action="store_const", const="json", default="json")
     g.add_argument("--text", dest="fmt", action="store_const", const="text")
+
+
+# subcommand -> (its help line, the function that adds its flags)
+SUBCOMMANDS = {
+    "invariants": ("compute Cw or the shade number of a curve", _invariants_flags),
+    "sweep": ("invariant sweep over a parameter family", _sweep_flags),
+    "render": ("projected diagram as SVG", _render_flags),
+    "validate": ("structural validation of a curve file", _validate_flags),
+}
+
+
+def build_parser():
+    """The whole parser: the top level and every subcommand."""
+    ap = argparse.ArgumentParser(
+        prog="shadecalc",
+        description="Encomplexed writhe, shade and linking numbers of real rational curves",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_flags) in SUBCOMMANDS.items():
+        add_flags(sub.add_parser(name, help=help_line))
+    return ap
+
+
+def parse_args(argv):
+    """The namespace `build_parser().parse_args(argv)` gives, building
+    only the named subcommand's parser when argv starts with one.  Its
+    help, its flag errors and its namespace are those of the subparser
+    in the whole tree, whose prog is also "shadecalc <name>".  Leftover
+    arguments and any other argv go to the whole parser, so the top-level
+    usage, help and "unrecognized arguments" error keep their bytes."""
+    argv = list(argv)
+    if argv and argv[0] in SUBCOMMANDS:
+        p = argparse.ArgumentParser(prog=f"shadecalc {argv[0]}")
+        SUBCOMMANDS[argv[0]][1](p)
+        args, rest = p.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _load(path):
@@ -170,9 +210,8 @@ def cmd_validate(args, out):
 
 
 def main(argv=None):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
         return EXIT_PARSE if e.code else EXIT_OK
     out = sys.stdout.buffer

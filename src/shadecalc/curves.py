@@ -13,7 +13,9 @@ real-point-free line, and a couple of linking fixtures.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -110,6 +112,21 @@ def _jet(x, deg, chart_t):
     return J if chart_t else J[:, ::-1]
 
 
+def _real_multiple(coords):
+    """The forms as given, unless they are a Gaussian scalar times real
+    forms: then those real forms, each form times the conjugate of the
+    first nonzero coefficient c (|c|^2 times the real forms), so that a
+    real curve written with non-real coefficients is real."""
+    if all(f.is_real() for f in coords):
+        return coords
+    den, (a, b) = next((f.den, c) for f in coords for c in f.num if c != (0, 0))
+    # conj(c) (x + i y) is real iff a y = b x, the den being positive
+    if any(a * y != b * x for f in coords for x, y in f.num):
+        return coords
+    conj = GaussianRational(Fraction(a, den), Fraction(-b, den))
+    return tuple(f * conj for f in coords)
+
+
 class CurveComponent:
     """One rational component: 4 or 5 coordinate forms of common degree,
     base-point free, plus the coefficient-conjugated parameterization and
@@ -128,11 +145,11 @@ class CurveComponent:
             raise PreconditionError(f"component {label or '?'}: degree must be >= 1")
         if all(f.is_zero() for f in coords):
             raise PreconditionError(f"component {label or '?'}: zero parameterization")
-        self.coords = coords
-        self.conj_coords = tuple(f.conjugate() for f in coords)
+        self.coords = _real_multiple(coords)
+        self.conj_coords = tuple(f.conjugate() for f in self.coords)
         self.label = label
         self.degree = d
-        self.table = np.array([complex_coeffs(f.den, f.num) for f in coords])
+        self.table = np.array([complex_coeffs(f.den, f.num) for f in self.coords])
 
     @property
     def nvars(self):
@@ -191,6 +208,7 @@ class CurveModel:
                     f"component {c.label or '?'} has {c.nvars} coordinates, ambient wants {nv}"
                 )
         self._secants = {}  # chords.secants records
+        self._report = None  # the validation report, made once
 
     def is_real(self):
         return all(c.is_real() for c in self.components)
@@ -200,7 +218,13 @@ class CurveModel:
 
     def validate(self) -> dict:
         """Report-style validation: base-point-freeness, degrees, quadric
-        identity, coefficient reality per component."""
+        identity, coefficient reality per component.  The model does not
+        change, so the report is made once; each call gets its own copy."""
+        if self._report is None:
+            self._report = self._validation_report()
+        return copy.deepcopy(self._report)
+
+    def _validation_report(self):
         report = {"valid": True, "components": [], "ambient": describe_ambient(self.ambient)}
         q = self.quadric()
         for i, comp in enumerate(self.components):

@@ -74,11 +74,19 @@ def surd_parts(values):
 # parsing / formatting of coefficient strings
 # ---------------------------------------------------------------------------
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
-_RE_RATIONAL = re.compile(rf"^\s*({_RAT})\s*$")
-_RE_COMPLEX = re.compile(rf"^\s*({_RAT})\s*([+-])\s*(\d+(?:/\d+)?)\s*\*?\s*i\s*$")
-_RE_IMAG = re.compile(rf"^\s*({_RAT})\s*\*?\s*i\s*$")
-_RE_SQRT = re.compile(rf"^\s*({_RAT})?\s*([+-])?\s*(\d+(?:/\d+)?)\s*\*\s*sqrt\((\d+)\)\s*$")
+# a rational p or p/q as the groups (p, q), q possibly None; \d matches
+# any Unicode decimal digit, which int() reads too
+_RAT = r"([+-]?\d+)(?:/(\d+))?"
+_URAT = r"(\d+)(?:/(\d+))?"
+_RE_RATIONAL = re.compile(rf"^\s*{_RAT}\s*$")
+_RE_COMPLEX = re.compile(rf"^\s*{_RAT}\s*([+-])\s*{_URAT}\s*\*?\s*i\s*$")
+_RE_IMAG = re.compile(rf"^\s*{_RAT}\s*\*?\s*i\s*$")
+_RE_SQRT = re.compile(rf"^\s*(?:{_RAT})?\s*([+-])?\s*{_URAT}\s*\*\s*sqrt\((\d+)\)\s*$")
+
+
+def _rational(p, q):
+    """The Fraction p/q of two matched digit strings (q None for 1)."""
+    return Fraction(int(p), int(q)) if q is not None else Fraction(int(p))
 
 
 def parse_scalar(text: str):
@@ -99,23 +107,23 @@ def parse_scalar(text: str):
 def _parse_scalar_inner(text: str):
     m = _RE_RATIONAL.match(text)
     if m:
-        return GaussianRational(Fraction(m.group(1)))
+        return GaussianRational(_rational(*m.groups()))
     m = _RE_COMPLEX.match(text)
     if m:
-        im = Fraction(m.group(3))
-        if m.group(2) == "-":
-            im = -im
-        return GaussianRational(Fraction(m.group(1)), im)
+        p, q, sign, r, s = m.groups()
+        im = _rational(r, s)
+        return GaussianRational(_rational(p, q), -im if sign == "-" else im)
     m = _RE_IMAG.match(text)
     if m:
-        return GaussianRational(Fraction(0), Fraction(m.group(1)))
+        return GaussianRational(Fraction(0), _rational(*m.groups()))
     m = _RE_SQRT.match(text)
     if m:
-        a = Fraction(m.group(1)) if m.group(1) else Fraction(0)
-        b = Fraction(m.group(3))
-        if m.group(2) == "-":
+        p, q, sign, r, s, n = m.groups()
+        a = _rational(p, q) if p is not None else Fraction(0)
+        b = _rational(r, s)
+        if sign == "-":
             b = -b
-        n = int(m.group(4))
+        n = int(n)
         k = math.isqrt(n)
         if not b or k * k == n:
             return GaussianRational(a + b * k)

@@ -18,9 +18,13 @@ d = 3, K = 10^4 on the ten benchmark grids and at d = 2 and 3 with
 K = 1 on -2:2:1, `invariants --svg` (the benchmark's SVG path) on
 `unknot`, `lp_line`, `hopf_pair` and `kae_half_minus` at seeds 0-29,
 `render` on the 8 fixtures at seeds 0-2, `validate` on the 8 fixtures,
-and `invariants` on each malformed curve file of
+`invariants` on each malformed curve file of
 `test_cli.MALFORMED_CURVES` (the exit-1 parse path), written into the
-panel's temporary directory and shown as TMP/malformed<k>.json.  At
+panel's temporary directory and shown as TMP/malformed<k>.json, and
+each argv of `test_cli.PARSER_ARGV` (help, the exit-1 flag path and
+flags that parse; their curve path "c" does not exist).  Help text is
+hashed as standard output; argparse wraps it at the terminal width
+(`COLUMNS`), so compare panels run with the same width.  At
 d = 3, K = 1 is too small to isolate the range family's real roots, so
 that sweep runs the exact singular test (`_range_polys` and the gcd) on
 every sample, where the others run it only inside walls.
@@ -44,7 +48,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 from shadecalc import cli  # noqa: E402
-from test_cli import MALFORMED_CURVES  # noqa: E402
+from test_cli import MALFORMED_CURVES, PARSER_ARGV  # noqa: E402
 
 DATA = "src/shadecalc/data"
 FIXTURES = sorted(p.stem for p in (ROOT / DATA).glob("*.json"))
@@ -93,6 +97,7 @@ def commands(tmp):
         path = os.path.join(tmp, f"malformed{k}.json")
         Path(path).write_text(json.dumps(curve))
         yield ["invariants", "--curve", path]
+    yield from PARSER_ARGV
 
 
 def run(argv, svg):
@@ -100,6 +105,10 @@ def run(argv, svg):
 
     class Stdout:
         buffer = out
+
+        @staticmethod
+        def write(text):  # argparse prints help as text
+            out.write(text.encode())
 
     with contextlib.redirect_stdout(Stdout()), contextlib.redirect_stderr(err):
         code = cli.main(argv)

@@ -15,7 +15,7 @@ from shadecalc.cli import main
 from shadecalc.curves import kae_curve, trefoil_curve, unknot_curve
 from shadecalc.errors import CurveFileError
 from shadecalc.reportio import model_to_json
-from shadecalc.scalars import QQ
+from shadecalc.scalars import QQ, GaussianRational, parse_scalar
 
 from helpers import image_twin
 
@@ -66,6 +66,47 @@ MALFORMED_CURVES = [
     ({"family": {**KAE, "a": "1/2+1 i"}}, "bad parameter a"),
     ({"family": KAE, "center": {"point": ["0", "0 i", "-2+1*sqrt(4)", "0"]}},
      "point coordinates are all zero"),
+]
+
+
+# argv that `cli.parse_args` must parse exactly as the whole parser
+# does: help, flag errors and namespaces; tests/cli_panel.py runs them too
+PARSER_ARGV = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["bogus"],
+    ["bogus", "--curve", "c"],
+    ["--curve", "c", "invariants"],
+    *([name, flag] for name in ("invariants", "sweep", "render", "validate")
+      for flag in ("-h", "--help", "--he")),
+    ["invariants"],
+    ["validate", "--json"],
+    ["render", "--curve", "c"],
+    ["sweep", "--family", "kae"],
+    ["invariants", "--curve", "c", "--seed", "x"],
+    ["invariants", "--curve", "c", "--seed", "-3"],
+    ["invariants", "--curve", "c", "--centers", "2.5"],
+    ["sweep", "--family", "foo", "--grid", "0:1:1"],
+    ["sweep", "--family", "kae", "--epsilon", "2", "--grid", "0:1:1"],
+    ["sweep", "--family", "kae", "--epsilon=-1", "--grid", "-1:1:1/8"],
+    ["sweep", "--family", "kae", "--epsilon", "-1", "--grid=-1:1:1/8", "--text"],
+    ["sweep", "--family", "range", "--d", "3", "--K", "10000", "--grid=-10:10:1/10"],
+    ["validate", "--curve", "c", "--json", "--text"],
+    ["invariants", "--curve", "c", "--bogus"],
+    ["invariants", "--curve", "c", "extra"],
+    ["render", "--curve", "c", "--out", "o.svg", "extra", "--seed", "1"],
+    ["invariants", "--curve", "c", "--"],
+    ["invariants", "--", "--curve", "c"],
+    ["invariants", "--cur", "c"],
+    ["invariants", "--c", "c"],
+    ["validate", "--cur=c", "--te"],
+    ["invariants", "--curve", "c", "--tol", "1e-9"],
+    ["invariants", "--curve", "c", "--tol", "nan"],
+    ["invariants", "--curve", "c", "--tol", "abc"],
+    ["invariants", "--curve", "c", "--svg", "d.svg", "--centers", "3", "--text"],
+    ["render", "--out", "o.svg", "--curve", "c", "--seed", "2"],
 ]
 
 
@@ -306,6 +347,28 @@ class TestExitCodes:
         assert obj["result"]["sh_part"] in ("1/2", "-1/2")
         assert obj["result"]["mode"] == "shade"
 
+    @pytest.mark.parametrize("a, b", [(0, 1), (1, 2)], ids=["i", "1+2i"])
+    @pytest.mark.parametrize("name", ["unknot", "kae_half_minus", "trefoil", "lp_line"])
+    def test_curve_file_times_a_gaussian_scalar(self, name, a, b, tmp_path, capsys):
+        # every coefficient times a + b i: the same curve, so a real curve
+        # keeps its Cw and lp_line its shade number
+        obj = json.loads((DATA / f"{name}.json").read_text())
+        for comp in obj["components"]:
+            comp["coords"] = [
+                [str(GaussianRational(a * v.re - b * v.im, a * v.im + b * v.re))
+                 for v in map(parse_scalar, row)]
+                for row in comp["coords"]]
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(obj))
+        results = []
+        for curve in (DATA / f"{name}.json", path):
+            code, out = run(["invariants", "--curve", str(curve)], capsys)
+            assert code == 0
+            results.append(json.loads(out)["result"])
+        want, got = ({k: r[k] for k in ("mode", "Cw", "sh_part")} for r in results)
+        assert got == want
+        assert (want["Cw"] is None) == (name == "lp_line")
+
     @pytest.mark.parametrize("curve, message", MALFORMED_CURVES)
     def test_malformed_curve_file_exit_1(self, curve, message, tmp_path, capsys):
         path = tmp_path / "curve.json"
@@ -382,6 +445,31 @@ class TestDeterminism:
         c1, out1 = run(argv, capsys)
         c2, out2 = run(argv, capsys)
         assert c1 == c2 == 0 and out1 == out2
+
+
+class TestParser:
+    @staticmethod
+    def _parsed(parse, argv, capsys):
+        try:
+            # values by repr, so that --tol nan compares equal
+            result = {k: repr(v) for k, v in vars(parse(argv)).items()}
+        except SystemExit as e:
+            result = ("exit", e.code)
+        return result, capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", PARSER_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_parses_as_the_whole_parser(self, argv, capsys):
+        # the same namespace, or the same exit code, stdout and stderr
+        assert (self._parsed(cli.parse_args, argv, capsys)
+                == self._parsed(cli.build_parser().parse_args, argv, capsys))
+
+    def test_a_subcommand_call_builds_only_its_parser(self, monkeypatch):
+        def whole():
+            raise AssertionError("the whole parser was built")
+
+        monkeypatch.setattr(cli, "build_parser", whole)
+        args = cli.parse_args(["validate", "--curve", "c", "--text"])
+        assert vars(args) == {"curve": "c", "fmt": "text", "command": "validate"}
 
 
 class TestRootRounds:
@@ -616,8 +704,6 @@ class TestCommands:
     def test_reported_lift_parses_back(self, capsys):
         # the center lift of a file is reported in the file's own scalar
         # syntax, so it reads back to the same exact lift
-        from shadecalc.scalars import parse_scalar
-
         code, out = run(["invariants", "--curve", str(DATA / "trefoil.json"), "--seed", "1"],
                         capsys)
         assert code == 0

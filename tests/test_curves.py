@@ -48,6 +48,46 @@ class TestValidation:
         assert not rep["valid"]
 
 
+class TestValidationReport:
+    def test_made_once_and_handed_out_as_copies(self, monkeypatch):
+        want = unknot_curve().validate()
+        model = unknot_curve()
+        first = model.validate()
+        first["forced_center"] = True
+        first["components"][0]["degree"] = 0
+        monkeypatch.setattr(CurveComponent, "base_point_free",
+                            lambda self: pytest.fail("validated twice"))
+        assert model.validate() == want
+        assert model.require_valid() == model.validate()
+
+
+def _times(forms, c):
+    return [f * c for f in forms]
+
+
+class TestRealMultiple:
+    @pytest.mark.parametrize("c", [G(0, 1), G(1, 2), G(QQ(-1, 3), QQ(1, 2))],
+                             ids=["i", "1+2i", "-1/3+1/2 i"])
+    @pytest.mark.parametrize("make", [unknot_curve, trefoil_curve, lambda: kae_curve(QQ(1, 2), -1)],
+                             ids=["unknot", "trefoil", "kae"])
+    def test_a_scalar_times_real_forms_is_stored_real(self, make, c):
+        # each form times conj(c): |c|^2 times the real forms
+        real = make().components[0].coords
+        comp = CurveComponent(_times(real, c), "scaled")
+        assert comp.is_real()
+        assert comp.coords == tuple(_times(real, c.re**2 + c.im**2))
+        assert comp.conj_coords == comp.coords
+
+    def test_real_and_non_real_forms_stay_as_given(self):
+        for model in (unknot_curve(), kae_curve(QQ(1, 2), 1), lp_line_curve()):
+            forms = model.components[0].coords
+            comp = CurveComponent(forms, "same")
+            assert comp.coords is forms
+        forms = tuple(_times(lp_line_curve().components[0].coords, G(1, 2)))
+        comp = CurveComponent(forms, "lp")
+        assert comp.coords is forms and not comp.is_real()
+
+
 def _exact_value(comp, s, t):
     return [form_value(f, s, t) for f in comp.coords]
 
