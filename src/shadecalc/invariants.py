@@ -13,6 +13,8 @@ the total.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -311,8 +313,11 @@ def range_family_is_singular(d, t, K) -> bool:
     return form_gcd([A, mirror]).degree >= 1
 
 
-def _certified_real_roots(f: BinaryForm, expect: int, what: str):
-    ivs = real_roots_sturm(f, width=QQ(1, 2**90))
+_WIDTH = QQ(1, 2**90)  # the isolating width of theta_j and phi_k(0)
+
+
+def _certified_real_roots(f: BinaryForm, expect: int, what: str, width=_WIDTH):
+    ivs = real_roots_sturm(f, width=width)
     if len(ivs) != expect:
         raise PreconditionError(
             f"{what}: found {len(ivs)} real roots, need {expect} (increase K)"
@@ -324,13 +329,19 @@ def _certified_real_roots(f: BinaryForm, expect: int, what: str):
 class _RangeIsolation:
     """The range family at fixed (d, K), isolated once.  B_t(u) = B_0(u - t),
     so phi_k(t) = phi_k(0) + t and every member is read off the roots of
-    A and B_0."""
+    A and B_0.  The wall ends, times their common denominator `scale`, are
+    sorted once, so a sample is placed among them by integer bisection."""
 
     d: int
     K: Fraction
     theta: list  # float midpoint of theta_j per root of A, ascending
     phi0: list  # exact midpoint of phi_k(0) per root of B_0, ascending
     walls: list  # closed interval holding -theta_j - phi_k(0), in (j, k) order
+    scale: int  # lcm of the wall ends' denominators
+    los: list  # lower ends times scale, ascending
+    his: list  # upper ends times scale, ascending
+    rank: list  # rank[n]: the place of wall n's upper end in his
+    pair_sign: list  # -SOLITARY_SIGN sign P'(theta_j) Q'(phi_k) of wall n = j d + k
 
 
 def _range_isolation(d, K, b_name) -> _RangeIsolation:
@@ -352,40 +363,64 @@ def _range_isolation(d, K, b_name) -> _RangeIsolation:
             K *= 10
 
 
-def _isolate_range(d, K, b_name) -> _RangeIsolation:
+def _isolate_range(d, K, b_name, width=_WIDTH) -> _RangeIsolation:
     A, B0 = _range_polys(d, 0, K)
-    th_iv = _certified_real_roots(A, d, "P(u,1) = 1")
-    ph_iv = _certified_real_roots(B0, d, f"{b_name}(u,1) = 1")
+    th_iv = _certified_real_roots(A, d, "P(u,1) = 1", width)
+    ph_iv = _certified_real_roots(B0, d, f"{b_name}(u,1) = 1", width)
     theta = [float((a0 + a1) / 2) for a0, a1 in th_iv]
     phi0 = [(b0 + b1) / 2 for b0, b1 in ph_iv]
     walls = [(-a1 - b1, -a0 - b0) for a0, a1 in th_iv for b0, b1 in ph_iv]
-    return _RangeIsolation(d, QQ(K), theta, phi0, walls)
+    scale = math.lcm(*(end.denominator for wall in walls for end in wall))
+    los = sorted(lo.numerator * (scale // lo.denominator) for lo, _ in walls)
+    his = [hi.numerator * (scale // hi.denominator) for _, hi in walls]
+    order = sorted(range(len(walls)), key=his.__getitem__)
+    rank = [0] * len(walls)
+    for place, n in enumerate(order):
+        rank[n] = place
+    # A and B_0 have d simple real roots and leading coefficient K > 0, so
+    # sign P'(theta_j) Q'(phi_k) = (-1)^(j + k)
+    pair_sign = [-SOLITARY_SIGN * (-1) ** (j + k) for j in range(d) for k in range(d)]
+    return _RangeIsolation(d, QQ(K), theta, phi0, walls, scale, los,
+                           [his[n] for n in order], rank, pair_sign)
 
 
-def _range_shade_at(iso: _RangeIsolation, t):
-    # walls[j d + k] is pair (j, k)'s.  A and B_0 have d simple real roots and
-    # leading coefficient K > 0, so sign P'(theta_j) Q'(phi_k) = (-1)^(j + k);
-    # theta_j + phi_k(0) + t is positive above the pair's wall, negative below
-    t = QQ(t)
-    signs = []
-    for n, (lo, hi) in enumerate(iso.walls):
-        if lo <= t <= hi:
-            raise PreconditionError("shade point degenerated onto the real locus")
-        side = 1 if t > hi else -1
-        signs.append(-SOLITARY_SIGN * (-1) ** sum(divmod(n, iso.d)) * side)
-    return {
-        "d": iso.d,
-        "t": t,
-        "K": iso.K,
-        "sh": QQ(sum(signs), 2),
-        "signs": signs,
-        "theta": list(iso.theta),
-        "phi": [float(m + t) for m in iso.phi0],
-    }
+def _place(iso: _RangeIsolation, t: Fraction):
+    """(walls with lo <= t, walls with hi < t).  With t scale = T + r / q,
+    integer T and 0 <= r < q = t.denominator, an end e times scale is an
+    integer E, so e <= t iff E <= T, and e < t iff E < T, or E <= T when
+    r > 0.  t lies in a wall iff the first count exceeds the second."""
+    T, r = divmod(t.numerator * iso.scale, t.denominator)
+    return bisect_right(iso.los, T), (bisect_right if r else bisect_left)(iso.his, T)
 
 
-def _in_wall(walls, t) -> bool:
-    return any(lo <= t <= hi for lo, hi in walls)
+def _range_shade_at(iso: _RangeIsolation, t: Fraction):
+    # theta_j + phi_k(0) + t is positive above pair (j, k)'s wall, where its
+    # upper end is among the `passed` lowest, and negative below it
+    reached, passed = _place(iso, t)
+    if reached > passed:
+        raise PreconditionError("shade point degenerated onto the real locus")
+    signs = [s if place < passed else -s for s, place in zip(iso.pair_sign, iso.rank)]
+    return {"d": iso.d, "t": t, "K": iso.K, "sh": QQ(sum(signs), 2), "signs": signs}
+
+
+def _clear_isolation(iso: _RangeIsolation, t: Fraction):
+    """An isolation with t in none of its walls, or None when W_t has a
+    real point.  Outside every wall it has none.  Inside one the exact gcd
+    test decides, and a regular t leaves every wall as A and B_0 are
+    isolated again, each round narrower by twice as many bits as the last:
+    the walls close in on the collision times -theta_j - phi_k(0), and t
+    is none of them."""
+    reached, passed = _place(iso, t)
+    if reached == passed:
+        return iso
+    if range_family_is_singular(iso.d, t, iso.K):
+        return None
+    bits = 30
+    while reached > passed:
+        iso = _isolate_range(iso.d, iso.K, "Q_t", _WIDTH / 2**bits)
+        reached, passed = _place(iso, t)
+        bits *= 2
+    return iso
 
 
 def range_family_shade(d: int, t, K=None):
@@ -395,13 +430,18 @@ def range_family_shade(d: int, t, K=None):
     dx = [0, -i Q', P', -Q' - i P'], each signed exactly by the solitary
     recipe det[Re x, Im x, Re dx, Im dx] = -P'(theta_j) Q'(phi_k) (theta_j + phi_k).
 
-    Returns a dict with the value and the per-point ledger; raises
-    PreconditionError when t is a singular sample (a real point exists).
+    Returns a dict with the value, the per-point ledger and the float
+    roots; raises PreconditionError when t is a singular sample (a real
+    point exists).
     """
-    iso = _range_isolation(d, K, "Q_t")
-    if range_family_is_singular(d, t, iso.K):
+    q = QQ(t)
+    iso = _clear_isolation(_range_isolation(d, K, "Q_t"), q)
+    if iso is None:
         raise PreconditionError(f"t = {t} is singular: the member acquires a real point")
-    return _range_shade_at(iso, t)
+    res = _range_shade_at(iso, q)
+    res["theta"] = list(iso.theta)
+    res["phi"] = [float(m + q) for m in iso.phi0]
+    return res
 
 
 def range_collision_times(d, K):
@@ -413,16 +453,18 @@ def range_collision_times(d, K):
     return sorted(_range_isolation(d, K, "Q_0").walls)
 
 
-def _check_wall_ledger(walls, a, b, delta):
+def _check_wall_ledger(iso: _RangeIsolation, a, b, delta):
     """Each wall moves sh by +-1 (shade numbers of real-point-free members
     are Vassiliev invariants of degree 1).  So between two samples outside
-    every wall interval, with n walls between them, |delta| <= n and
-    delta = n (mod 2)."""
-    a, b = min(a, b), max(a, b)
-    if _in_wall(walls, a) or _in_wall(walls, b):
+    every wall, with n walls between them, delta is an integer with
+    |delta| <= n and delta = n (mod 2).  n counts lower ends, which the
+    shade never reads."""
+    (reached_a, passed_a), (reached_b, passed_b) = _place(iso, a), _place(iso, b)
+    if reached_a > passed_a or reached_b > passed_b:
         return
-    n = sum(1 for lo, hi in walls if a < lo and hi < b)
-    if abs(delta) > n or (delta - n) % 2:
+    n = abs(reached_b - reached_a)
+    if delta.denominator != 1 or abs(delta.numerator) > n or (delta.numerator - n) % 2:
+        a, b = min(a, b), max(a, b)
         raise InstabilityError(
             f"sh moved by {_frac_str(delta)} between t = {_frac_str(a)} and "
             f"t = {_frac_str(b)} across {n} certified wall(s)"
@@ -474,10 +516,11 @@ def family_sweep(family: str, grid, seed=0, eps=None, d=None, K=None) -> SweepRe
 
     A range sweep isolates A and B_0 once per (d, K) and shifts the B_0
     intervals by t.  The exact gcd test runs only inside a certified wall,
-    since outside every wall W_t has no real point; the walls crossed
-    between regular neighbours must account for the change of sh, else
-    InstabilityError.  A failed isolation (K too small) is every sample's
-    error."""
+    since outside every wall W_t has no real point; a regular sample there
+    is read off a narrower isolation (_clear_isolation).  The walls
+    crossed between neighbours outside every wall must account for the
+    change of sh, else InstabilityError.  A failed isolation (K too small)
+    is every sample's error."""
     grid = [QQ(g) for g in grid]
     params = {}
     iso = None
@@ -508,11 +551,14 @@ def family_sweep(family: str, grid, seed=0, eps=None, d=None, K=None) -> SweepRe
 
         def sample(idx_a):
             idx, t = idx_a
-            if (iso is None or _in_wall(iso.walls, t)) and range_family_is_singular(d, t, K):
-                return (None, True, "singular member (real point)")
             if iso is None:
+                if range_family_is_singular(d, t, K):
+                    return (None, True, "singular member (real point)")
                 raise failure
-            return (_range_shade_at(iso, t)["sh"], False, None)
+            clear = _clear_isolation(iso, t)
+            if clear is None:
+                return (None, True, "singular member (real point)")
+            return (_range_shade_at(clear, t)["sh"], False, None)
 
     else:
         raise PreconditionError(f"unknown family {family!r}")
@@ -526,10 +572,12 @@ def family_sweep(family: str, grid, seed=0, eps=None, d=None, K=None) -> SweepRe
     for g, v, s in zip(grid, values, singular):
         if s or v is None:
             continue
-        if prev is not None and iso is not None:
-            _check_wall_ledger(iso.walls, prev[0], g, v - prev[1])
-        if prev is not None and v != prev[1]:
-            jumps.append((prev[0], g, v - prev[1]))
+        if prev is not None:
+            delta = v - prev[1]
+            if iso is not None:
+                _check_wall_ledger(iso, prev[0], g, delta)
+            if delta:
+                jumps.append((prev[0], g, delta))
         prev = (g, v)
     return SweepReport(family, params, grid, values, singular, errors, jumps)
 

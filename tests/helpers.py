@@ -12,7 +12,10 @@ from sympy.polys.matrices import DomainMatrix
 
 from shadecalc import chords
 from shadecalc.curves import CurveComponent, CurveModel, ParamPoint, _jet
-from shadecalc.poly import BinaryForm, BivarPoly, bivar_resultant_w, gdivexact, glist_gcd, gmul
+from shadecalc.diagram import SOLITARY_SIGN
+from shadecalc.invariants import _range_polys, range_family_is_singular
+from shadecalc.poly import (BinaryForm, BivarPoly, bivar_resultant_w, gdivexact, glist_gcd, gmul,
+                            real_roots_sturm)
 from shadecalc.projective import QuadricSpec
 from shadecalc.scalars import QQ, GaussianRational
 
@@ -413,3 +416,41 @@ def mirror_scan_oracle(roots):
             return None
         conj.append(hits[0])
     return conj
+
+
+def range_wall_scan(walls, d, t):
+    """The range shade by a linear scan of closed walls listed in (j, k)
+    order: None when some lo <= t <= hi, else the sign of each shade point,
+    -SOLITARY_SIGN (-1)^(j + k) times +1 above wall j d + k and -1 below."""
+    signs = []
+    for n, (lo, hi) in enumerate(walls):
+        if lo <= t <= hi:
+            return None
+        side = 1 if t > hi else -1
+        signs.append(-SOLITARY_SIGN * (-1) ** sum(divmod(n, d)) * side)
+    return signs
+
+
+def range_signs_oracle(d, K, grid):
+    """Per sample of a range sweep, the signs of its shade points, or None
+    when W_t has a real point.  A and B_0 are isolated at width 2^-90 and
+    their walls scanned linearly; a sample inside a wall takes the exact
+    gcd test and, when regular, walls isolated 16 bits narrower each round
+    until it lies in none."""
+
+    def walls(width):
+        A, B0 = _range_polys(d, 0, K)
+        th, ph = real_roots_sturm(A, width), real_roots_sturm(B0, width)
+        assert len(th) == len(ph) == d
+        return [(-a1 - b1, -a0 - b0) for a0, a1 in th for b0, b1 in ph]
+
+    coarse = walls(Fraction(1, 2**90))
+    out = []
+    for t in grid:
+        signs = range_wall_scan(coarse, d, t)
+        width = Fraction(1, 2**90)
+        while signs is None and not range_family_is_singular(d, t, K):
+            width /= 2**16
+            signs = range_wall_scan(walls(width), d, t)
+        out.append(signs)
+    return out

@@ -1,5 +1,6 @@
 """Invariant-level values, sweeps, linking and the independent oracles."""
 
+import dataclasses
 import math
 import random
 from pathlib import Path
@@ -36,8 +37,8 @@ from shadecalc.projective import QuadricSpec
 from shadecalc.reportio import parse_curve_file
 from shadecalc.scalars import QQ
 
-from helpers import (deck_sextic, form_value, gauss_linking_oracle, ladder_curve, stereo_r3,
-                     to_complex)
+from helpers import (deck_sextic, form_value, gauss_linking_oracle, ladder_curve,
+                     range_signs_oracle, range_wall_scan, stereo_r3, to_complex)
 
 
 class TestGoldenValues:
@@ -604,14 +605,19 @@ class TestRangeSweepOneIsolation:
 
     def test_wall_interval_alone_is_not_singular(self):
         # the gcd test decides inside a wall: t = -751/500 +- 2^-100 lie in
-        # the certified interval, yet W_t has no real point there
+        # the certified interval, yet W_t has no real point there, so they
+        # are read off a narrower isolation and take the values beside it
         (lo, hi), = range_collision_times(1, QQ(1000))
         grid = [QQ(-751, 500) + e * QQ(1, 2**100) for e in (-1, 0, 1)]
         assert all(lo <= t <= hi for t in grid)
         rep = family_sweep("range", grid, d=1, K=QQ(1000))
+        below = range_family_shade(1, lo - 1, QQ(1000))["sh"]
         assert rep.singular == [False, True, False]
-        assert rep.values == [None, None, None]
-        assert all("degenerated onto the real locus" in rep.errors[i] for i in (0, 2))
+        assert rep.values == [below, None, -below]
+        assert rep.errors == [None, "singular member (real point)", None]
+        assert rep.jumps == [(grid[0], grid[2], -2 * below)]
+        for t, v in zip(grid[::2], rep.values[::2]):
+            assert range_family_shade(1, t, QQ(1000))["sh"] == v
 
     @pytest.mark.parametrize("d,t", [(1, QQ(-5)), (2, QQ(-7, 4)), (3, QQ(-2)), (3, QQ(6))])
     def test_shifted_intervals_match_direct_isolation(self, d, t):
@@ -674,16 +680,68 @@ class TestRangeSweepOneIsolation:
         dA, dB0 = A.partials()[1], B0.partials()[1]
         dP = [to_complex(form_value(dA, 1, theta)) for theta in iso.theta]
         dQ = [to_complex(form_value(dB0, 1, m)) for m in iso.phi0]
-        outside = [t for t in grid if not invariants._in_wall(iso.walls, t)]
+        outside = [t for t in grid if range_wall_scan(iso.walls, d, t) is not None]
         assert len(outside) >= len(grid) - d * d
         for t in outside:
-            res = invariants._range_shade_at(iso, t)
+            res = range_family_shade(d, t, K)
             want = [
                 diagram.branch_frame_sign([1 + 0j, complex(th), complex(ph), -1j * (th + ph)],
                                           [0j, -1j * q, p, -q - 1j * p])
                 for th, p in zip(res["theta"], dP) for ph, q in zip(res["phi"], dQ)
             ]
             assert res["signs"] == want, t
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_wall_ends_match_the_linear_scan(self, d, monkeypatch):
+        # the walls are closed: a sample at either end of one, or 2^-95
+        # inside, lies in it and takes the gcd test; 2^-95 outside it does
+        # not, nor does one 1/(3 2^400) outside, finer than any end's grid
+        iso = invariants._range_isolation(d, None, "Q_t")
+        e, f = QQ(1, 2**95), QQ(1, 3 * 2**400)
+        ends = sorted({end + s for wall in iso.walls for end in wall for s in (-e, -f, 0, f, e)})
+        for t in ends:
+            signs = range_wall_scan(iso.walls, d, t)
+            if signs is None:
+                with pytest.raises(PreconditionError, match="degenerated"):
+                    invariants._range_shade_at(iso, t)
+            else:
+                assert invariants._range_shade_at(iso, t)["signs"] == signs
+        want_ends = range_signs_oracle(d, iso.K, ends)
+        for t, w in zip(ends, want_ends):
+            assert range_family_shade(d, t)["signs"] == w
+        gcds = []
+        form_gcd = invariants.form_gcd
+        monkeypatch.setattr(invariants, "form_gcd", lambda fs: gcds.append(1) or form_gcd(fs))
+        grids = [(ends, want_ends)] + [(g, range_signs_oracle(d, iso.K, g))
+                                       for g in map(_benchmark_grid, range(41, 51))]
+        for grid, want in grids:
+            del gcds[:]
+            rep = family_sweep("range", grid, d=d)
+            assert len(gcds) == sum(range_wall_scan(iso.walls, d, t) is None for t in grid)
+            values = [None if w is None else QQ(sum(w), 2) for w in want]
+            regular = [(t, v) for t, v in zip(grid, values) if v is not None]
+            assert rep.values == values
+            assert rep.singular == [w is None for w in want]
+            assert rep.errors == [None if w else "singular member (real point)" for w in want]
+            assert rep.jumps == [(a, b, w - v) for (a, v), (b, w) in zip(regular, regular[1:])
+                                 if w != v]
+
+    @pytest.mark.parametrize("d,K,grid", [
+        pytest.param(1, QQ(1000), _grid(-5, 5, 1), id="d1"),
+        pytest.param(3, QQ(10**4), _benchmark_grid(41), id="range_sweep_seed41"),
+    ])
+    def test_one_wall_placed_wrong_trips_wall_ledger(self, d, K, grid, monkeypatch):
+        # the shade reads wall 0's side off its upper end's rank; past every
+        # rank that side never turns, while the ledger counts lower ends
+        isolate = invariants._isolate_range
+
+        def misplaced(*args, **kwargs):
+            iso = isolate(*args, **kwargs)
+            return dataclasses.replace(iso, rank=[d * d] + iso.rank[1:])
+
+        monkeypatch.setattr(invariants, "_isolate_range", misplaced)
+        with pytest.raises(InstabilityError, match="certified wall"):
+            family_sweep("range", grid, d=d, K=K)
 
     def test_d5_default_K_sweep_has_no_errors(self):
         # at K = 10^7 the float frame of every d = 5 shade point has a
