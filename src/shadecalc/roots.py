@@ -16,11 +16,22 @@ turns these into an upper bound on |f(c)| and a lower bound on |f'(c)|.
 The disk around c of radius n|f(c)/f'(c)| contains a root of f
 (Henrici), so it still does with |f| bounded up and |f'| bounded down.
 The stored radius is an integer upper bound on that radius, on the same
-2^-P grid, times SLACK.  With one disk per approximate root and all disks
-pairwise disjoint, each disk contains exactly one root.  Disjointness is
-decided in integers for the pairs that a sweep over the disks, sorted by
-their real extent, brings together.  Multiplicities are exact, read off
-Yun's squarefree decomposition.
+2^-P grid, times SLACK.
+
+Newton's method stops at the certificate, not at a zero step: at the
+first iterate c whose disk, grown by the length of the next step s, meets
+the target radius, it returns the center c - s, one step on, with that
+grown radius.  The root lies within the radius of c, so it lies within
+the radius plus |s| of c - s; and the center one step on is far more
+accurate than the target, which the float tests downstream rely on.
+
+With one disk per approximate root and all disks pairwise disjoint, each
+disk contains exactly one root.  Disjointness is decided in integers for
+the pairs that a sweep over the disks, sorted by their real extent,
+brings together.  So n disjoint disks for a polynomial of degree n also
+prove it squarefree: every polynomial is certified whole first, and only
+when that fails does Yun's squarefree decomposition split it into
+factors of exact multiplicity, each certified on its own.
 
 For a real f, realness follows from conjugate symmetry, not from a
 tolerance.  A disk centered on the real axis (a disk that meets the axis
@@ -38,7 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly import BinaryForm, complex_coeffs, zx_sqf_list
+from .poly import BinaryForm, complex_coeffs, zx_primitive, zx_sqf_list
 
 __all__ = ["CertifiedRoot", "UncertifiedRootsError", "complex_roots"]
 
@@ -96,9 +107,13 @@ class CertifiedRoot:
         return r if a * one >= num * b else math.nextafter(r, math.inf)
 
 
-def _coeff_prec(zx) -> int:
+def _coeff_prec(zx, target_radius) -> int:
+    """The first round's precision: 120 bits past the largest coefficient,
+    and 24 past log2(1 / target_radius) on top of it, so that a narrow
+    target is met by Newton's method and not by the mpmath rounds."""
     bits = max(max(abs(a), abs(b)).bit_length() for a, b in zx)
-    return max(80, bits + 120)
+    t = Fraction(target_radius)
+    return max(80, bits + 120, bits + (t.denominator // t.numerator).bit_length() + 24)
 
 
 def _np_initial_roots(zx):
@@ -149,26 +164,40 @@ def _horner(shifted, x, y, prec):
     return pr, pi, dr, di
 
 
-def _newton(shifted, x, y, prec, passes):
-    """Newton iterates in fixed point from (x + y i) / 2^prec, until a step
-    rounds to zero or after `passes` steps.  Returns (x, y, h): h is the
-    _horner tuple at the returned point when the loop broke there on a
-    zero step, else None.
+def _newton(shifted, x, y, prec, passes, limit):
+    """Newton iterates in fixed point from (x + y i) / 2^prec.  Returns
+    (x, y, R): a center (x + y i) / 2^prec and an integer R such that the
+    disk of radius R / 2^prec around it holds a root of f, or R = None
+    when the bound on |f'| at the center does not exclude 0.
+
+    The loop stops at the certificate: at the first iterate whose
+    certified radius r, grown by its step s to r + isqrt(|s|^2) + 1 >
+    r + |s|, is at most `limit` (grid units), it returns the next iterate
+    with the grown radius, a disk that holds the one of radius r.  Else
+    it ends on a zero step, or after `passes` steps, with the certified
+    radius at the last iterate.
 
     Each step is rounded to the nearest grid point, so a root on the grid
     is a fixed point."""
+    k2, lim2 = (SLACK * (len(shifted) - 1)) ** 2, 4 * limit * limit
     for _ in range(passes):
         h = _horner(shifted, x, y, prec)
         pr, pi, dr, di = h
         nd = dr * dr + di * di
         if nd == 0:
-            break
+            return x, y, None
         sx = (((pr * dr + pi * di) << (prec + 1)) + nd) // (2 * nd)
         sy = (((pi * dr - pr * di) << (prec + 1)) + nd) // (2 * nd)
-        if sx == 0 and sy == 0:
-            return x, y, h
+        s2 = sx * sx + sy * sy
+        if s2 == 0:
+            return x, y, _radius(shifted, x, y, prec, h)
+        # r is about SLACK n |s|: take it only when it may meet the limit
+        if k2 * s2 <= lim2:
+            r = _radius(shifted, x, y, prec, h)
+            if r is not None and (grown := r + math.isqrt(s2) + 1) <= limit:
+                return x - sx, y - sy, grown
         x, y = x - sx, y - sy
-    return x, y, None
+    return x, y, _radius(shifted, x, y, prec)
 
 
 def _radius(shifted, x, y, prec, h=None):
@@ -201,17 +230,23 @@ def complex_roots(f: BinaryForm, target_radius=DEFAULT_TARGET_RADIUS):
     at (0, 1), where the declared degree exceeds that of f(1, t), is not
     among them.
 
-    Overlapping disks of two coprime factors are certified again at a quarter
-    of the larger radius, up to MAX_ROUNDS times; then UncertifiedRootsError.
+    f is certified whole first: n pairwise disjoint disks for its degree n
+    prove it squarefree.  Only when that fails is it split by Yun's
+    squarefree decomposition.  Overlapping disks of two coprime factors
+    are certified again at a quarter of the larger radius, up to
+    MAX_ROUNDS times; then UncertifiedRootsError.
     """
     if f.is_zero():
         raise ValueError("cannot root-solve the zero polynomial")
-    zx = f.to_zx()
+    zx = zx_primitive(f.to_zx())
     if len(zx) <= 1:
         return []
     real_poly = f.is_real()
-    factors = [fm for fm in zx_sqf_list(zx) if len(fm[0]) > 1]
-    found = [_certified_factor_roots(*fm, real_poly, target_radius) for fm in factors]
+    factors = [(zx, 1)]
+    found = [_certified_factor_roots(zx, 1, real_poly, target_radius, bail=True)]
+    if found[0] is None:
+        factors = [fm for fm in zx_sqf_list(zx) if len(fm[0]) > 1]
+        found = [_certified_factor_roots(*fm, real_poly, target_radius) for fm in factors]
     for _ in range(MAX_ROUNDS + 1):
         flat = sum(found, [])
         owner = [k for k, fr in enumerate(found) for _ in fr]
@@ -228,23 +263,36 @@ def complex_roots(f: BinaryForm, target_radius=DEFAULT_TARGET_RADIUS):
     raise UncertifiedRootsError("root disks of coprime factors overlap", clusters=[a, b])
 
 
-def _certified_factor_roots(fac, mult, real_poly, target_radius):
+def _certified_factor_roots(fac, mult, real_poly, target_radius, bail=False):
+    """Pairwise disjoint disks of radius at most target_radius, one per
+    root of the squarefree fac, each standing for `mult` roots of the
+    source polynomial.  Rounds at rising precision, from numpy's
+    approximations and then from mpmath's, until the disks certify;
+    UncertifiedRootsError after MAX_ROUNDS.
+
+    With `bail`, fac need not be squarefree: one round from numpy's
+    approximations, and None at its first failure.  Disks returned then
+    prove fac squarefree."""
     n = len(fac) - 1
-    prec = _coeff_prec(fac)
+    prec = _coeff_prec(fac, target_radius)
     approx = _np_initial_roots(fac)
     if approx is None or len(approx) != n:
+        if bail:
+            return None
         approx = _mp_initial_roots(fac, prec)
     is_real_poly = all(b == 0 for a, b in fac)
     disks = []
-    for round_no in range(MAX_ROUNDS):
+    for round_no in range(1 if bail else MAX_ROUNDS):
         if round_no:
             prec = int(prec * 1.6) + 60
             approx = _mp_initial_roots(fac, prec)
-        disks = _disks(fac, approx, prec, NEWTON_PASSES + 2 * round_no, is_real_poly)
-        limit = Fraction(target_radius) * (1 << prec)
+        limit = int(Fraction(target_radius) * (1 << prec))
+        disks = _disks(fac, approx, prec, NEWTON_PASSES + 2 * round_no, is_real_poly, limit)
         roots = [CertifiedRoot(x, y, r, prec, mult, real_poly and y == 0) for x, y, r in disks or ()]
-        if disks and all(r.rad <= limit for r in roots) and not _meeting_pairs(roots):
+        if disks and not _meeting_pairs(roots):
             return roots
+    if bail:
+        return None
     one = 1 << prec
     raise UncertifiedRootsError(
         f"could not certify {n} disjoint root disks at target radius {target_radius}",
@@ -252,23 +300,23 @@ def _certified_factor_roots(fac, mult, real_poly, target_radius):
     )
 
 
-def _disks(fac, approx, prec, passes, is_real_poly):
+def _disks(fac, approx, prec, passes, is_real_poly, limit):
     """(x, y, R) per approximate root: the Newton center (x + y i) / 2^prec
-    and its certified radius R / 2^prec; for a real factor a disk that
-    meets the real axis moves to its real center.  None when an
-    approximation is not finite or the bound on |f'| at a center does not
-    exclude 0."""
+    and its certified radius R / 2^prec, at most `limit` / 2^prec; for a
+    real factor a disk that meets the real axis moves to its real center.
+    None at the first approximation that is not finite or whose disk
+    fails: the bound on |f'| at its center does not exclude 0, or its
+    radius exceeds the limit."""
     shifted = [(a << prec, b << prec) for a, b in fac]
     out = []
     for z in approx:
         if not cmath.isfinite(z):
             return None
-        x, y, h = _newton(shifted, _fixed(z.real, prec), _fixed(z.imag, prec), prec, passes)
-        r = _radius(shifted, x, y, prec, h)
+        x, y, r = _newton(shifted, _fixed(z.real, prec), _fixed(z.imag, prec), prec, passes, limit)
         if r is not None and is_real_poly and y and y * y <= r * r:
             y = 0
             r = _radius(shifted, x, y, prec)
-        if r is None:
+        if r is None or r > limit:
             return None
         out.append((x, y, r))
     return out

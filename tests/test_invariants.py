@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from shadecalc import chords, diagram, invariants, poly
+from shadecalc import roots as roots_mod
 from shadecalc.curves import (
     CurveComponent,
     CurveModel,
@@ -770,6 +771,19 @@ class TestRangeSweepOneIsolation:
         rep = family_sweep("range", [QQ(0)], d=6, K=QQ(10) ** 8)
         assert rep.errors == ["PreconditionError: Q_t(u,1) = 1: found 2 real roots, "
                               "need 6 (increase K)"]
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_narrow_isolations_need_no_mpmath_round(self, d, monkeypatch):
+        # the refinements of _clear_isolation ask for 2^-150 and narrower:
+        # round 0 starts precise enough for Newton's method to meet them
+        def escalated(zx, prec):
+            raise AssertionError(f"mpmath round on a degree-{len(zx) - 1} factor")
+
+        K = invariants._range_isolation(d, None, "Q_t").K
+        monkeypatch.setattr(roots_mod, "_mp_initial_roots", escalated)
+        for bits in (150, 180):
+            iso = invariants._isolate_range(d, K, "Q_t", QQ(1, 2**bits))
+            assert all(hi - lo <= QQ(1, 2**(bits - 1)) for lo, hi in iso.walls)
 
     @pytest.mark.parametrize("grid,flip", [
         pytest.param(_grid(-5, 5, 1), QQ(3), id="delta_without_wall"),

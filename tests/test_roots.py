@@ -108,6 +108,56 @@ class TestProperties:
                 assert abs(a - c) < 1e-7 and abs(b - d) < 1e-7
 
 
+def _spy_calls(monkeypatch, *names):
+    """A dict counting the calls of each named roots function."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def spy(*args, _name=name, _fn=getattr(roots_mod, name)):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(roots_mod, name, spy)
+    return counts
+
+
+class TestWholeFirst:
+    """A polynomial is certified whole first; n disjoint disks for its
+    degree n prove it squarefree, and Yun's decomposition runs only when
+    they fail."""
+
+    def test_trefoil_job_certifies_without_yun(self, monkeypatch):
+        # the zero-step stop rule made 261 _horner calls and 4 squarefree
+        # decompositions here
+        counts = _spy_calls(monkeypatch, "_horner", "zx_sqf_list")
+        assert encomplexed_writhe(trefoil_curve(), seed=0, centers=4).Cw == 4
+        assert counts["_horner"] <= 120
+        assert counts["zx_sqf_list"] == 0
+
+    @pytest.mark.parametrize("p, want", [
+        # (x^2 - 2)^2 (x - 3)
+        (form([-2, 0, 1]) * form([-2, 0, 1]) * form([-3, 1]),
+         [(-math.sqrt(2), 2, True), (math.sqrt(2), 2, True), (3, 1, True)]),
+        # (x - 1)^2 (x^2 + 1)
+        (form([-1, 1]) * form([-1, 1]) * form([1, 0, 1]),
+         [(-1j, 1, False), (1j, 1, False), (1, 2, True)]),
+    ], ids=["sqrt2-squared", "one-squared"])
+    def test_repeated_factors_keep_exact_multiplicities(self, p, want, monkeypatch):
+        counts = _spy_calls(monkeypatch, "zx_sqf_list")
+        roots = complex_roots(p)
+        assert counts["zx_sqf_list"] == 1
+        assert len(roots) == len(want)
+        for r, (z, mult, real) in zip(roots, want):
+            assert abs(r.center - z) < 1e-12
+            assert r.radius <= 1e-12
+            assert (r.multiplicity, r.real) == (mult, real)
+
+    def test_squarefree_input_skips_yun(self, monkeypatch):
+        counts = _spy_calls(monkeypatch, "zx_sqf_list")
+        roots = complex_roots(form([3, 0, -10, 0, 3]))
+        assert counts["zx_sqf_list"] == 0
+        assert [(r.multiplicity, r.real) for r in roots] == [(1, True)] * 4
+
+
 def _real_form(rng, real_roots, pairs, repeated, at_inf):
     """A real binary form with the given numbers of rational real roots,
     conjugate pairs of roots, repeated (squared) real factors and roots at
@@ -140,15 +190,11 @@ class TestRealStarts:
             assert sorted(approx, key=_key) == sorted((z.conjugate() for z in approx), key=_key)
 
     def test_trefoil_center_disks_need_no_recentring(self, monkeypatch):
-        # one _radius call per Newton center: no disk of the trefoil's
-        # center eliminants meets the real axis off it, and every disk on
-        # the axis started there
-        radius, disks, newton = roots_mod._radius, roots_mod._disks, roots_mod._newton
-        calls, found, start_ys = [], [], []
-
-        def spy_radius(*args):
-            calls.append(args)
-            return radius(*args)
+        # every disk is the one Newton's method certified: no disk of the
+        # trefoil's center eliminants meets the real axis off it, and every
+        # disk on the axis started there
+        disks, newton = roots_mod._disks, roots_mod._newton
+        found, ends, start_ys = [], [], []
 
         def spy_disks(*args):
             out = disks(*args)
@@ -157,14 +203,14 @@ class TestRealStarts:
 
         def spy_newton(shifted, x, y, *rest):
             start_ys.append(y)
-            return newton(shifted, x, y, *rest)
+            ends.append(newton(shifted, x, y, *rest))
+            return ends[-1]
 
-        monkeypatch.setattr(roots_mod, "_radius", spy_radius)
         monkeypatch.setattr(roots_mod, "_disks", spy_disks)
         monkeypatch.setattr(roots_mod, "_newton", spy_newton)
         report = encomplexed_writhe(trefoil_curve(), seed=0, centers=4)
         assert report.Cw == 4
-        assert len(calls) == len(found) == len(start_ys)
+        assert found == ends and len(found) == len(start_ys)
         assert start_ys.count(0) == [y for _, y, _ in found].count(0) > 0
 
     def test_conjugate_map_matches_the_mirror_scan(self):

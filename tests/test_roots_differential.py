@@ -24,7 +24,8 @@ sympy = pytest.importorskip("sympy")
 
 from shadecalc import roots as roots_mod
 from shadecalc.poly import real_roots_sturm, zx_mul, zx_sqf_list, zx_strip
-from shadecalc.roots import NEWTON_PASSES, SLACK, CertifiedRoot, complex_roots
+from shadecalc.roots import (DEFAULT_TARGET_RADIUS, NEWTON_PASSES, SLACK, CertifiedRoot,
+                             complex_roots)
 from shadecalc.scalars import GaussianRational as G, QQ
 
 from helpers import abs2, form, form_value, overlaps, zx_form
@@ -129,40 +130,71 @@ class TestDisks:
             assert Fraction(r.radius) >= rad + err
 
 
-def _horner_calls(p, handoff):
-    """complex_roots(p) and the argument tuples of every _horner call it
-    made; without the handoff _radius evaluates afresh at each center."""
+def _zero_step_horner_calls(horner, shifted, x, y, prec, passes):
+    """_horner calls of one root under the zero-step stop rule that the
+    certificate stop replaced: Newton steps until one rounds to zero, whose
+    Horner values the radius reuses, or an evaluation afresh for the
+    radius at the end."""
+    for k in range(passes):
+        pr, pi, dr, di = horner(shifted, x, y, prec)
+        nd = dr * dr + di * di
+        if nd == 0:
+            return k + 2
+        sx = (((pr * dr + pi * di) << (prec + 1)) + nd) // (2 * nd)
+        sy = (((pi * dr - pr * di) << (prec + 1)) + nd) // (2 * nd)
+        if sx == 0 and sy == 0:
+            return k + 1
+        x, y = x - sx, y - sy
+    return passes + 1
+
+
+def _horner_counts(p):
+    """complex_roots(p), the argument tuples of every _horner call it made,
+    and per Newton run the pair (its _horner calls, those of the same run
+    under the zero-step rule)."""
     horner, newton = roots_mod._horner, roots_mod._newton
-    calls = []
+    calls, runs = [], []
 
     def spy(*args):
         calls.append(args)
         return horner(*args)
 
+    def spy_newton(shifted, x, y, prec, passes, limit):
+        before = len(calls)
+        out = newton(shifted, x, y, prec, passes, limit)
+        runs.append((len(calls) - before,
+                     _zero_step_horner_calls(horner, shifted, x, y, prec, passes)))
+        return out
+
     with pytest.MonkeyPatch.context() as mp_:
         mp_.setattr(roots_mod, "_horner", spy)
-        if not handoff:
-            mp_.setattr(roots_mod, "_newton", lambda *a: newton(*a)[:2] + (None,))
-        return complex_roots(p), calls
+        mp_.setattr(roots_mod, "_newton", spy_newton)
+        return complex_roots(p), calls, runs
 
 
-class TestHornerHandoff:
+class TestCertificateStop:
     @settings(max_examples=40, deadline=None)
     @given(planted_polys())
-    def test_disks_bit_identical_without_the_handoff(self, p):
-        handed, calls = _horner_calls(p, True)
-        fresh, fresh_calls = _horner_calls(p, False)
-        assert handed == fresh
-        assert len(calls) <= len(fresh_calls)
-        # no point is evaluated twice in a row
+    def test_disks_hold_mpmath_roots_with_no_more_evaluations(self, p):
+        # Newton's method stops at the first iterate that certifies: every
+        # disk still holds its 300-bit root, no root costs more _horner
+        # calls than a run to the zero step, and no point is evaluated
+        # twice in a row
+        roots, calls, runs = _horner_counts(p)
+        _check_certified(p, roots)
+        assert runs and all(got <= zero_step for got, zero_step in runs)
         assert not any(a == b for a, b in zip(calls, calls[1:]))
 
-    def test_one_evaluation_saved_per_converged_root(self):
-        # (x - 1)(x - 2)(x^2 + 1): Newton ends on a zero step at all four
+    def test_converged_roots_stop_before_the_zero_step(self):
+        # (x - 1)(x - 2)(x^2 + 1) from numpy's roots: the start already
+        # certifies at 1e-12 for every root, where the zero-step rule took
+        # one or two steps more
         p = form([2, -3, 3, -3, 1])
-        _, calls = _horner_calls(p, True)
-        _, fresh_calls = _horner_calls(p, False)
-        assert len(fresh_calls) - len(calls) == 4
+        roots, calls, runs = _horner_counts(p)
+        _check_certified(p, roots)
+        assert len(calls) == 4
+        assert [got for got, _ in runs] == [1] * 4
+        assert all(zero_step >= 2 for _, zero_step in runs)
 
 
 @st.composite
@@ -189,8 +221,9 @@ def dyadic_points(draw):
         z = approx[draw(st.integers(0, len(approx) - 1))]
         assume(abs(z) < 32)
         shifted = [(a << prec, b << prec) for a, b in table]
+        # limit 0: no disk meets it, so Newton runs to a zero step
         x, y, _ = roots_mod._newton(shifted, roots_mod._fixed(z.real, prec),
-                                    roots_mod._fixed(z.imag, prec), prec, NEWTON_PASSES)
+                                    roots_mod._fixed(z.imag, prec), prec, NEWTON_PASSES, 0)
         x, y = x + draw(st.integers(-4, 4)), y + draw(st.integers(-4, 4))
         assume(max(abs(x), abs(y)) <= lim)
     return table, x, y, prec
@@ -223,21 +256,25 @@ class TestRadiusBound:
     @settings(max_examples=60, deadline=None)
     @given(planted_polys())
     def test_bounded_at_every_newton_center(self, p):
-        # at each Newton-polished center of a squarefree factor the lower
-        # bound on |f'| is positive, so no precision round escalates for it
+        # at each Newton center of a squarefree factor the lower bound on
+        # |f'| is positive, so no precision round escalates for it, and the
+        # disk Newton returns holds a 300-bit root of the factor
         for fac, _ in zx_sqf_list(p.to_zx()):
             if len(fac) < 2:
                 continue
-            prec = roots_mod._coeff_prec(fac)
+            prec = roots_mod._coeff_prec(fac, DEFAULT_TARGET_RADIUS)
+            limit = int(Fraction(DEFAULT_TARGET_RADIUS) * (1 << prec))
             shifted = [(a << prec, b << prec) for a, b in fac]
             approx = roots_mod._np_initial_roots(fac)
             assert approx is not None and len(approx) == len(fac) - 1
+            zs = _mp_roots([sympy.Integer(a) + sympy.I * b for a, b in reversed(fac)], MP_BITS)
             for z in approx:
-                x, y, h = roots_mod._newton(shifted, roots_mod._fixed(z.real, prec),
-                                            roots_mod._fixed(z.imag, prec), prec, NEWTON_PASSES)
-                assert roots_mod._radius(shifted, x, y, prec, h) is not None
-                # the Horner values Newton hands over are those at (x, y)
-                assert h is None or h == roots_mod._horner(shifted, x, y, prec)
+                x, y, R = roots_mod._newton(shifted, roots_mod._fixed(z.real, prec),
+                                            roots_mod._fixed(z.imag, prec), prec, NEWTON_PASSES,
+                                            limit)
+                assert R is not None
+                disk = CertifiedRoot(x, y, R, prec, 1)
+                assert any(_contains(disk, w) for w in zs)
 
 
 class TestSweep:
@@ -305,10 +342,12 @@ class TestRealRootIntervals:
 
 
 def _without_newton(approximants):
-    """Patches for roots: Newton returns its start, and each squarefree
-    factor's approximate roots come from approximants(zx)."""
+    """Patches for roots: Newton returns its start with the certified
+    radius there, and the approximate roots of the whole polynomial and of
+    each squarefree factor come from approximants(zx)."""
     return {
-        "_newton": lambda shifted, x, y, prec, passes: (x, y, None),
+        "_newton": lambda shifted, x, y, prec, passes, limit:
+            (x, y, roots_mod._radius(shifted, x, y, prec)),
         "_np_initial_roots": approximants,
     }
 
@@ -340,10 +379,14 @@ class TestCertifierAlone:
     # factors x and x - 1 have radius 1 and overlap, so both must be refined
     @example(form([0, 0, -1, 1]), [0.25 + 0j] + [0j] * 11, 1)
     def test_perturbed_approximants(self, p, noise, shrink):
-        # approximants off the true roots of each squarefree factor by up to
-        # 0.3 / shrink, in any direction
+        # approximants off the true roots of the whole polynomial and of
+        # each squarefree factor by up to 0.3 / shrink, in any direction; a
+        # repeated root gets one approximant per multiplicity (mpmath's
+        # polyroots need not converge on it)
         def perturbed(zx):
-            rts = _mp_roots([sympy.Integer(a) + sympy.I * b for a, b in reversed(zx)], 64)
+            rts = [z for fac, mult in zx_sqf_list(zx)
+                   for z in _mp_roots([sympy.Integer(a) + sympy.I * b for a, b in reversed(fac)], 64)
+                   for _ in range(mult)]
             return [complex(z) + e / shrink for z, e in zip(rts, noise)]
 
         patches = _without_newton(perturbed)
