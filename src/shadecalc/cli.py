@@ -1,9 +1,9 @@
 """Command line frontend.
 
 Subcommands: invariants, sweep, render, validate.  Exit codes: 0 on
-success, 1 on parse or flag errors, 2 on genericity exhaustion, 3 on
-precondition violations.  Reports are byte-deterministic for fixed
-input, seed and flags.
+success, 1 on parse, flag or output-file errors, 2 on genericity
+exhaustion, 3 on precondition violations.  Reports are
+byte-deterministic for fixed input, seed and flags.
 
 Every subcommand's flags are declared once, in `SUBCOMMANDS`.  A call
 that names a subcommand builds only that subcommand's parser; the whole
@@ -118,6 +118,13 @@ def _load(path):
     return parse_curve_file(data)
 
 
+def _write(path, text):
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise CurveFileError(f"cannot write {path}: {e}") from e
+
+
 def _parse_grid(spec: str):
     parts = spec.split(":")
     if len(parts) != 3:
@@ -156,7 +163,7 @@ def cmd_invariants(args, out):
                             forced_center=center, tol=tol)
     payload = rep.describe()
     if args.svg:
-        Path(args.svg).write_text(render_diagram_svg(model, rep.projection))
+        _write(args.svg, render_diagram_svg(model, rep.projection))
         payload["svg"] = args.svg
     out.write(emit_report(ReportEnvelope("invariants", flags, payload), args.fmt))
     return EXIT_OK
@@ -196,7 +203,7 @@ def cmd_sweep(args, out):
 def cmd_render(args, out):
     model, center = _load(args.curve)
     rep = _invariant(model)(model, seed=args.seed, forced_center=center)
-    Path(args.out).write_text(render_diagram_svg(model, rep.projection))
+    _write(args.out, render_diagram_svg(model, rep.projection))
     out.write(f"wrote {args.out}\n".encode())
     return EXIT_OK
 

@@ -595,116 +595,108 @@ def _h_rotated(X, cvec, m, rot):
 def _chart_points(vals, tol):
     """Per row of the rotated coordinates `vals`: whether it lies on the
     seam of the chart at slot 0 (|vals[0]| below tol times the largest
-    entry, or all zero), and its two chart coordinates."""
+    entry, or all zero), and its two chart coordinates; three arrays."""
     scale = np.maximum(np.maximum(abs(vals[0]), abs(vals[1])), abs(vals[2]))
     scale[scale == 0] = 1.0
     seam = abs(vals[0]) < tol * scale
     den = np.where(seam, 1.0, vals[0])
-    return seam.tolist(), (vals[1] / den).tolist(), (vals[2] / den).tolist()
+    return seam, vals[1] / den, vals[2] / den
+
+
+def _runs(cut, u, v):
+    """The runs of one strand's samples in chart coordinates (u, v), as
+    (starts, stops) index arrays: maximal stretches of samples off the
+    seam (`cut` false) with no jump, |du| + |dv| > 10, between
+    neighbours.  A run of one sample draws no path."""
+    # brk[i]: no run goes on from sample i - 1 to sample i
+    brk = np.ones(len(cut) + 1, dtype=bool)
+    brk[1:-1] = cut[:-1] | cut[1:] | (abs(u[1:] - u[:-1]) + abs(v[1:] - v[:-1]) > 10.0)
+    return np.flatnonzero(~cut & brk[:-1]), np.flatnonzero(~cut & brk[1:]) + 1
+
+
+def _framed(x, y, k):
+    """Which of the points (x, y), the last k of them crossing marks,
+    frame the view.  With marks: those within 2.5 times the marks' span
+    of their center, so that strand tails off toward the chart's
+    vanishing line are clipped, not framed.  Without: those within 1 of
+    the 5th to 95th percentile box.  All points when that leaves none."""
+    if k:
+        mx, my = x[len(x) - k:], y[len(y) - k:]
+        cx, cy = (mx.min() + mx.max()) / 2, (my.min() + my.max()) / 2
+        span0 = max(mx.max() - mx.min(), my.max() - my.min(), 1.0)
+        keep = (abs(x - cx) < 2.5 * span0) & (abs(y - cy) < 2.5 * span0)
+    else:
+        xs, ys = np.sort(x), np.sort(y)
+        lo, hi = len(xs) // 20, max(len(xs) - 1 - len(xs) // 20, 0)
+        keep = (xs[lo] - 1 <= x) & (x <= xs[hi] + 1) & (ys[lo] - 1 <= y) & (y <= ys[hi] + 1)
+    return keep if keep.any() else ~keep
+
+
+# fixed generic rotations of the H coordinates: one affine chart must
+# show every crossing mark on its strand, and coordinate charts of RP2
+# always lose a line, so rotate first and dehomogenize at slot 0
+_ROTATIONS = [_rot3(7, 3, 1), _rot3(2, 9, 5), _rot3(4, 1, 8)]
+# the strand samples: (cos, sin) at SVG_SAMPLES + 1 angles over a half turn
+_SVG_PAIRS = np.array([(math.cos(a), math.sin(a)) for a in
+                       (math.pi * kk / SVG_SAMPLES for kk in range(SVG_SAMPLES + 1))], dtype=complex)
 
 
 def render_diagram_svg(curve: CurveModel, data: ProjectionData) -> str:
     """Projected real locus as polylines in the H chart, real crossings
     marked with their signs, solitary points as dots; deterministic.
 
-    Each strand's samples are projected as one array through
-    _project_to_h, whose elementwise float operations are those of one
-    point at a time, and each rotated coordinate is summed left to
-    right, so the bytes are those of evaluating the points one by one."""
-    m = data.center.hyperplane
-    cvec = data.center.cvec
+    The strands are drawn in whole-array passes, with the bytes of taking
+    their points one by one in Python floats.  Each strand is projected as one
+    array through _project_to_h, whose float operations are elementwise,
+    and each rotated coordinate is summed left to right.  numpy's float64
+    + - * /, abs and comparisons round as Python's floats do; min, max
+    and sort only pick values.  The pixel coordinates keep one point's
+    order of operations, and "%.2f" % x makes the float-to-string
+    conversion of f"{x:.2f}"."""
+    m, cvec = data.center.hyperplane, data.center.cvec
 
-    # fixed generic rotations of the H coordinates: one affine chart must
-    # show every crossing mark on its strand, and coordinate charts of
-    # RP2 always lose a line, so rotate first and dehomogenize at slot 0
-    rotations = [_rot3(7, 3, 1), _rot3(2, 9, 5), _rot3(4, 1, 8)]
     probe_pts = np.array([normalize(cr.image) for cr in data.crossings],
                          dtype=complex).reshape(-1, 4)
-    rot = next((r for r in rotations
-                if not any(_chart_points(_h_rotated(probe_pts, cvec, m, r), 1e-3)[0])),
-               rotations[0])
-    probe = _h_rotated(probe_pts, cvec, m, rot)
+    rot = next((r for r in _ROTATIONS
+                if not _chart_points(_h_rotated(probe_pts, cvec, m, r), 1e-3)[0].any()),
+               _ROTATIONS[0])
 
-    paths = []
-    pts2d = []
-    angles = [math.pi * kk / SVG_SAMPLES for kk in range(SVG_SAMPLES + 1)]
-    pairs = [(math.cos(a), math.sin(a)) for a in angles]
+    strands, xs, ys = [], [], []
     for comp in curve.components:
-        if not comp.is_real():
-            continue
-        # the P3 image (p3_forms) of every sample, as one array
-        X = comp.values(pairs)[:, -4:]
-        run = []
-        runs = []
-        for cut, *p2 in zip(*_chart_points(_h_rotated(X, cvec, m, rot), 1e-7)):
-            if cut:
-                if len(run) > 1:
-                    runs.append(run)
-                run = []
-                continue
-            if run and (abs(p2[0] - run[-1][0]) + abs(p2[1] - run[-1][1]) > 10.0):
-                runs.append(run)
-                run = []
-            run.append(p2)
-            pts2d.append(p2)
-        if len(run) > 1:
-            runs.append(run)
-        paths.append(runs)
-    marks = []
-    for c, cut, *p2 in zip(data.crossings, *_chart_points(probe, 1e-9)):
-        if cut:
-            continue
-        marks.append((c.kind, c.writhe, p2))
-        pts2d.append(p2)
-    if not pts2d:
-        pts2d = [[0.0, 0.0]]
-    # frame the view on the marks and the bulk of the strands; strand
-    # tails running off toward the chart's vanishing line are clipped by
-    # the viewBox instead of inflating it
-    if marks:
-        mx = [p[0] for _, _, p in marks]
-        my = [p[1] for _, _, p in marks]
-        cx, cy = (min(mx) + max(mx)) / 2, (min(my) + max(my)) / 2
-        span0 = max(max(mx) - min(mx), max(my) - min(my), 1.0)
-        keep = [p for p in pts2d if abs(p[0] - cx) < 2.5 * span0 and abs(p[1] - cy) < 2.5 * span0]
-    else:
-        xs_all = sorted(p[0] for p in pts2d)
-        ys_all = sorted(p[1] for p in pts2d)
-        lo, hi = len(xs_all) // 20, max(len(xs_all) - 1 - len(xs_all) // 20, 0)
-        keep = [
-            p for p in pts2d
-            if xs_all[lo] - 1 <= p[0] <= xs_all[hi] + 1 and ys_all[lo] - 1 <= p[1] <= ys_all[hi] + 1
-        ]
-    keep = keep or pts2d
-    xs = [p[0] for p in keep]
-    ys = [p[1] for p in keep]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+        if comp.is_real():
+            # the P3 image (p3_forms) of every sample, as one array
+            X = comp.values(_SVG_PAIRS)[:, -4:]
+            cut, u, v = _chart_points(_h_rotated(X, cvec, m, rot), 1e-7)
+            strands.append((u, v, *_runs(cut, u, v)))
+            xs.append(u[~cut])
+            ys.append(v[~cut])
+    cut, mu, mv = _chart_points(_h_rotated(probe_pts, cvec, m, rot), 1e-9)
+    marks = [(c.kind, c.writhe) for c, seam in zip(data.crossings, cut) if not seam]
+    x, y = np.concatenate(xs + [mu[~cut]]), np.concatenate(ys + [mv[~cut]])
+    if not len(x):
+        x = y = np.zeros(1)
+    keep = _framed(x, y, len(marks))
+    x0, x1 = x[keep].min(), x[keep].max()
+    y0, y1 = y[keep].min(), y[keep].max()
     span = max(x1 - x0, y1 - y0) or 1.0
     pad = 0.08 * span
     sc = 800.0 / (span + 2 * pad)
 
-    def to_px(p):
-        return ((p[0] - x0 + pad) * sc, 800.0 - (p[1] - y0 + pad) * sc)
+    def to_px(u, v):
+        return (u - x0 + pad) * sc, 800.0 - (v - y0 + pad) * sc
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="0 0 800 800">',
         '<rect x="0" y="0" width="800" height="800" fill="#ffffff"/>',
     ]
-    for runs in paths:
-        for run in runs:
-            if len(run) < 2:
-                continue
-            d = " ".join(
-                f"{'M' if i == 0 else 'L'}{x:.2f},{y:.2f}"
-                for i, (x, y) in enumerate(map(to_px, run))
-            )
-            parts.append(
-                f'<path d="{d}" fill="none" stroke="#1a1a1a" stroke-width="1.5"/>'
-            )
-    for kind, wr, p2 in marks:
-        X, Y = to_px(p2)
+    for u, v, starts, stops in strands:
+        xy = np.column_stack(to_px(u, v))
+        for a, b in zip(starts.tolist(), stops.tolist()):
+            if b - a > 1:
+                d = ("M%.2f,%.2f" + " L%.2f,%.2f" * (b - a - 1)) % tuple(xy[a:b].ravel().tolist())
+                parts.append(f'<path d="{d}" fill="none" stroke="#1a1a1a" stroke-width="1.5"/>')
+    for (kind, wr), X, Y in zip(marks, *(t.tolist() for t in to_px(mu[~cut], mv[~cut]))):
         if kind == "real-real":
             parts.append(
                 f'<circle cx="{X:.2f}" cy="{Y:.2f}" r="6" fill="none" stroke="#c02020" stroke-width="1.2"/>'
@@ -713,9 +705,7 @@ def render_diagram_svg(curve: CurveModel, data: ProjectionData) -> str:
                 f'<text x="{X + 8:.2f}" y="{Y - 8:.2f}" font-size="16" fill="#c02020">{"+" if wr > 0 else "-"}</text>'
             )
         else:
-            parts.append(
-                f'<circle cx="{X:.2f}" cy="{Y:.2f}" r="4" fill="#2040c0"/>'
-            )
+            parts.append(f'<circle cx="{X:.2f}" cy="{Y:.2f}" r="4" fill="#2040c0"/>')
             parts.append(
                 f'<text x="{X + 7:.2f}" y="{Y - 7:.2f}" font-size="16" fill="#2040c0">{"+" if wr > 0 else "-"}</text>'
             )

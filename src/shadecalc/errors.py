@@ -7,7 +7,7 @@ class ShadecalcError(Exception):
 
 
 class CurveFileError(ShadecalcError):
-    """Malformed curve file or flag input."""
+    """Malformed curve file or flag input, or an output path that cannot be written."""
 
 
 class PreconditionError(ShadecalcError):

@@ -306,14 +306,15 @@ def _disks(fac, approx, prec, passes, is_real_poly, limit):
     real factor a disk that meets the real axis moves to its real center.
     None at the first approximation that is not finite or whose disk
     fails: the bound on |f'| at its center does not exclude 0, or its
-    radius exceeds the limit."""
+    radius exceeds the limit, before any move: a start that Newton's
+    method leaves over it is slow, as near a repeated root."""
     shifted = [(a << prec, b << prec) for a, b in fac]
     out = []
     for z in approx:
         if not cmath.isfinite(z):
             return None
         x, y, r = _newton(shifted, _fixed(z.real, prec), _fixed(z.imag, prec), prec, passes, limit)
-        if r is not None and is_real_poly and y and y * y <= r * r:
+        if r is not None and r <= limit and is_real_poly and y and y * y <= r * r:
             y = 0
             r = _radius(shifted, x, y, prec)
         if r is None or r > limit:

@@ -149,6 +149,18 @@ class TestExitCodes:
         code, _ = run(["invariants", "--curve", "/nonexistent.json"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["invariants", "render"])
+    def test_unwritable_output_exit_1(self, command, tmp_path, capsys):
+        # no report and no traceback: the message names the path, as
+        # "cannot read" does for the curve file
+        path = tmp_path / "missing" / "d.svg"
+        flag = "--svg" if command == "invariants" else "--out"
+        code, out = run([command, "--curve", str(DATA / "unknot.json"), flag, str(path)], capsys)
+        assert (code, out) == (1, b"")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+        assert not path.exists()
+
     def test_malformed_flags_exit_1(self, capsys):
         code, _ = run(["sweep", "--family", "range", "--d", "0", "--grid=0:1:1"], capsys)
         assert code == 1
@@ -610,6 +622,27 @@ class TestGoldenBytes:
         assert (code, out) == (0, b"wrote d.svg\n")
         assert hashlib.sha256((tmp_path / "d.svg").read_bytes()).hexdigest() == (
             "51227be91049e923c904d44f6f3adb18262dca234a019e0d61bff75bb9299bf6")
+
+    # `render` at seeds 1 and 2: the trefoil file names its center, so
+    # its seeds draw the same bytes
+    RENDER_CASES = [
+        ("hopf_pair", 1, "fe94bfd99b03e0f79430dc90ba576e3546408526090eab6eaa2d42fe9a1c7530"),
+        ("hopf_pair", 2, "3cbbb042209a5db40c3a511e5a485675ae62a70ba3f4bd2b6e041396d50c5e7a"),
+        ("unknot", 1, "c8112d1f994e729e4ef2b08d44c3d5d634be69764c4335be80317aa6bd467b41"),
+        ("unknot", 2, "863f3bffc47b85b973abcf9bfc0bce765049dc657c3906eb9f0278662a2d15a9"),
+        ("kae_half_minus", 1, "da49fe3a1f84847cb271c5b0c2c83447cfe5964319458ad23ccd6ed415fd1ece"),
+        ("kae_half_minus", 2, "0815700c7a0648f037d9e28420b5cf7b9789de1c6db46199074609777fb1d45e"),
+        ("trefoil", 1, "51227be91049e923c904d44f6f3adb18262dca234a019e0d61bff75bb9299bf6"),
+        ("trefoil", 2, "51227be91049e923c904d44f6f3adb18262dca234a019e0d61bff75bb9299bf6"),
+    ]
+
+    @pytest.mark.parametrize("name,seed,digest", RENDER_CASES)
+    def test_render_digest(self, name, seed, digest, tmp_path, capsys):
+        out = tmp_path / "d.svg"
+        code, _ = run(["render", "--curve", str(DATA / f"{name}.json"), "--seed", str(seed),
+                       "--out", str(out)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("name,kind", [("k0_plus", "complex-conjugate"),
                                            ("k0_minus", "real-real")])

@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadecalc.curves import (
     CurveComponent,
@@ -17,6 +20,8 @@ from shadecalc.curves import (
 )
 from shadecalc.diagram import (
     ProjectionCenter,
+    _framed,
+    _runs,
     branch_frame_sign,
     center_from_lift,
     project_curve,
@@ -312,3 +317,88 @@ class TestSvg:
         svg = render_diagram_svg(lp, d)
         assert svg.count("<path") == 0  # no real locus
         assert svg.count("<circle") == 1
+
+
+def _loop_runs(cut, u, v):
+    """The strand splitting one sample at a time: index runs of two or more
+    samples."""
+    run, runs = [], []
+    for i, (c, a, b) in enumerate(zip(cut, u, v)):
+        if c:
+            runs, run = runs + [run] * (len(run) > 1), []
+            continue
+        if run and abs(a - u[run[-1]]) + abs(b - v[run[-1]]) > 10.0:
+            runs, run = runs + [run] * (len(run) > 1), []
+        run.append(i)
+    return runs + [run] * (len(run) > 1)
+
+
+def _drawn(cut, u, v):
+    """The runs of _runs that draw a path, as index lists."""
+    return [list(range(a, b)) for a, b in zip(*_runs(np.array(cut, bool), np.array(u, float),
+                                                     np.array(v, float))) if b - a > 1]
+
+
+class TestRuns:
+    """The strand splitting on synthetic chart coordinates."""
+
+    def test_seam_cut(self):
+        cut = [False, False, True, False, False, False]
+        assert _drawn(cut, range(6), [0] * 6) == [[0, 1], [3, 4, 5]]
+
+    def test_seam_at_the_first_and_the_last_sample(self):
+        cut = [True, False, False, False, True]
+        assert _drawn(cut, range(5), [0] * 5) == [[1, 2, 3]]
+        starts, stops = _runs(np.array(cut), np.arange(5.0), np.zeros(5))
+        assert (starts.tolist(), stops.tolist()) == ([1], [4])
+
+    def test_jump(self):
+        # |du| + |dv| = 6 + 5 > 10 splits; 5 + 5 = 10 does not
+        u, v = [0, 1, 7, 12, 13], [0, 0, 5, 10, 10]
+        assert _drawn([False] * 5, u, v) == [[0, 1], [2, 3, 4]]
+
+    def test_lone_sample_between_cuts_is_framed_but_not_drawn(self):
+        cut = np.array([False, False, True, False, True, False, False])
+        u, v = np.array([0.0, 1, 0, 50, 0, 2, 3]), np.zeros(7)
+        starts, stops = _runs(cut, u, v)
+        assert list(zip(starts.tolist(), stops.tolist())) == [(0, 2), (3, 4), (5, 7)]
+        assert _drawn(cut, u, v) == [[0, 1], [5, 6]]
+        # the render frames every sample off the seam, the lone one too
+        x, y = u[~cut], v[~cut]
+        assert x[_framed(x, y, 0)].max() == 50.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.floats(-20, 20), st.floats(-20, 20)),
+                    max_size=40))
+    def test_matches_the_sample_loop(self, samples):
+        cut = [c for c, _, _ in samples]
+        u = [a for _, a, _ in samples]
+        v = [b for _, _, b in samples]
+        assert _drawn(cut, u, v) == _loop_runs(cut, u, v)
+
+
+class TestFramed:
+    def test_marks_clip_far_strand_tails(self):
+        # marks at 0 and 2: span 2, so points within 5 of the center (1, 0)
+        x = np.array([0.0, 5.9, 6.1, -3.9, -4.1, 0.0, 2.0])
+        y = np.zeros(7)
+        assert _framed(x, y, 2).tolist() == [True, True, False, True, False, True, True]
+
+    def test_marks_span_is_at_least_one(self):
+        # one mark: span 1, so points within 2.5 of it
+        x, y = np.array([2.4, 2.6, 0.0]), np.array([0.0, 0.0, 0.0])
+        assert _framed(x, y, 1).tolist() == [True, False, True]
+
+    def test_percentiles_without_marks(self):
+        # 40 points: the 5th to 95th percentile box is samples 2 to 37 in
+        # sorted order, widened by 1
+        x = np.array([-100.0, -30.0] + [float(k % 10) for k in range(36)] + [10.0, 100.0])
+        y = np.zeros(40)
+        keep = _framed(x, y, 0)
+        assert keep.tolist() == [False, False] + [True] * 37 + [False]
+
+    def test_no_point_in_the_frame_keeps_all(self):
+        # marks or the central box always keep a finite point, so only a
+        # coordinate that is not a number leaves none
+        x, y = np.array([0.0, 1.0, math.nan]), np.zeros(3)
+        assert _framed(x, y, 1).tolist() == [True] * 3

@@ -151,6 +151,25 @@ class TestWholeFirst:
             assert r.radius <= 1e-12
             assert (r.multiplicity, r.real) == (mult, real)
 
+    def test_perfect_square_bails_at_its_first_root(self, monkeypatch):
+        # (x^2 - 2x - 1)^2: numpy splits each double root into a conjugate
+        # pair, and Newton's method converges on it only linearly, so the
+        # whole-first round ends after its first start's run, before any
+        # move to the real axis
+        counts = _spy_calls(monkeypatch, "_horner", "_newton")
+        at_yun, sqf_list = {}, roots_mod.zx_sqf_list
+
+        def spy_sqf_list(zx):
+            at_yun.update(counts)
+            return sqf_list(zx)
+
+        monkeypatch.setattr(roots_mod, "zx_sqf_list", spy_sqf_list)
+        roots = complex_roots(form([1, 4, 2, -4, 1]))
+        assert at_yun == {"_horner": roots_mod.NEWTON_PASSES + 1, "_newton": 1}
+        assert [(r.multiplicity, r.real) for r in roots] == [(2, True)] * 2
+        for r, z in zip(roots, (1 - math.sqrt(2), 1 + math.sqrt(2))):
+            assert abs(r.center - z) < 1e-12 and r.radius <= 1e-12
+
     def test_squarefree_input_skips_yun(self, monkeypatch):
         counts = _spy_calls(monkeypatch, "zx_sqf_list")
         roots = complex_roots(form([3, 0, -10, 0, 3]))
