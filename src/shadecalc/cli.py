@@ -15,7 +15,6 @@ argparse's own either way.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
 from pathlib import Path
@@ -138,7 +137,10 @@ def _parse_grid(spec: str):
     n = (b - a) // step + 1
     if n > MAX_GRID_SAMPLES:
         raise CurveFileError(f"grid has {n} samples, more than {MAX_GRID_SAMPLES}")
-    return list(itertools.accumulate(itertools.repeat(step, n - 1), initial=a))
+    # a + k step = (a0 + k s0) / den over the common denominator
+    den = math.lcm(a.denominator, step.denominator)
+    a0, s0 = a.numerator * (den // a.denominator), step.numerator * (den // step.denominator)
+    return [QQ(a0 + k * s0, den) for k in range(n)]
 
 
 def _invariant(model):

@@ -220,11 +220,12 @@ class CurveModel:
         """Report-style validation: base-point-freeness, degrees, quadric
         identity, coefficient reality per component.  The model does not
         change, so the report is made once; each call gets its own copy."""
-        if self._report is None:
-            self._report = self._validation_report()
-        return copy.deepcopy(self._report)
+        return copy.deepcopy(self._validation_report())
 
     def _validation_report(self):
+        """The one report, made on the first call; callers only read it."""
+        if self._report is not None:
+            return self._report
         report = {"valid": True, "components": [], "ambient": describe_ambient(self.ambient)}
         q = self.quadric()
         for i, comp in enumerate(self.components):
@@ -244,10 +245,13 @@ class CurveModel:
                     entry["error"] = "parameterization does not satisfy the quadric identity"
                     report["valid"] = False
             report["components"].append(entry)
+        self._report = report
         return report
 
     def require_valid(self):
-        rep = self.validate()
+        """The validation report, or PreconditionError when it is invalid.
+        It is the cached report, not a copy: read it, do not change it."""
+        rep = self._validation_report()
         if not rep["valid"]:
             bad = [e for e in rep["components"] if "error" in e]
             raise PreconditionError(

@@ -409,22 +409,23 @@ def _deck_double_points(curve: CurveModel):
 
 
 def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0,
-                  tol=DEFAULT_TARGET_RADIUS, smoothness=False) -> ProjectionData:
+                  tol=DEFAULT_TARGET_RADIUS, deck=None) -> ProjectionData:
     """Solve every chord system for the given center, classify, evaluate
     writhes, and assemble the genericity certificate.  Raises
     GenericityError whenever any margin fails.  The crossings are imaged
     in the center's one diagram hyperplane (ProjectionCenter.hyperplane);
     the center itself is left as it was passed.
 
-    With `smoothness`, the chord solutions also answer the smoothness
-    question: a double point off the deck graphs that saturation removed
-    (`_deck_double_points` counts those on them) zeroes every saturated
-    P3-image form, hence every collinearity minor, so at a center where
-    it is a simple solution it is among the chord solutions.  A P3 curve
-    keeps every solution that zeroes those forms; a sphere curve those
-    that also zero the raw forms of its five coordinates, since its P3
-    image also identifies antipodal pairs.  Any found raise
-    DoublePointError before anything is classified or signed."""
+    Given `deck`, the kinds of the double points on the deck graphs that
+    saturation removed (`_deck_double_points`), the chord solutions also
+    answer the smoothness question: a double point off those graphs zeroes
+    every saturated P3-image form, hence every collinearity minor, so at a
+    center where it is a simple solution it is among the chord solutions.
+    A P3 curve keeps every solution that zeroes those forms; a sphere
+    curve those that also zero the raw forms of its five coordinates,
+    since its P3 image also identifies antipodal pairs.  Any found, or
+    any in `deck`, raise DoublePointError before anything is classified
+    or signed."""
     comps = curve.components
     q = curve.quadric()
     shade = not curve.is_real()  # chords against the conjugate only
@@ -432,7 +433,7 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0,
     margins = cert.margins
     cvec, c = center.cvec, center.coords
 
-    kinds = _deck_double_points(curve) if smoothness else []
+    kinds = list(deck or [])
     for i, comp in enumerate(comps):
         if not _center_off_component(c, p3_forms(comp.coords)):
             raise GenericityError(f"center lies on the projected component {i}")
@@ -445,7 +446,7 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0,
             w_mode=w_mode, expected=expected, context=context, target_radius=tol, center=c,
         )
         raw.append((i, j, canonical_unordered(sols) if w_mode == "swap" else sols))
-    if smoothness:
+    if deck is not None:
         for i, j, sols in raw:
             found = double_points(secants(curve, i, j, p3=True).minors, sols)
             if q is not None and found:  # set antipodal pairs, x(z) = deck y(w), apart
@@ -531,16 +532,17 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0,
 def select_center(curve: CurveModel, seed=0, forced_center=None,
                   tol=DEFAULT_TARGET_RADIUS, smoothness=False):
     """Draw seeded rational candidate centers and accept the first whose
-    projection certifies; deterministic given the seed.  `smoothness`
-    goes to project_curve.
+    projection certifies; deterministic given the seed.  With
+    `smoothness`, the deck double points are counted once and every
+    attempt's chord solutions check smoothness (project_curve).
 
     Returns the full ProjectionData of the accepted center.
     """
     rng = random.Random(seed)
     failures = []
+    deck = _deck_double_points(curve) if smoothness else None
     if forced_center is not None:
-        data = project_curve(curve, forced_center, seed=seed, tol=tol,
-                             smoothness=smoothness)
+        data = project_curve(curve, forced_center, seed=seed, tol=tol, deck=deck)
         data.center.seed = seed
         return data
     for attempt in range(MAX_CENTER_ATTEMPTS):
@@ -552,8 +554,7 @@ def select_center(curve: CurveModel, seed=0, forced_center=None,
         center.seed = seed
         center.attempt = attempt
         try:
-            return project_curve(curve, center, seed=seed, tol=tol,
-                                 smoothness=smoothness)
+            return project_curve(curve, center, seed=seed, tol=tol, deck=deck)
         except GenericityError as e:
             failures.append(f"attempt {attempt}: {e}")
     raise GenericityError(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chords import ACCEPT_TOL, canonical_unordered, secants, solve_minor_system
@@ -63,8 +63,8 @@ class InvariantReport:
         data = self.projection
         return {
             "Cw": self.Cw,
-            "wr_part": _frac_str(self.wr_part),
-            "sh_part": _frac_str(self.sh_part),
+            "wr_part": str(self.wr_part),
+            "sh_part": str(self.sh_part),
             "mode": self.mode,
             "ambient": self.ambient,
             "seed": self.seed,
@@ -75,13 +75,6 @@ class InvariantReport:
             "complex_chord_pairs": data.complex_pairs,
             "tolerances": {**TOLERANCES, "root_residual": self.root_residual},
         }
-
-
-def _frac_str(x) -> str:
-    x = QQ(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 @dataclass
@@ -98,12 +91,12 @@ class SweepReport:
         return {
             "family": self.family,
             "parameters": self.parameters,
-            "grid": [_frac_str(g) for g in self.grid],
-            "values": [None if v is None else _frac_str(v) for v in self.values],
+            "grid": [str(g) for g in self.grid],
+            "values": [None if v is None else str(v) for v in self.values],
             "singular": self.singular,
             "errors": self.errors,
             "jumps": [
-                {"from": _frac_str(a), "to": _frac_str(b), "delta": _frac_str(d)}
+                {"from": str(a), "to": str(b), "delta": str(d)}
                 for a, b, d in self.jumps
             ],
         }
@@ -205,7 +198,7 @@ def _cross_checked(curve, name, value, seed, centers, forced_center, tol):
             for k in range(max(1, centers))]
     values = [value(data) for data in runs]
     if len(set(values)) > 1:
-        shown = ", ".join(_frac_str(v) for v in sorted(set(values)))
+        shown = ", ".join(map(str, sorted(set(values))))
         raise InstabilityError(f"centers disagree on {name}: [{shown}]",
                                reports=[d.center.describe() for d in runs])
     return runs
@@ -342,6 +335,14 @@ class _RangeIsolation:
     his: list  # upper ends times scale, ascending
     rank: list  # rank[n]: the place of wall n's upper end in his
     pair_sign: list  # -SOLITARY_SIGN sign P'(theta_j) Q'(phi_k) of wall n = j d + k
+    sh: list = field(init=False)  # sh[p], p = 0..d^2, made from rank and pair_sign
+
+    def __post_init__(self):
+        # theta_j + phi_k(0) + t is positive above pair (j, k)'s wall, where its
+        # upper end is among the p lowest, and negative below it
+        object.__setattr__(self, "sh", [
+            QQ(sum(s if place < p else -s for s, place in zip(self.pair_sign, self.rank)), 2)
+            for p in range(len(self.rank) + 1)])
 
 
 def _range_isolation(d, K, b_name) -> _RangeIsolation:
@@ -374,9 +375,7 @@ def _isolate_range(d, K, b_name, width=_WIDTH) -> _RangeIsolation:
     los = sorted(lo.numerator * (scale // lo.denominator) for lo, _ in walls)
     his = [hi.numerator * (scale // hi.denominator) for _, hi in walls]
     order = sorted(range(len(walls)), key=his.__getitem__)
-    rank = [0] * len(walls)
-    for place, n in enumerate(order):
-        rank[n] = place
+    rank = sorted(range(len(walls)), key=order.__getitem__)  # the inverse of order
     # A and B_0 have d simple real roots and leading coefficient K > 0, so
     # sign P'(theta_j) Q'(phi_k) = (-1)^(j + k)
     pair_sign = [-SOLITARY_SIGN * (-1) ** (j + k) for j in range(d) for k in range(d)]
@@ -384,23 +383,21 @@ def _isolate_range(d, K, b_name, width=_WIDTH) -> _RangeIsolation:
                            [his[n] for n in order], rank, pair_sign)
 
 
-def _place(iso: _RangeIsolation, t: Fraction):
-    """(walls with lo <= t, walls with hi < t).  With t scale = T + r / q,
-    integer T and 0 <= r < q = t.denominator, an end e times scale is an
-    integer E, so e <= t iff E <= T, and e < t iff E < T, or E <= T when
-    r > 0.  t lies in a wall iff the first count exceeds the second."""
-    T, r = divmod(t.numerator * iso.scale, t.denominator)
+def _place(iso: _RangeIsolation, num: int, den: int):
+    """(walls with lo <= t, walls with hi < t) for t = num / den.  With
+    t scale = T + r / den, integer T and 0 <= r < den, an end e times scale
+    is an integer E, so e <= t iff E <= T, and e < t iff E < T, or E <= T
+    when r > 0.  t lies in a wall iff the first count exceeds the second."""
+    T, r = divmod(num * iso.scale, den)
     return bisect_right(iso.los, T), (bisect_right if r else bisect_left)(iso.his, T)
 
 
 def _range_shade_at(iso: _RangeIsolation, t: Fraction):
-    # theta_j + phi_k(0) + t is positive above pair (j, k)'s wall, where its
-    # upper end is among the `passed` lowest, and negative below it
-    reached, passed = _place(iso, t)
+    reached, passed = _place(iso, t.numerator, t.denominator)
     if reached > passed:
         raise PreconditionError("shade point degenerated onto the real locus")
     signs = [s if place < passed else -s for s, place in zip(iso.pair_sign, iso.rank)]
-    return {"d": iso.d, "t": t, "K": iso.K, "sh": QQ(sum(signs), 2), "signs": signs}
+    return {"d": iso.d, "t": t, "K": iso.K, "sh": iso.sh[passed], "signs": signs}
 
 
 def _clear_isolation(iso: _RangeIsolation, t: Fraction):
@@ -410,7 +407,7 @@ def _clear_isolation(iso: _RangeIsolation, t: Fraction):
     isolated again, each round narrower by twice as many bits as the last:
     the walls close in on the collision times -theta_j - phi_k(0), and t
     is none of them."""
-    reached, passed = _place(iso, t)
+    reached, passed = _place(iso, t.numerator, t.denominator)
     if reached == passed:
         return iso
     if range_family_is_singular(iso.d, t, iso.K):
@@ -418,7 +415,7 @@ def _clear_isolation(iso: _RangeIsolation, t: Fraction):
     bits = 30
     while reached > passed:
         iso = _isolate_range(iso.d, iso.K, "Q_t", _WIDTH / 2**bits)
-        reached, passed = _place(iso, t)
+        reached, passed = _place(iso, t.numerator, t.denominator)
         bits *= 2
     return iso
 
@@ -453,22 +450,41 @@ def range_collision_times(d, K):
     return sorted(_range_isolation(d, K, "Q_0").walls)
 
 
-def _check_wall_ledger(iso: _RangeIsolation, a, b, delta):
+def _check_wall_ledger(a, b, n, delta):
     """Each wall moves sh by +-1 (shade numbers of real-point-free members
-    are Vassiliev invariants of degree 1).  So between two samples outside
-    every wall, with n walls between them, delta is an integer with
-    |delta| <= n and delta = n (mod 2).  n counts lower ends, which the
-    shade never reads."""
-    (reached_a, passed_a), (reached_b, passed_b) = _place(iso, a), _place(iso, b)
-    if reached_a > passed_a or reached_b > passed_b:
-        return
-    n = abs(reached_b - reached_a)
+    are Vassiliev invariants of degree 1), so from sample a to sample b
+    across n walls, delta is an integer, |delta| <= n, delta = n (mod 2)."""
     if delta.denominator != 1 or abs(delta.numerator) > n or (delta.numerator - n) % 2:
         a, b = min(a, b), max(a, b)
         raise InstabilityError(
-            f"sh moved by {_frac_str(delta)} between t = {_frac_str(a)} and "
-            f"t = {_frac_str(b)} across {n} certified wall(s)"
+            f"sh moved by {delta} between t = {a} and t = {b} across {n} certified wall(s)"
         )
+
+
+def _range_samples(iso: _RangeIsolation, grid):
+    """(value, singular, error) per sample, and the lower wall ends below
+    it (None inside a wall).  Each sample, an integer over the grid's
+    common denominator, is placed once.  Outside every wall W_t has no real
+    point and sh is iso.sh[upper ends below t]; inside one the exact gcd
+    test and a narrower isolation decide (_clear_isolation)."""
+    den = math.lcm(*(t.denominator for t in grid))
+    placed = [_place(iso, t.numerator * (den // t.denominator), den) for t in grid]
+    results = [(iso.sh[p], False, None) if r == p else _guarded(_wall_sample)(iso, t)
+               for t, (r, p) in zip(grid, placed)]
+    return results, [r if r == p else None for r, p in placed]
+
+
+def _wall_sample(iso, t):
+    clear = _clear_isolation(iso, t)
+    if clear is None:
+        return (None, True, "singular member (real point)")
+    return (_range_shade_at(clear, t)["sh"], False, None)
+
+
+def _unisolated_sample(d, t, K, failure):
+    if range_family_is_singular(d, t, K):
+        return (None, True, "singular member (real point)")
+    raise failure
 
 
 # ---------------------------------------------------------------------------
@@ -514,16 +530,13 @@ def family_sweep(family: str, grid, seed=0, eps=None, d=None, K=None) -> SweepRe
     """Per-sample invariant over a parameter grid: Cw for the knot family,
     sh for the range family; singular samples flagged, never interpolated.
 
-    A range sweep isolates A and B_0 once per (d, K) and shifts the B_0
-    intervals by t.  The exact gcd test runs only inside a certified wall,
-    since outside every wall W_t has no real point; a regular sample there
-    is read off a narrower isolation (_clear_isolation).  The walls
-    crossed between neighbours outside every wall must account for the
-    change of sh, else InstabilityError.  A failed isolation (K too small)
-    is every sample's error."""
-    grid = [QQ(g) for g in grid]
-    params = {}
-    iso = None
+    A range sweep isolates A and B_0 once per (d, K) (_range_samples).
+    Between neighbours outside every wall, the walls crossed (counted from
+    the lower ends, while the shade reads the upper ones) must account for
+    the change of sh, else InstabilityError.  A failed isolation (K too
+    small) is every regular sample's error."""
+    grid = [g if isinstance(g, Fraction) else QQ(g) for g in grid]
+    reached = None  # per range sample: lower wall ends below it, None in a wall
     if family == "kae":
         if eps not in (1, -1):
             raise PreconditionError("kae sweep needs eps = +1 or -1")
@@ -539,53 +552,40 @@ def family_sweep(family: str, grid, seed=0, eps=None, d=None, K=None) -> SweepRe
                 return (None, True, "singular member (double point)")
             return (QQ(rep.Cw), False, None)
 
+        results = list(map(_guarded(sample), enumerate(grid)))
     elif family == "range":
         if not d or d < 1:
             raise PreconditionError("range sweep needs d >= 1")
         try:
             iso = _range_isolation(d, K, "Q_t")
+        except PreconditionError as failure:
+            results = [_guarded(_unisolated_sample)(d, t, K, failure) for t in grid]
+        else:
+            results, reached = _range_samples(iso, grid)
             K = iso.K
-        except PreconditionError as e:
-            failure = e
-        params = {"d": d, "K": _frac_str(QQ(K))}
-
-        def sample(idx_a):
-            idx, t = idx_a
-            if iso is None:
-                if range_family_is_singular(d, t, K):
-                    return (None, True, "singular member (real point)")
-                raise failure
-            clear = _clear_isolation(iso, t)
-            if clear is None:
-                return (None, True, "singular member (real point)")
-            return (_range_shade_at(clear, t)["sh"], False, None)
-
+        params = {"d": d, "K": str(QQ(K))}
     else:
         raise PreconditionError(f"unknown family {family!r}")
 
-    results = list(map(_guarded(sample), enumerate(grid)))
-    values = [r[0] for r in results]
-    singular = [r[1] for r in results]
-    errors = [r[2] for r in results]
-    jumps = []
-    prev = None
-    for g, v, s in zip(grid, values, singular):
-        if s or v is None:
+    values, singular, errors = ([r[k] for r in results] for k in range(3))
+    jumps, j = [], None  # j: the last regular sample
+    for i, v in enumerate(values):
+        if v is None:
             continue
-        if prev is not None:
-            delta = v - prev[1]
-            if iso is not None:
-                _check_wall_ledger(iso, prev[0], g, delta)
+        if j is not None:
+            delta = v - values[j] if v != values[j] else 0  # no Fraction made when equal
+            if reached and reached[i] is not None and reached[j] is not None:
+                _check_wall_ledger(grid[j], grid[i], abs(reached[i] - reached[j]), delta)
             if delta:
-                jumps.append((prev[0], g, delta))
-        prev = (g, v)
+                jumps.append((grid[j], grid[i], delta))
+        j = i
     return SweepReport(family, params, grid, values, singular, errors, jumps)
 
 
 def _guarded(fn):
-    def run(item):
+    def run(*args):
         try:
-            return fn(item)
+            return fn(*args)
         except (GenericityError, PreconditionError, InstabilityError) as e:
             return (None, False, f"{type(e).__name__}: {e}")
 

@@ -17,10 +17,12 @@ and `unknot` over 3 centers at seeds 0-5 (the cross-check of both the
 Cw and the sh path), kae sweeps of both signs on -1:1:1/8 at
 seeds 0-3, range sweeps at d = 1-6 on -10:10:1/10 at the default K, at
 d = 3, K = 10^4 on the ten benchmark grids, at d = 2 and 3 with
-K = 1 on -2:2:1 and at d = 1, K = 1000 from the exact lower end of the
+K = 1 on -2:2:1, at d = 1, K = 1000 from the exact lower end of the
 one wall in steps of half its width (its ends and midpoint lie in the
 wall; W_t has no real point there, so they are read off a narrower
-isolation), `invariants --svg` (the benchmark's SVG path) on
+isolation) and at d = 3, K = 10^4 through the fifth of the nine sorted
+walls in steps of half its width, from half a width below it to half a
+width above it (one sample on each side, three inside), `invariants --svg` (the benchmark's SVG path) on
 `unknot`, `lp_line`, `hopf_pair` and `kae_half_minus` at seeds 0-29,
 `render` on the 8 fixtures at seeds 0-2, `validate` on the 8 fixtures,
 `invariants` on each malformed curve file of
@@ -97,6 +99,10 @@ def commands(tmp):
     (lo, hi), = range_collision_times(1, 1000)
     yield ["sweep", "--family", "range", "--d", "1", "--K", "1000",
            f"--grid={_fmt(lo)}:{_fmt(2 * hi - lo)}:{_fmt((hi - lo) / 2)}"]
+    lo, hi = range_collision_times(3, 10000)[4]
+    half = (hi - lo) / 2
+    yield ["sweep", "--family", "range", "--d", "3", "--K", "10000",
+           f"--grid={_fmt(lo - half)}:{_fmt(hi + half)}:{_fmt(half)}"]
     for name in ("unknot", "lp_line", "hopf_pair", "kae_half_minus"):
         for seed in range(30):
             yield ["invariants", "--curve", f"{DATA}/{name}.json", "--seed", str(seed),

@@ -228,15 +228,14 @@ class TestExitCodes:
 
     def test_wall_ledger_violation_exit_3(self, capsys, monkeypatch):
         # a sign flip at t = 3 moves sh with no certified wall in (2, 4)
-        shade_at = invariants._range_shade_at
+        samples = invariants._range_samples
 
-        def flipped(iso, t):
-            res = shade_at(iso, t)
-            if t == 3:
-                res["sh"] = -res["sh"]
-            return res
+        def flipped(iso, grid):
+            results, reached = samples(iso, grid)
+            return [(-v, s, e) if t == 3 else (v, s, e)
+                    for t, (v, s, e) in zip(grid, results)], reached
 
-        monkeypatch.setattr(invariants, "_range_shade_at", flipped)
+        monkeypatch.setattr(invariants, "_range_samples", flipped)
         code, out = run(
             ["sweep", "--family", "range", "--d", "1", "--K", "1000", "--grid=-5:5:1"], capsys
         )

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -59,6 +61,18 @@ class TestValidationReport:
                             lambda self: pytest.fail("validated twice"))
         assert model.validate() == want
         assert model.require_valid() == model.validate()
+
+    def test_a_changed_copy_changes_no_later_report(self, monkeypatch):
+        # validate() hands out copies, and cmd_validate adds to its copy;
+        # require_valid reads the cached report and copies nothing
+        want = unknot_curve().validate()
+        model = unknot_curve()
+        rep = model.validate()
+        rep["valid"] = False
+        rep["components"][0]["error"] = "changed"
+        assert model.validate() == want
+        monkeypatch.setattr(copy, "deepcopy", lambda x: pytest.fail("copied"))
+        assert model.require_valid() == want
 
 
 def _times(forms, c):

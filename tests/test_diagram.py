@@ -1,5 +1,6 @@
 """Projection, classification and sign-recipe behavior."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from shadecalc.curves import (
     kae_curve,
     lp_line_curve,
     p3_forms,
+    split_circles_curve,
     trefoil_curve,
     unknot_curve,
 )
@@ -30,7 +32,8 @@ from shadecalc.diagram import (
     select_center,
     sphere_real_pair_sign,
 )
-from shadecalc.errors import GenericityError
+from shadecalc import diagram
+from shadecalc.errors import DoublePointError, GenericityError
 from shadecalc.invariants import encomplexed_writhe
 from shadecalc.poly import BinaryForm
 from shadecalc.projective import ProjPoint
@@ -114,6 +117,21 @@ class TestSelectCenter:
             assert d.center.attempt == attempt
             assert len(calls) == attempt + 1
             assert len({id(p) for p in calls}) == len(calls)
+
+    @pytest.mark.parametrize("make", [split_circles_curve, hopf_pair_curve, unknot_curve])
+    def test_deck_double_points_once_per_select_center(self, make, monkeypatch):
+        # at seed 0 each of these curves projects from two centers; the deck
+        # double points do not depend on the center and are counted once
+        decks, attempts = [], []
+        deck, project = diagram._deck_double_points, diagram.project_curve
+        monkeypatch.setattr(diagram, "_deck_double_points",
+                            lambda curve: decks.append(1) or deck(curve))
+        monkeypatch.setattr(diagram, "project_curve",
+                            lambda *a, **kw: attempts.append(1) or project(*a, **kw))
+        with contextlib.suppress(DoublePointError):
+            select_center(make(), seed=0, smoothness=True)
+        assert len(attempts) == 2
+        assert len(decks) == 1
 
 
 class TestTrefoilSqrt2Center:

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadecalc import chords, diagram, invariants, poly
 from shadecalc import roots as roots_mod
@@ -790,18 +792,75 @@ class TestRangeSweepOneIsolation:
         pytest.param(_grid(-2, -1, 1), QQ(-1), id="parity_across_one_wall"),
     ])
     def test_one_sample_sign_flip_trips_wall_ledger(self, grid, flip, monkeypatch):
-        # d = 1, K = 10^3 has its one wall at t = -751/500
-        shade_at = invariants._range_shade_at
+        # d = 1, K = 10^3 has its one wall at t = -751/500; the sweep reads
+        # every sample's sh in _range_samples, and flips it at t = flip
+        samples = invariants._range_samples
 
-        def flipped(iso, t):
-            res = shade_at(iso, t)
-            if t == flip:
-                res["sh"] = -res["sh"]
-            return res
+        def flipped(iso, grid):
+            results, reached = samples(iso, grid)
+            return [(-v, s, e) if t == flip else (v, s, e)
+                    for t, (v, s, e) in zip(grid, results)], reached
 
-        monkeypatch.setattr(invariants, "_range_shade_at", flipped)
+        monkeypatch.setattr(invariants, "_range_samples", flipped)
         with pytest.raises(InstabilityError, match="certified wall"):
             family_sweep("range", grid, d=1, K=QQ(1000))
+
+
+@st.composite
+def _range_sweep_inputs(draw):
+    """(d, K, grid): d = 1-3 at a K that isolates (10^(2+d), or just past
+    (2(d^2+1))^d, where every K does), and a grid from a rational offset
+    and step, or one that steps through a wall by half its width; either
+    may then be shuffled and repeat samples."""
+    d = draw(st.integers(1, 3))
+    K = draw(st.sampled_from([QQ(10) ** (2 + d), (2 * (d * d + 1)) ** d + QQ(
+        draw(st.integers(1, 60)), draw(st.integers(1, 9)))]))
+    if draw(st.booleans()):
+        a = QQ(draw(st.integers(-60, 20)), draw(st.integers(1, 12)))
+        step = QQ(draw(st.integers(1, 24)), draw(st.integers(1, 12)))
+        grid = [a + k * step for k in range(draw(st.integers(1, 12)))]
+    else:
+        lo, hi = draw(st.sampled_from(range_collision_times(d, K)))
+        half = (hi - lo) / 2
+        grid = [lo + k * half for k in range(draw(st.integers(-2, 0)), draw(st.integers(3, 5)))]
+    if draw(st.booleans()):
+        grid = draw(st.permutations(grid))
+    repeats = draw(st.lists(st.sampled_from(grid), max_size=3))
+    for t in repeats:
+        grid.insert(draw(st.integers(0, len(grid))), t)
+    return d, K, grid
+
+
+class TestRangeSweepDifferential:
+    """The one-pass range sweep against a sweep built sample by sample from
+    range_family_is_singular and range_family_shade, with no wall list."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_range_sweep_inputs())
+    def test_matches_per_sample_sweep(self, inputs):
+        d, K, grid = inputs
+        rep = family_sweep("range", grid, d=d, K=K)
+        assert (rep.values, rep.singular, rep.errors, rep.jumps) == _per_sample_sweep(d, K, grid)
+
+    @pytest.mark.parametrize("d,K,grid", [
+        pytest.param(3, QQ(10**4), _benchmark_grid(41), id="range_sweep_seed41"),
+        pytest.param(3, QQ(10**4), _grid(-10, 10, QQ(1, 2)) + [QQ(0), QQ(-10)], id="repeats"),
+        pytest.param(1, QQ(1000), _grid(QQ(-1503, 1000), QQ(-1501, 1000), QQ(1, 1000)),
+                     id="d1_exact_wall"),
+    ])
+    def test_each_sample_outside_the_walls_placed_once(self, d, K, grid, monkeypatch):
+        # a sample inside a wall is placed again by _clear_isolation and by
+        # _range_shade_at on the narrower isolation; no other is
+        placed = []
+        place = invariants._place
+        monkeypatch.setattr(invariants, "_place",
+                            lambda iso, num, den: placed.append(QQ(num, den)) or place(iso, num, den))
+        family_sweep("range", grid, d=d, K=K)
+        walls = range_collision_times(d, K)
+        outside = [t for t in grid if not any(lo <= t <= hi for lo, hi in walls)]
+        assert len(outside) >= len(grid) - 1
+        assert placed[:len(grid)] == grid
+        assert all(placed.count(t) == grid.count(t) for t in outside)
 
 
 class TestLinking:
