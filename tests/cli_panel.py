@@ -22,7 +22,8 @@ one wall in steps of half its width (its ends and midpoint lie in the
 wall; W_t has no real point there, so they are read off a narrower
 isolation) and at d = 3, K = 10^4 through the fifth of the nine sorted
 walls in steps of half its width, from half a width below it to half a
-width above it (one sample on each side, three inside), `invariants --svg` (the benchmark's SVG path) on
+width above it (one sample on each side, three inside),
+`invariants --svg` (the benchmark's SVG path) on
 `unknot`, `lp_line`, `hopf_pair` and `kae_half_minus` at seeds 0-29,
 `render` on the 8 fixtures at seeds 0-2, `validate` on the 8 fixtures,
 `invariants` on each malformed curve file of

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadecalc import diagram
 from shadecalc.curves import (
     CurveComponent,
     CurveModel,
@@ -32,7 +33,6 @@ from shadecalc.diagram import (
     select_center,
     sphere_real_pair_sign,
 )
-from shadecalc import diagram
 from shadecalc.errors import DoublePointError, GenericityError
 from shadecalc.invariants import encomplexed_writhe
 from shadecalc.poly import BinaryForm

@@ -853,8 +853,8 @@ class TestRangeSweepDifferential:
         # _range_shade_at on the narrower isolation; no other is
         placed = []
         place = invariants._place
-        monkeypatch.setattr(invariants, "_place",
-                            lambda iso, num, den: placed.append(QQ(num, den)) or place(iso, num, den))
+        monkeypatch.setattr(invariants, "_place", lambda iso, num, den:
+                            placed.append(QQ(num, den)) or place(iso, num, den))
         family_sweep("range", grid, d=d, K=K)
         walls = range_collision_times(d, K)
         outside = [t for t in grid if not any(lo <= t <= hi for lo, hi in walls)]
