@@ -6,15 +6,16 @@ exhaustion, 3 on precondition violations.  Reports are
 byte-deterministic for fixed input, seed and flags.
 
 Every subcommand's flags are declared once, in `SUBCOMMANDS`.  A call
-that names a subcommand builds only that subcommand's parser; the whole
-parser (`build_parser`) is built only for top-level help and for errors
-the subcommand's parser leaves to it, so help and error text are
-argparse's own either way.
+that names a subcommand uses only that subcommand's parser, built once
+per process on its first use; the whole parser (`build_parser`) is built
+only for top-level help and for errors the subcommand's parser leaves to
+it, so help and error text are argparse's own either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -91,18 +92,25 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _subparser(name):
+    """One subcommand's parser, built on its first use in a process."""
+    p = argparse.ArgumentParser(prog=f"shadecalc {name}")
+    SUBCOMMANDS[name][1](p)
+    return p
+
+
 def parse_args(argv):
-    """The namespace `build_parser().parse_args(argv)` gives, building
-    only the named subcommand's parser when argv starts with one.  Its
-    help, its flag errors and its namespace are those of the subparser
-    in the whole tree, whose prog is also "shadecalc <name>".  Leftover
-    arguments and any other argv go to the whole parser, so the top-level
-    usage, help and "unrecognized arguments" error keep their bytes."""
+    """The namespace `build_parser().parse_args(argv)` gives, through
+    only the named subcommand's parser when argv starts with one; that
+    parser is built once per process (`_subparser`).  Its help, its flag
+    errors and its namespace are those of the subparser in the whole
+    tree, whose prog is also "shadecalc <name>".  Leftover arguments and
+    any other argv go to the whole parser, so the top-level usage, help
+    and "unrecognized arguments" error keep their bytes."""
     argv = list(argv)
     if argv and argv[0] in SUBCOMMANDS:
-        p = argparse.ArgumentParser(prog=f"shadecalc {argv[0]}")
-        SUBCOMMANDS[argv[0]][1](p)
-        args, rest = p.parse_known_args(argv[1:])
+        args, rest = _subparser(argv[0]).parse_known_args(argv[1:])
         if not rest:
             args.command = argv[0]
             return args
@@ -212,8 +220,7 @@ def cmd_render(args, out):
 
 def cmd_validate(args, out):
     model, center = _load(args.curve)
-    payload = model.validate()
-    payload["forced_center"] = center is not None
+    payload = {**model._validation_report(), "forced_center": center is not None}
     out.write(emit_report(ReportEnvelope("validate", {"curve": args.curve}, payload), args.fmt))
     return EXIT_OK
 

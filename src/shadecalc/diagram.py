@@ -296,13 +296,12 @@ def center_from_lift(lift: ProjPoint, q: QuadricSpec) -> ProjectionCenter:
 
 def _center_off_component(c, forms) -> bool:
     """Exact check that the projected curve never passes through the
-    center c: the 2x2 minors of [c | psi(z)] must have constant gcd."""
-    minors = []
-    n = len(forms)
-    for a in range(n):
-        for b in range(a + 1, n):
-            minors.append(forms[b] * c[a] - forms[a] * c[b])
-    live = [m for m in minors if not m.is_zero()]
+    center c: the 2x2 minors of [c | psi(z)] must have constant gcd.  With
+    c_m != 0, c_m (c_a x_b - c_b x_a) combines the minors against column
+    m, so those three generate the same ideal and have the same gcd."""
+    m = next(k for k, x in enumerate(c) if x)
+    minors = [forms[j] * c[m] - forms[m] * c[j] for j in range(len(forms)) if j != m]
+    live = [f for f in minors if not f.is_zero()]
     if not live:
         return False
     return form_gcd(live).degree == 0
@@ -409,23 +408,22 @@ def _deck_double_points(curve: CurveModel):
 
 
 def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0,
-                  tol=DEFAULT_TARGET_RADIUS, deck=None) -> ProjectionData:
+                  tol=DEFAULT_TARGET_RADIUS, smoothness=False) -> ProjectionData:
     """Solve every chord system for the given center, classify, evaluate
     writhes, and assemble the genericity certificate.  Raises
     GenericityError whenever any margin fails.  The crossings are imaged
     in the center's one diagram hyperplane (ProjectionCenter.hyperplane);
     the center itself is left as it was passed.
 
-    Given `deck`, the kinds of the double points on the deck graphs that
-    saturation removed (`_deck_double_points`), the chord solutions also
-    answer the smoothness question: a double point off those graphs zeroes
+    With `smoothness`, for a curve with no double point on the deck graphs
+    that saturation removed (`_deck_double_points`), the chord solutions
+    also answer the smoothness question: a double point zeroes
     every saturated P3-image form, hence every collinearity minor, so at a
     center where it is a simple solution it is among the chord solutions.
     A P3 curve keeps every solution that zeroes those forms; a sphere
     curve those that also zero the raw forms of its five coordinates,
-    since its P3 image also identifies antipodal pairs.  Any found, or
-    any in `deck`, raise DoublePointError before anything is classified
-    or signed."""
+    since its P3 image also identifies antipodal pairs.  Any found raise
+    DoublePointError before anything is classified or signed."""
     comps = curve.components
     q = curve.quadric()
     shade = not curve.is_real()  # chords against the conjugate only
@@ -433,7 +431,6 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0,
     margins = cert.margins
     cvec, c = center.cvec, center.coords
 
-    kinds = list(deck or [])
     for i, comp in enumerate(comps):
         if not _center_off_component(c, p3_forms(comp.coords)):
             raise GenericityError(f"center lies on the projected component {i}")
@@ -446,7 +443,8 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0,
             w_mode=w_mode, expected=expected, context=context, target_radius=tol, center=c,
         )
         raw.append((i, j, canonical_unordered(sols) if w_mode == "swap" else sols))
-    if deck is not None:
+    if smoothness:
+        kinds = []
         for i, j, sols in raw:
             found = double_points(secants(curve, i, j, p3=True).minors, sols)
             if q is not None and found:  # set antipodal pairs, x(z) = deck y(w), apart
@@ -533,16 +531,18 @@ def select_center(curve: CurveModel, seed=0, forced_center=None,
                   tol=DEFAULT_TARGET_RADIUS, smoothness=False):
     """Draw seeded rational candidate centers and accept the first whose
     projection certifies; deterministic given the seed.  With
-    `smoothness`, the deck double points are counted once and every
-    attempt's chord solutions check smoothness (project_curve).
+    `smoothness`, double points on a deck graph raise DoublePointError
+    before any center is drawn or projected; otherwise every attempt's
+    chord solutions check smoothness (project_curve).
 
     Returns the full ProjectionData of the accepted center.
     """
     rng = random.Random(seed)
     failures = []
-    deck = _deck_double_points(curve) if smoothness else None
+    if smoothness and (deck := _deck_double_points(curve)):
+        raise DoublePointError(deck, where=" on its deck graph")
     if forced_center is not None:
-        data = project_curve(curve, forced_center, seed=seed, tol=tol, deck=deck)
+        data = project_curve(curve, forced_center, seed=seed, tol=tol, smoothness=smoothness)
         data.center.seed = seed
         return data
     for attempt in range(MAX_CENTER_ATTEMPTS):
@@ -554,7 +554,7 @@ def select_center(curve: CurveModel, seed=0, forced_center=None,
         center.seed = seed
         center.attempt = attempt
         try:
-            return project_curve(curve, center, seed=seed, tol=tol, deck=deck)
+            return project_curve(curve, center, seed=seed, tol=tol, smoothness=smoothness)
         except GenericityError as e:
             failures.append(f"attempt {attempt}: {e}")
     raise GenericityError(

@@ -17,11 +17,13 @@ class PreconditionError(ShadecalcError):
 
 class DoublePointError(PreconditionError):
     """The curve has double points, one kind per point (real-real,
-    complex-conjugate or complex); invariants need a smooth embedding."""
+    complex-conjugate or complex); invariants need a smooth embedding.
+    Raised with `where` " on its deck graph", `kinds` holds only the
+    deck graph's points, all "complex": the search off it did not run."""
 
-    def __init__(self, kinds):
+    def __init__(self, kinds, where=""):
         super().__init__(
-            f"curve has {len(kinds)} double point(s) ({', '.join(sorted(set(kinds)))}); "
+            f"curve has {len(kinds)} double point(s){where} ({', '.join(sorted(set(kinds)))}); "
             "invariants need a smooth embedding"
         )
         self.kinds = sorted(kinds)

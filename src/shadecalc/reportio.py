@@ -60,7 +60,7 @@ def parse_curve_json(obj):
             for i, c in enumerate(obj["components"])
         ]
         model = CurveModel(ambient, comps)
-        rep = model.validate()
+        rep = model._validation_report()
         if not rep["valid"]:
             bad = [e for e in rep["components"] if "error" in e]
             raise CurveFileError(

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import sympy
@@ -14,8 +15,8 @@ from shadecalc import chords
 from shadecalc.curves import CurveComponent, CurveModel, ParamPoint, _jet
 from shadecalc.diagram import SOLITARY_SIGN
 from shadecalc.invariants import _range_polys, range_family_is_singular
-from shadecalc.poly import (BinaryForm, BivarPoly, bivar_resultant_w, gdivexact, glist_gcd, gmul,
-                            real_roots_sturm)
+from shadecalc.poly import (BinaryForm, BivarPoly, bivar_resultant_w, form_gcd, gdivexact,
+                            glist_gcd, gmul, real_roots_sturm)
 from shadecalc.projective import QuadricSpec
 from shadecalc.scalars import QQ, GaussianRational
 
@@ -331,6 +332,14 @@ def deck_sextic(rotate=False):
         coeffs = [p.coeff_monomial(s ** (6 - k) * t**k) for k in range(7)]
         coords.append(BinaryForm(6, [Fraction(int(c.p), int(c.q)) for c in coeffs]))
     return CurveModel(QuadricSpec(QQ(1)), [CurveComponent(coords, "deck_sextic")])
+
+
+def center_off_component_six_minors(c, forms):
+    """The center test from all six 2x2 minors of [c | psi(z)]: the
+    projected curve misses c iff the nonzero minors have constant gcd."""
+    minors = [forms[b] * c[a] - forms[a] * c[b] for a, b in combinations(range(len(forms)), 2)]
+    live = [m for m in minors if not m.is_zero()]
+    return bool(live) and form_gcd(live).degree == 0
 
 
 def image_twin(curve, swap):

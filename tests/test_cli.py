@@ -1,5 +1,7 @@
 """Exit-code contract and byte determinism of the command line."""
 
+import argparse
+import copy
 import hashlib
 import io
 import json
@@ -306,6 +308,27 @@ class TestExitCodes:
             "invariants need a smooth embedding\n"
         )
 
+    @pytest.mark.parametrize("lift", [
+        ["1", "0", "4/5", "3/5", "0"],  # on the north circle: exit 2 at the center check
+        ["1", "0", "0", "0", "1"],
+        ["1", "1", "0", "0", "0"],  # exit 2 at a positive-dimensional chord system
+    ])
+    def test_deck_double_points_forced_center_exit_3(self, lift, tmp_path, capsys, monkeypatch):
+        # the deck graph's double points are known before the center is used
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a center was projected")
+
+        monkeypatch.setattr(diagram, "project_curve", forbidden)
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({"family": {"name": "split_circles"},
+                                    "center": {"lift": lift}}))
+        code, out = run(["invariants", "--curve", str(path)], capsys)
+        assert (code, out) == (3, b"")
+        assert capsys.readouterr().err == (
+            "precondition violation: curve has 2 double point(s) on its deck graph (complex); "
+            "invariants need a smooth embedding\n"
+        )
+
     @pytest.mark.parametrize("point, message", [
         # kae(1/2, -1) passes through [1, 0, 0, 1/2] at parameter infinity
         (["1", "0", "0", "1/2"], "center lies on the projected component 0"),
@@ -478,9 +501,40 @@ class TestParser:
         def whole():
             raise AssertionError("the whole parser was built")
 
+        cli._subparser.cache_clear()
         monkeypatch.setattr(cli, "build_parser", whole)
         args = cli.parse_args(["validate", "--curve", "c", "--text"])
         assert vars(args) == {"curve": "c", "fmt": "text", "command": "validate"}
+
+    def test_each_subcommand_parser_built_once(self, monkeypatch):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        cli._subparser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        argvs = [["invariants", "--curve", "c", "--seed", "2"], ["sweep", "--family", "kae",
+                 "--epsilon", "1", "--grid", "0:1:1"], ["render", "--curve", "c", "--out", "o"],
+                 ["validate", "--curve", "c", "--text"]]
+        for k in range(20):
+            assert cli.parse_args(argvs[k % 4]).command == argvs[k % 4][0]
+        assert sorted(built) == [f"shadecalc {name}" for name in sorted(cli.SUBCOMMANDS)]
+
+    def test_a_flag_error_leaves_the_parser_clean(self, capsys):
+        # the cached parser keeps nothing from a call that exits on a bad value
+        code, _ = run(["invariants", "--curve", "c", "--seed", "x"], capsys)
+        assert code == 1
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+        args = cli.parse_args(["invariants", "--curve", "d", "--centers", "2"])
+        assert vars(args) == {"curve": "d", "seed": 0, "centers": 2, "svg": None, "fmt": "json",
+                              "tol": roots.DEFAULT_TARGET_RADIUS, "command": "invariants"}
+
+    def test_each_call_gets_its_own_namespace(self):
+        argv = ["render", "--curve", "c", "--out", "o.svg"]
+        first, second = cli.parse_args(argv), cli.parse_args(argv)
+        assert first is not second and vars(first) == vars(second)
 
 
 class TestRootRounds:
@@ -822,6 +876,34 @@ class TestCommands:
         assert code == 0
         obj = json.loads(out)
         assert obj["result"]["valid"] is True
+
+    def test_validate_leaves_the_cached_report_alone(self, tmp_path, capsys, monkeypatch):
+        loaded, load = [], cli._load
+        monkeypatch.setattr(cli, "_load", lambda path: loaded.append(load(path)) or loaded[-1])
+        path = tmp_path / "centered.json"
+        path.write_text(json.dumps({"family": {"name": "unknot"},
+                                    "center": {"lift": ["1", "0", "0", "1", "0"]}}))
+        code, out = run(["validate", "--curve", str(path)], capsys)
+        assert code == 0 and json.loads(out)["result"]["forced_center"] is True
+        model, _ = loaded[0]
+        assert "forced_center" not in model._validation_report()
+        assert model.validate() == unknot_curve().validate()
+
+    def test_fixture_mix_job_copies_no_report(self, tmp_path, capsys, monkeypatch):
+        # the 15 calls of one perfbench fixture_mix job
+        fixtures = ["hopf_pair", "k0_minus", "k0_plus", "kae_half_minus", "lp_line",
+                    "split_circles", "trefoil", "unknot"]
+        argvs = [["validate", "--curve", str(DATA / f"{f}.json")] for f in fixtures]
+        argvs += [["invariants", "--curve", str(DATA / f"{f}.json"), "--seed", "1",
+                   "--svg", str(tmp_path / "d.svg")]
+                  for f in ("unknot", "lp_line", "hopf_pair", "kae_half_minus")]
+        argvs += [["invariants", "--curve", str(DATA / f"{f}.json")]
+                  for f in ("split_circles", "k0_plus", "k0_minus")]
+        copies, deepcopy = [], copy.deepcopy
+        monkeypatch.setattr(copy, "deepcopy", lambda *args: copies.append(1) or deepcopy(*args))
+        codes = [run(argv, capsys)[0] for argv in argvs]
+        assert codes == [0] * 12 + [3] * 3
+        assert copies == []
 
     def test_invariants_with_svg(self, tmp_path, capsys):
         svg = tmp_path / "d.svg"

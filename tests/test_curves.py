@@ -63,7 +63,7 @@ class TestValidationReport:
         assert model.require_valid() == model.validate()
 
     def test_a_changed_copy_changes_no_later_report(self, monkeypatch):
-        # validate() hands out copies, and cmd_validate adds to its copy;
+        # validate() hands out copies, which API callers may change;
         # require_valid reads the cached report and copies nothing
         want = unknot_curve().validate()
         model = unknot_curve()

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shadecalc import diagram
@@ -39,7 +39,8 @@ from shadecalc.poly import BinaryForm
 from shadecalc.projective import ProjPoint
 from shadecalc.scalars import QQ, Surd
 
-from helpers import conjugate_params, flipped, form_value, parts
+from helpers import (center_off_component_six_minors, conjugate_params, deck_sextic, flipped,
+                     form_value, ladder_curve, parts)
 
 
 def sqrt2_trefoil_center():
@@ -118,10 +119,12 @@ class TestSelectCenter:
             assert len(calls) == attempt + 1
             assert len({id(p) for p in calls}) == len(calls)
 
-    @pytest.mark.parametrize("make", [split_circles_curve, hopf_pair_curve, unknot_curve])
-    def test_deck_double_points_once_per_select_center(self, make, monkeypatch):
-        # at seed 0 each of these curves projects from two centers; the deck
-        # double points do not depend on the center and are counted once
+    @pytest.mark.parametrize("make,projected", [
+        (split_circles_curve, 0), (hopf_pair_curve, 2), (unknot_curve, 2)])
+    def test_deck_double_points_once_per_select_center(self, make, projected, monkeypatch):
+        # at seed 0 hopf_pair and unknot project from two centers; the deck
+        # double points do not depend on the center and are counted once,
+        # and split_circles, whose two lie on its deck graph, projects none
         decks, attempts = [], []
         deck, project = diagram._deck_double_points, diagram.project_curve
         monkeypatch.setattr(diagram, "_deck_double_points",
@@ -130,8 +133,68 @@ class TestSelectCenter:
                             lambda *a, **kw: attempts.append(1) or project(*a, **kw))
         with contextlib.suppress(DoublePointError):
             select_center(make(), seed=0, smoothness=True)
-        assert len(attempts) == 2
+        assert len(attempts) == projected
         assert len(decks) == 1
+
+    @pytest.mark.parametrize("make", [split_circles_curve, lambda: deck_sextic(False),
+                                      lambda: deck_sextic(True)],
+                             ids=["split_circles", "deck_sextic", "deck_sextic_rotated"])
+    def test_deck_double_points_exit_before_any_center(self, make, monkeypatch):
+        draws, draw = [], diagram.draw_center
+        monkeypatch.setattr(diagram, "draw_center",
+                            lambda *a: draws.append(1) or draw(*a))
+        with pytest.raises(DoublePointError, match="2 double point\\(s\\) on its deck graph"
+                           ) as ei:
+            select_center(make(), seed=0, smoothness=True)
+        assert ei.value.kinds == ["complex", "complex"]
+        assert draws == []
+
+
+# the P3-image forms of every fixture component, a degree-3 ladder curve
+# and a plane cubic, whose fourth form is zero
+CENTER_TEST_FORMS = [
+    p3_forms(comp.coords)
+    for make in (unknot_curve, trefoil_curve, hopf_pair_curve, split_circles_curve, lp_line_curve,
+                 lambda: kae_curve(QQ(1, 2), -1), lambda: kae_curve(QQ(-1, 2), 1),
+                 lambda: ladder_curve(3))
+    for comp in make().components
+] + [(BinaryForm(3, [1, 0, -1, 0]), BinaryForm(3, [0, 1, 1, -1]), BinaryForm(3, [1, 0, 0, 1]),
+      BinaryForm(3, [0, 0, 0, 0]))]
+
+
+@st.composite
+def _center_cases(draw):
+    """(c, forms, on_curve): fixture or random integer forms of degree 1-3,
+    and a center with 0-3 zero leading coordinates, or c = psi(s, t) at
+    an integer parameter when the forms are real."""
+    forms = draw(st.one_of(
+        st.sampled_from(CENTER_TEST_FORMS),
+        st.integers(1, 3).flatmap(lambda d: st.lists(
+            st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1),
+            min_size=4, max_size=4)).map(lambda rows: [BinaryForm(len(r) - 1, r) for r in rows])))
+    on_curve = all(f.is_real() for f in forms) and draw(st.booleans())
+    if on_curve:
+        s_, t_ = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any))
+        c = [parts(form_value(f, s_, t_))[0] for f in forms]
+    else:
+        zeros = draw(st.integers(0, 3))
+        c = [QQ(0)] * zeros + draw(st.lists(
+            st.one_of(st.just(QQ(0)), st.fractions(-5, 5, max_denominator=7)),
+            min_size=4 - zeros, max_size=4 - zeros))
+    assume(any(c))
+    return c, forms, on_curve
+
+
+class TestCenterOffComponent:
+    @settings(max_examples=300, deadline=None)
+    @given(_center_cases())
+    def test_three_minors_match_six(self, case):
+        # the three minors against a pivot with c_m != 0 generate the ideal
+        # of all six, so they have the same gcd
+        c, forms, on_curve = case
+        off = diagram._center_off_component(c, forms)
+        assert off == center_off_component_six_minors(c, forms)
+        assert not (on_curve and off)
 
 
 class TestTrefoilSqrt2Center:

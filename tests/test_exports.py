@@ -93,7 +93,12 @@ def test_parameters_are_read():
 
 # public functions and methods no engine or benchmark code calls, each
 # with its reason
-UNCALLED_ALLOWED = set()
+UNCALLED_ALLOWED = {
+    # the library's validation report, a copy the caller may change; the
+    # CLI reads the cached report, and the benchmark ledger wraps this
+    # method by name (span curves.validate)
+    "curves.py:CurveModel.validate",
+}
 
 
 def _public_defs(tree):
