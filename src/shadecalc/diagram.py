@@ -297,8 +297,8 @@ def center_from_lift(lift: ProjPoint, q: QuadricSpec) -> ProjectionCenter:
 def _center_off_component(c, forms) -> bool:
     """Exact check that the projected curve never passes through the
     center c: the 2x2 minors of [c | psi(z)] must have constant gcd.  With
-    c_m != 0, c_m (c_a x_b - c_b x_a) combines the minors against column
-    m, so those three generate the same ideal and have the same gcd."""
+    c_m != 0, c_m (c_a x_b - c_b x_a) is a combination of the three minors
+    against column m, so they generate the same ideal and have the same gcd."""
     m = next(k for k, x in enumerate(c) if x)
     minors = [forms[j] * c[m] - forms[m] * c[j] for j in range(len(forms)) if j != m]
     live = [f for f in minors if not f.is_zero()]
@@ -417,8 +417,8 @@ def project_curve(curve: CurveModel, center: ProjectionCenter, seed=0,
 
     With `smoothness`, for a curve with no double point on the deck graphs
     that saturation removed (`_deck_double_points`), the chord solutions
-    also answer the smoothness question: a double point zeroes
-    every saturated P3-image form, hence every collinearity minor, so at a
+    also answer the smoothness question: a double point zeroes every
+    saturated P3-image form, hence every collinearity minor, so at a
     center where it is a simple solution it is among the chord solutions.
     A P3 curve keeps every solution that zeroes those forms; a sphere
     curve those that also zero the raw forms of its five coordinates,

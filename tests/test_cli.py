@@ -515,8 +515,9 @@ class TestParser:
 
         cli._subparser.cache_clear()
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
-        argvs = [["invariants", "--curve", "c", "--seed", "2"], ["sweep", "--family", "kae",
-                 "--epsilon", "1", "--grid", "0:1:1"], ["render", "--curve", "c", "--out", "o"],
+        argvs = [["invariants", "--curve", "c", "--seed", "2"],
+                 ["sweep", "--family", "kae", "--epsilon", "1", "--grid", "0:1:1"],
+                 ["render", "--curve", "c", "--out", "o"],
                  ["validate", "--curve", "c", "--text"]]
         for k in range(20):
             assert cli.parse_args(argvs[k % 4]).command == argvs[k % 4][0]
