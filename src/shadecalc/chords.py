@@ -13,7 +13,11 @@ pipeline is:
    (`secants`): the Plücker forms P_ab = x_a(z) y_b(w) - x_b(z) y_a(w)
    of a component against itself are divided by the diagonal as they are
    built (their Bezoutians), and any other pair keeps its raw forms.
-   One `bivar_gcd` of the forms follows; on most records its first
+   A Bezoutian at z = w is a 2x2 minor of [x_s | x_t] over d, so when
+   the word-prime images of those diagonals prove them coprime
+   (`poly.coprime_image`) the component is immersed and the record's
+   gcd is 1, and no gcd runs (`immersed`).  Any other record gets one
+   `bivar_gcd` of the forms; on most records its first
    specialization proves them coprime, and a nonconstant gcd (the deck
    graph of an antipodally symmetric sphere curve, whose double points
    the smoothness check counts from x0) is divided out.  A
@@ -80,7 +84,7 @@ import numpy as np
 from .curves import ParamPoint, _power_matrix, p3_forms
 from .errors import GenericityError
 from .poly import (FORM_ONE, GZERO, BinaryForm, BivarPoly, bivar_divexact, bivar_gcd,
-                   bivar_resultant_w, complex_coeffs, gdivexact, glist_gcd, gmul)
+                   bivar_resultant_w, complex_coeffs, coprime_image, gdivexact, glist_gcd, gmul)
 from .roots import (DEFAULT_TARGET_RADIUS, CertifiedRoot, UncertifiedRootsError, _meeting_pairs,
                     complex_roots)
 
@@ -128,6 +132,7 @@ class SaturatedSystem:
     removed: tuple  # total bidegree removed by saturation
     diagonal_only: bool  # saturation removed the diagonal of a same record, nothing of another
     forms: tuple  # (x, y): the coordinate forms of the record
+    immersed: bool  # a same record whose diagonals proved it immersed, with gcd 1
 
 
 def collinearity_system(center_coords, plucker):
@@ -176,18 +181,29 @@ def _saturate(x, y, same) -> SaturatedSystem:
     one component's.  Each Plücker form x_a(z) x_b(w) - x_b(z) x_a(w) of a
     component against itself is antisymmetric, so the diagonal
     D = s v - t u divides it and the record starts from its quotient, the
-    Bezoutian; any other record starts from the raw forms.  One bivar_gcd
-    of all of them follows, and only a nonconstant gcd (the deck graph of
-    an antipodally symmetric sphere curve) is divided out."""
+    Bezoutian; any other record starts from the raw forms.
+
+    At z = w the Bezoutian of x_a, x_b is (x_a,s x_b,t - x_a,t x_b,s) / d,
+    a 2x2 minor of [x_s | x_t] over the degree.  When these diagonals are
+    proven coprime by their word-prime images (`coprime_image`), the
+    component is immersed (`CurveComponent.is_immersion` asks exactly
+    that), and the forms have gcd 1: a common factor G(z, w) of bidegree
+    (a, b) != (0, 0) would leave G(z, z), a nonconstant or zero form of
+    degree a + b, in every diagonal.  The record then says so in
+    `immersed` and runs no gcd.  Otherwise one bivar_gcd of all the forms
+    follows, and only a nonconstant gcd (the deck graph of an antipodally
+    symmetric sphere curve) is divided out."""
     if same:
         forms = [BivarPoly.bezoutian(x[a], x[b]) for a, b in combinations(range(len(x)), 2)]
+        if coprime_image([f.diagonal() for f in forms]):
+            return SaturatedSystem(tuple(forms), (1, 1), True, (x, y), True)
     else:
         forms = coincidence_system(x, y)
     g = bivar_gcd(*forms)
     if g.m or g.n:
         forms = [bivar_divexact(f, g) for f in forms]
     removed = (g.m + 1, g.n + 1) if same else (g.m, g.n)
-    return SaturatedSystem(tuple(forms), removed, g.m == g.n == 0, (x, y))
+    return SaturatedSystem(tuple(forms), removed, g.m == g.n == 0, (x, y), False)
 
 
 def secants(curve, i, j, *, p3):

@@ -166,8 +166,12 @@ class CurveComponent:
         component has no cusp.  By Euler's identity s x_s + t x_t = d x,
         it is singular at p iff x_s(p) and x_t(p) are dependent, that is
         iff the 2x2 minors of [x_s | x_t], forms of degree 2d - 2, have a
-        common root: a nonconstant form_gcd.  The minors are built one
-        at a time, since the first two live ones are usually coprime."""
+        common root: a nonconstant form_gcd, which a word-prime image
+        proves constant on most inputs (`poly.coprime_image`).  The minors
+        are built one at a time, since the first two live ones are usually
+        coprime.  The engine asks only where the P3-image record lacks its
+        diagonal proof, which settles the same question
+        (`invariants._require_immersed`)."""
         ds, dt = zip(*(f.partials() for f in self.coords))
         g = None
         for a, b in combinations(range(self.nvars), 2):

@@ -49,7 +49,7 @@ from .chords import (canonical_unordered, coincidence_system, collinearity_syste
                      secants, solve_minor_system)
 from .curves import CurveModel, ParamPoint, p3_forms
 from .errors import DoublePointError, GenericityError, InstabilityError, PreconditionError
-from .poly import form_gcd
+from .poly import BinaryForm, form_gcd
 from .projective import ProjPoint, QuadricSpec, is_real_vector, normalize, orientation_sign
 from .roots import DEFAULT_TARGET_RADIUS
 from .scalars import QQ, surd_parts
@@ -298,9 +298,20 @@ def _center_off_component(c, forms) -> bool:
     """Exact check that the projected curve never passes through the
     center c: the 2x2 minors of [c | psi(z)] must have constant gcd.  With
     c_m != 0, c_m (c_a x_b - c_b x_a) is a combination of the three minors
-    against column m, so they generate the same ideal and have the same gcd."""
+    against column m, so they generate the same ideal and have the same gcd.
+    Scaling c and each minor by a nonzero rational leaves the gcd alone, so
+    the minors c_m x_j - c_j x_m are built on the integer tables, times the
+    two forms' denominators and c's common one."""
+    scale = math.lcm(*(x.denominator for x in c))
+    c = [x.numerator * (scale // x.denominator) for x in c]
     m = next(k for k, x in enumerate(c) if x)
-    minors = [forms[j] * c[m] - forms[m] * c[j] for j in range(len(forms)) if j != m]
+    xm = forms[m]
+    minors = []
+    for j, f in enumerate(forms):
+        if j != m:
+            u, v = c[m] * xm.den, c[j] * f.den
+            minors.append(BinaryForm._from_ints(f.degree, 1, [
+                (u * a - v * b, u * ai - v * bi) for (a, ai), (b, bi) in zip(f.num, xm.num)]))
     live = [f for f in minors if not f.is_zero()]
     if not live:
         return False

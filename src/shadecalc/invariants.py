@@ -145,10 +145,14 @@ def find_real_points(curve: CurveModel, component: int, seed=0):
 
 
 def _require_immersed(curve: CurveModel):
-    """Exit 3 on a cusp, by an exact test (CurveComponent.is_immersion):
-    at a cusp no chord solve succeeds, so it must come first."""
+    """Exit 3 on a cusp: at a cusp no chord solve succeeds, so it must come
+    first.  Each component's P3-image record is built first (`secants`,
+    shared with every center); where its diagonals proved the image
+    immersed, so is the component, since the image is a linear projection
+    of it.  Only a record without that proof (a cusp, or a deck-symmetric
+    sphere record) runs the exact test, CurveComponent.is_immersion."""
     for i, comp in enumerate(curve.components):
-        if not comp.is_immersion():
+        if not secants(curve, i, i, p3=True).immersed and not comp.is_immersion():
             raise PreconditionError(
                 f"curve has a cusp on component {comp.label or i} (its parameterization "
                 "is stationary there); invariants need a smooth embedding"

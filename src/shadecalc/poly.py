@@ -18,6 +18,9 @@ form and work on f(1, t), its `to_zx` table.
 
 Univariate gcds are modular (Brown 1971, zx_gcd), each proven by exact
 division and normalized to a leading coefficient with re > 0, im >= 0.
+A gcd of binary forms first maps them to F_p at one word-sized prime
+(`coprime_image`): a constant image gcd proves them coprime, and any other
+outcome runs the exact gcd.
 The bivariate gcd is Brown's too, with integer evaluation nodes in place
 of primes: specialized univariate gcds, interpolated and proven by exact
 division (`bivar_gcd`).
@@ -572,12 +575,47 @@ class BinaryForm(_IntTable):
 FORM_ONE = BinaryForm(0, [1])
 
 
+def coprime_image(forms):
+    """True when the images of the binary forms in F_p[s, t], by i -> r at
+    the gcd's first prime (`_modular_prime(0)`), have a constant
+    homogeneous gcd: no common s- or t-power and a constant `_fp_monic_gcd`
+    of the cores.  That proves the forms coprime over Q(i).  A common
+    factor G, taken primitive over Z[i], divides each numerator table in
+    Z[i][s, t] (Gauss's lemma), and its image is a nonzero form of its own
+    degree, since (p, i - r) is a Gaussian prime that cannot divide every
+    coefficient of G; so that image divides every nonzero image.  False
+    proves nothing: the exact gcd must decide."""
+    p, r = _modular_prime(0)
+    s_free = t_free = False
+    core = None  # the monic gcd over F_p of the images' cores so far
+    for f in forms:
+        img = [(a + b * r) % p for a, b in f.num]
+        lo = next((k for k, c in enumerate(img) if c), None)
+        if lo is None:
+            continue  # the image vanishes
+        hi = len(img)
+        while not img[hi - 1]:
+            hi -= 1
+        t_free |= lo == 0
+        s_free |= hi == len(img)
+        if core is None or len(core) > 1:
+            core = img[lo:hi] if core is None else _fp_monic_gcd(core, img[lo:hi], p)
+        if s_free and t_free and len(core) == 1:
+            return True
+    return False
+
+
 def form_gcd(forms):
     """Gcd of binary forms: the common s- and t-powers times the gcd of
-    the dehomogenized cores."""
+    the dehomogenized cores.  Two or more forms whose word-prime images
+    prove them coprime (`coprime_image`) give FORM_ONE at once, as the
+    exact path would; any other input runs the exact path, so every
+    nonconstant gcd is computed in exact arithmetic."""
     forms = [f for f in forms if not f.is_zero()]
     if not forms:
         raise PolynomialError("gcd of zero forms")
+    if len(forms) > 1 and coprime_image(forms):
+        return FORM_ONE
     s_pow = None
     t_pow = None
     cores = []
@@ -722,6 +760,16 @@ class BivarPoly(_IntTable):
 
     def swap_vars(self):
         return BivarPoly._from_ints(self.n, self.m, self.den, list(zip(*self.num)))
+
+    def diagonal(self):
+        """p(s, t; s, t), the restriction to z = w: a binary form of degree
+        m + n whose t^k coefficient is the k-th anti-diagonal sum of the
+        table."""
+        sums = [GZERO] * (self.m + self.n + 1)
+        for j, r in enumerate(self.num):
+            for k, c in enumerate(r, j):
+                sums[k] = gadd(sums[k], c)
+        return BinaryForm._from_ints(self.m + self.n, self.den, sums)
 
     def __repr__(self):
         return f"BivarPoly(m={self.m}, n={self.n})"
@@ -969,25 +1017,23 @@ def _interp_stack(xs, ys):
 
     The values come from a Z[i] polynomial, whose divided differences at
     integer nodes are Gaussian integers, so every division is exact; an
-    inexact one raises ArithmeticError.
+    inexact one raises ArithmeticError.  The work is on plain int lists.
     """
     n = len(xs)
-    x = np.array(xs, dtype=object)
     coeffs = []
     for dd in ys:
-        dd = dd.copy()
+        dd = list(dd)
         for j in range(1, n):
-            step = x[j:] - x[:-j]
-            diff = dd[j:] - dd[j - 1:-1]
-            q = diff // step
-            if (q * step != diff).any():
-                raise ArithmeticError("inexact division in Newton interpolation")
-            dd[j:] = q
+            for i in range(n - 1, j - 1, -1):  # downward, so dd[i - 1] is still the old value
+                dd[i], rem = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - j])
+                if rem:
+                    raise ArithmeticError("inexact division in Newton interpolation")
         # Horner on the Newton form: c <- c * (x - xs[i]) + dd[i]
-        c = np.zeros(n, dtype=object)
+        c = [0] * n
         for i in range(n - 1, -1, -1):
-            c[1:], c[0] = c[:-1] - x[i] * c[1:], dd[i] - x[i] * c[0]
-        coeffs.append(c.tolist())
+            x = xs[i]
+            c = [dd[i] - x * c[0]] + [a - x * b for a, b in zip(c, c[1:])]
+        coeffs.append(c)
     if len(coeffs) == 1:
         coeffs.append([0] * n)
     return list(zip(*coeffs))

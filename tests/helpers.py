@@ -194,6 +194,17 @@ def stereo_r3(x):
     return STEREO_BASIS @ x / (1.0 - STEREO_POLE @ x)
 
 
+def stereo_lift(y):
+    """The unit-sphere curve over the P3 curve y by inverse stereographic
+    projection of the R^3 point (y1, y2, y3)/w, w = y0 + 2 y1 + y2 + y3:
+    [w^2 + r2, 2 w y1, 2 w y2, 2 w y3, r2 - w^2], r2 = y1^2 + y2^2 + y3^2.
+    Its points at infinity, w = 0, all go to the pole [1, 0, 0, 0, 1]."""
+    w = y[0] + y[1] * 2 + y[2] + y[3]
+    r2 = y[1] * y[1] + y[2] * y[2] + y[3] * y[3]
+    coords = [w * w + r2, w * y[1] * 2, w * y[2] * 2, w * y[3] * 2, r2 - w * w]
+    return CurveModel(QuadricSpec(QQ(1)), [CurveComponent(coords, "lift")])
+
+
 def gauss_linking_oracle(poly_a, poly_b):
     """Discretized Gauss linking integral of two closed polylines (lists
     of 3-vectors, closure implied).  Returns (value, error_estimate,

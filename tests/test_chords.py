@@ -563,7 +563,9 @@ class TestSecants:
         assert count == 54
 
     def test_gcd_runs_only_on_the_deck_records(self, monkeypatch):
-        # every record is built by one bivar_gcd call, whose factor is
+        # every record of one component against itself carries the diagonal
+        # proof and runs no bivar_gcd, except the pinned deck records; every
+        # other record is built by one bivar_gcd call, whose factor is
         # nonconstant, of bidegree (1, 1), on the pinned records alone
         factors = []
 
@@ -572,15 +574,23 @@ class TestSecants:
             factors.append((g.m, g.n))
             return g
         monkeypatch.setattr(chords, "bivar_gcd", spy)
-        nonconstant = set()
+        nonconstant, proved, same = set(), set(), set()
         for name, curve, i, j, p3, _, _ in _records():
             factors.clear()
-            secants(curve, i, j, p3=p3)
+            rec = secants(curve, i, j, p3=p3)
+            if j == i:
+                same.add((name, i, j, p3))
+            if rec.immersed:
+                proved.add((name, i, j, p3))
+                assert factors == []
+                assert (rec.removed, rec.diagonal_only) == ((1, 1), True)
+                continue
             assert len(factors) == 1
             if factors != [(0, 0)]:
                 assert factors == [(1, 1)]
                 nonconstant.add((name, i, j, p3))
         assert nonconstant == GCD_RECORDS
+        assert proved == same - GCD_RECORDS
 
     @pytest.fixture
     def saturations(self, monkeypatch):

@@ -147,6 +147,14 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("name,seed", [("k0_plus", 27), ("k0_minus", 21), ("k0_minus", 27)])
+    def test_singular_fixture_exit_3_at_seeds_that_once_missed(self, name, seed, capsys):
+        # these seeds, with k0_plus at 21 above, once passed the smoothness
+        # check and printed a number
+        code, out = run(["invariants", "--curve", str(DATA / f"{name}.json"), "--seed",
+                         str(seed)], capsys)
+        assert (code, out) == (3, b"")
+
     def test_missing_file_exit_1(self, capsys):
         code, _ = run(["invariants", "--curve", "/nonexistent.json"], capsys)
         assert code == 1
@@ -847,6 +855,20 @@ class TestCommands:
         jumps = obj["result"]["jumps"]
         assert len(jumps) == 1 and abs(int(jumps[0]["delta"])) == 2
         assert obj["result"]["singular"][4] is True
+
+    @pytest.mark.parametrize("eps", ["-1", "1"])
+    @pytest.mark.parametrize("seed", ["13", "19", "40"])
+    def test_sweep_kae_flags_a0_at_seeds_that_once_missed(self, seed, eps, capsys):
+        # at these seeds the smoothness check once missed the double point
+        # of the a = 0 member and reported a value there
+        code, out = run(["sweep", "--family", "kae", "--epsilon", eps, "--grid=-1:1:1/8",
+                         "--seed", seed], capsys)
+        assert code == 0
+        r = json.loads(out)["result"]
+        assert r["values"] == ["-1"] * 8 + [None] + ["1"] * 8
+        assert r["singular"] == [False] * 8 + [True] + [False] * 8
+        assert [e is not None for e in r["errors"]] == r["singular"]
+        assert r["jumps"] == [{"from": "-1/8", "to": "1/8", "delta": "2"}]
 
     def test_render(self, tmp_path, capsys):
         out_file = tmp_path / "unknot.svg"

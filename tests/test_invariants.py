@@ -41,7 +41,7 @@ from shadecalc.reportio import parse_curve_file
 from shadecalc.scalars import QQ
 
 from helpers import (deck_sextic, form_value, gauss_linking_oracle, ladder_curve,
-                     range_signs_oracle, range_wall_scan, stereo_r3, to_complex)
+                     range_signs_oracle, range_wall_scan, stereo_lift, stereo_r3, to_complex)
 
 
 class TestGoldenValues:
@@ -92,16 +92,6 @@ def _data_curve(name):
 
 def _sphere_curve(forms):
     return CurveModel(QuadricSpec(QQ(1)), [CurveComponent(forms, "lift")])
-
-
-def _stereo_lift(y):
-    """The unit-sphere curve over the P3 curve y by inverse stereographic
-    projection of the R^3 point (y1, y2, y3)/w, w = y0 + 2 y1 + y2 + y3:
-    [w^2 + r2, 2 w y1, 2 w y2, 2 w y3, r2 - w^2], r2 = y1^2 + y2^2 + y3^2.
-    Its points at infinity, w = 0, all go to the pole [1, 0, 0, 0, 1]."""
-    w = y[0] + y[1] * 2 + y[2] + y[3]
-    r2 = y[1] * y[1] + y[2] * y[2] + y[3] * y[3]
-    return _sphere_curve([w * w + r2, w * y[1] * 2, w * y[2] * 2, w * y[3] * 2, r2 - w * w])
 
 
 def _rotated(curve):
@@ -223,7 +213,7 @@ class TestFirstCenterSmoothness:
         want = sorted(self.POLE_KINDS[eps] + [self.NODE_KIND[eps]] * (a == 0))
         y = kae_curve(a, eps).components[0].coords
         for seed in range(4):
-            curve = _stereo_lift(y)
+            curve = stereo_lift(y)
             assert secants(curve, 0, 0, p3=True).diagonal_only
             with pytest.raises(DoublePointError) as ei:
                 encomplexed_writhe(curve, seed=seed)
@@ -233,10 +223,10 @@ class TestFirstCenterSmoothness:
         # a 4-fold point at the pole (two conjugate pairs of points at
         # infinity: 2 complex-conjugate and 4 complex pairs) and the node
         want = ["complex"] * 4 + ["complex-conjugate"] * 2 + ["real-real"]
-        assert sorted(b.kind for b in self_double_points(_stereo_lift(NODAL_QUARTIC))) == want
+        assert sorted(b.kind for b in self_double_points(stereo_lift(NODAL_QUARTIC))) == want
         for seed in range(4):
             with pytest.raises(DoublePointError) as ei:
-                encomplexed_writhe(_stereo_lift(NODAL_QUARTIC), seed=seed)
+                encomplexed_writhe(stereo_lift(NODAL_QUARTIC), seed=seed)
             assert ei.value.kinds == want, f"seed {seed}"
 
     def test_antipodal_pair_is_not_a_double_point(self, monkeypatch):
@@ -301,10 +291,10 @@ class TestFirstCenterSmoothness:
 class TestDegreeLadder:
     @pytest.mark.parametrize("d,want", [(6, 0), (8, -1), (10, -2), (12, 3)])
     def test_writhe_over_two_centers(self, d, want, monkeypatch):
-        # the record's gcd is proven constant at the first node, with no
-        # other node specialized; Cw agrees over two centers, has the
-        # parity of N_d = (d-1)(d-2)/2 chords through a generic center and
-        # stays within the genus bound
+        # the record's diagonals prove the curve immersed and the forms
+        # coprime, so no bivar_gcd runs and no node is specialized; Cw
+        # agrees over two centers, has the parity of N_d = (d-1)(d-2)/2
+        # chords through a generic center and stays within the genus bound
         nodes, factors = [], []
         specialize, gcd = poly._specialize, chords.bivar_gcd
 
@@ -320,12 +310,12 @@ class TestDegreeLadder:
         monkeypatch.setattr(chords, "bivar_gcd", spy_gcd)
         curve = ladder_curve(d)
         rep = encomplexed_writhe(curve, seed=0, centers=2)
-        assert factors == [(0, 0)] and set(nodes) == {poly.W0}
+        assert factors == [] and nodes == []
         n_d = (d - 1) * (d - 2) // 2
         assert rep.Cw == want
         assert (rep.Cw - n_d) % 2 == 0 and abs(rep.Cw) <= n_d
         record = secants(curve, 0, 0, p3=True)
-        assert (record.removed, record.diagonal_only) == ((1, 1), True)
+        assert (record.removed, record.diagonal_only, record.immersed) == ((1, 1), True, True)
 
 
 class TestCuspAndParityGuards:
@@ -340,6 +330,26 @@ class TestCuspAndParityGuards:
         curve = CurveModel("P3", [CurveComponent([BinaryForm(4, r) for r in self.CUSP], "q")])
         with pytest.raises(PreconditionError, match="cusp on component q"):
             encomplexed_writhe(curve, seed=0)
+
+    @pytest.mark.parametrize("make,calls", [
+        (trefoil_curve, 0), (lambda: kae_curve(QQ(1, 2), -1), 0), (lambda: ladder_curve(6), 0),
+        (unknot_curve, 1), (hopf_pair_curve, 2),
+    ])
+    def test_exact_cusp_test_only_without_the_diagonal_proof(self, make, calls, monkeypatch):
+        # a component whose P3-image record carries the diagonal proof runs
+        # no is_immersion; the deck records of unknot and hopf_pair lack it
+        ran = []
+        is_immersion = CurveComponent.is_immersion
+
+        def spy(comp):
+            ran.append(comp.label)
+            return is_immersion(comp)
+        monkeypatch.setattr(CurveComponent, "is_immersion", spy)
+        curve = make()
+        encomplexed_writhe(curve, seed=0)
+        assert len(ran) == calls
+        n = len(curve.components)
+        assert sum(not secants(curve, i, i, p3=True).immersed for i in range(n)) == calls
 
     @staticmethod
     def _mutate(monkeypatch, mutation):

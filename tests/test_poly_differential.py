@@ -1,5 +1,6 @@
 """Differential tests of the exact Z[i] kernels and of the polynomial
-classes against sympy.
+classes against sympy, and of the word-prime coprimality proof and the
+records' diagonal proof against exact gcds.
 
 Hypothesis draws small polynomials; sympy over QQ_I is the oracle for
 sums, products, divisibility, quotients, resultants, gcds and squarefree
@@ -9,6 +10,7 @@ conversion of the exact parts, float values and derivatives against exact
 evaluation, and the stored (den, num) pair against its canonical form.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -20,14 +22,19 @@ from hypothesis import assume, given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 
 from shadecalc import chords, poly
-from shadecalc.curves import CurveComponent, ParamPoint
+from shadecalc.chords import secants
+from shadecalc.curves import (CurveComponent, CurveModel, ParamPoint, hopf_pair_curve,
+                              p3_forms, split_circles_curve, unknot_curve)
 from shadecalc.poly import (
     BinaryForm,
     FORM_ONE,
+    GZERO,
     BivarPoly,
     bivar_divexact,
     bivar_gcd,
     bivar_resultant_w,
+    coprime_image,
+    form_gcd,
     gdivexact,
     gmul,
     gnorm,
@@ -40,7 +47,8 @@ from shadecalc.poly import (
 )
 from shadecalc.scalars import GaussianRational as G
 
-from helpers import bivar_value, exact, form_value, sylvester_resultant, sympy_bivar_gcd, to_complex
+from helpers import (bivar_value, deck_sextic, exact, form_value, stereo_lift, sylvester_resultant,
+                     sympy_bivar_gcd, to_complex)
 
 Z, W = sympy.symbols("z w")
 QQ_I = sympy.QQ_I
@@ -690,3 +698,170 @@ class TestArithmeticMatchesSympy:
         Gw = sum((_sym(c) * W**k for k, c in enumerate(g.coeffs)), sympy.Integer(0))
         assert bivar_to_poly(prod) == sympy.Poly(F * Gw, Z, W, domain=QQ_I)
         assert chart_poly(f * f) == chart_poly(f) ** 2
+
+
+class TestInterpStack:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 24).flatmap(lambda n: st.lists(wide_gints | gints, min_size=n,
+                                                         max_size=n)),
+           st.booleans())
+    def test_round_trip(self, coeffs, real):
+        # the values of a Z[i] polynomial at the nodes 0, 1, -1, 2, ...
+        # give back its coefficients, as [re] for a real one
+        if real:
+            coeffs = [(a, 0) for a, _ in coeffs]
+        xs = [(i + 1) // 2 * (-1) ** (i + 1) for i in range(len(coeffs))]
+        values = [poly._zx_value(coeffs, x) for x in xs]
+        re, im = (np.array(part, dtype=object) for part in zip(*values))
+        assert poly._interp_stack(xs, [re] if real else [re, im]) == coeffs
+
+
+# -- the word-prime coprimality proof and the records' diagonal proof --------
+
+P0, R0 = poly._modular_prime(0)
+S, T = sympy.symbols("s t")
+
+
+def _form(cs):
+    """The binary form with the Gaussian-integer pairs cs, cs[k] at
+    s^(d-k) t^k."""
+    return BinaryForm._from_ints(len(cs) - 1, 1, cs)
+
+
+def _sympy_form_gcd_degree(forms):
+    """The degree of sympy's gcd over QQ_I of nonzero binary forms, read
+    as homogeneous polynomials in s and t."""
+    polys = [sympy.Poly(sum((_sym(c) * S ** (f.degree - k) * T**k
+                             for k, c in enumerate(f.coeffs)), sympy.Integer(0)),
+                        S, T, domain=QQ_I) for f in forms]
+    return functools.reduce(sympy.gcd, polys).total_degree()
+
+
+@st.composite
+def planted_form_lists(draw):
+    """(h, forms): two to four forms of one degree <= 6 over Z[i], each a
+    random cofactor times h, where h is 1, s^k, t^k, a real linear form, a
+    Gaussian quadratic or s + p t (p the first prime, so the image of h
+    is s); some forms are multiplied by p or by i - r, so that their image
+    vanishes."""
+    kind = draw(st.sampled_from(["one", "s^k", "t^k", "linear", "quadratic", "s+pt"]))
+    if kind == "one":
+        h = FORM_ONE
+    elif kind in ("s^k", "t^k"):
+        cs = [(1, 0)] + [GZERO] * draw(st.integers(1, 3))
+        h = _form(cs if kind == "s^k" else cs[::-1])
+    elif kind == "linear":
+        h = _form(draw(st.lists(st.tuples(st.integers(-6, 6), st.just(0)), min_size=2,
+                                max_size=2).filter(lambda cs: any(a for a, _ in cs))))
+    elif kind == "quadratic":
+        h = _form(draw(st.lists(gints, min_size=3, max_size=3).filter(
+            lambda cs: any(c != GZERO for c in cs))))
+    else:
+        h = _form([(1, 0), (P0, 0)])
+    d = draw(st.integers(0, 6 - h.degree))
+    forms = []
+    for _ in range(draw(st.integers(2, 4))):
+        f = _form(draw(st.lists(gints, min_size=d + 1, max_size=d + 1))) * h
+        vanish = draw(st.sampled_from(["no", "no", "no", "p", "i - r"]))
+        forms.append(f * {"no": 1, "p": P0, "i - r": G(-R0, 1)}[vanish])
+    return h, forms
+
+
+class TestCoprimeImage:
+    @settings(max_examples=150, deadline=None)
+    @given(planted_form_lists())
+    def test_never_coprime_where_the_exact_gcd_is_not(self, case):
+        h, forms = case
+        live = [f for f in forms if not f.is_zero()]
+        assume(live)
+        want = _sympy_form_gcd_degree(live)
+        assert want >= h.degree
+        if coprime_image(live):
+            assert want == 0
+        assert form_gcd(live).degree == want
+
+    def test_a_lost_term_keeps_the_factor(self):
+        # the image of s + p t is s, still of degree 1, so it divides both
+        # images and nothing is proven; the exact gcd finds s + p t
+        h = _form([(1, 0), (P0, 0)])
+        f, g = h * _form([(1, 0), (-1, 0)]), h * _form([(1, 0), (2, 0)])
+        assert not coprime_image([f, g])
+        assert form_gcd([f, g]) == h
+
+    @pytest.mark.parametrize("unit", [P0, G(-R0, 1)], ids=["p", "i - r"])
+    def test_a_vanishing_image_proves_nothing_alone(self, unit):
+        # f's image is zero; g's alone has a nonconstant core, so only the
+        # exact path can show f, g coprime, and with a third form the
+        # images of g and k prove it
+        f, g, k = _form([(1, 0), (1, 0)]) * unit, _form([(1, 0), (-1, 0)]), _form([(1, 0), (2, 0)])
+        assert not coprime_image([f, g])
+        assert form_gcd([f, g]) == FORM_ONE
+        assert coprime_image([f, g, k])
+
+    def test_common_powers_of_s_and_t(self):
+        # s t^2 and s^2 t (the images are the forms) share s t; s^2 and t^2
+        # share nothing
+        st2, s2t = _form([GZERO, (1, 0), GZERO, GZERO]), _form([GZERO, GZERO, (1, 0), GZERO])
+        assert not coprime_image([st2, s2t])
+        assert form_gcd([st2, s2t]).degree == 2
+        s2, t2 = _form([(1, 0), GZERO, GZERO]), _form([GZERO, GZERO, (1, 0)])
+        assert coprime_image([s2, t2]) and form_gcd([s2, t2]) == FORM_ONE
+
+
+def p3_curve_forms(max_degree):
+    """Four forms of one degree up to max_degree with small integer
+    coefficients, not all zero."""
+    return st.integers(1, max_degree).flatmap(lambda d: st.lists(
+        st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1), min_size=4, max_size=4)
+    ).filter(lambda rows: any(any(r) for r in rows)).map(
+        lambda rows: [BinaryForm(len(r) - 1, r) for r in rows])
+
+
+def _jacobian_minors(forms):
+    """The nonzero 2x2 minors of [x_s | x_t]."""
+    ds, dt = zip(*(f.partials() for f in forms))
+    minors = [ds[a] * dt[b] - ds[b] * dt[a] for a in range(len(forms)) for b in range(a)]
+    return [m for m in minors if not m.is_zero()]
+
+
+class TestDiagonalProof:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda d: st.tuples(forms_of(d), forms_of(d))))
+    def test_bezoutian_diagonal_is_the_jacobian_minor(self, fg):
+        # at z = w the Bezoutian of f, g is (f_s g_t - f_t g_s) / d
+        f, g = fg
+        (fs, ft), (gs, gt) = f.partials(), g.partials()
+        assert BivarPoly.bezoutian(f, g).diagonal() == (fs * gt - ft * gs) * Fraction(1, f.degree)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.booleans().flatmap(lambda lift: st.tuples(st.just(lift),
+                                                        p3_curve_forms(2 if lift else 3))))
+    def test_proof_means_immersed_and_coprime(self, case):
+        # on P3 curves of degree up to 3 and the lifts of those up to 2 to
+        # the sphere (degree 4), a record that carries the proof belongs to
+        # an immersed component whose P3 image is immersed too, and its
+        # forms have a constant gcd, all by sympy
+        lift, forms = case
+        curve = stereo_lift(forms) if lift else CurveModel("P3", [CurveComponent(forms)])
+        comp = curve.components[0]
+        assume(comp.base_point_free())  # the records of a curve that validates
+        for p3 in sorted({True, comp.nvars == 4}):
+            rec = secants(curve, 0, 0, p3=p3)
+            if rec.immersed:
+                assert rec.removed == (1, 1) and rec.diagonal_only
+                for coords in (comp.coords, p3_forms(comp.coords)):
+                    assert _sympy_form_gcd_degree(_jacobian_minors(coords)) == 0
+                assert comp.is_immersion()
+                g = sympy_bivar_gcd([m for m in rec.minors if not m.is_zero()])
+                assert (g.m, g.n) == (0, 0)
+
+    CUSP = [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
+
+    def test_absent_on_cusps_and_deck_records(self):
+        cusp = CurveModel("P3", [CurveComponent([BinaryForm(4, r) for r in self.CUSP])])
+        records = [(cusp, 0, 0), (deck_sextic(), 0, 0), (deck_sextic(rotate=True), 0, 0),
+                   (unknot_curve(), 0, 0), (hopf_pair_curve(), 0, 0), (hopf_pair_curve(), 1, 1),
+                   (split_circles_curve(), 0, 1)]
+        for curve, i, j in records:
+            assert not secants(curve, i, j, p3=True).immersed
+        assert not cusp.components[0].is_immersion()
