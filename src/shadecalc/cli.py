@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .diagram import render_diagram_svg
 from .errors import CurveFileError, GenericityError, InstabilityError, PreconditionError
-from .invariants import encomplexed_writhe, family_sweep, shade_number_empty_real
+from .invariants import Grid, encomplexed_writhe, family_sweep, shade_number_empty_real
 from .reportio import ReportEnvelope, emit_report, parse_curve_file
 from .roots import DEFAULT_TARGET_RADIUS
 from .scalars import QQ
@@ -132,7 +132,11 @@ def _write(path, text):
         raise CurveFileError(f"cannot write {path}: {e}") from e
 
 
-def _parse_grid(spec: str):
+def _parse_grid(spec: str) -> Grid:
+    """The samples a, a + step, ..., up to b of "a:b:step" (rationals), as
+    integers over one denominator: a + k step = (a0 + k s0) / den with
+    den = lcm of a's and step's denominators.  No Fraction is built per
+    sample; the count is checked before any sample is made."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise CurveFileError("grid must be a:b:step")
@@ -145,10 +149,9 @@ def _parse_grid(spec: str):
     n = (b - a) // step + 1
     if n > MAX_GRID_SAMPLES:
         raise CurveFileError(f"grid has {n} samples, more than {MAX_GRID_SAMPLES}")
-    # a + k step = (a0 + k s0) / den over the common denominator
     den = math.lcm(a.denominator, step.denominator)
     a0, s0 = a.numerator * (den // a.denominator), step.numerator * (den // step.denominator)
-    return [QQ(a0 + k * s0, den) for k in range(n)]
+    return Grid([a0 + k * s0 for k in range(n)], den)
 
 
 def _invariant(model):

@@ -29,6 +29,7 @@ from .scalars import QQ
 
 __all__ = [
     "InvariantReport",
+    "Grid",
     "SweepReport",
     "self_double_points",
     "find_real_points",
@@ -77,21 +78,70 @@ class InvariantReport:
         }
 
 
+class Grid:
+    """The samples of a sweep as integers over one positive denominator:
+    sample k is nums[k] / den, not necessarily in lowest terms.  Indexing
+    and iteration give Fractions, and a Grid equals the list of its
+    samples, so it reads as that list; a sweep itself works on `nums` and
+    `den` and builds a Fraction only where one leaves it (a jump, an
+    error text, a kae member)."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums, den):
+        self.nums, self.den = nums, den
+
+    @classmethod
+    def of(cls, samples):
+        """The grid of any sequence of rationals; a Grid is its own."""
+        if isinstance(samples, Grid):
+            return samples
+        qs = [g if isinstance(g, Fraction) else QQ(g) for g in samples]
+        den = math.lcm(*(q.denominator for q in qs))
+        return cls([q.numerator * (den // q.denominator) for q in qs], den)
+
+    def __len__(self):
+        return len(self.nums)
+
+    def __getitem__(self, k):
+        return QQ(self.nums[k], self.den)
+
+    def __iter__(self):
+        return (QQ(n, self.den) for n in self.nums)
+
+    def __eq__(self, other):
+        if isinstance(other, (Grid, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def strings(self):
+        """str() of each sample's Fraction, written from the integers."""
+        den, out = self.den, []
+        for n in self.nums:
+            g = math.gcd(n, den)
+            out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+        return out
+
+
 @dataclass
 class SweepReport:
+    """A sweep's samples and its per-sample answers.  `grid` carries the
+    samples as integers over one denominator (Grid); only the jumps hold
+    Fractions of them."""
+
     family: str
     parameters: dict
-    grid: list
+    grid: Grid
     values: list  # Fraction | None per sample
     singular: list  # bool per sample
     errors: list  # str | None per sample
-    jumps: list  # (grid[i], grid[i+1], delta)
+    jumps: list  # (grid[j], grid[i], delta) between neighbouring regular samples j < i
 
     def describe(self):
         return {
             "family": self.family,
             "parameters": self.parameters,
-            "grid": [str(g) for g in self.grid],
+            "grid": self.grid.strings(),
             "values": [None if v is None else str(v) for v in self.values],
             "singular": self.singular,
             "errors": self.errors,
@@ -130,17 +180,29 @@ def self_double_points(curve: CurveModel, seed=0):
 
 def find_real_points(curve: CurveModel, component: int, seed=0):
     """Parameters where a non-real-coefficient component meets RP3 (or
-    the real quadric); the empty answer certifies an empty real locus."""
+    the real quadric); the empty answer certifies an empty real locus.
+
+    A component that is its own conjugate up to a reparameterization psi
+    (a real curve written in a non-real parameter: conj(x) = x o psi) is
+    rejected: its record against its conjugate loses the graph of psi to
+    saturation, and with it the solutions w = conj(z) on that graph, which
+    are its real points.  So any factor saturation removed from that
+    record is a PreconditionError."""
     comp = curve.components[component]
     if comp.is_real():
         raise PreconditionError(
             f"component {comp.label or component} has real coefficients; "
             "use the real locus instead"
         )
-    sols = solve_minor_system(
-        secants(curve, component, "conj", p3=False), seed=seed, w_mode="conj",
-        context=f"realpts[{component}]",
-    )
+    record = secants(curve, component, "conj", p3=False)
+    if record.removed != (0, 0):
+        raise PreconditionError(
+            f"component {comp.label or component} is its own conjugate up to a "
+            "reparameterization (saturation removed a factor of bidegree "
+            f"{record.removed} from its record against its conjugate), so its real "
+            "locus cannot be certified empty"
+        )
+    sols = solve_minor_system(record, seed=seed, w_mode="conj", context=f"realpts[{component}]")
     return [s.z for s in sols if s.conjugate]
 
 
@@ -326,17 +388,20 @@ def _certified_real_roots(f: BinaryForm, expect: int, what: str, width=_WIDTH):
 class _RangeIsolation:
     """The range family at fixed (d, K), isolated once.  B_t(u) = B_0(u - t),
     so phi_k(t) = phi_k(0) + t and every member is read off the roots of
-    A and B_0.  The wall ends, times their common denominator `scale`, are
-    sorted once, so a sample is placed among them by integer bisection."""
+    A and B_0.  Their isolating interval ends are dyadic, so all of them
+    are integers over one power-of-two `scale`, and so are the wall ends;
+    those are sorted once, so a sample is placed among them by integer
+    bisection.  `walls` and `phi0` give Fractions only to the callers that
+    return them."""
 
     d: int
     K: Fraction
     theta: list  # float midpoint of theta_j per root of A, ascending
-    phi0: list  # exact midpoint of phi_k(0) per root of B_0, ascending
-    walls: list  # closed interval holding -theta_j - phi_k(0), in (j, k) order
-    scale: int  # lcm of the wall ends' denominators
-    los: list  # lower ends times scale, ascending
-    his: list  # upper ends times scale, ascending
+    th: list  # (lower, upper) end times scale of theta_j's interval, ascending
+    ph: list  # (lower, upper) end times scale of phi_k(0)'s interval, ascending
+    scale: int  # a power of two: the lcm of the interval ends' denominators
+    los: list  # lower wall ends times scale, ascending
+    his: list  # upper wall ends times scale, ascending
     rank: list  # rank[n]: the place of wall n's upper end in his
     pair_sign: list  # -SOLITARY_SIGN sign P'(theta_j) Q'(phi_k) of wall n = j d + k
     sh: list = field(init=False)  # sh[p], p = 0..d^2, made from rank and pair_sign
@@ -347,6 +412,18 @@ class _RangeIsolation:
         object.__setattr__(self, "sh", [
             QQ(sum(s if place < p else -s for s, place in zip(self.pair_sign, self.rank)), 2)
             for p in range(len(self.rank) + 1)])
+
+    @property
+    def walls(self):
+        """The closed interval [-a1 - b1, -a0 - b0] holding
+        -theta_j - phi_k(0), as Fractions, in (j, k) order."""
+        return [(QQ(-a1 - b1, self.scale), QQ(-a0 - b0, self.scale))
+                for a0, a1 in self.th for b0, b1 in self.ph]
+
+    @property
+    def phi0(self):
+        """The exact midpoint of phi_k(0)'s interval, per root of B_0."""
+        return [QQ(b0 + b1, 2 * self.scale) for b0, b1 in self.ph]
 
 
 def _range_isolation(d, K, b_name) -> _RangeIsolation:
@@ -369,21 +446,26 @@ def _range_isolation(d, K, b_name) -> _RangeIsolation:
 
 
 def _isolate_range(d, K, b_name, width=_WIDTH) -> _RangeIsolation:
+    """A and B_0 isolated by real_roots_sturm at `width`, their interval
+    ends taken to integers over one scale (a power of two at a dyadic
+    width, as every width here is), and the wall ends n = j d + k formed
+    from those integers: lower -a1 - b1, upper -a0 - b0."""
     A, B0 = _range_polys(d, 0, K)
-    th_iv = _certified_real_roots(A, d, "P(u,1) = 1", width)
-    ph_iv = _certified_real_roots(B0, d, f"{b_name}(u,1) = 1", width)
-    theta = [float((a0 + a1) / 2) for a0, a1 in th_iv]
-    phi0 = [(b0 + b1) / 2 for b0, b1 in ph_iv]
-    walls = [(-a1 - b1, -a0 - b0) for a0, a1 in th_iv for b0, b1 in ph_iv]
-    scale = math.lcm(*(end.denominator for wall in walls for end in wall))
-    los = sorted(lo.numerator * (scale // lo.denominator) for lo, _ in walls)
-    his = [hi.numerator * (scale // hi.denominator) for _, hi in walls]
-    order = sorted(range(len(walls)), key=his.__getitem__)
-    rank = sorted(range(len(walls)), key=order.__getitem__)  # the inverse of order
+    ivs = (_certified_real_roots(A, d, "P(u,1) = 1", width)
+           + _certified_real_roots(B0, d, f"{b_name}(u,1) = 1", width))
+    scale = math.lcm(*(end.denominator for iv in ivs for end in iv))
+    ints = [tuple(end.numerator * (scale // end.denominator) for end in iv) for iv in ivs]
+    th, ph = ints[:d], ints[d:]
+    # int / int rounds correctly, so each is float() of the Fraction midpoint
+    theta = [(a0 + a1) / (2 * scale) for a0, a1 in th]
+    los = sorted(-a1 - b1 for _, a1 in th for _, b1 in ph)
+    his = [-a0 - b0 for a0, _ in th for b0, _ in ph]
+    order = sorted(range(len(his)), key=his.__getitem__)
+    rank = sorted(range(len(his)), key=order.__getitem__)  # the inverse of order
     # A and B_0 have d simple real roots and leading coefficient K > 0, so
     # sign P'(theta_j) Q'(phi_k) = (-1)^(j + k)
     pair_sign = [-SOLITARY_SIGN * (-1) ** (j + k) for j in range(d) for k in range(d)]
-    return _RangeIsolation(d, QQ(K), theta, phi0, walls, scale, los,
+    return _RangeIsolation(d, QQ(K), theta, th, ph, scale, los,
                            [his[n] for n in order], rank, pair_sign)
 
 
@@ -454,27 +536,29 @@ def range_collision_times(d, K):
     return sorted(_range_isolation(d, K, "Q_0").walls)
 
 
-def _check_wall_ledger(a, b, n, delta):
+def _check_wall_ledger(grid, j, i, n, delta):
     """Each wall moves sh by +-1 (shade numbers of real-point-free members
-    are Vassiliev invariants of degree 1), so from sample a to sample b
-    across n walls, delta is an integer, |delta| <= n, delta = n (mod 2)."""
+    are Vassiliev invariants of degree 1), so from sample j to sample i
+    across n walls, delta is an integer, |delta| <= n, delta = n (mod 2).
+    The samples' Fractions are built only for the error text."""
     if delta.denominator != 1 or abs(delta.numerator) > n or (delta.numerator - n) % 2:
-        a, b = min(a, b), max(a, b)
+        a, b = sorted((grid[j], grid[i]))
         raise InstabilityError(
             f"sh moved by {delta} between t = {a} and t = {b} across {n} certified wall(s)"
         )
 
 
-def _range_samples(iso: _RangeIsolation, grid):
+def _range_samples(iso: _RangeIsolation, grid: Grid):
     """(value, singular, error) per sample, and the lower wall ends below
-    it (None inside a wall).  Each sample, an integer over the grid's
-    common denominator, is placed once.  Outside every wall W_t has no real
-    point and sh is iso.sh[upper ends below t]; inside one the exact gcd
-    test and a narrower isolation decide (_clear_isolation)."""
-    den = math.lcm(*(t.denominator for t in grid))
-    placed = [_place(iso, t.numerator * (den // t.denominator), den) for t in grid]
-    results = [(iso.sh[p], False, None) if r == p else _guarded(_wall_sample)(iso, t)
-               for t, (r, p) in zip(grid, placed)]
+    it (None inside a wall).  Each sample is placed once, straight from
+    its integer over the grid's denominator.  Outside every wall W_t has
+    no real point and sh is iso.sh[upper ends below t], the table's own
+    object; inside one the exact gcd test and a narrower isolation decide
+    (_clear_isolation), on the sample's Fraction."""
+    den, sh = grid.den, iso.sh
+    placed = [_place(iso, n, den) for n in grid.nums]
+    results = [(sh[p], False, None) if r == p else _guarded(_wall_sample)(iso, grid[k])
+               for k, (r, p) in enumerate(placed)]
     return results, [r if r == p else None for r, p in placed]
 
 
@@ -534,29 +618,34 @@ def family_sweep(family: str, grid, seed=0, eps=None, d=None, K=None) -> SweepRe
     """Per-sample invariant over a parameter grid: Cw for the knot family,
     sh for the range family; singular samples flagged, never interpolated.
 
+    Any sequence of rationals is taken to a Grid once: the samples are
+    integers over one denominator from there on, and a sample's Fraction
+    is built only for a kae member, a sample inside a wall or an
+    unisolated family, a jump and an error text.
+
     A range sweep isolates A and B_0 once per (d, K) (_range_samples).
     Between neighbours outside every wall, the walls crossed (counted from
     the lower ends, while the shade reads the upper ones) must account for
-    the change of sh, else InstabilityError.  A failed isolation (K too
-    small) is every regular sample's error."""
-    grid = [g if isinstance(g, Fraction) else QQ(g) for g in grid]
+    the change of sh, else InstabilityError; neighbours that share an
+    sh-table entry (by identity) and cross no wall need no check.  A
+    failed isolation (K too small) is every regular sample's error."""
+    grid = Grid.of(grid)
     reached = None  # per range sample: lower wall ends below it, None in a wall
     if family == "kae":
         if eps not in (1, -1):
             raise PreconditionError("kae sweep needs eps = +1 or -1")
         params = {"eps": eps}
 
-        def sample(idx_a):
-            idx, a = idx_a
+        def sample(idx):
             from .curves import kae_curve
 
             try:
-                rep = encomplexed_writhe(kae_curve(a, eps), seed=seed + idx)
+                rep = encomplexed_writhe(kae_curve(grid[idx], eps), seed=seed + idx)
             except DoublePointError:
                 return (None, True, "singular member (double point)")
             return (QQ(rep.Cw), False, None)
 
-        results = list(map(_guarded(sample), enumerate(grid)))
+        results = list(map(_guarded(sample), range(len(grid))))
     elif family == "range":
         if not d or d < 1:
             raise PreconditionError("range sweep needs d >= 1")
@@ -577,10 +666,12 @@ def family_sweep(family: str, grid, seed=0, eps=None, d=None, K=None) -> SweepRe
         if v is None:
             continue
         if j is not None:
-            delta = v - values[j] if v != values[j] else 0  # no Fraction made when equal
-            if reached and reached[i] is not None and reached[j] is not None:
-                _check_wall_ledger(grid[j], grid[i], abs(reached[i] - reached[j]), delta)
-            if delta:
+            moved = v is not values[j] and v != values[j]
+            delta = v - values[j] if moved else 0
+            if reached and reached[i] is not None and reached[j] is not None and (
+                    moved or reached[i] != reached[j]):
+                _check_wall_ledger(grid, j, i, abs(reached[i] - reached[j]), delta)
+            if moved:
                 jumps.append((grid[j], grid[i], delta))
         j = i
     return SweepReport(family, params, grid, values, singular, errors, jumps)

@@ -363,6 +363,25 @@ def image_twin(curve, swap):
     return CurveModel(curve.ambient, [comp, CurveComponent(copy, "copy")])
 
 
+def reparameterized(curve, a, b, c, e):
+    """The curve with every coordinate form f(s, t) replaced by
+    f(a s + b t, c s + e t): the same image, in a new parameter."""
+    s_new, t_new = BinaryForm(1, [a, b]), BinaryForm(1, [c, e])
+
+    def substitute(f):
+        out = BinaryForm(f.degree, [0] * (f.degree + 1))
+        for k, coeff in enumerate(f.coeffs):
+            term = BinaryForm(0, [coeff])
+            for factor in [s_new] * (f.degree - k) + [t_new] * k:
+                term = term * factor
+            out = out + term
+        return out
+
+    return CurveModel(curve.ambient, [CurveComponent([substitute(f) for f in comp.coords],
+                                                     comp.label)
+                                      for comp in curve.components], curve.metadata)
+
+
 def _scalar_jets(T, zx, wx, z_chart_t, w_chart_t):
     """Value, z-partial and w-partial of every table of T at one point with
     local coordinates zx, wx in the given charts (True: chart t)."""

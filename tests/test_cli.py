@@ -8,9 +8,11 @@ import json
 import shutil
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shadecalc import cli, diagram, invariants, roots
 from shadecalc.cli import main
@@ -19,7 +21,7 @@ from shadecalc.errors import CurveFileError
 from shadecalc.reportio import model_to_json
 from shadecalc.scalars import QQ, GaussianRational, parse_scalar
 
-from helpers import image_twin
+from helpers import image_twin, reparameterized
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "src" / "shadecalc" / "data"
@@ -193,6 +195,25 @@ class TestExitCodes:
         assert len(cli._parse_grid(f"0:{cli.MAX_GRID_SAMPLES - 1}:1")) == cli.MAX_GRID_SAMPLES
         with pytest.raises(CurveFileError, match="more than"):
             cli._parse_grid(f"0:{cli.MAX_GRID_SAMPLES}:1")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(QQ, st.integers(-10**6, 10**6), st.integers(1, 10**4)),
+           st.builds(QQ, st.integers(1, 10**5), st.integers(1, 10**4)),
+           st.integers(0, 300), st.booleans())
+    def test_parsed_grid_is_the_fraction_list(self, a, step, n, decimals):
+        # a:b:step with b anywhere in [a + n step, a + (n + 1) step), written
+        # as fractions or, where exact, as decimals
+        def written(x):
+            text = str(Decimal(x.numerator) / x.denominator)
+            return text if decimals and QQ(text) == x else str(x)
+
+        b = a + n * step + step * QQ(n % 3, 3)
+        spec = ":".join(map(written, (a, b, step)))
+        grid = cli._parse_grid(spec)
+        want = [a + k * step for k in range(n + 1)]
+        assert grid == want
+        assert [grid[k] for k in range(len(grid))] == want
+        assert grid.strings() == [str(t) for t in want]
 
     @pytest.mark.parametrize("centers", ["0", "-2"])
     def test_centers_below_one_exit_1(self, centers, capsys):
@@ -388,6 +409,39 @@ class TestExitCodes:
         assert obj["result"]["Cw"] is None
         assert obj["result"]["sh_part"] in ("1/2", "-1/2")
         assert obj["result"]["mode"] == "shade"
+
+    # (a, b, c, e): the parameter map (s, t) -> (a s + b t, c s + e t)
+    NON_REAL_MAPS = [
+        pytest.param(1, GaussianRational(0, 1), GaussianRational(0, 1), 1, id="s+it,is+t"),
+        pytest.param(2, GaussianRational(1, 1), 1, 3, id="2s+(1+i)t,s+3t"),
+    ]
+
+    @pytest.mark.parametrize("a, b, c, e", NON_REAL_MAPS)
+    @pytest.mark.parametrize("name", ["unknot", "trefoil", "kae_half_minus", "lp_line"])
+    def test_curve_in_a_non_real_parameter(self, name, a, b, c, e, tmp_path, capsys):
+        # a real curve written in a non-real parameter is its own conjugate
+        # up to a reparameterization; its record against its conjugate lost
+        # that map's graph, and with it the real points, so the shade path
+        # once reported sh_part 0 with exit 0.  lp_line has no real point
+        # and keeps its shade number
+        model, _ = cli._load(DATA / f"{name}.json")
+        curve = reparameterized(model, a, b, c, e)
+        assert not curve.components[0].is_real()
+        path = tmp_path / "reparameterized.json"
+        path.write_text(json.dumps(model_to_json(curve)))
+        code, out = run(["invariants", "--curve", str(path)], capsys)
+        if name == "lp_line":
+            assert code == 0
+            result = json.loads(out)["result"]
+            assert (result["mode"], result["sh_part"]) == ("shade", "1/2")
+            return
+        assert (code, out) == (3, b"")
+        label = curve.components[0].label or 0
+        assert capsys.readouterr().err == (
+            f"precondition violation: component {label} is its own conjugate up to a "
+            "reparameterization (saturation removed a factor of bidegree (1, 1) from its "
+            "record against its conjugate), so its real locus cannot be certified empty\n"
+        )
 
     @pytest.mark.parametrize("a, b", [(0, 1), (1, 2)], ids=["i", "1+2i"])
     @pytest.mark.parametrize("name", ["unknot", "kae_half_minus", "trefoil", "lp_line"])
@@ -666,6 +720,29 @@ class TestGoldenBytes:
             ["sweep", "--family", "range", "--d", "6", "--grid=-10:10:1/10"],
             "f75d36e932253387f23fa8dd2b9087ab81d4306538f882c77e1f6b735142100e",
             id="sweep_range_d6",
+        ),
+        # the benchmark's range_sweep grid (workload seed 0: offset 39/10000)
+        pytest.param(
+            ["sweep", "--family", "range", "--d", "3", "--K", "10000",
+             "--grid=-99961/10000:100039/10000:1/10"],
+            "34ed3d09c7dbdaef7af54121b5b15d35f2b6d94837dd676430d6d963ea245ddb",
+            id="sweep_range_benchmark_grid",
+        ),
+        # through the one d = 1 wall [lo, hi] in steps of half its width,
+        # from two steps below lo to two above hi: three samples inside it
+        pytest.param(
+            ["sweep", "--family", "range", "--d", "1", "--K", "1000",
+             "--grid=-511104115115249572121988661187149574439/340282366920938463463374607431768211456"
+             ":-511104115115249572121988659537882132775/340282366920938463463374607431768211456"
+             ":1/1237940039285380274899124224"],
+            "fe2414ee24ff6bfbf44550964c1663440a9bd2e620a32747f37d2c8707c15e16",
+            id="sweep_range_d1_through_the_wall",
+        ),
+        # K = 1 isolates no walls: the exact singular test on every sample
+        pytest.param(
+            ["sweep", "--family", "range", "--d", "3", "--K", "1", "--grid=-2:2:1"],
+            "3f0a9c25cad29023327fbe70fad541c3fe715806a8b0aae2666b550d14b44e73",
+            id="sweep_range_unisolated",
         ),
     ]
 

@@ -873,6 +873,65 @@ class TestRangeSweepDifferential:
         assert all(placed.count(t) == grid.count(t) for t in outside)
 
 
+@st.composite
+def _range_sample_lists(draw):
+    """(d, K, samples) for a range sweep: d = 1-3 at K = 10^(2+d), just past
+    (2(d^2+1))^d, or 1 (where isolation fails from d = 2 on), and an
+    unsorted list of rationals of mixed denominators that may repeat: free
+    samples, the wall ends and points inside the walls, and at d = 1 the
+    exact collision time -3/2 - 2/K, the singular member."""
+    d = draw(st.integers(1, 3))
+    K = draw(st.sampled_from([QQ(10) ** (2 + d), QQ((2 * (d * d + 1)) ** d + 7, 3), QQ(1)]))
+    free = st.builds(QQ, st.integers(-120, 120), st.integers(1, 30))
+    samples = draw(st.lists(free, min_size=1, max_size=6))
+    if d >= 2 and K == 1:
+        return d, K, samples
+    walls = range_collision_times(d, K)
+    for _ in range(draw(st.integers(0, 3))):
+        lo, hi = draw(st.sampled_from(walls))
+        samples.append(lo + (hi - lo) * QQ(draw(st.integers(0, 4)), 4))
+    if d == 1 and draw(st.booleans()):
+        samples.append(QQ(-3, 2) - 2 / K)
+    samples += draw(st.lists(st.sampled_from(samples), max_size=2))
+    return d, K, draw(st.permutations(samples))
+
+
+class TestGridSweepDifferential:
+    """family_sweep on any list of rationals, carried as one Grid, against
+    range_family_shade and range_family_is_singular sample by sample."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_range_sample_lists())
+    def test_each_sample_is_its_own_range_shade(self, case):
+        d, K, samples = case
+        rep = family_sweep("range", samples, d=d, K=K)
+        assert rep.grid == samples
+        assert rep.grid.strings() == [str(t) for t in samples]
+        for t, v, sing, err in zip(samples, rep.values, rep.singular, rep.errors):
+            try:
+                want = range_family_shade(d, t, K)["sh"]
+            except PreconditionError as e:
+                if sing:
+                    assert range_family_is_singular(d, t, K)
+                    assert (v, err) == (None, "singular member (real point)")
+                else:
+                    assert not range_family_is_singular(d, t, K)
+                    assert (v, err) == (None, f"PreconditionError: {e}")
+            else:
+                assert (v, sing, err) == (want, False, None)
+        regular = [(t, v) for t, v in zip(samples, rep.values) if v is not None]
+        assert rep.jumps == [(a, b, w - v) for (a, v), (b, w) in zip(regular, regular[1:])
+                             if w != v]
+
+    def test_the_d1_collision_is_flagged(self):
+        # the one singular member a rational sample can hit at d = 1
+        t = QQ(-3, 2) - QQ(2, 1000)
+        with pytest.raises(PreconditionError, match="is singular"):
+            range_family_shade(1, t, QQ(1000))
+        rep = family_sweep("range", [t, QQ(-2), t], d=1, K=QQ(1000))
+        assert rep.singular == [True, False, True]
+
+
 class TestLinking:
     def test_hopf_great_circles(self):
         assert linking_number(hopf_pair_curve(), 0, 1, seed=2) == 1

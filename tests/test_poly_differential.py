@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
@@ -833,14 +833,24 @@ class TestDiagonalProof:
         (fs, ft), (gs, gt) = f.partials(), g.partials()
         assert BivarPoly.bezoutian(f, g).diagonal() == (fs * gt - ft * gs) * Fraction(1, f.degree)
 
+    # the sphere lift of the line [t, 0, 0, s]: its five-coordinate record
+    # carries the proof, while its P3 image (0, 0, 2s^2 + 2st, -2st - t^2)
+    # double covers a line, with one Jacobian minor of degree 2
+    LINE_LIFT = (True, [BinaryForm(1, [0, 1]), BinaryForm(1, [0, 0]),
+                        BinaryForm(1, [0, 0]), BinaryForm(1, [1, 0])])
+
     @settings(max_examples=60, deadline=None)
     @given(st.booleans().flatmap(lambda lift: st.tuples(st.just(lift),
                                                         p3_curve_forms(2 if lift else 3))))
+    @example(LINE_LIFT)
     def test_proof_means_immersed_and_coprime(self, case):
         # on P3 curves of degree up to 3 and the lifts of those up to 2 to
-        # the sphere (degree 4), a record that carries the proof belongs to
-        # an immersed component whose P3 image is immersed too, and its
-        # forms have a constant gcd, all by sympy
+        # the sphere (degree 4), a record that carries the proof has
+        # coprime Jacobian minors of its own coordinates (the P3 image's
+        # for the p3 record, all five for the other), belongs to an
+        # immersed component, and its forms have a constant gcd, all by
+        # sympy.  An immersed sphere curve may have a P3 image that is not
+        # immersed, so the five-coordinate record says nothing of it
         lift, forms = case
         curve = stereo_lift(forms) if lift else CurveModel("P3", [CurveComponent(forms)])
         comp = curve.components[0]
@@ -849,8 +859,8 @@ class TestDiagonalProof:
             rec = secants(curve, 0, 0, p3=p3)
             if rec.immersed:
                 assert rec.removed == (1, 1) and rec.diagonal_only
-                for coords in (comp.coords, p3_forms(comp.coords)):
-                    assert _sympy_form_gcd_degree(_jacobian_minors(coords)) == 0
+                coords = p3_forms(comp.coords) if p3 else comp.coords
+                assert _sympy_form_gcd_degree(_jacobian_minors(coords)) == 0
                 assert comp.is_immersion()
                 g = sympy_bivar_gcd([m for m in rec.minors if not m.is_zero()])
                 assert (g.m, g.n) == (0, 0)
